@@ -54,7 +54,14 @@ SYNOPSIS_MODULES = (
     "repro.core.lsh_predictor",
 )
 SYNOPSIS_ATTRS = frozenset(
-    {"_histograms", "_counts", "_cost_sums", "total_points", "total_mass"}
+    {
+        "_histograms",
+        "_packed",
+        "_counts",
+        "_cost_sums",
+        "total_points",
+        "total_mass",
+    }
 )
 _MUTATION_COUNTER = "_mutations"
 

@@ -130,11 +130,7 @@ class MemoryGovernor:
         current = predictor.max_buckets
         if current > MIN_BUCKETS:
             new_buckets = max(MIN_BUCKETS, current // 2)
-            predictor.max_buckets = new_buckets
-            for row in predictor._histograms:
-                for histogram in row:
-                    if hasattr(histogram, "shrink"):
-                        histogram.shrink(new_buckets)
+            predictor.shrink(new_buckets)
             action = GovernorAction(
                 name,
                 "shrink",

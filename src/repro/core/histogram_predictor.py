@@ -32,6 +32,7 @@ from repro.core.point import SamplePool
 from repro.core.predictor import (
     PlanPredictor,
     Prediction,
+    median_over_transforms,
     median_supported,
 )
 from repro.core.relevance import apply_axis_weights
@@ -44,6 +45,7 @@ from repro.histograms import (
     MaxDiffHistogram,
     VOptimalHistogram,
 )
+from repro.histograms.packed import PackedHistograms
 from repro.lsh.grid import Grid
 from repro.lsh.stacked import StackedEnsemble
 from repro.lsh.transforms import TransformEnsemble
@@ -150,6 +152,10 @@ class HistogramPredictor(PlanPredictor):
         #: compares against this, matching the weighted bucket counts.
         self.total_mass = 0.0
         self._histograms: list[list[Histogram]] = []
+        #: Every histogram's buckets packed into one block: the density
+        #: lookup primitive.  Refreshed wherever ``_mutations`` is
+        #: bumped, so a predict never scans for stale rows.
+        self._packed: PackedHistograms
         self._metrics = None
         self._transform_timer = None
         self._range_timer = None
@@ -158,9 +164,10 @@ class HistogramPredictor(PlanPredictor):
         #: replay below journals nothing and the disabled path stays a
         #: single ``is None`` check.
         self._events = None
-        #: Monotone synopsis-mutation counter: bumped by ``insert`` and
-        #: ``drop`` so batch consumers (``TemplateSession.execute_batch``)
-        #: can detect when precomputed predictions went stale.
+        #: Monotone synopsis-mutation counter: bumped by ``insert``,
+        #: ``drop``, ``shrink`` and ``load_histograms`` so batch
+        #: consumers (``TemplateSession.execute_batch``) can detect when
+        #: precomputed predictions went stale.
         self._mutations = 0
         self._build_histograms(pool)
 
@@ -223,12 +230,16 @@ class HistogramPredictor(PlanPredictor):
     def _new_histogram(self) -> Histogram:
         return IncrementalHistogram(self.max_buckets)
 
+    def _empty_histograms(self) -> list[list[Histogram]]:
+        return [
+            [self._new_histogram() for __ in range(self.plan_count)]
+            for __ in self.ensemble
+        ]
+
     def _build_histograms(self, pool: SamplePool) -> None:
         if self.histogram_kind == "incremental" or len(pool) == 0:
-            self._histograms = [
-                [self._new_histogram() for __ in range(self.plan_count)]
-                for __ in self.ensemble
-            ]
+            self._histograms = self._empty_histograms()
+            self._packed = PackedHistograms(self._histograms)
             for point in pool.points():
                 self.insert(point.coords, point.plan_id, point.cost)
             return
@@ -250,6 +261,7 @@ class HistogramPredictor(PlanPredictor):
                     )
                 )
             self._histograms.append(row)
+        self._packed = PackedHistograms(self._histograms)
         self.total_points = len(pool)
         self.total_mass = float(len(pool))
 
@@ -297,8 +309,11 @@ class HistogramPredictor(PlanPredictor):
         z_values = [
             float(z) for z in self._z_values_batch(x[None, :])[:, 0]
         ]
-        for histogram, z in zip(targets, z_values, strict=True):
+        for index, (histogram, z) in enumerate(
+            zip(targets, z_values, strict=True)
+        ):
             histogram.insert(z, cost, weight=weight)
+            self._packed.update(index, plan_id, histogram)
         self.total_points += 1
         self.total_mass += weight
         self._mutations += 1
@@ -321,10 +336,10 @@ class HistogramPredictor(PlanPredictor):
 
         For validated points ``(m, r)``, returns ``(z_values (t, m),
         counts (t, plans, m), avg_costs (t, plans, m))``: one stacked
-        pass computes all z-values, then each (transform, plan) synopsis
-        answers its whole query batch through the fused columnar range
-        query.  When metrics are bound (and ``record_timing``), the
-        transform and range-query timers observe exactly once per call.
+        pass computes all z-values, then the packed block answers every
+        (transform, plan) range query in one vectorized pass.  When
+        metrics are bound (and ``record_timing``), the transform and
+        range-query timers observe exactly once per call.
         """
         record = record_timing and self._metrics is not None
         if record:
@@ -332,19 +347,9 @@ class HistogramPredictor(PlanPredictor):
         z_values = self._z_values_batch(points)
         if record:
             mid = perf_counter()
-        lo = z_values - self.delta
-        hi = z_values + self.delta
-        t = len(self.ensemble)
-        m = points.shape[0]
-        counts = np.empty((t, self.plan_count, m))
-        avg_costs = np.empty((t, self.plan_count, m))
-        for index in range(t):
-            for plan in range(self.plan_count):
-                mass, average = self._histograms[index][
-                    plan
-                ].range_query_batch(lo[index], hi[index])
-                counts[index, plan] = mass
-                avg_costs[index, plan] = average
+        counts, avg_costs = self._packed.query(
+            z_values - self.delta, z_values + self.delta
+        )
         if record:
             self._transform_timer.observe(mid - started)
             self._range_timer.observe(perf_counter() - mid)
@@ -354,7 +359,7 @@ class HistogramPredictor(PlanPredictor):
         """Median (or mean, under the ablation) over the transform axis."""
         if self.aggregation == "mean":
             return estimates.mean(axis=0)
-        return np.median(estimates, axis=0)
+        return median_over_transforms(estimates)
 
     def _winner_costs(
         self,
@@ -575,20 +580,19 @@ class HistogramPredictor(PlanPredictor):
         ``(t, plan_count, probes)``.
 
         Tiles the z-axis ``[0, 1]`` into ``probes`` equal cells and
-        answers one batched range-count per (transform, plan) pair —
-        the read-only synopsis view the quality scorecard aggregates
-        into coverage/purity/entropy.  Never mutates predictor state.
+        answers every (transform, plan) range count through the packed
+        block — the read-only synopsis view the quality scorecard
+        aggregates into coverage/purity/entropy.  Never mutates
+        predictor state.
         """
         if probes < 1:
             raise ConfigurationError("probes must be >= 1")
         edges = np.linspace(0.0, 1.0, probes + 1)
-        lo, hi = edges[:-1], edges[1:]
-        densities = np.empty((len(self.ensemble), self.plan_count, probes))
-        for index in range(len(self.ensemble)):
-            for plan in range(self.plan_count):
-                densities[index, plan] = self._histograms[index][
-                    plan
-                ].range_count_batch(lo, hi)
+        shape = (len(self.ensemble), probes)
+        densities, __ = self._packed.query(
+            np.broadcast_to(edges[:-1], shape),
+            np.broadcast_to(edges[1:], shape),
+        )
         return densities
 
     def drop(self) -> None:
@@ -596,10 +600,8 @@ class HistogramPredictor(PlanPredictor):
         the reaction to a detected plan-space change)."""
         points_dropped = self.total_points
         mass_dropped = self.total_mass
-        self._histograms = [
-            [self._new_histogram() for __ in range(self.plan_count)]
-            for __ in self.ensemble
-        ]
+        self._histograms = self._empty_histograms()
+        self._packed = PackedHistograms(self._histograms)
         self.histogram_kind = "incremental"
         self.total_points = 0
         self.total_mass = 0.0
@@ -609,6 +611,44 @@ class HistogramPredictor(PlanPredictor):
                 "histogram_rebuilt",
                 points_dropped=points_dropped,
                 mass_dropped=mass_dropped,
+            )
+
+    def shrink(self, max_buckets: int) -> None:
+        """Cut the bucket budget of every insertable histogram to
+        ``max_buckets``, merging buckets as needed (the memory
+        governor's recall-for-space dial); static histograms keep
+        theirs."""
+        self.max_buckets = max_buckets
+        for row in self._histograms:
+            for histogram in row:
+                if hasattr(histogram, "shrink"):
+                    histogram.shrink(max_buckets)
+        self._packed = PackedHistograms(self._histograms)
+        self._mutations += 1
+        if self._events is not None:
+            self._emit_event("histogram_shrunk", max_buckets=max_buckets)
+
+    def load_histograms(
+        self,
+        histograms: "list[list[Histogram]]",
+        total_points: int,
+        total_mass: float,
+    ) -> None:
+        """Replace the whole synopsis with ``histograms`` (one row of
+        ``plan_count`` histograms per transform) and their totals — the
+        persistence restore path."""
+        self._histograms = histograms
+        self._packed = PackedHistograms(histograms)
+        self.total_points = total_points
+        self.total_mass = total_mass
+        self._mutations += 1
+        if self._events is not None:
+            self._emit_event(
+                "histogram_built",
+                histogram_kind=self.histogram_kind,
+                transforms=len(self.ensemble),
+                plans=self.plan_count,
+                points=self.total_points,
             )
 
     def space_bytes(self) -> int:

@@ -26,6 +26,7 @@ from repro.core.point import SamplePool
 from repro.core.predictor import (
     PlanPredictor,
     Prediction,
+    median_over_transforms,
     median_supported,
 )
 from repro.core.relevance import apply_axis_weights
@@ -198,7 +199,7 @@ class LshPredictor(PlanPredictor):
         """Median (or mean, under the ablation) over the transform axis."""
         if self.aggregation == "mean":
             return estimates.mean(axis=0)
-        return np.median(estimates, axis=0)
+        return median_over_transforms(estimates)
 
     def _winner_costs(
         self, cells: np.ndarray, winners: np.ndarray

@@ -166,12 +166,12 @@ def predictor_from_state(state: dict) -> HistogramPredictor:
             histogram._mutated()
             new_row.append(histogram)
         restored.append(new_row)
-    predictor._histograms = restored
-    predictor.total_points = int(state["total_points"])
-    # States written before the count/mass split carry only
-    # ``total_points`` (which then included fractional weights).
-    predictor.total_mass = float(
-        state.get("total_mass", state["total_points"])
+    predictor.load_histograms(
+        restored,
+        total_points=int(state["total_points"]),
+        # States written before the count/mass split carry only
+        # ``total_points`` (which then included fractional weights).
+        total_mass=float(state.get("total_mass", state["total_points"])),
     )
     return predictor
 

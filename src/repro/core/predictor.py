@@ -29,6 +29,18 @@ class Prediction:
     estimated_cost: "float | None" = None
 
 
+def median_over_transforms(values: np.ndarray) -> np.ndarray:
+    """``np.median(values, axis=0)``, bit for bit, as one sort over the
+    short leading (transform) axis — without ``np.median``'s per-call
+    overhead.  An even count averages the two middle values as
+    ``(a + b) / 2``, exactly as ``np.median`` does."""
+    ordered = np.sort(values, axis=0)
+    half = ordered.shape[0] // 2
+    if ordered.shape[0] % 2:
+        return ordered[half]
+    return (ordered[half - 1] + ordered[half]) / 2.0
+
+
 def median_supported(
     values: np.ndarray, supported: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -39,15 +51,23 @@ def median_supported(
     transforms that actually hold mass for the winning plan".  Returns
     ``(medians, any_support)``: columns with no supported transform get
     a NaN median and ``any_support`` False (the caller maps those to an
-    absent cost estimate).
+    absent cost estimate).  Bitwise equal to ``np.nanmedian`` over the
+    supported entries: unsupported entries become NaN, which the sort
+    puts last, and the middle pair of the first ``k`` supported values
+    is averaged as ``(a + b) / 2`` (for odd ``k`` both halves name the
+    same value, and ``(x + x) / 2 == x``).
     """
-    masked = np.where(supported, values, np.nan)
-    medians = np.full(values.shape[1], np.nan)
-    any_support = supported.any(axis=0)
-    if any_support.any():
-        medians[any_support] = np.nanmedian(
-            masked[:, any_support], axis=0
-        )
+    ordered = np.sort(np.where(supported, values, np.nan), axis=0)
+    support = supported.sum(axis=0)
+    high = support // 2
+    low = np.maximum(high - 1 + support % 2, 0)
+    columns = np.arange(values.shape[1])
+    any_support = support > 0
+    medians = np.where(
+        any_support,
+        (ordered[low, columns] + ordered[high, columns]) / 2.0,
+        np.nan,
+    )
     return medians, any_support
 
 

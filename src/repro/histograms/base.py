@@ -181,8 +181,10 @@ class Histogram(ABC):
         self, lo: np.ndarray, hi: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Counts and average costs for query arrays ``(m,)`` in one
-        overlap pass — the fused lookup the batched predictors issue per
-        (transform, plan) synopsis."""
+        overlap pass.  The predictors answer all their histograms at
+        once through :class:`~repro.histograms.packed.PackedHistograms`;
+        this per-histogram form is the reference that block is tested
+        against."""
         fractions = self._overlap_matrix(lo, hi)
         if fractions is None:
             zeros = np.zeros(np.asarray(lo).shape[0])

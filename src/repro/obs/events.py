@@ -54,6 +54,7 @@ EVENT_KINDS = (
     "point_inserted",
     "histogram_built",
     "histogram_rebuilt",
+    "histogram_shrunk",
     "noise_pruned",
     "cache_evicted",
     "drift_drop",

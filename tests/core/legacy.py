@@ -1,0 +1,65 @@
+"""Per-histogram reference for the packed density lookup.
+
+The histogram predictor answers its range queries through one packed
+block (``repro.histograms.packed``).  These helpers recompute the same
+estimates the slow way — one ``Histogram.range_query_batch`` call per
+(transform, plan) — so tests can hold the fast path to its numeric
+contract (rtol 1e-12 on masses and average costs, identical decisions).
+"""
+
+from unittest import mock
+
+import numpy as np
+
+
+def legacy_range_estimates(predictor, points):
+    """``(z_values, counts, avg_costs)`` via per-histogram queries."""
+    z_values = predictor._z_values_batch(points)
+    lo = z_values - predictor.delta
+    hi = z_values + predictor.delta
+    shape = (len(predictor.ensemble), predictor.plan_count, points.shape[0])
+    counts = np.empty(shape)
+    avg_costs = np.empty(shape)
+    for index, row in enumerate(predictor._histograms):
+        for plan, histogram in enumerate(row):
+            counts[index, plan], avg_costs[index, plan] = (
+                histogram.range_query_batch(lo[index], hi[index])
+            )
+    return z_values, counts, avg_costs
+
+
+def legacy_cell_densities(predictor, probes=64):
+    """``cell_densities`` via per-histogram ``range_count_batch``."""
+    edges = np.linspace(0.0, 1.0, probes + 1)
+    return np.array([
+        [h.range_count_batch(edges[:-1], edges[1:]) for h in row]
+        for row in predictor._histograms
+    ])
+
+
+def legacy_predict_batch(predictor, points):
+    """``predict_batch`` with the per-histogram lookup swapped in."""
+    with mock.patch.object(
+        predictor,
+        "_range_estimates",
+        lambda pts, record_timing=True: legacy_range_estimates(
+            predictor, pts
+        ),
+    ):
+        return predictor.predict_batch(points)
+
+
+def assert_predictions_match(fast, reference):
+    """Same NULLs, plans and confidences; costs within rtol 1e-12."""
+    assert len(fast) == len(reference)
+    for a, b in zip(fast, reference, strict=True):
+        assert (a is None) == (b is None)
+        if a is None:
+            continue
+        assert a.plan_id == b.plan_id
+        assert a.confidence == b.confidence
+        assert (a.estimated_cost is None) == (b.estimated_cost is None)
+        if a.estimated_cost is not None:
+            np.testing.assert_allclose(
+                a.estimated_cost, b.estimated_cost, rtol=1e-12
+            )

@@ -8,6 +8,7 @@ from repro.core.framework import TemplateSession
 from repro.core.governor import MIN_BUCKETS, MemoryGovernor
 from repro.exceptions import ConfigurationError
 from repro.workload import RandomTrajectoryWorkload
+from tests.core.legacy import assert_predictions_match, legacy_predict_batch
 
 
 @pytest.fixture()
@@ -93,6 +94,30 @@ class TestEnforcement:
             1 for p in workload if hot.online.predict(p) is not None
         )
         assert answered > 0
+
+    def test_shrink_refreshes_the_packed_lookup(self, sessions):
+        """A governor shrink goes through the predictor: the packed
+        block is repacked (predictions equal the per-histogram
+        reference) and the mutation counter advances, so prefetched
+        batch predictions get invalidated."""
+        hot, __ = sessions
+        governor = MemoryGovernor(budget_bytes=10**9)
+        governor.register(hot)
+        predictor = hot.online.predictor
+        before = predictor.mutation_count
+        buckets_before = predictor.max_buckets
+        governor.budget_bytes = hot.online.space_bytes() // 2
+        actions = governor.enforce()
+        assert actions and actions[0].action == "shrink"
+        assert predictor.max_buckets < buckets_before
+        assert predictor.mutation_count > before
+        probes = np.array(
+            RandomTrajectoryWorkload(2, spread=0.05, seed=3).generate(200)
+        )
+        assert_predictions_match(
+            predictor.predict_batch(probes),
+            legacy_predict_batch(predictor, probes),
+        )
 
 
 def q1_name(session):

@@ -6,6 +6,12 @@ import pytest
 from repro.core.histogram_predictor import HistogramPredictor, ball_volume
 from repro.core.point import SamplePool
 from repro.exceptions import ConfigurationError, PredictionError
+from tests.core.legacy import (
+    assert_predictions_match,
+    legacy_cell_densities,
+    legacy_predict_batch,
+    legacy_range_estimates,
+)
 
 
 def _pool():
@@ -228,6 +234,64 @@ class TestValidation:
             pool.add(x, 0)
         predictor = HistogramPredictor(pool, resolution=4096, seed=1)
         assert predictor.curve.dims * predictor.curve.bits <= 62
+
+
+class TestPackedLookup:
+    """The packed block against the per-histogram reference."""
+
+    @pytest.mark.parametrize(
+        "kind", ["maxdiff", "equidepth", "equiwidth", "voptimal", "incremental"]
+    )
+    def test_estimates_and_predictions_match_reference(self, kind):
+        predictor = HistogramPredictor(
+            _pool(), radius=0.1, histogram_kind=kind, seed=1,
+            confidence_threshold=0.5,
+        )
+        probes = np.random.default_rng(4).uniform(0.0, 1.0, (300, 2))
+        __, counts, avg_costs = predictor._range_estimates(probes)
+        __, ref_counts, ref_costs = legacy_range_estimates(predictor, probes)
+        np.testing.assert_allclose(counts, ref_counts, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(avg_costs, ref_costs, rtol=1e-12, atol=0)
+        assert_predictions_match(
+            predictor.predict_batch(probes),
+            legacy_predict_batch(predictor, probes),
+        )
+        np.testing.assert_allclose(
+            predictor.cell_densities(32),
+            legacy_cell_densities(predictor, 32),
+            rtol=1e-12,
+            atol=0,
+        )
+
+    def test_inserts_keep_the_block_current(self):
+        predictor = HistogramPredictor(
+            SamplePool(2), plan_count=2, histogram_kind="incremental",
+            max_buckets=6, seed=1,
+        )
+        rng = np.random.default_rng(5)
+        probes = rng.uniform(0.0, 1.0, (50, 2))
+        for x in rng.uniform(0.0, 1.0, (40, 2)):
+            predictor.insert(x, int(x[0] > 0.5), cost=float(x.sum()))
+            __, counts, __ = predictor._range_estimates(probes)
+            __, ref_counts, __ = legacy_range_estimates(predictor, probes)
+            np.testing.assert_allclose(counts, ref_counts, rtol=1e-12, atol=0)
+
+    def test_shrink_repacks_and_bumps(self):
+        predictor = HistogramPredictor(
+            _pool(), histogram_kind="incremental", radius=0.1, seed=1
+        )
+        before = predictor.mutation_count
+        predictor.shrink(5)
+        assert predictor.mutation_count == before + 1
+        assert predictor.max_buckets == 5
+        assert all(
+            h.bucket_count <= 5 for row in predictor._histograms for h in row
+        )
+        probes = np.random.default_rng(6).uniform(0.0, 1.0, (100, 2))
+        assert_predictions_match(
+            predictor.predict_batch(probes),
+            legacy_predict_batch(predictor, probes),
+        )
 
 
 class TestAgainstOracle:

@@ -49,6 +49,14 @@ class TestRoundTrip:
                 assert (a.estimated_cost is None) == (b.estimated_cost is None)
                 if a.estimated_cost is not None:
                     assert a.estimated_cost == pytest.approx(b.estimated_cost)
+        # The restore repacks the density-lookup block, so the batch
+        # path is bit-for-bit the original's, not merely close.
+        assert restored == original
+        probes = sample_points(2, 64, seed=7)
+        assert reloaded.predict_batch(probes) == (
+            trained_predictor.predict_batch(probes)
+        )
+        assert reloaded.mutation_count > 0
 
     def test_state_is_json_compatible(self, trained_predictor):
         import json

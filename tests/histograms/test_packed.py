@@ -1,0 +1,231 @@
+"""Numeric contract of the packed histogram block (hypothesis).
+
+The packed block must answer every (transform, plan) range query the
+way ``Histogram.range_query_batch`` does — masses and average costs
+within rtol 1e-12 (only the summation order differs) — for every
+histogram kind, including point-mass buckets, touching buckets,
+weighted inserts, queries past ``[0, 1]`` and queries wider than a
+bucket.  The sort-based medians must equal ``np.median`` /
+``np.nanmedian`` bit for bit, and the block's precondition (buckets
+sorted by ``lo``, pairwise non-overlapping) must hold for every
+construction and mutation.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.core.predictor import median_over_transforms, median_supported
+from repro.histograms import (
+    EquiDepthHistogram,
+    EquiWidthHistogram,
+    IncrementalHistogram,
+    MaxDiffHistogram,
+    VOptimalHistogram,
+)
+from repro.histograms.packed import PackedHistograms
+
+STATIC = {
+    "maxdiff": MaxDiffHistogram,
+    "equidepth": EquiDepthHistogram,
+    "equiwidth": EquiWidthHistogram,
+    "voptimal": VOptimalHistogram,
+}
+KINDS = (*STATIC, "incremental")
+
+# A coarse grid makes duplicate values — hence point masses and
+# buckets touching at a shared boundary — common.
+grid_values = st.integers(0, 16).map(lambda k: k / 16)
+unit_values = st.one_of(
+    grid_values, st.floats(0.0, 1.0, allow_nan=False)
+)
+# Weights and costs stay within a few-x range: the prefix-sum
+# difference then cannot cancel enough to leave rtol 1e-12.
+weights = st.sampled_from([0.5, 0.75, 1.0])
+costs = st.floats(1.0, 4.0, allow_nan=False)
+
+
+def assert_well_formed(histogram):
+    """The packed block's precondition on one histogram: buckets sorted
+    by ``lo`` and pairwise non-overlapping (touching is allowed)."""
+    buckets = histogram.buckets
+    for left, right in zip(buckets, buckets[1:], strict=False):
+        assert left.lo <= left.hi <= right.lo
+
+
+@st.composite
+def histograms(draw, kind):
+    """One histogram of ``kind`` built from drawn labeled points."""
+    n = draw(st.integers(0, 30))
+    values = draw(st.lists(unit_values, min_size=n, max_size=n))
+    point_costs = draw(st.lists(costs, min_size=n, max_size=n))
+    budget = draw(st.integers(1, 12))
+    if kind == "incremental":
+        histogram = IncrementalHistogram(max_buckets=budget)
+        for value, cost in zip(values, point_costs, strict=True):
+            histogram.insert(value, cost, weight=draw(weights))
+            assert_well_formed(histogram)
+        if draw(st.booleans()):
+            histogram.shrink(draw(st.integers(1, budget)))
+    else:
+        histogram = STATIC[kind].build(
+            values, point_costs, bucket_count=budget
+        )
+        if kind == "equiwidth" and draw(st.booleans()):
+            histogram.insert(
+                draw(unit_values), draw(costs), weight=draw(weights)
+            )
+    assert_well_formed(histogram)
+    return histogram
+
+
+@st.composite
+def blocks(draw):
+    """``(rows, lo, hi)``: a ``t × plans`` grid of histograms of one
+    kind and a ``(t, m)`` query batch against it."""
+    kind = draw(st.sampled_from(KINDS))
+    t = draw(st.integers(1, 6))
+    plans = draw(st.integers(1, 3))
+    rows = [
+        [draw(histograms(kind)) for __ in range(plans)] for __ in range(t)
+    ]
+    m = draw(st.integers(1, 6))
+    edges = sorted({
+        edge
+        for row in rows
+        for histogram in row
+        for bucket in histogram.buckets
+        for edge in (bucket.lo, bucket.hi)
+    })
+    # Query bounds: free floats past [0, 1], or exact bucket bounds.
+    bound = st.floats(-0.5, 1.5, allow_nan=False)
+    if edges:
+        bound = st.one_of(bound, st.sampled_from(edges))
+    pairs = draw(
+        st.lists(st.tuples(bound, bound), min_size=t * m, max_size=t * m)
+    )
+    lo = np.array([min(pair) for pair in pairs]).reshape(t, m)
+    hi = np.array([max(pair) for pair in pairs]).reshape(t, m)
+    return rows, lo, hi
+
+
+def reference(rows, lo, hi):
+    """Per-histogram ``range_query_batch`` answers, ``(t, plans, m)``."""
+    # Subnormal bucket widths overflow the overlap division (to a
+    # fraction clipped at 1), which is expected here.
+    with np.errstate(over="ignore"):
+        answers = [
+            [h.range_query_batch(lo[i], hi[i]) for h in row]
+            for i, row in enumerate(rows)
+        ]
+    mass = np.array([[answer[0] for answer in row] for row in answers])
+    average = np.array([[answer[1] for answer in row] for row in answers])
+    return mass, average
+
+
+class TestAgainstPerHistogramQueries:
+    @given(data=blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_masses_and_costs_match(self, data):
+        rows, lo, hi = data
+        mass, average = PackedHistograms(rows).query(lo, hi)
+        expected_mass, expected_average = reference(rows, lo, hi)
+        np.testing.assert_allclose(mass, expected_mass, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            average, expected_average, rtol=1e-12, atol=0
+        )
+
+    @given(data=blocks(), value=unit_values, cost=costs, weight=weights)
+    @settings(max_examples=100, deadline=None)
+    def test_row_update_tracks_inserts(self, data, value, cost, weight):
+        """Updating one row after an insert (which may widen the
+        block) equals packing from scratch."""
+        rows, lo, hi = data
+        assume(hasattr(rows[0][0], "insert"))
+        packed = PackedHistograms(rows)
+        rows[0][0].insert(value, cost, weight=weight)
+        packed.update(0, 0, rows[0][0])
+        fresh = PackedHistograms(rows)
+        for got, want in zip(
+            packed.query(lo, hi), fresh.query(lo, hi), strict=True
+        ):
+            np.testing.assert_array_equal(got, want)
+
+    def test_growing_row_widens_block(self):
+        histogram = IncrementalHistogram(max_buckets=50)
+        packed = PackedHistograms([[histogram]])
+        for k in range(20):
+            histogram.insert(k / 20, 1.0)
+            packed.update(0, 0, histogram)
+        assert packed.width >= 22
+        mass, __ = packed.query(np.array([[-1.0]]), np.array([[2.0]]))
+        assert mass[0, 0, 0] == 20.0
+
+    def test_query_inside_one_bucket_counts_it_once(self):
+        histogram = MaxDiffHistogram.build([0.2, 0.8], bucket_count=1)
+        mass, __ = PackedHistograms([[histogram]]).query(
+            np.array([[0.4]]), np.array([[0.6]])
+        )
+        assert mass[0, 0, 0] == pytest.approx(2 * 0.2 / 0.6, rel=1e-12)
+
+    def test_chunked_batch_equals_columns(self):
+        """A wide batch runs in column chunks; each column must equal
+        its batch-of-one answer bit for bit."""
+        rng = np.random.default_rng(0)
+        rows = [
+            [MaxDiffHistogram.build(rng.uniform(0, 1, 50), bucket_count=40)
+             for __ in range(4)]
+            for __ in range(5)
+        ]
+        packed = PackedHistograms(rows)
+        z = rng.uniform(0, 1, (5, 3000))
+        mass, average = packed.query(z - 0.05, z + 0.05)
+        for j in (0, 1234, 2999):
+            one_mass, one_average = packed.query(
+                z[:, j:j + 1] - 0.05, z[:, j:j + 1] + 0.05
+            )
+            np.testing.assert_array_equal(mass[..., j:j + 1], one_mass)
+            np.testing.assert_array_equal(average[..., j:j + 1], one_average)
+
+
+medians_values = st.integers(1, 6).flatmap(
+    lambda t: st.lists(
+        st.one_of(grid_values, st.floats(0.0, 1e6, allow_nan=False)),
+        min_size=t * 4,
+        max_size=t * 4,
+    ).map(lambda xs: np.array(xs).reshape(t, 4))
+)
+
+
+class TestSortMedians:
+    @given(values=medians_values)
+    @settings(max_examples=200, deadline=None)
+    def test_median_over_transforms_is_np_median(self, values):
+        np.testing.assert_array_equal(
+            median_over_transforms(values), np.median(values, axis=0)
+        )
+
+    @given(values=medians_values, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_median_supported_is_nanmedian(self, values, data):
+        supported = np.array(
+            data.draw(
+                st.lists(
+                    st.booleans(),
+                    min_size=values.size,
+                    max_size=values.size,
+                )
+            )
+        ).reshape(values.shape)
+        medians, any_support = median_supported(values, supported)
+        np.testing.assert_array_equal(any_support, supported.any(axis=0))
+        with warnings.catch_warnings():
+            # All-NaN columns warn; their NaN median is the contract.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = np.nanmedian(
+                np.where(supported, values, np.nan), axis=0
+            )
+        np.testing.assert_array_equal(medians, expected)
