@@ -43,8 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
             "session-state ownership (RPR008), span discipline (RPR009); "
             "with --effects, the whole-program RPR1xx family: obs-layer "
             "purity (RPR101), predict-path determinism (RPR102), "
-            "mutation-count discipline (RPR103), documented public "
-            "exceptions (RPR104), lifecycle-event coverage (RPR105)"
+            "the _commit mutation seam (RPR103), documented public "
+            "exceptions (RPR104)"
         ),
     )
     parser.add_argument(
@@ -67,9 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "also run the whole-program effect analysis "
-            "(RPR101-RPR105): call-graph purity, determinism taint, "
-            "mutation discipline, exception documentation, lifecycle-"
-            "event coverage"
+            "(RPR101-RPR104): call-graph purity, determinism taint, "
+            "mutation discipline, exception documentation"
         ),
     )
     parser.add_argument(

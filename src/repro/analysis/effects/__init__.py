@@ -4,7 +4,7 @@ Layers on top of the per-file linter: :mod:`~repro.analysis.effects
 .engine` builds the project call graph and propagates per-function
 effect signatures (RNG, clock, I/O, shared-state mutation, raised
 exceptions) to a fixpoint; :mod:`~repro.analysis.effects.rules` turns
-the result into four interprocedural proofs:
+the result into three interprocedural proofs and one local rule:
 
 ``RPR101``
     the observability read path (quality/timeseries/audit/slo) is
@@ -13,8 +13,9 @@ the result into four interprocedural proofs:
     no path from ``TemplateSession.execute``/``execute_batch`` or a
     core ``predict_batch`` reaches unseeded RNG or the raw wall clock;
 ``RPR103``
-    every runtime synopsis mutation bumps ``mutation_count`` (the
-    batch-invalidation contract);
+    every synopsis mutation goes through ``PlanPredictor._commit``,
+    which bumps ``mutation_count`` and journals exactly once (the
+    batch-invalidation and lineage contract);
 ``RPR104``
     exceptions escaping the public API are documented
     ``repro.exceptions`` types.

@@ -28,8 +28,8 @@ The effect lattice (a powerset; join is set union):
     to state the function does not own
 
 Self-mutation (``self.x = ...``) and the raised-exception set are
-tracked separately: self-mutation propagates only through intra-class
-calls (RPR103), and raises propagate per call site *minus* the
+tracked separately: self-mutation is recorded per function body and
+checked locally (RPR103), and raises propagate per call site *minus* the
 exceptions the enclosing ``try`` provably catches (RPR104).
 
 Everything here is static and optimistic: dynamic dispatch through

@@ -1,10 +1,11 @@
-"""The whole-program rules RPR101–RPR105.
+"""The whole-program rules RPR101–RPR104.
 
 Each rule is a query over an analyzed :class:`~repro.analysis.effects
 .engine.Project` and yields :class:`~repro.analysis.core.Finding`
-records whose message carries a *witness*: the exact call chain from
-the rule's root to the offending site, so a violation three helpers
-deep reads as a path, not a location.  Findings respect ``# repro:
+records.  The closure rules (RPR101, RPR102, RPR104) carry a
+*witness*: the exact call chain from the rule's root to the offending
+site, so a violation three helpers deep reads as a path, not a
+location; RPR103 is a per-function check.  Findings respect ``# repro:
 noqa[RPR10x]`` on any physical line of the offending statement — the
 explicit stub-annotation escape hatch for behavior that is deliberate
 (e.g. the documented ``ValueError`` shape contract of the batch
@@ -47,8 +48,8 @@ _HOT_ROOT_METHODS = (
 #: per-file RPR002 exemption: the clock sources and the simulator).
 _CLOCK_EXEMPT = ("repro.resilience", "repro.simulation")
 
-#: Synopsis state of the PR 6 batch-invalidation contract: mutating
-#: any of these must bump ``_mutations``.
+#: Synopsis state of the batch-invalidation and journal contract:
+#: mutating any of these must go through ``self._commit``.
 SYNOPSIS_MODULES = (
     "repro.core.histogram_predictor",
     "repro.core.lsh_predictor",
@@ -64,10 +65,8 @@ SYNOPSIS_ATTRS = frozenset(
     }
 )
 _MUTATION_COUNTER = "_mutations"
-
-#: The per-class lifecycle emission helper RPR105 requires mutating
-#: entries to reach (``repro.obs.events`` journal discipline).
-_EMIT_METHOD = "_emit_event"
+#: The one mutation seam (``PlanPredictor._commit``), as a raw call.
+_COMMIT_CALL = "self._commit"
 
 #: Public-API packages whose escaping exceptions must be documented
 #: ``repro.exceptions`` types (RPR104).
@@ -234,211 +233,55 @@ class PredictPathDeterminism(EffectRule):
 
 
 class MutationDiscipline(EffectRule):
-    """RPR103: every synopsis mutation bumps ``mutation_count``.
+    """RPR103: every synopsis mutation goes through ``self._commit``.
 
     ``TemplateSession.execute_batch`` prefetches predictions and
     invalidates the prefetched tail by comparing
-    ``online.mutation_count`` across instances (the PR 6 contract).
-    That only works if *every* runtime method that mutates the LSH /
-    histogram synopsis arrays bumps ``_mutations`` — a silent mutator
-    would serve stale prefetched predictions.  ``__init__`` and
-    helpers reachable only from it are exempt: construction precedes
-    any prefetch.
+    ``online.mutation_count`` across instances, and the lineage engine
+    reconstructs cache state from the lifecycle journal.  Both hold by
+    construction as long as ``PlanPredictor._commit`` — which bumps
+    ``_mutations`` and journals, exactly once — is the only way
+    synopsis state changes.  The check is local to each function body:
+    (a) no function writes ``_mutations``; (b) every method other than
+    ``__init__`` that writes or mutates synopsis state calls
+    ``self._commit(...)`` itself.  Before ``bind_events`` a commit
+    journals nothing, so construction-time builders need no exemption.
     """
 
     code = "RPR103"
-    title = "synopsis mutation without a mutation_count bump"
+    title = "synopsis mutation outside the _commit seam"
     rationale = (
-        "bump self._mutations in every runtime method that mutates "
-        "the synopsis arrays (or call one that does)"
+        "call self._commit(kind, ...) in every method that mutates the "
+        "synopsis, and never write _mutations directly"
     )
     scope = ", ".join(SYNOPSIS_MODULES)
 
     def check(self, project: Project) -> "Iterator[Finding]":
-        for cls_qualname, cls in sorted(project.classes.items()):
-            if not _module_in(cls.module, SYNOPSIS_MODULES):
-                continue
-            methods = {
-                name: project.functions[f"{cls_qualname}.{name}"]
-                for name in cls.methods
-                if f"{cls_qualname}.{name}" in project.functions
-            }
-            edges = {
-                name: {
-                    site.resolved.rsplit(".", 1)[-1]
-                    for site in info.calls
-                    if site.resolved is not None
-                    and site.resolved.startswith(cls_qualname + ".")
-                }
-                for name, info in methods.items()
-            }
-            local_attrs = {
-                name: (info.self_writes | info.self_mutated)
-                & SYNOPSIS_ATTRS
-                for name, info in methods.items()
-            }
-            mutates = self._closure(
-                methods, edges, lambda info: bool(
-                    local_attrs[info.name]
+        for info in project.functions_in(*SYNOPSIS_MODULES):
+            if _MUTATION_COUNTER in info.self_writes:
+                message = (
+                    f"{info.display} writes {_MUTATION_COUNTER} directly; "
+                    f"only {_COMMIT_CALL} may bump it"
                 )
-            )
-            bumps = self._closure(
-                methods,
-                edges,
-                lambda info: _MUTATION_COUNTER in info.self_writes,
-            )
-            # The contract is per runtime *entry path*: every public
-            # non-constructor method whose call closure mutates the
-            # synopsis must bump (itself or via a callee).  A private
-            # helper may mutate bump-free as long as every entry
-            # reaching it bumps.
-            entries = [
-                name
-                for name, info in sorted(methods.items())
-                if info.is_public and name != "__init__"
-            ]
-            for name in entries:
-                if name not in mutates or name in bumps:
+            else:
+                attrs = (info.self_writes | info.self_mutated) & SYNOPSIS_ATTRS
+                if (
+                    info.cls is None
+                    or info.name == "__init__"
+                    or not attrs
+                    or any(site.raw == _COMMIT_CALL for site in info.calls)
+                ):
                     continue
-                info = methods[name]
-                chain, attrs = self._mutation_witness(
-                    name, edges, local_attrs
+                message = (
+                    f"{info.display} mutates synopsis state "
+                    f"({', '.join(sorted(attrs))}) without calling "
+                    f"{_COMMIT_CALL}"
                 )
-                finding = _make_finding(
-                    project,
-                    self,
-                    info,
-                    info.lineno,
-                    info.lineno,
-                    f"{cls.name}.{name} mutates synopsis state "
-                    f"({', '.join(sorted(attrs))}) without bumping "
-                    f"{_MUTATION_COUNTER}; mutation chain: {chain}",
-                )
-                if finding is not None:
-                    yield finding
-
-    @staticmethod
-    def _closure(methods: dict, edges: dict, predicate) -> set:
-        satisfied = {
-            name for name, info in methods.items() if predicate(info)
-        }
-        changed = True
-        while changed:
-            changed = False
-            for name in methods:
-                if name in satisfied:
-                    continue
-                if edges.get(name, set()) & satisfied:
-                    satisfied.add(name)
-                    changed = True
-        return satisfied
-
-    @staticmethod
-    def _mutation_witness(
-        entry: str, edges: dict, local_attrs: "dict[str, set]"
-    ) -> "tuple[str, set]":
-        """Shortest chain from ``entry`` to a locally-mutating method,
-        plus the attrs mutated at the chain's end."""
-        parents: dict = {entry: None}
-        queue = [entry]
-        while queue:
-            current = queue.pop(0)
-            if local_attrs.get(current):
-                chain = []
-                node: "str | None" = current
-                while node is not None:
-                    chain.append(node)
-                    node = parents[node]
-                return " -> ".join(reversed(chain)), local_attrs[current]
-            for callee in edges.get(current, ()):
-                if callee in local_attrs and callee not in parents:
-                    parents[callee] = current
-                    queue.append(callee)
-        return entry, set()
-
-
-class LifecycleEventCoverage(EffectRule):
-    """RPR105: every synopsis mutation journals a lifecycle event.
-
-    The lineage engine (``repro.obs.lineage``) reconstructs cache state
-    purely from the event journal, so its conclusions are only as
-    complete as the emission coverage: a public predictor method that
-    bumps ``_mutations`` without reaching the class's ``_emit_event``
-    helper mutates the learned state invisibly — ``repro lineage why``
-    would answer from a journal with a hole in it.  Same per-entry
-    closure discipline as RPR103: the entry may emit itself or via a
-    callee, and ``__init__``-only construction paths are exempt (the
-    journal is bound after construction, so pool replay is deliberately
-    unjournaled).
-    """
-
-    code = "RPR105"
-    title = "synopsis mutation without a lifecycle event emission"
-    rationale = (
-        "journal every runtime synopsis mutation: call self._emit_event "
-        "(repro.obs.events) on each public path that bumps _mutations"
-    )
-    scope = ", ".join(SYNOPSIS_MODULES)
-
-    def check(self, project: Project) -> "Iterator[Finding]":
-        for cls_qualname, cls in sorted(project.classes.items()):
-            if not _module_in(cls.module, SYNOPSIS_MODULES):
-                continue
-            methods = {
-                name: project.functions[f"{cls_qualname}.{name}"]
-                for name in cls.methods
-                if f"{cls_qualname}.{name}" in project.functions
-            }
-            edges = {
-                name: {
-                    site.resolved.rsplit(".", 1)[-1]
-                    for site in info.calls
-                    if site.resolved is not None
-                    and site.resolved.startswith(cls_qualname + ".")
-                }
-                for name, info in methods.items()
-            }
-            bumps = MutationDiscipline._closure(
-                methods,
-                edges,
-                lambda info: _MUTATION_COUNTER in info.self_writes,
+            finding = _make_finding(
+                project, self, info, info.lineno, info.lineno, message
             )
-            emits = MutationDiscipline._closure(
-                methods, edges, lambda info: info.name == _EMIT_METHOD
-            )
-            bump_attrs = {
-                name: (
-                    {_MUTATION_COUNTER}
-                    if _MUTATION_COUNTER in info.self_writes
-                    else set()
-                )
-                for name, info in methods.items()
-            }
-            entries = [
-                name
-                for name, info in sorted(methods.items())
-                if info.is_public and name != "__init__"
-            ]
-            for name in entries:
-                if name not in bumps or name in emits:
-                    continue
-                info = methods[name]
-                chain, __ = MutationDiscipline._mutation_witness(
-                    name, edges, bump_attrs
-                )
-                finding = _make_finding(
-                    project,
-                    self,
-                    info,
-                    info.lineno,
-                    info.lineno,
-                    f"{cls.name}.{name} bumps {_MUTATION_COUNTER} "
-                    f"without journaling a lifecycle event (no "
-                    f"{_EMIT_METHOD} on the path); mutation chain: "
-                    f"{chain}",
-                )
-                if finding is not None:
-                    yield finding
+            if finding is not None:
+                yield finding
 
 
 class DocumentedPublicExceptions(EffectRule):
@@ -512,7 +355,6 @@ def effect_rules() -> "list[EffectRule]":
         PredictPathDeterminism(),
         MutationDiscipline(),
         DocumentedPublicExceptions(),
-        LifecycleEventCoverage(),
     ]
 
 

@@ -1,12 +1,13 @@
 """Self-check for the whole-program rules: each RPR1xx rule fires on a
 seeded multi-module violation and stays quiet on its clean twin.
 
-Mirrors :mod:`repro.analysis.selftest` one level up: the violations
-are deliberately *interprocedural* (a helper two or three calls deep,
-sometimes behind a ``from ... import x as y`` re-export) so a
-regression in call-graph construction, re-export chasing, or fixpoint
-propagation fails the selftest — not just a regression in the rule's
-final predicate.
+Mirrors :mod:`repro.analysis.selftest` one level up: the closure
+rules' violations are deliberately *interprocedural* (a helper two or
+three calls deep, sometimes behind a ``from ... import x as y``
+re-export) so a regression in call-graph construction, re-export
+chasing, or fixpoint propagation fails the selftest — not just a
+regression in the rule's final predicate.  RPR103 is per-function, so
+its pair is a local violation and its clean twin.
 """
 
 from __future__ import annotations
@@ -105,9 +106,9 @@ EFFECT_SELFTEST_CASES = (
         },
         witness_contains=("TemplateSession.execute", "_run", "stamp"),
     ),
-    # RPR103: a public runtime method mutating the synopsis through a
-    # private helper without bumping _mutations; the twin bumps.  The
-    # init-only builder must stay exempt in both.
+    # RPR103: a synopsis method mutating the cell counts without
+    # calling self._commit; the twin commits in the same body.
+    # ``__init__`` stays exempt in both.
     EffectSelfTestCase(
         rule="RPR103",
         bad={
@@ -115,13 +116,7 @@ EFFECT_SELFTEST_CASES = (
                 "class LshPredictor:\n"
                 "    def __init__(self):\n"
                 "        self._counts = {}\n"
-                "        self._mutations = 0\n"
-                "        self._seed()\n"
-                "    def _seed(self):\n"
-                "        self._counts[0] = 0.0\n"
                 "    def insert(self, cell):\n"
-                "        self._store(cell)\n"
-                "    def _store(self, cell):\n"
                 "        self._counts[cell] = 1.0\n"
             ),
         },
@@ -130,63 +125,12 @@ EFFECT_SELFTEST_CASES = (
                 "class LshPredictor:\n"
                 "    def __init__(self):\n"
                 "        self._counts = {}\n"
-                "        self._mutations = 0\n"
-                "        self._seed()\n"
-                "    def _seed(self):\n"
-                "        self._counts[0] = 0.0\n"
                 "    def insert(self, cell):\n"
-                "        self._store(cell)\n"
-                "        self._mutations += 1\n"
-                "    def _store(self, cell):\n"
                 "        self._counts[cell] = 1.0\n"
+                "        self._commit('point_inserted', plan=cell)\n"
             ),
         },
-        witness_contains=("insert", "_store"),
-    ),
-    # RPR105: a public predictor method bumping _mutations through a
-    # helper without any _emit_event on the path; the twin journals
-    # (via the same helper, proving closure propagation).  The
-    # init-only pool replay stays exempt and unjournaled in both.
-    EffectSelfTestCase(
-        rule="RPR105",
-        bad={
-            "repro.core.lsh_predictor": (
-                "class LshPredictor:\n"
-                "    def __init__(self):\n"
-                "        self._events = None\n"
-                "        self._mutations = 0\n"
-                "        self._insert_pool()\n"
-                "    def _insert_pool(self):\n"
-                "        self._mutations += 1\n"
-                "    def _emit_event(self, kind, **fields):\n"
-                "        if self._events is not None:\n"
-                "            self._events(kind, **fields)\n"
-                "    def insert(self, cell):\n"
-                "        self._store(cell)\n"
-                "    def _store(self, cell):\n"
-                "        self._mutations += 1\n"
-            ),
-        },
-        good={
-            "repro.core.lsh_predictor": (
-                "class LshPredictor:\n"
-                "    def __init__(self):\n"
-                "        self._events = None\n"
-                "        self._mutations = 0\n"
-                "        self._insert_pool()\n"
-                "    def _insert_pool(self):\n"
-                "        self._mutations += 1\n"
-                "    def _emit_event(self, kind, **fields):\n"
-                "        if self._events is not None:\n"
-                "            self._events(kind, **fields)\n"
-                "    def insert(self, cell):\n"
-                "        self._store(cell)\n"
-                "    def _store(self, cell):\n"
-                "        self._mutations += 1\n"
-                "        self._emit_event('point_inserted', plan=cell)\n"
-            ),
-        },
-        witness_contains=("insert", "_store", "_emit_event"),
+        witness_contains=("LshPredictor.insert", "_counts", "_commit"),
     ),
     # RPR104: a ValueError escaping a public core function through a
     # helper; the twin raises the project exception type (and a

@@ -70,10 +70,9 @@ Small utilities for poking at the reproduction without writing code:
 * ``lint`` — the AST-based invariant linter (per-file rules
   RPR001-RPR009: determinism, clock, metrics, persistence, span
   discipline; with ``--effects`` the whole-program rules
-  RPR101-RPR105: call-graph purity, predict-path determinism,
-  mutation discipline, documented exceptions, lifecycle-event
-  coverage — see ``repro lint --list-rules``), exit 1 on fresh
-  findings;
+  RPR101-RPR104: call-graph purity, predict-path determinism,
+  mutation discipline, documented exceptions — see
+  ``repro lint --list-rules``), exit 1 on fresh findings;
 * ``assumptions Q1`` — validate plan choice predictability on a template.
 """
 

@@ -151,25 +151,21 @@ class HistogramPredictor(PlanPredictor):
         #: feedback inserts discounted weights.  Noise elimination
         #: compares against this, matching the weighted bucket counts.
         self.total_mass = 0.0
-        self._histograms: list[list[Histogram]] = []
-        #: Every histogram's buckets packed into one block: the density
-        #: lookup primitive.  Refreshed wherever ``_mutations`` is
-        #: bumped, so a predict never scans for stale rows.
-        self._packed: PackedHistograms
         self._metrics = None
         self._transform_timer = None
         self._range_timer = None
-        #: Lifecycle event emitter (``repro.obs.events``); ``None`` until
-        #: the owning session binds one, so the construction-time pool
-        #: replay below journals nothing and the disabled path stays a
-        #: single ``is None`` check.
-        self._events = None
-        #: Monotone synopsis-mutation counter: bumped by ``insert``,
-        #: ``drop``, ``shrink`` and ``load_histograms`` so batch
-        #: consumers (``TemplateSession.execute_batch``) can detect when
-        #: precomputed predictions went stale.
-        self._mutations = 0
-        self._build_histograms(pool)
+        #: ``_packed`` holds every histogram's buckets in one block: the
+        #: density lookup primitive.  Refreshed next to every
+        #: ``_commit``, so a predict never scans for stale rows.
+        if histogram_kind == "incremental" or len(pool) == 0:
+            self._histograms: list[list[Histogram]] = self._empty_histograms()
+            self._packed = PackedHistograms(self._histograms)
+            for point in pool.points():
+                self.insert(point.coords, point.plan_id, point.cost)
+        else:
+            self.load_histograms(
+                self._static_histograms(pool), len(pool), float(len(pool))
+            )
 
     def _rebuild_stacked(self) -> None:
         """(Re)build the struct-of-arrays transform/grid view.
@@ -180,11 +176,6 @@ class HistogramPredictor(PlanPredictor):
         self._stacked = StackedEnsemble(
             self.ensemble, self.grids, curve=self.curve
         )
-
-    @property
-    def mutation_count(self) -> int:
-        """Number of synopsis mutations (inserts and drops) so far."""
-        return self._mutations
 
     def bind_metrics(self, registry: "MetricsRegistry", **labels) -> None:
         """Publish per-predict transform / range-query timings.
@@ -208,21 +199,17 @@ class HistogramPredictor(PlanPredictor):
         Late binding, like :meth:`bind_metrics`: the constructor's pool
         replay runs before any emitter exists, so the journal records
         the synopsis *going live* (one ``histogram_built`` event) and
-        every mutation after that, not the seed replay.
+        every mutation after that, not the seed replay.  Going live is
+        not a mutation: it journals without bumping ``mutation_count``.
         """
         self._events = emitter
-        self._emit_event(
+        emitter(
             "histogram_built",
             histogram_kind=self.histogram_kind,
             transforms=len(self.ensemble),
             plans=self.plan_count,
             points=self.total_points,
         )
-
-    def _emit_event(self, kind: str, **fields) -> None:
-        """Journal one lifecycle event if an emitter is bound."""
-        if self._events is not None:
-            self._events(kind, **fields)
 
     # ------------------------------------------------------------------
     # Construction / population
@@ -236,34 +223,22 @@ class HistogramPredictor(PlanPredictor):
             for __ in self.ensemble
         ]
 
-    def _build_histograms(self, pool: SamplePool) -> None:
-        if self.histogram_kind == "incremental" or len(pool) == 0:
-            self._histograms = self._empty_histograms()
-            self._packed = PackedHistograms(self._histograms)
-            for point in pool.points():
-                self.insert(point.coords, point.plan_id, point.cost)
-            return
-
+    def _static_histograms(self, pool: SamplePool) -> list[list[Histogram]]:
+        """One row of static ``histogram_kind`` histograms per
+        transform, built over the whole pool at once."""
         builder = _STATIC_BUILDERS[self.histogram_kind]
         plan_ids = pool.plan_ids
         costs = pool.costs
-        z_all = self._z_values_batch(pool.coords)
-        for index in range(len(self.ensemble)):
-            z_values = z_all[index]
-            row: list[Histogram] = []
-            for plan in range(self.plan_count):
-                mask = plan_ids == plan
-                row.append(
-                    builder.build(
-                        z_values[mask],
-                        costs[mask],
-                        bucket_count=self.max_buckets,
-                    )
+        masks = [plan_ids == plan for plan in range(self.plan_count)]
+        return [
+            [
+                builder.build(
+                    z_values[mask], costs[mask], bucket_count=self.max_buckets
                 )
-            self._histograms.append(row)
-        self._packed = PackedHistograms(self._histograms)
-        self.total_points = len(pool)
-        self.total_mass = float(len(pool))
+                for mask in masks
+            ]
+            for z_values in self._z_values_batch(pool.coords)
+        ]
 
     def _z_values_batch(self, points: np.ndarray) -> np.ndarray:
         """z-values ``(t, m)`` of each point under every transform."""
@@ -316,15 +291,13 @@ class HistogramPredictor(PlanPredictor):
             self._packed.update(index, plan_id, histogram)
         self.total_points += 1
         self.total_mass += weight
-        self._mutations += 1
-        if self._events is not None:
-            self._emit_event(
-                "point_inserted",
-                plan=int(plan_id),
-                cost=float(cost),
-                weight=float(weight),
-                provenance=provenance,
-            )
+        self._commit(
+            "point_inserted",
+            plan=int(plan_id),
+            cost=float(cost),
+            weight=float(weight),
+            provenance=provenance,
+        )
 
     # ------------------------------------------------------------------
     # Prediction
@@ -482,13 +455,6 @@ class HistogramPredictor(PlanPredictor):
                 eliminated=eliminated,
             )
         if eliminated:
-            if self._events is not None:
-                self._emit_event(
-                    "noise_pruned",
-                    plan=int(counts.argmax()),
-                    max_count=max_count,
-                    threshold=float(threshold),
-                )
             return None
         with trace.span("confidence") as span:
             plan_id, confidence, detail = self.model.explain_decide(
@@ -529,17 +495,6 @@ class HistogramPredictor(PlanPredictor):
         )
         if self.noise_fraction is not None and self.total_mass > 0:
             noisy = counts.max(axis=0) < self.noise_fraction * self.total_mass
-            if self._events is not None and noisy.any():
-                threshold = self.noise_fraction * self.total_mass
-                majorities = counts.argmax(axis=0)
-                maxima = counts.max(axis=0)
-                for j in np.flatnonzero(noisy):
-                    self._emit_event(
-                        "noise_pruned",
-                        plan=int(majorities[j]),
-                        max_count=float(maxima[j]),
-                        threshold=float(threshold),
-                    )
             winners = np.where(noisy, -1, winners)
         medians, any_support = self._winner_costs(
             counts_tpm, avg_costs, winners
@@ -605,13 +560,11 @@ class HistogramPredictor(PlanPredictor):
         self.histogram_kind = "incremental"
         self.total_points = 0
         self.total_mass = 0.0
-        self._mutations += 1
-        if self._events is not None:
-            self._emit_event(
-                "histogram_rebuilt",
-                points_dropped=points_dropped,
-                mass_dropped=mass_dropped,
-            )
+        self._commit(
+            "histogram_rebuilt",
+            points_dropped=points_dropped,
+            mass_dropped=mass_dropped,
+        )
 
     def shrink(self, max_buckets: int) -> None:
         """Cut the bucket budget of every insertable histogram to
@@ -624,9 +577,7 @@ class HistogramPredictor(PlanPredictor):
                 if hasattr(histogram, "shrink"):
                     histogram.shrink(max_buckets)
         self._packed = PackedHistograms(self._histograms)
-        self._mutations += 1
-        if self._events is not None:
-            self._emit_event("histogram_shrunk", max_buckets=max_buckets)
+        self._commit("histogram_shrunk", max_buckets=max_buckets)
 
     def load_histograms(
         self,
@@ -636,20 +587,18 @@ class HistogramPredictor(PlanPredictor):
     ) -> None:
         """Replace the whole synopsis with ``histograms`` (one row of
         ``plan_count`` histograms per transform) and their totals — the
-        persistence restore path."""
+        persistence restore path and the static build."""
         self._histograms = histograms
         self._packed = PackedHistograms(histograms)
         self.total_points = total_points
         self.total_mass = total_mass
-        self._mutations += 1
-        if self._events is not None:
-            self._emit_event(
-                "histogram_built",
-                histogram_kind=self.histogram_kind,
-                transforms=len(self.ensemble),
-                plans=self.plan_count,
-                points=self.total_points,
-            )
+        self._commit(
+            "histogram_built",
+            histogram_kind=self.histogram_kind,
+            transforms=len(self.ensemble),
+            plans=self.plan_count,
+            points=self.total_points,
+        )
 
     def space_bytes(self) -> int:
         """``t * n_plans * b_h * 12`` bytes; actual bucket counts may be

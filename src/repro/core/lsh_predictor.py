@@ -96,10 +96,6 @@ class LshPredictor(PlanPredictor):
             (len(self.ensemble), plan_count, self.grids[0].total_cells)
         )
         self._cost_sums = np.zeros_like(self._counts)
-        # Lifecycle event emitter; None until a session binds one, so
-        # the pool bootstrap below journals nothing.
-        self._events = None
-        self._mutations = 0
         if len(pool):
             self._insert_pool(pool)
 
@@ -108,32 +104,25 @@ class LshPredictor(PlanPredictor):
         again after replacing ``ensemble`` or ``grids`` wholesale."""
         self._stacked = StackedEnsemble(self.ensemble, self.grids)
 
-    @property
-    def mutation_count(self) -> int:
-        """Number of synopsis mutations (inserts) so far."""
-        return self._mutations
+    def _built_fields(self) -> dict:
+        """Fields of the ``histogram_built`` event."""
+        return {
+            "histogram_kind": "grid",
+            "transforms": len(self.ensemble),
+            "plans": self.plan_count,
+            "points": int(self._counts.sum() // max(len(self.ensemble), 1)),
+        }
 
     def bind_events(self, emitter: "_TemplateEmitter") -> None:
         """Attach a lifecycle event emitter (``repro.obs.events``).
 
         Late binding, mirroring ``HistogramPredictor.bind_events``: the
         constructor's pool bootstrap precedes any emitter, so the
-        journal records the synopsis going live and every mutation
-        after, not the seed replay.
+        journal records the synopsis going live (not a mutation) and
+        every mutation after, not the seed replay.
         """
         self._events = emitter
-        self._emit_event(
-            "histogram_built",
-            histogram_kind="grid",
-            transforms=len(self.ensemble),
-            plans=self.plan_count,
-            points=int(self._counts.sum() // max(len(self.ensemble), 1)),
-        )
-
-    def _emit_event(self, kind: str, **fields) -> None:
-        """Journal one lifecycle event if an emitter is bound."""
-        if self._events is not None:
-            self._events(kind, **fields)
+        emitter("histogram_built", **self._built_fields())
 
     # ------------------------------------------------------------------
     # Population
@@ -153,7 +142,7 @@ class LshPredictor(PlanPredictor):
             np.add.at(
                 self._cost_sums[index], (plan_ids, cells[index]), pool.costs
             )
-        self._mutations += 1
+        self._commit("histogram_built", **self._built_fields())
 
     def insert(
         self,
@@ -173,15 +162,13 @@ class LshPredictor(PlanPredictor):
         for index, cell in enumerate(cells):
             self._counts[index, plan_id, cell] += 1.0
             self._cost_sums[index, plan_id, cell] += cost
-        self._mutations += 1
-        if self._events is not None:
-            self._emit_event(
-                "point_inserted",
-                plan=int(plan_id),
-                cost=float(cost),
-                weight=1.0,
-                provenance=provenance,
-            )
+        self._commit(
+            "point_inserted",
+            plan=int(plan_id),
+            cost=float(cost),
+            weight=1.0,
+            provenance=provenance,
+        )
 
     # ------------------------------------------------------------------
     # Prediction

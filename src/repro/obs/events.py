@@ -1,9 +1,10 @@
 """Synopsis lifecycle event journal (cache lineage forensics).
 
 The paper's plan cache is *learned state*: points harvested on misses,
-corrective inserts from negative feedback, noise elimination,
-precision/recall-driven eviction, and drift-triggered histogram drops
-(PAPER.md §V).  PRs 1–9 made every *decision* observable — spans,
+corrective inserts from negative feedback, precision/recall-driven
+eviction, and drift-triggered histogram drops (PAPER.md §V).  Noise
+elimination is a read-path decision, not a mutation: it is recorded on
+the decision trace's ``noise_elimination`` span, never journaled.  PRs 1–9 made every *decision* observable — spans,
 metrics, SLO burn rates, stage profiles — but the evolution of the
 learned state itself left no record.  :class:`EventJournal` closes the
 gap: an append-only journal of typed lifecycle events emitted from the
@@ -55,7 +56,6 @@ EVENT_KINDS = (
     "histogram_built",
     "histogram_rebuilt",
     "histogram_shrunk",
-    "noise_pruned",
     "cache_evicted",
     "drift_drop",
     "breaker_transition",

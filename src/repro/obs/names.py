@@ -204,20 +204,6 @@ REJECTION_REASONS = ("bad_shape", "non_finite", "out_of_domain")
 #: :data:`TRACE_SAMPLER_TOTAL`), in evaluation order.
 SAMPLER_DECISIONS = ("forced", "head", "error_bias", "interval", "skipped")
 
-#: Synopsis lifecycle event types (``kind`` label of
-#: :data:`EVENTS_EMITTED_TOTAL`); see :mod:`repro.obs.events`.
-EVENT_KINDS = (
-    "point_inserted",
-    "histogram_built",
-    "histogram_rebuilt",
-    "histogram_shrunk",
-    "noise_pruned",
-    "cache_evicted",
-    "drift_drop",
-    "breaker_transition",
-    "fallback_served",
-)
-
 
 class MetricSpec(NamedTuple):
     """One entry of the exporter-facing metric inventory."""

@@ -199,24 +199,53 @@ class TestWitnessChains:
         assert finding.path == "<repro.core.timing>"
         assert finding.line == 3
 
-    def test_rpr103_witness_reaches_the_mutating_helper(self):
-        findings, __ = analyze_sources(
-            {
-                "repro.core.lsh_predictor": (
-                    "class LshPredictor:\n"
-                    "    def __init__(self):\n"
-                    "        self._counts = {}\n"
-                    "        self._mutations = 0\n"
-                    "    def insert(self, cell):\n"
-                    "        self._store(cell)\n"
-                    "    def _store(self, cell):\n"
-                    "        self._counts[cell] = 1.0\n"
-                ),
-            }
+
+class TestCommitSeam:
+    """RPR103 is local: each function body either commits its own
+    synopsis mutation or is flagged itself; a committing caller does
+    not cover a mutating helper."""
+
+    @staticmethod
+    def _rpr103(source: str) -> list:
+        findings, __ = analyze_sources({"repro.core.lsh_predictor": source})
+        return [f for f in findings if f.rule == "RPR103"]
+
+    def test_rpr103_flags_the_mutating_helper_itself(self):
+        (finding,) = self._rpr103(
+            "class LshPredictor:\n"
+            "    def __init__(self):\n"
+            "        self._counts = {}\n"
+            "    def insert(self, cell):\n"
+            "        self._store(cell)\n"
+            "        self._commit('point_inserted', plan=cell)\n"
+            "    def _store(self, cell):\n"
+            "        self._counts[cell] = 1.0\n"
         )
-        (finding,) = [f for f in findings if f.rule == "RPR103"]
-        assert "insert -> _store" in finding.message
+        assert "LshPredictor._store" in finding.message
         assert "_counts" in finding.message
+        assert finding.line == 7
+
+    def test_rpr103_flags_any_direct_counter_write(self):
+        (finding,) = self._rpr103(
+            "class LshPredictor:\n"
+            "    def __init__(self):\n"
+            "        self._mutations = 0\n"
+        )
+        assert "LshPredictor.__init__ writes _mutations" in finding.message
+
+    def test_builder_reached_only_from_init_is_not_exempt(self):
+        source = (
+            "class LshPredictor:\n"
+            "    def __init__(self):\n"
+            "        self._counts = {}\n"
+            "        self._seed()\n"
+            "    def _seed(self):\n"
+            "        self._counts[0] = 0.0\n"
+        )
+        (finding,) = self._rpr103(source)
+        assert "LshPredictor._seed" in finding.message
+        committed = source + "        self._commit('histogram_built')\n"
+        assert self._rpr103(committed) == []
 
 
 class TestSuppression:

@@ -91,12 +91,12 @@ class TestEmission:
         journal = _journal()
         q1, q2 = journal.bind("Q1"), journal.bind("Q2")
         q1.set_trace(3)
-        assert q1("noise_pruned")["trace"] == 3
-        assert q2("noise_pruned")["trace"] is None
+        assert q1("drift_drop")["trace"] == 3
+        assert q2("drift_drop")["trace"] is None
 
     def test_filtered_reads(self):
         journal = _journal()
-        journal.bind("Q1")("noise_pruned")
+        journal.bind("Q1")("point_inserted")
         journal.bind("Q2")("drift_drop")
         journal.bind("Q1")("drift_drop")
         assert len(journal.events()) == 3
@@ -123,12 +123,12 @@ class TestEmission:
         journal.bind_metrics(registry)
         emitter = journal.bind("Q1")
         for __ in range(70):
-            emitter("noise_pruned")
+            emitter("drift_drop")
         assert (
             registry.counter_value(
                 "ppc_events_emitted_total",
                 template="Q1",
-                kind="noise_pruned",
+                kind="drift_drop",
             )
             == 70
         )
@@ -240,6 +240,36 @@ class TestLockstepParity:
             for field in self.FIELDS:
                 assert getattr(left, field) == getattr(right, field)
 
+    def test_batch_journal_equals_sequential_journal(self):
+        # Speculative prefetches and re-predicted tails must journal
+        # nothing: the batch path records exactly the mutations the
+        # sequential path does.  Wide probes make noise elimination
+        # fire; a constant clock makes the timestamps comparable.
+        def session():
+            return TemplateSession(
+                plan_space_for("Q1"),
+                _hot_config(events=EventsConfig(enabled=True)),
+                seed=5,
+                clock=lambda: 0.0,
+            )
+
+        sequential, batched = session(), session()
+        warm = RandomTrajectoryWorkload(2, spread=0.3, seed=5).generate(100)
+        probes = RandomTrajectoryWorkload(2, spread=0.3, seed=6).generate(
+            400
+        )
+        for x in warm:
+            sequential.execute(x)
+            batched.execute(x)
+        for x in probes:
+            sequential.execute(x)
+        batched.execute_batch(probes)
+        for left, right in zip(sequential.records, batched.records):
+            for field in self.FIELDS:
+                assert getattr(left, field) == getattr(right, field)
+        assert batched.events.emitted == sequential.events.emitted > 0
+        assert batched.events.digest() == sequential.events.digest()
+
 
 class TestDisabledIsFree:
     def test_disabled_session_owns_no_journal(self):
@@ -339,7 +369,7 @@ class TestRenderTimeline:
         journal = _journal()
         emitter = journal.bind("Q1")
         for index in range(10):
-            emitter("noise_pruned", plan=index)
+            emitter("drift_drop", plan=index)
         text = render_timeline(journal.events(), limit=3)
         assert text.count("\n") == 2
         assert "plan=9" in text and "plan=0" not in text

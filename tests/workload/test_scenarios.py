@@ -272,6 +272,28 @@ class TestRunnerParity:
         assert sequential.decisions == batched.decisions
         assert sequential.passed and batched.passed
 
+    @pytest.mark.parametrize("name", ["step_drift", "slow_drift"])
+    def test_batch_journal_matches_sequential(self, name):
+        """The lifecycle journal records mutations, never speculation:
+        batching journals the same event stream.  Only ``ts`` may
+        differ — the executor advances the virtual clock once per
+        flushed batch."""
+
+        def stream(batch_size):
+            result = ScenarioRunner(fast=True, batch_size=batch_size).run(
+                get_scenario(name)
+            )
+            journal = result.executor.framework.events
+            assert journal is not None and journal.dropped == 0
+            return [
+                {k: v for k, v in event.items() if k != "ts"}
+                for event in journal.events()
+            ]
+
+        sequential = stream(1)
+        assert sequential
+        assert stream(16) == sequential
+
     def test_summarize_row_shape(self):
         scenario = get_scenario("cache_pressure")
         runner = ScenarioRunner(fast=True)
