@@ -1,15 +1,16 @@
 """Measurement cores + registry of every bench ``repro bench`` runs.
 
 Each runner builds its rig from scratch (seeded sessions, deterministic
-workloads), measures with best-of-N ``perf_counter`` walls, and returns
-a validated schema-v2 envelope.  The pytest benches under
+workloads), measures with ``perf_counter`` (best-of-N walls, or summed
+per-instance times where modes are interleaved), and returns a
+validated schema-v2 envelope.  The pytest benches under
 ``benchmarks/`` are thin wrappers over these same functions — one
 measurement core, two entry points — so the CI gate and the committed
 snapshots can never drift apart.
 
 Registry: :data:`BENCHES` maps bench name → definition (runner +
 snapshot filename + suites); :data:`SUITES` groups them (``ci`` is what
-the CI gate runs, ``full`` adds the slower overhead matrices).
+the CI gate runs; ``full`` is every bench, today the same set).
 :func:`run_suite` executes a set of benches, refreshes the committed
 ``BENCH_*.json`` snapshots on request, and journals every run to
 ``history.jsonl``.
@@ -21,6 +22,8 @@ import json
 import pathlib
 from time import perf_counter
 from typing import Any, Callable, NamedTuple
+
+import numpy as np
 
 from repro.bench.history import append_run
 from repro.bench.schema import load_envelope, make_envelope, metric
@@ -34,7 +37,6 @@ from repro.config import (
 from repro.core.framework import PPCFramework, TemplateSession
 from repro.core.persistence import atomic_write_text
 from repro.exceptions import BenchError
-from repro.obs import names as metric_names
 from repro.resilience import VirtualClock
 from repro.tpch import plan_space_for
 from repro.workload import RandomTrajectoryWorkload
@@ -44,13 +46,10 @@ from repro.workload.scenarios import SCENARIO_NAMES
 __all__ = [
     "BENCHES",
     "SUITES",
-    "run_events_overhead",
+    "run_instrumentation_overhead",
     "run_predict_throughput",
-    "run_profile_overhead",
-    "run_quality_overhead",
     "run_scenarios",
     "run_suite",
-    "run_trace_overhead",
     "scenarios_envelope",
 ]
 
@@ -63,6 +62,10 @@ PROBE_SEED = 6
 
 def _seeds() -> dict[str, int]:
     return {"session": SESSION_SEED, "warm": WARM_SEED, "probe": PROBE_SEED}
+
+
+def _q1_trajectory(seed: int, count: int) -> np.ndarray:
+    return RandomTrajectoryWorkload(2, spread=0.02, seed=seed).generate(count)
 
 
 def _hot_path_config(**overrides: Any) -> PPCConfig:
@@ -95,14 +98,9 @@ def run_predict_throughput() -> dict[str, Any]:
     session = TemplateSession(
         plan_space_for("Q1"), _hot_path_config(), seed=SESSION_SEED
     )
-    warm = RandomTrajectoryWorkload(2, spread=0.02, seed=WARM_SEED).generate(
-        PREDICT_WARMUP
-    )
-    for x in warm:
+    for x in _q1_trajectory(WARM_SEED, PREDICT_WARMUP):
         session.execute(x)
-    probes = RandomTrajectoryWorkload(
-        2, spread=0.02, seed=PROBE_SEED
-    ).generate(PREDICT_PROBES)
+    probes = _q1_trajectory(PROBE_SEED, PREDICT_PROBES)
     online = session.online
 
     best_batch = float("inf")
@@ -155,397 +153,199 @@ def run_predict_throughput() -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Overhead matrices: tracing, quality telemetry, stage profiling
+# instrumentation: every opt-in channel's cost, timed interleaved
 # ----------------------------------------------------------------------
 
-OVERHEAD_WARMUP = 500
-OVERHEAD_PROBES = 1500
-OVERHEAD_REPEATS = 3
+INSTRUMENTATION_WARMUP = 500
+INSTRUMENTATION_PROBES = 1500
+#: Simulated seconds each rig's clock advances per instance, so the
+#: telemetry sampler fires at its configured cadence.
+INSTRUMENTATION_ADVANCE = 1.0
+#: Seed of the per-probe random order of the rigs.
+ORDER_SEED = 7
+#: Limits the pytest bench asserts on ``<mode>_overhead_pct``: the
+#: shipped or production cadence of each channel.
+INSTRUMENTATION_LIMITS_PCT = {
+    "trace_sampled": 10.0,
+    "profile": 5.0,
+    "events": 5.0,
+    "telemetry_sampled": 5.0,
+}
+#: The A/A control must read within this of zero for the rig to
+#: resolve a 5 % limit.
+TWIN_RESOLUTION_PCT = 2.0
 
-TRACE_MODES = (
-    ("off", TraceConfig(enabled=False)),
-    ("sampled", TraceConfig()),  # shipped default: head + error bias
-    ("full", TraceConfig(interval=1, capacity=4096, error_capacity=512)),
+
+class InstrumentationMode(NamedTuple):
+    """One rig of the matrix: at most one channel on over all-off."""
+
+    name: str
+    channel: "str | None"  # the channel this mode turns on
+    overrides: dict[str, Any]  # PPCConfig fields over the all-off config
+    tolerance_abs: float = 0.0  # compare allowance on its overhead_pct
+
+
+#: Trace and telemetry ship enabled; profile and events ship disabled.
+_ALL_OFF = {
+    "trace": TraceConfig(enabled=False),
+    "telemetry": TelemetryConfig(enabled=False),
+}
+
+INSTRUMENTATION_MODES = (
+    InstrumentationMode("off", None, {}),  # the baseline: no overhead
+    InstrumentationMode("off_twin", None, {}, 5.0),
+    InstrumentationMode(
+        "trace_sampled", "trace", {"trace": TraceConfig()}, 10.0
+    ),
+    InstrumentationMode(
+        "trace_full",
+        "trace",
+        {"trace": TraceConfig(interval=1, capacity=4096, error_capacity=512)},
+        25.0,
+    ),
+    InstrumentationMode(
+        "profile",
+        "profile",
+        {"profiling": ProfileConfig(enabled=True, interval=1)},
+        5.0,
+    ),
+    InstrumentationMode(
+        "events",
+        "events",
+        {"events": EventsConfig(enabled=True, capacity=4096)},
+        5.0,
+    ),
+    InstrumentationMode(
+        "telemetry_sampled", "telemetry", {"telemetry": TelemetryConfig()}, 6.0
+    ),
+    InstrumentationMode(
+        "telemetry_aggressive",
+        "telemetry",
+        {"telemetry": TelemetryConfig(sample_interval=1.0, quality_every=4)},
+        15.0,
+    ),
 )
 
-QUALITY_MODES = (
-    ("off", TelemetryConfig(enabled=False)),
-    ("sampled", TelemetryConfig()),  # shipped default: 5 s / every 12th
-    ("aggressive", TelemetryConfig(sample_interval=1.0, quality_every=4)),
-)
 
-QUALITY_ADVANCE = 1.0  # simulated seconds per instance
-
-PROFILE_WARMUP = 300
-PROFILE_PROBES = 1000
-PROFILE_REPEATS = 3
-#: The profiler's acceptance bar: enabled at the default sampling
-#: (every execution), the hot path slows by less than this.
-PROFILE_MAX_OVERHEAD_PCT = 5.0
-
-PROFILE_MODES = (
-    ("off", ProfileConfig()),
-    ("on", ProfileConfig(enabled=True, interval=1)),
-)
-
-
-def _predict_p95(metrics_owner: Any) -> float:
-    digest = metrics_owner.metrics.histogram_summary(
-        metric_names.STAGE_SECONDS, template="Q1", stage="predict"
+def _decision_key(record: Any) -> tuple[Any, ...]:
+    return (
+        record.predicted,
+        record.confidence,
+        record.optimizer_invoked,
+        record.invocation_reason,
+        record.executed_plan,
+        record.execution_cost,
+        record.optimal_plan,
+        record.degraded,
+        record.fallback_source,
     )
-    return float(digest["p95"]) if digest else 0.0
 
 
-def _overhead_workload(
-    warmup: int, probes: int, repeats: int
-) -> "tuple[Any, Any]":
-    warm = RandomTrajectoryWorkload(2, spread=0.02, seed=WARM_SEED).generate(
-        warmup
-    )
-    probe = RandomTrajectoryWorkload(
-        2, spread=0.02, seed=PROBE_SEED
-    ).generate(probes * repeats)
-    return warm, probe
-
-
-def _mode_payload(
-    best: dict[str, float], owners: dict[str, Any]
-) -> dict[str, Any]:
-    baseline = best["off"]
+def _recorded(framework: PPCFramework) -> dict[str, int]:
+    """What each opt-in channel captured on one rig (0 when it is off)."""
+    report = framework.profile_report()
+    telemetry = framework.telemetry
     return {
-        name: {
-            "us_per_instance": best[name] * 1e6,
-            "overhead_pct": (best[name] / baseline - 1.0) * 100.0,
-            "predict_p95_seconds": _predict_p95(owners[name]),
-        }
-        for name in best
+        "trace": len(framework.session("Q1").tracer.traces()),
+        "profile": len(report["templates"]) if report else 0,
+        "events": framework.events.emitted if framework.events else 0,
+        "telemetry": telemetry.sample_count if telemetry else 0,
     }
 
 
-def run_trace_overhead() -> dict[str, Any]:
-    """Tracing cost: off vs shipped sampling vs every-execution."""
-    sessions = {
-        name: TemplateSession(
-            plan_space_for("Q1"),
-            _hot_path_config(trace=cfg),
-            seed=SESSION_SEED,
-        )
-        for name, cfg in TRACE_MODES
-    }
-    warm, probes = _overhead_workload(
-        OVERHEAD_WARMUP, OVERHEAD_PROBES, OVERHEAD_REPEATS
-    )
-    for x in warm:
-        for session in sessions.values():
-            session.execute(x)
-    best = dict.fromkeys(sessions, float("inf"))
-    for repeat in range(OVERHEAD_REPEATS):
-        batch = probes[
-            repeat * OVERHEAD_PROBES : (repeat + 1) * OVERHEAD_PROBES
-        ]
-        for name, session in sessions.items():
-            t0 = perf_counter()
-            for x in batch:
-                session.execute(x)
-            best[name] = min(
-                best[name], (perf_counter() - t0) / OVERHEAD_PROBES
-            )
-    if not sessions["full"].tracer.traces() or sessions["off"].tracer.traces():
-        raise BenchError("trace rig sanity check failed")
-    modes = _mode_payload(best, sessions)
-    return make_envelope(
-        "trace_overhead",
-        metrics={
-            "off_us_per_instance": metric(
-                modes["off"]["us_per_instance"],
-                "us/instance",
-                "lower",
-                tolerance_pct=100.0,
-            ),
-            "sampled_overhead_pct": metric(
-                modes["sampled"]["overhead_pct"],
-                "pct",
-                "lower",
-                tolerance_abs=10.0,
-            ),
-            "full_overhead_pct": metric(
-                modes["full"]["overhead_pct"],
-                "pct",
-                "lower",
-                tolerance_abs=25.0,
-            ),
-        },
-        workload={
-            "template": "Q1",
-            "warmup": OVERHEAD_WARMUP,
-            "probes": OVERHEAD_PROBES,
-            "repeats": OVERHEAD_REPEATS,
-            "seeds": _seeds(),
-        },
-        gate={"mode": "sampled", "max_overhead_pct": 10.0},
-        details={"modes": modes},
-    )
+def run_instrumentation_overhead() -> dict[str, Any]:
+    """Each opt-in channel's cost over all-off, timed interleaved.
 
-
-def run_quality_overhead() -> dict[str, Any]:
-    """Quality-telemetry cost on virtual clocks, off vs shipped vs hot."""
+    One identically seeded Q1 framework per mode, each on its own
+    virtual clock.  Every probe runs through all rigs in a fresh seeded
+    random order, so a slow spell of the machine, or caches warmed or
+    evicted by the rig before, land on every mode alike.  A fixed
+    rotation would not do: the rig after the heaviest one would always
+    pay for it.  ``off_twin`` is an A/A control, so its overhead is the
+    rig's own noise floor.  Raises :class:`BenchError` if any mode
+    changes a decision, or if a rig's channels recorded anything other
+    than exactly the one its mode turns on.
+    """
     rigs: dict[str, tuple[PPCFramework, VirtualClock]] = {}
-    for name, cfg in QUALITY_MODES:
+    for mode in INSTRUMENTATION_MODES:
         clock = VirtualClock()
         framework = PPCFramework(
-            _hot_path_config(telemetry=cfg),
+            _hot_path_config(**{**_ALL_OFF, **mode.overrides}),
             seed=SESSION_SEED,
             clock=clock,
             sleep=clock.sleep,
         )
         framework.register(plan_space_for("Q1"))
-        rigs[name] = (framework, clock)
-    warm, probes = _overhead_workload(
-        OVERHEAD_WARMUP, OVERHEAD_PROBES, OVERHEAD_REPEATS
-    )
-    for x in warm:
+        rigs[mode.name] = (framework, clock)
+    probes = _q1_trajectory(PROBE_SEED, INSTRUMENTATION_PROBES)
+    for x in _q1_trajectory(WARM_SEED, INSTRUMENTATION_WARMUP):
         for framework, clock in rigs.values():
             framework.execute("Q1", x)
-            clock.advance(QUALITY_ADVANCE)
-    best = dict.fromkeys(rigs, float("inf"))
-    for repeat in range(OVERHEAD_REPEATS):
-        batch = probes[
-            repeat * OVERHEAD_PROBES : (repeat + 1) * OVERHEAD_PROBES
-        ]
-        for name, (framework, clock) in rigs.items():
+            clock.advance(INSTRUMENTATION_ADVANCE)
+    names = list(rigs)
+    order = np.random.default_rng(ORDER_SEED)
+    spent = dict.fromkeys(names, 0.0)
+    for x in probes:
+        for index in order.permutation(len(names)):
+            framework, clock = rigs[names[index]]
             t0 = perf_counter()
-            for x in batch:
-                framework.execute("Q1", x)
-                clock.advance(QUALITY_ADVANCE)
-            best[name] = min(
-                best[name], (perf_counter() - t0) / OVERHEAD_PROBES
-            )
-    if rigs["off"][0].telemetry is not None:
-        raise BenchError("off rig unexpectedly has telemetry")
-    if not rigs["sampled"][0].telemetry.sample_count:
-        raise BenchError("sampled rig never sampled")
+            framework.execute("Q1", x)
+            spent[names[index]] += perf_counter() - t0
+            clock.advance(INSTRUMENTATION_ADVANCE)
+
     reference = [
-        (r.executed_plan, r.optimizer_invoked)
-        for r in rigs["off"][0].session("Q1").records
+        _decision_key(r) for r in rigs["off"][0].session("Q1").records
     ]
-    for name, (framework, __) in rigs.items():
+    modes: dict[str, dict[str, Any]] = {}
+    for mode in INSTRUMENTATION_MODES:
+        framework = rigs[mode.name][0]
         decisions = [
-            (r.executed_plan, r.optimizer_invoked)
-            for r in framework.session("Q1").records
+            _decision_key(r) for r in framework.session("Q1").records
         ]
         if decisions != reference:
-            raise BenchError(f"telemetry mode {name} changed decisions")
-    frameworks = {name: rig[0] for name, rig in rigs.items()}
-    modes = _mode_payload(best, frameworks)
-    return make_envelope(
-        "quality_overhead",
-        metrics={
-            "off_us_per_instance": metric(
-                modes["off"]["us_per_instance"],
-                "us/instance",
-                "lower",
-                tolerance_pct=100.0,
-            ),
-            "sampled_overhead_pct": metric(
-                modes["sampled"]["overhead_pct"],
-                "pct",
-                "lower",
-                tolerance_abs=6.0,
-            ),
-            "aggressive_overhead_pct": metric(
-                modes["aggressive"]["overhead_pct"],
-                "pct",
-                "lower",
-                tolerance_abs=15.0,
-            ),
-        },
-        workload={
-            "template": "Q1",
-            "warmup": OVERHEAD_WARMUP,
-            "probes": OVERHEAD_PROBES,
-            "repeats": OVERHEAD_REPEATS,
-            "advance_seconds": QUALITY_ADVANCE,
-            "seeds": _seeds(),
-        },
-        gate={"mode": "sampled", "max_overhead_pct": 5.0},
-        details={"modes": modes},
-    )
-
-
-def run_profile_overhead() -> dict[str, Any]:
-    """Stage-profiler cost at default sampling, with decision parity.
-
-    Two identically seeded sessions run the same trajectory in
-    lockstep: profiling off (the shipped default) and profiling every
-    execution.  The profiler consumes no RNG and never flips
-    ``trace.active``, so the decisions must match bit-for-bit — checked
-    here, and pinned by the parity test in ``tests/obs``.
-    """
-    sessions = {
-        name: TemplateSession(
-            plan_space_for("Q1"),
-            _hot_path_config(profiling=cfg),
-            seed=SESSION_SEED,
-        )
-        for name, cfg in PROFILE_MODES
-    }
-    warm, probes = _overhead_workload(
-        PROFILE_WARMUP, PROFILE_PROBES, PROFILE_REPEATS
-    )
-    for x in warm:
-        for session in sessions.values():
-            session.execute(x)
-    best = dict.fromkeys(sessions, float("inf"))
-    for repeat in range(PROFILE_REPEATS):
-        batch = probes[
-            repeat * PROFILE_PROBES : (repeat + 1) * PROFILE_PROBES
-        ]
-        for name, session in sessions.items():
-            t0 = perf_counter()
-            for x in batch:
-                session.execute(x)
-            best[name] = min(
-                best[name], (perf_counter() - t0) / PROFILE_PROBES
+            raise BenchError(f"mode {mode.name} changed decisions")
+        recorded = _recorded(framework)
+        if any(
+            bool(count) != (channel == mode.channel)
+            for channel, count in recorded.items()
+        ):
+            raise BenchError(
+                f"mode {mode.name} should record only on "
+                f"{mode.channel or 'no channel'}, recorded {recorded}"
             )
-    profiler = sessions["on"].profiler
-    if profiler is None or not profiler.report()["templates"]:
-        raise BenchError("profiled rig recorded nothing")
-    if sessions["off"].profiler is not None:
-        raise BenchError("off rig unexpectedly owns a profiler")
-    reference = [
-        (r.executed_plan, r.optimizer_invoked, r.predicted, r.confidence)
-        for r in sessions["off"].records
-    ]
-    profiled = [
-        (r.executed_plan, r.optimizer_invoked, r.predicted, r.confidence)
-        for r in sessions["on"].records
-    ]
-    if profiled != reference:
-        raise BenchError("profiling changed decisions")
-    modes = _mode_payload(best, sessions)
+        modes[mode.name] = {
+            "us_per_instance": spent[mode.name] / len(probes) * 1e6,
+            "overhead_pct": (spent[mode.name] / spent["off"] - 1.0) * 100.0,
+            "recorded": recorded,
+        }
+    metrics = {
+        "off_us_per_instance": metric(
+            modes["off"]["us_per_instance"],
+            "us/instance",
+            "lower",
+            tolerance_pct=100.0,
+        )
+    }
+    for mode in INSTRUMENTATION_MODES[1:]:
+        metrics[f"{mode.name}_overhead_pct"] = metric(
+            modes[mode.name]["overhead_pct"],
+            "pct",
+            "lower",
+            tolerance_abs=mode.tolerance_abs,
+        )
     return make_envelope(
-        "profile_overhead",
-        metrics={
-            "off_us_per_instance": metric(
-                modes["off"]["us_per_instance"],
-                "us/instance",
-                "lower",
-                tolerance_pct=100.0,
-            ),
-            "enabled_overhead_pct": metric(
-                modes["on"]["overhead_pct"],
-                "pct",
-                "lower",
-                tolerance_abs=PROFILE_MAX_OVERHEAD_PCT,
-            ),
-        },
+        "instrumentation",
+        metrics=metrics,
         workload={
             "template": "Q1",
-            "warmup": PROFILE_WARMUP,
-            "probes": PROFILE_PROBES,
-            "repeats": PROFILE_REPEATS,
-            "seeds": _seeds(),
+            "warmup": INSTRUMENTATION_WARMUP,
+            "probes": INSTRUMENTATION_PROBES,
+            "advance_seconds": INSTRUMENTATION_ADVANCE,
+            "seeds": {**_seeds(), "order": ORDER_SEED},
         },
         gate={
-            "mode": "on",
-            "max_overhead_pct": PROFILE_MAX_OVERHEAD_PCT,
-            "parity": True,
-        },
-        details={"modes": modes},
-    )
-
-
-EVENTS_WARMUP = 300
-EVENTS_PROBES = 1000
-EVENTS_REPEATS = 3
-#: The journal's acceptance bar: enabled with a production-sized ring,
-#: the hot path slows by less than this.
-EVENTS_MAX_OVERHEAD_PCT = 5.0
-
-EVENTS_MODES = (
-    ("off", EventsConfig()),
-    ("on", EventsConfig(enabled=True, capacity=4096)),
-)
-
-
-def run_events_overhead() -> dict[str, Any]:
-    """Lifecycle-journal cost when enabled, with decision parity.
-
-    Two identically seeded sessions run the same trajectory in
-    lockstep: events off (the shipped default) and events on with the
-    default ring.  Emission consumes no RNG and never flips
-    ``trace.active``, so the decisions must match bit-for-bit — checked
-    here, and pinned by the parity test in ``tests/obs``.
-    """
-    sessions = {
-        name: TemplateSession(
-            plan_space_for("Q1"),
-            _hot_path_config(events=cfg),
-            seed=SESSION_SEED,
-        )
-        for name, cfg in EVENTS_MODES
-    }
-    warm, probes = _overhead_workload(
-        EVENTS_WARMUP, EVENTS_PROBES, EVENTS_REPEATS
-    )
-    for x in warm:
-        for session in sessions.values():
-            session.execute(x)
-    best = dict.fromkeys(sessions, float("inf"))
-    for repeat in range(EVENTS_REPEATS):
-        batch = probes[
-            repeat * EVENTS_PROBES : (repeat + 1) * EVENTS_PROBES
-        ]
-        for name, session in sessions.items():
-            t0 = perf_counter()
-            for x in batch:
-                session.execute(x)
-            best[name] = min(
-                best[name], (perf_counter() - t0) / EVENTS_PROBES
-            )
-    journal = sessions["on"].events
-    if journal is None or not journal.emitted:
-        raise BenchError("events rig journaled nothing")
-    if sessions["off"].events is not None:
-        raise BenchError("off rig unexpectedly owns a journal")
-    reference = [
-        (r.executed_plan, r.optimizer_invoked, r.predicted, r.confidence)
-        for r in sessions["off"].records
-    ]
-    journaled = [
-        (r.executed_plan, r.optimizer_invoked, r.predicted, r.confidence)
-        for r in sessions["on"].records
-    ]
-    if journaled != reference:
-        raise BenchError("event journaling changed decisions")
-    modes = _mode_payload(best, sessions)
-    return make_envelope(
-        "events_overhead",
-        metrics={
-            "off_us_per_instance": metric(
-                modes["off"]["us_per_instance"],
-                "us/instance",
-                "lower",
-                tolerance_pct=100.0,
-            ),
-            "enabled_overhead_pct": metric(
-                modes["on"]["overhead_pct"],
-                "pct",
-                "lower",
-                tolerance_abs=EVENTS_MAX_OVERHEAD_PCT,
-            ),
-        },
-        workload={
-            "template": "Q1",
-            "warmup": EVENTS_WARMUP,
-            "probes": EVENTS_PROBES,
-            "repeats": EVENTS_REPEATS,
-            "events_emitted": journal.emitted,
-            "seeds": _seeds(),
-        },
-        gate={
-            "mode": "on",
-            "max_overhead_pct": EVENTS_MAX_OVERHEAD_PCT,
+            "max_overhead_pct": INSTRUMENTATION_LIMITS_PCT,
+            "twin_max_abs_pct": TWIN_RESOLUTION_PCT,
             "parity": True,
         },
         details={"modes": modes},
@@ -623,14 +423,12 @@ BENCHES: dict[str, BenchDef] = {
             "predict_throughput", "predict", run_predict_throughput, ("ci", "full")
         ),
         BenchDef(
-            "profile_overhead", "profile", run_profile_overhead, ("ci", "full")
-        ),
-        BenchDef(
-            "events_overhead", "events", run_events_overhead, ("ci", "full")
+            "instrumentation",
+            "instrumentation",
+            run_instrumentation_overhead,
+            ("ci", "full"),
         ),
         BenchDef("scenarios", "scenarios", run_scenarios, ("ci", "full")),
-        BenchDef("trace_overhead", "trace", run_trace_overhead, ("full",)),
-        BenchDef("quality_overhead", "quality", run_quality_overhead, ("full",)),
     )
 }
 

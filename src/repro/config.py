@@ -217,9 +217,10 @@ class TelemetryConfig:
     windows in milliseconds and the memory stays O(capacity) per
     series.  Every ``quality_every``-th sample additionally refreshes
     the per-template plan-space scorecard gauges (coverage, purity,
-    rolling accuracy/regret, drift pressure) — the expensive synopsis
-    scan, gated to well under 5 % of the serving path (enforced by
-    ``benchmarks/bench_quality_overhead.py``).
+    rolling accuracy/regret, drift pressure), a synopsis scan.  The
+    shipped cadence is meant to cost under 5 % of the serving path;
+    the ``telemetry_sampled`` mode of
+    ``benchmarks/bench_instrumentation_overhead.py`` measures it.
     """
 
     enabled: bool = True

@@ -23,7 +23,7 @@ profiler):
 * **enabled is inert** — emission consumes no RNG, reads only the
   injected clock, and never feeds back into a decision: journaled runs
   are bit-identical to unjournaled ones (pinned by the parity suite
-  and the ``events_overhead`` bench);
+  and the ``instrumentation`` bench);
 * **bounded, never silently** — the ring holds ``capacity`` events;
   older events rotate out under an explicit ``dropped`` counter, like
   the profiler's ``max_paths`` accounting.  The running stream digest

@@ -168,84 +168,6 @@ class TestDisabledIsFree:
 
 
 class TestLockstepParity:
-    def test_profiled_decisions_are_bit_identical(self):
-        # The headline invariant: enabling the profiler changes not one
-        # bit of any decision over a real workload.
-        fields = (
-            "predicted",
-            "confidence",
-            "optimizer_invoked",
-            "invocation_reason",
-            "executed_plan",
-            "execution_cost",
-            "optimal_plan",
-            "optimal_cost",
-        )
-        sessions = {
-            "off": TemplateSession(
-                plan_space_for("Q1"), _hot_config(), seed=17
-            ),
-            "on": TemplateSession(
-                plan_space_for("Q1"),
-                _hot_config(
-                    profiling=ProfileConfig(enabled=True, interval=1)
-                ),
-                seed=17,
-            ),
-        }
-        workload = RandomTrajectoryWorkload(2, spread=0.02, seed=5).generate(
-            300
-        )
-        for x in workload:
-            records = {
-                name: session.execute(x)
-                for name, session in sessions.items()
-            }
-            for field in fields:
-                assert getattr(records["on"], field) == getattr(
-                    records["off"], field
-                ), field
-        assert (
-            sessions["on"].profiler.report()["templates"]["Q1"][
-                "executions_profiled"
-            ]
-            == 300
-        )
-
-    def test_batch_parity_with_profiling(self):
-        # The batch path's precomputed vectorized predictions survive:
-        # ProfileTrace.active stays False, so profiled batch executions
-        # decide exactly like unprofiled ones.
-        sessions = {
-            "off": TemplateSession(
-                plan_space_for("Q1"), _hot_config(), seed=17
-            ),
-            "on": TemplateSession(
-                plan_space_for("Q1"),
-                _hot_config(
-                    profiling=ProfileConfig(enabled=True, interval=1)
-                ),
-                seed=17,
-            ),
-        }
-        warm = RandomTrajectoryWorkload(2, spread=0.02, seed=5).generate(100)
-        for x in warm:
-            for session in sessions.values():
-                session.execute(x)
-        probes = RandomTrajectoryWorkload(2, spread=0.02, seed=6).generate(
-            200
-        )
-        batches = {
-            name: session.execute_batch(probes)
-            for name, session in sessions.items()
-        }
-        for off_record, on_record in zip(
-            batches["off"], batches["on"], strict=True
-        ):
-            assert on_record.executed_plan == off_record.executed_plan
-            assert on_record.predicted == off_record.predicted
-            assert on_record.confidence == off_record.confidence
-
     def test_profile_trace_active_is_false(self):
         profiler = StageProfiler(ProfileConfig(enabled=True))
         trace = ProfileTrace(profiler.begin("T"))
