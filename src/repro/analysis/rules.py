@@ -183,7 +183,6 @@ _REGISTRY_METHODS = frozenset(
         "gauge_value",
         "histogram",
         "histogram_summary",
-        "time_block",
     }
 )
 

@@ -1088,17 +1088,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     """Hot-path stage profiler: run a workload, print the stage tree."""
     import json
 
-    from repro.config import ProfileConfig, TraceConfig
+    from repro.config import ProfileConfig
     from repro.core.persistence import atomic_write_text
     from repro.obs.profiling import render_profile
 
     config = PPCConfig(
         confidence_threshold=args.gamma,
         profiling=ProfileConfig(enabled=True, interval=args.every),
-        # interval=1 traces every instance, so the predictor-internal
-        # stages (transform/aggregate/noise_elimination/confidence)
-        # appear in the profile; raise --deep-every to sample them.
-        trace=TraceConfig(interval=args.deep_every),
     )
     framework = PPCFramework(config, seed=args.seed)
     for offset, template in enumerate(dict.fromkeys(args.templates)):
@@ -1573,11 +1569,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--every", type=int, default=1,
         help="profile every Nth execution per template",
-    )
-    profile.add_argument(
-        "--deep-every", type=int, default=1,
-        help="trace-sampling interval feeding the predictor-internal "
-        "stages (1 = every instance carries the deep spans)",
     )
     profile.add_argument(
         "--collapsed-out", default=None,

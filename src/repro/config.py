@@ -59,11 +59,13 @@ class TraceConfig:
     """Sampling knobs of the per-template decision flight recorder.
 
     Every ``TemplateSession.execute`` asks the sampler whether to build
-    a full :class:`~repro.obs.tracing.DecisionTrace`; unsampled
-    executions pay one no-op method call per stage and allocate
-    nothing.  Sampling is deterministic (no RNG): the first ``head``
-    executions are always traced, every ``interval``-th execution after
-    that (0 disables interval sampling), and — error-biased — the
+    a full span tree (an active
+    :class:`~repro.obs.tracing.DecisionTrace`); unsampled executions
+    reuse the tracer's one inactive trace, which still feeds the stage
+    metrics but allocates no span.  Sampling is deterministic (no RNG):
+    the first ``head`` executions are always traced, every
+    ``interval``-th execution after that (0 disables interval
+    sampling), and — error-biased — the
     ``error_burst`` executions following any degraded/fallback/raised
     instance, so the recorder holds the run-up to every incident.
     ``explain`` bypasses the sampler entirely (decision ``forced``).
@@ -92,12 +94,11 @@ class ProfileConfig:
     """Stage-profiler knobs (see :mod:`repro.obs.profiling`).
 
     Disabled (the default) the profiler does not exist: the tracer owns
-    no profiler object and unsampled executions keep returning the
-    shared ``NOOP_TRACE`` singleton — the hot path is bit-identical to
-    a build without the feature.  Enabled, every ``interval``-th
-    execution per template is timed stage-by-stage on the existing span
-    seam; sampling is deterministic (a per-template counter, no RNG),
-    so profiled runs make the same decisions as unprofiled ones.
+    no profiler object and the span seam feeds only the stage metrics.
+    Enabled, every ``interval``-th execution per template is timed
+    stage by stage from the same span-seam clock reads; sampling is
+    deterministic (a per-template counter, no RNG), so profiled runs
+    make the same decisions as unprofiled ones.
     """
 
     enabled: bool = False

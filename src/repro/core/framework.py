@@ -64,7 +64,7 @@ from repro.obs.profiling import StageProfiler
 from repro.obs.quality import export_quality_gauges
 from repro.obs.slo import SLOEngine
 from repro.obs.timeseries import TimeSeriesStore
-from repro.obs.tracing import DecisionTrace, DecisionTracer, NoopTrace
+from repro.obs.tracing import DecisionTrace, DecisionTracer
 from repro.optimizer.plan_space import PlanSpace
 from repro.resilience.breaker import BREAKER_STATE_VALUES, CircuitBreaker
 from repro.resilience.clocks import system_clock, system_sleep
@@ -192,7 +192,6 @@ class TemplateSession:
             positive_feedback=policy,
             seed=seed,
         )
-        self.online.predictor.bind_metrics(self.metrics, template=template)
         if self._events is not None:
             # Binding journals one ``histogram_built`` (the synopsis
             # going live); the cache emits evictions with the prec/rec
@@ -234,13 +233,8 @@ class TemplateSession:
             self._observe = self.online.observe
 
         # Stable metric handles: fetched once, updated lock-free in the
-        # hot path below.
-        self._stage_timers = {
-            stage: self.metrics.histogram(
-                metric_names.STAGE_SECONDS, template=template, stage=stage
-            )
-            for stage in metric_names.STAGES
-        }
+        # hot path below.  Stage timings are the tracer's: its span seam
+        # feeds them (``repro.obs.names.SPAN_METRICS``).
         self._executions_counter = self.metrics.counter(
             metric_names.EXECUTIONS_TOTAL, template=template
         )
@@ -472,6 +466,10 @@ class TemplateSession:
         either a precomputed prediction or the ``_RECOMPUTE`` sentinel
         (non-finite rows, or the whole tail when the batch predictor
         itself failed — both then replay the scalar path per point).
+        The batch predict runs between decisions on the tracer's
+        inactive trace, so its z-value and density-lookup spans feed
+        their metrics once per call; each instance's decision is later
+        charged the amortized share.
         """
         started = perf_counter()
         finite = np.isfinite(tail).all(axis=1)
@@ -479,7 +477,9 @@ class TemplateSession:
         clean = tail[finite] if not finite.all() else tail
         if clean.shape[0]:
             try:
-                computed = self._predict_batch(clean)
+                computed = self._predict_batch(
+                    clean, trace=self.tracer.inactive
+                )
             except Exception:
                 # Degradation accounting happens per point in the
                 # scalar fallback, exactly like sequential execution.
@@ -508,7 +508,7 @@ class TemplateSession:
     def _run(
         self,
         x: np.ndarray,
-        trace: "DecisionTrace | NoopTrace",
+        trace: DecisionTrace,
         precomputed=_RECOMPUTE,
         predict_seconds: float = 0.0,
     ) -> ExecutionRecord:
@@ -516,7 +516,7 @@ class TemplateSession:
         if self._events is not None:
             # Cross-link: lifecycle events emitted while this decision
             # runs carry the active trace seq (None when unsampled).
-            self._events.set_trace(getattr(trace, "seq", None))
+            self._events.set_trace(trace.seq)
         try:
             record = self._decide_and_execute(
                 x, trace, precomputed=precomputed,
@@ -531,23 +531,25 @@ class TemplateSession:
     def _decide_and_execute(
         self,
         x: np.ndarray,
-        trace: "DecisionTrace | NoopTrace",
+        trace: DecisionTrace,
         precomputed=_RECOMPUTE,
         predict_seconds: float = 0.0,
     ) -> ExecutionRecord:
-        """The Figure-1 decision flow, annotated onto ``trace``.
+        """The Figure-1 decision flow, one span per stage of ``trace``.
 
-        All trace attribute computation hides behind ``trace.active``
-        so the unsampled path stays behaviorally and metrically
-        identical to the untraced flow — and allocation-free.
+        The spans are the only timing on this path: the trace's seam
+        feeds the stage metrics, the profiler and (sampled) the span
+        tree.  All trace attribute computation hides behind
+        ``trace.active`` so the unsampled path stays behaviorally and
+        metrically identical to the untraced flow — and allocates no
+        span.
 
         ``precomputed`` (from :meth:`execute_batch`) supplies the
         predict-stage result computed vectorized for the whole batch;
         ``predict_seconds`` is that call's amortized per-instance cost,
-        observed into the predict stage timer in place of a wall-clock
-        read.  Traced instances ignore the precomputed value and
-        re-predict through the span-annotating path (same numeric core,
-        identical decision).
+        charged to the predict span.  Traced instances ignore the
+        precomputed value and re-predict through the span-annotating
+        path (same numeric core, identical decision).
         """
         with trace.span("normalize"):
             x = (
@@ -565,23 +567,19 @@ class TemplateSession:
         invocations_before = self.optimizer_invocations
         # Experimenter-side ground truth; the session only learns it if
         # and when it invokes the optimizer below.
-        true_ids, true_costs = self.plan_space.label(x[None, :])
+        with trace.span("ground_truth"):
+            true_ids, true_costs = self.plan_space.label(x[None, :])
         optimal_plan, optimal_cost = int(true_ids[0]), float(true_costs[0])
 
         degraded = False
         fallback_source = ""
-        use_precomputed = precomputed is not _RECOMPUTE and not trace.active
-        stage_start = perf_counter()
         with trace.span("predict") as predict_span:
-            if use_precomputed:
+            if precomputed is not _RECOMPUTE and not trace.active:
                 prediction = precomputed
+                trace.charge(predict_seconds)
             else:
                 try:
-                    prediction = (
-                        self._predict(x, trace=trace)
-                        if trace.active
-                        else self._predict(x)
-                    )
+                    prediction = self._predict(x, trace=trace)
                 except Exception:
                     # A broken predictor degrades to the optimizer path.
                     prediction = None
@@ -599,22 +597,18 @@ class TemplateSession:
                         confidence=prediction.confidence,
                         estimated_cost=prediction.estimated_cost,
                     )
-        self._stage_timers["predict"].observe(
-            predict_seconds if use_precomputed
-            else perf_counter() - stage_start
-        )
 
-        reason = ""
-        if prediction is None:
-            reason = "null_prediction"
-        elif self.online.should_invoke_optimizer(prediction):
-            reason = "exploration"
-        elif prediction.plan_id not in self.cache:
-            reason = "cache_miss"
-        if trace.active:
-            # Membership via ``in`` is accounting-free — the real
-            # lookup below still owns the hit/miss counters.
-            with trace.span("decide") as decide_span:
+        with trace.span("decide") as decide_span:
+            reason = ""
+            if prediction is None:
+                reason = "null_prediction"
+            elif self.online.should_invoke_optimizer(prediction):
+                reason = "exploration"
+            elif prediction.plan_id not in self.cache:
+                reason = "cache_miss"
+            if trace.active:
+                # Membership via ``in`` is accounting-free — the real
+                # lookup below still owns the hit/miss counters.
                 decide_span.set(
                     action=reason or "serve_prediction",
                     plan_cached=prediction is not None
@@ -622,7 +616,6 @@ class TemplateSession:
                 )
 
         if reason:
-            stage_start = perf_counter()
             with trace.span("optimize") as optimize_span:
                 if trace.active:
                     optimize_span.set(
@@ -642,9 +635,6 @@ class TemplateSession:
                         optimize_span.set(
                             plan=outcome[0], cost=outcome[1]
                         )
-            self._stage_timers["optimize"].observe(
-                perf_counter() - stage_start
-            )
             if outcome is not None:
                 executed_plan, execution_cost = outcome
                 if prediction is None:
@@ -689,16 +679,11 @@ class TemplateSession:
             executed_plan = prediction.plan_id
             self.cache.get(executed_plan)
             with trace.span("execute_plan") as execute_span:
-                stage_start = perf_counter()
                 execution_cost = float(
                     self.plan_space.cost_at(x[None, :], executed_plan)[0]
                 )
-                self._stage_timers["execute"].observe(
-                    perf_counter() - stage_start
-                )
                 if trace.active:
                     execute_span.set(plan=executed_plan, cost=execution_cost)
-            stage_start = perf_counter()
             with trace.span("feedback") as feedback_span:
                 suspect = self.online.suspect_error(
                     prediction, execution_cost
@@ -765,16 +750,15 @@ class TemplateSession:
                             feedback_span.set(
                                 positive_feedback=outcome_label
                             )
-            self._stage_timers["feedback"].observe(
-                perf_counter() - stage_start
-            )
 
         if reason:
             self._reason_counters[reason].inc()
 
         drift = False
-        if self.config.drift_response and self.monitor.drift_detected():
-            drift = True
+        if self.config.drift_response:
+            with trace.span("drift_check"):
+                drift = self.monitor.drift_detected()
+        if drift:
             self.drift_events += 1
             self._drift_counter.inc()
             with trace.span("drift") as drift_span:

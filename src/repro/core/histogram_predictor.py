@@ -22,7 +22,6 @@ Two sanity checks keep the lossy summarization honest:
 from __future__ import annotations
 
 import math
-from time import perf_counter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,11 +49,11 @@ from repro.lsh.grid import Grid
 from repro.lsh.stacked import StackedEnsemble
 from repro.lsh.transforms import TransformEnsemble
 from repro.lsh.zorder import ZOrderCurve
+from repro.obs.tracing import untraced
 
 from repro.geometry import ball_volume
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs import MetricsRegistry
     from repro.obs.events import _TemplateEmitter
     from repro.obs.tracing import DecisionTrace
 
@@ -151,9 +150,6 @@ class HistogramPredictor(PlanPredictor):
         #: feedback inserts discounted weights.  Noise elimination
         #: compares against this, matching the weighted bucket counts.
         self.total_mass = 0.0
-        self._metrics = None
-        self._transform_timer = None
-        self._range_timer = None
         #: ``_packed`` holds every histogram's buckets in one block: the
         #: density lookup primitive.  Refreshed next to every
         #: ``_commit``, so a predict never scans for stale rows.
@@ -177,29 +173,13 @@ class HistogramPredictor(PlanPredictor):
             self.ensemble, self.grids, curve=self.curve
         )
 
-    def bind_metrics(self, registry: "MetricsRegistry", **labels) -> None:
-        """Publish per-predict transform / range-query timings.
-
-        Called by the owning session once the registry and template
-        label are known; predictors without a binding skip all timing.
-        """
-        from repro.obs import names as metric_names
-
-        self._metrics = registry
-        self._transform_timer = registry.histogram(
-            metric_names.PREDICT_TRANSFORM_SECONDS, **labels
-        )
-        self._range_timer = registry.histogram(
-            metric_names.PREDICT_RANGE_QUERY_SECONDS, **labels
-        )
-
     def bind_events(self, emitter: "_TemplateEmitter") -> None:
         """Attach a lifecycle event emitter (``repro.obs.events``).
 
-        Late binding, like :meth:`bind_metrics`: the constructor's pool
-        replay runs before any emitter exists, so the journal records
-        the synopsis *going live* (one ``histogram_built`` event) and
-        every mutation after that, not the seed replay.  Going live is
+        Late binding: the constructor's pool replay runs before any
+        emitter exists, so the journal records the synopsis *going
+        live* (one ``histogram_built`` event) and every mutation after
+        that, not the seed replay.  Going live is
         not a mutation: it journals without bumping ``mutation_count``.
         """
         self._events = emitter
@@ -303,29 +283,26 @@ class HistogramPredictor(PlanPredictor):
     # Prediction
     # ------------------------------------------------------------------
     def _range_estimates(
-        self, points: np.ndarray, record_timing: bool = True
+        self, points: np.ndarray, trace: "DecisionTrace | None" = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The struct-of-arrays lookup core shared by every predict path.
 
         For validated points ``(m, r)``, returns ``(z_values (t, m),
         counts (t, plans, m), avg_costs (t, plans, m))``: one stacked
-        pass computes all z-values, then the packed block answers every
-        (transform, plan) range query in one vectorized pass.  When
-        metrics are bound (and ``record_timing``), the transform and
-        range-query timers observe exactly once per call.
+        pass computes all z-values (span ``z_values``), then the packed
+        block answers every (transform, plan) range query in one
+        vectorized pass (span ``density_lookup``).  On a tracer's trace
+        the two spans feed the transform and range-query metrics once
+        per call.
         """
-        record = record_timing and self._metrics is not None
-        if record:
-            started = perf_counter()
-        z_values = self._z_values_batch(points)
-        if record:
-            mid = perf_counter()
-        counts, avg_costs = self._packed.query(
-            z_values - self.delta, z_values + self.delta
-        )
-        if record:
-            self._transform_timer.observe(mid - started)
-            self._range_timer.observe(perf_counter() - mid)
+        if trace is None:
+            trace = untraced()
+        with trace.span("z_values"):
+            z_values = self._z_values_batch(points)
+        with trace.span("density_lookup"):
+            counts, avg_costs = self._packed.query(
+                z_values - self.delta, z_values + self.delta
+            )
         return z_values, counts, avg_costs
 
     def _aggregate(self, estimates: np.ndarray) -> np.ndarray:
@@ -403,7 +380,7 @@ class HistogramPredictor(PlanPredictor):
         returned counts are identical either way.
         """
         x = self._check_point(x)
-        z_values, counts, avg_costs = self._range_estimates(x[None, :])
+        z_values, counts, avg_costs = self._range_estimates(x[None, :], trace)
         if trace is not None and trace.active:
             return self._emit_lookup_spans(trace, z_values, counts, avg_costs)
         return self._aggregate(counts)[:, 0]
@@ -413,25 +390,27 @@ class HistogramPredictor(PlanPredictor):
     ) -> "Prediction | None":
         """A thin wrapper over a batch of one.
 
-        The untraced path is literally ``predict_batch(x[None, :])[0]``;
-        the traced path runs the same numeric core and only adds span
-        annotation — the decisions are bit-for-bit identical, which the
-        trace-parity suite pins down.
+        The untraced path is literally ``predict_batch(x[None, :],
+        trace)[0]``; the traced path runs the same numeric core and only
+        adds span annotation — the decisions are bit-for-bit identical,
+        which the trace-parity suite pins down.
         """
         if trace is not None and trace.active:
             return self._predict_traced(x, trace)
         x = self._check_point(x)
-        return self.predict_batch(x[None, :])[0]
+        return self.predict_batch(x[None, :], trace)[0]
 
     def _predict_traced(
         self, x: np.ndarray, trace: "DecisionTrace"
     ) -> "Prediction | None":
         """Traced twin of :meth:`predict` — identical decision, with
-        per-transform lookup, noise-elimination and confidence
-        (γ comparison) spans, all computed from the same batch-of-one
-        estimates the untraced path uses."""
+        the same stage spans as :meth:`predict_batch` plus annotated
+        per-transform ``transform`` spans, all computed from the same
+        batch-of-one estimates the untraced path uses."""
         x = self._check_point(x)
-        z_values, counts_tpm, avg_costs = self._range_estimates(x[None, :])
+        z_values, counts_tpm, avg_costs = self._range_estimates(
+            x[None, :], trace
+        )
         counts = self._emit_lookup_spans(
             trace, z_values, counts_tpm, avg_costs
         )
@@ -463,13 +442,17 @@ class HistogramPredictor(PlanPredictor):
             span.set(**detail)
         if plan_id is None:
             return None
-        medians, any_support = self._winner_costs(
-            counts_tpm, avg_costs, np.array([plan_id])
-        )
-        cost = float(medians[0]) if any_support[0] else None
+        with trace.span("cost_estimate") as span:
+            medians, any_support = self._winner_costs(
+                counts_tpm, avg_costs, np.array([plan_id])
+            )
+            cost = float(medians[0]) if any_support[0] else None
+            span.set(plan=plan_id, estimated_cost=cost)
         return Prediction(plan_id, confidence, cost)
 
-    def predict_batch(self, points: np.ndarray) -> "list[Prediction | None]":
+    def predict_batch(
+        self, points: np.ndarray, trace: "DecisionTrace | None" = None
+    ) -> "list[Prediction | None]":
         """Vectorized prediction for a whole point batch — the primitive
         every other predict path wraps.
 
@@ -482,23 +465,34 @@ class HistogramPredictor(PlanPredictor):
         decision and the winner cost estimates are fully vectorized.
         Bit-for-bit identical to calling :meth:`predict` per point, at
         a fraction of the time — the operation the runtime simulation
-        charges as "prediction overhead".
+        charges as "prediction overhead".  Each stage runs in the same
+        span the traced twin opens, on ``trace``.
         """
         points = self._check_batch(points)
         m = points.shape[0]
         if m == 0:
             return []
-        __, counts_tpm, avg_costs = self._range_estimates(points)
-        counts = self._aggregate(counts_tpm)  # (plans, m)
-        winners, confidences = self.model.decide_batch(
-            counts.T, self.confidence_threshold
-        )
-        if self.noise_fraction is not None and self.total_mass > 0:
-            noisy = counts.max(axis=0) < self.noise_fraction * self.total_mass
-            winners = np.where(noisy, -1, winners)
-        medians, any_support = self._winner_costs(
-            counts_tpm, avg_costs, winners
-        )
+        if trace is None:
+            trace = untraced()
+        __, counts_tpm, avg_costs = self._range_estimates(points, trace)
+        with trace.span("aggregate"):
+            counts = self._aggregate(counts_tpm)  # (plans, m)
+        with trace.span("noise_elimination"):
+            noisy = (
+                counts.max(axis=0) < self.noise_fraction * self.total_mass
+                if self.noise_fraction is not None and self.total_mass > 0
+                else None
+            )
+        with trace.span("confidence"):
+            winners, confidences = self.model.decide_batch(
+                counts.T, self.confidence_threshold
+            )
+            if noisy is not None:
+                winners = np.where(noisy, -1, winners)
+        with trace.span("cost_estimate"):
+            medians, any_support = self._winner_costs(
+                counts_tpm, avg_costs, winners
+            )
         return [
             None
             if winners[j] < 0
@@ -516,13 +510,11 @@ class HistogramPredictor(PlanPredictor):
         Because the pool contains only truly optimal points (no
         positive feedback), this estimates the *optimal* cost near
         ``x`` — the quantity negative feedback compares against.
-        Timing is not recorded: only full predictions own the
-        once-per-predict timer contract.
+        Runs untraced: only full predictions own the once-per-predict
+        timer contract.
         """
         x = self._check_point(x)
-        __, counts, avg_costs = self._range_estimates(
-            x[None, :], record_timing=False
-        )
+        __, counts, avg_costs = self._range_estimates(x[None, :])
         medians, any_support = self._winner_costs(
             counts, avg_costs, np.array([plan_id])
         )

@@ -95,10 +95,12 @@ class OnlinePredictor(PlanPredictor):
     ) -> "Prediction | None":
         return self.predictor.predict(x, trace=trace)
 
-    def predict_batch(self, points: np.ndarray) -> "list[Prediction | None]":
+    def predict_batch(
+        self, points: np.ndarray, trace: "DecisionTrace | None" = None
+    ) -> "list[Prediction | None]":
         """Vectorized prediction over a point batch (the histogram
         predictor's struct-of-arrays primitive)."""
-        return self.predictor.predict_batch(points)
+        return self.predictor.predict_batch(points, trace=trace)
 
     def space_bytes(self) -> int:
         return self.predictor.space_bytes()

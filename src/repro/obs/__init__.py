@@ -1,21 +1,21 @@
-"""Observability for the PPC pipeline: metrics, timing, export.
+"""Observability for the PPC pipeline: metrics, tracing, export.
 
 A dependency-free metrics layer sized for a hot path:
 
 * :class:`~repro.obs.registry.MetricsRegistry` — counters, gauges and
   streaming latency histograms (p50/p95/p99 over fixed log-scale
   buckets), keyed by name + labels;
-* :func:`~repro.obs.timing.timed` / :func:`~repro.obs.timing.time_block`
-  — decorator and context-manager timing helpers;
 * :func:`~repro.obs.prometheus.render_prometheus` — Prometheus text
   exposition of a registry;
 * :mod:`repro.obs.names` — the canonical metric-name inventory the
   instrumented pipeline emits;
-* :mod:`repro.obs.tracing` — span-based decision tracing with a
-  bounded, error-biased per-template flight recorder
-  (:class:`~repro.obs.tracing.DecisionTracer`), behind deterministic
-  sampling so the unsampled hot path stays allocation-free;
-* :mod:`repro.obs.profiling` — the deterministic stage profiler riding
+* :mod:`repro.obs.tracing` — the decision span seam, the only clock on
+  the decision path: every span close feeds the stage metrics
+  (:data:`~repro.obs.names.SPAN_METRICS`), the stage profiler and, for
+  sampled executions, a bounded, error-biased per-template flight
+  recorder (:class:`~repro.obs.tracing.DecisionTracer`); unsampled
+  executions allocate no span;
+* :mod:`repro.obs.profiling` — the deterministic stage profiler fed by
   the span seam (:class:`~repro.obs.profiling.StageProfiler`):
   per-template self/cumulative stage times, text tree and
   collapsed-stack output for ``repro profile``;
@@ -54,10 +54,8 @@ from repro.obs.registry import (
     LatencyHistogram,
     MetricsRegistry,
 )
-from repro.obs.profiling import ProfileTrace, StageProfiler, render_profile
-from repro.obs.timing import time_block, timed
+from repro.obs.profiling import StageProfiler, render_profile
 from repro.obs.tracing import (
-    NOOP_TRACE,
     DecisionTrace,
     DecisionTracer,
     FlightRecorder,
@@ -87,7 +85,6 @@ from repro.obs.timeseries import RingSeries, TimeSeriesStore
 __all__ = [
     "CACHING_PROVENANCES",
     "EVENT_KINDS",
-    "NOOP_TRACE",
     "Counter",
     "DecisionTrace",
     "DecisionTracer",
@@ -97,7 +94,6 @@ __all__ = [
     "LatencyHistogram",
     "LineageEngine",
     "MetricsRegistry",
-    "ProfileTrace",
     "RingSeries",
     "SLOEngine",
     "Span",
@@ -120,6 +116,4 @@ __all__ = [
     "sparkline",
     "stream_digest",
     "synopsis_scorecard",
-    "time_block",
-    "timed",
 ]

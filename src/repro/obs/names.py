@@ -177,6 +177,24 @@ LINEAGE_QUERIES_TOTAL = "ppc_lineage_queries_total"
 #: The decision-flow stages timed inside ``TemplateSession.execute``.
 STAGES = ("predict", "optimize", "execute", "feedback")
 
+#: The span → metric table of the decision seam
+#: (:class:`~repro.obs.tracing.DecisionTrace`): closing a span named
+#: like a key observes its duration into ``metric`` (labels: template,
+#: plus ``stage`` when given) on every execution, sampled or not.  A
+#: ``parent`` restricts the entry to spans opened directly under that
+#: span, so the negative-feedback ``feedback/optimize`` never feeds
+#: ``stage="optimize"``; ``None`` matches anywhere, including the batch
+#: prefetch's predict outside any decision.
+SPAN_METRICS: dict[str, tuple[str, str | None, str | None]] = {
+    # span: (metric, stage label, parent span)
+    "z_values": (PREDICT_TRANSFORM_SECONDS, None, None),
+    "density_lookup": (PREDICT_RANGE_QUERY_SECONDS, None, None),
+    "predict": (STAGE_SECONDS, "predict", "decision"),
+    "optimize": (STAGE_SECONDS, "optimize", "decision"),
+    "execute_plan": (STAGE_SECONDS, "execute", "decision"),
+    "feedback": (STAGE_SECONDS, "feedback", "decision"),
+}
+
 #: Why the optimizer was invoked (Figure 1 decision flow).
 INVOCATION_REASONS = (
     "null_prediction",

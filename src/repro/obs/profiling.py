@@ -1,9 +1,10 @@
 """Deterministic in-process stage profiler for the decision hot path.
 
-Rides the span seam of :mod:`repro.obs.tracing`: every stage the
-framework already brackets with ``trace.span(...)`` — normalize →
-density lookup (per-transform) → vote aggregation → noise elimination →
-confidence → decide → execute → feedback → drift — is timed into
+A subscriber of the span seam in :mod:`repro.obs.tracing`: every stage
+the framework and the predictor bracket with ``trace.span(...)`` —
+normalize → ground truth → predict (z-values → density lookup →
+aggregate → noise elimination → confidence → cost estimate) → decide
+→ optimize / execute → feedback → drift check — is timed into
 per-template accumulators keyed by the full stage *path*, so both
 cumulative and self time fall out (self = cumulative minus the direct
 children's cumulative).
@@ -11,37 +12,33 @@ children's cumulative).
 Three properties are load-bearing:
 
 * **Decisions never change.**  Profiling consumes no RNG and never
-  flips ``trace.active`` — a profiled-but-unsampled execution gets a
-  :class:`ProfileTrace` whose ``active`` stays ``False``, so attribute
-  computation stays skipped and ``execute_batch`` keeps its precomputed
-  vectorized predictions.  The lockstep parity test in
-  ``tests/obs/test_profiling.py`` pins this bit-for-bit.
-* **O(1) when disabled.**  With ``ProfileConfig.enabled`` false the
-  tracer owns no profiler object at all; unsampled executions return
-  the shared ``NOOP_TRACE`` singleton exactly as before.
-* **Deterministic sampling, injected clock.**  Every ``interval``-th
-  execution per template is profiled (a plain counter, no RNG), and the
-  clock is injectable — tests drive a fake clock and assert exact
-  stage times; production defaults to ``perf_counter``.
+  flips ``trace.active`` — a profiled-but-unsampled execution runs on
+  the tracer's inactive trace, so attribute computation stays skipped
+  and ``execute_batch`` keeps its precomputed vectorized predictions.
+  The instrumentation parity suite pins this bit-for-bit.
+* **One clock.**  A :class:`ProfileFrame` reads no clock: the seam
+  hands every ``enter``/``exit``/``complete`` the timestamp it read
+  for the span, so the profiler and the stage metrics see the same
+  numbers, and tests drive the seam with a fake clock.
+* **Deterministic sampling.**  Every ``interval``-th execution per
+  template is profiled (a plain counter, no RNG).  With
+  ``ProfileConfig.enabled`` false the tracer owns no profiler at all.
 
 Rendering: :meth:`StageProfiler.report` returns the aggregate,
-:func:`render_profile` draws the text stage tree, and
-:meth:`StageProfiler.collapsed` emits ``template;stage;...`` →
-self-microseconds stacks in the collapsed format flamegraph tools eat.
+:func:`render_profile` draws the text stage tree with a coverage
+footer per template, and :meth:`StageProfiler.collapsed` emits
+``template;stage;...`` → self-microseconds stacks in the collapsed
+format flamegraph tools eat.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
-from time import perf_counter
 from typing import Any
 
 from repro.config import ProfileConfig
 
 __all__ = [
     "ProfileFrame",
-    "ProfileTrace",
     "StageProfiler",
     "render_profile",
 ]
@@ -61,90 +58,39 @@ class _PathStat:
         self.seconds = 0.0
 
 
-class _SilentSpan:
-    """Attribute sink yielded by :meth:`ProfileTrace.span`."""
-
-    __slots__ = ()
-
-    def set(self, **attributes: Any) -> "_SilentSpan":
-        return self
-
-
-_SILENT_SPAN = _SilentSpan()
-
-
 class ProfileFrame:
     """One execution's stage walls, folded into the profiler at the end.
 
     The frame keeps a stack of ``(stage name, start time)`` mirroring
-    the open spans; ``exit`` records ``(full path, duration)`` locally
-    and :meth:`complete` folds the whole execution into the owning
-    :class:`StageProfiler` in one pass — so a raised execution (whose
-    spans are closed by ``DecisionTrace.finish``) still lands.
+    the decision's open spans, with times handed in by the span seam;
+    ``exit`` records ``(full path, duration)`` locally and
+    :meth:`complete` closes whatever is still open (the root last) and
+    folds the whole execution into the owning :class:`StageProfiler` in
+    one pass — so a raised execution still lands.
     """
 
-    __slots__ = ("_clock", "_entries", "_path", "_profiler", "_starts", "_template")
+    __slots__ = ("_entries", "_path", "_profiler", "_starts", "_template")
 
-    def __init__(
-        self,
-        profiler: "StageProfiler",
-        template: str,
-        clock: Callable[[], float],
-    ) -> None:
+    def __init__(self, profiler: "StageProfiler", template: str) -> None:
         self._profiler = profiler
         self._template = template
-        self._clock = clock
-        self._path: list[str] = [ROOT_STAGE]
-        self._starts: list[float] = [clock()]
+        self._path: list[str] = []
+        self._starts: list[float] = []
         self._entries: list[tuple[tuple[str, ...], float]] = []
 
-    def enter(self, name: str) -> None:
+    def enter(self, name: str, now: float) -> None:
         self._path.append(name)
-        self._starts.append(self._clock())
+        self._starts.append(now)
 
-    def exit(self) -> None:
-        if len(self._starts) <= 1:
-            return
-        start = self._starts.pop()
-        path = tuple(self._path)
+    def exit(self, now: float) -> None:
+        self._entries.append((tuple(self._path), now - self._starts.pop()))
         self._path.pop()
-        self._entries.append((path, self._clock() - start))
 
-    def complete(self) -> None:
-        """Close anything still open, time the root, fold the frame."""
-        while len(self._starts) > 1:
-            self.exit()
-        start = self._starts.pop()
-        self._entries.append(((ROOT_STAGE,), self._clock() - start))
+    def complete(self, now: float) -> None:
+        """Close anything still open, the root last; fold the frame."""
+        while self._starts:
+            self.exit(now)
         self._profiler._fold(self._template, self._entries)
-
-
-class ProfileTrace:
-    """Trace stand-in for profiled-but-unsampled executions.
-
-    ``active`` stays ``False`` — exactly like ``NOOP_TRACE`` — so
-    callers skip attribute computation and the batch path keeps its
-    precomputed predictions; only the stage walls are read.  Decisions
-    are therefore bit-identical to the unprofiled run.
-    """
-
-    __slots__ = ("profile",)
-
-    active = False
-
-    def __init__(self, profile: ProfileFrame) -> None:
-        self.profile = profile
-
-    @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[_SilentSpan]:
-        self.profile.enter(name)
-        try:
-            yield _SILENT_SPAN
-        finally:
-            self.profile.exit()
-
-    def annotate(self, **attributes: Any) -> None:
-        return None
 
 
 class StageProfiler:
@@ -157,13 +103,8 @@ class StageProfiler:
     otherwise — deterministic, counter-based, RNG-free.
     """
 
-    def __init__(
-        self,
-        config: "ProfileConfig | None" = None,
-        clock: "Callable[[], float] | None" = None,
-    ) -> None:
+    def __init__(self, config: "ProfileConfig | None" = None) -> None:
         self.config = config if config is not None else ProfileConfig(enabled=True)
-        self._clock = clock if clock is not None else perf_counter
         self._stats: dict[str, dict[tuple[str, ...], _PathStat]] = {}
         self._order: dict[str, dict[tuple[str, ...], int]] = {}
         self._seen: dict[str, int] = {}
@@ -176,7 +117,7 @@ class StageProfiler:
         self._seen[template] = seen + 1
         if seen % self.config.interval != 0:
             return None
-        return ProfileFrame(self, template, self._clock)
+        return ProfileFrame(self, template)
 
     def _fold(self, template: str, entries: list[tuple[tuple[str, ...], float]]) -> None:
         stats = self._stats.setdefault(template, {})
@@ -287,6 +228,7 @@ def _render_template(name: str, payload: dict[str, Any], lines: list[str]) -> No
         f"  {'stage':<32s} {'calls':>8s} {'cum ms':>10s} "
         f"{'self ms':>10s} {'per-call us':>12s}"
     )
+    named = None
     for row in payload["stages"]:
         indent = "  " * row["depth"]
         per_call = (
@@ -297,6 +239,10 @@ def _render_template(name: str, payload: dict[str, Any], lines: list[str]) -> No
             f"{row['cum_seconds'] * 1e3:>10.3f} "
             f"{row['self_seconds'] * 1e3:>10.3f} {per_call:>12.1f}"
         )
+        if row["path"] == [ROOT_STAGE] and row["cum_seconds"] > 0.0:
+            named = 1.0 - row["self_seconds"] / row["cum_seconds"]
+    if named is not None:
+        lines.append(f"  named stages cover {named:.1%} of decision time")
 
 
 def render_profile(report: dict[str, Any]) -> str:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import threading
-from time import perf_counter
 
 from repro.exceptions import ConfigurationError
 
@@ -172,22 +171,6 @@ def _label_key(labels: dict) -> tuple:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-class _Timer:
-    """Context manager recording its elapsed time into a histogram."""
-
-    __slots__ = ("_histogram", "_start")
-
-    def __init__(self, histogram: LatencyHistogram) -> None:
-        self._histogram = histogram
-
-    def __enter__(self) -> "_Timer":
-        self._start = perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._histogram.observe(perf_counter() - self._start)
-
-
 class MetricsRegistry:
     """Holds every metric of one PPC deployment, keyed by name + labels.
 
@@ -225,10 +208,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str, **labels) -> LatencyHistogram:
         return self._get(self._histograms, LatencyHistogram, name, labels)
-
-    def time_block(self, name: str, **labels) -> _Timer:
-        """``with registry.time_block("stage_seconds", stage="x"): ...``"""
-        return _Timer(self.histogram(name, **labels))
 
     # ------------------------------------------------------------------
     # Reads

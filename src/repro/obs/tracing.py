@@ -1,14 +1,16 @@
-"""Span-based decision tracing for the plan-caching predict path.
+"""Span-based decision tracing: the one timing seam of the predict path.
 
 Every :meth:`TemplateSession.execute <repro.core.framework.TemplateSession.execute>`
-asks its :class:`DecisionTracer` for a trace.  Sampled executions get a
-:class:`DecisionTrace` — a tree of :class:`Span` nodes covering
-normalize → per-transform density lookup → confidence check → noise
-elimination → the resilience fallback chain — finished with the
-execution's outcome and admitted to a bounded per-template
-:class:`FlightRecorder`.  Unsampled executions get the shared
-:data:`NOOP_TRACE` singleton whose every method is a no-op, so the hot
-path stays O(1) and allocation-free when sampling is off; callers guard
+asks its :class:`DecisionTracer` for a :class:`DecisionTrace` and runs
+each stage — normalize → ground truth → predict (z-values → density
+lookup → vote aggregation → noise elimination → confidence → cost
+estimate) → decide → optimize / execute → feedback → drift check —
+inside ``with trace.span(name):``.  A span close is the only place the
+decision path reads a clock; it feeds the stage metrics, the stage
+profiler and, for sampled executions, a tree of :class:`Span` nodes
+finished with the execution's outcome and admitted to a bounded
+per-template :class:`FlightRecorder`.  Unsampled executions reuse the
+tracer's one inactive trace and allocate no span; callers guard
 expensive attribute computation behind ``if trace.active:``.
 
 Sampling is deterministic — no RNG draw is consumed, so a traced run
@@ -26,8 +28,7 @@ worth of traces.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator, Mapping, Sequence
-from contextlib import contextmanager
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
@@ -35,24 +36,23 @@ import json
 
 from repro.config import TraceConfig
 from repro.obs import names
-from repro.obs.profiling import ProfileFrame, ProfileTrace, StageProfiler
-from repro.obs.registry import MetricsRegistry
+from repro.obs.profiling import ROOT_STAGE, ProfileFrame, StageProfiler
+from repro.obs.registry import LatencyHistogram, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.framework import ExecutionRecord
 
 __all__ = [
-    "NOOP_TRACE",
     "DecisionTrace",
     "DecisionTracer",
     "FlightRecorder",
-    "NoopTrace",
     "Span",
     "dumps_jsonl",
     "loads_jsonl",
     "render_trace",
     "trace_from_dict",
     "trace_to_dict",
+    "untraced",
 ]
 
 
@@ -79,7 +79,8 @@ class Span:
     """One named, timed step of a decision, with nested children.
 
     ``start`` and ``duration`` are seconds relative to the owning
-    trace's origin (``perf_counter`` based — monotonic, not wall-clock).
+    trace's origin, on the seam's clock (``perf_counter`` by default —
+    monotonic, not wall-clock).
     ``status`` is ``"ok"`` unless the guarded block raised.
     """
 
@@ -121,53 +122,34 @@ class Span:
         return span
 
 
-class _NoopSpan:
-    """Stand-in span for unsampled executions: absorbs every call."""
+class DecisionTrace:
+    """One decision's span seam: the only clock on the decision path.
 
-    __slots__ = ()
+    Every stage of a decision runs inside ``with trace.span(name):``,
+    and each span close feeds up to three consumers from the one pair
+    of clock reads:
 
-    def set(self, **attributes: Any) -> "_NoopSpan":
-        return self
+    * the stage metric :data:`repro.obs.names.SPAN_METRICS` maps the
+      span to, always — sampled or not;
+    * the :class:`~repro.obs.profiling.ProfileFrame` of a
+      profile-sampled decision;
+    * the :class:`Span` tree, only when the decision is trace-sampled
+      (``active``).
 
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NOOP_SPAN = _NoopSpan()
-
-
-class NoopTrace:
-    """Shared do-nothing trace handed out when sampling declines.
-
-    ``active`` is False; callers use it to skip attribute computation.
-    A single module-level instance (:data:`NOOP_TRACE`) serves every
-    unsampled execution, so the disabled path allocates nothing.
+    A span that feeds none of them reads no clock.  Unsampled decisions
+    all run on their tracer's one inactive instance, which allocates no
+    :class:`Span`; callers guard attribute computation behind
+    ``if trace.active:``.
     """
 
-    __slots__ = ()
-
-    active = False
-    profile: "ProfileFrame | None" = None
-
-    def span(self, name: str, **attributes: Any) -> _NoopSpan:
-        return _NOOP_SPAN
-
-    def annotate(self, **attributes: Any) -> None:
-        return None
-
-
-NOOP_TRACE = NoopTrace()
-
-
-class DecisionTrace:
-    """The full story of one cache prediction, as a tree of spans."""
-
     __slots__ = (
-        "_stack",
+        "_clock",
+        "_frames",
+        "_skew",
         "_t0",
+        "_timed",
+        "_timers",
+        "active",
         "decision",
         "outcome",
         "point",
@@ -177,68 +159,136 @@ class DecisionTrace:
         "template",
     )
 
-    active = True
-
     def __init__(
         self,
         template: str,
-        seq: int,
+        seq: int | None,
         decision: str,
         profile: "ProfileFrame | None" = None,
+        *,
+        active: bool = True,
+        timers: "Mapping[str, tuple[LatencyHistogram, str | None]] | None" = None,
+        clock: Callable[[], float] = perf_counter,
     ) -> None:
         self.template = template
         self.seq = seq
         self.decision = decision
+        self.active = active
         self.point: list[float] | None = None
         self.outcome: dict[str, Any] | None = None
+        self._timers = timers if timers is not None else {}
+        self._clock = clock
+        self.root = Span(ROOT_STAGE) if active else None
+        # One ``(name, start, metric, span)`` frame per open span.
+        self._frames: list[tuple[str, float, Any, Span | None]] = [
+            (ROOT_STAGE, 0.0, None, self.root)
+        ]
+        self._restart(profile)
+
+    def _restart(self, profile: "ProfileFrame | None") -> None:
+        """Arm the seam for one decision, profiled or not."""
         self.profile = profile
-        self._t0 = perf_counter()
-        self.root = Span("decision")
-        self._stack: list[Span] = [self.root]
+        self._skew = 0.0
+        self._timed = self.active or profile is not None
+        self._t0 = self._clock() if self._timed else 0.0
+        if profile is not None:
+            profile.enter(ROOT_STAGE, self._t0)
 
     # The two methods below are the *only* sanctioned span lifecycle
     # primitives, and RPR009 confines direct calls to this module —
     # everyone else goes through the ``span()`` context manager, which
     # guarantees the close and records error status on exceptions.
-    def open_span(self, name: str, **attributes: Any) -> Span:
-        span = Span(name, perf_counter() - self._t0)
-        if attributes:
-            span.attributes.update(attributes)
-        self._stack[-1].children.append(span)
-        self._stack.append(span)
+    def open_span(
+        self, name: str, attributes: Mapping[str, Any] | None = None
+    ) -> Span | None:
+        frames = self._frames
+        parent = frames[-1]
+        metric = self._timers.get(name)
+        if metric is not None and metric[1] is not None and metric[1] != parent[0]:
+            metric = None
+        if metric is None and not self._timed:
+            frames.append((name, 0.0, None, None))
+            return None
+        start = self._clock() + self._skew
         if self.profile is not None:
-            self.profile.enter(name)
+            self.profile.enter(name, start)
+        span = None
+        if self.active:
+            span = Span(name, start - self._t0)
+            if attributes:
+                span.attributes.update(attributes)
+            parent[3].children.append(span)
+        frames.append((name, start, metric, span))
         return span
 
-    def close_span(self) -> None:
-        if len(self._stack) > 1:
-            span = self._stack.pop()
-            span.duration = perf_counter() - self._t0 - span.start
-            if self.profile is not None:
-                self.profile.exit()
+    def close_span(self, error: bool = False) -> None:
+        frames = self._frames
+        if len(frames) < 2:
+            return
+        __, start, metric, span = frames.pop()
+        if metric is None and not self._timed:
+            return
+        now = self._clock() + self._skew
+        if metric is not None:
+            metric[0].observe(now - start)
+        if self.profile is not None:
+            self.profile.exit(now)
+        if span is not None:
+            span.duration = now - start
+            if error:
+                span.status = "error"
 
-    @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
-        """Open a child span for the duration of the ``with`` block."""
-        span = self.open_span(name, **attributes)
-        try:
-            yield span
-        except BaseException:
-            span.status = "error"
-            raise
-        finally:
-            self.close_span()
+    def span(self, name: str, **attributes: Any) -> "DecisionTrace":
+        """Open a child span for the duration of the ``with`` block.
+
+        The block binds the new :class:`Span`, or on an inactive trace
+        the trace itself as an inert attribute sink.
+        """
+        self.open_span(name, attributes)
+        return self
+
+    def __enter__(self) -> "Span | DecisionTrace":
+        span = self._frames[-1][3]
+        return self if span is None else span
+
+    def __exit__(self, exc_type: object, *exc_info: object) -> None:
+        self.close_span(exc_type is not None)
+
+    def set(self, **attributes: Any) -> "DecisionTrace":
+        """Attach attributes to the innermost open span; returns self."""
+        self.annotate(**attributes)
+        return self
 
     def annotate(self, **attributes: Any) -> None:
-        """Attach attributes to the innermost open span."""
-        self._stack[-1].attributes.update(attributes)
+        """Attach attributes to the innermost open span (if active)."""
+        if self.active:
+            self._frames[-1][3].attributes.update(attributes)
 
-    def finish(self, outcome: Mapping[str, Any]) -> None:
-        """Close any spans left open and seal the trace's outcome."""
-        while len(self._stack) > 1:
+    def charge(self, seconds: float) -> None:
+        """Bill ``seconds`` of work done ahead of this decision — the
+        batch prefetch's amortized share — to the innermost open span:
+        the seam's clock moves on by that much, so the span's metric,
+        its profile rows and the decision's total all include it."""
+        self._skew += seconds
+
+    def finish(self, outcome: Mapping[str, Any] | None = None) -> None:
+        """Close any spans left open, time the root, seal the outcome.
+
+        Completes the decision's profile frame; the trace reads no
+        clock again until the tracer re-arms it.
+        """
+        while len(self._frames) > 1:
             self.close_span()
-        self.root.duration = perf_counter() - self._t0
-        self.outcome = dict(outcome)
+        if self._timed:
+            now = self._clock() + self._skew
+            if self.root is not None:
+                self.root.duration = now - self._t0
+            if self.profile is not None:
+                self.profile.complete(now)
+        self.profile = None
+        self._timed = False
+        if outcome is not None:
+            self.outcome = dict(outcome)
 
     @property
     def errored(self) -> bool:
@@ -272,6 +322,13 @@ class DecisionTrace:
         return trace_from_dict(payload)
 
 
+def untraced() -> DecisionTrace:
+    """A fresh inactive trace with no metrics, for predictor calls made
+    outside any decision (library use, experiments): its spans read no
+    clock and feed nothing."""
+    return DecisionTrace("", None, "untraced", active=False)
+
+
 def trace_to_dict(trace: DecisionTrace) -> dict[str, Any]:
     """Serialize a trace to a JSON-ready dict (lossless round-trip)."""
     return {
@@ -296,7 +353,7 @@ def trace_from_dict(payload: Mapping[str, Any]) -> DecisionTrace:
     outcome = payload.get("outcome")
     trace.outcome = None if outcome is None else dict(outcome)
     trace.root = Span.from_dict(payload["root"])
-    trace._stack = [trace.root]
+    trace._frames = [(ROOT_STAGE, 0.0, None, trace.root)]
     return trace
 
 
@@ -361,9 +418,11 @@ class DecisionTracer:
     """Per-template sampler + flight recorder for decision traces.
 
     Owned by one :class:`~repro.core.framework.TemplateSession`;
-    ``begin`` is called once per execute and returns either a live
-    :class:`DecisionTrace` or :data:`NOOP_TRACE`, ``finish`` seals the
-    trace with the execution's outcome and arms the error-bias burst.
+    ``begin`` is called once per execute and returns either a fresh,
+    active :class:`DecisionTrace` or the tracer's one reusable
+    :attr:`inactive` trace; ``finish`` seals the trace with the
+    execution's outcome and arms the error-bias burst.  ``clock`` is the
+    seam's clock for every trace the tracer hands out.
     """
 
     def __init__(
@@ -372,10 +431,12 @@ class DecisionTracer:
         config: TraceConfig | None = None,
         metrics: MetricsRegistry | None = None,
         profiler: "StageProfiler | None" = None,
+        clock: Callable[[], float] = perf_counter,
     ) -> None:
         self.template = template
         self.config = config if config is not None else TraceConfig()
         self.profiler = profiler
+        self._clock = clock
         self.recorder = FlightRecorder(
             capacity=self.config.capacity,
             error_capacity=self.config.error_capacity,
@@ -399,10 +460,30 @@ class DecisionTracer:
             for decision in names.SAMPLER_DECISIONS
         }
         self._sampled = dict.fromkeys(names.SAMPLER_DECISIONS, 0)
+        self._timers = {
+            span: (
+                registry.histogram(
+                    metric,
+                    template=template,
+                    **({"stage": stage} if stage else {}),
+                ),
+                parent,
+            )
+            for span, (metric, stage, parent) in names.SPAN_METRICS.items()
+        }
+        #: The trace every unsampled execution reuses; work outside any
+        #: decision (the batch prefetch) also runs on it, between
+        #: decisions, where it feeds metrics only.
+        self.inactive = DecisionTrace(
+            template,
+            None,
+            "skipped",
+            active=False,
+            timers=self._timers,
+            clock=clock,
+        )
 
-    def begin(
-        self, force: bool = False
-    ) -> "DecisionTrace | ProfileTrace | NoopTrace":
+    def begin(self, force: bool = False) -> DecisionTrace:
         """Sample this execution; deterministic, consumes no RNG."""
         seq = self._seq
         self._seq += 1
@@ -431,16 +512,20 @@ class DecisionTracer:
             else None
         )
         if decision == "skipped":
-            if profile is not None:
-                return ProfileTrace(profile)
-            return NOOP_TRACE
+            self.inactive._restart(profile)
+            return self.inactive
         return DecisionTrace(
-            template=self.template, seq=seq, decision=decision, profile=profile
+            self.template,
+            seq,
+            decision,
+            profile,
+            timers=self._timers,
+            clock=self._clock,
         )
 
     def finish(
         self,
-        trace: "DecisionTrace | ProfileTrace | NoopTrace",
+        trace: DecisionTrace,
         record: "ExecutionRecord | None" = None,
         error: BaseException | None = None,
     ) -> None:
@@ -455,9 +540,8 @@ class DecisionTracer:
         )
         if incident and self.config.enabled and self.config.error_burst:
             self._burst_left = max(self._burst_left, self.config.error_burst)
-        if not isinstance(trace, DecisionTrace):
-            if trace.profile is not None:
-                trace.profile.complete()
+        if not trace.active:
+            trace.finish()
             return
         if error is not None:
             outcome: dict[str, Any] = {
@@ -482,8 +566,6 @@ class DecisionTracer:
         else:
             outcome = {}
         trace.finish(outcome)
-        if trace.profile is not None:
-            trace.profile.complete()
         evicted = self.recorder.admit(trace)
         self._recorded_counter.inc()
         if evicted:

@@ -42,9 +42,7 @@ def legacy_predict_batch(predictor, points):
     with mock.patch.object(
         predictor,
         "_range_estimates",
-        lambda pts, record_timing=True: legacy_range_estimates(
-            predictor, pts
-        ),
+        lambda pts, trace: legacy_range_estimates(predictor, pts),
     ):
         return predictor.predict_batch(points)
 

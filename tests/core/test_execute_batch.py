@@ -101,6 +101,32 @@ class TestSessionExecuteBatch:
         )
         assert digest["count"] == 40
 
+    def test_profiler_and_predict_timer_agree_on_the_batch_share(
+        self, q1_space
+    ):
+        # Both read the predict span, which each instance is charged
+        # its amortized share of the vectorized prefetch.
+        from repro.config import ProfileConfig
+        from repro.obs import names as metric_names
+
+        session = TemplateSession(
+            q1_space,
+            _config(profiling=ProfileConfig(enabled=True, interval=1)),
+            seed=7,
+        )
+        session.execute_batch(_workload(n=40, seed=8))
+        digest = session.metrics.histogram_summary(
+            metric_names.STAGE_SECONDS, template="Q1", stage="predict"
+        )
+        rows = {
+            tuple(row["path"]): row
+            for row in session.profiler.report()["templates"]["Q1"]["stages"]
+        }
+        predict = rows[("decision", "predict")]
+        assert predict["calls"] == digest["count"] == 40
+        assert predict["cum_seconds"] == pytest.approx(digest["sum"])
+        assert rows[("decision",)]["cum_seconds"] > predict["cum_seconds"]
+
     def test_empty_batch(self, tiny_space):
         session = TemplateSession(tiny_space, _config(), seed=1)
         assert session.execute_batch(np.empty((0, 2))) == []

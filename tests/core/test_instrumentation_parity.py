@@ -126,3 +126,29 @@ def test_channel_is_decision_neutral(q1_space, mode, path):
     recorded = _recorded(instrumented)
     assert all(recorded[channel] > 0 for channel in channels), recorded
     assert not any(_recorded(plain).values())
+
+
+def test_profile_stage_tree_is_trace_independent(q1_space):
+    # The predictor opens the same stage spans untraced as traced, so
+    # profiling at trace interval 0 and 1 yields one stage tree; only
+    # the per-transform ``transform`` annotations are traced-only.  (On
+    # the batch path an untraced instance's predict was computed ahead
+    # of its decision, so its sub-stages reach only the metrics.)
+    def stage_paths(trace):
+        framework, clock = _framework(
+            q1_space,
+            {
+                "profiling": ProfileConfig(enabled=True, interval=1),
+                "trace": trace,
+            },
+        )
+        points = RandomTrajectoryWorkload(2, spread=0.05, seed=4).generate(240)
+        _run(framework, clock, points, "execute")
+        rows = framework.profile_report()["templates"]["Q1"]["stages"]
+        return {tuple(row["path"]) for row in rows}
+
+    untraced = stage_paths(TraceConfig(head=0, interval=0))
+    traced = stage_paths(TraceConfig(interval=1, capacity=512))
+    assert traced - untraced == {("decision", "predict", "transform")}
+    assert untraced <= traced
+    assert ("decision", "predict", "density_lookup") in untraced

@@ -8,12 +8,9 @@ from repro.config import PPCConfig, ProfileConfig, TraceConfig
 from repro.core.framework import PPCFramework, TemplateSession
 from repro.exceptions import ConfigurationError
 from repro.obs import names as metric_names
-from repro.obs.profiling import (
-    ProfileTrace,
-    StageProfiler,
-    render_profile,
-)
-from repro.obs.tracing import NOOP_TRACE
+from repro.obs import tracing
+from repro.obs.profiling import StageProfiler, render_profile
+from repro.obs.tracing import DecisionTracer
 from repro.tpch import plan_space_for
 from repro.workload import RandomTrajectoryWorkload
 
@@ -28,6 +25,17 @@ class FakeClock:
         now = self.t
         self.t += 1.0
         return now
+
+
+def _seam(profiler: StageProfiler) -> DecisionTracer:
+    """A tracer whose unsampled decisions drive ``profiler`` from the
+    span seam on a :class:`FakeClock`."""
+    return DecisionTracer(
+        "T",
+        config=TraceConfig(enabled=False),
+        profiler=profiler,
+        clock=FakeClock(),
+    )
 
 
 def _hot_config(**overrides) -> PPCConfig:
@@ -56,13 +64,14 @@ class TestStageProfilerClock:
     def test_exact_accumulation_under_fake_clock(self):
         # Each clock call ticks 1s: root opens at t=0; stage "a" spans
         # t=1..2 and "b" t=3..4 (1s each); the root closes at t=5.
-        profiler = StageProfiler(ProfileConfig(enabled=True), clock=FakeClock())
-        frame = profiler.begin("T")
-        frame.enter("a")
-        frame.exit()
-        frame.enter("b")
-        frame.exit()
-        frame.complete()
+        profiler = StageProfiler(ProfileConfig(enabled=True))
+        tracer = _seam(profiler)
+        trace = tracer.begin()
+        with trace.span("a"):
+            pass
+        with trace.span("b"):
+            pass
+        tracer.finish(trace)
         rows = {
             tuple(row["path"]): row
             for row in profiler.report()["templates"]["T"]["stages"]
@@ -75,13 +84,12 @@ class TestStageProfilerClock:
 
     def test_nested_spans_split_self_time(self):
         # predict spans t=1..4 (3s) and contains transform t=2..3 (1s).
-        profiler = StageProfiler(ProfileConfig(enabled=True), clock=FakeClock())
-        frame = profiler.begin("T")
-        frame.enter("predict")
-        frame.enter("transform")
-        frame.exit()
-        frame.exit()
-        frame.complete()
+        profiler = StageProfiler(ProfileConfig(enabled=True))
+        tracer = _seam(profiler)
+        trace = tracer.begin()
+        with trace.span("predict"), trace.span("transform"):
+            pass
+        tracer.finish(trace)
         rows = {
             tuple(row["path"]): row
             for row in profiler.report()["templates"]["T"]["stages"]
@@ -92,11 +100,12 @@ class TestStageProfilerClock:
         assert rows[("decision", "predict", "transform")]["cum_seconds"] == 1.0
 
     def test_complete_drains_open_spans(self):
-        # A raised execution leaves spans open; complete() closes them.
-        profiler = StageProfiler(ProfileConfig(enabled=True), clock=FakeClock())
-        frame = profiler.begin("T")
-        frame.enter("predict")
-        frame.complete()
+        # A raised execution leaves spans open; finishing closes them.
+        profiler = StageProfiler(ProfileConfig(enabled=True))
+        tracer = _seam(profiler)
+        trace = tracer.begin()
+        trace.open_span("predict")
+        tracer.finish(trace, error=RuntimeError("boom"))
         rows = {
             tuple(row["path"]): row
             for row in profiler.report()["templates"]["T"]["stages"]
@@ -106,36 +115,31 @@ class TestStageProfilerClock:
 
 class TestSampling:
     def test_every_interval_th_execution_profiled(self):
-        profiler = StageProfiler(
-            ProfileConfig(enabled=True, interval=3), clock=FakeClock()
-        )
+        profiler = StageProfiler(ProfileConfig(enabled=True, interval=3))
         frames = [profiler.begin("T") for _ in range(9)]
         sampled = [i for i, frame in enumerate(frames) if frame is not None]
         assert sampled == [0, 3, 6]
         for frame in frames:
             if frame is not None:
-                frame.complete()
+                frame.complete(0.0)
         payload = profiler.report()["templates"]["T"]
         assert payload["executions_seen"] == 9
         assert payload["executions_profiled"] == 3
 
     def test_counters_are_per_template(self):
-        profiler = StageProfiler(
-            ProfileConfig(enabled=True, interval=2), clock=FakeClock()
-        )
+        profiler = StageProfiler(ProfileConfig(enabled=True, interval=2))
         assert profiler.begin("A") is not None
         assert profiler.begin("B") is not None  # B's own counter starts at 0
         assert profiler.begin("A") is None
 
     def test_path_cap_counts_drops(self):
-        profiler = StageProfiler(
-            ProfileConfig(enabled=True, max_paths=8), clock=FakeClock()
-        )
-        frame = profiler.begin("T")
+        profiler = StageProfiler(ProfileConfig(enabled=True, max_paths=8))
+        tracer = _seam(profiler)
+        trace = tracer.begin()
         for i in range(16):
-            frame.enter(f"stage_{i}")
-            frame.exit()
-        frame.complete()
+            with trace.span(f"stage_{i}"):
+                pass
+        tracer.finish(trace)
         payload = profiler.report()["templates"]["T"]
         assert payload["paths_dropped"] > 0
         assert len(payload["stages"]) <= 8
@@ -149,18 +153,25 @@ class TestDisabledIsFree:
         )
         assert session.profiler is None
 
-    def test_unsampled_executions_reuse_noop_singleton(self):
-        # With profiling off and tracing past its head, begin() must
-        # return the shared NOOP_TRACE object — no per-execution
-        # allocation at all.
+    def test_unsampled_executions_reuse_noop_singleton(self, monkeypatch):
+        # With profiling off and tracing past its head, every execution
+        # runs on the tracer's one inactive trace and allocates no Span.
         session = TemplateSession(
             plan_space_for("Q1"), _hot_config(), seed=17
         )
-        for x in RandomTrajectoryWorkload(2, spread=0.02, seed=5).generate(
+        points = RandomTrajectoryWorkload(2, spread=0.02, seed=5).generate(
             session.config.trace.head + 4
-        ):
+        )
+        for x in points[: session.config.trace.head]:
             session.execute(x)
-        assert session.tracer.begin() is NOOP_TRACE
+
+        def no_span(*args, **kwargs):
+            raise AssertionError("an unsampled execution built a Span")
+
+        monkeypatch.setattr(tracing, "Span", no_span)
+        for x in points[session.config.trace.head :]:
+            session.execute(x)
+        assert session.tracer.begin() is session.tracer.inactive
 
     def test_framework_report_is_none_when_disabled(self):
         framework = PPCFramework(_hot_config(), seed=17)
@@ -169,11 +180,17 @@ class TestDisabledIsFree:
 
 class TestLockstepParity:
     def test_profile_trace_active_is_false(self):
+        # A profiled, trace-skipped execution times its stages but
+        # stays inactive, so callers skip attribute computation.
         profiler = StageProfiler(ProfileConfig(enabled=True))
-        trace = ProfileTrace(profiler.begin("T"))
+        tracer = _seam(profiler)
+        trace = tracer.begin()
+        assert trace.profile is not None
         assert trace.active is False
         with trace.span("predict") as span:
             assert span.set(anything=1) is span
+        tracer.finish(trace)
+        assert profiler.report()["templates"]["T"]["executions_profiled"] == 1
 
 
 class TestDeepSpansAndOutput:
@@ -224,16 +241,25 @@ class TestDeepSpansAndOutput:
         assert "template Q1" in text
         assert "decision" in text
         assert "predict" in text
+        assert "named stages cover" in text
+        # The footer is 1 - decision self / decision cumulative: on the
+        # fake clock stage "a" takes t=1..2 of a t=0..3 decision.
+        profiler = StageProfiler(ProfileConfig(enabled=True))
+        tracer = _seam(profiler)
+        trace = tracer.begin()
+        with trace.span("a"):
+            pass
+        tracer.finish(trace)
+        footer = render_profile(profiler.report()).splitlines()[-1]
+        assert footer == "  named stages cover 33.3% of decision time"
 
     def test_render_empty_report(self):
         profiler = StageProfiler(ProfileConfig(enabled=True))
         assert "no executions profiled" in render_profile(profiler.report())
 
     def test_reset_clears_state(self):
-        profiler = StageProfiler(
-            ProfileConfig(enabled=True), clock=FakeClock()
-        )
-        profiler.begin("T").complete()
+        profiler = StageProfiler(ProfileConfig(enabled=True))
+        profiler.begin("T").complete(0.0)
         profiler.reset()
         assert profiler.report()["templates"] == {}
 

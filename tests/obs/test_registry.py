@@ -1,7 +1,6 @@
 """Unit tests for the observability layer (registry + exporters)."""
 
 import json
-import math
 
 import pytest
 
@@ -12,8 +11,6 @@ from repro.obs import (
     LatencyHistogram,
     MetricsRegistry,
     render_prometheus,
-    time_block,
-    timed,
 )
 from repro.obs import names as metric_names
 from repro.obs.prometheus import _format_value
@@ -155,14 +152,6 @@ class TestMetricsRegistry:
         assert hist["count"] == 1
         assert set(hist) >= {"p50", "p95", "p99", "sum", "mean", "labels"}
 
-    def test_time_block_records_into_histogram(self):
-        registry = MetricsRegistry()
-        with registry.time_block("lat_seconds", stage="s"):
-            pass
-        summary = registry.histogram_summary("lat_seconds", stage="s")
-        assert summary["count"] == 1
-        assert summary["sum"] >= 0.0
-
     def test_reset_drops_everything(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
@@ -171,65 +160,6 @@ class TestMetricsRegistry:
         registry.reset()
         snapshot = registry.snapshot()
         assert snapshot == {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-class TestTimingHelpers:
-    def test_time_block_helper_observes_once(self):
-        hist = LatencyHistogram()
-        with time_block(hist):
-            math.sqrt(2.0)
-        assert hist.count == 1
-
-    def test_time_block_records_on_exception(self):
-        hist = LatencyHistogram()
-        with pytest.raises(ValueError), time_block(hist):
-            raise ValueError("boom")
-        assert hist.count == 1
-
-    def test_timed_decorator(self):
-        registry = MetricsRegistry()
-
-        @timed(registry, "calls_seconds", fn="f")
-        def f(x):
-            return x * 2
-
-        assert f(21) == 42
-        assert f(1) == 2
-        summary = registry.histogram_summary("calls_seconds", fn="f")
-        assert summary["count"] == 2
-
-    def test_timed_decorator_records_on_exception(self):
-        registry = MetricsRegistry()
-
-        @timed(registry, "calls_seconds", fn="g")
-        def g():
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError):
-            g()
-        assert registry.histogram_summary("calls_seconds", fn="g")[
-            "count"
-        ] == 1
-
-    def test_timed_preserves_function_metadata(self):
-        registry = MetricsRegistry()
-
-        @timed(registry, "calls_seconds", fn="doc")
-        def documented():
-            """Docstring survives the wrapper."""
-
-        assert documented.__name__ == "documented"
-        assert "survives" in documented.__doc__
-
-    def test_time_block_durations_are_monotone(self):
-        import time as _time
-
-        hist = LatencyHistogram()
-        with time_block(hist):
-            _time.perf_counter()  # trivially short block
-        assert hist.count == 1
-        assert hist.min >= 0.0
-        assert hist.max >= hist.min
 
 
 class TestPrometheusRendering:

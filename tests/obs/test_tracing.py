@@ -7,9 +7,9 @@ from repro.config import PPCConfig, TraceConfig
 from repro.core.framework import ExecutionRecord, TemplateSession
 from repro.exceptions import ConfigurationError
 from repro.obs import names
+from repro.obs import tracing
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import (
-    NOOP_TRACE,
     DecisionTrace,
     DecisionTracer,
     FlightRecorder,
@@ -88,16 +88,30 @@ class TestSpanTree:
 
 
 class TestNoopPath:
-    def test_noop_trace_is_inert_and_shared(self):
-        assert NOOP_TRACE.active is False
-        span = NOOP_TRACE.span("predict", plan=1)
-        with span as inner:
+    def test_noop_trace_is_inert_and_shared(self, monkeypatch):
+        tracer = DecisionTracer("T", config=TraceConfig(head=0))
+        first = tracer.begin()
+        tracer.finish(first)
+
+        def no_span(*args, **kwargs):
+            raise AssertionError("an unsampled trace built a Span")
+
+        monkeypatch.setattr(tracing, "Span", no_span)
+        trace = tracer.begin()
+        assert trace is first
+        assert trace.active is False
+        with trace.span("predict", plan=1) as inner:
             assert inner.set(anything=1) is inner
-        assert NOOP_TRACE.annotate(x=1) is None
+        assert trace.annotate(x=1) is None
+        tracer.finish(trace)
+        assert trace.outcome is None
 
     def test_disabled_tracer_returns_the_singleton(self):
         tracer = DecisionTracer("T", config=TraceConfig(enabled=False))
-        assert tracer.begin() is NOOP_TRACE
+        trace = tracer.begin()
+        assert trace is tracer.inactive
+        tracer.finish(trace)
+        assert tracer.begin() is trace
 
 
 class TestSerialization:
@@ -187,7 +201,7 @@ class TestSampler:
             "T", config=TraceConfig(head=0, interval=0, error_burst=2)
         )
         trace = tracer.begin()
-        assert trace is NOOP_TRACE
+        assert trace is tracer.inactive
         tracer.finish(trace, record=_record(degraded=True))
         follow = [tracer.begin() for __ in range(3)]
         assert [t.decision if t.active else "skipped" for t in follow] == [
