@@ -92,6 +92,8 @@ def append_run(
         )
         for bench, envelope in sorted(envelopes.items())
     ]
+    # A fresh ``--results-dir`` does not exist until the first append.
+    pathlib.Path(path).parent.mkdir(parents=True, exist_ok=True)
     append_text(path, "".join(line + "\n" for line in lines))
     return run_id
 

@@ -24,7 +24,9 @@ class ResilienceConfig:
     cached plan until ``breaker_recovery_time`` elapses (then admits
     ``breaker_half_open_trials`` probes).  ``validate_points`` rejects
     NaN/inf/out-of-domain instances up front with a clean
-    :class:`~repro.exceptions.PredictionError`.
+    :class:`~repro.exceptions.PredictionError`; with it off, an
+    out-of-domain instance reaches the optimizer, whose rejection counts
+    as a failed invocation.
     """
 
     retry_attempts: int = 3

@@ -33,7 +33,14 @@ cached) does execution fail, with
 The plan-space oracle plays two roles, exactly as in the paper's
 prototype: it is the black-box optimizer the session invokes, and it
 supplies the experimenter's ground truth recorded in every
-:class:`ExecutionRecord` (the session itself never peeks).
+:class:`ExecutionRecord` (the session itself never peeks).  Ground
+truth stays off the decision path: when the optimizer ran for an
+instance, its answer *is* the ground truth; every other instance joins
+the session's :class:`GroundTruthLedger` and is labelled later, in one
+batch with the others pending — on the first read of its ground truth,
+or when the ledger settles every :data:`SETTLE_EVERY` decisions.  Only
+the degraded fallback path labels eagerly, to account the
+suboptimality it accepted.
 
 Every session reports into a :class:`~repro.obs.registry.MetricsRegistry`
 (per-stage wall-clock, invocation reasons, drift events, feedback
@@ -44,7 +51,6 @@ across all its sessions.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -62,6 +68,7 @@ from repro.obs import MetricsRegistry, names as metric_names
 from repro.obs.events import EventJournal
 from repro.obs.profiling import StageProfiler
 from repro.obs.quality import export_quality_gauges
+from repro.obs.registry import Counter
 from repro.obs.slo import SLOEngine
 from repro.obs.timeseries import TimeSeriesStore
 from repro.obs.tracing import DecisionTrace, DecisionTracer
@@ -79,40 +86,184 @@ from repro.resilience.retry import (
 #: Sentinel: "no precomputed prediction — run the scalar predict path".
 _RECOMPUTE = object()
 
+#: Decisions between two scheduled settles of a session's ground-truth
+#: ledger.  It bounds the ledger (at most this many unlabelled rows) and
+#: the lag of the telemetry that reads settled ground truth.
+SETTLE_EVERY = 64
 
-@dataclass(frozen=True)
+
 class ExecutionRecord:
-    """Everything that happened for one query instance."""
+    """Everything that happened for one query instance.
 
-    template: str
-    point: np.ndarray
-    predicted: "int | None"
-    confidence: float
-    optimizer_invoked: bool
-    invocation_reason: str
-    executed_plan: int
-    execution_cost: float
-    optimal_plan: int
-    optimal_cost: float
-    drift_triggered: bool
-    #: A guarded component failed while serving this instance (the
-    #: instance still executed, possibly suboptimally).
-    degraded: bool = False
-    #: Which fallback source answered when the optimizer was
-    #: unavailable ("" = the normal flow answered).
-    fallback_source: str = ""
+    ``optimal_plan`` and ``optimal_cost`` are the experimenter's ground
+    truth.  When the optimizer ran for the instance they are its answer;
+    otherwise the record is created pending, and the first read of
+    ``optimal_plan``, ``optimal_cost``, ``correct`` or ``suboptimality``
+    has the session's :class:`GroundTruthLedger` label every pending
+    record in one batch.  Either way the values are bit-identical to an
+    eager ``plan_space.label`` of ``point`` at decision time.  Records
+    are read-only.
+    """
 
+    __slots__ = (
+        "_ledger",
+        "_optimal_cost",
+        "_optimal_plan",
+        "confidence",
+        "degraded",
+        "drift_triggered",
+        "execution_cost",
+        "executed_plan",
+        "fallback_source",
+        "invocation_reason",
+        "optimizer_invoked",
+        "point",
+        "predicted",
+        "template",
+    )
+
+    def __init__(
+        self,
+        template: str,
+        point: np.ndarray,
+        predicted: "int | None",
+        confidence: float,
+        optimizer_invoked: bool,
+        invocation_reason: str,
+        executed_plan: int,
+        execution_cost: float,
+        optimal_plan: "int | None" = None,
+        optimal_cost: "float | None" = None,
+        drift_triggered: bool = False,
+        degraded: bool = False,
+        fallback_source: str = "",
+        ledger: "GroundTruthLedger | None" = None,
+    ) -> None:
+        self.template = template
+        self.point = point
+        self.predicted = predicted
+        self.confidence = confidence
+        self.optimizer_invoked = optimizer_invoked
+        self.invocation_reason = invocation_reason
+        self.executed_plan = executed_plan
+        self.execution_cost = execution_cost
+        self.drift_triggered = drift_triggered
+        #: A guarded component failed while serving this instance (the
+        #: instance still executed, possibly suboptimally).
+        self.degraded = degraded
+        #: Which fallback source answered when the optimizer was
+        #: unavailable ("" = the normal flow answered).
+        self.fallback_source = fallback_source
+        self._optimal_plan = optimal_plan
+        self._optimal_cost = optimal_cost
+        self._ledger = ledger
+
+    def _resolve(self, plan: int, cost: float) -> None:
+        """The ledger's answer for this pending record."""
+        self._optimal_plan = plan
+        self._optimal_cost = cost
+        self._ledger = None
+
+    @property
+    def pending(self) -> bool:
+        """True until the ledger has labelled this record."""
+        return self._ledger is not None
+
+    @property
+    def optimal_plan(self) -> int:
+        if self._ledger is not None:
+            self._ledger.resolve()
+        return self._optimal_plan
+
+    @property
+    def optimal_cost(self) -> float:
+        if self._ledger is not None:
+            self._ledger.resolve()
+        return self._optimal_cost
+
+    # The two below read the fields directly: the scorecard's rolling
+    # window calls them for every record it covers.
     @property
     def correct(self) -> bool:
         """Ground-truth correctness of the prediction (experimenter view)."""
-        return self.predicted is not None and self.predicted == self.optimal_plan
+        if self._ledger is not None:
+            self._ledger.resolve()
+        return self.predicted is not None and self.predicted == self._optimal_plan
 
     @property
     def suboptimality(self) -> float:
         """Cost of what ran relative to the optimum (>= 1)."""
-        if self.optimal_cost <= 0.0:
+        if self._ledger is not None:
+            self._ledger.resolve()
+        if self._optimal_cost <= 0.0:
             return 1.0
-        return self.execution_cost / self.optimal_cost
+        return self.execution_cost / self._optimal_cost
+
+
+class GroundTruthLedger:
+    """One session's experimenter ground truth, labelled after the fact.
+
+    A decision that called the optimizer already holds its ground truth
+    (the optimizer's answer); every other decision's record joins the
+    ledger pending.  :meth:`resolve` labels all pending records in one
+    bare ``plan_space.label`` call — batched labels are bitwise equal to
+    per-point ones — and :meth:`settle` then books each unsettled
+    record's regret into ``ppc_regret_total`` in decision order, so the
+    counter sums exactly what per-decision accounting summed.
+
+    The session settles every :data:`SETTLE_EVERY` decisions, counted
+    from its first, so the settle points depend on the decision count
+    alone; an explicit read (a registry read, ``ground_truth_metrics``)
+    settles early and leaves the schedule as it was.  Telemetry reads
+    the counter's handle without settling, so it lags by at most
+    :data:`SETTLE_EVERY` decisions.
+    """
+
+    __slots__ = ("_decisions", "_label", "_pending", "_regret", "_rows")
+
+    def __init__(self, label: Callable, regret: Counter) -> None:
+        self._label = label
+        self._regret = regret
+        #: Records whose regret is not yet booked, in decision order.
+        self._rows: list[ExecutionRecord] = []
+        #: The subset of ``_rows`` still waiting for a label.
+        self._pending: list[ExecutionRecord] = []
+        self._decisions = 0
+
+    @property
+    def unsettled(self) -> int:
+        return len(self._rows)
+
+    @property
+    def pending(self) -> int:
+        return len(self._pending)
+
+    def add(self, record: ExecutionRecord) -> bool:
+        """Book one decision; True when the schedule says settle now."""
+        self._rows.append(record)
+        if record.pending:
+            self._pending.append(record)
+        self._decisions += 1
+        return self._decisions % SETTLE_EVERY == 0
+
+    def resolve(self) -> None:
+        """Label every pending record in one oracle call."""
+        pending = self._pending
+        if not pending:
+            return
+        ids, costs = self._label(np.stack([r.point for r in pending]))
+        for record, plan, cost in zip(
+            pending, ids.tolist(), costs.tolist(), strict=True
+        ):
+            record._resolve(plan, cost)
+        pending.clear()
+
+    def settle(self) -> None:
+        """Resolve, then book every unsettled record's regret in order."""
+        self.resolve()
+        for record in self._rows:
+            self._regret.inc(max(0.0, record.suboptimality - 1.0))
+        self._rows.clear()
 
 
 class TemplateSession:
@@ -284,9 +435,20 @@ class TemplateSession:
         self._retries_counter = self.metrics.counter(
             metric_names.OPTIMIZER_RETRIES_TOTAL, template=template
         )
-        self._regret_counter = self.metrics.counter(
-            metric_names.REGRET_TOTAL, template=template
+        # Ground truth leaves the decision path: the ledger labels with
+        # the bare oracle (never the fault-wrapped optimizer surface) and
+        # books regret when it settles.  A registry read settles it, so
+        # ``ppc_regret_total`` is exact whenever anyone asks.  An oracle
+        # that can change (a manipulated plan space) has the ledger label
+        # its pending records against the truth they were served under.
+        self._ledger = GroundTruthLedger(
+            plan_space.label,
+            self.metrics.counter(metric_names.REGRET_TOTAL, template=template),
         )
+        self.metrics.add_settler(self._ledger.settle)
+        before_change = getattr(plan_space, "before_change", None)
+        if before_change is not None:
+            before_change(self._ledger.resolve)
         self._fallback_suboptimality = self.metrics.histogram(
             metric_names.FALLBACK_SUBOPTIMALITY, template=template
         )
@@ -550,6 +712,11 @@ class TemplateSession:
         charged to the predict span.  Traced instances ignore the
         precomputed value and re-predict through the span-annotating
         path (same numeric core, identical decision).
+
+        Ground truth is the optimizer's answer when it ran; the fallback
+        path labels eagerly to account the suboptimality it accepted;
+        any other record is left to the ledger, which settles inside a
+        ``ground_truth`` span every :data:`SETTLE_EVERY` decisions.
         """
         with trace.span("normalize"):
             x = (
@@ -565,11 +732,8 @@ class TemplateSession:
                 )
         self._executions_counter.inc()
         invocations_before = self.optimizer_invocations
-        # Experimenter-side ground truth; the session only learns it if
-        # and when it invokes the optimizer below.
-        with trace.span("ground_truth"):
-            true_ids, true_costs = self.plan_space.label(x[None, :])
-        optimal_plan, optimal_cost = int(true_ids[0]), float(true_costs[0])
+        # Experimenter-side ground truth, (plan, cost) once known.
+        truth: "tuple[int, float] | None" = None
 
         degraded = False
         fallback_source = ""
@@ -636,7 +800,7 @@ class TemplateSession:
                             plan=outcome[0], cost=outcome[1]
                         )
             if outcome is not None:
-                executed_plan, execution_cost = outcome
+                executed_plan, execution_cost = truth = outcome
                 if prediction is None:
                     self.monitor.record_null()
                 else:
@@ -648,6 +812,9 @@ class TemplateSession:
                 # Optimizer down: answer from the fallback chain.  The
                 # estimators see nothing — there is no verified signal.
                 degraded = True
+                with trace.span("ground_truth"):
+                    true_ids, true_costs = self.plan_space.label(x[None, :])
+                truth = int(true_ids[0]), float(true_costs[0])
                 with trace.span("fallback") as fallback_span:
                     executed_plan, fallback_source = self._fallback_plan(
                         prediction
@@ -655,13 +822,14 @@ class TemplateSession:
                     execution_cost = float(
                         self.plan_space.cost_at(x[None, :], executed_plan)[0]
                     )
+                    accepted = (
+                        execution_cost / truth[1] if truth[1] > 0.0 else 1.0
+                    )
                     if trace.active:
                         fallback_span.set(
                             source=fallback_source,
                             plan=executed_plan,
-                            suboptimality=execution_cost / optimal_cost
-                            if optimal_cost > 0.0
-                            else 1.0,
+                            suboptimality=accepted,
                         )
                 self._fallback_counters[fallback_source].inc()
                 if self._events is not None:
@@ -670,11 +838,7 @@ class TemplateSession:
                         source=fallback_source,
                         plan=int(executed_plan),
                     )
-                self._fallback_suboptimality.observe(
-                    execution_cost / optimal_cost
-                    if optimal_cost > 0.0
-                    else 1.0
-                )
+                self._fallback_suboptimality.observe(accepted)
         else:
             executed_plan = prediction.plan_id
             self.cache.get(executed_plan)
@@ -713,7 +877,7 @@ class TemplateSession:
                                     plan=outcome[0], cost=outcome[1]
                                 )
                     if outcome is not None:
-                        true_plan, __ = outcome
+                        true_plan, __ = truth = outcome
                         self.monitor.record_prediction(
                             prediction.plan_id,
                             prediction.plan_id == true_plan,
@@ -790,22 +954,32 @@ class TemplateSession:
             invocation_reason=reason,
             executed_plan=executed_plan,
             execution_cost=execution_cost,
-            optimal_plan=optimal_plan,
-            optimal_cost=optimal_cost,
+            optimal_plan=None if truth is None else truth[0],
+            optimal_cost=None if truth is None else truth[1],
             drift_triggered=drift,
             degraded=degraded,
             fallback_source=fallback_source,
+            ledger=self._ledger if truth is None else None,
         )
         self._last_plan_id = executed_plan
         self.records.append(record)
-        self._regret_counter.inc(max(0.0, record.suboptimality - 1.0))
+        if self._ledger.add(record):
+            with trace.span("ground_truth"):
+                self._ledger.settle()
         return record
 
     # ------------------------------------------------------------------
     # Experimenter-side accounting
     # ------------------------------------------------------------------
+    def settled_records(self, window: int) -> list[ExecutionRecord]:
+        """The last ``window`` records whose ground truth has settled:
+        what telemetry reads, so it never forces a label."""
+        end = len(self.records) - self._ledger.unsettled
+        return self.records[max(0, end - window) : end]
+
     def ground_truth_metrics(self) -> PrecisionRecall:
         """True precision/recall of all predictions so far."""
+        self._ledger.settle()
         return summarize(
             PredictionOutcome(r.predicted, r.optimal_plan)
             for r in self.records

@@ -528,19 +528,13 @@ class HistogramPredictor(PlanPredictor):
 
         Tiles the z-axis ``[0, 1]`` into ``probes`` equal cells and
         answers every (transform, plan) range count through the packed
-        block — the read-only synopsis view the quality scorecard
-        aggregates into coverage/purity/entropy.  Never mutates
-        predictor state.
+        block's tiled query — the read-only synopsis view the quality
+        scorecard aggregates into coverage/purity/entropy.  Never
+        mutates predictor state.
         """
         if probes < 1:
             raise ConfigurationError("probes must be >= 1")
-        edges = np.linspace(0.0, 1.0, probes + 1)
-        shape = (len(self.ensemble), probes)
-        densities, __ = self._packed.query(
-            np.broadcast_to(edges[:-1], shape),
-            np.broadcast_to(edges[1:], shape),
-        )
-        return densities
+        return self._packed.tiles(np.linspace(0.0, 1.0, probes + 1))
 
     def drop(self) -> None:
         """Drop every histogram and restart from scratch (Section IV-E:

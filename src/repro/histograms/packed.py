@@ -134,17 +134,60 @@ class PackedHistograms:
             )
         return mass, average
 
+    def tiles(self, edges: np.ndarray) -> np.ndarray:
+        """Masses of every row over the cells ``[edges[j], edges[j+1]]``
+        of strictly increasing ``edges``: a ``(t, plans, cells)`` array,
+        bit-identical to :meth:`query` of the same bounds.
+
+        Every row shares the sorted bounds, so each bucket bound finds
+        the first cell it precedes by one ``searchsorted`` and a row's
+        bucket counts per cell accumulate into the edge indices —
+        integers equal to the bucket-axis count, without its
+        ``(t, plans, cells, width)`` temporaries.
+        """
+        cells = edges.shape[0] - 1
+        rows = self.transforms * self.plans
+        ends = np.empty((2, self.transforms, self.plans, cells), dtype=np.intp)
+        # A bucket with lo < edges[j] counts toward cell j from its
+        # ``searchsorted(right)`` on; one with hi <= edges[j + 1] from
+        # its ``searchsorted(left)`` on the upper edges.
+        for out, bounds, cuts, side in (
+            (ends[0], self._buckets[_LO], edges[:-1], "right"),
+            (ends[1], self._buckets[_HI], edges[1:], "left"),
+        ):
+            first = np.searchsorted(cuts, bounds, side=side).reshape(rows, -1)
+            first += np.arange(rows)[:, None] * (cells + 1)
+            counts = np.bincount(first.ravel(), minlength=rows * (cells + 1))
+            out.reshape(rows, cells)[:] = np.cumsum(
+                counts.reshape(rows, cells + 1), axis=1
+            )[:, :cells]
+        shape = (self.transforms, cells)
+        mass, __ = self._query(
+            np.broadcast_to(edges[:-1], shape),
+            np.broadcast_to(edges[1:], shape),
+            ends,
+        )
+        return mass
+
     def _query(
-        self, lo: np.ndarray, hi: np.ndarray
+        self,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        ends: "np.ndarray | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         block = self._buckets
         q_lo = lo[:, None, :]
         q_hi = hi[:, None, :]
         # ends[0]: first bucket with lo >= q_lo; ends[1]: first bucket
         # with hi > q_hi.  Buckets in between are fully covered.
-        ends = np.empty((2, *block.shape[1:3], lo.shape[1]), dtype=np.intp)
-        np.sum(block[_LO, :, :, None, :] < q_lo[..., None], axis=3, out=ends[0])
-        np.sum(block[_HI, :, :, None, :] <= q_hi[..., None], axis=3, out=ends[1])
+        if ends is None:
+            ends = np.empty((2, *block.shape[1:3], lo.shape[1]), dtype=np.intp)
+            np.sum(
+                block[_LO, :, :, None, :] < q_lo[..., None], axis=3, out=ends[0]
+            )
+            np.sum(
+                block[_HI, :, :, None, :] <= q_hi[..., None], axis=3, out=ends[1]
+            )
         sums = self._prefix.reshape(2, -1)[:, ends + self._prefix_base]
         covered = np.where(ends[1] > ends[0], sums[:, 1] - sums[:, 0], 0.0)
         # Edge buckets: the one before the covered run and the one that

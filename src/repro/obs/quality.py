@@ -18,8 +18,11 @@ serves, strictly read-only:
   clears ``sin(θ) > γ``.
 * **rolling accuracy / regret** — ground-truth prediction accuracy and
   mean regret (``suboptimality - 1``) over the last *window*
-  executions, the continuous-evaluation signals Kepler-style safety
-  demands.
+  executions whose ground truth has settled, the continuous-evaluation
+  signals Kepler-style safety demands.  The session labels ground truth
+  in batch (``repro.core.framework.SETTLE_EVERY``), so the window lags
+  the newest execution by at most that many decisions and reading it
+  never forces a label.
 * **drift pressure** — how close the Section IV-E estimators sit to the
   drift alarm (see
   :meth:`~repro.core.monitor.PerformanceMonitor.drift_pressure`).
@@ -155,7 +158,7 @@ def compute_scorecard(
     predictor = session.online.predictor
     synopsis = synopsis_scorecard(predictor.cell_densities(probes))
     rolling = rolling_window_stats(
-        session.records,
+        session.settled_records(window),
         gamma=session.config.confidence_threshold,
         window=window,
     )

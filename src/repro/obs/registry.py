@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Callable
+from typing import Any
 
 from repro.exceptions import ConfigurationError
 
@@ -30,15 +32,14 @@ BUCKETS_PER_DECADE = 10
 DECADES = 10
 BUCKET_COUNT = BUCKETS_PER_DECADE * DECADES
 _LOG_MIN = math.log10(BUCKET_MIN)
+#: The quantiles a histogram summary reports, as p50/p95/p99.
+SUMMARY_QUANTILES = (0.50, 0.95, 0.99)
 
-
-def _bucket_upper_bound(index: int) -> float:
-    """Upper bound of bucket ``index`` (exclusive), in seconds."""
-    return 10.0 ** (_LOG_MIN + (index + 1) / BUCKETS_PER_DECADE)
-
-
-def _bucket_lower_bound(index: int) -> float:
-    return 10.0 ** (_LOG_MIN + index / BUCKETS_PER_DECADE)
+#: Bucket ``i`` spans ``[_BOUNDS[i], _BOUNDS[i + 1])`` seconds.
+_BOUNDS = [
+    10.0 ** (_LOG_MIN + index / BUCKETS_PER_DECADE)
+    for index in range(BUCKET_COUNT + 1)
+]
 
 
 class Counter:
@@ -117,23 +118,31 @@ class LatencyHistogram:
         """Approximate the ``q``-quantile (``q`` in [0, 1]) in seconds."""
         if not 0.0 <= q <= 1.0:
             raise ConfigurationError("quantile must lie in [0, 1]")
+        return self.quantiles((q,))[0]
+
+    def quantiles(self, qs: "tuple[float, ...]") -> list[float]:
+        """:meth:`quantile` of each ascending ``q``, in one bucket scan."""
         if self.count == 0:
-            return 0.0
-        target = q * self.count
+            return [0.0] * len(qs)
+        targets = [q * self.count for q in qs]
+        values: list[float] = []
+        target = targets[0]
         cumulative = 0
         for index, bucket_count in enumerate(self.counts):
             if bucket_count == 0:
                 continue
-            if cumulative + bucket_count >= target:
+            reached = cumulative + bucket_count
+            while reached >= target:
                 fraction = (target - cumulative) / bucket_count
-                lo = max(_bucket_lower_bound(index), self.min)
-                hi = min(_bucket_upper_bound(index), self.max)
-                if hi <= lo:
-                    return lo
+                lo = max(_BOUNDS[index], self.min)
+                hi = min(_BOUNDS[index + 1], self.max)
                 # Geometric interpolation matches the log bucket scale.
-                return lo * (hi / lo) ** fraction
-            cumulative += bucket_count
-        return self.max
+                values.append(lo if hi <= lo else lo * (hi / lo) ** fraction)
+                if len(values) == len(targets):
+                    return values
+                target = targets[len(values)]
+            cumulative = reached
+        return values + [self.max] * (len(qs) - len(values))
 
     @property
     def mean(self) -> float:
@@ -155,15 +164,16 @@ class LatencyHistogram:
 
     def summary(self) -> dict:
         """JSON-ready digest of the distribution (times in seconds)."""
+        p50, p95, p99 = self.quantiles(SUMMARY_QUANTILES)
         return {
             "count": self.count,
             "sum": self.sum,
             "mean": self.mean,
             "min": self.min if self.count else 0.0,
             "max": self.max,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
+            "p50": p50,
+            "p95": p95,
+            "p99": p99,
         }
 
 
@@ -177,6 +187,12 @@ class MetricsRegistry:
     Creation is locked (registration happens off the hot path); the
     returned handles are lock-free.  ``snapshot`` renders the whole
     registry as a JSON-compatible dict.
+
+    A metric may be booked late: its producer registers a *settler*
+    (:meth:`add_settler`) that brings it up to date.  Every read below
+    runs the settlers first, so a read is exact; a handle's ``value``
+    and :meth:`handles` read in place and settle nothing — the
+    telemetry sampler's path.
     """
 
     def __init__(self) -> None:
@@ -186,6 +202,9 @@ class MetricsRegistry:
         self._histograms: dict[
             str, dict[tuple, tuple[dict, LatencyHistogram]]
         ] = {}
+        self._settlers: list[Callable[[], None]] = []
+        #: Bumped whenever a series is created or the registry reset.
+        self.generation = 0
 
     # ------------------------------------------------------------------
     # Metric handles
@@ -198,6 +217,7 @@ class MetricsRegistry:
             if entry is None:
                 entry = (dict(labels), factory())
                 series[key] = entry
+                self.generation += 1
         return entry[1]
 
     def counter(self, name: str, **labels) -> Counter:
@@ -209,25 +229,54 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels) -> LatencyHistogram:
         return self._get(self._histograms, LatencyHistogram, name, labels)
 
+    def add_settler(self, settle: Callable[[], None]) -> None:
+        """Run ``settle`` before every read, to book deferred updates."""
+        self._settlers.append(settle)
+
+    def handles(self) -> "list[tuple[str, str, tuple, dict, Any]]":
+        """Every series as ``(kind, name, label key, labels, handle)``,
+        counters then gauges then histograms, in creation order.  Reads
+        in place: no settler runs."""
+        with self._lock:
+            return [
+                (kind, name, key, labels, metric)
+                for kind, table in (
+                    ("counter", self._counters),
+                    ("gauge", self._gauges),
+                    ("histogram", self._histograms),
+                )
+                for name, series in table.items()
+                for key, (labels, metric) in series.items()
+            ]
+
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
+    def settle(self) -> None:
+        """Bring every deferred metric up to date."""
+        for settle in self._settlers:
+            settle()
+
     def counter_value(self, name: str, **labels) -> float:
         """Current value of a counter, 0.0 if it never fired."""
+        self.settle()
         entry = self._counters.get(name, {}).get(_label_key(labels))
         return entry[1].value if entry else 0.0
 
     def gauge_value(self, name: str, **labels) -> float:
+        self.settle()
         entry = self._gauges.get(name, {}).get(_label_key(labels))
         return entry[1].value if entry else 0.0
 
     def histogram_summary(self, name: str, **labels) -> "dict | None":
         """Digest of one histogram series, or None if it never fired."""
+        self.settle()
         entry = self._histograms.get(name, {}).get(_label_key(labels))
         return entry[1].summary() if entry else None
 
     def counter_series(self, name: str) -> list[tuple[dict, float]]:
         """All (labels, value) pairs recorded under a counter name."""
+        self.settle()
         return [
             (dict(labels), metric.value)
             for labels, metric in self._counters.get(name, {}).values()
@@ -235,6 +284,7 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """The whole registry as a JSON-compatible dict."""
+        self.settle()
         with self._lock:
             return {
                 "counters": {
@@ -268,6 +318,7 @@ class MetricsRegistry:
         Existing handles stay valid; useful for aggregating per-worker
         registries into one exportable view.
         """
+        other.settle()
         for name, series in other._counters.items():
             for labels, metric in series.values():
                 self.counter(name, **labels).inc(metric.value)
@@ -284,3 +335,4 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+            self.generation += 1

@@ -17,14 +17,21 @@ Memory is O(capacity) per live series; appends are O(1).
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
+from typing import Any
 from time import perf_counter
 
 from repro.exceptions import ConfigurationError
 from repro.obs import names
-from repro.obs.registry import MetricsRegistry, _label_key
+from repro.obs.registry import (
+    SUMMARY_QUANTILES,
+    LatencyHistogram,
+    MetricsRegistry,
+    _label_key,
+)
 from repro.resilience.clocks import system_clock
 
-#: Histogram summary fields captured per sample.
+#: Histogram summary fields captured per sample: the count, the sum,
+#: then one field per :data:`~repro.obs.registry.SUMMARY_QUANTILES`.
 HISTOGRAM_FIELDS = ("count", "sum", "p50", "p95", "p99")
 
 
@@ -127,10 +134,13 @@ class TimeSeriesStore:
     """Periodic whole-registry sampler with windowed derivations.
 
     ``maybe_sample()`` is the hot-path entry: one clock read and a
-    comparison when no sample is due.  When one is due it walks the
-    registry snapshot and appends every sample to its ring — counters
-    and gauges as scalars, histograms as one ring per summary field
-    (:data:`HISTOGRAM_FIELDS`) so quantile trends are queryable.
+    comparison when no sample is due.  When one is due it reads every
+    registry handle in place and appends its value to its ring —
+    counters and gauges as scalars, histograms as one ring per summary
+    field (:data:`HISTOGRAM_FIELDS`) so quantile trends are queryable.
+    The handle → ring binding is rebuilt only when the registry gained
+    a series.  Reading in place settles nothing: a metric its producer
+    books late (the regret counter) is sampled as last booked.
     """
 
     def __init__(
@@ -149,6 +159,12 @@ class TimeSeriesStore:
         self._last_sample: "float | None" = None
         #: key -> (labels, ring); key is (kind, name, label_key[, field])
         self._series: "dict[tuple, tuple[dict, RingSeries]]" = {}
+        #: Registry generation the bindings below were built at.
+        self._generation = -1
+        self._scalars: "list[tuple[Any, RingSeries]]" = []
+        self._histograms: (
+            "list[tuple[LatencyHistogram, tuple[RingSeries, ...]]]"
+        ) = []
         self._samples_total = registry.counter(names.TELEMETRY_SAMPLES_TOTAL)
         self._sample_seconds = registry.histogram(
             names.TELEMETRY_SAMPLE_SECONDS
@@ -180,49 +196,48 @@ class TimeSeriesStore:
         return True
 
     def sample(self, now: "float | None" = None) -> None:
-        """Snapshot every registry metric into the ring series."""
+        """Append every registry metric's current value to its ring."""
         if now is None:
             now = self._clock()
         started = perf_counter()
-        snapshot = self._registry.snapshot()
-        for name, samples in snapshot["counters"].items():
-            for sample in samples:
-                self._append(
-                    ("counter", name, _label_key(sample["labels"])),
-                    sample["labels"],
-                    now,
-                    sample["value"],
-                )
-        for name, samples in snapshot["gauges"].items():
-            for sample in samples:
-                self._append(
-                    ("gauge", name, _label_key(sample["labels"])),
-                    sample["labels"],
-                    now,
-                    sample["value"],
-                )
-        for name, samples in snapshot["histograms"].items():
-            for sample in samples:
-                key_base = _label_key(sample["labels"])
-                for field in HISTOGRAM_FIELDS:
-                    self._append(
-                        ("histogram", name, key_base, field),
-                        sample["labels"],
-                        now,
-                        sample[field],
-                    )
+        if self._generation != self._registry.generation:
+            self._bind()
+        for metric, ring in self._scalars:
+            ring.append(now, float(metric.value))
+        for histogram, (count, total, *quantiles) in self._histograms:
+            count.append(now, float(histogram.count))
+            total.append(now, float(histogram.sum))
+            for ring, value in zip(
+                quantiles, histogram.quantiles(SUMMARY_QUANTILES), strict=True
+            ):
+                ring.append(now, value)
         self._last_sample = now
         self._samples_total.inc()
         self._sample_seconds.observe(perf_counter() - started)
 
-    def _append(
-        self, key: tuple, labels: dict, now: float, value: float
-    ) -> None:
+    def _bind(self) -> None:
+        """Pair every registry handle with its ring(s)."""
+        self._generation = self._registry.generation
+        self._scalars = []
+        self._histograms = []
+        for kind, name, key, labels, metric in self._registry.handles():
+            if kind == "histogram":
+                rings = tuple(
+                    self._ring((kind, name, key, field), labels)
+                    for field in HISTOGRAM_FIELDS
+                )
+                self._histograms.append((metric, rings))
+            else:
+                self._scalars.append(
+                    (metric, self._ring((kind, name, key), labels))
+                )
+
+    def _ring(self, key: tuple, labels: dict) -> RingSeries:
         entry = self._series.get(key)
         if entry is None:
             entry = (dict(labels), RingSeries(self._capacity))
             self._series[key] = entry
-        entry[1].append(now, float(value))
+        return entry[1]
 
     # ------------------------------------------------------------------
     # Windowed reads

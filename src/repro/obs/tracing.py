@@ -145,13 +145,14 @@ class DecisionTrace:
     __slots__ = (
         "_clock",
         "_frames",
+        "_outcome",
+        "_record",
         "_skew",
         "_t0",
         "_timed",
         "_timers",
         "active",
         "decision",
-        "outcome",
         "point",
         "profile",
         "root",
@@ -175,7 +176,8 @@ class DecisionTrace:
         self.decision = decision
         self.active = active
         self.point: list[float] | None = None
-        self.outcome: dict[str, Any] | None = None
+        self._outcome: dict[str, Any] | None = None
+        self._record: "ExecutionRecord | None" = None
         self._timers = timers if timers is not None else {}
         self._clock = clock
         self.root = Span(ROOT_STAGE) if active else None
@@ -271,11 +273,17 @@ class DecisionTrace:
         its profile rows and the decision's total all include it."""
         self._skew += seconds
 
-    def finish(self, outcome: Mapping[str, Any] | None = None) -> None:
+    def finish(
+        self,
+        outcome: Mapping[str, Any] | None = None,
+        record: "ExecutionRecord | None" = None,
+    ) -> None:
         """Close any spans left open, time the root, seal the outcome.
 
         Completes the decision's profile frame; the trace reads no
-        clock again until the tracer re-arms it.
+        clock again until the tracer re-arms it.  A ``record`` becomes
+        the outcome on first read of :attr:`outcome`, so a trace never
+        forces the record's deferred ground truth on the decision path.
         """
         while len(self._frames) > 1:
             self.close_span()
@@ -288,17 +296,33 @@ class DecisionTrace:
         self.profile = None
         self._timed = False
         if outcome is not None:
-            self.outcome = dict(outcome)
+            self._outcome = dict(outcome)
+        self._record = record
+
+    @property
+    def outcome(self) -> dict[str, Any] | None:
+        """The execution's summary (``None`` before :meth:`finish`)."""
+        if self._record is not None:
+            self._outcome = _record_outcome(self._record)
+            self._record = None
+        return self._outcome
+
+    @outcome.setter
+    def outcome(self, value: dict[str, Any] | None) -> None:
+        self._outcome = value
+        self._record = None
 
     @property
     def errored(self) -> bool:
         """True when this execution degraded, fell back, or raised."""
-        if self.outcome is None:
+        if self._record is not None:
+            return bool(self._record.degraded or self._record.fallback_source)
+        if self._outcome is None:
             return False
         return bool(
-            self.outcome.get("error")
-            or self.outcome.get("degraded")
-            or self.outcome.get("fallback_source")
+            self._outcome.get("error")
+            or self._outcome.get("degraded")
+            or self._outcome.get("fallback_source")
         )
 
     def spans(self, name: str | None = None) -> Iterator[Span]:
@@ -320,6 +344,25 @@ class DecisionTrace:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "DecisionTrace":
         return trace_from_dict(payload)
+
+
+def _record_outcome(record: "ExecutionRecord") -> dict[str, Any]:
+    """A finished trace's outcome: the summary of its record."""
+    return {
+        "predicted": record.predicted,
+        "confidence": record.confidence,
+        "optimizer_invoked": record.optimizer_invoked,
+        "invocation_reason": record.invocation_reason,
+        "executed_plan": record.executed_plan,
+        "execution_cost": record.execution_cost,
+        "optimal_plan": record.optimal_plan,
+        "optimal_cost": record.optimal_cost,
+        "suboptimality": record.suboptimality,
+        "drift_triggered": record.drift_triggered,
+        "degraded": record.degraded,
+        "fallback_source": record.fallback_source,
+        "correct": record.correct,
+    }
 
 
 def untraced() -> DecisionTrace:
@@ -544,28 +587,11 @@ class DecisionTracer:
             trace.finish()
             return
         if error is not None:
-            outcome: dict[str, Any] = {
-                "error": f"{type(error).__name__}: {error}",
-            }
+            trace.finish({"error": f"{type(error).__name__}: {error}"})
         elif record is not None:
-            outcome = {
-                "predicted": record.predicted,
-                "confidence": record.confidence,
-                "optimizer_invoked": record.optimizer_invoked,
-                "invocation_reason": record.invocation_reason,
-                "executed_plan": record.executed_plan,
-                "execution_cost": record.execution_cost,
-                "optimal_plan": record.optimal_plan,
-                "optimal_cost": record.optimal_cost,
-                "suboptimality": record.suboptimality,
-                "drift_triggered": record.drift_triggered,
-                "degraded": record.degraded,
-                "fallback_source": record.fallback_source,
-                "correct": record.correct,
-            }
+            trace.finish(record=record)
         else:
-            outcome = {}
-        trace.finish(outcome)
+            trace.finish({})
         evicted = self.recorder.admit(trace)
         self._recorded_counter.inc()
         if evicted:

@@ -434,6 +434,7 @@ class PlanCachingService:
         entropy, rolling accuracy/regret, confidence margin, drift
         pressure, regret attribution over retained traces)."""
         config = self.framework.config.telemetry
+        self.framework.metrics.settle()
         return {
             name: compute_scorecard(
                 self.framework.session(name),

@@ -29,9 +29,15 @@ primitive behind :mod:`repro.workload.scenarios`:
 intensity) never re-rolls the scramble, which is drawn once in the
 constructor from the seed and therefore bit-identical across instances
 constructed with equal parameters.
+
+A session labels its ground truth after the fact, in batch, so it
+subscribes through ``before_change``: every change of the intensity
+first lets it label the instances it served under the old truth.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -82,20 +88,31 @@ class ManipulatedPlanSpace:
         # partial-intensity primitive existed (same seed, same stream
         # order, same scramble).
         self._activation = rng.random(cells)
+        self._before_change: "list[Callable[[], None]]" = []
 
     # ------------------------------------------------------------------
     # Manipulation switches (the scenario primitives)
     # ------------------------------------------------------------------
+    def before_change(self, callback: "Callable[[], None]") -> None:
+        """Call ``callback`` before every change of the intensity."""
+        self._before_change.append(callback)
+
+    def _change(self, intensity: float) -> None:
+        if intensity != self._intensity:
+            for callback in self._before_change:
+                callback()
+        self._intensity = intensity
+
     def activate(self) -> None:
         """Scramble the whole plan space from now on (step drift).
 
         Idempotent: the scramble was fixed at construction time, so
         repeated activation never re-rolls it.
         """
-        self._intensity = 1.0
+        self._change(1.0)
 
     def deactivate(self) -> None:
-        self._intensity = 0.0
+        self._change(0.0)
 
     def set_intensity(self, fraction: float) -> None:
         """Scramble the ``fraction`` of cells with lowest activation rank.
@@ -107,7 +124,7 @@ class ManipulatedPlanSpace:
             raise ConfigurationError(
                 "manipulation intensity must lie in [0, 1]"
             )
-        self._intensity = float(fraction)
+        self._change(float(fraction))
 
     @property
     def intensity(self) -> float:

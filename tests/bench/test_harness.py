@@ -124,3 +124,30 @@ class TestCompareCLI:
         code = cli_main(["bench", "history", "--results-dir", str(tmp_path)])
         assert code == 0
         assert "no bench history" in capsys.readouterr().out
+
+
+class TestRunCLI:
+    def test_run_into_a_new_results_dir_journals_the_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Regression: the history journal's directory was created only
+        # on the --refresh-baselines branch, so a run into a fresh
+        # --results-dir finished every bench and then crashed appending.
+        def runner():
+            return make_envelope(
+                "demo",
+                metrics={"latency": metric(1.0, "us", "lower", tolerance_pct=50.0)},
+            )
+
+        monkeypatch.setitem(
+            BENCHES, "demo", BENCHES["predict_throughput"]._replace(
+                name="demo", runner=runner
+            )
+        )
+        results_dir = tmp_path / "fresh" / "results"
+        code = cli_main(
+            ["bench", "run", "demo", "--results-dir", str(results_dir)]
+        )
+        assert code == 0, capsys.readouterr().err
+        entries = load_history(results_dir / "history.jsonl")
+        assert [(e["run_id"], e["bench"]) for e in entries] == [(1, "demo")]

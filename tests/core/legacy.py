@@ -1,10 +1,15 @@
-"""Per-histogram reference for the packed density lookup.
+"""Slow references for the fast paths.
 
 The histogram predictor answers its range queries through one packed
 block (``repro.histograms.packed``).  These helpers recompute the same
 estimates the slow way — one ``Histogram.range_query_batch`` call per
 (transform, plan) — so tests can hold the fast path to its numeric
 contract (rtol 1e-12 on masses and average costs, identical decisions).
+
+A session labels ground truth after the fact, in batch
+(``repro.core.framework.GroundTruthLedger``).  :func:`eager_ground_truth`
+and :func:`eager_regret` recompute it the way every decision used to:
+one oracle label per decision, and the regret booked right after it.
 """
 
 from unittest import mock
@@ -61,3 +66,25 @@ def assert_predictions_match(fast, reference):
             np.testing.assert_allclose(
                 a.estimated_cost, b.estimated_cost, rtol=1e-12
             )
+
+
+def eager_ground_truth(space, records):
+    """``(optimal_plan, optimal_cost)`` per record, one label per point."""
+    truth = []
+    for record in records:
+        ids, costs = space.label(record.point[None, :])
+        truth.append((int(ids[0]), float(costs[0])))
+    return truth
+
+
+def eager_regret(space, records):
+    """``ppc_regret_total`` after each decision under eager accounting."""
+    total = 0.0
+    totals = []
+    for record, (__, cost) in zip(
+        records, eager_ground_truth(space, records), strict=True
+    ):
+        suboptimality = record.execution_cost / cost if cost > 0.0 else 1.0
+        total += max(0.0, suboptimality - 1.0)
+        totals.append(total)
+    return totals

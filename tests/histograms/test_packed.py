@@ -5,7 +5,8 @@ way ``Histogram.range_query_batch`` does — masses and average costs
 within rtol 1e-12 (only the summation order differs) — for every
 histogram kind, including point-mass buckets, touching buckets,
 weighted inserts, queries past ``[0, 1]`` and queries wider than a
-bucket.  The sort-based medians must equal ``np.median`` /
+bucket, and the tiled query must equal the plain one bit for bit.
+The sort-based medians must equal ``np.median`` /
 ``np.nanmedian`` bit for bit, and the block's precondition (buckets
 sorted by ``lo``, pairwise non-overlapping) must hold for every
 construction and mutation.
@@ -189,6 +190,23 @@ class TestAgainstPerHistogramQueries:
             )
             np.testing.assert_array_equal(mass[..., j:j + 1], one_mass)
             np.testing.assert_array_equal(average[..., j:j + 1], one_average)
+
+    @given(data=blocks(), edges=st.lists(unit_values, min_size=2, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_tiles_equal_the_query_of_their_cells_bitwise(self, data, edges):
+        """The tiled query (shared sorted cell bounds, the scorecard's
+        ``cell_densities``) computes the bucket-axis counts another
+        way; its masses must equal :meth:`query`'s bit for bit."""
+        rows, __, __ = data
+        edges = np.unique(edges)
+        assume(edges.size >= 2)
+        packed = PackedHistograms(rows)
+        shape = (packed.transforms, edges.size - 1)
+        mass, __ = packed.query(
+            np.broadcast_to(edges[:-1], shape),
+            np.broadcast_to(edges[1:], shape),
+        )
+        assert packed.tiles(edges).tobytes() == mass.tobytes()
 
 
 medians_values = st.integers(1, 6).flatmap(

@@ -3,8 +3,9 @@
 The wrapper went from an on/off switch to the scenario fleet's drift
 primitive; these tests pin the behaviors the scenarios (and the
 Section V-D experiment) rely on: idempotent activation, validated and
-monotone intensity, cost-only mode, the memory guard, and seeded
-determinism of the scramble itself.
+monotone intensity, cost-only mode, the memory guard, seeded
+determinism of the scramble itself, and ground truth labelled against
+the truth an instance was served under.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.config import PPCConfig
+from repro.core.framework import TemplateSession
 from repro.exceptions import ConfigurationError
 from repro.workload import ManipulatedPlanSpace
 from repro.workload.uniform import sample_points
@@ -178,3 +181,29 @@ class TestDeterminism:
         a.activate()
         b.activate()
         assert (a.plan_at(points) != b.plan_at(points)).any()
+
+
+class TestDeferredGroundTruth:
+    def test_a_change_labels_pending_records_under_the_old_truth(
+        self, tiny_space, points
+    ):
+        # The session labels served instances after the fact; a change
+        # of the scramble must not reach the ones served before it.
+        oracle = ManipulatedPlanSpace(tiny_space, seed=0)
+        session = TemplateSession(
+            oracle, PPCConfig(drift_response=False), seed=0
+        )
+        before = points[:40]
+        for x in before:
+            session.execute(x)
+        assert any(record.pending for record in session.records)
+        oracle.activate()
+        assert not any(record.pending for record in session.records)
+        for x in points[40:80]:
+            session.execute(x)
+        ids, costs = tiny_space.label(before)
+        assert [r.optimal_plan for r in session.records[:40]] == ids.tolist()
+        assert [r.optimal_cost for r in session.records[:40]] == costs.tolist()
+        ids, costs = oracle.label(points[40:80])
+        assert [r.optimal_plan for r in session.records[40:]] == ids.tolist()
+        assert [r.optimal_cost for r in session.records[40:]] == costs.tolist()
