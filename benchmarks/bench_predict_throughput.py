@@ -12,7 +12,10 @@ agree bit-for-bit.
 The acceptance bar from the vectorization work: the batch path must
 amortize to at most ``PREDICT_TARGET_US`` microseconds per instance;
 the hard assert fails at 2x that so shared CI runners warn rather than
-flake.  The snapshot lands in ``benchmarks/results/BENCH_predict.json``.
+flake.  Scalar ``predict`` — what every online decision pays — has its
+own bar: a warning above ``SCALAR_TARGET_US`` and a gate failure above
+``SCALAR_HARD_LIMIT_US``.  The snapshot lands in
+``benchmarks/results/BENCH_predict.json``.
 """
 
 import warnings
@@ -24,6 +27,8 @@ from repro.bench.runners import (
     PREDICT_REPEATS,
     PREDICT_TARGET_US,
     PREDICT_WARMUP,
+    SCALAR_HARD_LIMIT_US,
+    SCALAR_TARGET_US,
     run_predict_throughput,
 )
 
@@ -44,8 +49,10 @@ def test_predict_throughput(benchmark):
         f"batch : {batch_us:8.2f} us/instance",
         f"scalar: {scalar_us:8.2f} us/instance",
         f"speedup: {speedup:.1f}x",
-        f"gate: target <= {PREDICT_TARGET_US:.0f} us (warn), "
-        f"hard fail > {PREDICT_HARD_LIMIT_US:.0f} us",
+        f"gate: batch target <= {PREDICT_TARGET_US:.0f} us (warn), "
+        f"hard fail > {PREDICT_HARD_LIMIT_US:.0f} us; scalar target <= "
+        f"{SCALAR_TARGET_US:.0f} us (warn), "
+        f"hard fail > {SCALAR_HARD_LIMIT_US:.0f} us",
     ]
     write_result("predict_throughput", lines)
     write_bench_json("predict", envelope)
@@ -55,7 +62,14 @@ def test_predict_throughput(benchmark):
             f"exceeds the {PREDICT_TARGET_US:.0f} us target",
             stacklevel=1,
         )
+    if scalar_us > SCALAR_TARGET_US:
+        warnings.warn(
+            f"scalar predict took {scalar_us:.1f} us/instance, above the "
+            f"{SCALAR_TARGET_US:.0f} us target",
+            stacklevel=1,
+        )
     # Hard bar: 2x the target tolerates runner noise but still catches
     # a real regression back toward the scalar baseline.
     assert batch_us <= PREDICT_HARD_LIMIT_US
+    assert scalar_us <= SCALAR_HARD_LIMIT_US
     assert envelope["gate"]["passed"]

@@ -75,6 +75,16 @@ def confidence_from_ratio(ratio: float) -> float:
     return math.sin(confidence_angle(ratio))
 
 
+def pure_confidence(chi: float, alpha: np.ndarray) -> np.ndarray:
+    """``1 - (1 - chi)^alpha`` for an array of agreeing-sample counts.
+
+    Always numpy's array power: Python's ``**`` on a float can round a
+    fractional ``alpha`` 1 ulp differently, so the scalar and batch
+    paths both come here to stay bitwise equal.
+    """
+    return 1.0 - (1.0 - chi) ** alpha
+
+
 class ConfidenceModel:
     """Fast vectorized confidence evaluation with a precomputed table."""
 
@@ -103,7 +113,7 @@ class ConfidenceModel:
             return 0.0
         others = max(other_count, 0.0)
         if others == 0.0:
-            return 1.0 - (1.0 - self.chi) ** max_count
+            return float(pure_confidence(self.chi, np.array([max_count]))[0])
         ratio = max_count / others
         if ratio < 1.0:
             return 0.0
@@ -189,20 +199,42 @@ class ConfidenceModel:
         :meth:`decide` — including the saturation to exactly ``1.0``
         once the count ratio leaves the interpolation table, which a
         plain ``np.interp`` clamp would miss — so scalar ``predict``
-        can delegate to the batch path.  Subclasses overriding
-        :meth:`confidence` must override this too, or batch decisions
-        will silently fall back to the chord model.
+        can delegate to the batch path.
+
+        A one-row matrix (scalar ``predict``) takes :meth:`decide`'s
+        own arithmetic through :meth:`confidence` instead of ~35 masked
+        array calls; every other matrix runs :meth:`_batch_confidence`.
+        The matrix is made C-contiguous first, so each row's sum reduces
+        in the same order as a lone row's, whatever the caller's layout.
+        Subclasses overriding :meth:`confidence` override
+        :meth:`_batch_confidence` to match.
         """
-        counts = np.asarray(counts, dtype=float)
+        counts = np.ascontiguousarray(counts, dtype=float)
         if counts.ndim != 2:
             raise ConfigurationError("decide_batch expects a 2-D matrix")
+        if counts.shape[0] == 1:
+            row = counts[0]
+            winner = int(row.argmax())
+            max_count = float(row[winner])
+            value = self.confidence(max_count, float(row.sum()) - max_count)
+            answered = value > threshold and max_count > 0.0
+            return np.array([winner if answered else -1]), np.array([value])
         winners = np.argmax(counts, axis=1)
         max_counts = counts[np.arange(counts.shape[0]), winners]
         others = counts.sum(axis=1) - max_counts
+        confidences = self._batch_confidence(max_counts, others)
+        answered = confidences > threshold
+        winners = np.where(answered & (max_counts > 0.0), winners, -1)
+        return winners, confidences
 
-        confidences = np.zeros(counts.shape[0])
+    def _batch_confidence(
+        self, max_counts: np.ndarray, others: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`confidence` over arrays of ``c_max`` and
+        ``sum(others)``, element for element."""
+        confidences = np.zeros(max_counts.shape[0])
         pure = (others <= 0.0) & (max_counts > 0.0)
-        confidences[pure] = 1.0 - (1.0 - self.chi) ** max_counts[pure]
+        confidences[pure] = pure_confidence(self.chi, max_counts[pure])
         mixed = (others > 0.0) & (max_counts >= others)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(
@@ -214,9 +246,7 @@ class ConfidenceModel:
         # Parity with the scalar path: beyond the table the chord model
         # saturates to exactly 1.0, not to the last tabulated value.
         confidences[mixed & (ratios >= self._ratios[-1])] = 1.0
-        answered = confidences > threshold
-        winners = np.where(answered & (max_counts > 0.0), winners, -1)
-        return winners, confidences
+        return confidences
 
 
 class FrequencyConfidenceModel(ConfidenceModel):
@@ -233,34 +263,21 @@ class FrequencyConfidenceModel(ConfidenceModel):
             return 0.0
         others = max(other_count, 0.0)
         if others == 0.0:
-            return 1.0 - (1.0 - self.chi) ** max_count
+            return float(pure_confidence(self.chi, np.array([max_count]))[0])
         if max_count < others:
             return 0.0
         return max_count / (max_count + others)
 
-    def decide_batch(
-        self,
-        counts: np.ndarray,
-        threshold: float,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized frequency-model twin of the base ``decide_batch``
-        (the inherited chord interpolation would not match this model's
-        scalar :meth:`confidence`)."""
-        counts = np.asarray(counts, dtype=float)
-        if counts.ndim != 2:
-            raise ConfigurationError("decide_batch expects a 2-D matrix")
-        winners = np.argmax(counts, axis=1)
-        max_counts = counts[np.arange(counts.shape[0]), winners]
-        others = counts.sum(axis=1) - max_counts
-
-        confidences = np.zeros(counts.shape[0])
+    def _batch_confidence(
+        self, max_counts: np.ndarray, others: np.ndarray
+    ) -> np.ndarray:
+        """Vectorized frequency-model twin of :meth:`confidence` (the
+        inherited chord interpolation would not match it)."""
+        confidences = np.zeros(max_counts.shape[0])
         pure = (others <= 0.0) & (max_counts > 0.0)
-        confidences[pure] = 1.0 - (1.0 - self.chi) ** max_counts[pure]
+        confidences[pure] = pure_confidence(self.chi, max_counts[pure])
         mixed = (others > 0.0) & (max_counts >= others)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            confidences[mixed] = (
-                max_counts[mixed] / (max_counts[mixed] + others[mixed])
-            )
-        answered = confidences > threshold
-        winners = np.where(answered & (max_counts > 0.0), winners, -1)
-        return winners, confidences
+        confidences[mixed] = (
+            max_counts[mixed] / (max_counts[mixed] + others[mixed])
+        )
+        return confidences

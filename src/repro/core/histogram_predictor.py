@@ -326,7 +326,7 @@ class HistogramPredictor(PlanPredictor):
         the gather in bounds; callers never read them.
         """
         columns = np.arange(winners.shape[0])
-        safe = np.where(winners < 0, 0, winners)
+        safe = np.maximum(winners, 0)
         return median_supported(
             avg_costs[:, safe, columns],
             counts[:, safe, columns] > 0.0,
@@ -342,29 +342,30 @@ class HistogramPredictor(PlanPredictor):
         """Annotate per-transform lookup spans plus the aggregate span
         from already-computed batch-of-one estimates; returns the
         aggregated per-plan counts ``(plans,)``."""
-        for index in range(len(self.ensemble)):
+        # One ``tolist`` per array: the same Python floats as per-element
+        # ``float()`` conversions, at a fraction of the calls.
+        rows = zip(
+            z_values[:, 0].tolist(),
+            counts[:, :, 0].tolist(),
+            avg_costs[:, :, 0].tolist(),
+        )
+        for index, (z, row, costs) in enumerate(rows):
             with trace.span("transform") as span:
-                z = float(z_values[index, 0])
-                row = counts[index, :, 0]
+                top = max(row)
                 span.set(
                     index=index,
                     z=z,
                     z_range=[z - self.delta, z + self.delta],
-                    counts=[float(c) for c in row],
+                    counts=row,
                     avg_costs=[
-                        float(avg_costs[index, plan, 0])
-                        if row[plan] > 0
-                        else None
-                        for plan in range(self.plan_count)
+                        cost if count > 0 else None
+                        for cost, count in zip(costs, row, strict=True)
                     ],
-                    vote=int(row.argmax()) if row.max() > 0.0 else None,
+                    vote=row.index(top) if top > 0.0 else None,
                 )
         aggregated = self._aggregate(counts)[:, 0]
         with trace.span("aggregate") as span:
-            span.set(
-                method=self.aggregation,
-                counts=[float(c) for c in aggregated],
-            )
+            span.set(method=self.aggregation, counts=aggregated.tolist())
         return aggregated
 
     def median_counts(
@@ -391,14 +392,16 @@ class HistogramPredictor(PlanPredictor):
         """A thin wrapper over a batch of one.
 
         The untraced path is literally ``predict_batch(x[None, :],
-        trace)[0]``; the traced path runs the same numeric core and only
-        adds span annotation — the decisions are bit-for-bit identical,
-        which the trace-parity suite pins down.
+        trace)[0]``, and ``predict_batch``'s check of that one-row batch
+        is its only validation; the traced path runs the same numeric
+        core and only adds span annotation — the decisions are
+        bit-for-bit identical, which the trace-parity suite pins down.
         """
         if trace is not None and trace.active:
             return self._predict_traced(x, trace)
-        x = self._check_point(x)
-        return self.predict_batch(x[None, :], trace)[0]
+        return self.predict_batch(
+            np.asarray(x, dtype=float).reshape(1, -1), trace
+        )[0]
 
     def _predict_traced(
         self, x: np.ndarray, trace: "DecisionTrace"

@@ -60,7 +60,20 @@ def median_supported(
     puts last, and the middle pair of the first ``k`` supported values
     is averaged as ``(a + b) / 2`` (for odd ``k`` both halves name the
     same value, and ``(x + x) / 2 == x``).
+
+    A single column (scalar ``predict``) sorts just its supported
+    entries and averages the same middle pair — the same bits, without
+    the masked whole-matrix pass.
     """
+    if values.shape[1] == 1:
+        kept = np.sort(values[supported[:, 0], 0])
+        k = kept.shape[0]
+        if k == 0:
+            return np.array([np.nan]), np.array([False])
+        return (
+            np.array([(kept[(k - 1) // 2] + kept[k // 2]) / 2.0]),
+            np.array([True]),
+        )
     ordered = np.sort(np.where(supported, values, np.nan), axis=0)
     support = supported.sum(axis=0)
     high = support // 2

@@ -7,22 +7,29 @@ interpreter round trip and a dense ``(queries, buckets)`` overlap matrix
 per histogram, which is far more than the O(t log b_h) the paper
 charges a lookup.  :class:`PackedHistograms` instead keeps all bucket
 bounds, counts and cost sums padded into one ``(t, plans, width)``
-block, plus running prefix sums of counts and cost sums, and answers a
-whole query batch in one vectorized pass:
+block, next to running prefix sums of counts and cost sums, and answers
+a whole query batch in one vectorized pass:
 
 1. per row, the first bucket with ``lo >= q_lo`` and the first with
-   ``hi > q_hi`` (a boolean count over the bucket axis);
+   ``hi > q_hi``, both from one boolean count over the bucket axis:
+   ``hi <= q_hi`` is ``hi < nextafter(q_hi, inf)`` for finite floats,
+   so the lo and hi planes compare against a stacked pair of bounds;
 2. the buckets between them lie fully inside the query (point masses
    included), so their mass is a prefix-sum difference;
 3. the two edge buckets just outside that run get the per-bucket
    overlap fraction of :meth:`Histogram.range_query_batch`.
+
+Steps 2 and 3 read one gather: the two edge buckets' columns of every
+plane, prefix sums included.  At one query the pass costs a few dozen
+numpy calls, whatever ``t`` and ``plans``.
 
 The pass relies on each row's buckets being sorted by ``lo`` and
 pairwise non-overlapping (``hi[b] <= lo[b + 1]``), which every
 histogram construction in this package maintains.  Every other bucket
 then contributes exactly zero under the overlap formula.  Masses and
 average costs match the per-histogram path up to summation order
-(relative error ~1e-15).
+(relative error ~1e-15), and every step is elementwise per query, so
+one query's answer does not depend on the batch around it.
 """
 
 from __future__ import annotations
@@ -38,15 +45,22 @@ from repro.histograms.base import Histogram
 #: because an infinite bound would give the width ``inf - inf = NaN``.
 _FAR = np.finfo(float).max
 
-# Field planes of the bucket block.
-_LO, _HI, _COUNT, _COST = range(4)
+# Field planes of the bucket block: bucket bounds, count and cost sum,
+# then the count and cost sums of every bucket before this one.
+_LO, _HI, _COUNT, _COST, _BEFORE_COUNT, _BEFORE_COST = range(6)
+_PLANES = 6
 
 #: One trailing sentinel column: an empty point mass at ``+_FAR``.
-_TRAILING = np.array([[_FAR], [_FAR], [0.0], [0.0]])
+_TRAILING = np.array([[_FAR], [_FAR], [0.0], [0.0], [0.0], [0.0]])
 
-#: Cap on the (row, query, bucket) cells one query pass compares.  On
-#: a 1500-query Q1 batch, 2**16 was both the fastest of 2**14..2**22
-#: (the temporaries stay in cache) and lowest in peak memory.
+#: Smallest positive float: divides a zero-width bucket's clipped (zero)
+#: overlap without changing any positive width.
+_TINY = float(np.nextafter(0.0, 1.0))
+
+#: Cap on the (bound, row, query, bucket) cells one query pass compares,
+#: which bounds its temporaries.  On a warmed 1500-query Q1 batch the
+#: pass peaks at ~0.9 MiB, output included; each doubling of the cap
+#: adds 0.2-0.45 MiB for at most ~10% speed.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -70,26 +84,32 @@ class PackedHistograms:
     def _allocate(self, width: int) -> None:
         """Empty rows of ``width`` columns: all sentinels."""
         shape = (self.transforms, self.plans)
-        #: ``(4, t, plans, width)``: lo, hi, count and cost-sum planes.
-        self._buckets = np.empty((4, *shape, width))
+        #: ``(6, t, plans, width)``: lo, hi, count and cost-sum planes,
+        #: then the count and cost-sum prefix sums — column ``k`` holds
+        #: the sum over buckets ``< k``.
+        self._buckets = np.empty((_PLANES, *shape, width))
         self._buckets[...] = _TRAILING[:, None, None, :]
         self._buckets[_LO:_HI + 1, :, :, 0] = -_FAR
-        #: ``(2, t, plans, width + 1)``: count and cost-sum prefix sums;
-        #: column ``k`` holds the sum over buckets ``< k``.
-        self._prefix = np.zeros((2, *shape, width + 1))
         self.width = width
-        # Flat offsets of each row, for gathering one column per row.
-        rows = np.arange(self.transforms * self.plans).reshape(*shape, 1)
-        self._bucket_base = rows * width
-        self._prefix_base = rows * (width + 1)
+        # Flat offset of each row, for gathering one column per row.
+        self._base = np.arange(self.transforms * self.plans).reshape(
+            *shape, 1
+        ) * width
+
+    def _accumulate(self, rows: np.ndarray) -> None:
+        """Refresh the prefix-sum planes of the block view ``rows``."""
+        np.add.accumulate(
+            rows[_COUNT:_COST + 1, ..., :-1],
+            axis=-1,
+            out=rows[_BEFORE_COUNT:, ..., 1:],
+        )
 
     def _grow(self, width: int) -> None:
         """Widen every row to ``width`` columns of trailing sentinels."""
-        old, old_prefix, old_width = self._buckets, self._prefix, self.width
+        old, old_width = self._buckets, self.width
         self._allocate(width)
         self._buckets[..., :old_width] = old
-        self._prefix[..., : old_width + 1] = old_prefix
-        self._prefix[..., old_width + 1:] = old_prefix[..., -1:]
+        self._accumulate(self._buckets)
 
     def update(self, index: int, plan: int, histogram: Histogram) -> None:
         """Re-copy one histogram's buckets into row ``(index, plan)``."""
@@ -105,9 +125,7 @@ class PackedHistograms:
         row[_COUNT, 1:n + 1] = [b.count for b in buckets]
         row[_COST, 1:n + 1] = [b.cost_sum for b in buckets]
         row[:, n + 1:] = _TRAILING
-        np.add.accumulate(
-            row[_COUNT:], axis=1, out=self._prefix[:, index, plan, 1:]
-        )
+        self._accumulate(row)
 
     def query(
         self, lo: np.ndarray, hi: np.ndarray
@@ -118,11 +136,13 @@ class PackedHistograms:
         arrays; the average is 0 where the mass is.
 
         Wide batches run in column chunks of at most ``_CHUNK_CELLS``
-        (row, query, bucket) cells, which bounds the temporaries; every
-        step is elementwise per query, so chunking changes no bit.
+        (bound, row, query, bucket) cells, which bounds the temporaries;
+        every step is elementwise per query, so chunking changes no bit.
         """
         m = lo.shape[1]
-        chunk = max(1, _CHUNK_CELLS // (self.transforms * self.plans * self.width))
+        chunk = max(
+            1, _CHUNK_CELLS // (2 * self.transforms * self.plans * self.width)
+        )
         if m <= chunk:
             return self._query(lo, hi)
         mass = np.empty((self.transforms, self.plans, m))
@@ -181,34 +201,45 @@ class PackedHistograms:
         # ends[0]: first bucket with lo >= q_lo; ends[1]: first bucket
         # with hi > q_hi.  Buckets in between are fully covered.
         if ends is None:
-            ends = np.empty((2, *block.shape[1:3], lo.shape[1]), dtype=np.intp)
-            np.sum(
-                block[_LO, :, :, None, :] < q_lo[..., None], axis=3, out=ends[0]
+            bounds = np.empty((2, *lo.shape))
+            bounds[0] = lo
+            np.nextafter(hi, np.inf, out=bounds[1])
+            below = np.less(
+                block[_LO:_HI + 1, :, :, None, :], bounds[:, :, None, :, None]
             )
-            np.sum(
-                block[_HI, :, :, None, :] <= q_hi[..., None], axis=3, out=ends[1]
-            )
-        sums = self._prefix.reshape(2, -1)[:, ends + self._prefix_base]
-        covered = np.where(ends[1] > ends[0], sums[:, 1] - sums[:, 0], 0.0)
+            # Both planes ascend along a row, so ``below`` is a run of
+            # True then False, and for bounds below _FAR the trailing
+            # +_FAR sentinel ends every run: the first False (argmin) is
+            # the count of Trues.
+            ends = below.argmin(axis=4)
         # Edge buckets: the one before the covered run and the one that
-        # ends it.  When the query lies inside a single bucket both
-        # name it, and it must count once.
+        # ends it.  A query inside a single bucket has ends[1] ==
+        # ends[0] - 1; raising ends[1] to ends[0] leaves its covered run
+        # empty and moves its second edge to the next bucket, which
+        # starts at or after that bucket's end, beyond q_hi, and so
+        # overlaps nothing.
+        np.maximum(ends[1], ends[0], out=ends[1])
         ends[0] -= 1
-        b_lo, b_hi, counts, costs = block.reshape(4, -1)[
-            :, ends + self._bucket_base
-        ]
+        edges = block.reshape(_PLANES, -1).take(ends + self._base, axis=1)
+        b_lo, b_hi = edges[_LO], edges[_HI]
+        near = edges[_COUNT:_COST + 1, 0]
+        # Prefix sums up to ends[1] minus those up to ends[0]; the
+        # latter is the first edge's prefix plus its own sums, exactly
+        # as the accumulation formed it.
+        covered = edges[_BEFORE_COUNT:, 1] - (edges[_BEFORE_COUNT:, 0] + near)
+        # The per-histogram overlap fraction clip(inter / width, 0, 1).
+        # An edge bucket reaches past one query bound, so its overlap
+        # never exceeds its width and the upper clip is a no-op; the
+        # lower clip runs before the division, which then cannot
+        # overflow.  The point-mass rule needs no branch: a zero-width
+        # edge bucket lies strictly outside the query (inside, it would
+        # be covered), so its clipped overlap is 0 and 0 / _TINY is 0.
         widths = b_hi - b_lo
-        inter = np.minimum(q_hi, b_hi) - np.maximum(q_lo, b_lo)
-        with np.errstate(divide="ignore", over="ignore"):
-            # The per-histogram overlap fraction.  Its point-mass rule
-            # needs no branch here: a zero-width edge bucket lies
-            # strictly outside the query (inside, it would be covered),
-            # so its overlap is negative and -x / 0 clips to 0.
-            fraction = np.minimum(np.maximum(inter / widths, 0.0), 1.0)
-            fraction[1] *= ends[1] != ends[0]
-            mass = covered[0] + fraction[0] * counts[0] + fraction[1] * counts[1]
-            cost = covered[1] + fraction[0] * costs[0] + fraction[1] * costs[1]
-            average = np.where(
-                mass > 0.0, cost / np.maximum(mass, 1e-300), 0.0
-            )
+        fraction = np.minimum(q_hi, b_hi) - np.maximum(q_lo, b_lo)
+        np.maximum(fraction, 0.0, out=fraction)
+        fraction /= np.maximum(widths, _TINY)
+        mass, cost = (
+            covered + fraction[0] * near + fraction[1] * edges[_COUNT:_COST + 1, 1]
+        )
+        average = np.where(mass > 0.0, cost / np.maximum(mass, 1e-300), 0.0)
         return mass, average

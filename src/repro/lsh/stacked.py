@@ -24,6 +24,9 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 
+#: Largest float below 1: the top of the unit interval z_values clips to.
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lsh.grid import Grid
     from repro.lsh.transforms import TransformEnsemble
@@ -86,22 +89,23 @@ class StackedEnsemble:
         """
         points = np.asarray(points, dtype=float)
         centered = (points - 0.5) * (2.0 * self.cube_half_width)
-        norms = np.linalg.norm(centered, axis=1)
-        max_components = np.abs(centered).max(axis=1)
-        factors = np.ones_like(norms)
-        nonzero = norms > 0.0
-        factors[nonzero] = (
-            self.radius
-            * max_components[nonzero]
-            / (self.cube_half_width * norms[nonzero])
+        # np.linalg.norm(centered, axis=1), bit for bit, without its
+        # per-call dispatch.
+        norms = np.sqrt(np.add.reduce(centered * centered, axis=1))
+        max_components = np.maximum.reduce(np.abs(centered), axis=1)
+        factors = np.divide(
+            self.radius * max_components,
+            self.cube_half_width * norms,
+            out=np.ones_like(norms),
+            where=norms > 0.0,
         )
         stretched = centered * factors[:, None]
         # Explicit multiply + trailing-axis sum instead of BLAS `@`:
         # gemv/gemm may round dot products differently across batch
         # shapes, and the parity contract forbids that.
-        projected = (
-            stretched[:, None, :] * self.directions[None, :, :]
-        ).sum(axis=2)
+        projected = np.add.reduce(
+            stretched[:, None, :] * self.directions[None, :, :], axis=2
+        )
         projected += self.translations
         return projected.reshape(
             points.shape[0], self.count, self.output_dims
@@ -127,10 +131,10 @@ class StackedEnsemble:
             raise ConfigurationError(
                 "stacked ensemble was built without a z-order curve"
             )
-        transformed = self.transform(points)
-        unit = (
-            transformed - self.grid_lo[:, None, :]
-        ) / self.grid_span[:, None, :]
-        unit = np.clip(unit, 0.0, np.nextafter(1.0, 0.0))
+        unit = self.transform(points) - self.grid_lo[:, None, :]
+        unit /= self.grid_span[:, None, :]
+        # np.clip's wrapper costs more than the clip on a small batch.
+        np.maximum(unit, 0.0, out=unit)
+        np.minimum(unit, _BELOW_ONE, out=unit)
         flat = unit.reshape(-1, self.output_dims)
         return self.curve.linearize(flat).reshape(self.count, -1)

@@ -151,3 +151,35 @@ class TestRunCLI:
         assert code == 0, capsys.readouterr().err
         entries = load_history(results_dir / "history.jsonl")
         assert [(e["run_id"], e["bench"]) for e in entries] == [(1, "demo")]
+
+
+class TestPredictGate:
+    """The predict_throughput gate holds batch and scalar to their hard
+    limits, so ``repro bench run`` fails on a scalar regression."""
+
+    @pytest.fixture
+    def small_rig(self, monkeypatch):
+        from repro.bench import runners
+
+        monkeypatch.setattr(runners, "PREDICT_WARMUP", 60)
+        monkeypatch.setattr(runners, "PREDICT_PROBES", 30)
+        monkeypatch.setattr(runners, "PREDICT_REPEATS", 1)
+        return runners
+
+    def test_gate_reports_both_limits(self, small_rig):
+        gate = small_rig.run_predict_throughput()["gate"]
+        assert gate["scalar_target_us"] == small_rig.SCALAR_TARGET_US == 100.0
+        assert gate["scalar_hard_limit_us"] == small_rig.SCALAR_HARD_LIMIT_US
+        assert small_rig.SCALAR_HARD_LIMIT_US == 300.0
+
+    def test_scalar_over_its_limit_fails_the_run(
+        self, small_rig, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.setattr(small_rig, "SCALAR_HARD_LIMIT_US", 0.0)
+        assert small_rig.run_predict_throughput()["gate"]["passed"] is False
+        code = cli_main([
+            "bench", "run", "predict_throughput",
+            "--results-dir", str(tmp_path),
+        ])
+        assert code == 1
+        assert "bench gate failed: predict_throughput" in capsys.readouterr().err

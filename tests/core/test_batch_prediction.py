@@ -27,13 +27,18 @@ class TestDecideBatch:
     def test_matches_scalar(self):
         model = ConfidenceModel()
         rng = np.random.default_rng(1)
-        counts = rng.integers(0, 20, size=(100, 4)).astype(float)
+        counts = np.zeros((2100, 4))
+        counts[:100] = rng.integers(0, 20, size=(100, 4))
+        # Pure neighbourhoods with small fractional counts: Python's
+        # ``**`` rounds a few percent of these 1 ulp away from numpy's
+        # array power.
+        counts[100:, 2] = rng.uniform(0.01, 1.0, size=2000)
         winners, confidences = model.decide_batch(counts, 0.7)
-        for i in range(100):
+        for i in range(counts.shape[0]):
             plan, confidence = model.decide(counts[i], 0.7)
             expected = -1 if plan is None else plan
             assert winners[i] == expected
-            assert confidences[i] == pytest.approx(confidence, abs=1e-9)
+            assert confidences[i] == confidence
 
     def test_all_zero_rows_are_null(self):
         model = ConfidenceModel()
@@ -65,11 +70,11 @@ class TestHistogramPredictBatch:
             assert (s is None) == (b is None)
             if s is not None:
                 assert s.plan_id == b.plan_id
-                assert s.confidence == pytest.approx(b.confidence, abs=1e-9)
+                assert s.confidence == b.confidence
                 if s.estimated_cost is None:
                     assert b.estimated_cost is None
                 else:
-                    assert s.estimated_cost == pytest.approx(b.estimated_cost)
+                    assert s.estimated_cost == b.estimated_cost
 
     def test_single_point_input(self):
         predictor = HistogramPredictor(
@@ -106,11 +111,11 @@ def _assert_parity(predictor, points):
         if s is None:
             continue
         assert s.plan_id == b.plan_id
-        assert s.confidence == pytest.approx(b.confidence, abs=1e-9)
+        assert s.confidence == b.confidence
         if s.estimated_cost is None:
             assert b.estimated_cost is None
         else:
-            assert s.estimated_cost == pytest.approx(b.estimated_cost)
+            assert s.estimated_cost == b.estimated_cost
     return scalar, batch
 
 
@@ -199,11 +204,11 @@ class TestBaselinePredictBatch:
             assert (s is None) == (b is None)
             if s is not None:
                 assert s.plan_id == b.plan_id
-                assert s.confidence == pytest.approx(b.confidence, abs=1e-9)
+                assert s.confidence == b.confidence
                 if s.estimated_cost is None:
                     assert b.estimated_cost is None
                 else:
-                    assert s.estimated_cost == pytest.approx(b.estimated_cost)
+                    assert s.estimated_cost == b.estimated_cost
 
     def test_chunking_irrelevant_to_results(self):
         from repro.core.baseline import BaselinePredictor
@@ -447,9 +452,12 @@ class TestDecideBatchSaturation:
     def test_frequency_model_batch_matches_scalar(self):
         model = FrequencyConfidenceModel()
         rng = np.random.default_rng(2)
-        counts = rng.integers(0, 15, size=(200, 4)).astype(float)
+        counts = np.zeros((2200, 4))
+        counts[:200] = rng.integers(0, 15, size=(200, 4))
         counts[0] = 0.0  # all-zero row
         counts[1] = [5.0, 0.0, 0.0, 0.0]  # pure neighborhood
+        # Pure neighbourhoods with small fractional counts.
+        counts[200:, 1] = rng.uniform(0.01, 1.0, size=2000)
         winners, confidences = model.decide_batch(counts, 0.6)
         for i in range(counts.shape[0]):
             plan, confidence = model.decide(counts[i], 0.6)
@@ -516,3 +524,104 @@ class TestParityProperties:
         test = rng.uniform(size=(30, 2))
         scalar = [predictor.predict(test[i]) for i in range(30)]
         assert predictor.predict_batch(test) == scalar
+
+
+def _dense_pool(plans=12, seed=3):
+    """Every neighbourhood holds every plan, so the per-plan counts are
+    dense fractions whose row sum depends on summation order."""
+    rng = np.random.default_rng(seed)
+    pool = SamplePool(2)
+    for x in rng.uniform(size=(1500, 2)):
+        plan = 0 if rng.random() < 0.55 else int(rng.integers(1, plans))
+        pool.add(x, plan, cost=float(rng.uniform(1.0, 10.0)))
+    return pool
+
+
+def _bits(array):
+    return np.asarray(array, dtype=float).view(np.int64)
+
+
+class TestOneRowBranches:
+    """The one-row branches of ``decide_batch`` and ``median_supported``
+    and the one-query packed lookup (scalar ``predict``) give each row
+    exactly the bits a multi-row call gives it."""
+
+    @pytest.mark.parametrize("model", [ConfidenceModel, FrequencyConfidenceModel])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_decide_batch(self, model, layout):
+        rng = np.random.default_rng(4)
+        counts = rng.uniform(0.0, 9.0, size=(400, 12))
+        counts[:, 0] += rng.uniform(0.0, 200.0, size=400)  # mixed, passing
+        counts[100:200, 1:] = 0.0  # pure, fractional
+        counts[100:200, 0] = rng.uniform(0.01, 3.0, size=100)
+        counts[200] = 0.0  # empty
+        counts[201] = 1.0  # tie
+        counts[202] = [1e7] + [1.0] * 11  # beyond the ratio table
+        if layout == "F":  # predict_batch hands over a transpose
+            counts = np.asfortranarray(counts)
+        decide = model().decide_batch
+        winners, confidences = decide(counts, 0.6)
+        for i in range(counts.shape[0]):
+            one_winner, one_confidence = decide(counts[i:i + 1], 0.6)
+            assert one_winner.tolist() == [winners[i]]
+            assert _bits(one_confidence) == _bits(confidences[i])
+
+    @pytest.mark.parametrize("t", [1, 2, 5, 6])
+    def test_median_supported(self, t):
+        from repro.core.predictor import median_supported
+
+        rng = np.random.default_rng(t)
+        values = rng.uniform(1.0, 10.0, size=(t, 300))
+        supported = rng.random((t, 300)) < 0.6
+        supported[:, :5] = False  # no transform holds the winner
+        medians, any_support = median_supported(values, supported)
+        for j in range(300):
+            one_median, one_support = median_supported(
+                values[:, j:j + 1], supported[:, j:j + 1]
+            )
+            assert one_support.tolist() == [any_support[j]]
+            assert _bits(one_median) == _bits(medians[j])
+        assert not any_support[:5].any()
+
+    @pytest.mark.parametrize("aggregation", ["median", "mean"])
+    @pytest.mark.parametrize("model", [ConfidenceModel, FrequencyConfidenceModel])
+    @pytest.mark.parametrize("noise_fraction", [None, 0.02])
+    @pytest.mark.parametrize("kind", ["maxdiff", "incremental"])
+    def test_histogram_predict(self, aggregation, model, noise_fraction, kind):
+        predictor = HistogramPredictor(
+            _dense_pool(),
+            transforms=6,
+            radius=0.3,
+            max_buckets=7,
+            confidence_threshold=0.1,
+            noise_fraction=noise_fraction,
+            histogram_kind=kind,
+            aggregation=aggregation,
+            confidence_model=model(),
+            seed=1,
+        )
+        test = sample_points(2, 150, seed=8)
+        scalar = [predictor.predict(test[i]) for i in range(150)]
+        assert scalar == predictor.predict_batch(test)
+        assert any(s is not None for s in scalar)
+
+    def test_unsupported_winner_yields_cost_none_in_both(self):
+        class ForcedWinner(ConfidenceModel):
+            def decide_batch(self, counts, threshold):
+                m = counts.shape[0]
+                return np.full(m, 2, dtype=int), np.ones(m)
+
+        predictor = HistogramPredictor(
+            _pool(),
+            plan_count=3,
+            transforms=5,
+            radius=0.1,
+            confidence_threshold=0.0,
+            confidence_model=ForcedWinner(),
+            seed=1,
+        )
+        test = sample_points(2, 40, seed=9)
+        batch = predictor.predict_batch(test)
+        assert batch == [predictor.predict(test[i]) for i in range(40)]
+        assert all(b is not None and b.estimated_cost is None for b in batch)
+        assert predictor.estimated_cost(test[0], 2) is None

@@ -191,6 +191,21 @@ class TestAgainstPerHistogramQueries:
             np.testing.assert_array_equal(mass[..., j:j + 1], one_mass)
             np.testing.assert_array_equal(average[..., j:j + 1], one_average)
 
+    @given(data=blocks())
+    @settings(max_examples=200, deadline=None)
+    def test_one_query_equals_its_batch_column_bitwise(self, data):
+        """Scalar ``predict`` asks one query per transform; its answer
+        must carry exactly the bits of that query's batch column."""
+        rows, lo, hi = data
+        packed = PackedHistograms(rows)
+        mass, average = packed.query(lo, hi)
+        for j in range(lo.shape[1]):
+            one_mass, one_average = packed.query(
+                lo[:, j:j + 1], hi[:, j:j + 1]
+            )
+            assert one_mass.tobytes() == mass[..., j:j + 1].tobytes()
+            assert one_average.tobytes() == average[..., j:j + 1].tobytes()
+
     @given(data=blocks(), edges=st.lists(unit_values, min_size=2, max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_tiles_equal_the_query_of_their_cells_bitwise(self, data, edges):
