@@ -20,12 +20,6 @@ Small utilities for poking at the reproduction without writing code:
   fully-traced workload and either export the flight recorder as JSON
   Lines or render the misprediction regret audit (suboptimality
   attributed to the pipeline stage that caused it);
-* ``faults Q1 --instances 2000`` — fault-injection bench: run a
-  workload with a failing optimizer/predictor and torn persistence
-  writes, and report degradations, fallback servings, breaker state
-  and snapshot recovery (exits 1 on any uncaught exception);
-  ``--trace-out traces.jsonl`` additionally dumps the error-biased
-  flight recorders for post-hoc diagnosis;
 * ``report Q1 --instances 400`` — run a seeded workload on a virtual
   clock and render the cache-quality health report: per-template
   synopsis scorecards (coverage/purity/entropy), rolling
@@ -73,16 +67,28 @@ Small utilities for poking at the reproduction without writing code:
   ``_commit`` mutation seam, documented exceptions — see
   ``repro lint --list-rules``), exit 1 on findings;
 * ``assumptions Q1`` — validate plan choice predictability on a template.
+
+The workload commands (``session``, ``stats``, ``explain``, ``trace``,
+``report``, ``watch``, ``profile``, ``lineage``) drive the same seeded
+trajectory workload: template ``i`` on the command line follows a
+random trajectory seeded ``--seed + i``.  Every command exits 0 on
+success and 1 on failure; a library error (:class:`ReproError`) or an
+unreadable path prints one ``repro <command>: <message>`` line to
+stderr instead of a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
 from repro import PPCConfig, PPCFramework
+from repro.config import TraceConfig
+from repro.exceptions import ReproError
 from repro.experiments.assumptions import run_assumption_validation
 from repro.experiments.diagrams import plan_diagram
 from repro.tpch import TEMPLATE_NAMES, plan_space_for, query_template
@@ -141,17 +147,111 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_session(args: argparse.Namespace) -> int:
-    space = plan_space_for(args.template)
-    framework = PPCFramework(
-        PPCConfig(confidence_threshold=args.gamma), seed=args.seed
+#: Every-execution decision tracing for the flight-recorder commands
+#: (``explain``, ``trace``).
+_FULL_TRACE = TraceConfig(interval=1, capacity=4096, error_capacity=512)
+
+#: ``report``/``watch``: full tracing makes the scorecard's regret
+#: attribution meaningful; a smaller recorder suffices there.
+_REPORT_TRACE = TraceConfig(interval=1, capacity=1024, error_capacity=256)
+
+
+def _run_framework(
+    config: PPCConfig,
+    templates: "list[str]",
+    instances: int,
+    spread: float,
+    seed: int,
+) -> PPCFramework:
+    """Run each template's seeded trajectory in turn on a new framework.
+
+    Templates are registered and driven one after another (duplicates
+    dropped), template ``i`` drawing ``instances`` points seeded
+    ``seed + i``.
+    """
+    framework = PPCFramework(config, seed=seed)
+    for offset, template in enumerate(dict.fromkeys(templates)):
+        space = plan_space_for(template)
+        framework.register(space)
+        workload = RandomTrajectoryWorkload(
+            space.dimensions, spread=spread, seed=seed + offset
+        ).generate(instances)
+        for point in workload:
+            framework.execute(template, point)
+    return framework
+
+
+def _service(
+    args: argparse.Namespace,
+    templates: "list[str]",
+    *,
+    trace: "TraceConfig | None" = None,
+    clock=None,
+    budget: "int | None" = None,
+):
+    """A TPC-H service over ``templates`` from the shared ``--gamma``,
+    ``--seed`` and ``--scale`` flags.
+
+    ``trace`` replaces the default trace sampler; ``clock`` (a
+    :class:`VirtualClock`) drives the service's clock and sleep, so a
+    few hundred instances fill real-sized SLO windows in milliseconds.
+    """
+    from repro.service import PlanCachingService
+
+    service = PlanCachingService.tpch(
+        scale_factor=args.scale,
+        config=PPCConfig(
+            confidence_threshold=args.gamma, trace=trace or TraceConfig()
+        ),
+        memory_budget_bytes=budget,
+        seed=args.seed,
+        clock=clock,
+        sleep=clock.sleep if clock is not None else None,
     )
-    framework.register(space)
-    workload = RandomTrajectoryWorkload(
-        space.dimensions, spread=args.spread, seed=args.seed
-    ).generate(args.instances)
-    for point in workload:
-        framework.execute(args.template, point)
+    for template in templates:
+        service.register(template)
+    return service
+
+
+def _rounds(
+    service,
+    templates: "list[str]",
+    rounds: int,
+    spread: float,
+    seed: int,
+) -> Iterator[None]:
+    """Interleave seeded trajectories through ``service``, a round at
+    a time.
+
+    Template ``i`` follows a trajectory seeded ``seed + i``; each round
+    executes one instance per template, as a mixed production workload
+    would, then yields so the caller can advance a clock or poll.
+    """
+    trajectories = [
+        (
+            template,
+            RandomTrajectoryWorkload(
+                service.framework.session(template).plan_space.dimensions,
+                spread=spread,
+                seed=seed + offset,
+            ).generate(rounds),
+        )
+        for offset, template in enumerate(templates)
+    ]
+    for index in range(rounds):
+        for template, points in trajectories:
+            service.execute(service.instance_at(template, points[index]))
+        yield
+
+
+def _cmd_session(args: argparse.Namespace) -> int:
+    framework = _run_framework(
+        PPCConfig(confidence_threshold=args.gamma),
+        [args.template],
+        args.instances,
+        args.spread,
+        args.seed,
+    )
     session = framework.session(args.template)
     metrics = session.ground_truth_metrics()
     print(f"instances            : {args.instances}")
@@ -219,36 +319,14 @@ def _render_stats_table(snapshot: dict) -> None:
 def _cmd_stats(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service import PlanCachingService
-
-    if args.instances < 1:
-        print("--instances must be >= 1", file=sys.stderr)
-        return 1
     if args.budget is not None and args.budget < 1:
         print("--budget must be a positive byte count", file=sys.stderr)
         return 1
-    service = PlanCachingService.tpch(
-        scale_factor=args.scale,
-        config=PPCConfig(confidence_threshold=args.gamma),
-        memory_budget_bytes=args.budget,
-        seed=args.seed,
-    )
-    for template in args.templates:
-        service.register(template)
-    trajectories = {}
-    for offset, template in enumerate(args.templates):
-        dimensions = service.framework.session(
-            template
-        ).plan_space.dimensions
-        trajectories[template] = RandomTrajectoryWorkload(
-            dimensions, spread=args.spread, seed=args.seed + offset
-        ).generate(args.instances)
-    # Interleave the templates, as a mixed production workload would.
-    for index in range(args.instances):
-        for template in args.templates:
-            service.execute(
-                service.instance_at(template, trajectories[template][index])
-            )
+    service = _service(args, args.templates, budget=args.budget)
+    for __ in _rounds(
+        service, args.templates, args.instances, args.spread, args.seed
+    ):
+        pass
     if args.format == "prom":
         print(service.prometheus(), end="")
     elif args.format == "json":
@@ -258,61 +336,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_service(
-    templates: "list[str]",
-    gamma: float,
-    seed: int,
-    scale: float,
-    budget: "int | None" = None,
-):
-    """A service with full (every-execution) decision tracing."""
-    from repro.config import TraceConfig
-    from repro.service import PlanCachingService
-
-    config = PPCConfig(
-        confidence_threshold=gamma,
-        trace=TraceConfig(
-            interval=1, capacity=4096, error_capacity=512
-        ),
-    )
-    service = PlanCachingService.tpch(
-        scale_factor=scale,
-        config=config,
-        memory_budget_bytes=budget,
-        seed=seed,
-    )
-    for template in templates:
-        service.register(template)
-    return service
-
-
-def _run_trace_workload(
-    service, templates: "list[str]", instances: int, spread: float, seed: int
-) -> None:
-    """Interleaved trajectory workload (the ``stats`` shape)."""
-    trajectories = {}
-    for offset, template in enumerate(templates):
-        dimensions = service.framework.session(template).plan_space.dimensions
-        trajectories[template] = RandomTrajectoryWorkload(
-            dimensions, spread=spread, seed=seed + offset
-        ).generate(instances)
-    for index in range(instances):
-        for template in templates:
-            service.execute(
-                service.instance_at(template, trajectories[template][index])
-            )
-
-
 def _cmd_explain(args: argparse.Namespace) -> int:
     """Run one instance fully traced and print the span tree."""
     import json
 
-    from repro.exceptions import ReproError
     from repro.obs.tracing import render_trace, trace_to_dict
 
-    service = _trace_service(
-        [args.template], args.gamma, args.seed, args.scale
-    )
+    service = _service(args, [args.template], trace=_FULL_TRACE)
     session = service.framework.session(args.template)
     if len(args.point) != session.plan_space.dimensions:
         print(
@@ -322,16 +352,13 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         )
         return 1
     if args.warmup:
-        _run_trace_workload(
+        for __ in _rounds(
             service, [args.template], args.warmup, args.spread, args.seed
-        )
-    try:
-        trace = service.explain(
-            service.instance_at(args.template, np.array(args.point))
-        )
-    except ReproError as exc:
-        print(f"explain failed: {exc}", file=sys.stderr)
-        return 1
+        ):
+            pass
+    trace = service.explain(
+        service.instance_at(args.template, np.array(args.point))
+    )
     if args.format == "json":
         print(json.dumps(trace_to_dict(trace), indent=2, sort_keys=True))
     else:
@@ -345,15 +372,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.audit import regret_audit
     from repro.obs.tracing import dumps_jsonl
 
-    if args.instances < 1:
-        print("--instances must be >= 1", file=sys.stderr)
-        return 1
-    service = _trace_service(
-        args.templates, args.gamma, args.seed, args.scale
-    )
-    _run_trace_workload(
+    service = _service(args, args.templates, trace=_FULL_TRACE)
+    for __ in _rounds(
         service, args.templates, args.instances, args.spread, args.seed
-    )
+    ):
+        pass
     traces = service.traces()
     if args.action == "export":
         text = dumps_jsonl(traces)
@@ -392,287 +415,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    """Fault-injection bench: prove the pipeline degrades, never dies.
-
-    Runs an interleaved workload with deterministic faults injected
-    into the optimizer, the predictor, and persistence snapshots, then
-    reports the full resilience accounting.  Exit status 1 if any
-    instance raised instead of returning an executable plan.
-    """
-    import json
-    import pathlib
-    import tempfile
-
-    from repro.core.histogram_predictor import HistogramPredictor
-    from repro.core.persistence import load_predictor
-    from repro.core.point import SamplePool
-    from repro.exceptions import PersistenceError, ReproError
-    from repro.obs import names as metric_names
-    from repro.resilience import FaultInjector, FaultSpec, VirtualClock
-
-    if args.instances < 1:
-        print("--instances must be >= 1", file=sys.stderr)
-        return 1
-    clock = VirtualClock()
-    injector = FaultInjector(
-        {
-            "optimizer": FaultSpec(
-                failure_probability=args.optimizer_failure
-            ),
-            "predictor": FaultSpec(
-                failure_probability=args.predictor_failure
-            ),
-            "predictor_insert": FaultSpec(
-                failure_probability=args.predictor_failure
-            ),
-            "persistence": FaultSpec(
-                torn_write_probability=args.torn_write
-            ),
-        },
-        seed=args.seed,
-        sleep=clock.sleep,
-    )
-    framework = PPCFramework(
-        PPCConfig(confidence_threshold=args.gamma),
-        seed=args.seed,
-        fault_injector=injector,
-        clock=clock,
-        sleep=clock.sleep,
-    )
-    workloads = {}
-    for offset, template in enumerate(args.templates):
-        space = plan_space_for(template)
-        framework.register(space)
-        workloads[template] = RandomTrajectoryWorkload(
-            space.dimensions, spread=args.spread, seed=args.seed + offset
-        ).generate(args.instances)
-
-    state_dir = pathlib.Path(tempfile.mkdtemp(prefix="repro-faults-"))
-    uncaught = 0
-    snapshots = {"attempts": 0, "torn": 0}
-    for index in range(args.instances):
-        for template in args.templates:
-            try:
-                framework.execute(template, workloads[template][index])
-            except ReproError as exc:
-                uncaught += 1
-                print(
-                    f"uncaught failure on {template}: {exc}",
-                    file=sys.stderr,
-                )
-            # Each instance advances simulated wall-clock, so breaker
-            # recovery windows actually elapse.
-            clock.advance(0.001)
-        if args.snapshot_every and (index + 1) % args.snapshot_every == 0:
-            for template in args.templates:
-                snapshots["attempts"] += 1
-                try:
-                    injector.save_predictor(
-                        framework.session(template).online.predictor,
-                        state_dir / f"{template}.json",
-                    )
-                except ReproError:
-                    snapshots["torn"] += 1
-
-    # Boot-time recovery: every (possibly torn) state file must load
-    # with strict=False — from the file, a backup, or a cold start.
-    recovery = {}
-    for template in args.templates:
-        path = state_dir / f"{template}.json"
-        if not path.exists():
-            continue
-        session = framework.session(template)
-        try:
-            load_predictor(path)
-            kind = "intact"
-        except PersistenceError:
-            kind = "recovered"
-        restored = load_predictor(
-            path,
-            strict=False,
-            cold=lambda s=session: HistogramPredictor(
-                SamplePool(s.plan_space.dimensions),
-                plan_count=s.plan_space.plan_count,
-                histogram_kind="incremental",
-                seed=0,
-            ),
-        )
-        if kind == "recovered" and restored.total_points == 0:
-            kind = "cold"
-        recovery[template] = kind
-
-    registry = framework.metrics
-
-    def _series_total(name: str) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for labels, value in registry.counter_series(name):
-            key = (
-                labels.get("component")
-                or labels.get("source")
-                or labels.get("reason")
-                or labels.get("state")
-                or labels.get("template", "")
-            )
-            totals[key] = totals.get(key, 0) + int(value)
-        return totals
-
-    fallback_records = [
-        r
-        for template in args.templates
-        for r in framework.session(template).records
-        if r.fallback_source
-    ]
-    report = {
-        "instances": args.instances * len(args.templates),
-        "uncaught_exceptions": uncaught,
-        "injected": injector.summary(),
-        "degraded": _series_total(metric_names.DEGRADED_TOTAL),
-        "fallback_served": _series_total(
-            metric_names.FALLBACK_SERVED_TOTAL
-        ),
-        "optimizer_retries": sum(
-            _series_total(metric_names.OPTIMIZER_RETRIES_TOTAL).values()
-        ),
-        "breaker": {
-            template: {
-                "state": framework.session(template).breaker.state,
-                "transitions": dict(
-                    framework.session(template).breaker.transitions
-                ),
-            }
-            for template in args.templates
-        },
-        "fallback_suboptimality": {
-            "count": len(fallback_records),
-            "mean": (
-                float(
-                    np.mean([r.suboptimality for r in fallback_records])
-                )
-                if fallback_records
-                else 1.0
-            ),
-            "max": (
-                float(max(r.suboptimality for r in fallback_records))
-                if fallback_records
-                else 1.0
-            ),
-        },
-        "snapshots": {**snapshots, "recovery": recovery},
-    }
-    if args.trace_out:
-        # The default sampler is error-biased, so the dump holds the
-        # run-up to every degradation the storm caused.
-        from repro.core.persistence import atomic_write_text
-        from repro.obs.tracing import dumps_jsonl
-
-        traces = [
-            trace
-            for template in args.templates
-            for trace in framework.session(template).tracer.traces()
-        ]
-        atomic_write_text(args.trace_out, dumps_jsonl(traces))
-        report["traces"] = {
-            "recorded": len(traces),
-            "path": str(args.trace_out),
-        }
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(
-            f"instances executed   : {report['instances']} "
-            f"({len(args.templates)} templates x {args.instances})"
-        )
-        print(f"uncaught exceptions  : {uncaught}")
-        for component, kinds in report["injected"].items():
-            injected = ", ".join(
-                f"{kind}={count}" for kind, count in kinds.items()
-            )
-            print(f"injected {component:<12s}: {injected}")
-        print(f"degraded             : {report['degraded']}")
-        print(f"fallback served      : {report['fallback_served']}")
-        print(f"optimizer retries    : {report['optimizer_retries']}")
-        for template, breaker in report["breaker"].items():
-            print(
-                f"breaker {template:<13s}: state={breaker['state']} "
-                f"transitions={breaker['transitions']}"
-            )
-        subopt = report["fallback_suboptimality"]
-        print(
-            "fallback suboptimality: "
-            f"count={subopt['count']} mean={subopt['mean']:.4f} "
-            f"max={subopt['max']:.4f}"
-        )
-        print(
-            f"snapshots            : attempts={snapshots['attempts']} "
-            f"torn={snapshots['torn']} recovery={recovery}"
-        )
-        if "traces" in report:
-            print(
-                f"flight recorder      : "
-                f"{report['traces']['recorded']} traces -> "
-                f"{report['traces']['path']}"
-            )
-    return 0 if uncaught == 0 else 1
-
-
-def _telemetry_service(
-    templates: "list[str]",
-    gamma: float,
-    seed: int,
-    scale: float,
-    clock,
-):
-    """A fully-traced service on a virtual clock (report/watch shape).
-
-    Full tracing makes the scorecard's regret attribution meaningful;
-    the virtual clock lets a few hundred instances fill real-sized SLO
-    windows in milliseconds.
-    """
-    from repro.config import TraceConfig
-    from repro.service import PlanCachingService
-
-    config = PPCConfig(
-        confidence_threshold=gamma,
-        trace=TraceConfig(interval=1, capacity=1024, error_capacity=256),
-    )
-    service = PlanCachingService.tpch(
-        scale_factor=scale,
-        config=config,
-        seed=seed,
-        clock=clock,
-        sleep=clock.sleep,
-    )
-    for template in templates:
-        service.register(template)
-    return service
-
-
-def _run_report_workload(
-    service,
-    templates: "list[str]",
-    instances: int,
-    spread: float,
-    seed: int,
-    clock,
-    advance: float,
-) -> None:
-    """Interleaved trajectory workload, advancing the virtual clock one
-    ``advance`` step per round so telemetry windows actually fill."""
-    trajectories = {}
-    for offset, template in enumerate(templates):
-        dimensions = service.framework.session(template).plan_space.dimensions
-        trajectories[template] = RandomTrajectoryWorkload(
-            dimensions, spread=spread, seed=seed + offset
-        ).generate(instances)
-    for index in range(instances):
-        for template in templates:
-            service.execute(
-                service.instance_at(template, trajectories[template][index])
-            )
-        clock.advance(advance)
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     """Run a seeded workload and render the health report."""
     from repro.core.persistence import atomic_write_text
@@ -683,22 +425,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     from repro.resilience import VirtualClock
 
-    if args.instances < 1:
-        print("--instances must be >= 1", file=sys.stderr)
-        return 1
     clock = VirtualClock()
-    service = _telemetry_service(
-        args.templates, args.gamma, args.seed, args.scale, clock
+    service = _service(
+        args, args.templates, trace=_REPORT_TRACE, clock=clock
     )
-    _run_report_workload(
-        service,
-        args.templates,
-        args.instances,
-        args.spread,
-        args.seed,
-        clock,
-        args.advance,
-    )
+    # One clock step per round, so telemetry windows actually fill.
+    for __ in _rounds(
+        service, args.templates, args.instances, args.spread, args.seed
+    ):
+        clock.advance(args.advance)
     report = service.health_report(tail=args.tail)
     if args.format == "json":
         text = render_report_json(report)
@@ -719,6 +454,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_watch(args: argparse.Namespace) -> int:
     """Poll the health signals between workload batches."""
+    from repro.obs.slo import SLOEngine
     from repro.resilience import VirtualClock
     from repro.resilience.clocks import system_sleep
 
@@ -726,37 +462,24 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         print("--iterations and --batch must be >= 1", file=sys.stderr)
         return 1
     clock = VirtualClock()
-    service = _telemetry_service(
-        args.templates, args.gamma, args.seed, args.scale, clock
+    service = _service(
+        args, args.templates, trace=_REPORT_TRACE, clock=clock
     )
-    total = args.iterations * args.batch
-    trajectories = {}
-    for offset, template in enumerate(args.templates):
-        dimensions = service.framework.session(template).plan_space.dimensions
-        trajectories[template] = RandomTrajectoryWorkload(
-            dimensions, spread=args.spread, seed=args.seed + offset
-        ).generate(total)
-    index = 0
+    rounds = _rounds(
+        service,
+        args.templates,
+        args.iterations * args.batch,
+        args.spread,
+        args.seed,
+    )
     for tick in range(args.iterations):
-        for __ in range(args.batch):
-            for template in args.templates:
-                service.execute(
-                    service.instance_at(
-                        template, trajectories[template][index]
-                    )
-                )
+        for __ in itertools.islice(rounds, args.batch):
             clock.advance(args.advance)
-            index += 1
         verdicts = service.slo()
         scorecards = service.framework.refresh_quality()
         for template in args.templates:
             states = {row["name"]: row["state"] for row in verdicts[template]}
-            worst = max(
-                verdicts[template],
-                key=lambda row: ("ok", "warning", "breach").index(
-                    row["state"]
-                ),
-            )["state"]
+            worst = SLOEngine.worst_state({template: verdicts[template]})
             scorecard = scorecards[template]
             print(
                 f"tick {tick + 1:>3d} {template}: {worst:<8s} "
@@ -928,14 +651,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             print(f"    {scenario.description}")
         return 0
 
-    from repro.exceptions import ReproError
-
     names = list(args.names) if args.names else list(SCENARIO_NAMES)
-    try:
-        scenarios = [get_scenario(name) for name in names]
-    except ReproError as exc:
-        print(f"scenarios failed: {exc}", file=sys.stderr)
-        return 1
+    scenarios = [get_scenario(name) for name in names]
     runner = ScenarioRunner(fast=args.fast, batch_size=args.batch_size)
     record_dir = (
         pathlib.Path(args.record_dir) if args.record_dir else None
@@ -987,34 +704,25 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         replay_trace,
         verify_trace,
     )
-    from repro.exceptions import ReproError
     from repro.workload.scenarios import get_scenario
 
     if args.action == "record":
         if not args.out:
             print("replay record requires --out", file=sys.stderr)
             return 1
-        try:
-            result = record_trace(
-                get_scenario(args.target),
-                args.out,
-                fast=args.fast,
-                batch_size=args.batch_size,
-            )
-        except ReproError as exc:
-            print(f"replay record failed: {exc}", file=sys.stderr)
-            return 1
+        result = record_trace(
+            get_scenario(args.target),
+            args.out,
+            fast=args.fast,
+            batch_size=args.batch_size,
+        )
         print(
             f"recorded {len(result.decisions)} decisions of "
             f"{result.scenario!r} to {args.out}"
         )
         return 0
     if args.action == "run":
-        try:
-            header, decisions = replay_trace(args.target)
-        except (ReproError, OSError) as exc:
-            print(f"replay run failed: {exc}", file=sys.stderr)
-            return 1
+        header, decisions = replay_trace(args.target)
         errors = sum(1 for d in decisions if "error" in d)
         print(
             f"replayed {header['scenario']!r}: {len(decisions)} "
@@ -1027,11 +735,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             atomic_write_text(args.out, text + "\n")
             print(f"wrote replayed decisions to {args.out}")
         return 0
-    try:
-        report = verify_trace(args.target)
-    except (ReproError, OSError) as exc:
-        print(f"replay verify failed: {exc}", file=sys.stderr)
-        return 1
+    report = verify_trace(args.target)
     if report["identical"]:
         print(
             f"trace {args.target} verified: {report['instances']} "
@@ -1096,15 +800,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         confidence_threshold=args.gamma,
         profiling=ProfileConfig(enabled=True, interval=args.every),
     )
-    framework = PPCFramework(config, seed=args.seed)
-    for offset, template in enumerate(dict.fromkeys(args.templates)):
-        space = plan_space_for(template)
-        framework.register(space)
-        workload = RandomTrajectoryWorkload(
-            space.dimensions, spread=args.spread, seed=args.seed + offset
-        ).generate(args.instances)
-        for point in workload:
-            framework.execute(template, point)
+    framework = _run_framework(
+        config, args.templates, args.instances, args.spread, args.seed
+    )
     report = framework.profile_report()
     print(render_profile(report))
     if args.collapsed_out:
@@ -1125,7 +823,6 @@ def _cmd_lineage(args: argparse.Namespace) -> int:
     import json
 
     from repro.config import EventsConfig
-    from repro.exceptions import PersistenceError
     from repro.obs.events import (
         export_journal,
         load_journal,
@@ -1134,11 +831,7 @@ def _cmd_lineage(args: argparse.Namespace) -> int:
     from repro.obs.lineage import LineageEngine
 
     if args.journal:
-        try:
-            events, torn_tail = load_journal(args.journal)
-        except PersistenceError as exc:
-            print(f"lineage: {exc}", file=sys.stderr)
-            return 1
+        events, torn_tail = load_journal(args.journal)
         if torn_tail:
             print(
                 "warning: journal has a torn tail; final line dropped",
@@ -1160,15 +853,9 @@ def _cmd_lineage(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-        framework = PPCFramework(config, seed=args.seed)
-        for offset, template in enumerate(dict.fromkeys(args.templates)):
-            space = plan_space_for(template)
-            framework.register(space)
-            workload = RandomTrajectoryWorkload(
-                space.dimensions, spread=args.spread, seed=args.seed + offset
-            ).generate(args.instances)
-            for point in workload:
-                framework.execute(template, point)
+        framework = _run_framework(
+            config, args.templates, args.instances, args.spread, args.seed
+        )
         engine = framework.lineage()
 
     if args.action == "export":
@@ -1227,7 +914,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     from repro.bench.history import latest_run
     from repro.bench.runners import load_baselines
-    from repro.exceptions import BenchError
 
     results_dir = pathlib.Path(args.results_dir)
     history_path = (
@@ -1238,18 +924,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if args.action == "run":
         names = list(args.names) if args.names else list(SUITES[args.suite])
-        try:
-            outcome = run_suite(
-                names,
-                results_dir,
-                history_path=history_path,
-                refresh_baselines=args.refresh_baselines,
-                suite_label=args.suite,
-                log=print,
-            )
-        except BenchError as exc:
-            print(f"bench run failed: {exc}", file=sys.stderr)
-            return 1
+        outcome = run_suite(
+            names,
+            results_dir,
+            history_path=history_path,
+            refresh_baselines=args.refresh_baselines,
+            suite_label=args.suite,
+            log=print,
+        )
         failed = [
             name
             for name, envelope in outcome["envelopes"].items()
@@ -1265,12 +947,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if args.action == "compare":
         entries = load_history(history_path)
-        try:
-            run_id, current = latest_run(entries)
-            baselines = load_baselines(results_dir, sorted(current))
-        except BenchError as exc:
-            print(f"bench compare failed: {exc}", file=sys.stderr)
-            return 1
+        run_id, current = latest_run(entries)
+        baselines = load_baselines(results_dir, sorted(current))
         report = compare_run(
             current,
             baselines,
@@ -1333,6 +1011,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
+    # Flags every workload command shares, with one set of defaults.
+    workload = argparse.ArgumentParser(add_help=False)
+    workload.add_argument("--spread", type=float, default=0.02)
+    workload.add_argument("--gamma", type=float, default=0.8)
+    workload.add_argument("--seed", type=int, default=0)
+    scale = argparse.ArgumentParser(add_help=False)
+    scale.add_argument("--scale", type=float, default=0.1)
+
     templates = commands.add_parser(
         "templates", help="list the Q0-Q8 templates (Table III)"
     )
@@ -1354,27 +1040,23 @@ def build_parser() -> argparse.ArgumentParser:
     predict.set_defaults(handler=_cmd_predict)
 
     session = commands.add_parser(
-        "session", help="run an online plan-caching session"
+        "session",
+        parents=[workload],
+        help="run an online plan-caching session",
     )
     session.add_argument("template", choices=list(TEMPLATE_NAMES))
     session.add_argument("--instances", type=int, default=500)
-    session.add_argument("--spread", type=float, default=0.02)
-    session.add_argument("--gamma", type=float, default=0.8)
-    session.add_argument("--seed", type=int, default=0)
     session.set_defaults(handler=_cmd_session)
 
     stats = commands.add_parser(
         "stats",
+        parents=[workload, scale],
         help="run a mixed workload and render the metrics snapshot",
     )
     stats.add_argument(
         "templates", choices=list(TEMPLATE_NAMES), nargs="+"
     )
     stats.add_argument("--instances", type=int, default=300)
-    stats.add_argument("--spread", type=float, default=0.02)
-    stats.add_argument("--gamma", type=float, default=0.8)
-    stats.add_argument("--seed", type=int, default=0)
-    stats.add_argument("--scale", type=float, default=0.1)
     stats.add_argument(
         "--budget", type=int, default=None,
         help="memory budget in bytes (enables the governor)",
@@ -1386,6 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain = commands.add_parser(
         "explain",
+        parents=[workload, scale],
         help="run one instance fully traced and print the span tree",
     )
     explain.add_argument(
@@ -1399,10 +1082,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--warmup", type=int, default=200,
         help="trajectory instances executed before the explained one",
     )
-    explain.add_argument("--spread", type=float, default=0.02)
-    explain.add_argument("--gamma", type=float, default=0.8)
-    explain.add_argument("--seed", type=int, default=0)
-    explain.add_argument("--scale", type=float, default=0.1)
     explain.add_argument(
         "--format", choices=("tree", "json"), default="tree"
     )
@@ -1410,6 +1089,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = commands.add_parser(
         "trace",
+        parents=[workload, scale],
         help="flight-recorder tooling: JSONL export and the regret audit",
     )
     trace.add_argument("action", choices=("export", "audit"))
@@ -1417,42 +1097,15 @@ def build_parser() -> argparse.ArgumentParser:
         "templates", choices=list(TEMPLATE_NAMES), nargs="+"
     )
     trace.add_argument("--instances", type=int, default=300)
-    trace.add_argument("--spread", type=float, default=0.02)
-    trace.add_argument("--gamma", type=float, default=0.8)
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--scale", type=float, default=0.1)
     trace.add_argument(
         "--out", default=None,
         help="JSONL destination for export (default: stdout)",
     )
     trace.set_defaults(handler=_cmd_trace)
 
-    faults = commands.add_parser(
-        "faults",
-        help="fault-injection bench: degraded components, zero crashes",
-    )
-    faults.add_argument(
-        "templates", choices=list(TEMPLATE_NAMES), nargs="+"
-    )
-    faults.add_argument("--instances", type=int, default=2000)
-    faults.add_argument("--optimizer-failure", type=float, default=0.2)
-    faults.add_argument("--predictor-failure", type=float, default=0.05)
-    faults.add_argument("--torn-write", type=float, default=0.5)
-    faults.add_argument("--snapshot-every", type=int, default=250)
-    faults.add_argument("--spread", type=float, default=0.02)
-    faults.add_argument("--gamma", type=float, default=0.8)
-    faults.add_argument("--seed", type=int, default=0)
-    faults.add_argument(
-        "--format", choices=("table", "json"), default="table"
-    )
-    faults.add_argument(
-        "--trace-out", default=None,
-        help="dump the flight-recorder traces as JSONL to this path",
-    )
-    faults.set_defaults(handler=_cmd_faults)
-
     report = commands.add_parser(
         "report",
+        parents=[workload, scale],
         help="run a seeded workload and render the cache-quality "
         "health report (scorecards, SLO burn rates, sparklines)",
     )
@@ -1460,10 +1113,6 @@ def build_parser() -> argparse.ArgumentParser:
         "templates", choices=list(TEMPLATE_NAMES), nargs="+"
     )
     report.add_argument("--instances", type=int, default=400)
-    report.add_argument("--spread", type=float, default=0.02)
-    report.add_argument("--gamma", type=float, default=0.8)
-    report.add_argument("--seed", type=int, default=0)
-    report.add_argument("--scale", type=float, default=0.1)
     report.add_argument(
         "--advance", type=float, default=1.0,
         help="simulated seconds per workload round (virtual clock)",
@@ -1487,6 +1136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     watch = commands.add_parser(
         "watch",
+        parents=[workload, scale],
         help="poll the health signals between workload batches",
     )
     watch.add_argument(
@@ -1501,10 +1151,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--interval", type=float, default=0.0,
         help="real seconds to sleep between ticks (0 = no pacing)",
     )
-    watch.add_argument("--spread", type=float, default=0.02)
-    watch.add_argument("--gamma", type=float, default=0.8)
-    watch.add_argument("--seed", type=int, default=0)
-    watch.add_argument("--scale", type=float, default=0.1)
     watch.add_argument("--advance", type=float, default=1.0)
     watch.set_defaults(handler=_cmd_watch)
 
@@ -1556,6 +1202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = commands.add_parser(
         "profile",
+        parents=[workload],
         help="hot-path stage profiler: per-stage self/cumulative time "
         "over a seeded workload (text tree + collapsed stacks)",
     )
@@ -1563,9 +1210,6 @@ def build_parser() -> argparse.ArgumentParser:
         "templates", choices=list(TEMPLATE_NAMES), nargs="+"
     )
     profile.add_argument("--instances", type=int, default=400)
-    profile.add_argument("--spread", type=float, default=0.02)
-    profile.add_argument("--gamma", type=float, default=0.8)
-    profile.add_argument("--seed", type=int, default=0)
     profile.add_argument(
         "--every", type=int, default=1,
         help="profile every Nth execution per template",
@@ -1578,6 +1222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lineage = commands.add_parser(
         "lineage",
+        parents=[workload],
         help="cache lineage forensics over the synopsis lifecycle "
         "journal: provenance queries (why), typed event timeline, "
         "checksummed JSONL export",
@@ -1617,9 +1262,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: Q1)",
     )
     lineage.add_argument("--instances", type=int, default=400)
-    lineage.add_argument("--spread", type=float, default=0.02)
-    lineage.add_argument("--gamma", type=float, default=0.8)
-    lineage.add_argument("--seed", type=int, default=0)
     lineage.add_argument("--capacity", type=int, default=4096)
     lineage.set_defaults(handler=_cmd_lineage)
 
@@ -1689,7 +1331,11 @@ def main(argv: "list[str] | None" = None) -> int:
         return _cmd_lint_args(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (ReproError, OSError) as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

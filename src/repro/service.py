@@ -122,17 +122,19 @@ class PlanCachingService:
     def templates(self) -> list[str]:
         return list(self._binders)
 
+    def _binder(self, name: str) -> TemplateBinder:
+        """A registered template's binder; ``WorkloadError`` otherwise."""
+        binder = self._binders.get(name)
+        if binder is None:
+            raise WorkloadError(f"template {name!r} is not registered")
+        return binder
+
     # ------------------------------------------------------------------
     # The adopter-facing call
     # ------------------------------------------------------------------
     def execute(self, instance: QueryInstance) -> ExecutionRecord:
         """Run one query instance through the PPC workflow."""
-        binder = self._binders.get(instance.template_name)
-        if binder is None:
-            raise WorkloadError(
-                f"template {instance.template_name!r} is not registered"
-            )
-        point = binder.to_point(instance)
+        point = self._binder(instance.template_name).to_point(instance)
         return self.framework.execute(instance.template_name, point)
 
     def execute_batch(
@@ -149,11 +151,7 @@ class PlanCachingService:
         start = 0
         while start < len(instances):
             name = instances[start].template_name
-            binder = self._binders.get(name)
-            if binder is None:
-                raise WorkloadError(
-                    f"template {name!r} is not registered"
-                )
+            binder = self._binder(name)
             stop = start
             while (
                 stop < len(instances)
@@ -179,12 +177,7 @@ class PlanCachingService:
         sampler is bypassed so the full span tree is always captured
         and recorded into the template's flight recorder.
         """
-        binder = self._binders.get(instance.template_name)
-        if binder is None:
-            raise WorkloadError(
-                f"template {instance.template_name!r} is not registered"
-            )
-        point = binder.to_point(instance)
+        point = self._binder(instance.template_name).to_point(instance)
         return self.framework.explain(instance.template_name, point)
 
     def traces(
@@ -196,10 +189,7 @@ class PlanCachingService:
         template's, interleaved in recording order per template.
         """
         if template_name is not None:
-            if template_name not in self._binders:
-                raise WorkloadError(
-                    f"template {template_name!r} is not registered"
-                )
+            self._binder(template_name)  # rejects an unregistered name
             return self.framework.session(template_name).tracer.traces()
         collected: list[DecisionTrace] = []
         for name in self._binders:
@@ -230,12 +220,7 @@ class PlanCachingService:
     ) -> QueryInstance:
         """Parameter values landing at a plan-space point (workload
         generation helper)."""
-        binder = self._binders.get(template_name)
-        if binder is None:
-            raise WorkloadError(
-                f"template {template_name!r} is not registered"
-            )
-        return binder.to_instance(point)
+        return self._binder(template_name).to_instance(point)
 
     # ------------------------------------------------------------------
     # Reporting

@@ -367,3 +367,7 @@ class TestAcceptanceStorm:
         )
         restored.insert(np.full(dimensions, 0.5), 0, cost=1.0)
         restored.predict(np.full(dimensions, 0.25))
+
+        # The error-biased trace sampler kept evidence of degraded
+        # decisions in the flight recorder.
+        assert any(t.errored for t in session.tracer.traces())

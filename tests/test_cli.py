@@ -331,26 +331,6 @@ class TestWatch:
         assert "slo=" in out
 
 
-class TestFaultsTraceOut:
-    def test_flight_recorder_dumped_as_jsonl(self, tmp_path, capsys):
-        from repro.obs.tracing import loads_jsonl
-
-        out_path = tmp_path / "fault-traces.jsonl"
-        assert main(
-            [
-                "faults", "Q1",
-                "--instances", "300",
-                "--trace-out", str(out_path),
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "flight recorder" in out
-        traces = loads_jsonl(out_path.read_text())
-        assert traces
-        # The error-biased sampler kept evidence of degraded decisions.
-        assert any(t.errored for t in traces)
-
-
 class TestScenarios:
     def test_list_names_every_scenario(self, capsys):
         from repro.workload.scenarios import SCENARIO_NAMES
@@ -404,4 +384,73 @@ class TestReplay:
 
     def test_missing_trace_file_rejected(self, capsys):
         assert main(["replay", "verify", "/nonexistent/trace.jsonl"]) == 1
-        assert "failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("repro replay: ")
+        assert "No such file" in err
+
+
+class TestErrorSeam:
+    """Library errors on bad input end in one stderr line, never a
+    traceback."""
+
+    @pytest.mark.parametrize(
+        ("argv", "code"),
+        [
+            pytest.param(
+                ["session", "Q1", "--instances", "0"], 1,
+                id="session-instances-0",
+            ),
+            pytest.param(
+                ["profile", "Q1", "--instances", "0"], 1,
+                id="profile-instances-0",
+            ),
+            pytest.param(
+                ["profile", "Q1", "--instances", "10", "--every", "0"], 1,
+                id="profile-every-0",
+            ),
+            pytest.param(
+                ["lineage", "timeline", "--instances", "0"], 1,
+                id="lineage-instances-0",
+            ),
+            pytest.param(
+                [
+                    "explain", "--template", "Q1",
+                    "--point", "0.3", "0.7", "--warmup", "-3",
+                ],
+                1,
+                id="explain-warmup-negative",
+            ),
+            pytest.param(
+                ["report", "Q1", "--instances", "5", "--advance", "-1"], 1,
+                id="report-advance-negative",
+            ),
+            pytest.param(
+                [
+                    "trace", "export", "Q1",
+                    "--instances", "3", "--spread", "-1",
+                ],
+                1,
+                id="trace-spread-negative",
+            ),
+            # A zero-round warm-up executes nothing and is not an error.
+            pytest.param(
+                [
+                    "explain", "--template", "Q1",
+                    "--point", "0.3", "0.7", "--warmup", "0",
+                ],
+                0,
+                id="explain-warmup-0",
+            ),
+        ],
+    )
+    def test_exit_status_and_stderr(self, argv, code, capsys):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if code == 0:
+            assert captured.err == ""
+            assert "trace Q1#" in captured.out
+            return
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro {argv[0]}: ")
