@@ -86,7 +86,13 @@ def pure_confidence(chi: float, alpha: np.ndarray) -> np.ndarray:
 
 
 class ConfidenceModel:
-    """Fast vectorized confidence evaluation with a precomputed table."""
+    """Fast vectorized confidence evaluation with a precomputed table.
+
+    :meth:`decide_batch` is the one decision: :meth:`decide` and
+    scalar ``predict`` are one-row calls of it, and a traced decision's
+    ``confidence`` span payload is read from that call's input row and
+    output, not recomputed by a second routine.
+    """
 
     def __init__(self, chi: float = DEFAULT_CHI) -> None:
         if not 0.0 < chi < 1.0:
@@ -130,62 +136,18 @@ class ConfidenceModel:
 
         ``counts`` holds per-plan sample counts (index = plan id).
         Returns ``(plan_id, confidence)``, with ``plan_id = None`` for a
-        NULL prediction.  This is lines 6-16 of Algorithm 1.
+        NULL prediction.  This is lines 6-16 of Algorithm 1, run as a
+        one-row :meth:`decide_batch`, so every caller shares the hot
+        path's arithmetic.
         """
         counts = np.asarray(counts, dtype=float)
-        if counts.size == 0 or counts.max() <= 0.0:
+        if counts.size == 0:
             return None, 0.0
-        winner = int(np.argmax(counts))
-        max_count = float(counts[winner])
-        other_count = float(counts.sum() - max_count)
-        value = self.confidence(max_count, other_count)
-        if value > threshold:
-            return winner, value
-        return None, value
-
-    def explain_decide(
-        self,
-        counts: "np.ndarray | list[float]",
-        threshold: float,
-    ) -> "tuple[int | None, float, dict]":
-        """:meth:`decide` plus its intermediate quantities.
-
-        Returns ``(plan_id, confidence, detail)`` where ``detail``
-        carries the winner, the ``c_max``/``sum(others)`` counts, their
-        ratio, which confidence model applied (``pure`` neighborhoods
-        use ``1 - (1 - chi)^alpha``, ``mixed`` ones the chord's
-        ``sin(theta)``), and the γ comparison — the payload of the
-        decision trace's ``confidence`` span.  The decision itself is
-        exactly :meth:`decide`'s.
-        """
-        counts = np.asarray(counts, dtype=float)
-        detail: dict = {"gamma": float(threshold)}
-        if counts.size == 0 or counts.max() <= 0.0:
-            detail.update(
-                winner=None,
-                max_count=0.0,
-                other_count=0.0,
-                ratio=None,
-                model="null",
-                sin_theta=0.0,
-                passed=False,
-            )
-            return None, 0.0, detail
-        winner = int(np.argmax(counts))
-        max_count = float(counts[winner])
-        other_count = float(counts.sum() - max_count)
-        value = self.confidence(max_count, other_count)
-        passed = value > threshold
-        detail.update(
-            winner=winner,
-            max_count=max_count,
-            other_count=other_count,
-            ratio=None if other_count <= 0.0 else max_count / other_count,
-            model="pure" if other_count <= 0.0 else "mixed",
-            sin_theta=value,
-            passed=passed,
+        winners, confidences = self.decide_batch(
+            counts.reshape(1, -1), threshold
         )
-        return (winner if passed else None), value, detail
+        winner = int(winners[0])
+        return (None if winner < 0 else winner), float(confidences[0])
 
     def decide_batch(
         self,
@@ -195,15 +157,15 @@ class ConfidenceModel:
         """Vectorized :meth:`decide` over a ``(points, plans)`` matrix.
 
         Returns ``(winners, confidences)`` where ``winners`` is ``-1``
-        for NULL predictions.  Bit-for-bit identical to per-row
-        :meth:`decide` — including the saturation to exactly ``1.0``
-        once the count ratio leaves the interpolation table, which a
-        plain ``np.interp`` clamp would miss — so scalar ``predict``
-        can delegate to the batch path.
+        for NULL predictions.  Each row gets the bits a lone row gets —
+        including the saturation to exactly ``1.0`` once the count
+        ratio leaves the interpolation table, which a plain
+        ``np.interp`` clamp would miss — so scalar ``predict`` and
+        :meth:`decide` are one-row calls of this method.
 
-        A one-row matrix (scalar ``predict``) takes :meth:`decide`'s
-        own arithmetic through :meth:`confidence` instead of ~35 masked
-        array calls; every other matrix runs :meth:`_batch_confidence`.
+        A one-row matrix takes the scalar arithmetic of
+        :meth:`confidence` instead of ~35 masked array calls; every
+        other matrix runs :meth:`_batch_confidence`.
         The matrix is made C-contiguous first, so each row's sum reduces
         in the same order as a lone row's, whatever the caller's layout.
         Subclasses overriding :meth:`confidence` override

@@ -539,6 +539,30 @@ class TemplateSession:
         self.cache.put(plan_id, self.plan_space.plan(plan_id))
         return plan_id, cost
 
+    def _optimize(
+        self, trace: DecisionTrace, x: np.ndarray, reason: str
+    ) -> "tuple[int, float] | None":
+        """:meth:`_invoke_optimizer` inside an ``optimize`` span of
+        ``trace``, opened wherever the caller stands: at the decision
+        level for an invocation reason, under ``feedback`` for the
+        negative-feedback verify.  A traced span records the reason,
+        the breaker state before and after, the retries spent, whether
+        the optimizer answered, and its plan and cost."""
+        with trace.span("optimize") as span:
+            if trace.active:
+                span.set(reason=reason, breaker_before=self.breaker.state)
+            retries_before = self._retries_counter.value
+            outcome = self._invoke_optimizer(x, reason)
+            if trace.active:
+                span.set(
+                    breaker_after=self.breaker.state,
+                    retries=int(self._retries_counter.value - retries_before),
+                    available=outcome is not None,
+                )
+                if outcome is not None:
+                    span.set(plan=outcome[0], cost=outcome[1])
+        return outcome
+
     def _fallback_plan(self, prediction) -> tuple[int, str]:
         """The optimizer is unavailable: serve the best plan we hold.
 
@@ -581,11 +605,11 @@ class TemplateSession:
         tail, which is re-predicted against the updated synopses —
         exactly what the sequential path would have seen.
 
-        Traced instances re-predict through the span-annotating scalar
-        path (same numeric core, identical decision), preserving trace
-        parity.  Rows the vectorized validation rejects (non-finite
-        coordinates) fall back to the scalar path so they raise — or
-        degrade — exactly as a sequential ``execute`` would.
+        Traced instances re-predict as a traced batch of one (the same
+        decision, with annotated spans), preserving trace parity.  Rows
+        the vectorized validation rejects (non-finite coordinates) fall
+        back to the scalar path so they raise — or degrade — exactly as
+        a sequential ``execute`` would.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2:
@@ -710,8 +734,8 @@ class TemplateSession:
         predict-stage result computed vectorized for the whole batch;
         ``predict_seconds`` is that call's amortized per-instance cost,
         charged to the predict span.  Traced instances ignore the
-        precomputed value and re-predict through the span-annotating
-        path (same numeric core, identical decision).
+        precomputed value and re-predict as a traced batch of one, which
+        annotates its spans with the same decision.
 
         Ground truth is the optimizer's answer when it ran; the fallback
         path labels eagerly to account the suboptimality it accepted;
@@ -780,25 +804,7 @@ class TemplateSession:
                 )
 
         if reason:
-            with trace.span("optimize") as optimize_span:
-                if trace.active:
-                    optimize_span.set(
-                        reason=reason, breaker_before=self.breaker.state
-                    )
-                retries_before = self._retries_counter.value
-                outcome = self._invoke_optimizer(x, reason)
-                if trace.active:
-                    optimize_span.set(
-                        breaker_after=self.breaker.state,
-                        retries=int(
-                            self._retries_counter.value - retries_before
-                        ),
-                        available=outcome is not None,
-                    )
-                    if outcome is not None:
-                        optimize_span.set(
-                            plan=outcome[0], cost=outcome[1]
-                        )
+            outcome = self._optimize(trace, x, reason)
             if outcome is not None:
                 executed_plan, execution_cost = truth = outcome
                 if prediction is None:
@@ -860,22 +866,7 @@ class TemplateSession:
                     )
                 if suspect:
                     reason = "negative_feedback"
-                    with trace.span("optimize") as verify_span:
-                        if trace.active:
-                            verify_span.set(
-                                reason=reason,
-                                breaker_before=self.breaker.state,
-                            )
-                        outcome = self._invoke_optimizer(x, reason)
-                        if trace.active:
-                            verify_span.set(
-                                breaker_after=self.breaker.state,
-                                available=outcome is not None,
-                            )
-                            if outcome is not None:
-                                verify_span.set(
-                                    plan=outcome[0], cost=outcome[1]
-                                )
+                    outcome = self._optimize(trace, x, reason)
                     if outcome is not None:
                         true_plan, __ = truth = outcome
                         self.monitor.record_prediction(
@@ -1111,12 +1102,7 @@ class PPCFramework:
     def execute(self, template_name: str, x: np.ndarray) -> ExecutionRecord:
         """Run one instance of a registered template."""
         record = self.sessions[template_name].execute(x)
-        if self.governor is not None:
-            self.governor.touch(template_name)
-            self._executions += 1
-            if self._executions % self.governor_interval == 0:
-                self.governor.enforce()
-        self._telemetry_tick()
+        self._after_execution(template_name)
         return record
 
     def execute_batch(
@@ -1146,13 +1132,20 @@ class PPCFramework:
     def explain(self, template_name: str, x: np.ndarray) -> DecisionTrace:
         """Run one instance fully traced and return its decision trace."""
         trace = self.sessions[template_name].explain(x)
+        self._after_execution(template_name)
+        return trace
+
+    def _after_execution(self, template_name: str) -> None:
+        """The post-execution step of :meth:`execute` and
+        :meth:`explain`: the memory governor's touch (and, every
+        ``governor_interval`` executions, its enforcement), then one
+        telemetry tick."""
         if self.governor is not None:
             self.governor.touch(template_name)
             self._executions += 1
             if self._executions % self.governor_interval == 0:
                 self.governor.enforce()
         self._telemetry_tick()
-        return trace
 
     def _telemetry_tick(self) -> None:
         """Post-execution telemetry hook: one clock read when idle.

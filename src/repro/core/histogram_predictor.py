@@ -332,71 +332,14 @@ class HistogramPredictor(PlanPredictor):
             counts[:, safe, columns] > 0.0,
         )
 
-    def _emit_lookup_spans(
-        self,
-        trace: "DecisionTrace",
-        z_values: np.ndarray,
-        counts: np.ndarray,
-        avg_costs: np.ndarray,
-    ) -> np.ndarray:
-        """Annotate per-transform lookup spans plus the aggregate span
-        from already-computed batch-of-one estimates; returns the
-        aggregated per-plan counts ``(plans,)``."""
-        # One ``tolist`` per array: the same Python floats as per-element
-        # ``float()`` conversions, at a fraction of the calls.
-        rows = zip(
-            z_values[:, 0].tolist(),
-            counts[:, :, 0].tolist(),
-            avg_costs[:, :, 0].tolist(),
-        )
-        for index, (z, row, costs) in enumerate(rows):
-            with trace.span("transform") as span:
-                top = max(row)
-                span.set(
-                    index=index,
-                    z=z,
-                    z_range=[z - self.delta, z + self.delta],
-                    counts=row,
-                    avg_costs=[
-                        cost if count > 0 else None
-                        for cost, count in zip(costs, row, strict=True)
-                    ],
-                    vote=row.index(top) if top > 0.0 else None,
-                )
-        aggregated = self._aggregate(counts)[:, 0]
-        with trace.span("aggregate") as span:
-            span.set(method=self.aggregation, counts=aggregated.tolist())
-        return aggregated
-
-    def median_counts(
-        self, x: np.ndarray, trace: "DecisionTrace | None" = None
-    ) -> np.ndarray:
-        """Per-plan range-count aggregated across the ``t`` transforms
-        (median by default; mean under the ablation setting).
-
-        A batch of one through the struct-of-arrays core.  With an
-        active ``trace``, every transform's density lookup gets its own
-        span (z-value, per-plan counts and average costs, the
-        transform's argmax vote) plus an ``aggregate`` span; the
-        returned counts are identical either way.
-        """
-        x = self._check_point(x)
-        z_values, counts, avg_costs = self._range_estimates(x[None, :], trace)
-        if trace is not None and trace.active:
-            return self._emit_lookup_spans(trace, z_values, counts, avg_costs)
-        return self._aggregate(counts)[:, 0]
-
     def predict(
         self, x: np.ndarray, trace: "DecisionTrace | None" = None
     ) -> "Prediction | None":
-        """A thin wrapper over a batch of one.
-
-        The untraced path is literally ``predict_batch(x[None, :],
-        trace)[0]``, and ``predict_batch``'s check of that one-row batch
-        is its only validation; the traced path runs the same numeric
-        core and only adds span annotation — the decisions are
-        bit-for-bit identical, which the trace-parity suite pins down.
-        """
+        """A thin wrapper over a batch of one: ``predict_batch(x[None,
+        :], trace)[0]``, whose check of that one-row batch is the only
+        validation.  An active ``trace`` goes through
+        :meth:`_predict_traced` into the same call, so traced and
+        untraced decisions run one decision path."""
         if trace is not None and trace.active:
             return self._predict_traced(x, trace)
         return self.predict_batch(
@@ -406,70 +349,40 @@ class HistogramPredictor(PlanPredictor):
     def _predict_traced(
         self, x: np.ndarray, trace: "DecisionTrace"
     ) -> "Prediction | None":
-        """Traced twin of :meth:`predict` — identical decision, with
-        the same stage spans as :meth:`predict_batch` plus annotated
-        per-transform ``transform`` spans, all computed from the same
-        batch-of-one estimates the untraced path uses."""
-        x = self._check_point(x)
-        z_values, counts_tpm, avg_costs = self._range_estimates(
-            x[None, :], trace
-        )
-        counts = self._emit_lookup_spans(
-            trace, z_values, counts_tpm, avg_costs
-        )
-        max_count = float(counts.max())
-        threshold = (
-            None
-            if self.noise_fraction is None
-            else self.noise_fraction * self.total_mass
-        )
-        eliminated = (
-            self.noise_fraction is not None
-            and self.total_mass > 0
-            and max_count < self.noise_fraction * self.total_mass
-        )
-        with trace.span("noise_elimination") as span:
-            span.set(
-                max_count=max_count,
-                total_mass=self.total_mass,
-                noise_fraction=self.noise_fraction,
-                threshold=threshold,
-                eliminated=eliminated,
-            )
-        if eliminated:
-            return None
-        with trace.span("confidence") as span:
-            plan_id, confidence, detail = self.model.explain_decide(
-                counts, self.confidence_threshold
-            )
-            span.set(**detail)
-        if plan_id is None:
-            return None
-        with trace.span("cost_estimate") as span:
-            medians, any_support = self._winner_costs(
-                counts_tpm, avg_costs, np.array([plan_id])
-            )
-            cost = float(medians[0]) if any_support[0] else None
-            span.set(plan=plan_id, estimated_cost=cost)
-        return Prediction(plan_id, confidence, cost)
+        """:meth:`predict` on an active trace — no logic of its own.
+
+        A separate method only so that layer timing
+        (``benchmarks/e2e/layers.py``) can tell traced predicts from
+        untraced ones; :meth:`predict_batch` annotates the spans.
+        """
+        return self.predict_batch(
+            np.asarray(x, dtype=float).reshape(1, -1), trace
+        )[0]
 
     def predict_batch(
         self, points: np.ndarray, trace: "DecisionTrace | None" = None
     ) -> "list[Prediction | None]":
-        """Vectorized prediction for a whole point batch — the primitive
-        every other predict path wraps.
+        """Vectorized prediction for a whole point batch — the one place
+        this predictor decides; every other predict path wraps it.
 
         The batch is validated up front (`_check_batch`: shape errors
         and non-finite rows raise, exactly like the scalar guard) and an
         empty ``(0, r)`` batch returns ``[]``.  One stacked pass
         computes the z-values of every point under every transform,
-        all histogram range queries run through the fused columnar
-        views, and aggregation, noise elimination, the confidence
-        decision and the winner cost estimates are fully vectorized.
-        Bit-for-bit identical to calling :meth:`predict` per point, at
-        a fraction of the time — the operation the runtime simulation
-        charges as "prediction overhead".  Each stage runs in the same
-        span the traced twin opens, on ``trace``.
+        all histogram range queries run through the packed block, and
+        aggregation, noise elimination, the confidence decision and the
+        winner cost estimates are fully vectorized — the operation the
+        runtime simulation charges as "prediction overhead".
+
+        Each stage runs in its span on ``trace``.  On an active trace
+        (a traced decision: a batch of one) the spans also carry the
+        stage's inputs and verdict, read from the arrays the decision
+        computed: per-transform ``transform`` spans (z-value and range,
+        per-plan counts and average costs, the transform's vote), then
+        the ``aggregate``, ``noise_elimination``, ``confidence`` (γ, the
+        ``c_max``/``sum(others)`` counts, their ratio, ``pure``/
+        ``mixed`` model, ``sin_theta``, pass/fail) and ``cost_estimate``
+        payloads.  The decision is the same either way.
         """
         points = self._check_batch(points)
         m = points.shape[0]
@@ -477,25 +390,96 @@ class HistogramPredictor(PlanPredictor):
             return []
         if trace is None:
             trace = untraced()
-        __, counts_tpm, avg_costs = self._range_estimates(points, trace)
-        with trace.span("aggregate"):
+        traced = trace.active and m == 1
+        z_values, counts_tpm, avg_costs = self._range_estimates(points, trace)
+        if traced:
+            # One ``tolist`` per array: the same Python floats as
+            # per-element ``float()`` conversions, at a fraction of the
+            # calls.
+            rows = zip(
+                z_values[:, 0].tolist(),
+                counts_tpm[:, :, 0].tolist(),
+                avg_costs[:, :, 0].tolist(),
+            )
+            for index, (z, row, costs) in enumerate(rows):
+                with trace.span("transform") as span:
+                    top = max(row)
+                    span.set(
+                        index=index,
+                        z=z,
+                        z_range=[z - self.delta, z + self.delta],
+                        counts=row,
+                        avg_costs=[
+                            cost if count > 0 else None
+                            for cost, count in zip(costs, row, strict=True)
+                        ],
+                        vote=row.index(top) if top > 0.0 else None,
+                    )
+        with trace.span("aggregate") as span:
             counts = self._aggregate(counts_tpm)  # (plans, m)
-        with trace.span("noise_elimination"):
+            if traced:
+                aggregated = counts[:, 0].tolist()
+                c_max = max(aggregated)
+                span.set(method=self.aggregation, counts=aggregated)
+        with trace.span("noise_elimination") as span:
+            threshold = (
+                None
+                if self.noise_fraction is None
+                else self.noise_fraction * self.total_mass
+            )
             noisy = (
-                counts.max(axis=0) < self.noise_fraction * self.total_mass
-                if self.noise_fraction is not None and self.total_mass > 0
+                counts.max(axis=0) < threshold
+                if threshold is not None and self.total_mass > 0
                 else None
             )
-        with trace.span("confidence"):
+            if traced:
+                span.set(
+                    max_count=c_max,
+                    total_mass=self.total_mass,
+                    noise_fraction=self.noise_fraction,
+                    threshold=threshold,
+                    eliminated=noisy is not None and bool(noisy[0]),
+                )
+        with trace.span("confidence") as span:
             winners, confidences = self.model.decide_batch(
                 counts.T, self.confidence_threshold
             )
+            if traced:
+                others = float(counts.sum()) - c_max
+                span.set(
+                    gamma=float(self.confidence_threshold),
+                    winner=aggregated.index(c_max) if c_max > 0.0 else None,
+                    max_count=c_max,
+                    other_count=others,
+                    ratio=(
+                        c_max / others
+                        if c_max > 0.0 and others > 0.0
+                        else None
+                    ),
+                    model=(
+                        "null" if c_max <= 0.0
+                        else "mixed" if others > 0.0
+                        else "pure"
+                    ),
+                    sin_theta=float(confidences[0]),
+                    passed=bool(winners[0] >= 0),
+                )
             if noisy is not None:
                 winners = np.where(noisy, -1, winners)
-        with trace.span("cost_estimate"):
+        with trace.span("cost_estimate") as span:
             medians, any_support = self._winner_costs(
                 counts_tpm, avg_costs, winners
             )
+            if traced:
+                answered = bool(winners[0] >= 0)
+                span.set(
+                    plan=int(winners[0]) if answered else None,
+                    estimated_cost=(
+                        float(medians[0])
+                        if answered and any_support[0]
+                        else None
+                    ),
+                )
         return [
             None
             if winners[j] < 0
@@ -506,24 +490,6 @@ class HistogramPredictor(PlanPredictor):
             )
             for j in range(m)
         ]
-
-    def estimated_cost(self, x: np.ndarray, plan_id: int) -> "float | None":
-        """Median per-transform average cost of the plan around ``x``.
-
-        Because the pool contains only truly optimal points (no
-        positive feedback), this estimates the *optimal* cost near
-        ``x`` — the quantity negative feedback compares against.
-        Runs untraced: only full predictions own the once-per-predict
-        timer contract.
-        """
-        x = self._check_point(x)
-        __, counts, avg_costs = self._range_estimates(x[None, :])
-        medians, any_support = self._winner_costs(
-            counts, avg_costs, np.array([plan_id])
-        )
-        if not any_support[0]:
-            return None
-        return float(medians[0])
 
     def cell_densities(self, probes: int = 64) -> np.ndarray:
         """Density mass per (transform, plan, z-cell): shape

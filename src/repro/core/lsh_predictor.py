@@ -37,11 +37,16 @@ from repro.lsh.transforms import TransformEnsemble
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.events import _TemplateEmitter
-    from repro.obs.tracing import DecisionTrace
 
 
 class LshPredictor(PlanPredictor):
-    """Median-of-``t`` grid densities with the confidence sanity check."""
+    """Median-of-``t`` grid densities with the confidence sanity check.
+
+    :meth:`predict_batch` is the one place it decides; scalar
+    :meth:`predict` is a batch of one.  Sessions serve through
+    :class:`~repro.core.histogram_predictor.HistogramPredictor`, so
+    this predictor takes no decision trace.
+    """
 
     def __init__(
         self,
@@ -211,67 +216,20 @@ class LshPredictor(PlanPredictor):
             )
         return median_supported(averages, supported)
 
-    def median_counts(
-        self, x: np.ndarray, trace: "DecisionTrace | None" = None
-    ) -> np.ndarray:
+    def median_counts(self, x: np.ndarray) -> np.ndarray:
         """Per-plan bucket count aggregated across the ``t`` transforms
-        (median by default; mean under the ablation setting).
-
-        A batch of one through the struct-of-arrays core.  With an
-        active ``trace``, each transform's grid-cell lookup gets a span
-        (cell id, per-plan counts, the transform's argmax vote) plus an
-        ``aggregate`` span; the counts are identical either way.
-        """
+        (median by default; mean under the ablation setting), for one
+        point through the struct-of-arrays core."""
         x = self._check_point(x)
-        traced = trace is not None and trace.active
-        cells = self._cell_ids_batch(x[None, :])
-        estimates = self._cell_estimates(cells)
-        if traced:
-            for index in range(len(self.ensemble)):
-                row = estimates[index, :, 0]
-                with trace.span("transform") as span:
-                    span.set(
-                        index=index,
-                        cell=int(cells[index, 0]),
-                        counts=[float(c) for c in row],
-                        vote=int(row.argmax()) if row.max() > 0.0 else None,
-                    )
-        counts = self._aggregate(estimates)[:, 0]
-        if traced:
-            with trace.span("aggregate") as span:
-                span.set(
-                    method=self.aggregation,
-                    counts=[float(c) for c in counts],
-                )
-        return counts
+        estimates = self._cell_estimates(self._cell_ids_batch(x[None, :]))
+        return self._aggregate(estimates)[:, 0]
 
-    def predict(
-        self, x: np.ndarray, trace: "DecisionTrace | None" = None
-    ) -> "Prediction | None":
-        """A thin wrapper over a batch of one.
-
-        The untraced path is literally ``predict_batch(x[None, :])[0]``;
-        the traced path runs the same numeric core, only adding span
-        annotation, so decisions are bit-for-bit identical.
-        """
-        x = self._check_point(x)
-        traced = trace is not None and trace.active
-        if not traced:
-            return self.predict_batch(x[None, :])[0]
-        cells = self._cell_ids_batch(x[None, :])
-        counts = self.median_counts(x, trace=trace)
-        with trace.span("confidence") as span:
-            plan_id, confidence, detail = self.model.explain_decide(
-                counts, self.confidence_threshold
-            )
-            span.set(**detail)
-        if plan_id is None:
-            return None
-        medians, any_support = self._winner_costs(
-            cells, np.array([plan_id])
-        )
-        cost = float(medians[0]) if any_support[0] else None
-        return Prediction(plan_id, confidence, cost)
+    def predict(self, x: np.ndarray) -> "Prediction | None":
+        """A batch of one: ``predict_batch(x[None, :])[0]``, whose
+        check of that one-row batch is the only validation."""
+        return self.predict_batch(
+            np.asarray(x, dtype=float).reshape(1, -1)
+        )[0]
 
     def predict_batch(self, points: np.ndarray) -> "list[Prediction | None]":
         """Vectorized prediction for a whole point batch — the primitive

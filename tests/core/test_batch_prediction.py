@@ -10,6 +10,7 @@ from repro.core.histogram_predictor import HistogramPredictor
 from repro.core.lsh_predictor import LshPredictor
 from repro.core.point import SamplePool
 from repro.exceptions import ConfigurationError, PredictionError
+from repro.obs.tracing import DecisionTrace
 from repro.workload import sample_points
 
 
@@ -583,11 +584,14 @@ class TestOneRowBranches:
             assert _bits(one_median) == _bits(medians[j])
         assert not any_support[:5].any()
 
+    @pytest.mark.parametrize("traced", [False, True])
     @pytest.mark.parametrize("aggregation", ["median", "mean"])
     @pytest.mark.parametrize("model", [ConfidenceModel, FrequencyConfidenceModel])
     @pytest.mark.parametrize("noise_fraction", [None, 0.02])
     @pytest.mark.parametrize("kind", ["maxdiff", "incremental"])
-    def test_histogram_predict(self, aggregation, model, noise_fraction, kind):
+    def test_histogram_predict(
+        self, aggregation, model, noise_fraction, kind, traced
+    ):
         predictor = HistogramPredictor(
             _dense_pool(),
             transforms=6,
@@ -601,7 +605,12 @@ class TestOneRowBranches:
             seed=1,
         )
         test = sample_points(2, 150, seed=8)
-        scalar = [predictor.predict(test[i]) for i in range(150)]
+        scalar = [
+            predictor.predict(
+                test[i], DecisionTrace("T", i, "forced") if traced else None
+            )
+            for i in range(150)
+        ]
         assert scalar == predictor.predict_batch(test)
         assert any(s is not None for s in scalar)
 
@@ -624,4 +633,3 @@ class TestOneRowBranches:
         batch = predictor.predict_batch(test)
         assert batch == [predictor.predict(test[i]) for i in range(40)]
         assert all(b is not None and b.estimated_cost is None for b in batch)
-        assert predictor.estimated_cost(test[0], 2) is None

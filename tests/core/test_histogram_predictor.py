@@ -62,8 +62,9 @@ class TestStaticFit:
 
     def test_estimated_cost_near_cluster_cost(self):
         predictor = HistogramPredictor(_pool(), radius=0.1, seed=1)
-        estimated = predictor.estimated_cost(np.array([0.2, 0.2]), 0)
-        assert estimated == pytest.approx(5.0, rel=0.01)
+        prediction = predictor.predict(np.array([0.2, 0.2]))
+        assert prediction.plan_id == 0
+        assert prediction.estimated_cost == pytest.approx(5.0, rel=0.01)
 
 
 class TestIncrementalMode:

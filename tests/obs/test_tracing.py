@@ -19,6 +19,7 @@ from repro.obs.tracing import (
     trace_from_dict,
     trace_to_dict,
 )
+from repro.workload import RandomTrajectoryWorkload, sample_points
 
 
 def _record(
@@ -317,3 +318,181 @@ class TestSessionIntegration:
         assert text.startswith("trace tiny#")
         assert "outcome:" in text
         assert "normalize" in text
+
+
+class TestPredictSpanPayload:
+    """One traced decision's predict spans carry exactly the quantities
+    the decision used, each recomputed here from ``_range_estimates``
+    and ``decide_batch`` on the same (warmed) predictor state."""
+
+    NOISE_FRACTION = 0.02
+
+    @pytest.fixture()
+    def session(self, tiny_space):
+        config = PPCConfig(
+            confidence_threshold=0.7,
+            mean_invocation_probability=0.05,
+            noise_fraction=self.NOISE_FRACTION,
+            drift_response=False,
+            trace=TraceConfig(head=0, interval=0),
+        )
+        session = TemplateSession(tiny_space, config, seed=0)
+        for x in RandomTrajectoryWorkload(2, spread=0.05, seed=4).generate(150):
+            session.execute(x)
+        return session
+
+    @staticmethod
+    def _expected(predictor, x):
+        """Every predict-stage payload of a traced decision at ``x``,
+        plus the decision's kind (answered / rejected / eliminated)."""
+        gamma = predictor.confidence_threshold
+        z_values, estimates, averages = predictor._range_estimates(x[None, :])
+        transforms = []
+        for index in range(estimates.shape[0]):
+            z = float(z_values[index, 0])
+            row = estimates[index, :, 0]
+            transforms.append({
+                "index": index,
+                "z": z,
+                "z_range": [z - predictor.delta, z + predictor.delta],
+                "counts": [float(c) for c in row],
+                "avg_costs": [
+                    float(cost) if count > 0 else None
+                    for cost, count in zip(averages[index, :, 0], row)
+                ],
+                "vote": int(row.argmax()) if row.max() > 0 else None,
+            })
+        counts = np.median(estimates[:, :, 0], axis=0)
+        max_count = float(counts.max())
+        threshold = predictor.noise_fraction * predictor.total_mass
+        eliminated = max_count < threshold
+        winners, confidences = predictor.model.decide_batch(
+            counts[None, :], gamma
+        )
+        winner = int(counts.argmax())
+        other = float(counts.sum()) - max_count
+        confidence = {
+            "gamma": gamma,
+            "winner": winner,
+            "max_count": max_count,
+            "other_count": other,
+            "ratio": max_count / other if other > 0 else None,
+            "model": "mixed" if other > 0 else "pure",
+            "sin_theta": float(confidences[0]),
+            "passed": bool(winners[0] >= 0),
+        }
+        plan = None if eliminated or winners[0] < 0 else winner
+        cost = None
+        if plan is not None:
+            supported = estimates[:, plan, 0] > 0
+            cost = float(np.median(averages[supported, plan, 0]))
+        kind = (
+            "eliminated" if eliminated
+            else "answered" if plan is not None
+            else "rejected"
+        )
+        return kind, {
+            "transform": transforms,
+            "aggregate": {"method": "median", "counts": counts.tolist()},
+            "noise_elimination": {
+                "max_count": max_count,
+                "total_mass": predictor.total_mass,
+                "noise_fraction": predictor.noise_fraction,
+                "threshold": threshold,
+                "eliminated": eliminated,
+            },
+            "confidence": confidence,
+            "cost_estimate": {"plan": plan, "estimated_cost": cost},
+        }
+
+    def _traced(self, session, kind):
+        """The first candidate point of ``kind`` with a non-empty
+        neighbourhood, its expected payloads and its decision trace."""
+        predictor = session.online.predictor
+        for x in sample_points(2, 400, seed=3):
+            found, expected = self._expected(predictor, x)
+            if found == kind and expected["noise_elimination"]["max_count"] > 0:
+                return expected, session.explain(x)
+        pytest.fail(f"no {kind} point among the candidates")
+
+    @staticmethod
+    def _children(trace):
+        return next(trace.spans("predict")).children
+
+    def _assert_payloads(self, trace, expected, names_):
+        spans = {span.name: span for span in self._children(trace)}
+        for name in names_:
+            if name == "transform":
+                got = [span.attributes for span in trace.spans("transform")]
+                assert got == expected["transform"]
+            else:
+                assert spans[name].attributes == expected[name], name
+
+    def test_answered_decision(self, session):
+        expected, trace = self._traced(session, "answered")
+        assert [span.name for span in self._children(trace)] == [
+            "z_values", "density_lookup",
+            *["transform"] * len(expected["transform"]),
+            "aggregate", "noise_elimination", "confidence", "cost_estimate",
+        ]
+        self._assert_payloads(trace, expected, list(expected))
+        assert expected["confidence"]["passed"]
+        assert trace.outcome["predicted"] == expected["cost_estimate"]["plan"]
+
+    def test_gamma_rejected_decision(self, session):
+        expected, trace = self._traced(session, "rejected")
+        assert not expected["confidence"]["passed"]
+        self._assert_payloads(
+            trace, expected,
+            ["transform", "aggregate", "noise_elimination", "confidence"],
+        )
+        assert trace.outcome["predicted"] is None
+
+    @pytest.mark.parametrize("kind", ["eliminated", "rejected"])
+    def test_null_decisions_open_every_stage(self, session, kind):
+        """Noise elimination and the γ rejection null the decision
+        after the confidence check: the traced tree still shows the
+        confidence verdict and the (empty) cost estimate that the
+        untraced decision computes too."""
+        expected, trace = self._traced(session, kind)
+        assert expected["cost_estimate"] == {
+            "plan": None, "estimated_cost": None,
+        }
+        self._assert_payloads(trace, expected, list(expected))
+        assert trace.outcome["predicted"] is None
+
+
+class TestOptimizeSpan:
+    def test_feedback_verify_records_what_an_invocation_records(
+        self, tiny_space
+    ):
+        """The negative-feedback verify nests its ``optimize`` span
+        under ``feedback`` and carries the same attributes as the
+        invocation-reason span, retries included."""
+        config = PPCConfig(
+            mean_invocation_probability=0.0,
+            drift_response=False,
+            trace=TraceConfig(head=0, interval=0),
+        )
+        session = TemplateSession(tiny_space, config, seed=0)
+        invoked = session.explain(np.array([0.5, 0.5]))
+        probe = None
+        for x in RandomTrajectoryWorkload(2, spread=0.05, seed=4).generate(300):
+            session.execute(x)
+            prediction = session.online.predict(x)
+            if prediction is not None and prediction.plan_id in session.cache:
+                probe = x
+        assert probe is not None, "predictor never warmed up"
+        session.online.suspect_error = lambda *args, **kwargs: True
+        verified = session.explain(probe)
+
+        top = next(invoked.spans("optimize"))
+        assert top in invoked.root.children
+        feedback = next(verified.spans("feedback"))
+        verify = next(span for span in feedback.children if span.name == "optimize")
+        assert verify.attributes["reason"] == "negative_feedback"
+        assert verify.attributes["retries"] == 0
+        assert set(verify.attributes) == set(top.attributes) == {
+            "reason", "breaker_before", "breaker_after", "retries",
+            "available", "plan", "cost",
+        }
