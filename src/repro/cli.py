@@ -136,14 +136,16 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    point = np.array(args.coords)[None, :]
-    ids, costs = space.label(point)
-    print(f"optimal plan : P{int(ids[0])}  (cost {costs[0]:,.1f})")
-    print(space.plan(int(ids[0])).describe())
+    costs = space.cost_matrix(np.array(args.coords)[None, :])[:, 0]
+    # A stable sort lists the argmin (the first cheapest plan, as
+    # ``label`` picks it) first.
+    ranking = np.argsort(costs, kind="stable")
+    best = int(ranking[0])
+    print(f"optimal plan : P{best}  (cost {costs[best]:,.1f})")
+    print(space.plan(best).describe())
     print("\nall candidates:")
-    matrix = space.cost_matrix(point)[:, 0]
-    for plan_id in np.argsort(matrix):
-        print(f"  P{int(plan_id)}: {matrix[plan_id]:12,.1f}")
+    for plan_id in ranking:
+        print(f"  P{int(plan_id)}: {costs[plan_id]:12,.1f}")
     return 0
 
 

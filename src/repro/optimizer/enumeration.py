@@ -28,6 +28,7 @@ from repro.optimizer.operators import (
     HashJoin,
     IndexNLJoin,
     IndexScan,
+    Memo,
     MergeJoin,
     NestedLoopJoin,
     PlanNode,
@@ -246,7 +247,14 @@ class DPEnumerator:
         self.allow_bushy = allow_bushy
 
     def optimize(self, x: np.ndarray) -> tuple[PhysicalPlan, float]:
-        """Best plan and its cost at one normalized point ``x``."""
+        """Best plan and its cost at one normalized point ``x``.
+
+        Every candidate is costed through one memo, so a subtree kept in
+        the DP table is evaluated once, not once per join built on it.
+        A candidate that loses leaves the memo again (its own node and
+        the fresh operators under it), so the memo holds only the kept
+        plans and the DP's memory stays what it was without one.
+        """
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
@@ -256,6 +264,7 @@ class DPEnumerator:
                 f"{self.template.parameter_degree}, got shape {x.shape}"
             )
         x = self.mapping.to_selectivity(x)
+        memo: Memo = {}
 
         # best[subset][sort_order] = (cost, node)
         best: dict[frozenset[str], dict[str | None, tuple[float, PlanNode]]] = {}
@@ -263,7 +272,7 @@ class DPEnumerator:
         for table in self.template.tables:
             entries: dict[str | None, tuple[float, PlanNode]] = {}
             for path in self.builder.access_paths(table):
-                self._keep_if_better(entries, path, x)
+                self._keep_if_better(entries, path, x, memo)
             best[frozenset((table,))] = entries
 
         table_list = list(self.template.tables)
@@ -282,9 +291,9 @@ class DPEnumerator:
                         for candidate in self.builder.join_candidates(
                             outer, inner_table
                         ):
-                            self._keep_if_better(entries, candidate, x)
+                            self._keep_if_better(entries, candidate, x, memo)
                 if self.allow_bushy and size >= 4:
-                    self._expand_bushy(best, subset, entries, x)
+                    self._expand_bushy(best, subset, entries, x, memo)
                 if entries:
                     best[subset] = entries
 
@@ -305,7 +314,7 @@ class DPEnumerator:
                     if node.sort_order == target
                     else Sort(node, target, self.builder.model)
                 )
-                self._keep_if_better(finalists, candidate, x)
+                self._keep_if_better(finalists, candidate, x, memo)
             cost, node = min(finalists.values(), key=lambda pair: pair[0])
             return PhysicalPlan(node), cost
         cost, node = min(full.values(), key=lambda pair: pair[0])
@@ -317,6 +326,7 @@ class DPEnumerator:
         subset: frozenset[str],
         entries: dict,
         x: np.ndarray,
+        memo: Memo,
     ) -> None:
         """Consider composite-composite joins (bushy trees).
 
@@ -344,16 +354,22 @@ class DPEnumerator:
                     for candidate in self.builder.join_subtree_candidates(
                         outer, inner
                     ):
-                        self._keep_if_better(entries, candidate, x)
+                        self._keep_if_better(entries, candidate, x, memo)
 
     @staticmethod
     def _keep_if_better(
         entries: dict["str | None", tuple[float, PlanNode]],
         node: PlanNode,
         x: np.ndarray,
+        memo: Memo,
     ) -> None:
-        __, cost = node.evaluate(x)
+        known = len(memo)
+        __, cost = node.evaluate(x, memo)
         cost_value = float(cost[0])
         current = entries.get(node.sort_order)
         if current is None or cost_value < current[0]:
             entries[node.sort_order] = (cost_value, node)
+            return
+        # A loser's entries are the newest: dicts pop in LIFO order.
+        for __ in range(len(memo) - known):
+            memo.popitem()

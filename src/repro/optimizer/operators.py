@@ -1,10 +1,19 @@
 """Physical plan operators with vectorized cardinality and cost.
 
-Every node implements ``evaluate(x)`` where ``x`` is an ``(n, r)``
-array of selectivity points; it returns ``(rows, cost)`` as ``(n,)``
-arrays.  Evaluating a whole batch of plan-space points at once is what
-makes the :class:`~repro.optimizer.plan_space.PlanSpace` oracle fast
-enough to label the tens of thousands of points the experiments need.
+Every node answers ``evaluate(x, memo=None)`` where ``x`` is an
+``(n, r)`` array of selectivity points; it returns ``(rows, cost)`` as
+``(n,)`` arrays.  Evaluating a whole batch of plan-space points at once
+is what makes the :class:`~repro.optimizer.plan_space.PlanSpace` oracle
+fast enough to label the tens of thousands of points the experiments
+need.
+
+Plans that share a subtree — a join prefix, an access path — share its
+cost too.  One ``memo`` threaded through several ``evaluate`` calls at
+the same points evaluates each distinct node once: the oracle costs all
+its candidates through one memo, and the DP enumerator costs every
+candidate built on a kept subtree through one.  Sharing needs shared
+*objects*; :meth:`PlanNode.interned` folds structurally equal subtrees
+into one node so the memo can find them.
 
 Nodes are constructed with all catalog quantities (row counts, page
 counts, join selectivities) already resolved to plain numbers, so the
@@ -22,14 +31,20 @@ from repro.exceptions import ConfigurationError
 from repro.optimizer.cost_model import CostModel
 
 RowsCost = tuple[np.ndarray, np.ndarray]
+#: Evaluated nodes at one set of points, keyed by node identity.
+Memo = dict["PlanNode", RowsCost]
 
 
 def _selectivity_product(x: np.ndarray, param_indexes: tuple[int, ...]) -> np.ndarray:
-    """Combined selectivity of the predicates at ``param_indexes``."""
+    """Combined selectivity of the predicates at ``param_indexes``.
+
+    Starts from the first column rather than from ones: ``1.0 * v == v``
+    exactly, so the product is bit for bit the same with one fewer pass.
+    """
     if not param_indexes:
         return np.ones(x.shape[0])
-    product = np.ones(x.shape[0])
-    for index in param_indexes:
+    product = x[:, param_indexes[0]]
+    for index in param_indexes[1:]:
         product = product * x[:, index]
     return product
 
@@ -41,10 +56,62 @@ class PlanNode(ABC):
     tables: frozenset[str]
     #: Column the output is sorted on (as ``"table.column"``), or None.
     sort_order: "str | None" = None
+    model: CostModel
+    #: Attributes holding the child nodes, in evaluation order.
+    _child_slots: tuple[str, ...] = ()
+
+    def evaluate(self, x: np.ndarray, memo: "Memo | None" = None) -> RowsCost:
+        """Output cardinality and cumulative cost at each point of ``x``.
+
+        ``x`` is normalized to an ``(n, r)`` float array once, here.
+        Without a ``memo`` every node of the subtree is evaluated and
+        the arrays returned are the caller's own.  With one, a node
+        already in ``memo`` (by identity) returns its cached result, and
+        every node evaluated is added, children included — so the memo
+        must only ever see one ``x``.  Cached arrays are read-only: they
+        are shared with every later caller, and a parent writing into
+        one would corrupt a sibling plan's cost, so the write raises
+        instead.
+        """
+        return self._memoized(_as_points(x), memo)
+
+    def _memoized(self, x: np.ndarray, memo: "Memo | None") -> RowsCost:
+        if memo is None:
+            return self._evaluate(x, None)
+        found = memo.get(self)
+        if found is None:
+            rows, cost = self._evaluate(x, memo)
+            rows.flags.writeable = False
+            cost.flags.writeable = False
+            found = memo[self] = (rows, cost)
+        return found
 
     @abstractmethod
-    def evaluate(self, x: np.ndarray) -> RowsCost:
-        """Output cardinality and cumulative cost at each point of ``x``."""
+    def _evaluate(self, x: np.ndarray, memo: "Memo | None") -> RowsCost:
+        """``evaluate`` of this node on normalized points ``x``, its
+        children evaluated through ``memo``."""
+
+    @abstractmethod
+    def _fields(self) -> tuple:
+        """Every attribute ``_evaluate`` reads, other than the children
+        and the cost model."""
+
+    def interned(self, pool: "dict[tuple, PlanNode]") -> "PlanNode":
+        """The node of ``pool`` structurally equal to this subtree, or
+        this node, added to ``pool``, if there is none yet.
+
+        Children are interned first and re-pointed in place, so call
+        this only on a tree nothing else holds.  A node's key is its
+        type, sort order, cost model, every field its cost formula reads
+        and its (already interned) children's identities — never its
+        :meth:`fingerprint`, which omits numbers such as page counts
+        that the formulas depend on.
+        """
+        for slot in self._child_slots:
+            setattr(self, slot, getattr(self, slot).interned(pool))
+        key = (type(self), self.sort_order, self.model, *self._fields())
+        key += tuple(getattr(self, slot) for slot in self._child_slots)
+        return pool.setdefault(key, self)
 
     @abstractmethod
     def fingerprint(self) -> str:
@@ -84,8 +151,7 @@ class SeqScan(PlanNode):
         self.tables = frozenset((table,))
         self.sort_order = None
 
-    def evaluate(self, x: np.ndarray) -> RowsCost:
-        x = _as_points(x)
+    def _evaluate(self, x: np.ndarray, memo: "Memo | None") -> RowsCost:
         rows = self.base_rows * _selectivity_product(x, self.param_indexes)
         cost = np.full(
             x.shape[0],
@@ -93,6 +159,9 @@ class SeqScan(PlanNode):
             + self.base_rows * self.model.cpu_tuple_cost,
         )
         return rows, cost
+
+    def _fields(self) -> tuple:
+        return (self.table, self.base_rows, self.pages, self.param_indexes)
 
     def fingerprint(self) -> str:
         return f"SeqScan({self.table})"
@@ -130,8 +199,7 @@ class IndexScan(PlanNode):
         self.tables = frozenset((table,))
         self.sort_order = None  # set by the builder to the indexed column
 
-    def evaluate(self, x: np.ndarray) -> RowsCost:
-        x = _as_points(x)
+    def _evaluate(self, x: np.ndarray, memo: "Memo | None") -> RowsCost:
         sarg_sel = x[:, self.sarg_param]
         fetched = self.base_rows * sarg_sel
         if self.clustered:
@@ -146,6 +214,17 @@ class IndexScan(PlanNode):
         rows = fetched * _selectivity_product(x, self.residual_params)
         return rows, cost
 
+    def _fields(self) -> tuple:
+        return (
+            self.table,
+            self.index_name,
+            self.sarg_param,
+            self.base_rows,
+            self.pages,
+            self.residual_params,
+            self.clustered,
+        )
+
     def fingerprint(self) -> str:
         return f"IndexScan({self.table}.{self.index_name})"
 
@@ -156,6 +235,8 @@ class IndexScan(PlanNode):
 class Sort(PlanNode):
     """Explicit sort enforcing an order for a merge join."""
 
+    _child_slots = ("child",)
+
     def __init__(self, child: PlanNode, order: str, model: CostModel) -> None:
         self.child = child
         self.order = order
@@ -163,11 +244,14 @@ class Sort(PlanNode):
         self.tables = child.tables
         self.sort_order = order
 
-    def evaluate(self, x: np.ndarray) -> RowsCost:
-        rows, cost = self.child.evaluate(_as_points(x))
+    def _evaluate(self, x: np.ndarray, memo: "Memo | None") -> RowsCost:
+        rows, cost = self.child._memoized(x, memo)
         safe_rows = np.maximum(rows, 2.0)
         sort_cost = self.model.sort_cost_factor * rows * np.log2(safe_rows)
         return rows, cost + sort_cost
+
+    def _fields(self) -> tuple:
+        return (self.order,)
 
     def fingerprint(self) -> str:
         return f"Sort[{self.order}]({self.child.fingerprint()})"
@@ -182,6 +266,8 @@ class Sort(PlanNode):
 # ----------------------------------------------------------------------
 class _Join(PlanNode):
     """Shared bookkeeping for binary joins."""
+
+    _child_slots = ("outer", "inner")
 
     def __init__(
         self,
@@ -206,6 +292,9 @@ class _Join(PlanNode):
     ) -> np.ndarray:
         return outer_rows * inner_rows * self.join_selectivity
 
+    def _fields(self) -> tuple:
+        return (self.join_selectivity,)
+
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent
         return (
@@ -228,10 +317,9 @@ class NestedLoopJoin(_Join):
         super().__init__(*args, **kwargs)
         self.sort_order = self.outer.sort_order
 
-    def evaluate(self, x: np.ndarray) -> RowsCost:
-        x = _as_points(x)
-        outer_rows, outer_cost = self.outer.evaluate(x)
-        inner_rows, inner_cost = self.inner.evaluate(x)
+    def _evaluate(self, x: np.ndarray, memo: "Memo | None") -> RowsCost:
+        outer_rows, outer_cost = self.outer._memoized(x, memo)
+        inner_rows, inner_cost = self.inner._memoized(x, memo)
         compare_cost = outer_rows * inner_rows * self.model.cpu_compare_cost
         rows = self._output_rows(outer_rows, inner_rows)
         cost = outer_cost + inner_cost + compare_cost + rows * self.model.cpu_tuple_cost
@@ -248,6 +336,13 @@ class IndexNLJoin(_Join):
     one index probe fetching ``inner_base_rows * join_selectivity``
     matches, after which the inner table's local predicates filter the
     output.  Wins when the outer is small, independent of inner size.
+
+    The probe cost comes from the index, not from a scan of the inner,
+    so ``inner`` is a synthetic ``SeqScan`` with one page that is never
+    evaluated: it exists only so the node has the two sides every join
+    has (tables, fingerprints).  Its fingerprint equals the real scan's;
+    only its page count tells them apart, which is why
+    :meth:`PlanNode.interned` keys on every costed field.
     """
 
     def __init__(
@@ -269,9 +364,8 @@ class IndexNLJoin(_Join):
         # Nested loops emit outer tuples in order.
         self.sort_order = outer.sort_order
 
-    def evaluate(self, x: np.ndarray) -> RowsCost:
-        x = _as_points(x)
-        outer_rows, outer_cost = self.outer.evaluate(x)
+    def _evaluate(self, x: np.ndarray, memo: "Memo | None") -> RowsCost:
+        outer_rows, outer_cost = self.outer._memoized(x, memo)
         matches_per_probe = self.inner_base_rows * self.join_selectivity
         probe_cost = (
             self.model.index_probe_cost
@@ -285,6 +379,15 @@ class IndexNLJoin(_Join):
             + rows * self.model.cpu_tuple_cost
         )
         return rows, cost
+
+    def _fields(self) -> tuple:
+        return (
+            self.join_selectivity,
+            self.inner_table,
+            self.inner_index,
+            self.inner_base_rows,
+            self.inner_param_indexes,
+        )
 
     def fingerprint(self) -> str:
         return (
@@ -303,10 +406,9 @@ class IndexNLJoin(_Join):
 class HashJoin(_Join):
     """Hash join building on the inner side, spilling past memory."""
 
-    def evaluate(self, x: np.ndarray) -> RowsCost:
-        x = _as_points(x)
-        outer_rows, outer_cost = self.outer.evaluate(x)
-        inner_rows, inner_cost = self.inner.evaluate(x)
+    def _evaluate(self, x: np.ndarray, memo: "Memo | None") -> RowsCost:
+        outer_rows, outer_cost = self.outer._memoized(x, memo)
+        inner_rows, inner_cost = self.inner._memoized(x, memo)
         build = inner_rows * self.model.hash_build_cost
         probe = outer_rows * self.model.hash_probe_cost
         spill_penalty = np.where(
@@ -345,10 +447,9 @@ class MergeJoin(_Join):
         super().__init__(outer, inner, join_selectivity, model)
         self.sort_order = order
 
-    def evaluate(self, x: np.ndarray) -> RowsCost:
-        x = _as_points(x)
-        outer_rows, outer_cost = self.outer.evaluate(x)
-        inner_rows, inner_cost = self.inner.evaluate(x)
+    def _evaluate(self, x: np.ndarray, memo: "Memo | None") -> RowsCost:
+        outer_rows, outer_cost = self.outer._memoized(x, memo)
+        inner_rows, inner_cost = self.inner._memoized(x, memo)
         merge = (outer_rows + inner_rows) * self.model.merge_cost_factor
         rows = self._output_rows(outer_rows, inner_rows)
         cost = outer_cost + inner_cost + merge + rows * self.model.cpu_tuple_cost

@@ -1,8 +1,12 @@
 """Command-line interface."""
 
+import re
+
+import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.tpch import plan_space_for
 
 
 class TestTemplates:
@@ -31,6 +35,20 @@ class TestPredict:
         out = capsys.readouterr().out
         assert "optimal plan" in out
         assert "all candidates" in out
+
+    @pytest.mark.parametrize(
+        "coords", [["0.3", "0.7"], ["0", "0"], ["1", "1"], ["0.02", "0.98"]]
+    )
+    def test_optimal_plan_is_the_first_candidate_at_its_cost(self, capsys, coords):
+        assert main(["predict", "Q1", *coords]) == 0
+        out = capsys.readouterr().out
+        optimal = re.search(r"optimal plan : (P\d+)  \(cost ([\d,.]+)\)", out)
+        first = re.search(r"all candidates:\n  (P\d+): +([\d,.]+)\n", out)
+        assert optimal and first
+        assert optimal.groups() == first.groups()
+        point = np.array([[float(c) for c in coords]])
+        ids, costs = plan_space_for("Q1").label(point)
+        assert optimal.groups() == (f"P{int(ids[0])}", f"{costs[0]:,.1f}")
 
     def test_arity_mismatch(self, capsys):
         assert main(["predict", "Q1", "0.5"]) == 1
