@@ -12,7 +12,6 @@ Puts the beyond-the-paper machinery together the way a server would:
 Run:  python examples/production_deployment.py
 """
 
-import json
 import tempfile
 
 import numpy as np
@@ -89,9 +88,9 @@ def main() -> None:
     # Persist and restore the hottest template's synopses.
     print("\n=== persistence (Q1) ===")
     hot = framework.session("Q1").online.predictor
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as handle:
+    with tempfile.NamedTemporaryFile(suffix=".jsonl", delete=False) as handle:
         path = save_predictor(hot, handle.name)
-    size = len(json.dumps(json.loads(open(path).read())))
+    size = path.stat().st_size
     restored = load_predictor(path)
     probe = workloads["Q1"][-1]
     original = hot.predict(probe)

@@ -334,19 +334,21 @@ def _is_write_mode(mode: str) -> bool:
 
 @register_rule
 class AtomicPersistenceWrites(Rule):
-    """RPR005: state files go through the atomic-write helper.
+    """RPR005: state files go through the persistence writers.
 
     ``repro.core.persistence`` guarantees a crash leaves either the old
-    or the new complete file; a direct ``open(path, "w")`` or
+    or the new complete file (or, for the append-mode bench history, at
+    most a torn last line); a direct ``open(path, "w")`` or
     ``Path.write_text`` reintroduces exactly the torn-write window the
-    v2 format was built to close.
+    artifact codec was built to close.
     """
 
     code = "RPR005"
     title = "direct file write outside the atomic persistence helper"
     rationale = (
-        "write through repro.core.persistence.atomic_write_text / "
-        "save_predictor (temp file + fsync + rename)"
+        "write through repro.core.persistence.atomic_write_text (temp "
+        "file + fsync + rename) — for an artifact, the text of "
+        "encode_artifact, the framed-JSONL codec — or append_artifact"
     )
     exempt_modules = ("repro.core.persistence",)
 

@@ -1,11 +1,13 @@
 """The append-only bench-run journal (``benchmarks/results/history.jsonl``).
 
-One JSON line per (run, bench): ``run_id`` groups the benches of one
-``repro bench run`` invocation, ``recorded`` is a UTC timestamp, and
-``envelope`` is the full schema-v2 payload.  Appends go through the
-fsynced :func:`repro.core.persistence.append_text` primitive, and reads
-skip torn or blank lines instead of failing — a crashed run can lose
-its last line, never the journal.
+A ``bench-history`` artifact of the framed-JSONL codec in
+:mod:`repro.core.persistence`, one record per (run, bench): ``run_id``
+groups the benches of one ``repro bench run`` invocation, ``recorded``
+is a UTC timestamp, and ``envelope`` is the full schema-v2 payload.
+It is the codec's only append-mode artifact
+(:func:`~repro.core.persistence.append_artifact`), so a torn tail — a
+crashed run's last line — is tolerated, while damage anywhere else
+raises :class:`~repro.exceptions.PersistenceError`.
 
 The journal is what turns the committed snapshots into a *trajectory*:
 ``repro bench history`` prints a metric's values run over run, and
@@ -15,13 +17,12 @@ regression allowance by measured noise (see :mod:`repro.bench.compare`).
 
 from __future__ import annotations
 
-import json
 import pathlib
 from datetime import datetime, timezone
 from typing import Any
 
 from repro.bench.schema import validate_envelope
-from repro.core.persistence import append_text
+from repro.core.persistence import append_artifact, read_artifact
 from repro.exceptions import BenchError
 
 __all__ = [
@@ -31,24 +32,16 @@ __all__ = [
     "next_run_id",
 ]
 
+#: Artifact kind and schema version of the history journal.
+HISTORY_KIND = "bench-history"
+HISTORY_VERSION = 1
+
 
 def load_history(path: "str | pathlib.Path") -> list[dict[str, Any]]:
-    """All parseable journal entries, in file order."""
-    path = pathlib.Path(path)
-    if not path.exists():
+    """All journal entries, in file order (none if the file is absent)."""
+    if not pathlib.Path(path).exists():
         return []
-    entries: list[dict[str, Any]] = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # torn tail from a crashed append; skip, don't fail
-        if isinstance(entry, dict) and isinstance(entry.get("envelope"), dict):
-            entries.append(entry)
-    return entries
+    return read_artifact(path, HISTORY_KIND, HISTORY_VERSION)[1]
 
 
 def next_run_id(entries: list[dict[str, Any]]) -> int:
@@ -79,22 +72,19 @@ def append_run(
     run_id = next_run_id(load_history(path))
     if recorded is None:
         recorded = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    lines = [
-        json.dumps(
-            {
-                "run_id": run_id,
-                "recorded": recorded,
-                "suite": suite,
-                "bench": bench,
-                "envelope": envelope,
-            },
-            sort_keys=True,
-        )
+    records = [
+        {
+            "run_id": run_id,
+            "recorded": recorded,
+            "suite": suite,
+            "bench": bench,
+            "envelope": envelope,
+        }
         for bench, envelope in sorted(envelopes.items())
     ]
     # A fresh ``--results-dir`` does not exist until the first append.
     pathlib.Path(path).parent.mkdir(parents=True, exist_ok=True)
-    append_text(path, "".join(line + "\n" for line in lines))
+    append_artifact(path, HISTORY_KIND, HISTORY_VERSION, records)
     return run_id
 
 

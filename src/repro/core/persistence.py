@@ -1,4 +1,4 @@
-"""Predictor persistence: crash-safe save and restore of the synopses.
+"""Persistence: the crash-safe writers and the one artifact codec.
 
 A plan cache earns its keep across sessions: the synopses learned
 during one day's workload should survive a server restart.  This
@@ -9,17 +9,21 @@ restores it exactly: the reloaded predictor returns bit-identical
 predictions, because the random projections, translations, bucket
 contents and counters are all captured.
 
-On disk, format **v2** wraps the state in an envelope carrying a schema
-version and a CRC32 checksum of the canonical payload, and every write
-is atomic: temp file in the target directory, flush + fsync, then
-``os.replace``, optionally rotating the previous generation(s) to
-``<name>.bak1``, ``<name>.bak2``, …  A crash at any instant therefore
-leaves either the old complete file or the new complete file — never a
-torn hybrid.  :func:`load_predictor` detects truncation, bit flips and
-version mismatches; with ``strict=False`` it walks the backup chain and
+Every artifact the run writes — the predictor snapshot, the replay
+trace, the lifecycle journal, the flight-recorder export and the bench
+history — is **framed JSONL**: a header line naming the artifact kind
+and schema version (plus the artifact's own header fields), then one
+record per line, every line carrying a CRC32 of its canonical JSON
+under the reserved ``"crc"`` key.  :func:`encode_artifact` writes that
+format and :func:`decode_artifact` is its only reader.  A torn final
+line is reported, not raised: the lifecycle journal and the
+append-mode bench history (:func:`append_artifact`) tolerate it, while
+the other artifacts, written by an atomic rename
+(:func:`atomic_write_text` — temp file, fsync, ``os.replace``, with
+optional ``.bakN`` rotation), treat it as damage.  With
+``strict=False``, :func:`load_predictor` walks the backup chain and
 finally falls back to a caller-supplied cold predictor instead of
-raising mid-boot.  Legacy v1 files (bare state dict, no envelope)
-remain readable.
+raising mid-boot.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ import os
 import pathlib
 import tempfile
 import zlib
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -42,15 +47,10 @@ from repro.histograms.base import Bucket
 from repro.lsh.grid import Grid
 from repro.lsh.transforms import PlanSpaceTransform
 
-#: Current on-disk schema version (v1 = bare state dict, v2 = CRC
-#: envelope around the same state).
-STATE_VERSION = 2
-
-#: Versions :func:`predictor_from_state` can reconstruct.
-SUPPORTED_VERSIONS = (1, 2)
-
-#: Envelope type marker, so a v2 file is self-identifying.
-DOCUMENT_FORMAT = "repro-predictor"
+#: Artifact kind and schema version of a predictor snapshot (v1 was a
+#: bare state dict, v2 a CRC envelope; v3 is one codec record).
+SNAPSHOT_KIND = "predictor-snapshot"
+STATE_VERSION = 3
 
 #: Default number of rotated ``.bakN`` generations kept by
 #: :func:`save_predictor`.
@@ -86,7 +86,6 @@ def predictor_to_state(predictor: HistogramPredictor) -> dict:
         for row in predictor._histograms
     ]
     return {
-        "version": STATE_VERSION,
         "dimensions": predictor.dimensions,
         "plan_count": predictor.plan_count,
         "resolution": predictor.grids[0].resolution,
@@ -109,10 +108,6 @@ def predictor_to_state(predictor: HistogramPredictor) -> dict:
 
 def predictor_from_state(state: dict) -> HistogramPredictor:
     """Reconstruct a predictor saved by :func:`predictor_to_state`."""
-    if state.get("version") not in SUPPORTED_VERSIONS:
-        raise PersistenceError(
-            f"unsupported predictor state version {state.get('version')!r}"
-        )
     predictor = HistogramPredictor(
         SamplePool(state["dimensions"]),
         plan_count=state["plan_count"],
@@ -169,87 +164,108 @@ def predictor_from_state(state: dict) -> HistogramPredictor:
     predictor.load_histograms(
         restored,
         total_points=int(state["total_points"]),
-        # States written before the count/mass split carry only
-        # ``total_points`` (which then included fractional weights).
-        total_mass=float(state.get("total_mass", state["total_points"])),
+        total_mass=float(state["total_mass"]),
     )
     return predictor
 
 
 # ----------------------------------------------------------------------
-# The v2 document: CRC32 envelope around the canonical payload
+# The artifact codec: framed JSONL
 # ----------------------------------------------------------------------
-def _encode_document(state: dict) -> str:
-    """Wrap a state dict in the self-checking v2 envelope."""
-    payload = json.dumps(state, sort_keys=True, separators=(",", ":"))
-    return json.dumps(
-        {
-            "format": DOCUMENT_FORMAT,
-            "version": state.get("version", STATE_VERSION),
-            "crc32": zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF,
-            "payload": payload,
-        }
-    )
+def _crc(body: "Mapping[str, Any]") -> int:
+    """CRC32 of a line body's canonical JSON (sorted keys, no spaces)."""
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return zlib.crc32(canonical.encode("utf-8"))
 
 
-def _decode_document(text: str, source: str = "<memory>") -> dict:
-    """Parse and verify a serialized predictor document.
+def frame_line(body: "Mapping[str, Any]") -> str:
+    """One artifact line: ``body`` plus the reserved ``"crc"`` key."""
+    if "crc" in body:
+        raise PersistenceError('"crc" is a reserved artifact key')
+    return json.dumps({**body, "crc": _crc(body)}, sort_keys=True) + "\n"
 
-    Accepts both the v2 envelope and a legacy v1 bare state dict;
-    raises :class:`PersistenceError` on truncation, checksum mismatch,
-    or an unsupported schema version.
+
+def encode_artifact(
+    kind: str,
+    version: int,
+    records: "Iterable[Mapping[str, Any]]",
+    header: "Mapping[str, Any] | None" = None,
+) -> str:
+    """A whole artifact: the header line, then one line per record."""
+    head = {**(header or {}), "artifact": kind, "version": version}
+    return frame_line(head) + "".join(frame_line(record) for record in records)
+
+
+def decode_artifact(
+    text: str, kind: str, version: int, source: str = "<memory>"
+) -> "tuple[dict[str, Any], list[dict[str, Any]], bool]":
+    """Parse and verify an artifact: ``(header, records, torn)``.
+
+    A final line that fails to parse is a torn tail (``torn`` True);
+    whether that is tolerable is the caller's call, by how it writes.
+    Anything else raises :class:`PersistenceError`: a missing or
+    duplicate header, the wrong ``kind``, an unsupported ``version``,
+    a line with no checksum or a wrong one, and an unparsable line
+    that is not the last.
     """
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PersistenceError(
-            f"{source}: truncated or corrupt predictor state (invalid JSON)"
-        ) from exc
-    if not isinstance(document, dict):
-        raise PersistenceError(
-            f"{source}: predictor state is not a JSON object"
-        )
-    if "payload" in document or document.get("format") == DOCUMENT_FORMAT:
-        payload = document.get("payload")
-        declared = document.get("crc32")
-        if not isinstance(payload, str) or not isinstance(declared, int):
-            raise PersistenceError(
-                f"{source}: malformed predictor envelope"
-            )
-        actual = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
-        if actual != declared:
-            raise PersistenceError(
-                f"{source}: checksum mismatch "
-                f"(declared {declared:#010x}, actual {actual:#010x})"
-            )
+    lines = [
+        (number, raw)
+        for number, raw in enumerate(text.splitlines(), start=1)
+        if raw.strip()
+    ]
+    header: "dict[str, Any] | None" = None
+    records: "list[dict[str, Any]]" = []
+    torn = False
+    for number, raw in lines:
         try:
-            state = json.loads(payload)
-        except json.JSONDecodeError as exc:  # pragma: no cover - CRC
+            body = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            if number == lines[-1][0]:
+                torn = True
+                break
             raise PersistenceError(
-                f"{source}: corrupt payload behind a valid checksum"
+                f"{source}:{number}: not valid JSON: {exc}"
             ) from exc
-    else:
-        # Legacy v1: the bare state dict, no envelope, no checksum.
-        state = document
-    if not isinstance(state, dict):
-        raise PersistenceError(f"{source}: predictor state is not a dict")
-    if state.get("version") not in SUPPORTED_VERSIONS:
-        raise PersistenceError(
-            f"{source}: unsupported predictor state version "
-            f"{state.get('version')!r}"
-        )
-    return state
+        if not isinstance(body, dict) or "crc" not in body:
+            raise PersistenceError(f"{source}:{number}: line has no checksum")
+        crc = body.pop("crc")
+        if _crc(body) != crc:
+            raise PersistenceError(
+                f"{source}:{number}: checksum mismatch (tampered or corrupt)"
+            )
+        if header is None:
+            if "artifact" not in body:
+                break  # reported below as a missing header
+            if body["artifact"] != kind:
+                raise PersistenceError(
+                    f"{source}: a {body['artifact']!r} artifact, "
+                    f"not a {kind!r}"
+                )
+            if body.get("version") != version:
+                raise PersistenceError(
+                    f"{source}: {kind} version {body.get('version')!r} "
+                    f"is not supported (expected {version})"
+                )
+            header = body
+        elif "artifact" in body:
+            raise PersistenceError(f"{source}:{number}: duplicate header")
+        else:
+            records.append(body)
+    if header is None:
+        raise PersistenceError(f"{source}: no header line")
+    return header, records, torn
 
 
-def dumps_predictor(predictor: HistogramPredictor) -> str:
-    """Serialize a predictor to the v2 document string."""
-    return _encode_document(predictor_to_state(predictor))
-
-
-def loads_predictor(text: str) -> HistogramPredictor:
-    """Parse a document produced by :func:`dumps_predictor` (or a
-    legacy v1 file's contents)."""
-    return predictor_from_state(_decode_document(text))
+def read_artifact(
+    path: "str | pathlib.Path", kind: str, version: int
+) -> "tuple[dict[str, Any], list[dict[str, Any]], bool]":
+    """:func:`decode_artifact` over a file; unreadable is damage too."""
+    path = pathlib.Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PersistenceError(f"cannot read {kind} {path}: {exc}") from exc
+    return decode_artifact(text, kind, version, source=str(path))
 
 
 # ----------------------------------------------------------------------
@@ -315,20 +331,31 @@ def atomic_write_text(
     return path
 
 
-def append_text(path: "str | pathlib.Path", text: str) -> pathlib.Path:
-    """Durably append ``text`` to ``path`` (creating it if missing).
+def append_artifact(
+    path: "str | pathlib.Path",
+    kind: str,
+    version: int,
+    records: "Iterable[Mapping[str, Any]]",
+) -> pathlib.Path:
+    """Durably append framed ``records`` to the artifact at ``path``.
 
-    The journal-file primitive behind ``benchmarks/results/history.jsonl``:
-    an append is flushed and fsynced before returning, so a crash can
-    lose at most the line being written — never corrupt earlier lines.
-    Appends are not atomic the way :func:`atomic_write_text` renames
-    are; callers writing JSONL keep each record on one line so a torn
-    tail is detectable (and skippable) on read.
+    The header is written only when the file is new.  The append is
+    flushed and fsynced before returning, so a crash loses at most the
+    line being written; the next append cuts that torn tail first, so
+    it never becomes mid-file damage.
     """
     path = pathlib.Path(path)
     try:
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(path, "a+b") as handle:
+            handle.seek(0)
+            keep = handle.read().rfind(b"\n") + 1
+            handle.truncate(keep)
+            text = (
+                "".join(frame_line(record) for record in records)
+                if keep
+                else encode_artifact(kind, version, records)
+            )
+            handle.write(text.encode("utf-8"))
             handle.flush()
             os.fsync(handle.fileno())
     except OSError as exc:
@@ -336,13 +363,35 @@ def append_text(path: "str | pathlib.Path", text: str) -> pathlib.Path:
     return path
 
 
+def dumps_predictor(predictor: HistogramPredictor) -> str:
+    """Serialize a predictor to a one-record snapshot artifact."""
+    return encode_artifact(
+        SNAPSHOT_KIND, STATE_VERSION, [predictor_to_state(predictor)]
+    )
+
+
+def _snapshot_state(decoded: tuple, source: str) -> dict:
+    """The one state record of a decoded snapshot.  A snapshot is
+    written atomically, so a torn tail is damage, not a crash artifact."""
+    __, records, torn = decoded
+    if torn or len(records) != 1:
+        raise PersistenceError(f"{source}: truncated predictor snapshot")
+    return records[0]
+
+
+def loads_predictor(text: str) -> HistogramPredictor:
+    """Parse a document produced by :func:`dumps_predictor`."""
+    decoded = decode_artifact(text, SNAPSHOT_KIND, STATE_VERSION)
+    return predictor_from_state(_snapshot_state(decoded, "<memory>"))
+
+
 def save_predictor(
     predictor: HistogramPredictor,
     path: "str | pathlib.Path",
     backups: int = DEFAULT_BACKUPS,
 ) -> pathlib.Path:
-    """Atomically write a predictor's state (v2 envelope + checksum),
-    rotating up to ``backups`` previous generations to ``.bakN``."""
+    """Atomically write a predictor's snapshot, rotating up to
+    ``backups`` previous generations to ``.bakN``."""
     if backups < 0:
         raise PersistenceError("backups must be >= 0")
     return atomic_write_text(path, dumps_predictor(predictor), backups)
@@ -377,30 +426,20 @@ def load_predictor(
     primary_error: "PersistenceError | None" = None
     for candidate in candidates:
         try:
-            text = candidate.read_text()
-        except OSError as exc:
-            error = PersistenceError(
-                f"cannot read predictor state {candidate}: {exc}"
-            )
-            error.__cause__ = exc
-            primary_error = primary_error or error
-            continue
-        try:
+            decoded = read_artifact(candidate, SNAPSHOT_KIND, STATE_VERSION)
             return predictor_from_state(
-                _decode_document(text, source=str(candidate))
+                _snapshot_state(decoded, str(candidate))
             )
         except PersistenceError as exc:
             primary_error = primary_error or exc
-            continue
         except (KeyError, TypeError, ValueError, IndexError) as exc:
-            # Structurally mangled state that still parsed (possible
-            # only for legacy v1 files, which carry no checksum).
+            # A CRC is no proof against a crafted file: state that
+            # checks out but does not rebuild is damage too.
             error = PersistenceError(
                 f"{candidate}: malformed predictor state ({exc})"
             )
             error.__cause__ = exc
             primary_error = primary_error or error
-            continue
     if not strict and cold is not None:
         return cold() if callable(cold) else cold
     raise primary_error  # type: ignore[misc]

@@ -29,11 +29,10 @@ profiler):
   the profiler's ``max_paths`` accounting.  The running stream digest
   covers every event ever emitted, rotation notwithstanding.
 
-Export is JSONL through the crash-safe
-:func:`~repro.core.persistence.append_text` writer; every exported
-line carries a CRC32 of its canonical payload so :func:`load_journal`
-distinguishes a torn tail (tolerated) from mid-file tampering
-(rejected), mirroring the predictor snapshot envelope.
+Export is a ``lifecycle-journal`` artifact of the framed-JSONL codec in
+:mod:`repro.core.persistence`, one event per CRC-stamped line, written
+whole by an atomic rename: re-exporting to a path replaces its events.
+:func:`load_journal` tolerates a torn tail and rejects tampering.
 """
 
 from __future__ import annotations
@@ -41,13 +40,15 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-import zlib
 from collections import deque
 from typing import Any
 
 from repro.config import EventsConfig
-from repro.exceptions import PersistenceError
 from repro.resilience.clocks import system_clock
+
+#: Artifact kind and schema version of an exported journal.
+JOURNAL_KIND = "lifecycle-journal"
+JOURNAL_VERSION = 1
 
 #: Every lifecycle event type the pipeline emits, mapped to its paper
 #: mechanism in DESIGN.md §12.
@@ -228,30 +229,24 @@ class EventJournal:
     # Persistence
     # ------------------------------------------------------------------
     def export(self, path: "str | pathlib.Path") -> int:
-        """Append the resident events to ``path`` as checksummed JSONL
-        (crash-safe, via :func:`~repro.core.persistence.append_text`);
-        returns the number of lines written."""
+        """Write the resident events to ``path`` (see
+        :func:`export_journal`); returns the number written."""
         return export_journal(self.events(), path)
 
 
 def export_journal(
     events: "list[dict[str, Any]]", path: "str | pathlib.Path"
 ) -> int:
-    """Durably append ``events`` to ``path``, one CRC-stamped JSON
-    line each; returns the count written (0 writes nothing)."""
-    from repro.core.persistence import append_text
+    """Atomically write ``events`` to ``path`` as a journal artifact;
+    returns the count written (0 writes nothing)."""
+    from repro.core.persistence import atomic_write_text, encode_artifact
 
     if not events:
         return 0
-    lines = []
-    for event in events:
-        body = dict(event)
-        body.pop("crc", None)
-        record = dict(body)
-        record["crc"] = zlib.crc32(_canonical(body).encode("utf-8"))
-        lines.append(json.dumps(record, sort_keys=True))
-    append_text(path, "\n".join(lines) + "\n")
-    return len(lines)
+    atomic_write_text(
+        path, encode_artifact(JOURNAL_KIND, JOURNAL_VERSION, events)
+    )
+    return len(events)
 
 
 def load_journal(
@@ -259,46 +254,13 @@ def load_journal(
 ) -> "tuple[list[dict[str, Any]], bool]":
     """Parse an exported journal: ``(events, torn_tail)``.
 
-    A final line that fails to parse is a torn tail — the artifact of a
-    crash mid-append — and is tolerated (``torn_tail`` True).  A
-    non-tail parse failure or any per-line CRC mismatch raises
-    :class:`~repro.exceptions.PersistenceError`: the journal was
-    tampered with or corrupted, and lineage conclusions drawn from it
-    would be forensically worthless.
+    A torn final line is tolerated (``torn_tail`` True); any other
+    damage raises :class:`~repro.exceptions.PersistenceError`, since
+    lineage conclusions drawn from a tampered journal are worthless.
     """
-    path = pathlib.Path(path)
-    try:
-        raw_lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise PersistenceError(f"cannot read journal {path}: {exc}") from exc
-    populated = [i for i, raw in enumerate(raw_lines) if raw.strip()]
-    last = populated[-1] if populated else -1
-    events: "list[dict[str, Any]]" = []
-    torn = False
-    for number, raw in enumerate(raw_lines):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            if number == last:
-                torn = True
-                break
-            raise PersistenceError(
-                f"{path}:{number + 1}: not valid JSON: {exc}"
-            ) from exc
-        if not isinstance(record, dict) or "crc" not in record:
-            raise PersistenceError(
-                f"{path}:{number + 1}: journal line has no checksum"
-            )
-        crc = record.pop("crc")
-        if zlib.crc32(_canonical(record).encode("utf-8")) != crc:
-            raise PersistenceError(
-                f"{path}:{number + 1}: event checksum mismatch "
-                "(tampered or corrupt journal)"
-            )
-        events.append(record)
+    from repro.core.persistence import read_artifact
+
+    __, events, torn = read_artifact(path, JOURNAL_KIND, JOURNAL_VERSION)
     return events, torn
 
 
@@ -307,9 +269,7 @@ def stream_digest(events: "list[dict[str, Any]]") -> str:
     ``events`` — for verifying exported/loaded streams offline."""
     digest = hashlib.sha256()
     for event in events:
-        body = dict(event)
-        body.pop("crc", None)
-        digest.update((_canonical(body) + "\n").encode("utf-8"))
+        digest.update((_canonical(event) + "\n").encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -326,7 +286,7 @@ def render_timeline(
         detail = " ".join(
             f"{key}={_fmt_value(event[key])}"
             for key in sorted(event)
-            if key not in ("seq", "ts", "template", "kind", "trace", "crc")
+            if key not in ("seq", "ts", "template", "kind", "trace")
         )
         trace = event.get("trace")
         link = f" [trace {trace}]" if trace is not None else ""

@@ -22,7 +22,8 @@ degraded/fallback/raised execution; ``explain`` forces a trace.
 Traces serialize losslessly: :func:`trace_to_dict` /
 :func:`trace_from_dict` round-trip through JSON, and
 :func:`dumps_jsonl` / :func:`loads_jsonl` do the same for a recorder's
-worth of traces.
+worth of traces, as a ``flight-recorder`` artifact of the framed-JSONL
+codec in :mod:`repro.core.persistence`.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
-import json
-
 from repro.config import TraceConfig
+from repro.exceptions import PersistenceError
 from repro.obs import names
 from repro.obs.profiling import ROOT_STAGE, ProfileFrame, StageProfiler
 from repro.obs.registry import LatencyHistogram, MetricsRegistry
@@ -400,20 +400,29 @@ def trace_from_dict(payload: Mapping[str, Any]) -> DecisionTrace:
     return trace
 
 
+#: Artifact kind and schema version of a flight-recorder export.
+EXPORT_KIND = "flight-recorder"
+EXPORT_VERSION = 1
+
+
 def dumps_jsonl(traces: Sequence[DecisionTrace]) -> str:
-    """Render traces as JSON Lines, one trace per line."""
-    return "\n".join(
-        json.dumps(trace_to_dict(trace), separators=(",", ":")) for trace in traces
-    ) + ("\n" if traces else "")
+    """Render traces as a flight-recorder artifact, one trace per line."""
+    from repro.core.persistence import encode_artifact
+
+    return encode_artifact(
+        EXPORT_KIND, EXPORT_VERSION, (trace_to_dict(trace) for trace in traces)
+    )
 
 
 def loads_jsonl(text: str) -> list[DecisionTrace]:
-    """Parse :func:`dumps_jsonl` output back into traces."""
-    return [
-        trace_from_dict(json.loads(line))
-        for line in text.splitlines()
-        if line.strip()
-    ]
+    """Parse :func:`dumps_jsonl` output back into traces.  The export is
+    written atomically, so a torn tail is damage."""
+    from repro.core.persistence import decode_artifact
+
+    __, records, torn = decode_artifact(text, EXPORT_KIND, EXPORT_VERSION)
+    if torn:
+        raise PersistenceError("truncated flight-recorder export")
+    return [trace_from_dict(record) for record in records]
 
 
 class FlightRecorder:

@@ -1,9 +1,10 @@
 """Deterministic workload traces: record once, re-run bit-identically.
 
-A **trace** is a JSONL file holding everything one scenario run needs
-to be reproduced from scratch:
+A **trace** is a ``replay-trace`` artifact of the framed-JSONL codec in
+:mod:`repro.core.persistence`, holding everything one scenario run
+needs to be reproduced from scratch:
 
-* a ``header`` line — scenario name, seed, instance count, batch size,
+* the header line — scenario name, seed, instance count, batch size,
   the *ordered* template list (the framework spawns per-template RNG
   streams by registration order), the per-template manipulation specs,
   and the full :class:`~repro.config.PPCConfig` as nested dicts;
@@ -27,7 +28,6 @@ breaks verification loudly.
 
 from __future__ import annotations
 
-import json
 import pathlib
 from dataclasses import asdict
 from typing import Any
@@ -41,8 +41,12 @@ from repro.config import (
     TelemetryConfig,
     TraceConfig,
 )
-from repro.core.persistence import atomic_write_text
-from repro.exceptions import ConfigurationError
+from repro.core.persistence import (
+    atomic_write_text,
+    encode_artifact,
+    read_artifact,
+)
+from repro.exceptions import ConfigurationError, PersistenceError
 from repro.resilience.faults import FaultSpec
 from repro.workload.runner import RunResult, ScenarioRunner, WorkloadExecutor
 from repro.workload.scenarios import (
@@ -53,8 +57,10 @@ from repro.workload.scenarios import (
     Scenario,
 )
 
-#: Bumped on any incompatible trace-format change.
-TRACE_VERSION = 1
+#: Artifact kind and schema version, bumped on any incompatible change
+#: (v2: per-line CRCs through the artifact codec).
+TRACE_KIND = "replay-trace"
+TRACE_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -174,8 +180,6 @@ def record_trace(
         for contract in scenario.contracts(count)
     ]
     header = {
-        "kind": "header",
-        "version": TRACE_VERSION,
         "scenario": scenario.name,
         "seed": scenario.seed,
         "instances": count,
@@ -190,16 +194,11 @@ def record_trace(
         # not just the decisions but the whole synopsis lifecycle.
         "events_digest": _executor_events_digest(executor),
     }
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(
-        json.dumps(event_to_dict(event), sort_keys=True)
-        for event in events
+    records = [event_to_dict(event) for event in events]
+    records.extend({"kind": "decision", **digest} for digest in decisions)
+    atomic_write_text(
+        path, encode_artifact(TRACE_KIND, TRACE_VERSION, records, header)
     )
-    lines.extend(
-        json.dumps({"kind": "decision", **digest}, sort_keys=True)
-        for digest in decisions
-    )
-    atomic_write_text(path, "\n".join(lines) + "\n")
     return result
 
 
@@ -209,43 +208,20 @@ def record_trace(
 def load_trace(
     path: "str | pathlib.Path",
 ) -> "tuple[dict[str, Any], list[Any], list[dict[str, Any]]]":
-    """Parse a trace file into ``(header, events, decisions)``."""
-    path = pathlib.Path(path)
-    header: "dict[str, Any] | None" = None
+    """Parse a trace file into ``(header, events, decisions)``.
+
+    A trace is written atomically, so a torn tail is damage."""
+    header, records, torn = read_artifact(path, TRACE_KIND, TRACE_VERSION)
+    if torn:
+        raise PersistenceError(f"{path}: truncated trace")
     events: "list[Any]" = []
     decisions: "list[dict[str, Any]]" = []
-    for number, raw in enumerate(
-        path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"{path}:{number}: not valid JSON: {exc}"
-            ) from exc
-        kind = payload.get("kind")
-        if kind == "header":
-            if header is not None:
-                raise ConfigurationError(
-                    f"{path}:{number}: duplicate trace header"
-                )
-            if payload.get("version") != TRACE_VERSION:
-                raise ConfigurationError(
-                    f"{path}: trace version {payload.get('version')!r} "
-                    f"is not supported (expected {TRACE_VERSION})"
-                )
-            header = payload
-        elif kind == "decision":
-            decision = dict(payload)
-            decision.pop("kind")
-            decisions.append(decision)
+    for record in records:
+        if record.get("kind") == "decision":
+            del record["kind"]
+            decisions.append(record)
         else:
-            events.append(event_from_dict(payload))
-    if header is None:
-        raise ConfigurationError(f"{path}: trace has no header line")
+            events.append(event_from_dict(record))
     return header, events, decisions
 
 
@@ -328,6 +304,7 @@ def verify_trace(path: "str | pathlib.Path") -> "dict[str, Any]":
 
 
 __all__ = [
+    "TRACE_KIND",
     "TRACE_VERSION",
     "config_from_dict",
     "config_to_dict",

@@ -38,7 +38,8 @@ class TestAppendAndLoad:
             {"a": _envelope("a"), "b": _envelope("b")},
             suite="ci",
         )
-        lines = journal.read_text().splitlines()
+        header, *lines = journal.read_text().splitlines()
+        assert json.loads(header)["artifact"] == "bench-history"
         assert len(lines) == 2
         assert {json.loads(line)["bench"] for line in lines} == {"a", "b"}
         assert all(json.loads(line)["suite"] == "ci" for line in lines)
@@ -56,6 +57,17 @@ class TestAppendAndLoad:
     def test_missing_journal_is_empty(self, tmp_path):
         assert load_history(tmp_path / "absent.jsonl") == []
 
+    def test_header_is_written_once(self, tmp_path):
+        journal = tmp_path / "history.jsonl"
+        append_run(journal, {"demo": _envelope()})
+        append_run(journal, {"demo": _envelope(value=11.0)})
+        lines = journal.read_text().splitlines()
+        assert ["artifact" in json.loads(line) for line in lines] == [
+            True,
+            False,
+            False,
+        ]
+
     def test_torn_tail_is_skipped_not_fatal(self, tmp_path):
         journal = tmp_path / "history.jsonl"
         append_run(journal, {"demo": _envelope()})
@@ -63,8 +75,14 @@ class TestAppendAndLoad:
             handle.write('{"run_id": 2, "bench": "demo", "envel')
         entries = load_history(journal)
         assert len(entries) == 1
-        # And the next append does not reuse a torn line's id space.
+        # A crashed run's torn line is not a run: its id is reused, and
+        # the next append cuts the torn line instead of gluing onto it.
         assert next_run_id(entries) == 2
+        assert append_run(journal, {"demo": _envelope(value=11.0)}) == 2
+        assert metric_history(load_history(journal), "demo", "latency") == [
+            10.0,
+            11.0,
+        ]
 
 
 class TestQueries:

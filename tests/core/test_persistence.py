@@ -5,7 +5,10 @@ import pytest
 
 from repro.core.histogram_predictor import HistogramPredictor
 from repro.core.persistence import (
+    SNAPSHOT_KIND,
+    encode_artifact,
     load_predictor,
+    loads_predictor,
     predictor_from_state,
     predictor_to_state,
     save_predictor,
@@ -90,9 +93,9 @@ class TestRoundTrip:
 
     def test_unknown_version_rejected(self, trained_predictor):
         state = predictor_to_state(trained_predictor)
-        state["version"] = 99
-        with pytest.raises(PersistenceError):
-            predictor_from_state(state)
+        document = encode_artifact(SNAPSHOT_KIND, 99, [state])
+        with pytest.raises(PersistenceError, match="not supported"):
+            loads_predictor(document)
 
     def test_axis_weights_survive(self):
         pool = SamplePool(3)

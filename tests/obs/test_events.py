@@ -12,8 +12,6 @@ journal.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,38 +263,6 @@ class TestExportRoundTrip:
         path = tmp_path / "journal.jsonl"
         assert export_journal([], path) == 0
         assert not path.exists()
-
-    def test_torn_tail_is_tolerated(self, tmp_path):
-        stream = self._stream()
-        path = tmp_path / "journal.jsonl"
-        export_journal(stream, path)
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write('{"seq": 999, "tr')  # crash mid-append
-        loaded, torn = load_journal(path)
-        assert torn
-        assert loaded == stream
-
-    def test_mid_file_corruption_is_rejected(self, tmp_path):
-        stream = self._stream()
-        path = tmp_path / "journal.jsonl"
-        export_journal(stream, path)
-        lines = path.read_text().splitlines()
-        lines[len(lines) // 2] = "garbage"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(PersistenceError, match="not valid JSON"):
-            load_journal(path)
-
-    def test_tampered_field_is_rejected(self, tmp_path):
-        stream = self._stream()
-        path = tmp_path / "journal.jsonl"
-        export_journal(stream, path)
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[3])
-        record["plan"] = 99  # rewrite history, keep the old crc
-        lines[3] = json.dumps(record, sort_keys=True)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(PersistenceError, match="checksum mismatch"):
-            load_journal(path)
 
     def test_missing_checksum_is_rejected(self, tmp_path):
         path = tmp_path / "journal.jsonl"

@@ -210,13 +210,11 @@ class TestGoldenJournal:
     def test_matches_the_golden_trace_run(self):
         # Exported from the same deterministic step_drift run as
         # tests/workload/golden_trace.jsonl: the digests must agree.
-        import json
+        from repro.workload.replay import load_trace
 
         engine, events = self._engine()
-        header = json.loads(
-            (
-                GOLDEN.parent.parent / "workload" / "golden_trace.jsonl"
-            ).read_text().splitlines()[0]
+        header, __, __ = load_trace(
+            GOLDEN.parent.parent / "workload" / "golden_trace.jsonl"
         )
         assert stream_digest(events) == header["events_digest"]
 

@@ -146,8 +146,9 @@ class TestSerialization:
         assert [t.to_dict() for t in rebuilt] == [t.to_dict() for t in traces]
 
     def test_empty_jsonl(self):
-        assert dumps_jsonl([]) == ""
-        assert loads_jsonl("") == []
+        text = dumps_jsonl([])
+        assert text.count("\n") == 1  # the artifact header alone
+        assert loads_jsonl(text) == []
 
 
 class TestFlightRecorder:

@@ -7,10 +7,12 @@ import pytest
 
 from repro.core.persistence import (
     DEFAULT_BACKUPS,
+    SNAPSHOT_KIND,
     STATE_VERSION,
     atomic_write_text,
     backup_path,
     dumps_predictor,
+    encode_artifact,
     load_predictor,
     loads_predictor,
     predictor_to_state,
@@ -76,21 +78,15 @@ class TestAtomicWrite:
 
 class TestDocumentFormat:
     def test_envelope_carries_version_and_checksum(self, predictor):
-        document = json.loads(dumps_predictor(predictor))
-        assert document["format"] == "repro-predictor"
-        assert document["version"] == STATE_VERSION == 2
-        assert isinstance(document["crc32"], int)
+        header, state = dumps_predictor(predictor).splitlines()
+        header = json.loads(header)
+        assert header["artifact"] == "predictor-snapshot"
+        assert header["version"] == STATE_VERSION == 3
+        assert isinstance(header["crc"], int)
+        assert isinstance(json.loads(state)["crc"], int)
 
     def test_loads_round_trip(self, predictor):
         restored = loads_predictor(dumps_predictor(predictor))
-        assert restored.total_points == predictor.total_points
-
-    def test_legacy_v1_flat_state_still_loads(self, predictor, tmp_path):
-        state = predictor_to_state(predictor)
-        state["version"] = 1
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(state))
-        restored = load_predictor(path)
         assert restored.total_points == predictor.total_points
 
 
@@ -109,10 +105,7 @@ class TestCorruptionStrict:
 
     def test_version_mismatch_detected(self, predictor, saved):
         state = predictor_to_state(predictor)
-        state["version"] = 99
-        from repro.core.persistence import _encode_document
-
-        saved.write_text(_encode_document(state))
+        saved.write_text(encode_artifact(SNAPSHOT_KIND, 99, [state]))
         with pytest.raises(PersistenceError, match="version"):
             load_predictor(saved)
 
@@ -126,15 +119,16 @@ class TestCorruptionStrict:
         with pytest.raises(PersistenceError):
             load_predictor(path)
 
-    def test_mangled_legacy_state_wrapped_in_persistence_error(
+    def test_crafted_state_behind_valid_checksums_is_wrapped(
         self, predictor, tmp_path
     ):
+        # A CRC is no proof against a crafted file: a state that checks
+        # out but cannot rebuild a predictor is still a PersistenceError.
         state = predictor_to_state(predictor)
-        state["version"] = 1
         del state["transforms"]
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(state))
-        with pytest.raises(PersistenceError):
+        path = tmp_path / "crafted.json"
+        path.write_text(encode_artifact(SNAPSHOT_KIND, STATE_VERSION, [state]))
+        with pytest.raises(PersistenceError, match="malformed"):
             load_predictor(path)
 
 

@@ -378,6 +378,29 @@ class TestScenarios:
         rows = envelope["details"]["scenarios"]
         assert rows[0]["scenario"] == "cache_pressure"
 
+    def test_re_recording_keeps_journal_and_trace_in_step(
+        self, tmp_path, capsys
+    ):
+        # Recording twice into one directory must replace the journal,
+        # not append a second copy of every event to it.
+        from repro.obs.events import load_journal, stream_digest
+        from repro.workload.replay import load_trace
+
+        argv = [
+            "scenarios", "run", "step_drift",
+            "--fast", "--record-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        first = (tmp_path / "journal_step_drift.jsonl").read_bytes()
+        assert main(argv) == 0
+        journal = tmp_path / "journal_step_drift.jsonl"
+        assert journal.read_bytes() == first
+        events, torn = load_journal(journal)
+        assert not torn
+        assert len({event["seq"] for event in events}) == len(events)
+        header, __, __ = load_trace(tmp_path / "trace_step_drift.jsonl")
+        assert stream_digest(events) == header["events_digest"]
+
     def test_unknown_scenario_rejected(self, capsys):
         assert main(["scenarios", "run", "nope"]) == 1
         assert "unknown scenario" in capsys.readouterr().err

@@ -15,9 +15,11 @@ import pathlib
 import pytest
 
 from repro.config import PPCConfig, SLODefinition, TelemetryConfig
-from repro.exceptions import ConfigurationError
+from repro.core.persistence import encode_artifact, frame_line
+from repro.exceptions import ConfigurationError, PersistenceError
 from repro.resilience.faults import FaultSpec
 from repro.workload.replay import (
+    TRACE_KIND,
     TRACE_VERSION,
     config_from_dict,
     config_to_dict,
@@ -106,33 +108,31 @@ class TestTraceFormat:
 
     def test_no_header_is_an_error(self, tmp_path):
         trace = tmp_path / "bad.jsonl"
-        trace.write_text('{"kind": "decision", "i": 0}\n')
-        with pytest.raises(ConfigurationError, match="no header"):
+        trace.write_text(frame_line({"kind": "decision", "i": 0}))
+        with pytest.raises(PersistenceError, match="no header"):
             load_trace(trace)
 
     def test_duplicate_header_is_an_error(self, tmp_path):
         trace = tmp_path / "bad.jsonl"
-        header = json.dumps({"kind": "header", "version": TRACE_VERSION})
-        trace.write_text(header + "\n" + header + "\n")
-        with pytest.raises(ConfigurationError, match="duplicate"):
+        header = encode_artifact(TRACE_KIND, TRACE_VERSION, [])
+        trace.write_text(header + header)
+        with pytest.raises(PersistenceError, match="duplicate"):
             load_trace(trace)
 
     def test_unsupported_version_is_an_error(self, tmp_path):
         trace = tmp_path / "bad.jsonl"
-        trace.write_text(
-            json.dumps({"kind": "header", "version": TRACE_VERSION + 1})
-            + "\n"
-        )
-        with pytest.raises(ConfigurationError, match="not supported"):
+        trace.write_text(encode_artifact(TRACE_KIND, TRACE_VERSION + 1, []))
+        with pytest.raises(PersistenceError, match="not supported"):
             load_trace(trace)
 
     def test_invalid_json_reports_line_number(self, tmp_path):
         trace = tmp_path / "bad.jsonl"
         trace.write_text(
-            json.dumps({"kind": "header", "version": TRACE_VERSION})
-            + "\nnot json\n"
+            encode_artifact(TRACE_KIND, TRACE_VERSION, [])
+            + "not json\n"
+            + frame_line({"kind": "decision", "i": 0})
         )
-        with pytest.raises(ConfigurationError, match="bad.jsonl:2"):
+        with pytest.raises(PersistenceError, match="bad.jsonl:2"):
             load_trace(trace)
 
 
@@ -154,22 +154,39 @@ class TestReplayParity:
         assert header["scenario"] == "cache_pressure"
         assert replayed == result.decisions
 
-    def test_tampered_decision_is_detected(self, tmp_path):
-        trace = tmp_path / "trace.jsonl"
-        record_trace(get_scenario("cache_pressure"), trace, fast=True)
+    @staticmethod
+    def _tamper_first_decision(trace, restamp):
         lines = trace.read_text().splitlines()
         for index, raw in enumerate(lines):
             payload = json.loads(raw)
             if payload.get("kind") == "decision":
                 payload["executed_plan"] = payload["executed_plan"] + 1
-                lines[index] = json.dumps(payload, sort_keys=True)
+                if restamp:
+                    del payload["crc"]
+                    lines[index] = frame_line(payload).rstrip("\n")
+                else:
+                    lines[index] = json.dumps(payload, sort_keys=True)
                 break
         trace.write_text("\n".join(lines) + "\n")
+
+    def test_tampered_decision_is_detected(self, tmp_path):
+        # A re-stamped tamper passes the codec, so it is verify_trace's
+        # per-field diff that catches the changed decision.
+        trace = tmp_path / "trace.jsonl"
+        record_trace(get_scenario("cache_pressure"), trace, fast=True)
+        self._tamper_first_decision(trace, restamp=True)
         report = verify_trace(trace)
         assert not report["identical"]
         assert report["mismatches"]
         fields = report["mismatches"][0]["fields"]
         assert "executed_plan" in fields
+
+    def test_unstamped_tamper_fails_at_load(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        record_trace(get_scenario("cache_pressure"), trace, fast=True)
+        self._tamper_first_decision(trace, restamp=False)
+        with pytest.raises(PersistenceError, match="checksum mismatch"):
+            verify_trace(trace)
 
     def test_events_digest_round_trips(self, tmp_path):
         # step_drift journals the synopsis lifecycle; the recorded
@@ -191,8 +208,9 @@ class TestReplayParity:
         record_trace(get_scenario("step_drift"), trace, fast=True)
         lines = trace.read_text().splitlines()
         payload = json.loads(lines[0])
+        del payload["crc"]
         payload["events_digest"] = "0" * 64
-        lines[0] = json.dumps(payload, sort_keys=True)
+        lines[0] = frame_line(payload).rstrip("\n")
         trace.write_text("\n".join(lines) + "\n")
         report = verify_trace(trace)
         assert not report["identical"]
