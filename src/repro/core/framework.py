@@ -906,9 +906,6 @@ class TemplateSession:
                                 positive_feedback=outcome_label
                             )
 
-        if reason:
-            self._reason_counters[reason].inc()
-
         drift = False
         if self.config.drift_response:
             with trace.span("drift_check"):
@@ -935,26 +932,30 @@ class TemplateSession:
                         response=["drop_synopses", "reset_monitor", "clear_cache"]
                     )
 
-        record = ExecutionRecord(
-            template=self.plan_space.template.name,
-            point=x,
-            predicted=None if prediction is None else prediction.plan_id,
-            confidence=0.0 if prediction is None else prediction.confidence,
-            optimizer_invoked=self.optimizer_invocations
-            > invocations_before,
-            invocation_reason=reason,
-            executed_plan=executed_plan,
-            execution_cost=execution_cost,
-            optimal_plan=None if truth is None else truth[0],
-            optimal_cost=None if truth is None else truth[1],
-            drift_triggered=drift,
-            degraded=degraded,
-            fallback_source=fallback_source,
-            ledger=self._ledger if truth is None else None,
-        )
-        self._last_plan_id = executed_plan
-        self.records.append(record)
-        if self._ledger.add(record):
+        with trace.span("record"):
+            if reason:
+                self._reason_counters[reason].inc()
+            record = ExecutionRecord(
+                template=self.plan_space.template.name,
+                point=x,
+                predicted=None if prediction is None else prediction.plan_id,
+                confidence=0.0 if prediction is None else prediction.confidence,
+                optimizer_invoked=self.optimizer_invocations
+                > invocations_before,
+                invocation_reason=reason,
+                executed_plan=executed_plan,
+                execution_cost=execution_cost,
+                optimal_plan=None if truth is None else truth[0],
+                optimal_cost=None if truth is None else truth[1],
+                drift_triggered=drift,
+                degraded=degraded,
+                fallback_source=fallback_source,
+                ledger=self._ledger if truth is None else None,
+            )
+            self._last_plan_id = executed_plan
+            self.records.append(record)
+            settle = self._ledger.add(record)
+        if settle:
             with trace.span("ground_truth"):
                 self._ledger.settle()
         return record

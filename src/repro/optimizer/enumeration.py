@@ -7,10 +7,11 @@ connected table subsets, keeping the cheapest plan per (subset,
 interesting order) at a given selectivity point.
 
 The enumerator works at one point at a time — exactly like a real
-optimizer invoked for one query instance — while the
-:class:`~repro.optimizer.plan_space.PlanSpace` oracle harvests its
-results across many points and then re-evaluates the harvested
-candidates vectorized.
+optimizer invoked for one query instance — and costs it in Python
+floats, while the :class:`~repro.optimizer.plan_space.PlanSpace`
+oracle harvests its results across many points and then re-evaluates
+the harvested candidates with the same operator formulas, over arrays
+for a batch.
 """
 
 from __future__ import annotations
@@ -246,8 +247,33 @@ class DPEnumerator:
         self.mapping = ParameterMapping.for_template(template, catalog)
         self.allow_bushy = allow_bushy
 
+    def selectivities(self, points: np.ndarray) -> np.ndarray:
+        """Normalized plan-space points, ``(r,)`` or ``(n, r)``, as an
+        ``(n, r)`` array of predicate selectivities.
+
+        Raises :class:`OptimizationError` unless every coordinate is a
+        number in ``[0, 1]``: NaN fails both comparisons, so it is
+        rejected with the out-of-range values and the infinities.
+        """
+        points = np.asarray(points, dtype=float)
+        if points.ndim == 1:
+            points = points[None, :]
+        degree = self.template.parameter_degree
+        if points.ndim != 2 or points.shape[1] != degree:
+            raise OptimizationError(
+                f"expected {degree}-dimensional points, got shape {points.shape}"
+            )
+        if not ((points >= 0.0) & (points <= 1.0)).all():
+            raise OptimizationError(
+                "plan-space points must be finite and lie in [0, 1]^r"
+            )
+        return self.mapping.to_selectivity(points)
+
     def optimize(self, x: np.ndarray) -> tuple[PhysicalPlan, float]:
         """Best plan and its cost at one normalized point ``x``.
+
+        The point is costed in Python floats, never in arrays: the DP
+        costs thousands of candidates at one point each call.
 
         Every candidate is costed through one memo, so a subtree kept in
         the DP table is evaluated once, not once per join built on it.
@@ -255,15 +281,10 @@ class DPEnumerator:
         the fresh operators under it), so the memo holds only the kept
         plans and the DP's memory stays what it was without one.
         """
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
-        if x.shape != (1, self.template.parameter_degree):
-            raise OptimizationError(
-                f"expected one point of degree "
-                f"{self.template.parameter_degree}, got shape {x.shape}"
-            )
-        x = self.mapping.to_selectivity(x)
+        x = self.selectivities(x)
+        if len(x) != 1:
+            raise OptimizationError(f"expected one point, got {len(x)}")
+        x = x[0].tolist()
         memo: Memo = {}
 
         # best[subset][sort_order] = (cost, node)
@@ -325,7 +346,7 @@ class DPEnumerator:
         best: dict,
         subset: frozenset[str],
         entries: dict,
-        x: np.ndarray,
+        x: list[float],
         memo: Memo,
     ) -> None:
         """Consider composite-composite joins (bushy trees).
@@ -360,12 +381,12 @@ class DPEnumerator:
     def _keep_if_better(
         entries: dict["str | None", tuple[float, PlanNode]],
         node: PlanNode,
-        x: np.ndarray,
+        x: list[float],
         memo: Memo,
     ) -> None:
         known = len(memo)
-        __, cost = node.evaluate(x, memo)
-        cost_value = float(cost[0])
+        __, cost = node.evaluate_point(x, memo)
+        cost_value = float(cost)
         current = entries.get(node.sort_order)
         if current is None or cost_value < current[0]:
             entries[node.sort_order] = (cost_value, node)

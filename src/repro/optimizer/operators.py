@@ -1,16 +1,36 @@
-"""Physical plan operators with vectorized cardinality and cost.
+"""Physical plan operators: one cardinality and cost formula per node.
 
-Every node answers ``evaluate(x, memo=None)`` where ``x`` is an
-``(n, r)`` array of selectivity points; it returns ``(rows, cost)`` as
-``(n,)`` arrays.  Evaluating a whole batch of plan-space points at once
-is what makes the :class:`~repro.optimizer.plan_space.PlanSpace` oracle
-fast enough to label the tens of thousands of points the experiments
-need.
+Every node answers two entry points, both running its one
+``_evaluate`` formula:
+
+- ``evaluate(x, memo=None)`` costs a batch: ``x`` is an ``(n, r)``
+  array of selectivity points, and ``(rows, cost)`` come back as
+  ``(n,)`` arrays.  Evaluating many plan-space points at once is what
+  makes the :class:`~repro.optimizer.plan_space.PlanSpace` oracle fast
+  enough to label the tens of thousands of points the experiments
+  need.
+- ``evaluate_point(point, memo=None)`` costs one point, given as ``r``
+  Python floats, and returns two floats.  The online optimizer call
+  costs one point at a time, and a float operation costs a tenth of a
+  numpy call on a one-element array.
+
+A formula reads its point through a *point view* ``x``: ``x[i]`` is
+selectivity ``i``, an ``(n,)`` column for a batch and a float for one
+point.  It only multiplies, adds, compares and calls numpy ufuncs, which
+accept both kinds, so there is no scalar twin of any formula.  A branch
+is a comparison multiplied in — ``(a > b) * v`` is ``v`` or ``0.0`` —
+where array code would call ``np.where`` or ``np.maximum``.  The two
+kinds agree to the last bit: ``+ - * /`` are the same IEEE operations
+on a float and on an array element, and ``np.exp``/``np.log2`` run the
+same ufunc loop on both (``math.exp`` is *not* bit-equal to
+``np.exp``).  A non-finite point would break the agreement (a
+comparison with NaN is False, ``np.maximum`` propagates it); the
+callers reject it before costing.
 
 Plans that share a subtree — a join prefix, an access path — share its
-cost too.  One ``memo`` threaded through several ``evaluate`` calls at
-the same points evaluates each distinct node once: the oracle costs all
-its candidates through one memo, and the DP enumerator costs every
+cost too.  One ``memo`` threaded through several calls at the same
+points evaluates each distinct node once: the oracle costs all its
+candidates through one memo, and the DP enumerator costs every
 candidate built on a kept subtree through one.  Sharing needs shared
 *objects*; :meth:`PlanNode.interned` folds structurally equal subtrees
 into one node so the memo can find them.
@@ -24,29 +44,52 @@ executor receives a fully bound plan.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.optimizer.cost_model import CostModel
 
-RowsCost = tuple[np.ndarray, np.ndarray]
+#: A cardinality or a cost: an ``(n,)`` array over a batch, a float at
+#: one point.
+Value = np.ndarray | float
+#: Selectivities: ``x[i]`` is column ``i`` of an ``(r, n)`` array, or
+#: element ``i`` of ``r`` floats.
+PointView = np.ndarray | Sequence[float]
+RowsCost = tuple[Value, Value]
 #: Evaluated nodes at one set of points, keyed by node identity.
 Memo = dict["PlanNode", RowsCost]
 
 
-def _selectivity_product(x: np.ndarray, param_indexes: tuple[int, ...]) -> np.ndarray:
+def _selectivity_product(x: PointView, param_indexes: tuple[int, ...]) -> Value:
     """Combined selectivity of the predicates at ``param_indexes``.
 
-    Starts from the first column rather than from ones: ``1.0 * v == v``
-    exactly, so the product is bit for bit the same with one fewer pass.
+    Starts from the first selectivity rather than from one: ``1.0 * v
+    == v`` exactly, so the product is bit for bit the same with one
+    fewer multiplication.  No predicate selects everything: ``1.0``.
     """
     if not param_indexes:
-        return np.ones(x.shape[0])
-    product = x[:, param_indexes[0]]
+        return 1.0
+    product = x[param_indexes[0]]
     for index in param_indexes[1:]:
-        product = product * x[:, index]
+        product = product * x[index]
     return product
+
+
+def _column(value: Value, n: int) -> np.ndarray:
+    """``value`` over ``n`` points; a constant — a subtree no
+    selectivity reaches, such as a ``SeqScan``'s cost — is broadcast."""
+    if isinstance(value, np.ndarray):
+        return value
+    return np.full(n, value)
+
+
+def _frozen(value: Value, n: int) -> np.ndarray:
+    """``value`` as a batch memo holds it: ``(n,)`` and read-only."""
+    value = _column(value, n)
+    value.flags.writeable = False
+    return value
 
 
 class PlanNode(ABC):
@@ -63,32 +106,47 @@ class PlanNode(ABC):
     def evaluate(self, x: np.ndarray, memo: "Memo | None" = None) -> RowsCost:
         """Output cardinality and cumulative cost at each point of ``x``.
 
-        ``x`` is normalized to an ``(n, r)`` float array once, here.
-        Without a ``memo`` every node of the subtree is evaluated and
-        the arrays returned are the caller's own.  With one, a node
-        already in ``memo`` (by identity) returns its cached result, and
-        every node evaluated is added, children included — so the memo
-        must only ever see one ``x``.  Cached arrays are read-only: they
-        are shared with every later caller, and a parent writing into
-        one would corrupt a sibling plan's cost, so the write raises
+        ``x`` is normalized to an ``(n, r)`` float array once, here, and
+        the results are ``(n,)`` arrays.  Without a ``memo`` every node
+        of the subtree is evaluated and the arrays returned are the
+        caller's own.  With one, a node already in ``memo`` (by
+        identity) returns its cached result, and every node evaluated is
+        added, children included — so the memo must only ever see one
+        ``x``.  Cached arrays are full length and read-only: they are
+        shared with every later caller, and a parent writing into one
+        would corrupt a sibling plan's cost, so the write raises
         instead.
         """
-        return self._memoized(_as_points(x), memo)
+        x = _as_points(x)
+        if memo is not None:
+            return self._memoized(x.T, memo)
+        rows, cost = self._evaluate(x.T, None)
+        return _column(rows, x.shape[0]), _column(cost, x.shape[0])
 
-    def _memoized(self, x: np.ndarray, memo: "Memo | None") -> RowsCost:
+    def evaluate_point(
+        self, point: Sequence[float], memo: "Memo | None" = None
+    ) -> tuple[float, float]:
+        """:meth:`evaluate` at one point, given as ``r`` Python floats
+        (``row.tolist()``): two floats, bit for bit the batch's entries.
+        A ``memo`` works as in :meth:`evaluate` but holds floats, so
+        never share one with a batch call."""
+        return self._memoized(point, memo)
+
+    def _memoized(self, x: PointView, memo: "Memo | None") -> RowsCost:
         if memo is None:
             return self._evaluate(x, None)
         found = memo.get(self)
         if found is None:
-            rows, cost = self._evaluate(x, memo)
-            rows.flags.writeable = False
-            cost.flags.writeable = False
-            found = memo[self] = (rows, cost)
+            found = self._evaluate(x, memo)
+            if isinstance(x, np.ndarray):
+                n = x.shape[1]
+                found = (_frozen(found[0], n), _frozen(found[1], n))
+            memo[self] = found
         return found
 
     @abstractmethod
-    def _evaluate(self, x: np.ndarray, memo: "Memo | None") -> RowsCost:
-        """``evaluate`` of this node on normalized points ``x``, its
+    def _evaluate(self, x: PointView, memo: "Memo | None") -> RowsCost:
+        """This node's formula at the points of view ``x``, its
         children evaluated through ``memo``."""
 
     @abstractmethod
@@ -151,12 +209,11 @@ class SeqScan(PlanNode):
         self.tables = frozenset((table,))
         self.sort_order = None
 
-    def _evaluate(self, x: np.ndarray, memo: "Memo | None") -> RowsCost:
+    def _evaluate(self, x: PointView, memo: "Memo | None") -> RowsCost:
         rows = self.base_rows * _selectivity_product(x, self.param_indexes)
-        cost = np.full(
-            x.shape[0],
+        cost = (
             self.pages * self.model.seq_page_cost
-            + self.base_rows * self.model.cpu_tuple_cost,
+            + self.base_rows * self.model.cpu_tuple_cost
         )
         return rows, cost
 
@@ -199,8 +256,8 @@ class IndexScan(PlanNode):
         self.tables = frozenset((table,))
         self.sort_order = None  # set by the builder to the indexed column
 
-    def _evaluate(self, x: np.ndarray, memo: "Memo | None") -> RowsCost:
-        sarg_sel = x[:, self.sarg_param]
+    def _evaluate(self, x: PointView, memo: "Memo | None") -> RowsCost:
+        sarg_sel = x[self.sarg_param]
         fetched = self.base_rows * sarg_sel
         if self.clustered:
             io_cost = self.pages * sarg_sel * self.model.seq_page_cost
@@ -244,9 +301,10 @@ class Sort(PlanNode):
         self.tables = child.tables
         self.sort_order = order
 
-    def _evaluate(self, x: np.ndarray, memo: "Memo | None") -> RowsCost:
+    def _evaluate(self, x: PointView, memo: "Memo | None") -> RowsCost:
         rows, cost = self.child._memoized(x, memo)
-        safe_rows = np.maximum(rows, 2.0)
+        # max(rows, 2.0): exactly one term is nonzero.
+        safe_rows = (rows > 2.0) * rows + (rows <= 2.0) * 2.0
         sort_cost = self.model.sort_cost_factor * rows * np.log2(safe_rows)
         return rows, cost + sort_cost
 
@@ -287,9 +345,7 @@ class _Join(PlanNode):
         self.tables = outer.tables | inner.tables
         self.sort_order = None
 
-    def _output_rows(
-        self, outer_rows: np.ndarray, inner_rows: np.ndarray
-    ) -> np.ndarray:
+    def _output_rows(self, outer_rows: Value, inner_rows: Value) -> Value:
         return outer_rows * inner_rows * self.join_selectivity
 
     def _fields(self) -> tuple:
@@ -317,7 +373,7 @@ class NestedLoopJoin(_Join):
         super().__init__(*args, **kwargs)
         self.sort_order = self.outer.sort_order
 
-    def _evaluate(self, x: np.ndarray, memo: "Memo | None") -> RowsCost:
+    def _evaluate(self, x: PointView, memo: "Memo | None") -> RowsCost:
         outer_rows, outer_cost = self.outer._memoized(x, memo)
         inner_rows, inner_cost = self.inner._memoized(x, memo)
         compare_cost = outer_rows * inner_rows * self.model.cpu_compare_cost
@@ -364,7 +420,7 @@ class IndexNLJoin(_Join):
         # Nested loops emit outer tuples in order.
         self.sort_order = outer.sort_order
 
-    def _evaluate(self, x: np.ndarray, memo: "Memo | None") -> RowsCost:
+    def _evaluate(self, x: PointView, memo: "Memo | None") -> RowsCost:
         outer_rows, outer_cost = self.outer._memoized(x, memo)
         matches_per_probe = self.inner_base_rows * self.join_selectivity
         probe_cost = (
@@ -406,17 +462,15 @@ class IndexNLJoin(_Join):
 class HashJoin(_Join):
     """Hash join building on the inner side, spilling past memory."""
 
-    def _evaluate(self, x: np.ndarray, memo: "Memo | None") -> RowsCost:
+    def _evaluate(self, x: PointView, memo: "Memo | None") -> RowsCost:
         outer_rows, outer_cost = self.outer._memoized(x, memo)
         inner_rows, inner_cost = self.inner._memoized(x, memo)
         build = inner_rows * self.model.hash_build_cost
         probe = outer_rows * self.model.hash_probe_cost
-        spill_penalty = np.where(
-            inner_rows > self.model.hash_memory_rows,
+        spill_penalty = (inner_rows > self.model.hash_memory_rows) * (
             (outer_rows + inner_rows)
             * self.model.hash_spill_factor
-            * self.model.cpu_tuple_cost,
-            0.0,
+            * self.model.cpu_tuple_cost
         )
         rows = self._output_rows(outer_rows, inner_rows)
         cost = (
@@ -447,7 +501,7 @@ class MergeJoin(_Join):
         super().__init__(outer, inner, join_selectivity, model)
         self.sort_order = order
 
-    def _evaluate(self, x: np.ndarray, memo: "Memo | None") -> RowsCost:
+    def _evaluate(self, x: PointView, memo: "Memo | None") -> RowsCost:
         outer_rows, outer_cost = self.outer._memoized(x, memo)
         inner_rows, inner_cost = self.inner._memoized(x, memo)
         merge = (outer_rows + inner_rows) * self.model.merge_cost_factor

@@ -10,15 +10,17 @@ selectivities) to plans.  :class:`PlanSpace` realizes that function:
    plan pool of the template.  Each new plan's subtrees are interned:
    a join prefix or access path that several candidates share becomes
    one node object.
-2. **Label** — for arbitrary points, evaluate every candidate's
-   vectorized cost formula and take the argmin.  All candidates are
-   costed through one memo, so each distinct subplan is evaluated once
-   per call however many candidates contain it (Q5's 17 plans hold 85
-   operator nodes but only 37 distinct ones); the costs are bit for bit
-   those of costing each plan alone.  At harvested points this matches
-   the DP result exactly; elsewhere it defines a consistent
-   piecewise-minimum plan diagram with the same cost surfaces, which
-   is the structure every experiment consumes.
+2. **Label** — for arbitrary points, evaluate every candidate's cost
+   formula and take the argmin: over ``(n,)`` arrays for a batch, in
+   Python floats for one point (an online optimizer call), bit for bit
+   the same either way.  All candidates are costed through one memo,
+   so each distinct subplan is evaluated once per call however many
+   candidates contain it (Q5's 17 plans hold 85 operator nodes but only
+   37 distinct ones); the costs are bit for bit those of costing each
+   plan alone.  At harvested points this matches the DP result
+   exactly; elsewhere it defines a consistent piecewise-minimum plan
+   diagram with the same cost surfaces, which is the structure every
+   experiment consumes.
 
 The PPC framework uses the oracle both as ground truth (did the
 prediction match the optimizer's choice?) and as the "optimizer" it
@@ -130,29 +132,21 @@ class PlanSpace:
     def plan(self, plan_id: int) -> PhysicalPlan:
         return self.plans[plan_id]
 
-    def _check_points(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[None, :]
-        if points.shape[1] != self.dimensions:
-            raise OptimizationError(
-                f"expected {self.dimensions}-dimensional points, "
-                f"got {points.shape[1]}"
-            )
-        if (points < 0.0).any() or (points > 1.0).any():
-            raise OptimizationError("plan-space points must lie in [0, 1]^r")
-        return points
-
     def cost_matrix(self, points: np.ndarray) -> np.ndarray:
         """Costs of every candidate plan at every point: ``(plans, n)``.
 
         One memo spans the candidates, so a subplan several of them
         share is costed once; every row is bit for bit ``plan.cost`` of
-        that plan alone.
+        that plan alone.  One point is costed in Python floats, a batch
+        in ``(n,)`` arrays; the two agree bit for bit.
         """
-        points = self._check_points(points)
-        selectivities = self._enumerator.mapping.to_selectivity(points)
+        selectivities = self._enumerator.selectivities(points)
         memo: Memo = {}
+        if len(selectivities) == 1:
+            point = selectivities[0].tolist()
+            return np.array(
+                [[plan.root.evaluate_point(point, memo)[1]] for plan in self.plans]
+            )
         return np.stack(
             [plan.root.evaluate(selectivities, memo)[1] for plan in self.plans]
         )
@@ -169,13 +163,16 @@ class PlanSpace:
         return ids
 
     def cost_at(self, points: np.ndarray, plan_id: "int | None" = None) -> np.ndarray:
-        """Cost of ``plan_id`` (or of the optimal plan) at each point."""
+        """Cost of ``plan_id`` (or of the optimal plan) at each point;
+        one point is costed in Python floats, like :meth:`cost_matrix`."""
         if plan_id is None:
             __, costs = self.label(points)
             return costs
-        points = self._check_points(points)
-        selectivities = self._enumerator.mapping.to_selectivity(points)
-        return self.plans[plan_id].cost(selectivities)
+        selectivities = self._enumerator.selectivities(points)
+        plan = self.plans[plan_id]
+        if len(selectivities) == 1:
+            return np.array([plan.root.evaluate_point(selectivities[0].tolist())[1]])
+        return plan.cost(selectivities)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
