@@ -46,13 +46,14 @@ def main() -> None:
 
     # Q0 and Q1 stay hot; Q5 runs only during a brief early burst.
     rng = np.random.default_rng(5)
+    actions = []
     for i in range(600):
         names = ("Q0", "Q1", "Q5") if i < 150 else ("Q0", "Q1")
         name = names[rng.integers(len(names))]
         framework.execute(name, workloads[name][i])
         governor.touch(name)
         if i % 50 == 49:
-            governor.enforce()
+            actions.extend(governor.enforce())
 
     print("=== memory governor ===")
     print(f"budget            : {governor.budget_bytes:,d} bytes")
@@ -65,7 +66,7 @@ def main() -> None:
             f"recall~{session.monitor.recall_estimate:.2f}"
         )
     reclaimed = {}
-    for action in governor.actions:
+    for action in actions:
         reclaimed.setdefault(action.template, []).append(action.action)
     print(f"reclamations      : {reclaimed or 'none needed'}")
 

@@ -25,10 +25,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class PlanCache:
     """Bounded plan store keyed by plan id.
 
-    With a metrics registry attached, hit/miss/eviction events are also
-    published as ``ppc_cache_events_total{template,event}`` counters;
-    the plain ``hits``/``misses``/``evictions`` attributes stay
-    authoritative either way.
+    Hit/miss/eviction events are counted once, in the
+    ``ppc_cache_events_total{template,event}`` counters of ``metrics``
+    (a private registry when none is given); ``hits``, ``misses``,
+    ``evictions`` and ``hit_rate`` read those counters.
     """
 
     def __init__(
@@ -43,26 +43,19 @@ class PlanCache:
         self.capacity = capacity
         self.monitor = monitor
         self._plans: OrderedDict[int, PhysicalPlan] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._event_counters = None
         # Lifecycle event emitter (``repro.obs.events``); None until the
         # owning session binds one.
         self._events = None
-        if metrics is not None:
-            self._event_counters = {
-                event: metrics.counter(
-                    metric_names.CACHE_EVENTS_TOTAL,
-                    template=template,
-                    event=event,
-                )
-                for event in metric_names.CACHE_EVENTS
-            }
-
-    def _publish(self, event: str) -> None:
-        if self._event_counters is not None:
-            self._event_counters[event].inc()
+        registry = metrics if metrics is not None else MetricsRegistry()
+        counters = {
+            event: registry.counter(
+                metric_names.CACHE_EVENTS_TOTAL, template=template, event=event
+            )
+            for event in metric_names.CACHE_EVENTS
+        }
+        self._hits = counters["hit"]
+        self._misses = counters["miss"]
+        self._evictions = counters["eviction"]
 
     def bind_events(self, emitter: "_TemplateEmitter") -> None:
         """Attach a lifecycle event emitter (``repro.obs.events``)."""
@@ -78,12 +71,10 @@ class PlanCache:
         """Fetch a plan, refreshing its recency."""
         plan = self._plans.get(plan_id)
         if plan is None:
-            self.misses += 1
-            self._publish("miss")
+            self._misses.inc()
             return None
         self._plans.move_to_end(plan_id)
-        self.hits += 1
-        self._publish("hit")
+        self._hits.inc()
         return plan
 
     def put(self, plan_id: int, plan: PhysicalPlan) -> None:
@@ -99,8 +90,7 @@ class PlanCache:
     def _evict(self) -> None:
         victim = min(self._plans, key=self._caching_potential)
         del self._plans[victim]
-        self.evictions += 1
-        self._publish("eviction")
+        self._evictions.inc()
         if self._events is not None:
             self._events(
                 "cache_evicted",
@@ -135,6 +125,19 @@ class PlanCache:
         self._plans.clear()
 
     @property
+    def hits(self) -> int:
+        return int(self._hits.value)
+
+    @property
+    def misses(self) -> int:
+        return int(self._misses.value)
+
+    @property
+    def evictions(self) -> int:
+        return int(self._evictions.value)
+
+    @property
     def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        hits = self._hits.value
+        total = hits + self._misses.value
+        return hits / total if total else 0.0

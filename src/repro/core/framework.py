@@ -293,7 +293,9 @@ class TemplateSession:
         # Disabled (the default) no journal exists and every emission
         # site below pays one ``is None`` check.
         if events is None and self.config.events.enabled:
-            events = EventJournal(self.config.events, clock=self._clock)
+            events = EventJournal(
+                self.config.events, clock=self._clock, metrics=self.metrics
+            )
         self.events = events
         self._events = events.bind(template) if events is not None else None
         self.retry_policy = RetryPolicy(
@@ -359,7 +361,6 @@ class TemplateSession:
             profiler=self.profiler,
         )
         self.optimizer_invocations = 0
-        self.drift_events = 0
         self.records: list[ExecutionRecord] = []
         self._last_plan_id: "int | None" = None
 
@@ -388,6 +389,19 @@ class TemplateSession:
         # feeds them (``repro.obs.names.SPAN_METRICS``).
         self._executions_counter = self.metrics.counter(
             metric_names.EXECUTIONS_TOTAL, template=template
+        )
+        # The tracer's span histograms, held again for :meth:`stats`.
+        self._stage_histograms = {
+            stage: self.metrics.histogram(
+                metric_names.STAGE_SECONDS, template=template, stage=stage
+            )
+            for stage in metric_names.STAGES
+        }
+        self._transform_seconds = self.metrics.histogram(
+            metric_names.PREDICT_TRANSFORM_SECONDS, template=template
+        )
+        self._range_query_seconds = self.metrics.histogram(
+            metric_names.PREDICT_RANGE_QUERY_SECONDS, template=template
         )
         self._reason_counters = {
             reason: self.metrics.counter(
@@ -792,11 +806,11 @@ class TemplateSession:
                 reason = "null_prediction"
             elif self.online.should_invoke_optimizer(prediction):
                 reason = "exploration"
-            elif prediction.plan_id not in self.cache:
+            elif self.cache.get(prediction.plan_id) is None:
+                # The one real lookup: it books the hit or the miss.
                 reason = "cache_miss"
             if trace.active:
-                # Membership via ``in`` is accounting-free — the real
-                # lookup below still owns the hit/miss counters.
+                # Membership via ``in`` is accounting-free.
                 decide_span.set(
                     action=reason or "serve_prediction",
                     plan_cached=prediction is not None
@@ -847,7 +861,6 @@ class TemplateSession:
                 self._fallback_suboptimality.observe(accepted)
         else:
             executed_plan = prediction.plan_id
-            self.cache.get(executed_plan)
             with trace.span("execute_plan") as execute_span:
                 execution_cost = float(
                     self.plan_space.cost_at(x[None, :], executed_plan)[0]
@@ -911,7 +924,6 @@ class TemplateSession:
             with trace.span("drift_check"):
                 drift = self.monitor.drift_detected()
         if drift:
-            self.drift_events += 1
             self._drift_counter.inc()
             with trace.span("drift") as drift_span:
                 if self._events is not None:
@@ -959,6 +971,57 @@ class TemplateSession:
             with trace.span("ground_truth"):
                 self._ledger.settle()
         return record
+
+    def stats(self) -> dict:
+        """This template's block of ``service.metrics()``: counts and
+        latency digests read from the handles the session holds."""
+
+        def counts(counters: "dict[str, Counter]") -> "dict[str, int]":
+            return {key: int(counter.value) for key, counter in counters.items()}
+
+        cache = self.cache
+        return {
+            "executions": int(self._executions_counter.value),
+            "stage_seconds": {
+                stage: histogram.summary()
+                for stage, histogram in self._stage_histograms.items()
+            },
+            "invocation_reasons": counts(self._reason_counters),
+            "optimizer_invocations": self.optimizer_invocations,
+            "positive_feedback": counts(self._feedback_counters),
+            "drift_events": self.drift_events,
+            "cache": {
+                "hits": cache.hits,
+                "misses": cache.misses,
+                "evictions": cache.evictions,
+                "hit_rate": cache.hit_rate,
+                "size": len(cache),
+            },
+            "predictor": {
+                "transform_seconds": self._transform_seconds.summary(),
+                "range_query_seconds": self._range_query_seconds.summary(),
+            },
+            "synopsis_bytes": self.online.space_bytes(),
+            "resilience": {
+                "breaker_state": self.breaker.state,
+                "breaker_transitions": counts(
+                    self._breaker_transition_counters
+                ),
+                "degraded": counts(self._degraded_counters),
+                "fallback_served": counts(self._fallback_counters),
+                "rejected_instances": counts(self._rejected_counters),
+                "optimizer_retries": int(self._retries_counter.value),
+                "fallback_suboptimality": (
+                    self._fallback_suboptimality.summary()
+                ),
+            },
+            "trace": self.tracer.stats(),
+        }
+
+    @property
+    def drift_events(self) -> int:
+        """Drift responses fired (``ppc_drift_events_total``)."""
+        return int(self._drift_counter.value)
 
     # ------------------------------------------------------------------
     # Experimenter-side accounting
@@ -1033,12 +1096,11 @@ class PPCFramework:
             EventJournal(
                 self.config.events,
                 clock=clock if clock is not None else system_clock,
+                metrics=self.metrics,
             )
             if self.config.events.enabled
             else None
         )
-        if self.events is not None:
-            self.events.bind_metrics(self.metrics)
         # Build identity: constant 1-valued gauge carrying version and
         # commit labels, so every scrape (and every merged fleet
         # registry) says exactly what code produced it.

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 
 from repro.exceptions import ConfigurationError
 from repro.obs import MetricsRegistry, names as metric_names
+from repro.obs.registry import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.framework import TemplateSession
@@ -53,7 +54,14 @@ class GovernorAction:
 
 
 class MemoryGovernor:
-    """Holds the sum of all sessions' synopsis bytes under a budget."""
+    """Holds the sum of all sessions' synopsis bytes under a budget.
+
+    Every reclamation step is counted once, in ``metrics`` (a private
+    registry when none is given): ``ppc_governor_actions_total`` and
+    ``ppc_governor_reclaimed_bytes_total``.  ``shrinks``, ``drops`` and
+    ``reclaimed_bytes`` read those counters; :meth:`enforce` returns
+    the steps it took.
+    """
 
     def __init__(
         self,
@@ -65,11 +73,11 @@ class MemoryGovernor:
         self.budget_bytes = budget_bytes
         self._registrations: dict[str, _Registration] = {}
         self._clock = 0
-        self.actions: list[GovernorAction] = []
-        self.reclaimed_bytes = 0
-        self.shrinks = 0
-        self.drops = 0
-        self._metrics = metrics
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
+        # Counters are created at the first action that books them, so
+        # an idle governor publishes no zero series.
+        self._reclaimed: "Counter | None" = None
+        self._action_counters: "dict[tuple[str, str], Counter]" = {}
 
     # ------------------------------------------------------------------
     # Registration and usage tracking
@@ -107,9 +115,7 @@ class MemoryGovernor:
             victim = self._coldest_shrinkable()
             if victim is None:
                 break
-            action = self._reclaim(victim)
-            taken.append(action)
-            self.actions.append(action)
+            taken.append(self._reclaim(victim))
         return taken
 
     def _coldest_shrinkable(self) -> "_Registration | None":
@@ -151,17 +157,38 @@ class MemoryGovernor:
         return action
 
     def _account(self, action: GovernorAction) -> None:
-        self.reclaimed_bytes += action.reclaimed_bytes
-        if action.action == "shrink":
-            self.shrinks += 1
-        else:
-            self.drops += 1
-        if self._metrics is not None:
-            self._metrics.counter(
+        if self._reclaimed is None:
+            self._reclaimed = self._metrics.counter(
                 metric_names.GOVERNOR_RECLAIMED_BYTES
-            ).inc(max(0, action.reclaimed_bytes))
-            self._metrics.counter(
+            )
+        self._reclaimed.inc(max(0, action.reclaimed_bytes))
+        key = (action.template, action.action)
+        counter = self._action_counters.get(key)
+        if counter is None:
+            counter = self._action_counters[key] = self._metrics.counter(
                 metric_names.GOVERNOR_ACTIONS_TOTAL,
                 template=action.template,
                 action=action.action,
-            ).inc()
+            )
+        counter.inc()
+
+    def _actions(self, kind: str) -> int:
+        return int(
+            sum(
+                counter.value
+                for (__, action), counter in self._action_counters.items()
+                if action == kind
+            )
+        )
+
+    @property
+    def shrinks(self) -> int:
+        return self._actions("shrink")
+
+    @property
+    def drops(self) -> int:
+        return self._actions("drop")
+
+    @property
+    def reclaimed_bytes(self) -> int:
+        return int(self._reclaimed.value) if self._reclaimed else 0

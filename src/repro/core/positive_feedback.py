@@ -53,8 +53,6 @@ class PositiveFeedbackPolicy:
             raise ConfigurationError("mass_cap_ratio must be > 0")
         self.verified_mass = 0.0
         self.unverified_mass = 0.0
-        self.accepted = 0
-        self.rejected = 0
 
     @classmethod
     def unguarded(cls) -> "PositiveFeedbackPolicy":
@@ -80,14 +78,11 @@ class PositiveFeedbackPolicy:
     def should_insert(self, prediction: Prediction) -> bool:
         """May this unverified prediction enter the sample pool?"""
         if prediction.confidence < self.min_confidence:
-            self.rejected += 1
             return False
         if self.capped and (
             self.unverified_mass + self.weight
             > self.mass_cap_ratio * self.verified_mass
         ):
-            self.rejected += 1
             return False
-        self.accepted += 1
         self.unverified_mass += self.weight
         return True

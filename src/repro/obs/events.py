@@ -44,6 +44,8 @@ from collections import deque
 from typing import Any
 
 from repro.config import EventsConfig
+from repro.obs import names as metric_names
+from repro.obs.registry import Counter, MetricsRegistry
 from repro.resilience.clocks import system_clock
 
 #: Artifact kind and schema version of an exported journal.
@@ -103,6 +105,7 @@ class EventJournal:
         self,
         config: "EventsConfig | None" = None,
         clock=None,
+        metrics: "MetricsRegistry | None" = None,
     ) -> None:
         self.config = config if config is not None else EventsConfig(
             enabled=True
@@ -111,15 +114,19 @@ class EventJournal:
         self._capacity = self.config.capacity
         self._ring: "deque[dict[str, Any]]" = deque()
         self._seq = 0
-        self.emitted = 0
-        self.dropped = 0
-        self._by_kind: "dict[tuple[str, str], int]" = {}
         self._trace: "dict[str, int | None]" = {}
         self._hash = hashlib.sha256()
-        self._metrics = None
-        self._emit_counters: "dict[tuple[str, str], Any]" = {}
-        self._dropped_counter = None
-        self._occupancy_gauge = None
+        # The emit/drop counts live only in the registry (a private one
+        # when none is given); one emit counter per (template, kind),
+        # created at that pair's first event.
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
+        self._emit_counters: "dict[tuple[str, str], Counter]" = {}
+        self._dropped_counter = self._metrics.counter(
+            metric_names.EVENTS_DROPPED_TOTAL
+        )
+        self._occupancy_gauge = self._metrics.gauge(
+            metric_names.EVENTS_OCCUPANCY
+        )
 
     # ------------------------------------------------------------------
     # Wiring
@@ -127,17 +134,6 @@ class EventJournal:
     def bind(self, template: str) -> _TemplateEmitter:
         """A bound emitter for one template."""
         return _TemplateEmitter(self, template)
-
-    def bind_metrics(self, registry) -> None:
-        """Publish emit/drop/occupancy counts through ``registry``."""
-        from repro.obs import names as metric_names
-
-        self._metrics = registry
-        self._emit_counters = {}
-        self._dropped_counter = registry.counter(
-            metric_names.EVENTS_DROPPED_TOTAL
-        )
-        self._occupancy_gauge = registry.gauge(metric_names.EVENTS_OCCUPANCY)
 
     def set_trace(self, template: str, seq: "int | None") -> None:
         """Record the active decision-trace seq for ``template``."""
@@ -160,29 +156,21 @@ class EventJournal:
         if fields:
             event.update(fields)
         self._seq += 1
-        self.emitted += 1
-        key = (template, kind)
-        self._by_kind[key] = self._by_kind.get(key, 0) + 1
         self._hash.update((_canonical(event) + "\n").encode("utf-8"))
         if len(self._ring) >= self._capacity:
             self._ring.popleft()
-            self.dropped += 1
-            if self._dropped_counter is not None:
-                self._dropped_counter.inc()
+            self._dropped_counter.inc()
         self._ring.append(event)
-        if self._metrics is not None:
-            counter = self._emit_counters.get(key)
-            if counter is None:
-                from repro.obs import names as metric_names
-
-                counter = self._metrics.counter(
-                    metric_names.EVENTS_EMITTED_TOTAL,
-                    template=template,
-                    kind=kind,
-                )
-                self._emit_counters[key] = counter
-            counter.inc()
-            self._occupancy_gauge.set(float(len(self._ring)))
+        key = (template, kind)
+        counter = self._emit_counters.get(key)
+        if counter is None:
+            counter = self._emit_counters[key] = self._metrics.counter(
+                metric_names.EVENTS_EMITTED_TOTAL,
+                template=template,
+                kind=kind,
+            )
+        counter.inc()
+        self._occupancy_gauge.set(float(len(self._ring)))
         return event
 
     # ------------------------------------------------------------------
@@ -206,17 +194,29 @@ class EventJournal:
         (a running hash, so rotation does not weaken it)."""
         return self._hash.copy().hexdigest()
 
+    @property
+    def emitted(self) -> int:
+        """Events ever emitted (``ppc_events_emitted_total``, summed)."""
+        return int(sum(c.value for c in self._emit_counters.values()))
+
+    @property
+    def dropped(self) -> int:
+        """Events rotated out of the ring (``ppc_events_dropped_total``)."""
+        return int(self._dropped_counter.value)
+
     def stats(self) -> "dict[str, Any]":
-        """JSON-ready journal accounting."""
+        """JSON-ready journal accounting, read from the registry's
+        counters."""
         by_kind: "dict[str, int]" = {}
         templates: "dict[str, dict[str, int]]" = {}
-        for (template, kind), count in sorted(self._by_kind.items()):
+        for (template, kind), counter in sorted(self._emit_counters.items()):
+            count = int(counter.value)
             by_kind[kind] = by_kind.get(kind, 0) + count
             templates.setdefault(template, {})[kind] = count
         return {
             "enabled": True,
             "capacity": self._capacity,
-            "emitted": self.emitted,
+            "emitted": sum(by_kind.values()),
             "dropped": self.dropped,
             "occupancy": len(self._ring),
             "next_seq": self._seq,

@@ -4,10 +4,10 @@ A subscriber of the span seam in :mod:`repro.obs.tracing`: every stage
 the framework and the predictor bracket with ``trace.span(...)`` —
 normalize → ground truth → predict (z-values → density lookup →
 aggregate → noise elimination → confidence → cost estimate) → decide
-→ optimize / execute → feedback → drift check — is timed into
-per-template accumulators keyed by the full stage *path*, so both
-cumulative and self time fall out (self = cumulative minus the direct
-children's cumulative).
+→ optimize / execute → feedback → drift check — is timed into a
+per-template tree with one node per stage *path*, updated in place at
+each span exit, so both cumulative and self time fall out (self =
+cumulative minus the direct children's cumulative).
 
 Three properties are load-bearing:
 
@@ -48,49 +48,83 @@ __all__ = [
 ROOT_STAGE = "decision"
 
 
-class _PathStat:
-    """Accumulator for one stage path: call count + cumulative time."""
+class _Node:
+    """One stage path of a template's tree: call count, cumulative
+    time, the open span's start, and the direct children in first-seen
+    order."""
 
-    __slots__ = ("calls", "seconds")
+    __slots__ = ("calls", "children", "seconds", "start")
 
     def __init__(self) -> None:
         self.calls = 0
         self.seconds = 0.0
+        self.start = 0.0
+        self.children: dict[str, _Node] = {}
+
+
+class _Template:
+    """One template's stage tree and its execution/path accounting.
+
+    ``dropped`` is the node every span past the ``max_paths`` cap
+    walks on (its descendants too): its ``calls`` count the dropped
+    span exits, and it never gains a child.
+    """
+
+    __slots__ = ("dropped", "paths", "profiled", "root", "seen")
+
+    def __init__(self) -> None:
+        self.root = _Node()
+        self.dropped = _Node()
+        self.paths = 0
+        self.seen = 0
+        self.profiled = 0
 
 
 class ProfileFrame:
-    """One execution's stage walls, folded into the profiler at the end.
+    """One execution's walk over its template's stage tree.
 
-    The frame keeps a stack of ``(stage name, start time)`` mirroring
-    the decision's open spans, with times handed in by the span seam;
-    ``exit`` records ``(full path, duration)`` locally and
-    :meth:`complete` closes whatever is still open (the root last) and
-    folds the whole execution into the owning :class:`StageProfiler` in
-    one pass — so a raised execution still lands.
+    The frame keeps a stack of the nodes of the decision's open spans;
+    with times handed in by the span seam, ``enter`` stamps the node's
+    start and ``exit`` adds the span's duration to it in place.
+    :meth:`complete` closes whatever is still open (the root last) — so
+    a raised execution still lands.  A node is open at most once at a
+    time (it is one path), so the start can live on the node.
     """
 
-    __slots__ = ("_entries", "_path", "_profiler", "_starts", "_template")
+    __slots__ = ("_max_paths", "_nodes", "_template")
 
-    def __init__(self, profiler: "StageProfiler", template: str) -> None:
-        self._profiler = profiler
+    def __init__(self, template: _Template, max_paths: int) -> None:
         self._template = template
-        self._path: list[str] = []
-        self._starts: list[float] = []
-        self._entries: list[tuple[tuple[str, ...], float]] = []
+        self._max_paths = max_paths
+        self._nodes = [template.root]
 
     def enter(self, name: str, now: float) -> None:
-        self._path.append(name)
-        self._starts.append(now)
+        parent = self._nodes[-1]
+        node = parent.children.get(name)
+        if node is None:
+            # Bounded memory: past ``max_paths`` a new path, and all
+            # below it, walks on the dropped node instead of growing the
+            # tree (report() shows the drop count, so truncation is
+            # never silent).
+            template = self._template
+            if parent is template.dropped or template.paths >= self._max_paths:
+                node = template.dropped
+            else:
+                template.paths += 1
+                node = parent.children[name] = _Node()
+        node.start = now
+        self._nodes.append(node)
 
     def exit(self, now: float) -> None:
-        self._entries.append((tuple(self._path), now - self._starts.pop()))
-        self._path.pop()
+        node = self._nodes.pop()
+        node.calls += 1
+        node.seconds += now - node.start
 
     def complete(self, now: float) -> None:
-        """Close anything still open, the root last; fold the frame."""
-        while self._starts:
+        """Close anything still open, the root last; count the frame."""
+        while len(self._nodes) > 1:
             self.exit(now)
-        self._profiler._fold(self._template, self._entries)
+        self._template.profiled += 1
 
 
 class StageProfiler:
@@ -105,92 +139,41 @@ class StageProfiler:
 
     def __init__(self, config: "ProfileConfig | None" = None) -> None:
         self.config = config if config is not None else ProfileConfig(enabled=True)
-        self._stats: dict[str, dict[tuple[str, ...], _PathStat]] = {}
-        self._order: dict[str, dict[tuple[str, ...], int]] = {}
-        self._seen: dict[str, int] = {}
-        self._profiled: dict[str, int] = {}
-        self._dropped_paths: dict[str, int] = {}
+        self._templates: dict[str, _Template] = {}
 
     def begin(self, template: str) -> "ProfileFrame | None":
         """Sampling gate: a frame for every ``interval``-th execution."""
-        seen = self._seen.get(template, 0)
-        self._seen[template] = seen + 1
+        stats = self._templates.get(template)
+        if stats is None:
+            stats = self._templates[template] = _Template()
+        seen = stats.seen
+        stats.seen = seen + 1
         if seen % self.config.interval != 0:
             return None
-        return ProfileFrame(self, template)
-
-    def _fold(self, template: str, entries: list[tuple[tuple[str, ...], float]]) -> None:
-        stats = self._stats.setdefault(template, {})
-        order = self._order.setdefault(template, {})
-        self._profiled[template] = self._profiled.get(template, 0) + 1
-        for path, seconds in entries:
-            stat = stats.get(path)
-            if stat is None:
-                if len(stats) >= self.config.max_paths:
-                    # Bounded memory: past the cap new paths are counted
-                    # as dropped instead of accumulated (report() shows
-                    # the drop count so truncation is never silent).
-                    self._dropped_paths[template] = (
-                        self._dropped_paths.get(template, 0) + 1
-                    )
-                    continue
-                stat = stats[path] = _PathStat()
-                order[path] = len(order)
-            stat.calls += 1
-            stat.seconds += seconds
+        return ProfileFrame(stats, self.config.max_paths)
 
     def reset(self) -> None:
-        self._stats.clear()
-        self._order.clear()
-        self._seen.clear()
-        self._profiled.clear()
-        self._dropped_paths.clear()
-
-    def _preorder(self, template: str) -> list[tuple[str, ...]]:
-        """Paths parent-before-children, siblings in first-seen order."""
-        order = self._order.get(template, {})
-
-        def key(path: tuple[str, ...]) -> tuple[int, ...]:
-            return tuple(
-                order.get(path[: depth + 1], len(order))
-                for depth in range(len(path))
-            )
-
-        return sorted(self._stats.get(template, {}), key=key)
+        self._templates.clear()
 
     def report(self) -> dict[str, Any]:
         """Aggregate stage table: per template, per path, calls + time.
 
+        Rows come parent before children, siblings in first-seen order.
         ``self_seconds`` is cumulative time minus the cumulative time of
         the path's *direct* children, clamped at zero (clock jitter on
         near-empty stages can make the raw difference slightly
         negative).
         """
         templates: dict[str, Any] = {}
-        for template, stats in self._stats.items():
-            rows = []
-            for path in self._preorder(template):
-                stat = stats[path]
-                child_seconds = sum(
-                    other.seconds
-                    for other_path, other in stats.items()
-                    if len(other_path) == len(path) + 1
-                    and other_path[: len(path)] == path
-                )
-                rows.append(
-                    {
-                        "path": list(path),
-                        "stage": path[-1],
-                        "depth": len(path) - 1,
-                        "calls": stat.calls,
-                        "cum_seconds": stat.seconds,
-                        "self_seconds": max(stat.seconds - child_seconds, 0.0),
-                    }
-                )
-            templates[template] = {
-                "executions_seen": self._seen.get(template, 0),
-                "executions_profiled": self._profiled.get(template, 0),
-                "paths_dropped": self._dropped_paths.get(template, 0),
+        for name, stats in self._templates.items():
+            if not stats.profiled:
+                continue
+            rows: list[dict[str, Any]] = []
+            _append_rows(stats.root, [], rows)
+            templates[name] = {
+                "executions_seen": stats.seen,
+                "executions_profiled": stats.profiled,
+                "paths_dropped": stats.dropped.calls,
                 "stages": rows,
             }
         return {
@@ -212,6 +195,28 @@ class StageProfiler:
                 key = ";".join([template, *row["path"]])
                 stacks[key] = row["self_seconds"] * 1e6
         return stacks
+
+
+def _append_rows(
+    node: _Node, path: list[str], rows: list[dict[str, Any]]
+) -> None:
+    """Append ``node``'s descendants to ``rows`` in preorder."""
+    for name, child in node.children.items():
+        child_path = [*path, name]
+        child_seconds = sum(
+            grandchild.seconds for grandchild in child.children.values()
+        )
+        rows.append(
+            {
+                "path": child_path,
+                "stage": name,
+                "depth": len(path),
+                "calls": child.calls,
+                "cum_seconds": child.seconds,
+                "self_seconds": max(child.seconds - child_seconds, 0.0),
+            }
+        )
+        _append_rows(child, child_path, rows)
 
 
 def _render_template(name: str, payload: dict[str, Any], lines: list[str]) -> None:

@@ -203,7 +203,7 @@ class MetricsRegistry:
             str, dict[tuple, tuple[dict, LatencyHistogram]]
         ] = {}
         self._settlers: list[Callable[[], None]] = []
-        #: Bumped whenever a series is created or the registry reset.
+        #: Bumped whenever a series is created.
         self.generation = 0
 
     # ------------------------------------------------------------------
@@ -328,11 +328,3 @@ class MetricsRegistry:
         for name, series in other._histograms.items():
             for labels, metric in series.values():
                 self.histogram(name, **labels).merge(metric)
-
-    def reset(self) -> None:
-        """Drop every metric (tests and long-lived services)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-            self.generation += 1

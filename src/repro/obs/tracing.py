@@ -430,28 +430,48 @@ class FlightRecorder:
 
     Two buffers: errored traces (degraded / fallback / raised) live in
     their own deque so a burst of healthy traffic cannot evict the
-    evidence of an incident.  ``recorded``/``dropped`` count admissions
-    and evictions over the recorder's lifetime.
+    evidence of an incident.  Admissions and evictions over the
+    recorder's lifetime are counted once, in ``ppc_trace_recorded_total``
+    and ``ppc_trace_dropped_total`` of ``metrics`` (a private registry
+    when none is given); ``recorded``/``dropped`` read them.
     """
 
-    def __init__(self, capacity: int = 256, error_capacity: int = 64) -> None:
+    def __init__(
+        self,
+        capacity: int = 256,
+        error_capacity: int = 64,
+        metrics: MetricsRegistry | None = None,
+        template: str = "",
+    ) -> None:
         if capacity < 1 or error_capacity < 1:
             raise ValueError(  # repro: noqa[RPR104] - argument contract, test-pinned
                 "recorder capacities must be >= 1"
             )
         self._normal: deque[DecisionTrace] = deque(maxlen=capacity)
         self._errors: deque[DecisionTrace] = deque(maxlen=error_capacity)
-        self.recorded = 0
-        self.dropped = 0
+        registry = metrics if metrics is not None else MetricsRegistry()
+        self._recorded = registry.counter(
+            names.TRACE_RECORDED_TOTAL, template=template
+        )
+        self._dropped = registry.counter(
+            names.TRACE_DROPPED_TOTAL, template=template
+        )
 
-    def admit(self, trace: DecisionTrace) -> int:
-        """Store a finished trace; returns how many were evicted."""
+    def admit(self, trace: DecisionTrace) -> None:
+        """Store a finished trace, evicting the buffer's oldest if full."""
         buffer = self._errors if trace.errored else self._normal
-        evicted = 1 if len(buffer) == buffer.maxlen else 0
+        if len(buffer) == buffer.maxlen:
+            self._dropped.inc()
         buffer.append(trace)
-        self.recorded += 1
-        self.dropped += evicted
-        return evicted
+        self._recorded.inc()
+
+    @property
+    def recorded(self) -> int:
+        return int(self._recorded.value)
+
+    @property
+    def dropped(self) -> int:
+        return int(self._dropped.value)
 
     def traces(self) -> list[DecisionTrace]:
         """All retained traces, oldest first (by execution sequence)."""
@@ -489,21 +509,17 @@ class DecisionTracer:
         self.config = config if config is not None else TraceConfig()
         self.profiler = profiler
         self._clock = clock
-        self.recorder = FlightRecorder(
-            capacity=self.config.capacity,
-            error_capacity=self.config.error_capacity,
-        )
         self._seq = 0
         self._burst_left = 0
         registry = metrics if metrics is not None else MetricsRegistry()
         self._spans_counter = registry.counter(
             names.TRACE_SPANS_TOTAL, template=template
         )
-        self._recorded_counter = registry.counter(
-            names.TRACE_RECORDED_TOTAL, template=template
-        )
-        self._dropped_counter = registry.counter(
-            names.TRACE_DROPPED_TOTAL, template=template
+        self.recorder = FlightRecorder(
+            capacity=self.config.capacity,
+            error_capacity=self.config.error_capacity,
+            metrics=registry,
+            template=template,
         )
         self._sampler_counters = {
             decision: registry.counter(
@@ -511,7 +527,6 @@ class DecisionTracer:
             )
             for decision in names.SAMPLER_DECISIONS
         }
-        self._sampled = dict.fromkeys(names.SAMPLER_DECISIONS, 0)
         self._timers = {
             span: (
                 registry.histogram(
@@ -553,7 +568,6 @@ class DecisionTracer:
         else:
             decision = "skipped"
         self._sampler_counters[decision].inc()
-        self._sampled[decision] += 1
         # The profiler samples independently of the tracer (its own
         # deterministic counter), so stage times keep flowing at trace
         # interval 0 — but it never flips ``active``: a profiled,
@@ -601,14 +615,12 @@ class DecisionTracer:
             trace.finish(record=record)
         else:
             trace.finish({})
-        evicted = self.recorder.admit(trace)
-        self._recorded_counter.inc()
-        if evicted:
-            self._dropped_counter.inc(evicted)
+        self.recorder.admit(trace)
         self._spans_counter.inc(trace.span_count)
 
     def stats(self) -> dict[str, Any]:
-        """Recorder + sampler state for ``service.metrics()``."""
+        """Recorder + sampler state for ``service.metrics()``, read from
+        the registry's counters."""
         return {
             "enabled": self.config.enabled,
             "occupancy": self.recorder.occupancy,
@@ -616,7 +628,10 @@ class DecisionTracer:
             "error_capacity": self.config.error_capacity,
             "recorded": self.recorder.recorded,
             "dropped": self.recorder.dropped,
-            "sampler": dict(self._sampled),
+            "sampler": {
+                decision: int(counter.value)
+                for decision, counter in self._sampler_counters.items()
+            },
         }
 
     def traces(self) -> list[DecisionTrace]:

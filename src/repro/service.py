@@ -34,7 +34,6 @@ from repro.optimizer.catalog import Catalog
 from repro.optimizer.expressions import QueryTemplate
 from repro.optimizer.plan_space import PlanSpace
 from repro.optimizer.statistics import CatalogStatistics
-from repro.resilience.breaker import BREAKER_STATES
 from repro.resilience.faults import FaultInjector
 from repro.tpch import build_catalog, build_statistics, query_template
 from repro.workload.template import QueryInstance, TemplateBinder
@@ -240,6 +239,9 @@ class PlanCachingService:
         the active clock source, and the raw metric registry.
         """
         registry = self.framework.metrics
+        # One settle books every deferred count (the ledger's regret);
+        # the views below read the handles their owners hold.
+        registry.settle()
         templates: dict[str, dict] = {}
         for name in self._binders:
             session = self.framework.session(name)
@@ -253,115 +255,7 @@ class PlanCachingService:
                 metric_names.TRACE_OCCUPANCY, template=name
             ).set(session.tracer.recorder.occupancy)
 
-            stages = {}
-            for stage in metric_names.STAGES:
-                digest = registry.histogram_summary(
-                    metric_names.STAGE_SECONDS, template=name, stage=stage
-                )
-                if digest is not None:
-                    stages[stage] = digest
-            cache = session.cache
-            templates[name] = {
-                "executions": int(
-                    registry.counter_value(
-                        metric_names.EXECUTIONS_TOTAL, template=name
-                    )
-                ),
-                "stage_seconds": stages,
-                "invocation_reasons": {
-                    reason: int(
-                        registry.counter_value(
-                            metric_names.INVOCATIONS_TOTAL,
-                            template=name,
-                            reason=reason,
-                        )
-                    )
-                    for reason in metric_names.INVOCATION_REASONS
-                },
-                "optimizer_invocations": session.optimizer_invocations,
-                "positive_feedback": {
-                    outcome: int(
-                        registry.counter_value(
-                            metric_names.POSITIVE_FEEDBACK_TOTAL,
-                            template=name,
-                            outcome=outcome,
-                        )
-                    )
-                    for outcome in ("accepted", "rejected")
-                },
-                "drift_events": session.drift_events,
-                "cache": {
-                    "hits": cache.hits,
-                    "misses": cache.misses,
-                    "evictions": cache.evictions,
-                    "hit_rate": cache.hit_rate,
-                    "size": len(cache),
-                },
-                "predictor": {
-                    "transform_seconds": registry.histogram_summary(
-                        metric_names.PREDICT_TRANSFORM_SECONDS,
-                        template=name,
-                    ),
-                    "range_query_seconds": registry.histogram_summary(
-                        metric_names.PREDICT_RANGE_QUERY_SECONDS,
-                        template=name,
-                    ),
-                },
-                "synopsis_bytes": session.online.space_bytes(),
-                "resilience": {
-                    "breaker_state": session.breaker.state,
-                    "breaker_transitions": {
-                        state: int(
-                            registry.counter_value(
-                                metric_names.BREAKER_TRANSITIONS_TOTAL,
-                                template=name,
-                                state=state,
-                            )
-                        )
-                        for state in BREAKER_STATES
-                    },
-                    "degraded": {
-                        component: int(
-                            registry.counter_value(
-                                metric_names.DEGRADED_TOTAL,
-                                template=name,
-                                component=component,
-                            )
-                        )
-                        for component in metric_names.DEGRADED_COMPONENTS
-                    },
-                    "fallback_served": {
-                        source: int(
-                            registry.counter_value(
-                                metric_names.FALLBACK_SERVED_TOTAL,
-                                template=name,
-                                source=source,
-                            )
-                        )
-                        for source in metric_names.FALLBACK_SOURCES
-                    },
-                    "rejected_instances": {
-                        reason: int(
-                            registry.counter_value(
-                                metric_names.REJECTED_INSTANCES_TOTAL,
-                                template=name,
-                                reason=reason,
-                            )
-                        )
-                        for reason in metric_names.REJECTION_REASONS
-                    },
-                    "optimizer_retries": int(
-                        registry.counter_value(
-                            metric_names.OPTIMIZER_RETRIES_TOTAL,
-                            template=name,
-                        )
-                    ),
-                    "fallback_suboptimality": registry.histogram_summary(
-                        metric_names.FALLBACK_SUBOPTIMALITY, template=name
-                    ),
-                },
-                "trace": session.tracer.stats(),
-            }
+            templates[name] = session.stats()
 
         governor = self.framework.governor
         governor_summary = None

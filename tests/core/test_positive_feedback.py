@@ -9,6 +9,7 @@ from repro.core.online import OnlinePredictor
 from repro.core.positive_feedback import PositiveFeedbackPolicy
 from repro.core.predictor import Prediction
 from repro.exceptions import ConfigurationError
+from repro.obs import names as metric_names
 from repro.workload import RandomTrajectoryWorkload
 
 
@@ -33,12 +34,14 @@ class TestPolicy:
         assert policy.should_insert(confident)
 
     def test_counters(self):
+        # The policy keeps no outcome tally (the session's
+        # ``ppc_positive_feedback_total`` counts outcomes); only an
+        # accepted insert books unverified mass.
         policy = PositiveFeedbackPolicy(min_confidence=0.5)
         policy.record_verified()
-        policy.should_insert(Prediction(0, confidence=0.9))
-        policy.should_insert(Prediction(0, confidence=0.1))
-        assert policy.accepted == 1
-        assert policy.rejected == 1
+        assert policy.should_insert(Prediction(0, confidence=0.9))
+        assert not policy.should_insert(Prediction(0, confidence=0.1))
+        assert policy.unverified_mass == policy.weight
 
     def test_reset(self):
         policy = PositiveFeedbackPolicy(min_confidence=0.0)
@@ -142,7 +145,14 @@ class TestFrameworkIntegration:
             session.execute(point)
         policy = session.online.positive_feedback
         assert policy is not None
-        assert policy.accepted > 0
+        assert (
+            session.metrics.counter_value(
+                metric_names.POSITIVE_FEEDBACK_TOTAL,
+                template="Q1",
+                outcome="accepted",
+            )
+            > 0
+        )
         assert policy.unverified_mass <= (
             policy.mass_cap_ratio * policy.verified_mass + policy.weight
         )

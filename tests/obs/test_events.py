@@ -118,8 +118,11 @@ class TestEmission:
 
     def test_metrics_binding_publishes_counts(self):
         registry = MetricsRegistry()
-        journal = _journal(capacity=64)
-        journal.bind_metrics(registry)
+        journal = EventJournal(
+            EventsConfig(enabled=True, capacity=64),
+            clock=FakeClock(),
+            metrics=registry,
+        )
         emitter = journal.bind("Q1")
         for __ in range(70):
             emitter("drift_drop")

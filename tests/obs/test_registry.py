@@ -152,15 +152,6 @@ class TestMetricsRegistry:
         assert hist["count"] == 1
         assert set(hist) >= {"p50", "p95", "p99", "sum", "mean", "labels"}
 
-    def test_reset_drops_everything(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        registry.gauge("g").set(1)
-        registry.histogram("h").observe(0.1)
-        registry.reset()
-        snapshot = registry.snapshot()
-        assert snapshot == {"counters": {}, "gauges": {}, "histograms": {}}
-
 
 class TestPrometheusRendering:
     def test_renders_all_metric_kinds(self):
