@@ -763,7 +763,6 @@ _SYNOPSIS_MODULES = (
 )
 _SYNOPSIS_ATTRS = frozenset(
     {
-        "_histograms",
         "_packed",
         "_counts",
         "_cost_sums",
@@ -776,7 +775,8 @@ _MUTATION_COUNTER = "_mutations"
 _COMMIT_CALL = "self._commit"
 
 #: Method names that mutate their receiver in place — list/set/dict
-#: and ndarray surfaces plus the project's histogram ``insert``.
+#: and ndarray surfaces plus the synopsis store's ``insert`` and
+#: ``shrink``.
 _MUTATOR_METHODS = frozenset(
     {
         "append",
@@ -794,6 +794,7 @@ _MUTATOR_METHODS = frozenset(
         "reverse",
         "fill",
         "partial_fit",
+        "shrink",
     }
 )
 

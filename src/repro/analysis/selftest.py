@@ -29,6 +29,16 @@ class SelfTestCase:
     bad_findings: int = 1
 
 
+#: RPR103's fixture: a synopsis-store insert through a local alias.
+_PACKED_INSERT = (
+    "class HistogramPredictor:\n"
+    "    def __init__(self):\n"
+    "        self._packed = None\n"
+    "    def insert(self, plan, z_values):\n"
+    "        block = self._packed\n"
+    "        block.insert(plan, z_values)\n"
+)
+
 SELFTEST_CASES = (
     SelfTestCase(
         rule="RPR001",
@@ -197,25 +207,8 @@ SELFTEST_CASES = (
     SelfTestCase(
         rule="RPR103",
         module="repro.core.histogram_predictor",
-        bad=(
-            "class HistogramPredictor:\n"
-            "    def __init__(self):\n"
-            "        self._histograms = []\n"
-            "    def insert(self, value):\n"
-            "        rows = self._histograms\n"
-            "        for row in rows:\n"
-            "            row.insert(value)\n"
-        ),
-        good=(
-            "class HistogramPredictor:\n"
-            "    def __init__(self):\n"
-            "        self._histograms = []\n"
-            "    def insert(self, value):\n"
-            "        rows = self._histograms\n"
-            "        for row in rows:\n"
-            "            row.insert(value)\n"
-            "        self._commit('point_inserted')\n"
-        ),
+        bad=_PACKED_INSERT,
+        good=_PACKED_INSERT + "        self._commit('point_inserted')\n",
     ),
     # RPR104, raise half: a builtin raise, caught or not, is flagged.
     SelfTestCase(

@@ -360,7 +360,6 @@ class TemplateSession:
             metrics=self.metrics,
             profiler=self.profiler,
         )
-        self.optimizer_invocations = 0
         self.records: list[ExecutionRecord] = []
         self._last_plan_id: "int | None" = None
 
@@ -514,7 +513,7 @@ class TemplateSession:
         return x
 
     def _invoke_optimizer(
-        self, x: np.ndarray, reason: str = "direct"
+        self, x: np.ndarray, reason: str
     ) -> "tuple[int, float] | None":
         """Guarded black-box optimizer call.
 
@@ -523,9 +522,10 @@ class TemplateSession:
         (plan id, cost) at ``x`` — inserted into the synopses and the
         plan cache — or ``None`` when the optimizer is unavailable
         (breaker open, or every attempt failed).  ``reason`` is the
-        invocation reason driving the call; it flows into the
-        ``point_inserted`` lifecycle event as the point's provenance
-        and never affects the decision.
+        invocation reason driving the call: an answered call books it
+        on ``ppc_optimizer_invocations_total{reason}``, and it flows
+        into the ``point_inserted`` lifecycle event as the point's
+        provenance.  It never affects the decision.
         """
         if not self.breaker.allow():
             self._degraded_counters["optimizer"].inc()
@@ -543,7 +543,7 @@ class TemplateSession:
             self._degraded_counters["optimizer"].inc()
             return None
         self.breaker.record_success()
-        self.optimizer_invocations += 1
+        self._reason_counters[reason].inc()
         plan_id, cost = int(ids[0]), float(costs[0])
         try:
             self._observe(x, plan_id, cost, provenance=reason)
@@ -945,8 +945,6 @@ class TemplateSession:
                     )
 
         with trace.span("record"):
-            if reason:
-                self._reason_counters[reason].inc()
             record = ExecutionRecord(
                 template=self.plan_space.template.name,
                 point=x,
@@ -1017,6 +1015,12 @@ class TemplateSession:
             },
             "trace": self.tracer.stats(),
         }
+
+    @property
+    def optimizer_invocations(self) -> int:
+        """Optimizer calls that answered: the sum of
+        ``ppc_optimizer_invocations_total`` over its reasons."""
+        return int(sum(c.value for c in self._reason_counters.values()))
 
     @property
     def drift_events(self) -> int:

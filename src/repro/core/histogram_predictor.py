@@ -35,12 +35,11 @@ from repro.core.predictor import (
     median_supported,
 )
 from repro.core.relevance import apply_axis_weights
-from repro.exceptions import ConfigurationError, PredictionError
+from repro.exceptions import ConfigurationError, HistogramError, PredictionError
 from repro.histograms import (
     EquiDepthHistogram,
     EquiWidthHistogram,
     Histogram,
-    IncrementalHistogram,
     MaxDiffHistogram,
     VOptimalHistogram,
 )
@@ -93,6 +92,8 @@ class HistogramPredictor(PlanPredictor):
             )
         if radius <= 0.0:
             raise PredictionError("radius must be > 0")
+        if max_buckets < 1:
+            raise HistogramError("max_buckets must be >= 1")
         if aggregation not in ("median", "mean"):
             raise ConfigurationError(f"unknown aggregation {aggregation!r}")
         self.dimensions = pool.dimensions
@@ -150,18 +151,16 @@ class HistogramPredictor(PlanPredictor):
         #: feedback inserts discounted weights.  Noise elimination
         #: compares against this, matching the weighted bucket counts.
         self.total_mass = 0.0
-        #: ``_packed`` holds every histogram's buckets in one block: the
-        #: density lookup primitive.  Refreshed next to every
-        #: ``_commit``, so a predict never scans for stale rows.
+        #: ``_packed`` is the synopsis store: every (transform, plan)
+        #: histogram's buckets in one block, which the density lookup
+        #: reads and an insert writes in place.
         if histogram_kind == "incremental" or len(pool) == 0:
-            self._histograms: list[list[Histogram]] = self._empty_histograms()
-            self._packed = PackedHistograms(self._histograms)
+            self._packed = self._empty_block()
             for point in pool.points():
                 self.insert(point.coords, point.plan_id, point.cost)
         else:
-            self.load_histograms(
-                self._static_histograms(pool), len(pool), float(len(pool))
-            )
+            static = PackedHistograms(self._static_histograms(pool))
+            self.load_histograms(static, len(pool), float(len(pool)))
 
     def _rebuild_stacked(self) -> None:
         """(Re)build the struct-of-arrays transform/grid view.
@@ -194,14 +193,10 @@ class HistogramPredictor(PlanPredictor):
     # ------------------------------------------------------------------
     # Construction / population
     # ------------------------------------------------------------------
-    def _new_histogram(self) -> Histogram:
-        return IncrementalHistogram(self.max_buckets)
-
-    def _empty_histograms(self) -> list[list[Histogram]]:
-        return [
-            [self._new_histogram() for __ in range(self.plan_count)]
-            for __ in self.ensemble
-        ]
+    def _empty_block(self) -> PackedHistograms:
+        return PackedHistograms.from_buckets(
+            [[[]] * self.plan_count for __ in self.ensemble]
+        )
 
     def _static_histograms(self, pool: SamplePool) -> list[list[Histogram]]:
         """One row of static ``histogram_kind`` histograms per
@@ -234,7 +229,7 @@ class HistogramPredictor(PlanPredictor):
         weight: float = 1.0,
         provenance: str = "direct",
     ) -> None:
-        """Add one labeled point (requires insertable histograms).
+        """Add one labeled point (incremental predictors only).
 
         ``weight < 1`` inserts a discounted point — used by the
         positive-feedback extension for unverified predictions.
@@ -244,31 +239,26 @@ class HistogramPredictor(PlanPredictor):
         ``positive_feedback`` / ``direct``) and is journaled with the
         ``point_inserted`` lifecycle event; it never affects the insert.
 
-        The insert is atomic across transforms: insertability, the
-        weight, and every z-value are validated up front, so a rejected
-        insert leaves no histogram partially mutated.
+        The insert is atomic across transforms: the kind, the weight,
+        and every z-value are validated up front, so a rejected insert
+        leaves no row partially mutated.
         """
         x = self._check_point(x)
         if weight <= 0.0:
             raise PredictionError("insertion weight must be > 0")
-        targets = [
-            self._histograms[index][plan_id]
-            for index in range(len(self.ensemble))
-        ]
-        if any(not hasattr(histogram, "insert") for histogram in targets):
+        if self.histogram_kind != "incremental":
             raise PredictionError(
                 "histogram kind "
                 f"{self.histogram_kind!r} does not support insertion; "
                 "use histogram_kind='incremental'"
             )
-        z_values = [
-            float(z) for z in self._z_values_batch(x[None, :])[:, 0]
-        ]
-        for index, (histogram, z) in enumerate(
-            zip(targets, z_values, strict=True)
-        ):
-            histogram.insert(z, cost, weight=weight)
-            self._packed.update(index, plan_id, histogram)
+        self._packed.insert(
+            plan_id,
+            self._z_values_batch(x[None, :])[:, 0],
+            cost,
+            weight,
+            self.max_buckets,
+        )
         self.total_points += 1
         self.total_mass += weight
         self._commit(
@@ -510,8 +500,7 @@ class HistogramPredictor(PlanPredictor):
         the reaction to a detected plan-space change)."""
         points_dropped = self.total_points
         mass_dropped = self.total_mass
-        self._histograms = self._empty_histograms()
-        self._packed = PackedHistograms(self._histograms)
+        self._packed = self._empty_block()
         self.histogram_kind = "incremental"
         self.total_points = 0
         self.total_mass = 0.0
@@ -522,29 +511,24 @@ class HistogramPredictor(PlanPredictor):
         )
 
     def shrink(self, max_buckets: int) -> None:
-        """Cut the bucket budget of every insertable histogram to
-        ``max_buckets``, merging buckets as needed (the memory
-        governor's recall-for-space dial); static histograms keep
-        theirs."""
+        """Cut the bucket budget to ``max_buckets``: an incremental
+        predictor merges every row down to it (the memory governor's
+        recall-for-space dial); static histograms keep theirs."""
+        if self.histogram_kind == "incremental":
+            self._packed.shrink(max_buckets)
         self.max_buckets = max_buckets
-        for row in self._histograms:
-            for histogram in row:
-                if hasattr(histogram, "shrink"):
-                    histogram.shrink(max_buckets)
-        self._packed = PackedHistograms(self._histograms)
         self._commit("histogram_shrunk", max_buckets=max_buckets)
 
     def load_histograms(
         self,
-        histograms: "list[list[Histogram]]",
+        histograms: PackedHistograms,
         total_points: int,
         total_mass: float,
     ) -> None:
-        """Replace the whole synopsis with ``histograms`` (one row of
-        ``plan_count`` histograms per transform) and their totals — the
-        persistence restore path and the static build."""
-        self._histograms = histograms
-        self._packed = PackedHistograms(histograms)
+        """Replace the whole synopsis with the block ``histograms`` (one
+        row of ``plan_count`` histograms per transform) and their
+        totals — the persistence restore path and the static build."""
+        self._packed = histograms
         self.total_points = total_points
         self.total_mass = total_mass
         self._commit(
@@ -558,8 +542,4 @@ class HistogramPredictor(PlanPredictor):
     def space_bytes(self) -> int:
         """``t * n_plans * b_h * 12`` bytes; actual bucket counts may be
         below the ``b_h`` cap."""
-        return sum(
-            histogram.space_bytes()
-            for row in self._histograms
-            for histogram in row
-        )
+        return self._packed.space_bytes()

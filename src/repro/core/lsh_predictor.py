@@ -216,14 +216,6 @@ class LshPredictor(PlanPredictor):
             )
         return median_supported(averages, supported)
 
-    def median_counts(self, x: np.ndarray) -> np.ndarray:
-        """Per-plan bucket count aggregated across the ``t`` transforms
-        (median by default; mean under the ablation setting), for one
-        point through the struct-of-arrays core."""
-        x = self._check_point(x)
-        estimates = self._cell_estimates(self._cell_ids_batch(x[None, :]))
-        return self._aggregate(estimates)[:, 0]
-
     def predict(self, x: np.ndarray) -> "Prediction | None":
         """A batch of one: ``predict_batch(x[None, :])[0]``, whose
         check of that one-row batch is the only validation."""

@@ -72,12 +72,6 @@ class NaivePredictor(PlanPredictor):
             return list(self.grid.neighbor_ids(x, self.radius))
         return [int(self.grid.cell_ids(x[None, :])[0])]
 
-    def counts_around(self, x: np.ndarray) -> np.ndarray:
-        """Per-plan counts aggregated over the query's grid buckets."""
-        x = self._check_point(x)
-        cells = self._query_cells(x)
-        return self._counts[:, cells].sum(axis=1)
-
     def predict(self, x: np.ndarray) -> "Prediction | None":
         x = self._check_point(x)
         cells = self._query_cells(x)

@@ -42,8 +42,7 @@ import numpy as np
 from repro.core.histogram_predictor import HistogramPredictor
 from repro.core.point import SamplePool
 from repro.exceptions import PersistenceError
-from repro.histograms import IncrementalHistogram
-from repro.histograms.base import Bucket
+from repro.histograms.packed import PackedHistograms
 from repro.lsh.grid import Grid
 from repro.lsh.transforms import PlanSpaceTransform
 
@@ -70,21 +69,6 @@ def predictor_to_state(predictor: HistogramPredictor) -> dict:
                 "translations": transform.translations.tolist(),
             }
         )
-    histograms = [
-        [
-            {
-                "max_buckets": getattr(
-                    histogram, "max_buckets", predictor.max_buckets
-                ),
-                "buckets": [
-                    [b.lo, b.hi, b.count, b.cost_sum]
-                    for b in histogram.buckets
-                ],
-            }
-            for histogram in row
-        ]
-        for row in predictor._histograms
-    ]
     return {
         "dimensions": predictor.dimensions,
         "plan_count": predictor.plan_count,
@@ -102,7 +86,10 @@ def predictor_to_state(predictor: HistogramPredictor) -> dict:
         "total_points": predictor.total_points,
         "total_mass": predictor.total_mass,
         "transforms": transforms,
-        "histograms": histograms,
+        "histograms": [
+            [{"max_buckets": predictor.max_buckets, "buckets": b} for b in row]
+            for row in predictor._packed.rows()
+        ],
     }
 
 
@@ -147,22 +134,11 @@ def predictor_from_state(state: dict) -> HistogramPredictor:
     # bounds at construction; rebuild it or predictions would silently
     # use the discarded random transforms.
     predictor._rebuild_stacked()
-    # Restore histogram contents.
-    restored: list[list[IncrementalHistogram]] = []
-    for row in state["histograms"]:
-        new_row = []
-        for spec in row:
-            histogram = IncrementalHistogram(max_buckets=spec["max_buckets"])
-            histogram.buckets = [
-                Bucket(lo, hi, count, cost_sum)
-                for lo, hi, count, cost_sum in spec["buckets"]
-            ]
-            histogram._los = [b.lo for b in histogram.buckets]
-            histogram._mutated()
-            new_row.append(histogram)
-        restored.append(new_row)
+    # Every restored row takes the predictor's bucket budget.
     predictor.load_histograms(
-        restored,
+        PackedHistograms.from_buckets(
+            [[spec["buckets"] for spec in row] for row in state["histograms"]]
+        ),
         total_points=int(state["total_points"]),
         total_mass=float(state["total_mass"]),
     )

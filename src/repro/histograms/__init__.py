@@ -16,8 +16,8 @@ package provides the histogram family used throughout the library:
   variance-optimal boundaries by dynamic programming (the optimum that
   MaxDiff approximates).
 * :class:`~repro.histograms.incremental.IncrementalHistogram` — an
-  online-insertable bounded-bucket histogram (merge-on-overflow) backing
-  the ONLINE-APPROXIMATE-LSH-HISTOGRAMS predictor.
+  online-insertable bounded-bucket histogram (merge-on-overflow), the
+  reference for the insert of :mod:`repro.histograms.packed`'s store.
 """
 
 from repro.histograms.base import Bucket, Histogram

@@ -74,14 +74,6 @@ class Histogram(ABC):
             raise HistogramError(f"empty histogram domain [{lo}, {hi}]")
         self.domain = (float(lo), float(hi))
         self.buckets: list[Bucket] = []
-        # Mutation counter driving the vectorized-query array cache.
-        self._version = 0
-        self._arrays_version = -1
-        self._arrays: "tuple[np.ndarray, ...] | None" = None
-
-    def _mutated(self) -> None:
-        """Subclasses call this after any bucket mutation."""
-        self._version += 1
 
     # ------------------------------------------------------------------
     # Queries
@@ -128,15 +120,9 @@ class Histogram(ABC):
     # Vectorized range queries
     # ------------------------------------------------------------------
     def _bucket_arrays(self) -> tuple[np.ndarray, ...]:
-        """Columnar bucket view, cached until the histogram mutates."""
-        if self._arrays is None or self._arrays_version != self._version:
-            los = np.array([b.lo for b in self.buckets])
-            his = np.array([b.hi for b in self.buckets])
-            counts = np.array([b.count for b in self.buckets])
-            cost_sums = np.array([b.cost_sum for b in self.buckets])
-            self._arrays = (los, his, counts, cost_sums)
-            self._arrays_version = self._version
-        return self._arrays
+        """Columnar bucket view: lo, hi, count and cost-sum arrays."""
+        rows = [(b.lo, b.hi, b.count, b.cost_sum) for b in self.buckets]
+        return tuple(np.array(rows, dtype=float).reshape(-1, 4).T)
 
     def _overlap_matrix(
         self, lo: np.ndarray, hi: np.ndarray
@@ -159,23 +145,9 @@ class Histogram(ABC):
     def range_count_batch(
         self, lo: np.ndarray, hi: np.ndarray
     ) -> np.ndarray:
-        """Vectorized :meth:`range_count` over query arrays ``(m,)``.
-
-        Uses an explicit multiply + trailing-axis sum instead of a BLAS
-        ``@`` so each query's mass is reduced over its own contiguous
-        strip — bitwise independent of how many queries share the batch
-        (the scalar/batch parity contract).
-        """
-        fractions = self._overlap_matrix(lo, hi)
-        if fractions is None:
-            return np.zeros(np.asarray(lo).shape[0])
-        __, __, counts, __ = self._bucket_arrays()
-        return (fractions * counts).sum(axis=1)
-
-    def range_cost_batch(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`range_cost` over query arrays ``(m,)``."""
-        __, average = self.range_query_batch(lo, hi)
-        return average
+        """Vectorized :meth:`range_count` over query arrays ``(m,)``."""
+        mass, __ = self.range_query_batch(lo, hi)
+        return mass
 
     def range_query_batch(
         self, lo: np.ndarray, hi: np.ndarray
@@ -184,7 +156,9 @@ class Histogram(ABC):
         overlap pass.  The predictors answer all their histograms at
         once through :class:`~repro.histograms.packed.PackedHistograms`;
         this per-histogram form is the reference that block is tested
-        against."""
+        against.  An explicit multiply + trailing-axis sum, not a BLAS
+        ``@``, reduces each query's mass over its own contiguous strip,
+        bitwise independent of how many queries share the batch."""
         fractions = self._overlap_matrix(lo, hi)
         if fractions is None:
             zeros = np.zeros(np.asarray(lo).shape[0])

@@ -63,4 +63,3 @@ class EquiWidthHistogram(Histogram):
         bucket = self.buckets[index]
         bucket.count += weight
         bucket.cost_sum += cost * weight
-        self._mutated()

@@ -10,6 +10,9 @@ merge produces the narrowest combined bucket are coalesced.  Merging
 the narrowest pair keeps boundaries aligned with the dense z-order
 clusters, approximating the error-minimizing constructions that the
 static variants compute offline.
+
+This class is the reference that the predictors' in-place insert,
+:meth:`repro.histograms.packed.PackedHistograms.insert`, is tested against.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ class IncrementalHistogram(Histogram):
             raise HistogramError("max_buckets must be >= 1")
         super().__init__(domain)
         self.max_buckets = max_buckets
-        self._los: list[float] = []
 
     def insert(self, value: float, cost: float = 0.0, weight: float = 1.0) -> None:
         """Insert one labeled point, merging buckets if over budget.
@@ -44,7 +46,7 @@ class IncrementalHistogram(Histogram):
         self._check_in_domain(value)
         if weight <= 0.0:
             raise HistogramError("insertion weight must be > 0")
-        index = bisect.bisect_left(self._los, value)
+        index = bisect.bisect_left(self.buckets, value, key=lambda b: b.lo)
 
         # Absorb into an existing bucket when the value already lies
         # inside one; otherwise create a point-mass bucket.
@@ -55,10 +57,8 @@ class IncrementalHistogram(Histogram):
         else:
             bucket = Bucket(lo=value, hi=value)
             self.buckets.insert(index, bucket)
-            self._los.insert(index, value)
         bucket.count += weight
         bucket.cost_sum += cost * weight
-        self._mutated()
 
         while len(self.buckets) > self.max_buckets:
             self._merge_narrowest_pair()
@@ -82,14 +82,10 @@ class IncrementalHistogram(Histogram):
                 best_index = i
         left = self.buckets[best_index]
         right = self.buckets.pop(best_index + 1)
-        self._los.pop(best_index + 1)
         left.hi = right.hi
         left.count += right.count
         left.cost_sum += right.cost_sum
-        self._mutated()
 
     def clear(self) -> None:
         """Drop all buckets (used when a template's plan space drifts)."""
         self.buckets.clear()
-        self._los.clear()
-        self._mutated()

@@ -30,6 +30,12 @@ then contributes exactly zero under the overlap formula.  Masses and
 average costs match the per-histogram path up to summation order
 (relative error ~1e-15), and every step is elementwise per query, so
 one query's answer does not depend on the batch around it.
+
+The block is also the store the online predictor writes (Section
+IV-D): :meth:`PackedHistograms.insert` repeats
+:class:`~repro.histograms.incremental.IncrementalHistogram`'s insert
+bit for bit on a plan's ``t`` rows in place; that class is the
+reference the block is tested against.
 """
 
 from __future__ import annotations
@@ -38,7 +44,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.histograms.base import Histogram
+from repro.exceptions import HistogramError
+from repro.histograms.base import BYTES_PER_BUCKET, Histogram
 
 #: Bound of the sentinel buckets padding every row: zero-width point
 #: masses at ``∓_FAR`` fall outside any finite query.  A finite value,
@@ -49,6 +56,8 @@ _FAR = np.finfo(float).max
 # then the count and cost sums of every bucket before this one.
 _LO, _HI, _COUNT, _COST, _BEFORE_COUNT, _BEFORE_COST = range(6)
 _PLANES = 6
+#: The stored planes ``[:_STORED]`` precede the derived prefix planes.
+_STORED = _BEFORE_COUNT
 
 #: One trailing sentinel column: an empty point mass at ``+_FAR``.
 _TRAILING = np.array([[_FAR], [_FAR], [0.0], [0.0], [0.0], [0.0]])
@@ -65,21 +74,48 @@ _CHUNK_CELLS = 1 << 16
 
 
 class PackedHistograms:
-    """The ``t × plans`` histograms of a predictor as one padded block.
+    """The ``t × plans`` histograms of a predictor as one padded block:
+    the synopsis store itself, not a copy.
 
     Column 0 of every row is a sentinel at ``-_FAR`` and at least one
     trailing sentinel at ``+_FAR`` follows each row's real buckets, so
-    the edge buckets of any finite query always exist.  The block is a
-    copy: the owner calls :meth:`update` whenever a histogram changes.
+    the edge buckets of any finite query always exist.  The block is
+    kept as wide as its widest row plus those two sentinels, since the
+    query's cost scales with the width.
     """
 
     def __init__(self, rows: Sequence[Sequence[Histogram]]) -> None:
+        """Pack offline-built histograms, one row of ``plans`` per
+        transform."""
+        self._load([
+            [[(b.lo, b.hi, b.count, b.cost_sum) for b in h.buckets] for h in row]
+            for row in rows
+        ])
+
+    @classmethod
+    def from_buckets(
+        cls, rows: Sequence[Sequence[Sequence[Sequence[float]]]]
+    ) -> "PackedHistograms":
+        """A block from one ``(lo, hi, count, cost_sum)`` bucket list
+        per (transform, plan): the snapshot's form (empty: no points)."""
+        packed = cls.__new__(cls)
+        packed._load(rows)
+        return packed
+
+    def _load(self, rows: Sequence[Sequence[Sequence[Sequence[float]]]]) -> None:
         self.transforms = len(rows)
         self.plans = len(rows[0])
-        self._allocate(max(h.bucket_count for row in rows for h in row) + 2)
+        #: ``(t, plans)``: real buckets per row.
+        self.bucket_counts = np.array(
+            [[len(buckets) for buckets in row] for row in rows], dtype=np.intp
+        )
+        self._allocate(int(self.bucket_counts.max()) + 2)
         for index, row in enumerate(rows):
-            for plan, histogram in enumerate(row):
-                self.update(index, plan, histogram)
+            for plan, buckets in enumerate(row):
+                self._buckets[:_STORED, index, plan, 1:len(buckets) + 1] = (
+                    np.array(buckets, dtype=float).T
+                )
+        self._accumulate(self._buckets)
 
     def _allocate(self, width: int) -> None:
         """Empty rows of ``width`` columns: all sentinels."""
@@ -111,21 +147,98 @@ class PackedHistograms:
         self._buckets[..., :old_width] = old
         self._accumulate(self._buckets)
 
-    def update(self, index: int, plan: int, histogram: Histogram) -> None:
-        """Re-copy one histogram's buckets into row ``(index, plan)``."""
-        buckets = histogram.buckets
-        n = len(buckets)
-        if n + 2 > self.width:
-            self._grow(n + 2)
-        # One list per field plane: converting four flat float lists is
-        # several times faster than one list of bucket tuples.
-        row = self._buckets[:, index, plan]
-        row[_LO, 1:n + 1] = [b.lo for b in buckets]
-        row[_HI, 1:n + 1] = [b.hi for b in buckets]
-        row[_COUNT, 1:n + 1] = [b.count for b in buckets]
-        row[_COST, 1:n + 1] = [b.cost_sum for b in buckets]
-        row[:, n + 1:] = _TRAILING
-        self._accumulate(row)
+    def _store(
+        self, index: int, plan: int, cells: np.ndarray, budget: int
+    ) -> None:
+        """Merge ``cells``' narrowest adjacent pair (the first on a tie,
+        as ``IncrementalHistogram`` does) until ``budget`` buckets remain
+        and write them as row ``(index, plan)``'s stored planes.  May
+        write into ``cells``; the caller re-accumulates the prefixes."""
+        while cells.shape[1] > budget:
+            left = int(np.argmin(cells[_HI, 1:] - cells[_LO, :-1]))
+            cells[_HI, left] = cells[_HI, left + 1]
+            cells[_COUNT:_COST + 1, left] += cells[_COUNT:_COST + 1, left + 1]
+            cells = np.delete(cells, left + 1, axis=1)
+        n = cells.shape[1]
+        row = self._buckets[:_STORED, index, plan]
+        row[:, 1:n + 1] = cells
+        row[:, n + 1:] = _TRAILING[:_STORED]
+        self.bucket_counts[index, plan] = n
+
+    def insert(
+        self,
+        plan: int,
+        z_values: np.ndarray,
+        cost: float,
+        weight: float,
+        budget: int,
+    ) -> None:
+        """Insert one point into plan ``plan``'s row of each transform
+        ``i`` at ``z_values[i]``, bit for bit as
+        ``IncrementalHistogram(budget).insert`` does: join the bucket
+        whose ``lo`` is z, else the previous bucket if it reaches z,
+        else open a point mass; then merge while over ``budget``.
+        Every z is checked against ``[0, 1]`` before any write.
+        """
+        z = np.asarray(z_values, dtype=float)
+        if not ((z >= 0.0) & (z <= 1.0)).all():
+            raise HistogramError(f"z-values {z.tolist()} outside [0, 1]")
+        rows = np.arange(self.transforms)
+        lo = self._buckets[_LO, :, plan]
+        # ``bisect_left`` over each row's buckets, plus one for the
+        # -_FAR sentinel: the column of the first bucket with lo >= z.
+        at = (lo < z[:, None]).sum(axis=1)
+        hit = lo[rows, at] == z
+        joins = hit | (self._buckets[_HI, rows, plan, at - 1] >= z)
+        at -= joins & ~hit
+        counts = self.bucket_counts[:, plan].tolist()
+        for index, (column, value, opens, n) in enumerate(
+            zip(at.tolist(), z.tolist(), (~joins).tolist(), counts, strict=True)
+        ):
+            if opens:
+                # Shift the tail right over the first trailing sentinel;
+                # a full row merges back before the insert returns, so
+                # only a row that keeps the new bucket widens the block.
+                if n < budget and n + 3 > self.width:
+                    self._grow(n + 3)
+                row = self._buckets[:_STORED, index, plan]
+                row[:, column + 1:n + 2] = row[:, column:n + 1]
+                row[:, column] = (value, value, 0.0, 0.0)
+                n += 1
+                self.bucket_counts[index, plan] = n
+            cells = self._buckets[:_STORED, index, plan, 1:n + 1]
+            cells[_COUNT, column - 1] += weight
+            cells[_COST, column - 1] += cost * weight
+            if n > budget:
+                self._store(index, plan, cells, budget)
+        self._accumulate(self._buckets[:, :, plan])
+
+    def shrink(self, budget: int) -> None:
+        """Merge every row down to at most ``budget`` buckets, as
+        :meth:`~repro.histograms.incremental.IncrementalHistogram.shrink`
+        does, and narrow the block to its widest row."""
+        if budget < 1:
+            raise HistogramError("max_buckets must be >= 1")
+        for index, plan in np.argwhere(self.bucket_counts > budget).tolist():
+            n = self.bucket_counts[index, plan]
+            cells = self._buckets[:_STORED, index, plan, 1:n + 1]
+            self._store(index, plan, cells, budget)
+        self._load(self.rows())
+
+    def rows(self) -> list[list[list[list[float]]]]:
+        """Each (transform, plan) row's ``[lo, hi, count, cost_sum]``
+        buckets: what :meth:`from_buckets` reads."""
+        return [
+            [
+                self._buckets[:_STORED, index, plan, 1:n + 1].T.tolist()
+                for plan, n in enumerate(counts)
+            ]
+            for index, counts in enumerate(self.bucket_counts.tolist())
+        ]
+
+    def space_bytes(self) -> int:
+        """The paper's 12 bytes per bucket over every row."""
+        return int(self.bucket_counts.sum()) * BYTES_PER_BUCKET
 
     def query(
         self, lo: np.ndarray, hi: np.ndarray

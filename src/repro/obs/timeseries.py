@@ -122,13 +122,6 @@ class RingSeries:
                 result = value
         return result
 
-    def window_values(self, now: float, window: float) -> "list[float]":
-        return [
-            value
-            for time, value in self._iter_points()
-            if now - window <= time <= now
-        ]
-
 
 class TimeSeriesStore:
     """Periodic whole-registry sampler with windowed derivations.
@@ -257,20 +250,6 @@ class TimeSeriesStore:
         if entry is None:
             return 0.0
         return entry[1].window_delta(now, window)
-
-    def counter_rate(
-        self,
-        name: str,
-        window: float,
-        now: "float | None" = None,
-        **labels: str,
-    ) -> float:
-        """Counter events per second over the window."""
-        return self.counter_delta(name, window, now, **labels) / window
-
-    def gauge_series(self, name: str, **labels: str) -> "RingSeries | None":
-        entry = self._series.get(("gauge", name, _label_key(labels)))
-        return entry[1] if entry else None
 
     def histogram_field_max(
         self,

@@ -36,6 +36,3 @@ class Optimizer:
         """Run full plan enumeration at selectivity point ``x``."""
         self.invocation_count += 1
         return self._enumerator.optimize(x)
-
-    def reset_counters(self) -> None:
-        self.invocation_count = 0

@@ -1,10 +1,12 @@
 """Slow references for the fast paths.
 
-The histogram predictor answers its range queries through one packed
-block (``repro.histograms.packed``).  These helpers recompute the same
-estimates the slow way — one ``Histogram.range_query_batch`` call per
-(transform, plan) — so tests can hold the fast path to its numeric
-contract (rtol 1e-12 on masses and average costs, identical decisions).
+The histogram predictor stores its synopses in, and answers its range
+queries through, one packed block (``repro.histograms.packed``).  These
+helpers read each (transform, plan) row of that block back into a
+``Histogram`` and recompute the same estimates the slow way — one
+``Histogram.range_query_batch`` call per row — so tests can hold the
+fast path to its numeric contract (rtol 1e-12 on masses and average
+costs, identical decisions).
 
 A session labels ground truth after the fact, in batch
 (``repro.core.framework.GroundTruthLedger``).  :func:`eager_ground_truth`
@@ -16,6 +18,21 @@ from unittest import mock
 
 import numpy as np
 
+from repro.histograms import Bucket, Histogram
+
+
+def block_histograms(predictor):
+    """The predictor's block rows as per-row ``Histogram`` objects."""
+    rows = []
+    for row in predictor._packed.rows():
+        histograms = []
+        for buckets in row:
+            histogram = Histogram()
+            histogram.buckets = [Bucket(*bucket) for bucket in buckets]
+            histograms.append(histogram)
+        rows.append(histograms)
+    return rows
+
 
 def legacy_range_estimates(predictor, points):
     """``(z_values, counts, avg_costs)`` via per-histogram queries."""
@@ -25,7 +42,7 @@ def legacy_range_estimates(predictor, points):
     shape = (len(predictor.ensemble), predictor.plan_count, points.shape[0])
     counts = np.empty(shape)
     avg_costs = np.empty(shape)
-    for index, row in enumerate(predictor._histograms):
+    for index, row in enumerate(block_histograms(predictor)):
         for plan, histogram in enumerate(row):
             counts[index, plan], avg_costs[index, plan] = (
                 histogram.range_query_batch(lo[index], hi[index])
@@ -38,7 +55,7 @@ def legacy_cell_densities(predictor, probes=64):
     edges = np.linspace(0.0, 1.0, probes + 1)
     return np.array([
         [h.range_count_batch(edges[:-1], edges[1:]) for h in row]
-        for row in predictor._histograms
+        for row in block_histograms(predictor)
     ])
 
 

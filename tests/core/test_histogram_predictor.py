@@ -5,7 +5,11 @@ import pytest
 
 from repro.core.histogram_predictor import HistogramPredictor, ball_volume
 from repro.core.point import SamplePool
-from repro.exceptions import ConfigurationError, PredictionError
+from repro.exceptions import (
+    ConfigurationError,
+    HistogramError,
+    PredictionError,
+)
 from tests.core.legacy import (
     assert_predictions_match,
     legacy_cell_densities,
@@ -50,9 +54,7 @@ class TestStaticFit:
         predictor = HistogramPredictor(
             _pool(), max_buckets=10, histogram_kind="maxdiff", seed=1
         )
-        for row in predictor._histograms:
-            for histogram in row:
-                assert histogram.bucket_count <= 10
+        assert (predictor._packed.bucket_counts <= 10).all()
 
     def test_space_bounded_by_formula(self):
         predictor = HistogramPredictor(
@@ -101,51 +103,12 @@ class TestAtomicInsert:
         predictor = HistogramPredictor(
             _pool(), histogram_kind="maxdiff", seed=1
         )
-        before = [
-            [h.range_count(-1.0, 2.0) for h in row]
-            for row in predictor._histograms
-        ]
+        before = predictor._packed._buckets.copy()
         with pytest.raises(PredictionError):
             predictor.insert(np.array([0.5, 0.5]), 0)
-        after = [
-            [h.range_count(-1.0, 2.0) for h in row]
-            for row in predictor._histograms
-        ]
-        assert after == before
+        assert predictor._packed._buckets.tobytes() == before.tobytes()
         assert predictor.total_points == 200
         assert predictor.total_mass == 200.0
-
-    def test_mixed_insertability_mutates_nothing(self):
-        """A non-insertable histogram in any transform row must abort
-        the insert before earlier transforms are touched."""
-        from repro.histograms import MaxDiffHistogram
-
-        predictor = HistogramPredictor(
-            SamplePool(2),
-            plan_count=2,
-            histogram_kind="incremental",
-            seed=1,
-        )
-        predictor.insert(np.array([0.3, 0.3]), 0, cost=1.0)
-        # Sabotage the LAST transform's plan-0 histogram: the loop
-        # would mutate every earlier transform before hitting it.
-        static = MaxDiffHistogram.build(
-            np.array([]), np.array([]), bucket_count=8
-        )
-        predictor._histograms[-1][0] = static
-        before = [
-            row[0].range_count(-1.0, 2.0)
-            for row in predictor._histograms[:-1]
-        ]
-        with pytest.raises(PredictionError):
-            predictor.insert(np.array([0.3, 0.3]), 0, cost=1.0)
-        after = [
-            row[0].range_count(-1.0, 2.0)
-            for row in predictor._histograms[:-1]
-        ]
-        assert after == before
-        assert predictor.total_points == 1
-        assert predictor.total_mass == 1.0
 
     def test_nonpositive_weight_rejected_without_mutation(self):
         predictor = HistogramPredictor(
@@ -227,6 +190,15 @@ class TestValidation:
         with pytest.raises(PredictionError):
             HistogramPredictor(_pool(), radius=-1.0)
 
+    def test_empty_bucket_budget_rejected(self):
+        """An empty incremental predictor has no histogram to build, so
+        the budget is checked up front, not at the first insert."""
+        with pytest.raises(HistogramError):
+            HistogramPredictor(
+                SamplePool(2), plan_count=2, max_buckets=0,
+                histogram_kind="incremental",
+            )
+
     def test_high_dimension_bits_clamped(self):
         """dims*bits must stay within the 62-bit Morton budget."""
         pool = SamplePool(6)
@@ -285,9 +257,7 @@ class TestPackedLookup:
         predictor.shrink(5)
         assert predictor.mutation_count == before + 1
         assert predictor.max_buckets == 5
-        assert all(
-            h.bucket_count <= 5 for row in predictor._histograms for h in row
-        )
+        assert (predictor._packed.bucket_counts <= 5).all()
         probes = np.random.default_rng(6).uniform(0.0, 1.0, (100, 2))
         assert_predictions_match(
             predictor.predict_batch(probes),

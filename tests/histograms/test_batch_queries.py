@@ -44,7 +44,7 @@ class TestBatchMatchesScalar:
         hist = MaxDiffHistogram.build(values, costs, bucket_count=8)
         los = np.array([min(a, b) for a, b in queries])
         his = np.array([max(a, b) for a, b in queries])
-        batch = hist.range_cost_batch(los, his)
+        __, batch = hist.range_query_batch(los, his)
         scalar = [hist.range_cost(lo, hi) for lo, hi in zip(los, his, strict=True)]
         assert batch == pytest.approx(scalar)
 

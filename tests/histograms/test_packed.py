@@ -6,10 +6,13 @@ within rtol 1e-12 (only the summation order differs) — for every
 histogram kind, including point-mass buckets, touching buckets,
 weighted inserts, queries past ``[0, 1]`` and queries wider than a
 bucket, and the tiled query must equal the plain one bit for bit.
-The sort-based medians must equal ``np.median`` /
-``np.nanmedian`` bit for bit, and the block's precondition (buckets
-sorted by ``lo``, pairwise non-overlapping) must hold for every
-construction and mutation.
+The block is also the online synopsis store: after any history of
+inserts, shrinks and drops it must equal, plane for plane, a block
+freshly packed from ``IncrementalHistogram`` reference rows that
+replayed the same operations.  The sort-based medians must equal
+``np.median`` / ``np.nanmedian`` bit for bit, and the block's
+precondition (buckets sorted by ``lo``, pairwise non-overlapping) must
+hold for every construction and mutation.
 """
 
 import warnings
@@ -20,6 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.predictor import median_over_transforms, median_supported
+from repro.exceptions import HistogramError
 from repro.histograms import (
     EquiDepthHistogram,
     EquiWidthHistogram,
@@ -84,10 +88,10 @@ def histograms(draw, kind):
 
 
 @st.composite
-def blocks(draw):
-    """``(rows, lo, hi)``: a ``t × plans`` grid of histograms of one
-    kind and a ``(t, m)`` query batch against it."""
-    kind = draw(st.sampled_from(KINDS))
+def blocks(draw, kinds=KINDS):
+    """``(rows, lo, hi)``: a ``t × plans`` grid of histograms of one of
+    ``kinds`` and a ``(t, m)`` query batch against it."""
+    kind = draw(st.sampled_from(kinds))
     t = draw(st.integers(1, 6))
     plans = draw(st.integers(1, 3))
     rows = [
@@ -139,29 +143,40 @@ class TestAgainstPerHistogramQueries:
             average, expected_average, rtol=1e-12, atol=0
         )
 
-    @given(data=blocks(), value=unit_values, cost=costs, weight=weights)
+    @given(
+        data=blocks(kinds=("incremental",)),
+        values=st.lists(unit_values, min_size=6, max_size=6),
+        cost=costs,
+        weight=weights,
+        slack=st.integers(0, 2),
+    )
     @settings(max_examples=100, deadline=None)
-    def test_row_update_tracks_inserts(self, data, value, cost, weight):
-        """Updating one row after an insert (which may widen the
-        block) equals packing from scratch."""
+    def test_row_update_tracks_inserts(
+        self, data, values, cost, weight, slack
+    ):
+        """Inserting into plan 0's rows in place (which may open a
+        bucket, merge, or widen the block) equals packing the reference
+        rows from scratch after the same insert."""
         rows, lo, hi = data
-        assume(hasattr(rows[0][0], "insert"))
+        budget = max(1, *(row[0].bucket_count for row in rows)) + slack
         packed = PackedHistograms(rows)
-        rows[0][0].insert(value, cost, weight=weight)
-        packed.update(0, 0, rows[0][0])
+        z = values[:len(rows)]
+        for row, value in zip(rows, z, strict=True):
+            row[0].max_buckets = budget
+            row[0].insert(value, cost, weight=weight)
+        packed.insert(0, np.array(z), cost, weight, budget)
         fresh = PackedHistograms(rows)
+        assert_same_block(packed, fresh)
         for got, want in zip(
             packed.query(lo, hi), fresh.query(lo, hi), strict=True
         ):
             np.testing.assert_array_equal(got, want)
 
     def test_growing_row_widens_block(self):
-        histogram = IncrementalHistogram(max_buckets=50)
-        packed = PackedHistograms([[histogram]])
+        packed = PackedHistograms([[IncrementalHistogram(max_buckets=50)]])
         for k in range(20):
-            histogram.insert(k / 20, 1.0)
-            packed.update(0, 0, histogram)
-        assert packed.width >= 22
+            packed.insert(0, np.array([k / 20]), 1.0, 1.0, 50)
+        assert packed.width == 22
         mass, __ = packed.query(np.array([[-1.0]]), np.array([[2.0]]))
         assert mass[0, 0, 0] == 20.0
 
@@ -222,6 +237,137 @@ class TestAgainstPerHistogramQueries:
             np.broadcast_to(edges[1:], shape),
         )
         assert packed.tiles(edges).tobytes() == mass.tobytes()
+
+
+def assert_same_block(packed, expected):
+    """Every plane (prefix sums included), the width, the per-row
+    bucket counts and the footprint are equal bit for bit."""
+    assert packed.width == expected.width
+    np.testing.assert_array_equal(packed.bucket_counts, expected.bucket_counts)
+    assert packed._buckets.shape == expected._buckets.shape
+    assert packed._buckets.tobytes() == expected._buckets.tobytes()
+    assert packed.space_bytes() == expected.space_bytes()
+
+
+def _inserts(t, plans):
+    """One insert of a history: a plan, a z-value per transform row, a
+    cost and a weight."""
+    return st.tuples(
+        st.just("insert"),
+        st.integers(0, plans - 1),
+        st.lists(unit_values, min_size=t, max_size=t),
+        costs,
+        weights,
+    )
+
+
+@st.composite
+def histories(draw):
+    """``(t, plans, budget, operations)``: inserts (weighted, on a
+    coarse grid, so duplicate z-values and buckets touching at a shared
+    bound are common) mixed with shrinks and drops."""
+    t = draw(st.integers(1, 4))
+    plans = draw(st.integers(1, 3))
+    budget = draw(st.integers(1, 8))
+    insert = _inserts(t, plans)
+    operations = draw(
+        st.lists(
+            st.one_of(
+                insert,
+                insert,
+                insert,
+                insert,
+                st.tuples(st.just("shrink"), st.integers(1, 8)),
+                st.tuples(st.just("drop")),
+            ),
+            max_size=60,
+        )
+    )
+    return t, plans, budget, operations
+
+
+class TestOneStore:
+    """The block is the store: in-place inserts and shrinks replay the
+    reference ``IncrementalHistogram`` rows bit for bit."""
+
+    @given(history=histories())
+    @settings(max_examples=200, deadline=None)
+    def test_block_equals_replayed_reference_rows(self, history):
+        t, plans, budget, operations = history
+
+        def fresh_rows():
+            return [
+                [IncrementalHistogram(max_buckets=budget) for __ in range(plans)]
+                for __ in range(t)
+            ]
+
+        reference = fresh_rows()
+        packed = PackedHistograms(reference)
+        for operation, *args in operations:
+            if operation == "insert":
+                plan, z, cost, weight = args
+                packed.insert(plan, np.array(z), cost, weight, budget)
+                for row, value in zip(reference, z, strict=True):
+                    row[plan].insert(value, cost, weight=weight)
+            elif operation == "shrink":
+                (budget,) = args
+                packed.shrink(budget)
+                for row in reference:
+                    for histogram in row:
+                        histogram.shrink(budget)
+            else:
+                reference = fresh_rows()
+                packed = PackedHistograms.from_buckets(
+                    [[[] for __ in range(plans)] for __ in range(t)]
+                )
+            expected = PackedHistograms(reference)
+            assert_same_block(packed, expected)
+            assert packed.space_bytes() == sum(
+                histogram.space_bytes() for row in reference for histogram in row
+            )
+        assert packed.rows() == [
+            [
+                [[b.lo, b.hi, b.count, b.cost_sum] for b in histogram.buckets]
+                for histogram in row
+            ]
+            for row in reference
+        ]
+        restored = PackedHistograms.from_buckets(packed.rows())
+        assert_same_block(restored, packed)
+
+    @pytest.mark.parametrize("bad", [-1e-9, 1.0 + 1e-9, float("nan")])
+    def test_rejected_insert_writes_nothing(self, bad):
+        """A z-value outside ``[0, 1]`` in any row rejects the insert
+        before the rows before it are touched."""
+        packed = PackedHistograms.from_buckets([[[]], [[]], [[]]])
+        packed.insert(0, np.array([0.25, 0.5, 0.75]), 2.0, 1.0, 4)
+        before = packed._buckets.copy()
+        with pytest.raises(HistogramError):
+            packed.insert(0, np.array([0.1, 0.2, bad]), 2.0, 1.0, 4)
+        assert packed._buckets.tobytes() == before.tobytes()
+        assert packed.space_bytes() == 3 * 12
+
+    def test_insert_at_budget_keeps_the_width(self):
+        """A full row opens a bucket and merges back without widening
+        the block, even for an instant."""
+        packed = PackedHistograms.from_buckets([[[]]])
+        for k in range(4):
+            packed.insert(0, np.array([k / 4]), 1.0, 1.0, 4)
+        block = packed._buckets
+        packed.insert(0, np.array([0.9]), 1.0, 1.0, 4)
+        assert packed.width == 6
+        assert packed._buckets is block
+
+    def test_shrink_narrows_the_block(self):
+        packed = PackedHistograms.from_buckets([[[]], [[]]])
+        for k in range(10):
+            packed.insert(0, np.array([k / 10, 1 - k / 10]), 1.0, 1.0, 10)
+        assert packed.width == 12
+        packed.shrink(3)
+        assert packed.width == 5
+        assert packed.bucket_counts.tolist() == [[3], [3]]
+        with pytest.raises(HistogramError):
+            packed.shrink(0)
 
 
 medians_values = st.integers(1, 6).flatmap(

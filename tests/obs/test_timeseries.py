@@ -72,7 +72,6 @@ class TestRingSeries:
             ring.append(t, v)
         assert ring.window_max(now=7.0, window=2.5) == 3.0
         assert ring.window_max(now=7.0, window=100.0) == 99.0
-        assert ring.window_values(now=7.0, window=2.5) == [1.0, 3.0, 2.0]
 
 
 class TestTimeSeriesStore:
@@ -113,9 +112,6 @@ class TestTimeSeriesStore:
             "ppc_executions_total", 3.0, now, template="Q1"
         )
         assert delta == 20.0
-        assert store.counter_rate(
-            "ppc_executions_total", 3.0, now, template="Q1"
-        ) == pytest.approx(20.0 / 3.0)
         # Unknown series reads as zero, not a KeyError.
         assert store.counter_delta("nope", 3.0, now) == 0.0
 

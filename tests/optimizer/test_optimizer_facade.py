@@ -18,8 +18,6 @@ class TestOptimizerFacade:
         for __ in range(3):
             optimizer.optimize(np.array([[0.5, 0.5]]))
         assert optimizer.invocation_count == 3
-        optimizer.reset_counters()
-        assert optimizer.invocation_count == 0
 
     def test_matches_enumerator(self, tiny_template, tiny_catalog):
         from repro.optimizer.enumeration import DPEnumerator
