@@ -50,6 +50,9 @@ def main() -> None:
             base.dimensions, spread=0.02, seed=11
         ).generate(total)
 
+    # A session keeps only a window of its records: keep the whole
+    # history from what execute returns.
+    history = {name: [] for name in oracles}
     switch = total // 2
     rng = np.random.default_rng(5)
     for i in range(total):
@@ -59,14 +62,14 @@ def main() -> None:
         # Interleave the three templates randomly.
         name = ("Q0", "Q1", "Q8")[rng.integers(3)]
         point = workloads[name][i]
-        framework.execute(name, point)
+        history[name].append(framework.execute(name, point))
 
     print()
     print(f"{'template':>8s} {'phase':>12s} {'precision':>10s} "
           f"{'recall':>8s} {'drift events':>13s}")
     for name in ("Q0", "Q1", "Q8"):
         session = framework.session(name)
-        records = session.records
+        records = history[name]
         half = len(records) // 2
         for phase, (lo, hi) in (
             ("before", (0, half)),

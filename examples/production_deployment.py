@@ -47,10 +47,15 @@ def main() -> None:
     # Q0 and Q1 stay hot; Q5 runs only during a brief early burst.
     rng = np.random.default_rng(5)
     actions = []
+    # The optimizer's answers, kept from what execute returns: a session
+    # keeps only a window of its own records.
+    optimized = {name: [] for name in spaces}
     for i in range(600):
         names = ("Q0", "Q1", "Q5") if i < 150 else ("Q0", "Q1")
         name = names[rng.integers(len(names))]
-        framework.execute(name, workloads[name][i])
+        record = framework.execute(name, workloads[name][i])
+        if record.optimizer_invoked:
+            optimized[name].append(record)
         governor.touch(name)
         if i % 50 == 49:
             actions.extend(governor.enforce())
@@ -72,8 +77,7 @@ def main() -> None:
 
     # Parameter relevance on Q5's accumulated history.
     print("\n=== parameter relevance (Q5) ===")
-    session = framework.session("Q5")
-    records = [r for r in session.records if r.optimizer_invoked]
+    records = optimized["Q5"]
     pool = SamplePool(spaces["Q5"].dimensions)
     for record in records:
         pool.add(record.point, record.optimal_plan, record.optimal_cost)

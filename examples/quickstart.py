@@ -30,16 +30,16 @@ def main() -> None:
         space.dimensions, spread=0.02, seed=7
     ).generate(1000)
 
-    for point in workload:
-        framework.execute("Q1", point)
+    # Keep the records execute returns: the session keeps only a window.
+    records = [framework.execute("Q1", point) for point in workload]
 
     session = framework.session("Q1")
     metrics = session.ground_truth_metrics()
-    suboptimality = np.mean([r.suboptimality for r in session.records])
+    suboptimality = np.mean([r.suboptimality for r in records])
 
-    print(f"instances executed      : {len(session.records)}")
+    print(f"instances executed      : {len(records)}")
     print(f"optimizer invocations   : {session.optimizer_invocations} "
-          f"({session.optimizer_invocations / len(session.records):.0%})")
+          f"({session.optimizer_invocations / len(records):.0%})")
     print(f"prediction precision    : {metrics.precision:.3f}")
     print(f"prediction recall       : {metrics.recall:.3f}")
     print(f"mean cost vs optimal    : {suboptimality:.3f}x")

@@ -288,9 +288,12 @@ def run_instrumentation_overhead() -> dict[str, Any]:
         framework.register(plan_space_for("Q1"))
         rigs[mode.name] = (framework, clock)
     probes = _q1_trajectory(PROBE_SEED, INSTRUMENTATION_PROBES)
+    # Every decision of every rig, warm-up included: the session keeps
+    # only a window of its records.
+    records: dict[str, list] = {name: [] for name in rigs}
     for x in _q1_trajectory(WARM_SEED, INSTRUMENTATION_WARMUP):
-        for framework, clock in rigs.values():
-            framework.execute("Q1", x)
+        for name, (framework, clock) in rigs.items():
+            records[name].append(framework.execute("Q1", x))
             clock.advance(INSTRUMENTATION_ADVANCE)
     names = list(rigs)
     order = np.random.default_rng(ORDER_SEED)
@@ -299,19 +302,16 @@ def run_instrumentation_overhead() -> dict[str, Any]:
         for index in order.permutation(len(names)):
             framework, clock = rigs[names[index]]
             t0 = perf_counter()
-            framework.execute("Q1", x)
+            record = framework.execute("Q1", x)
             spent[names[index]] += perf_counter() - t0
+            records[names[index]].append(record)
             clock.advance(INSTRUMENTATION_ADVANCE)
 
-    reference = [
-        _decision_key(r) for r in rigs["off"][0].session("Q1").records
-    ]
+    reference = [_decision_key(r) for r in records["off"]]
     modes: dict[str, dict[str, Any]] = {}
     for mode in INSTRUMENTATION_MODES:
         framework = rigs[mode.name][0]
-        decisions = [
-            _decision_key(r) for r in framework.session("Q1").records
-        ]
+        decisions = [_decision_key(r) for r in records[mode.name]]
         if decisions != reference:
             raise BenchError(f"mode {mode.name} changed decisions")
         recorded = _recorded(framework)

@@ -50,7 +50,9 @@ across all its sessions.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable
+from itertools import islice
 from time import perf_counter
 
 import numpy as np
@@ -87,8 +89,9 @@ from repro.resilience.retry import (
 _RECOMPUTE = object()
 
 #: Decisions between two scheduled settles of a session's ground-truth
-#: ledger.  It bounds the ledger (at most this many unlabelled rows) and
-#: the lag of the telemetry that reads settled ground truth.
+#: ledger.  It bounds the ledger (at most this many unlabelled rows), the
+#: lag of the telemetry that reads settled ground truth, and the slack of
+#: the session's record window.
 SETTLE_EVERY = 64
 
 
@@ -103,6 +106,9 @@ class ExecutionRecord:
     record in one batch.  Either way the values are bit-identical to an
     eager ``plan_space.label`` of ``point`` at decision time.  Records
     are read-only.
+
+    A session keeps only a window of its records; a caller that needs a
+    run's full history keeps the records ``execute`` returns.
     """
 
     __slots__ = (
@@ -209,7 +215,10 @@ class GroundTruthLedger:
     bare ``plan_space.label`` call — batched labels are bitwise equal to
     per-point ones — and :meth:`settle` then books each unsettled
     record's regret into ``ppc_regret_total`` in decision order, so the
-    counter sums exactly what per-decision accounting summed.
+    counter sums exactly what per-decision accounting summed.  The same
+    pass adds the record's outcome to :attr:`tally`, so the ledger's
+    tally and :attr:`decisions` count cover the whole run, however few
+    records the session keeps.
 
     The session settles every :data:`SETTLE_EVERY` decisions, counted
     from its first, so the settle points depend on the decision count
@@ -219,7 +228,9 @@ class GroundTruthLedger:
     :data:`SETTLE_EVERY` decisions.
     """
 
-    __slots__ = ("_decisions", "_label", "_pending", "_regret", "_rows")
+    __slots__ = (
+        "_decisions", "_label", "_pending", "_regret", "_rows", "_tally",
+    )
 
     def __init__(self, label: Callable, regret: Counter) -> None:
         self._label = label
@@ -229,6 +240,17 @@ class GroundTruthLedger:
         #: The subset of ``_rows`` still waiting for a label.
         self._pending: list[ExecutionRecord] = []
         self._decisions = 0
+        self._tally = PrecisionRecall(0, 0, 0)
+
+    @property
+    def decisions(self) -> int:
+        """Decisions booked so far, settled or not."""
+        return self._decisions
+
+    @property
+    def tally(self) -> PrecisionRecall:
+        """Ground-truth precision/recall of every settled decision."""
+        return self._tally
 
     @property
     def unsettled(self) -> int:
@@ -259,10 +281,16 @@ class GroundTruthLedger:
         pending.clear()
 
     def settle(self) -> None:
-        """Resolve, then book every unsettled record's regret in order."""
+        """Resolve, then book every unsettled record's regret and
+        outcome in order."""
         self.resolve()
+        outcomes = []
         for record in self._rows:
             self._regret.inc(max(0.0, record.suboptimality - 1.0))
+            outcomes.append(
+                PredictionOutcome(record.predicted, record.optimal_plan)
+            )
+        self._tally += summarize(outcomes)
         self._rows.clear()
 
 
@@ -360,7 +388,11 @@ class TemplateSession:
             metrics=self.metrics,
             profiler=self.profiler,
         )
-        self.records: list[ExecutionRecord] = []
+        #: The newest records: the scorecard's ``quality_window`` settled
+        #: ones plus the at most ``SETTLE_EVERY - 1`` still unsettled.
+        self.records: deque[ExecutionRecord] = deque(
+            maxlen=self.config.telemetry.quality_window + SETTLE_EVERY
+        )
         self._last_plan_id: "int | None" = None
 
         # Fault-injectable call surfaces: the optimizer, the predictor's
@@ -698,8 +730,8 @@ class TemplateSession:
         normal execution: the session's state advances exactly as an
         untraced ``execute`` would (sampling consumes no RNG), which is
         what the explain/execute parity test pins down.  The produced
-        :class:`ExecutionRecord` is ``self.records[-1]``; its summary
-        is the trace's ``outcome``.
+        :class:`ExecutionRecord` is the newest of ``self.records``
+        (``self.records[-1]``); its summary is the trace's ``outcome``.
         """
         trace = self.tracer.begin(force=True)
         self._run(x, trace)
@@ -1030,19 +1062,22 @@ class TemplateSession:
     # ------------------------------------------------------------------
     # Experimenter-side accounting
     # ------------------------------------------------------------------
-    def settled_records(self, window: int) -> list[ExecutionRecord]:
-        """The last ``window`` records whose ground truth has settled:
-        what telemetry reads, so it never forces a label."""
+    @property
+    def decisions(self) -> int:
+        """Decisions recorded so far: the ledger's count."""
+        return self._ledger.decisions
+
+    def settled_records(self) -> list[ExecutionRecord]:
+        """The last ``quality_window`` records whose ground truth has
+        settled: what telemetry reads, so it never forces a label."""
         end = len(self.records) - self._ledger.unsettled
-        return self.records[max(0, end - window) : end]
+        start = max(0, end - self.config.telemetry.quality_window)
+        return list(islice(self.records, start, end))
 
     def ground_truth_metrics(self) -> PrecisionRecall:
         """True precision/recall of all predictions so far."""
         self._ledger.settle()
-        return summarize(
-            PredictionOutcome(r.predicted, r.optimal_plan)
-            for r in self.records
-        )
+        return self._ledger.tally
 
 
 class PPCFramework:
@@ -1239,7 +1274,6 @@ class PPCFramework:
                 session,
                 self.metrics,
                 probes=self.config.telemetry.quality_probes,
-                window=self.config.telemetry.quality_window,
             )
             for name, session in self.sessions.items()
         }

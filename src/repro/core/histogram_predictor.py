@@ -182,13 +182,16 @@ class HistogramPredictor(PlanPredictor):
         not a mutation: it journals without bumping ``mutation_count``.
         """
         self._events = emitter
-        emitter(
-            "histogram_built",
-            histogram_kind=self.histogram_kind,
-            transforms=len(self.ensemble),
-            plans=self.plan_count,
-            points=self.total_points,
-        )
+        emitter("histogram_built", **self._built_fields())
+
+    def _built_fields(self) -> dict:
+        """Fields of the ``histogram_built`` event."""
+        return {
+            "histogram_kind": self.histogram_kind,
+            "transforms": len(self.ensemble),
+            "plans": self.plan_count,
+            "points": self.total_points,
+        }
 
     # ------------------------------------------------------------------
     # Construction / population
@@ -531,13 +534,7 @@ class HistogramPredictor(PlanPredictor):
         self._packed = histograms
         self.total_points = total_points
         self.total_mass = total_mass
-        self._commit(
-            "histogram_built",
-            histogram_kind=self.histogram_kind,
-            transforms=len(self.ensemble),
-            plans=self.plan_count,
-            points=self.total_points,
-        )
+        self._commit("histogram_built", **self._built_fields())
 
     def space_bytes(self) -> int:
         """``t * n_plans * b_h * 12`` bytes; actual bucket counts may be

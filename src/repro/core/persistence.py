@@ -346,19 +346,27 @@ def dumps_predictor(predictor: HistogramPredictor) -> str:
     )
 
 
-def _snapshot_state(decoded: tuple, source: str) -> dict:
-    """The one state record of a decoded snapshot.  A snapshot is
-    written atomically, so a torn tail is damage, not a crash artifact."""
+def _restore(decoded: tuple, source: str) -> HistogramPredictor:
+    """The predictor of a decoded snapshot.  A snapshot is written
+    atomically, so a torn tail is damage, not a crash artifact.  A CRC
+    is no proof against a crafted file either: state that checks out
+    but does not rebuild is damage too, and raises
+    :class:`PersistenceError` like any other."""
     __, records, torn = decoded
     if torn or len(records) != 1:
         raise PersistenceError(f"{source}: truncated predictor snapshot")
-    return records[0]
+    try:
+        return predictor_from_state(records[0])
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise PersistenceError(
+            f"{source}: malformed predictor state ({exc})"
+        ) from exc
 
 
 def loads_predictor(text: str) -> HistogramPredictor:
     """Parse a document produced by :func:`dumps_predictor`."""
     decoded = decode_artifact(text, SNAPSHOT_KIND, STATE_VERSION)
-    return predictor_from_state(_snapshot_state(decoded, "<memory>"))
+    return _restore(decoded, "<memory>")
 
 
 def save_predictor(
@@ -403,19 +411,9 @@ def load_predictor(
     for candidate in candidates:
         try:
             decoded = read_artifact(candidate, SNAPSHOT_KIND, STATE_VERSION)
-            return predictor_from_state(
-                _snapshot_state(decoded, str(candidate))
-            )
+            return _restore(decoded, str(candidate))
         except PersistenceError as exc:
             primary_error = primary_error or exc
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            # A CRC is no proof against a crafted file: state that
-            # checks out but does not rebuild is damage too.
-            error = PersistenceError(
-                f"{candidate}: malformed predictor state ({exc})"
-            )
-            error.__cause__ = exc
-            primary_error = primary_error or error
     if not strict and cold is not None:
         return cold() if callable(cold) else cold
     raise primary_error  # type: ignore[misc]

@@ -137,12 +137,14 @@ def run_drift_detection(
     ).generate(workload_size)
 
     manipulation_index = workload_size // 2
+    records = []
     trace = []
     alarm_index = None
     for i in range(workload.shape[0]):
         if i == manipulation_index:
             oracle.activate()
         record = session.execute(workload[i])
+        records.append(record)
         trace.append(session.monitor.precision_estimate)
         alarmed = record.drift_triggered or session.monitor.drift_detected()
         if alarm_index is None and i >= manipulation_index and alarmed:
@@ -157,7 +159,7 @@ def run_drift_detection(
         manipulation_index=manipulation_index,
         alarm_index=alarm_index,
         precision_trace=trace,
-        recall_before=window_recall(session.records[:manipulation_index]),
-        recall_after=window_recall(session.records[manipulation_index:]),
+        recall_before=window_recall(records[:manipulation_index]),
+        recall_after=window_recall(records[manipulation_index:]),
         drift_events=session.drift_events,
     )

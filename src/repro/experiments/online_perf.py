@@ -79,8 +79,7 @@ def _run_session(
         plan_space.dimensions, spread=spread, seed=seed
     ).generate(workload_size)
     session = TemplateSession(plan_space, config, seed=seed + 1)
-    for point in workload:
-        session.execute(point)
+    records = [session.execute(point) for point in workload]
     metrics = session.ground_truth_metrics()
     return OnlineRun(
         template=template,
@@ -89,7 +88,7 @@ def _run_session(
         precision=metrics.precision,
         recall=metrics.recall,
         optimizer_invocations=session.optimizer_invocations,
-        curve=_windowed_curve(session.records),
+        curve=_windowed_curve(records),
     )
 
 

@@ -17,12 +17,14 @@ serves, strictly read-only:
   predictions in the rolling window: how comfortably the chord model
   clears ``sin(θ) > γ``.
 * **rolling accuracy / regret** — ground-truth prediction accuracy and
-  mean regret (``suboptimality - 1``) over the last *window*
-  executions whose ground truth has settled, the continuous-evaluation
-  signals Kepler-style safety demands.  The session labels ground truth
-  in batch (``repro.core.framework.SETTLE_EVERY``), so the window lags
-  the newest execution by at most that many decisions and reading it
-  never forces a label.
+  mean regret (``suboptimality - 1``) over the last
+  ``telemetry.quality_window`` executions whose ground truth has
+  settled, the continuous-evaluation signals Kepler-style safety
+  demands.  The session labels ground truth in batch
+  (``repro.core.framework.SETTLE_EVERY``), so the window lags the
+  newest execution by at most that many decisions and reading it never
+  forces a label.  The session keeps exactly the records this window
+  needs, so the window is the session's own, not the caller's.
 * **drift pressure** — how close the Section IV-E estimators sit to the
   drift alarm (see
   :meth:`~repro.core.monitor.PerformanceMonitor.drift_pressure`).
@@ -143,7 +145,6 @@ def rolling_window_stats(
 def compute_scorecard(
     session: "TemplateSession",
     probes: int = 64,
-    window: int = 200,
     include_attribution: bool = True,
 ) -> dict[str, Any]:
     """The full plan-space scorecard of one template session.
@@ -158,14 +159,14 @@ def compute_scorecard(
     predictor = session.online.predictor
     synopsis = synopsis_scorecard(predictor.cell_densities(probes))
     rolling = rolling_window_stats(
-        session.settled_records(window),
+        session.settled_records(),
         gamma=session.config.confidence_threshold,
-        window=window,
+        window=session.config.telemetry.quality_window,
     )
     monitor = session.monitor.quality_snapshot()
     scorecard: dict[str, Any] = {
         "template": session.plan_space.template.name,
-        "executions": len(session.records),
+        "executions": session.decisions,
         "synopsis": {
             **synopsis,
             "total_points": predictor.total_points,
@@ -186,13 +187,12 @@ def export_quality_gauges(
     session: "TemplateSession",
     registry: "MetricsRegistry",
     probes: int = 64,
-    window: int = 200,
 ) -> dict[str, Any]:
     """Refresh the per-template ``ppc_quality_*`` gauges and return the
     scorecard they were read from (attribution skipped — see
     :func:`compute_scorecard`)."""
     scorecard = compute_scorecard(
-        session, probes=probes, window=window, include_attribution=False
+        session, probes=probes, include_attribution=False
     )
     template = scorecard["template"]
     synopsis = scorecard["synopsis"]

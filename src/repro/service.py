@@ -295,7 +295,7 @@ class PlanCachingService:
         for name in self._binders:
             session = self.framework.session(name)
             metrics = session.ground_truth_metrics()
-            total = max(1, len(session.records))
+            total = max(1, session.decisions)
             summary[name] = {
                 "instances": float(total),
                 "optimizer_invocations": float(
@@ -316,9 +316,7 @@ class PlanCachingService:
         self.framework.metrics.settle()
         return {
             name: compute_scorecard(
-                self.framework.session(name),
-                probes=config.quality_probes,
-                window=config.quality_window,
+                self.framework.session(name), probes=config.quality_probes
             )
             for name in self._binders
         }

@@ -24,14 +24,13 @@ def _run_session(tiny_space, config=None, n=60, metrics=None, seed=0):
     workload = RandomTrajectoryWorkload(
         tiny_space.dimensions, spread=0.05, seed=11
     ).generate(n)
-    for point in workload:
-        session.execute(point)
-    return session
+    records = [session.execute(point) for point in workload]
+    return session, records
 
 
 class TestSessionMetrics:
     def test_execution_counter_and_stage_timers(self, tiny_space):
-        session = _run_session(tiny_space, n=60)
+        session, records = _run_session(tiny_space, n=60)
         registry = session.metrics
         assert (
             registry.counter_value(
@@ -57,10 +56,10 @@ class TestSessionMetrics:
         feedback = registry.histogram_summary(
             metric_names.STAGE_SECONDS, template="tiny", stage="feedback"
         )
-        trusted = sum(1 for r in session.records if not r.optimizer_invoked)
+        trusted = sum(1 for r in records if not r.optimizer_invoked)
         negative = sum(
             1
-            for r in session.records
+            for r in records
             if r.invocation_reason == "negative_feedback"
         )
         assert execute["count"] == trusted + negative
@@ -70,7 +69,7 @@ class TestSessionMetrics:
         assert optimize["count"] == session.optimizer_invocations - negative
 
     def test_invocation_reason_counters_sum_to_invocations(self, tiny_space):
-        session = _run_session(tiny_space, n=80)
+        session, records = _run_session(tiny_space, n=80)
         registry = session.metrics
         by_reason = {
             labels["reason"]: value
@@ -85,13 +84,13 @@ class TestSessionMetrics:
         for reason in metric_names.INVOCATION_REASONS:
             expected = sum(
                 1
-                for r in session.records
+                for r in records
                 if r.invocation_reason == reason
             )
             assert by_reason.get(reason, 0) == expected
 
     def test_cache_event_counters_match_cache_stats(self, tiny_space):
-        session = _run_session(tiny_space, n=80)
+        session, __ = _run_session(tiny_space, n=80)
         registry = session.metrics
         cache = session.cache
         events = {
@@ -106,7 +105,7 @@ class TestSessionMetrics:
         assert cache.hits > 0
 
     def test_predictor_timers_fire_once_per_predict(self, tiny_space):
-        session = _run_session(tiny_space, n=40)
+        session, __ = _run_session(tiny_space, n=40)
         registry = session.metrics
         transform = registry.histogram_summary(
             metric_names.PREDICT_TRANSFORM_SECONDS, template="tiny"
@@ -125,7 +124,7 @@ class TestSessionMetrics:
             positive_feedback=True,
             positive_feedback_min_confidence=0.6,
         )
-        session = _run_session(tiny_space, config=config, n=80)
+        session, records = _run_session(tiny_space, config=config, n=80)
         registry = session.metrics
         outcomes = {
             labels["outcome"]: value
@@ -133,7 +132,7 @@ class TestSessionMetrics:
                 metric_names.POSITIVE_FEEDBACK_TOTAL
             )
         }
-        trusted = sum(1 for r in session.records if not r.optimizer_invoked)
+        trusted = sum(1 for r in records if not r.optimizer_invoked)
         # Every trusted execution (no optimizer, no negative feedback)
         # produces exactly one accept/reject decision.
         assert trusted > 0

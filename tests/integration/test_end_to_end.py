@@ -73,9 +73,7 @@ class TestOnlineConvergence:
         workload = RandomTrajectoryWorkload(2, spread=0.02, seed=11).generate(
             800
         )
-        for point in workload:
-            framework.execute("Q1", point)
-        records = framework.session("Q1").records
+        records = [framework.execute("Q1", point) for point in workload]
         # The warm-up phase (empty sample pool) answers little; once
         # learned, the answer rate sits well above it (it still dips
         # whenever a trajectory enters unexplored territory).
@@ -92,9 +90,7 @@ class TestOnlineConvergence:
         workload = RandomTrajectoryWorkload(2, spread=0.02, seed=12).generate(
             800
         )
-        for point in workload:
-            framework.execute("Q1", point)
-        records = framework.session("Q1").records
+        records = [framework.execute("Q1", point) for point in workload]
         early = np.mean([r.optimizer_invoked for r in records[:200]])
         late = np.mean([r.optimizer_invoked for r in records[-200:]])
         assert late < early
@@ -110,11 +106,8 @@ class TestOnlineConvergence:
         workload = RandomTrajectoryWorkload(2, spread=0.04, seed=13).generate(
             500
         )
-        for point in workload:
-            framework.execute("Q1", point)
-        suboptimality = np.array(
-            [r.suboptimality for r in framework.session("Q1").records]
-        )
+        records = [framework.execute("Q1", point) for point in workload]
+        suboptimality = np.array([r.suboptimality for r in records])
         assert np.median(suboptimality) == pytest.approx(1.0)
         assert suboptimality.mean() < 2.0
 

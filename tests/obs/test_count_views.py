@@ -117,7 +117,9 @@ def _check_counts(view: dict, series: dict) -> None:
 
 
 @pytest.fixture(scope="module")
-def storm_service():
+def storm_run():
+    """The service after the storm, and every record it returned by
+    template (a session keeps only a window of its own)."""
     clock = VirtualClock()
     injector = ScheduledFaultInjector(seed=3, sleep=clock.sleep)
     service = PlanCachingService.tpch(
@@ -140,6 +142,7 @@ def storm_service():
         "Q1": RandomTrajectoryWorkload(2, spread=0.05, seed=5).generate(300),
         "Q5": RandomTrajectoryWorkload(4, spread=0.05, seed=6).generate(300),
     }
+    records = {name: [] for name in walks}
     for index in range(300):
         if index == 120:
             # The optimizer goes down: retries, fallbacks, breaker opens.
@@ -149,9 +152,21 @@ def storm_service():
             injector.set_spec("optimizer", None)
             clock.advance(60.0)
         for name, walk in walks.items():
-            service.execute(service.instance_at(name, walk[index]))
+            records[name].append(
+                service.execute(service.instance_at(name, walk[index]))
+            )
         clock.advance(0.01)
-    return service
+    return service, records
+
+
+@pytest.fixture(scope="module")
+def storm_service(storm_run):
+    return storm_run[0]
+
+
+@pytest.fixture(scope="module")
+def storm_records(storm_run):
+    return storm_run[1]
 
 
 class TestOneCountPerFact:
@@ -167,7 +182,9 @@ class TestOneCountPerFact:
         transitions = q1["resilience"]["breaker_transitions"]
         assert transitions["open"] > 0 and transitions["closed"] > 0
 
-    def test_service_metrics_read_the_registry(self, storm_service):
+    def test_service_metrics_read_the_registry(
+        self, storm_service, storm_records
+    ):
         metrics = storm_service.metrics()
         series = _Series(metrics["registry"])
         assert set(metrics["templates"]) == {"Q1", "Q5"}
@@ -229,7 +246,7 @@ class TestOneCountPerFact:
             )
             # Every cache-miss decision books exactly one miss, whether
             # or not the optimizer answered the call it makes.
-            records = storm_service.framework.session(name).records
+            records = storm_records[name]
             assert cache["misses"] == sum(
                 record.invocation_reason == "cache_miss" for record in records
             )
@@ -422,12 +439,14 @@ class TestStandaloneSession:
             ),
             seed=5,
         )
-        for x in RandomTrajectoryWorkload(2, spread=0.1, seed=5).generate(
-            400
-        ):
+        records = [
             session.execute(x)
+            for x in RandomTrajectoryWorkload(
+                2, spread=0.1, seed=5
+            ).generate(400)
+        ]
         decisions = sum(
-            1 for r in session.records if r.invocation_reason == "cache_miss"
+            1 for r in records if r.invocation_reason == "cache_miss"
         )
         assert decisions > 0
         registry = session.metrics
@@ -439,7 +458,7 @@ class TestStandaloneSession:
         # looked its plan up once and found it.
         served = sum(
             1
-            for r in session.records
+            for r in records
             if r.invocation_reason in ("", "negative_feedback")
         )
         assert session.cache.hits == served
@@ -466,6 +485,7 @@ class TestInvocationReasons:
         )
         service.register("Q1")
         walk = RandomTrajectoryWorkload(2, spread=0.05, seed=5).generate(200)
+        records = []
         for index, point in enumerate(walk):
             if index == 120:
                 injector.set_spec(
@@ -474,11 +494,10 @@ class TestInvocationReasons:
             if index == 160:
                 injector.set_spec("optimizer", None)
                 clock.advance(60.0)
-            service.execute(service.instance_at("Q1", point))
+            records.append(service.execute(service.instance_at("Q1", point)))
             clock.advance(0.01)
         view = service.metrics()["templates"]["Q1"]
         assert sum(view["resilience"]["fallback_served"].values()) > 0
-        session = service.framework.session("Q1")
-        invoked = sum(record.optimizer_invoked for record in session.records)
+        invoked = sum(record.optimizer_invoked for record in records)
         assert view["optimizer_invocations"] == invoked
         assert sum(view["invocation_reasons"].values()) == invoked

@@ -218,13 +218,14 @@ class TestLockstepParity:
         probes = RandomTrajectoryWorkload(2, spread=0.3, seed=6).generate(
             400
         )
+        left_records, right_records = [], []
         for x in warm:
-            sequential.execute(x)
-            batched.execute(x)
-        for x in probes:
-            sequential.execute(x)
-        batched.execute_batch(probes)
-        for left, right in zip(sequential.records, batched.records):
+            left_records.append(sequential.execute(x))
+            right_records.append(batched.execute(x))
+        left_records += [sequential.execute(x) for x in probes]
+        right_records += batched.execute_batch(probes)
+        assert len(left_records) == len(right_records) == 500
+        for left, right in zip(left_records, right_records, strict=True):
             for field in self.FIELDS:
                 assert getattr(left, field) == getattr(right, field)
         assert batched.events.emitted == sequential.events.emitted > 0

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.config import PPCConfig
+from repro.config import PPCConfig, TelemetryConfig
 from repro.core.framework import TemplateSession
 from repro.exceptions import ConfigurationError
 from repro.obs import MetricsRegistry
@@ -108,6 +108,7 @@ class TestComputeScorecard:
             confidence_threshold=0.7,
             mean_invocation_probability=0.05,
             drift_response=False,
+            telemetry=TelemetryConfig(quality_window=50),
         )
         session = TemplateSession(tiny_space, config, seed=9)
         workload = RandomTrajectoryWorkload(2, spread=0.05, seed=3)
@@ -116,7 +117,7 @@ class TestComputeScorecard:
         return session
 
     def test_scorecard_shape_and_ranges(self, session):
-        card = compute_scorecard(session, probes=32, window=50)
+        card = compute_scorecard(session, probes=32)
         assert card["template"] == "tiny"
         assert card["executions"] == 120
         synopsis = card["synopsis"]
@@ -142,7 +143,7 @@ class TestComputeScorecard:
             session.optimizer_invocations,
             session.online.space_bytes(),
         )
-        compute_scorecard(session, probes=32, window=50)
+        compute_scorecard(session, probes=32)
         after = (
             len(session.records),
             session.optimizer_invocations,
@@ -150,13 +151,13 @@ class TestComputeScorecard:
         )
         assert before == after
         # Deterministic: computing it twice yields the same card.
-        a = compute_scorecard(session, probes=32, window=50)
-        b = compute_scorecard(session, probes=32, window=50)
+        a = compute_scorecard(session, probes=32)
+        b = compute_scorecard(session, probes=32)
         assert a == b
 
     def test_export_sets_every_quality_gauge(self, session):
         registry = MetricsRegistry()
-        card = export_quality_gauges(session, registry, probes=32, window=50)
+        card = export_quality_gauges(session, registry, probes=32)
         for name, expected in (
             (metric_names.QUALITY_COVERAGE, card["synopsis"]["coverage"]),
             (metric_names.QUALITY_PURITY, card["synopsis"]["purity"]),

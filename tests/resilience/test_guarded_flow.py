@@ -123,7 +123,8 @@ class TestValidation:
     def test_rejected_instance_leaves_no_record(self, session):
         with pytest.raises(PredictionError):
             session.execute(np.array([np.nan, 0.5]))
-        assert session.records == []
+        assert list(session.records) == []
+        assert session.decisions == 0
 
     def test_validation_can_be_disabled(self, tiny_space):
         config = fast_config(validate_points=False)
@@ -283,8 +284,10 @@ class TestAcceptanceStorm:
 
         state_path = tmp_path / "q1-state.json"
         snapshots = {"clean": 0, "torn": 0}
+        records = []
         for index, x in enumerate(points):
             record = service.execute(service.instance_at("Q1", x))
+            records.append(record)
             assert record.executed_plan >= 0  # always an executable plan
             clock.advance(0.001)
             if (index + 1) % self.SNAPSHOT_EVERY == 0:
@@ -296,7 +299,8 @@ class TestAcceptanceStorm:
                 except InjectedFault:
                     snapshots["torn"] += 1
 
-        assert len(session.records) == self.INSTANCES
+        assert len(records) == self.INSTANCES
+        assert session.decisions == self.INSTANCES
 
         resilience = service.metrics()["templates"]["Q1"]["resilience"]
         counts = injector.counts
@@ -333,7 +337,7 @@ class TestAcceptanceStorm:
         fallbacks = sum(resilience["fallback_served"].values())
         unverified_suspicions = sum(
             1
-            for r in session.records
+            for r in records
             if r.invocation_reason == "negative_feedback"
             and r.degraded
             and not r.optimizer_invoked
@@ -342,7 +346,7 @@ class TestAcceptanceStorm:
             fallbacks + unverified_suspicions
             == resilience["degraded"]["optimizer"]
         )
-        degraded_records = sum(1 for r in session.records if r.degraded)
+        degraded_records = sum(1 for r in records if r.degraded)
         assert degraded_records > 0
         if fallbacks:
             summary = resilience["fallback_suboptimality"]

@@ -131,6 +131,29 @@ class TestCorruptionStrict:
         with pytest.raises(PersistenceError, match="malformed"):
             load_predictor(path)
 
+    @pytest.mark.parametrize("entry", ["loads_predictor", "load_predictor"])
+    def test_a_cut_bucket_is_malformed_through_either_entry(
+        self, predictor, tmp_path, entry
+    ):
+        # One bucket cut from four fields to three, re-stamped with
+        # valid checksums: the in-memory and the file restore share one
+        # restore step, so both report it as damage.
+        state = predictor_to_state(predictor)
+        histogram = next(
+            h for row in state["histograms"] for h in row if h["buckets"]
+        )
+        assert len(histogram["buckets"][0]) == 4
+        histogram["buckets"][0] = histogram["buckets"][0][:3]
+        document = encode_artifact(SNAPSHOT_KIND, STATE_VERSION, [state])
+        with pytest.raises(PersistenceError, match="malformed") as caught:
+            if entry == "loads_predictor":
+                loads_predictor(document)
+            else:
+                path = tmp_path / "cut.json"
+                path.write_text(document)
+                load_predictor(path)
+        assert isinstance(caught.value.__cause__, ValueError)
+
 
 class TestRecoveryNonStrict:
     def test_recovers_from_backup_generation(self, predictor, tmp_path):

@@ -194,16 +194,14 @@ class TestDeferredGroundTruth:
             oracle, PPCConfig(drift_response=False), seed=0
         )
         before = points[:40]
-        for x in before:
-            session.execute(x)
-        assert any(record.pending for record in session.records)
+        records = [session.execute(x) for x in before]
+        assert any(record.pending for record in records)
         oracle.activate()
-        assert not any(record.pending for record in session.records)
-        for x in points[40:80]:
-            session.execute(x)
+        assert not any(record.pending for record in records)
+        after = [session.execute(x) for x in points[40:80]]
         ids, costs = tiny_space.label(before)
-        assert [r.optimal_plan for r in session.records[:40]] == ids.tolist()
-        assert [r.optimal_cost for r in session.records[:40]] == costs.tolist()
+        assert [r.optimal_plan for r in records] == ids.tolist()
+        assert [r.optimal_cost for r in records] == costs.tolist()
         ids, costs = oracle.label(points[40:80])
-        assert [r.optimal_plan for r in session.records[40:]] == ids.tolist()
-        assert [r.optimal_cost for r in session.records[40:]] == costs.tolist()
+        assert [r.optimal_plan for r in after] == ids.tolist()
+        assert [r.optimal_cost for r in after] == costs.tolist()
