@@ -23,7 +23,7 @@ Quickstart::
     print(session.ground_truth_metrics())
 """
 
-from repro.config import PPCConfig, ResilienceConfig
+from repro.config import PPCConfig
 from repro.core import (
     BaselinePredictor,
     ConfidenceModel,
@@ -63,7 +63,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "PPCConfig",
-    "ResilienceConfig",
     "BaselinePredictor",
     "CircuitBreaker",
     "FaultInjector",

@@ -40,7 +40,7 @@ from repro.exceptions import BenchError
 from repro.resilience import VirtualClock
 from repro.tpch import plan_space_for
 from repro.workload import RandomTrajectoryWorkload
-from repro.workload.runner import run_matrix
+from repro.workload.runner import decision_digest, run_matrix
 from repro.workload.scenarios import SCENARIO_NAMES
 
 __all__ = [
@@ -237,20 +237,6 @@ INSTRUMENTATION_MODES = (
 )
 
 
-def _decision_key(record: Any) -> tuple[Any, ...]:
-    return (
-        record.predicted,
-        record.confidence,
-        record.optimizer_invoked,
-        record.invocation_reason,
-        record.executed_plan,
-        record.execution_cost,
-        record.optimal_plan,
-        record.degraded,
-        record.fallback_source,
-    )
-
-
 def _recorded(framework: PPCFramework) -> dict[str, int]:
     """What each opt-in channel captured on one rig (0 when it is off)."""
     report = framework.profile_report()
@@ -307,11 +293,11 @@ def run_instrumentation_overhead() -> dict[str, Any]:
             records[names[index]].append(record)
             clock.advance(INSTRUMENTATION_ADVANCE)
 
-    reference = [_decision_key(r) for r in records["off"]]
+    reference = [decision_digest(r) for r in records["off"]]
     modes: dict[str, dict[str, Any]] = {}
     for mode in INSTRUMENTATION_MODES:
         framework = rigs[mode.name][0]
-        decisions = [_decision_key(r) for r in records[mode.name]]
+        decisions = [decision_digest(r) for r in records[mode.name]]
         if decisions != reference:
             raise BenchError(f"mode {mode.name} changed decisions")
         recorded = _recorded(framework)

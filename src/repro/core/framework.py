@@ -71,7 +71,7 @@ from repro.obs.events import EventJournal
 from repro.obs.profiling import StageProfiler
 from repro.obs.quality import export_quality_gauges
 from repro.obs.registry import Counter
-from repro.obs.slo import SLOEngine
+from repro.obs.slo import DEFAULT_SLOS, SLOEngine
 from repro.obs.timeseries import TimeSeriesStore
 from repro.obs.tracing import DecisionTrace, DecisionTracer
 from repro.optimizer.plan_space import PlanSpace
@@ -218,7 +218,9 @@ class GroundTruthLedger:
     counter sums exactly what per-decision accounting summed.  The same
     pass adds the record's outcome to :attr:`tally`, so the ledger's
     tally and :attr:`decisions` count cover the whole run, however few
-    records the session keeps.
+    records the session keeps.  That count is ``ppc_executions_total``,
+    booked by :meth:`add`: a decision that raises before its record
+    exists counts nowhere.
 
     The session settles every :data:`SETTLE_EVERY` decisions, counted
     from its first, so the settle points depend on the decision count
@@ -229,23 +231,26 @@ class GroundTruthLedger:
     """
 
     __slots__ = (
-        "_decisions", "_label", "_pending", "_regret", "_rows", "_tally",
+        "_executions", "_label", "_pending", "_regret", "_rows", "_tally",
     )
 
-    def __init__(self, label: Callable, regret: Counter) -> None:
+    def __init__(
+        self, label: Callable, regret: Counter, executions: Counter
+    ) -> None:
         self._label = label
         self._regret = regret
+        #: ``ppc_executions_total``: the one count of booked decisions.
+        self._executions = executions
         #: Records whose regret is not yet booked, in decision order.
         self._rows: list[ExecutionRecord] = []
         #: The subset of ``_rows`` still waiting for a label.
         self._pending: list[ExecutionRecord] = []
-        self._decisions = 0
         self._tally = PrecisionRecall(0, 0, 0)
 
     @property
     def decisions(self) -> int:
         """Decisions booked so far, settled or not."""
-        return self._decisions
+        return int(self._executions.value)
 
     @property
     def tally(self) -> PrecisionRecall:
@@ -265,8 +270,8 @@ class GroundTruthLedger:
         self._rows.append(record)
         if record.pending:
             self._pending.append(record)
-        self._decisions += 1
-        return self._decisions % SETTLE_EVERY == 0
+        self._executions.inc()
+        return self.decisions % SETTLE_EVERY == 0
 
     def resolve(self) -> None:
         """Label every pending record in one oracle call."""
@@ -313,7 +318,6 @@ class TemplateSession:
         self.config = config or PPCConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         template = plan_space.template.name
-        resilience = self.config.resilience
         self._clock = clock if clock is not None else system_clock
         self._sleep = sleep if sleep is not None else system_sleep
         # Lifecycle event journal: a framework passes its shared journal
@@ -326,19 +330,9 @@ class TemplateSession:
             )
         self.events = events
         self._events = events.bind(template) if events is not None else None
-        self.retry_policy = RetryPolicy(
-            attempts=resilience.retry_attempts,
-            base_delay=resilience.retry_base_delay,
-            multiplier=resilience.retry_multiplier,
-            max_delay=resilience.retry_max_delay,
-            deadline=resilience.retry_deadline,
-        )
+        self.retry_policy = RetryPolicy()
         self.breaker = CircuitBreaker(
-            failure_threshold=resilience.breaker_failure_threshold,
-            recovery_time=resilience.breaker_recovery_time,
-            half_open_trials=resilience.breaker_half_open_trials,
-            clock=self._clock,
-            on_transition=self._on_breaker_transition,
+            clock=self._clock, on_transition=self._on_breaker_transition
         )
         self.monitor = PerformanceMonitor(
             window=self.config.monitor_window,
@@ -418,9 +412,6 @@ class TemplateSession:
         # Stable metric handles: fetched once, updated lock-free in the
         # hot path below.  Stage timings are the tracer's: its span seam
         # feeds them (``repro.obs.names.SPAN_METRICS``).
-        self._executions_counter = self.metrics.counter(
-            metric_names.EXECUTIONS_TOTAL, template=template
-        )
         # The tracer's span histograms, held again for :meth:`stats`.
         self._stage_histograms = {
             stage: self.metrics.histogram(
@@ -489,6 +480,9 @@ class TemplateSession:
         self._ledger = GroundTruthLedger(
             plan_space.label,
             self.metrics.counter(metric_names.REGRET_TOTAL, template=template),
+            self.metrics.counter(
+                metric_names.EXECUTIONS_TOTAL, template=template
+            ),
         )
         self.metrics.add_settler(self._ledger.settle)
         before_change = getattr(plan_space, "before_change", None)
@@ -789,18 +783,10 @@ class TemplateSession:
         ``ground_truth`` span every :data:`SETTLE_EVERY` decisions.
         """
         with trace.span("normalize"):
-            x = (
-                self._validate_point(x)
-                if self.config.resilience.validate_points
-                else np.asarray(x, dtype=float).reshape(-1)
-            )
+            x = self._validate_point(x)
             if trace.active:
                 trace.point = [float(v) for v in x]
-                trace.annotate(
-                    dimensions=int(x.shape[0]),
-                    validated=self.config.resilience.validate_points,
-                )
-        self._executions_counter.inc()
+                trace.annotate(dimensions=int(x.shape[0]))
         invocations_before = self.optimizer_invocations
         # Experimenter-side ground truth, (plan, cost) once known.
         truth: "tuple[int, float] | None" = None
@@ -1011,7 +997,7 @@ class TemplateSession:
 
         cache = self.cache
         return {
-            "executions": int(self._executions_counter.value),
+            "executions": self.decisions,
             "stage_seconds": {
                 stage: histogram.summary()
                 for stage, histogram in self._stage_histograms.items()
@@ -1141,8 +1127,8 @@ class PPCFramework:
             else None
         )
         # Build identity: constant 1-valued gauge carrying version and
-        # commit labels, so every scrape (and every merged fleet
-        # registry) says exactly what code produced it.
+        # commit labels, so every scrape says exactly what code
+        # produced it.
         self.metrics.gauge(
             metric_names.BUILD_INFO, version=VERSION, commit=commit_id()
         ).set(1.0)
@@ -1166,11 +1152,10 @@ class PPCFramework:
             self.telemetry = TimeSeriesStore(
                 self.metrics,
                 clock=clock if clock is not None else system_clock,
-                capacity=telemetry_config.series_capacity,
                 interval=telemetry_config.sample_interval,
             )
             self.slo_engine = SLOEngine(
-                self.telemetry, telemetry_config.slos, self.metrics
+                self.telemetry, DEFAULT_SLOS, self.metrics
             )
 
     def _spawn_seed(self) -> np.random.Generator:
@@ -1270,11 +1255,7 @@ class PPCFramework:
         """Recompute every session's scorecard gauges; scorecards by
         template."""
         return {
-            name: export_quality_gauges(
-                session,
-                self.metrics,
-                probes=self.config.telemetry.quality_probes,
-            )
+            name: export_quality_gauges(session, self.metrics)
             for name, session in self.sessions.items()
         }
 

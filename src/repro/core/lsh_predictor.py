@@ -17,8 +17,6 @@ one over the same core.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.core.confidence import ConfidenceModel
@@ -35,17 +33,16 @@ from repro.lsh.grid import Grid
 from repro.lsh.stacked import StackedEnsemble
 from repro.lsh.transforms import TransformEnsemble
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.events import _TemplateEmitter
-
 
 class LshPredictor(PlanPredictor):
     """Median-of-``t`` grid densities with the confidence sanity check.
 
     :meth:`predict_batch` is the one place it decides; scalar
-    :meth:`predict` is a batch of one.  Sessions serve through
+    :meth:`predict` is a batch of one.  It is an offline predictor:
+    the pool given to the constructor is its whole synopsis.  Sessions
+    serve through
     :class:`~repro.core.histogram_predictor.HistogramPredictor`, so
-    this predictor takes no decision trace.
+    this predictor takes no decision trace, insert or event journal.
     """
 
     def __init__(
@@ -102,77 +99,26 @@ class LshPredictor(PlanPredictor):
         )
         self._cost_sums = np.zeros_like(self._counts)
         if len(pool):
-            self._insert_pool(pool)
+            cells = self._cell_ids_batch(pool.coords)
+            plan_ids = np.asarray(pool.plan_ids, dtype=np.int64)
+            for index in range(len(self.ensemble)):
+                np.add.at(self._counts[index], (plan_ids, cells[index]), 1.0)
+                np.add.at(
+                    self._cost_sums[index],
+                    (plan_ids, cells[index]),
+                    pool.costs,
+                )
 
     def _rebuild_stacked(self) -> None:
         """(Re)build the struct-of-arrays transform/grid view; call
         again after replacing ``ensemble`` or ``grids`` wholesale."""
         self._stacked = StackedEnsemble(self.ensemble, self.grids)
 
-    def _built_fields(self) -> dict:
-        """Fields of the ``histogram_built`` event."""
-        return {
-            "histogram_kind": "grid",
-            "transforms": len(self.ensemble),
-            "plans": self.plan_count,
-            "points": int(self._counts.sum() // max(len(self.ensemble), 1)),
-        }
-
-    def bind_events(self, emitter: "_TemplateEmitter") -> None:
-        """Attach a lifecycle event emitter (``repro.obs.events``).
-
-        Late binding, mirroring ``HistogramPredictor.bind_events``: the
-        constructor's pool bootstrap precedes any emitter, so the
-        journal records the synopsis going live (not a mutation) and
-        every mutation after, not the seed replay.
-        """
-        self._events = emitter
-        emitter("histogram_built", **self._built_fields())
-
-    # ------------------------------------------------------------------
-    # Population
-    # ------------------------------------------------------------------
     def _cell_ids_batch(self, points: np.ndarray) -> np.ndarray:
         """Grid cell ids ``(t, m)`` of each point under every transform
         — plan-independent, computed once per batch."""
         return self._stacked.cell_ids(
             apply_axis_weights(points, self.axis_weights)
-        )
-
-    def _insert_pool(self, pool: SamplePool) -> None:
-        cells = self._cell_ids_batch(pool.coords)
-        plan_ids = np.asarray(pool.plan_ids, dtype=np.int64)
-        for index in range(len(self.ensemble)):
-            np.add.at(self._counts[index], (plan_ids, cells[index]), 1.0)
-            np.add.at(
-                self._cost_sums[index], (plan_ids, cells[index]), pool.costs
-            )
-        self._commit("histogram_built", **self._built_fields())
-
-    def insert(
-        self,
-        x: np.ndarray,
-        plan_id: int,
-        cost: float = 0.0,
-        provenance: str = "direct",
-    ) -> None:
-        """Add one labeled point to every transformed grid.
-
-        ``provenance`` names the decision-flow origin of the point and
-        is journaled with the ``point_inserted`` lifecycle event; it
-        never affects the insert.
-        """
-        x = self._check_point(x)
-        cells = self._cell_ids_batch(x[None, :])[:, 0]
-        for index, cell in enumerate(cells):
-            self._counts[index, plan_id, cell] += 1.0
-            self._cost_sums[index, plan_id, cell] += cost
-        self._commit(
-            "point_inserted",
-            plan=int(plan_id),
-            cost=float(cost),
-            weight=1.0,
-            provenance=provenance,
         )
 
     # ------------------------------------------------------------------

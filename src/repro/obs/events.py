@@ -26,7 +26,7 @@ profiler):
   and the ``instrumentation`` bench);
 * **bounded, never silently** — the ring holds ``capacity`` events;
   older events rotate out under an explicit ``dropped`` counter, like
-  the profiler's ``max_paths`` accounting.  The running stream digest
+  the profiler's path-cap accounting.  The running stream digest
   covers every event ever emitted, rotation notwithstanding.
 
 Export is a ``lifecycle-journal`` artifact of the framed-JSONL codec in

@@ -47,6 +47,11 @@ __all__ = [
 #: same name ``DecisionTrace`` gives its root span).
 ROOT_STAGE = "decision"
 
+#: Stage paths one template's tree holds; a span on any new path past
+#: the cap lands on the template's ``dropped`` node, so the tree stays
+#: bounded and the report counts what it dropped.
+MAX_PATHS = 256
+
 
 class _Node:
     """One stage path of a template's tree: call count, cumulative
@@ -65,7 +70,7 @@ class _Node:
 class _Template:
     """One template's stage tree and its execution/path accounting.
 
-    ``dropped`` is the node every span past the ``max_paths`` cap
+    ``dropped`` is the node every span past the :data:`MAX_PATHS` cap
     walks on (its descendants too): its ``calls`` count the dropped
     span exits, and it never gains a child.
     """
@@ -91,23 +96,22 @@ class ProfileFrame:
     time (it is one path), so the start can live on the node.
     """
 
-    __slots__ = ("_max_paths", "_nodes", "_template")
+    __slots__ = ("_nodes", "_template")
 
-    def __init__(self, template: _Template, max_paths: int) -> None:
+    def __init__(self, template: _Template) -> None:
         self._template = template
-        self._max_paths = max_paths
         self._nodes = [template.root]
 
     def enter(self, name: str, now: float) -> None:
         parent = self._nodes[-1]
         node = parent.children.get(name)
         if node is None:
-            # Bounded memory: past ``max_paths`` a new path, and all
+            # Bounded memory: past ``MAX_PATHS`` a new path, and all
             # below it, walks on the dropped node instead of growing the
             # tree (report() shows the drop count, so truncation is
             # never silent).
             template = self._template
-            if parent is template.dropped or template.paths >= self._max_paths:
+            if parent is template.dropped or template.paths >= MAX_PATHS:
                 node = template.dropped
             else:
                 template.paths += 1
@@ -150,7 +154,7 @@ class StageProfiler:
         stats.seen = seen + 1
         if seen % self.config.interval != 0:
             return None
-        return ProfileFrame(stats, self.config.max_paths)
+        return ProfileFrame(stats)
 
     def reset(self) -> None:
         self._templates.clear()

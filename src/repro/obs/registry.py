@@ -148,20 +148,6 @@ class LatencyHistogram:
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Fold *other*'s samples into this histogram, bucket-wise."""
-        if other.count == 0:
-            return
-        for index, bucket_count in enumerate(other.counts):
-            if bucket_count:
-                self.counts[index] += bucket_count
-        self.count += other.count
-        self.sum += other.sum
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-
     def summary(self) -> dict:
         """JSON-ready digest of the distribution (times in seconds)."""
         p50, p95, p99 = self.quantiles(SUMMARY_QUANTILES)
@@ -309,22 +295,3 @@ class MetricsRegistry:
                     for name, series in self._histograms.items()
                 },
             }
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold *other*'s metrics into this registry.
-
-        Counters add, histograms combine bucket-wise, gauges take
-        *other*'s value (last write wins — gauges are point-in-time).
-        Existing handles stay valid; useful for aggregating per-worker
-        registries into one exportable view.
-        """
-        other.settle()
-        for name, series in other._counters.items():
-            for labels, metric in series.values():
-                self.counter(name, **labels).inc(metric.value)
-        for name, series in other._gauges.items():
-            for labels, metric in series.values():
-                self.gauge(name, **labels).set(metric.value)
-        for name, series in other._histograms.items():
-            for labels, metric in series.values():
-                self.histogram(name, **labels).merge(metric)

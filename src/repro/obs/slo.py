@@ -1,6 +1,6 @@
 """Multi-window SLO burn-rate evaluation over the telemetry series.
 
-Declarative :class:`~repro.config.SLODefinition` objects are evaluated
+Declarative :class:`SLODefinition` objects are evaluated
 against the :class:`~repro.obs.timeseries.TimeSeriesStore`'s windowed
 reads — never against raw lifetime counters, so a bad hour shows up
 even after a good week.  Each SLO yields a *burn rate* per window
@@ -21,15 +21,88 @@ States and burn rates are exported as ``ppc_slo_state`` /
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any
 
-from repro.config import SLO_STATES, SLODefinition
 from repro.exceptions import ConfigurationError
 from repro.obs import names
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeseries import TimeSeriesStore
 
-__all__ = ["SLOEngine", "evaluate_slo"]
+__all__ = ["DEFAULT_SLOS", "SLODefinition", "SLOEngine", "evaluate_slo"]
+
+
+#: Signals an SLO can be defined over (``signal`` field of
+#: :class:`SLODefinition`).
+SLO_SIGNALS = ("hit_rate", "predict_p95", "regret")
+
+#: SLO evaluation states, ordered by severity (the exported
+#: ``ppc_slo_state`` gauge uses the index as its value).
+SLO_STATES = ("ok", "warning", "breach")
+
+
+@dataclass(frozen=True)
+class SLODefinition:
+    """One declarative service-level objective over the cached decisions.
+
+    ``signal`` picks the underlying health signal:
+
+    * ``hit_rate`` — plan-cache hit fraction must stay at or above
+      ``objective``; the error budget is ``1 - objective`` and the burn
+      rate is the windowed miss fraction divided by that budget;
+    * ``predict_p95`` — p95 of ``ppc_stage_seconds{stage="predict"}``
+      must stay at or below ``objective`` seconds; the burn rate is the
+      windowed p95 divided by the objective;
+    * ``regret`` — average regret (``suboptimality - 1``) per execution
+      must stay at or below ``objective``; the burn rate is the
+      windowed mean regret divided by the objective.
+
+    Burn rates are evaluated over two windows on the *injected* clock
+    (Kepler-style continuous evaluation against a regression budget):
+    ``breach`` needs both windows burning at ``breach_burn`` or more,
+    ``warning`` needs either window at ``warning_burn`` or more — the
+    standard multi-window policy that ignores short blips while still
+    catching slow leaks.
+    """
+
+    name: str
+    signal: str
+    objective: float
+    short_window: float = 300.0
+    long_window: float = 3600.0
+    breach_burn: float = 2.0
+    warning_burn: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.signal not in SLO_SIGNALS:
+            raise ConfigurationError(
+                f"unknown SLO signal {self.signal!r}; "
+                f"expected one of {SLO_SIGNALS}"
+            )
+        if self.signal == "hit_rate" and not 0.0 <= self.objective < 1.0:
+            raise ConfigurationError("hit-rate objective must be in [0, 1)")
+        if self.signal != "hit_rate" and self.objective <= 0.0:
+            raise ConfigurationError("SLO objective must be > 0")
+        if not 0.0 < self.short_window <= self.long_window:
+            raise ConfigurationError(
+                "SLO windows must satisfy 0 < short <= long"
+            )
+        if self.breach_burn < self.warning_burn or self.warning_burn <= 0.0:
+            raise ConfigurationError(
+                "SLO burn thresholds must satisfy 0 < warning <= breach"
+            )
+
+
+#: The shipped SLO set: generous enough that a healthy seeded workload
+#: never breaches (CI fails the build on breach), tight enough that a
+#: collapsed synopsis or an optimizer outage shows up within a window.
+DEFAULT_SLOS: "tuple[SLODefinition, ...]" = (
+    SLODefinition(name="cache_hit_rate", signal="hit_rate", objective=0.5),
+    SLODefinition(
+        name="predict_latency_p95", signal="predict_p95", objective=0.05
+    ),
+    SLODefinition(name="regret_budget", signal="regret", objective=0.10),
+)
 
 
 def _burn_rate(

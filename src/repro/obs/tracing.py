@@ -15,9 +15,10 @@ expensive attribute computation behind ``if trace.active:``.
 
 Sampling is deterministic — no RNG draw is consumed, so a traced run
 produces bit-identical decisions to an untraced one (see the parity
-test).  The sampler admits the first ``head`` executions, every
-``interval``-th after that, and an ``error_burst``-sized run after any
-degraded/fallback/raised execution; ``explain`` forces a trace.
+test).  The sampler admits the first :data:`TRACE_HEAD` executions,
+every ``interval``-th after that, and the :data:`ERROR_BURST`
+executions after any degraded/fallback/raised execution; ``explain``
+forces a trace.
 
 Traces serialize losslessly: :func:`trace_to_dict` /
 :func:`trace_from_dict` round-trip through JSON, and
@@ -54,6 +55,12 @@ __all__ = [
     "trace_to_dict",
     "untraced",
 ]
+
+#: Executions every tracer traces first, from its first decision.
+TRACE_HEAD = 8
+#: Executions traced after any degraded, fallback or raised execution,
+#: so the recorder holds the aftermath of every incident.
+ERROR_BURST = 4
 
 
 def _jsonable(value: Any) -> Any:
@@ -558,7 +565,7 @@ class DecisionTracer:
             decision = "forced"
         elif not self.config.enabled:
             decision = "skipped"
-        elif seq < self.config.head:
+        elif seq < TRACE_HEAD:
             decision = "head"
         elif self._burst_left > 0:
             self._burst_left -= 1
@@ -604,8 +611,8 @@ class DecisionTracer:
         incident = error is not None or (
             record is not None and (record.degraded or bool(record.fallback_source))
         )
-        if incident and self.config.enabled and self.config.error_burst:
-            self._burst_left = max(self._burst_left, self.config.error_burst)
+        if incident and self.config.enabled:
+            self._burst_left = max(self._burst_left, ERROR_BURST)
         if not trace.active:
             trace.finish()
             return

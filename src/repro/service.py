@@ -295,13 +295,15 @@ class PlanCachingService:
         for name in self._binders:
             session = self.framework.session(name)
             metrics = session.ground_truth_metrics()
-            total = max(1, session.decisions)
+            total = session.decisions
             summary[name] = {
                 "instances": float(total),
                 "optimizer_invocations": float(
                     session.optimizer_invocations
                 ),
-                "invocation_rate": session.optimizer_invocations / total,
+                "invocation_rate": (
+                    session.optimizer_invocations / total if total else 0.0
+                ),
                 "precision": metrics.precision,
                 "recall": metrics.recall,
                 "space_bytes": float(session.online.space_bytes()),
@@ -312,12 +314,9 @@ class PlanCachingService:
         """Per-template plan-space scorecards (coverage, purity,
         entropy, rolling accuracy/regret, confidence margin, drift
         pressure, regret attribution over retained traces)."""
-        config = self.framework.config.telemetry
         self.framework.metrics.settle()
         return {
-            name: compute_scorecard(
-                self.framework.session(name), probes=config.quality_probes
-            )
+            name: compute_scorecard(self.framework.session(name))
             for name in self._binders
         }
 

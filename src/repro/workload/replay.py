@@ -29,18 +29,10 @@ breaks verification loudly.
 from __future__ import annotations
 
 import pathlib
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from typing import Any
 
-from repro.config import (
-    EventsConfig,
-    PPCConfig,
-    ProfileConfig,
-    ResilienceConfig,
-    SLODefinition,
-    TelemetryConfig,
-    TraceConfig,
-)
+from repro.config import PPCConfig
 from repro.core.persistence import (
     atomic_write_text,
     encode_artifact,
@@ -58,9 +50,10 @@ from repro.workload.scenarios import (
 )
 
 #: Artifact kind and schema version, bumped on any incompatible change
-#: (v2: per-line CRCs through the artifact codec).
+#: (v2: per-line CRCs through the artifact codec; v3: the config
+#: holds only the settings that remain).
 TRACE_KIND = "replay-trace"
-TRACE_VERSION = 2
+TRACE_VERSION = 3
 
 
 # ----------------------------------------------------------------------
@@ -72,19 +65,12 @@ def config_to_dict(config: PPCConfig) -> "dict[str, Any]":
 
 
 def config_from_dict(payload: "dict[str, Any]") -> PPCConfig:
-    """Rebuild a :class:`PPCConfig` from its nested-dict form."""
+    """Rebuild a :class:`PPCConfig` from its nested-dict form: every
+    field whose default is a config class is rebuilt as that class."""
     data = dict(payload)
-    data["resilience"] = ResilienceConfig(**data["resilience"])
-    data["trace"] = TraceConfig(**data["trace"])
-    if "profiling" in data:  # absent in traces recorded before schema v2
-        data["profiling"] = ProfileConfig(**data["profiling"])
-    if "events" in data:  # absent in traces recorded before the journal
-        data["events"] = EventsConfig(**data["events"])
-    telemetry = dict(data["telemetry"])
-    telemetry["slos"] = tuple(
-        SLODefinition(**slo) for slo in telemetry["slos"]
-    )
-    data["telemetry"] = TelemetryConfig(**telemetry)
+    for spec in fields(PPCConfig):
+        if spec.default_factory is not MISSING:
+            data[spec.name] = spec.default_factory(**data[spec.name])
     return PPCConfig(**data)
 
 

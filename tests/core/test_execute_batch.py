@@ -16,6 +16,7 @@ from repro.config import PPCConfig
 from repro.core.framework import PPCFramework, TemplateSession
 from repro.exceptions import PredictionError, WorkloadError
 from repro.workload import QueryInstance, RandomTrajectoryWorkload
+from repro.workload.runner import decision_digest
 
 
 def _config(**overrides) -> PPCConfig:
@@ -27,19 +28,6 @@ def _config(**overrides) -> PPCConfig:
     kwargs.update(overrides)
     return PPCConfig(**kwargs)
 
-
-def _record_key(record):
-    return (
-        record.predicted,
-        record.confidence,
-        record.optimizer_invoked,
-        record.invocation_reason,
-        record.executed_plan,
-        record.execution_cost,
-        record.optimal_plan,
-        record.degraded,
-        record.fallback_source,
-    )
 
 
 def _workload(n=200, seed=4):
@@ -60,7 +48,7 @@ class TestSessionExecuteBatch:
             )
         assert len(got) == len(expected)
         for a, b in zip(expected, got, strict=True):
-            assert _record_key(a) == _record_key(b)
+            assert decision_digest(a) == decision_digest(b)
         assert (
             sequential.optimizer_invocations
             == batched.optimizer_invocations
@@ -73,8 +61,8 @@ class TestSessionExecuteBatch:
         sequential = TemplateSession(tiny_space, _config(), seed=3)
         batched = TemplateSession(tiny_space, _config(), seed=3)
         workload = _workload(n=60, seed=9)
-        expected = [_record_key(sequential.execute(x)) for x in workload]
-        got = [_record_key(r) for r in batched.execute_batch(workload)]
+        expected = [decision_digest(sequential.execute(x)) for x in workload]
+        got = [decision_digest(r) for r in batched.execute_batch(workload)]
         assert got == expected
         assert batched.online.mutation_count > 0
 
@@ -84,8 +72,8 @@ class TestSessionExecuteBatch:
         sequential = TemplateSession(q1_space, _config(), seed=5)
         batched = TemplateSession(q1_space, _config(), seed=5)
         workload = _workload(n=120, seed=6)
-        expected = [_record_key(sequential.execute(x)) for x in workload]
-        got = [_record_key(r) for r in batched.execute_batch(workload)]
+        expected = [decision_digest(sequential.execute(x)) for x in workload]
+        got = [decision_digest(r) for r in batched.execute_batch(workload)]
         assert got == expected
         assert len(batched.tracer.traces()) == len(
             sequential.tracer.traces()
@@ -145,10 +133,10 @@ class TestFrameworkExecuteBatch:
         batched.register(q1_space)
         workload = _workload(n=150, seed=12)
         expected = [
-            _record_key(sequential.execute("Q1", x)) for x in workload
+            decision_digest(sequential.execute("Q1", x)) for x in workload
         ]
         got = [
-            _record_key(r)
+            decision_digest(r)
             for r in batched.execute_batch("Q1", workload)
         ]
         assert got == expected
@@ -172,10 +160,10 @@ class TestFrameworkExecuteBatch:
         assert batched.governor is not None
         workload = _workload(n=100, seed=13)
         expected = [
-            _record_key(sequential.execute("Q1", x)) for x in workload
+            decision_digest(sequential.execute("Q1", x)) for x in workload
         ]
         got = [
-            _record_key(r)
+            decision_digest(r)
             for r in batched.execute_batch("Q1", workload)
         ]
         assert got == expected
@@ -210,10 +198,10 @@ class TestServiceExecuteBatch:
                     sequential.instance_at("Q5", q5_points[i])
                 )
         expected = [
-            _record_key(sequential.execute(inst)) for inst in instances
+            decision_digest(sequential.execute(inst)) for inst in instances
         ]
         got = [
-            _record_key(r) for r in batched.execute_batch(instances)
+            decision_digest(r) for r in batched.execute_batch(instances)
         ]
         assert got == expected
 

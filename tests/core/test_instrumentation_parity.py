@@ -34,6 +34,7 @@ from repro.obs import names as metric_names
 from repro.obs.registry import Counter
 from repro.resilience import VirtualClock
 from repro.workload import RandomTrajectoryWorkload
+from repro.workload.runner import decision_digest
 from tests.core.legacy import eager_ground_truth, eager_regret
 
 #: Trace and telemetry ship enabled; profile and events ship disabled.
@@ -96,19 +97,6 @@ def _run(framework, clock, points, path):
     return records
 
 
-def _key(record):
-    return (
-        record.predicted,
-        record.confidence,
-        record.optimizer_invoked,
-        record.invocation_reason,
-        record.executed_plan,
-        record.execution_cost,
-        record.optimal_plan,
-        record.degraded,
-        record.fallback_source,
-    )
-
 
 def _recorded(framework):
     report = framework.profile_report()
@@ -129,8 +117,8 @@ def test_channel_is_decision_neutral(q1_space, mode, path):
     plain, plain_clock = _framework(q1_space, {})
     instrumented, clock = _framework(q1_space, fields)
     points = RandomTrajectoryWorkload(2, spread=0.05, seed=4).generate(240)
-    expected = [_key(r) for r in _run(plain, plain_clock, points, path)]
-    got = [_key(r) for r in _run(instrumented, clock, points, path)]
+    expected = [decision_digest(r) for r in _run(plain, plain_clock, points, path)]
+    got = [decision_digest(r) for r in _run(instrumented, clock, points, path)]
     assert got == expected
     # Equal next draws: the channel consumed no randomness.
     assert (
@@ -162,7 +150,7 @@ def test_profile_stage_tree_is_trace_independent(q1_space):
         rows = framework.profile_report()["templates"]["Q1"]["stages"]
         return {tuple(row["path"]) for row in rows}
 
-    untraced = stage_paths(TraceConfig(head=0, interval=0))
+    untraced = stage_paths(TraceConfig(enabled=False))
     traced = stage_paths(TraceConfig(interval=1, capacity=512))
     assert traced - untraced == {("decision", "predict", "transform")}
     assert untraced <= traced
@@ -179,7 +167,7 @@ def test_deferred_ground_truth_matches_the_eager_oracle(
 
     def recording_settle(ledger):
         settle(ledger)
-        settles.append((ledger._decisions, ledger._regret.value))
+        settles.append((ledger.decisions, ledger._regret.value))
 
     monkeypatch.setattr(GroundTruthLedger, "settle", recording_settle)
     # Every trace recorded; a telemetry sample and a scorecard refresh
@@ -241,7 +229,7 @@ def test_ledger_never_holds_more_than_a_settle_of_pending_rows():
         labelled.append(len(points))
         return np.zeros(len(points), dtype=int), np.ones(len(points))
 
-    ledger = GroundTruthLedger(label, Counter())
+    ledger = GroundTruthLedger(label, Counter(), Counter())
     reads = np.random.default_rng(0).integers(0, 100, 10**5)
     point = np.zeros(2)
     for read in reads:

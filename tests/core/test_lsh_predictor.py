@@ -44,13 +44,14 @@ class TestPrediction:
         assert after[0] <= before[0]
         assert after.argmax() == before.argmax()
 
-    def test_online_insert(self):
+    def test_pool_cell_predicts_its_plan_and_cost(self):
+        pool = SamplePool(2)
+        for __ in range(6):
+            pool.add(np.array([0.3, 0.3]), 1, cost=4.0)
         predictor = LshPredictor(
-            SamplePool(2), plan_count=2, transforms=3, resolution=8,
+            pool, plan_count=2, transforms=3, resolution=8,
             confidence_threshold=0.5, seed=1,
         )
-        for __ in range(6):
-            predictor.insert(np.array([0.3, 0.3]), 1, cost=4.0)
         prediction = predictor.predict([0.3, 0.3])
         assert prediction.plan_id == 1
         assert prediction.estimated_cost == pytest.approx(4.0)

@@ -15,6 +15,7 @@ from repro.core.framework import PPCFramework
 from repro.obs import names as metric_names
 from repro.resilience import VirtualClock
 from repro.workload import RandomTrajectoryWorkload
+from repro.workload.runner import decision_digest
 
 
 def _framework(tiny_space, telemetry: TelemetryConfig):
@@ -29,19 +30,6 @@ def _framework(tiny_space, telemetry: TelemetryConfig):
     framework.register(tiny_space)
     return framework, clock
 
-
-def _record_key(record):
-    return (
-        record.predicted,
-        record.confidence,
-        record.optimizer_invoked,
-        record.invocation_reason,
-        record.executed_plan,
-        record.execution_cost,
-        record.optimal_plan,
-        record.degraded,
-        record.fallback_source,
-    )
 
 
 #: The most aggressive cadence: a snapshot every simulated second, a
@@ -59,7 +47,7 @@ class TestTelemetryParity:
         for x in workload.generate(150):
             a = plain.execute("tiny", x)
             b = sampled.execute("tiny", x)
-            assert _record_key(a) == _record_key(b)
+            assert decision_digest(a) == decision_digest(b)
             plain_clock.advance(1.0)
             sampled_clock.advance(1.0)
         assert (
@@ -105,7 +93,7 @@ class TestTelemetryParity:
         for i, x in enumerate(workload.generate(90)):
             a = plain.execute("tiny", x)
             b = probed.execute("tiny", x)
-            assert _record_key(a) == _record_key(b)
+            assert decision_digest(a) == decision_digest(b)
             if i % 13 == 5:
                 # An explicit scorecard probe mid-stream changes nothing.
                 probed.refresh_quality()

@@ -12,6 +12,7 @@ import pytest
 from repro.config import PPCConfig, TraceConfig
 from repro.core.framework import TemplateSession
 from repro.workload import RandomTrajectoryWorkload
+from repro.workload.runner import decision_digest
 
 
 def _config(trace: TraceConfig) -> PPCConfig:
@@ -22,19 +23,6 @@ def _config(trace: TraceConfig) -> PPCConfig:
         trace=trace,
     )
 
-
-def _record_key(record):
-    return (
-        record.predicted,
-        record.confidence,
-        record.optimizer_invoked,
-        record.invocation_reason,
-        record.executed_plan,
-        record.execution_cost,
-        record.optimal_plan,
-        record.degraded,
-        record.fallback_source,
-    )
 
 
 class TestTraceParity:
@@ -49,7 +37,7 @@ class TestTraceParity:
         for x in workload:
             a = untraced.execute(x)
             b = traced.execute(x)
-            assert _record_key(a) == _record_key(b)
+            assert decision_digest(a) == decision_digest(b)
         assert untraced.optimizer_invocations == traced.optimizer_invocations
         assert len(traced.tracer.traces()) > 0
         assert len(untraced.tracer.traces()) == 0
@@ -68,7 +56,7 @@ class TestTraceParity:
             record = untraced.execute(x)
             trace = explained.explain(x)
             twin = explained.records[-1]
-            assert _record_key(record) == _record_key(twin)
+            assert decision_digest(record) == decision_digest(twin)
             outcome = trace.outcome
             assert outcome["executed_plan"] == record.executed_plan
             assert outcome["fallback_source"] == record.fallback_source
@@ -83,7 +71,7 @@ class TestTraceParity:
             tiny_space, _config(TraceConfig(enabled=False)), seed=5
         )
         mixed = TemplateSession(
-            tiny_space, _config(TraceConfig(head=2)), seed=5
+            tiny_space, _config(TraceConfig()), seed=5
         )
         workload = RandomTrajectoryWorkload(2, spread=0.05, seed=2).generate(60)
         for i, x in enumerate(workload):
@@ -93,7 +81,7 @@ class TestTraceParity:
                 b = mixed.records[-1]
             else:
                 b = mixed.execute(x)
-            assert _record_key(a) == _record_key(b)
+            assert decision_digest(a) == decision_digest(b)
 
     def test_traced_run_consumes_identical_rng_stream(self, tiny_space):
         untraced = TemplateSession(

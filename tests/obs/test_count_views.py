@@ -13,6 +13,7 @@ import pytest
 
 from repro.config import EventsConfig, PPCConfig
 from repro.core.framework import TemplateSession
+from repro.exceptions import ResilienceError
 from repro.obs import names as metric_names
 from repro.resilience.faults import (
     FaultSpec,
@@ -501,3 +502,34 @@ class TestInvocationReasons:
         invoked = sum(record.optimizer_invoked for record in records)
         assert view["optimizer_invocations"] == invoked
         assert sum(view["invocation_reasons"].values()) == invoked
+
+
+class TestRaisedDecisions:
+    def test_a_raised_decision_books_no_execution(self):
+        """A decision that raises is not a decision: with the optimizer
+        down from the first instance and nothing cached to fall back
+        on, every ``execute`` raises, and the executions counter, the
+        session's decision count and the report's instances agree at
+        0."""
+        clock = VirtualClock()
+        injector = ScheduledFaultInjector(seed=3, sleep=clock.sleep)
+        injector.set_spec("optimizer", FaultSpec(failure_probability=1.0))
+        service = PlanCachingService.tpch(
+            scale_factor=0.1,
+            config=PPCConfig(drift_response=False),
+            seed=0,
+            fault_injector=injector,
+            clock=clock,
+            sleep=clock.sleep,
+        )
+        service.register("Q1")
+        walk = RandomTrajectoryWorkload(2, spread=0.05, seed=5).generate(3)
+        for point in walk:
+            with pytest.raises(ResilienceError):
+                service.execute(service.instance_at("Q1", point))
+        view = service.metrics()["templates"]["Q1"]
+        assert view["executions"] == 0
+        assert service.framework.session("Q1").decisions == 0
+        report = service.report()["Q1"]
+        assert report["instances"] == 0.0
+        assert report["invocation_rate"] == 0.0

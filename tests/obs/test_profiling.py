@@ -9,8 +9,8 @@ from repro.core.framework import PPCFramework, TemplateSession
 from repro.exceptions import ConfigurationError
 from repro.obs import names as metric_names
 from repro.obs import tracing
-from repro.obs.profiling import StageProfiler, render_profile
-from repro.obs.tracing import DecisionTracer
+from repro.obs.profiling import MAX_PATHS, StageProfiler, render_profile
+from repro.obs.tracing import TRACE_HEAD, DecisionTracer
 from repro.tpch import plan_space_for
 from repro.workload import RandomTrajectoryWorkload
 
@@ -51,10 +51,6 @@ class TestProfileConfig:
     def test_rejects_nonpositive_interval(self):
         with pytest.raises(ConfigurationError):
             ProfileConfig(interval=0)
-
-    def test_rejects_tiny_path_cap(self):
-        with pytest.raises(ConfigurationError):
-            ProfileConfig(max_paths=4)
 
     def test_disabled_by_default(self):
         assert ProfileConfig().enabled is False
@@ -133,16 +129,16 @@ class TestSampling:
         assert profiler.begin("A") is None
 
     def test_path_cap_counts_drops(self):
-        profiler = StageProfiler(ProfileConfig(enabled=True, max_paths=8))
+        profiler = StageProfiler(ProfileConfig(enabled=True))
         tracer = _seam(profiler)
         trace = tracer.begin()
-        for i in range(16):
+        for i in range(MAX_PATHS + 8):
             with trace.span(f"stage_{i}"):
                 pass
         tracer.finish(trace)
         payload = profiler.report()["templates"]["T"]
         assert payload["paths_dropped"] > 0
-        assert len(payload["stages"]) <= 8
+        assert len(payload["stages"]) <= MAX_PATHS
         assert "truncated" in render_profile(profiler.report())
 
 
@@ -160,16 +156,16 @@ class TestDisabledIsFree:
             plan_space_for("Q1"), _hot_config(), seed=17
         )
         points = RandomTrajectoryWorkload(2, spread=0.02, seed=5).generate(
-            session.config.trace.head + 4
+            TRACE_HEAD + 4
         )
-        for x in points[: session.config.trace.head]:
+        for x in points[:TRACE_HEAD]:
             session.execute(x)
 
         def no_span(*args, **kwargs):
             raise AssertionError("an unsampled execution built a Span")
 
         monkeypatch.setattr(tracing, "Span", no_span)
-        for x in points[session.config.trace.head :]:
+        for x in points[TRACE_HEAD:]:
             session.execute(x)
         assert session.tracer.begin() is session.tracer.inactive
 

@@ -259,66 +259,3 @@ class TestMetricInventory:
     def test_help_text_lookup(self):
         assert metric_names.help_text(metric_names.EXECUTIONS_TOTAL)
         assert metric_names.help_text("not_a_metric") == ""
-
-
-class TestRegistryMerge:
-    def test_counters_add_and_gauges_take_the_latest(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.counter("c", template="Q1").inc(3)
-        b.counter("c", template="Q1").inc(4)
-        b.counter("c", template="Q5").inc(1)
-        a.gauge("g").set(10.0)
-        b.gauge("g").set(2.0)
-        a.merge(b)
-        assert a.counter_value("c", template="Q1") == 7.0
-        assert a.counter_value("c", template="Q5") == 1.0
-        assert a.gauge_value("g") == 2.0
-
-    def test_histograms_merge_bucket_wise(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        for s in (0.001, 0.002):
-            a.histogram("h", stage="x").observe(s)
-        for s in (0.004, 0.100):
-            b.histogram("h", stage="x").observe(s)
-        a.merge(b)
-        summary = a.histogram_summary("h", stage="x")
-        assert summary["count"] == 4
-        assert summary["sum"] == pytest.approx(0.107)
-        assert summary["min"] == pytest.approx(0.001)
-        assert summary["max"] == pytest.approx(0.100)
-
-    def test_merging_an_empty_histogram_is_a_no_op(self):
-        a = MetricsRegistry()
-        a.histogram("h").observe(0.005)
-        before = a.histogram_summary("h")
-        empty = MetricsRegistry()
-        empty.histogram("h")  # registered, never observed
-        a.merge(empty)
-        assert a.histogram_summary("h") == before
-        # min must not be clobbered by the empty twin's +inf sentinel.
-        assert a.histogram_summary("h")["min"] == pytest.approx(0.005)
-
-    def test_merge_is_label_order_insensitive(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.counter("c", x="1", y="2").inc(1)
-        b.counter("c", y="2", x="1").inc(2)
-        a.merge(b)
-        assert a.counter_value("c", x="1", y="2") == 3.0
-        snapshot = a.snapshot()
-        assert len(snapshot["counters"]["c"]) == 1
-
-    def test_merge_into_empty_registry_copies_everything(self):
-        source = MetricsRegistry()
-        source.counter("c").inc(5)
-        source.gauge("g", template="Q1").set(7.0)
-        source.histogram("h").observe(0.01)
-        target = MetricsRegistry()
-        target.merge(source)
-        assert target.counter_value("c") == 5.0
-        assert target.gauge_value("g", template="Q1") == 7.0
-        assert target.histogram_summary("h")["count"] == 1
-        # The source is untouched.
-        assert source.counter_value("c") == 5.0

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.config import SLODefinition
 from repro.exceptions import ConfigurationError
 from repro.obs import MetricsRegistry, SLOEngine, evaluate_slo
 from repro.obs import names as metric_names
+from repro.obs.slo import SLODefinition
 from repro.resilience import VirtualClock
 
 

@@ -10,6 +10,8 @@ from repro.obs import names
 from repro.obs import tracing
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import (
+    ERROR_BURST,
+    TRACE_HEAD,
     DecisionTrace,
     DecisionTracer,
     FlightRecorder,
@@ -44,6 +46,13 @@ def _record(
         fallback_source=fallback_source,
     )
 
+
+
+def _past_head(tracer: DecisionTracer) -> DecisionTracer:
+    """Run ``tracer`` through its :data:`TRACE_HEAD` head executions."""
+    for __ in range(TRACE_HEAD):
+        tracer.finish(tracer.begin())
+    return tracer
 
 class TestSpanTree:
     def test_nesting_and_attributes(self):
@@ -90,7 +99,7 @@ class TestSpanTree:
 
 class TestNoopPath:
     def test_noop_trace_is_inert_and_shared(self, monkeypatch):
-        tracer = DecisionTracer("T", config=TraceConfig(head=0))
+        tracer = _past_head(DecisionTracer("T"))
         first = tracer.begin()
         tracer.finish(first)
 
@@ -181,36 +190,32 @@ class TestFlightRecorder:
 
 class TestSampler:
     def test_head_then_interval_then_skip(self):
-        tracer = DecisionTracer("T", config=TraceConfig(head=2, interval=4))
+        tracer = DecisionTracer("T", config=TraceConfig(interval=4))
         seen = []
-        for __ in range(9):
+        for __ in range(TRACE_HEAD + 7):
             trace = tracer.begin()
             seen.append(trace.decision if trace.active else "skipped")
-        assert seen == [
-            "head",
-            "head",
-            "skipped",
-            "skipped",
+        # Interval sampling counts from the first execution, and the
+        # head (8) is a multiple of the interval.
+        assert seen == ["head"] * TRACE_HEAD + [
             "interval",
             "skipped",
             "skipped",
             "skipped",
             "interval",
+            "skipped",
+            "skipped",
         ]
 
     def test_incident_arms_error_burst_even_when_unsampled(self):
-        tracer = DecisionTracer(
-            "T", config=TraceConfig(head=0, interval=0, error_burst=2)
-        )
+        tracer = _past_head(DecisionTracer("T"))
         trace = tracer.begin()
         assert trace is tracer.inactive
         tracer.finish(trace, record=_record(degraded=True))
-        follow = [tracer.begin() for __ in range(3)]
+        follow = [tracer.begin() for __ in range(ERROR_BURST + 1)]
         assert [t.decision if t.active else "skipped" for t in follow] == [
-            "error_bias",
-            "error_bias",
-            "skipped",
-        ]
+            "error_bias"
+        ] * ERROR_BURST + ["skipped"]
 
     def test_forced_trace_bypasses_disabled_config(self):
         tracer = DecisionTracer("T", config=TraceConfig(enabled=False))
@@ -221,8 +226,8 @@ class TestSampler:
     def test_sampling_consumes_no_rng(self):
         """The whole begin/finish cycle must not touch global RNG state."""
         state = np.random.get_state()[1].copy()
-        tracer = DecisionTracer("T", config=TraceConfig(head=4, error_burst=2))
-        for __ in range(8):
+        tracer = DecisionTracer("T")
+        for __ in range(TRACE_HEAD + 2 * ERROR_BURST):
             trace = tracer.begin()
             tracer.finish(trace, record=_record(degraded=True))
         assert np.array_equal(np.random.get_state()[1], state)
@@ -233,32 +238,32 @@ class TestTracerAccounting:
         registry = MetricsRegistry()
         tracer = DecisionTracer(
             "T",
-            config=TraceConfig(head=2, interval=0, capacity=2, error_capacity=2),
+            config=TraceConfig(capacity=TRACE_HEAD, error_capacity=2),
             metrics=registry,
         )
-        for __ in range(4):
+        for __ in range(TRACE_HEAD + 2):
             trace = tracer.begin()
             tracer.finish(trace, record=_record())
         stats = tracer.stats()
         assert stats["sampler"] == {
             "forced": 0,
-            "head": 2,
+            "head": TRACE_HEAD,
             "error_bias": 0,
             "interval": 0,
             "skipped": 2,
         }
-        assert stats["recorded"] == 2
+        assert stats["recorded"] == TRACE_HEAD
         assert stats["dropped"] == 0
-        assert stats["occupancy"] == 2
+        assert stats["occupancy"] == TRACE_HEAD
         recorded = registry.counter(names.TRACE_RECORDED_TOTAL, template="T")
-        assert recorded.value == 2.0
+        assert recorded.value == TRACE_HEAD
         head = registry.counter(
             names.TRACE_SAMPLER_TOTAL, template="T", decision="head"
         )
-        assert head.value == 2.0
+        assert head.value == TRACE_HEAD
 
     def test_error_outcome_recorded(self):
-        tracer = DecisionTracer("T", config=TraceConfig(head=1))
+        tracer = DecisionTracer("T")
         trace = tracer.begin()
         tracer.finish(trace, error=RuntimeError("optimizer down"))
         [stored] = tracer.traces()
@@ -267,9 +272,9 @@ class TestTracerAccounting:
 
 
 class TestTraceConfigValidation:
-    def test_negative_head_rejected(self):
+    def test_negative_interval_rejected(self):
         with pytest.raises(ConfigurationError):
-            TraceConfig(head=-1)
+            TraceConfig(interval=-1)
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -283,15 +288,14 @@ class TestSessionIntegration:
             confidence_threshold=0.6,
             mean_invocation_probability=0.05,
             drift_response=False,
-            trace=TraceConfig(head=4, interval=0),
         )
         return TemplateSession(tiny_space, config, seed=0)
 
     def test_execute_records_head_traces(self, session):
-        for __ in range(6):
+        for __ in range(TRACE_HEAD + 2):
             session.execute(np.array([0.4, 0.4]))
         traces = session.tracer.traces()
-        assert len(traces) == 4
+        assert len(traces) == TRACE_HEAD
         assert all(t.outcome is not None for t in traces)
         assert all(next(t.spans("normalize"), None) is not None for t in traces)
 
@@ -335,7 +339,6 @@ class TestPredictSpanPayload:
             mean_invocation_probability=0.05,
             noise_fraction=self.NOISE_FRACTION,
             drift_response=False,
-            trace=TraceConfig(head=0, interval=0),
         )
         session = TemplateSession(tiny_space, config, seed=0)
         for x in RandomTrajectoryWorkload(2, spread=0.05, seed=4).generate(150):
@@ -473,7 +476,6 @@ class TestOptimizeSpan:
         config = PPCConfig(
             mean_invocation_probability=0.0,
             drift_response=False,
-            trace=TraceConfig(head=0, interval=0),
         )
         session = TemplateSession(tiny_space, config, seed=0)
         invoked = session.explain(np.array([0.5, 0.5]))

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.config import PPCConfig, ResilienceConfig
+from repro.config import PPCConfig
 from repro.core.framework import TemplateSession
 from repro.core.persistence import load_predictor
 from repro.exceptions import PredictionError, ResilienceError
 from repro.resilience import (
+    CircuitBreaker,
     FaultInjector,
     FaultSpec,
     InjectedFault,
+    RetryPolicy,
     VirtualClock,
 )
 from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN
@@ -18,28 +20,30 @@ from repro.service import PlanCachingService
 from tests.resilience.helpers import cold_predictor
 
 
-def fast_config(_ppc=None, **resilience_kwargs) -> PPCConfig:
-    resilience_kwargs.setdefault("retry_attempts", 2)
-    resilience_kwargs.setdefault("retry_base_delay", 0.001)
-    resilience_kwargs.setdefault("retry_max_delay", 0.01)
-    return PPCConfig(
-        resilience=ResilienceConfig(**resilience_kwargs), **(_ppc or {})
-    )
-
-
-def make_session(plan_space, injector=None, clock=None, config=None):
+def make_session(
+    plan_space, injector=None, clock=None, config=None, **breaker_kwargs
+):
+    """A session on a virtual clock with a fast two-attempt retry
+    policy; ``breaker_kwargs`` rebuild its circuit breaker."""
     clock = clock or VirtualClock()
-    return (
-        TemplateSession(
-            plan_space,
-            config or fast_config(),
-            seed=0,
-            fault_injector=injector,
-            clock=clock,
-            sleep=clock.sleep,
-        ),
-        clock,
+    session = TemplateSession(
+        plan_space,
+        config or PPCConfig(),
+        seed=0,
+        fault_injector=injector,
+        clock=clock,
+        sleep=clock.sleep,
     )
+    session.retry_policy = RetryPolicy(
+        attempts=2, base_delay=0.001, max_delay=0.01
+    )
+    if breaker_kwargs:
+        session.breaker = CircuitBreaker(
+            clock=clock,
+            on_transition=session._on_breaker_transition,
+            **breaker_kwargs,
+        )
+    return session, clock
 
 
 def degraded_count(session, component: str) -> int:
@@ -126,13 +130,6 @@ class TestValidation:
         assert list(session.records) == []
         assert session.decisions == 0
 
-    def test_validation_can_be_disabled(self, tiny_space):
-        config = fast_config(validate_points=False)
-        session, __ = make_session(tiny_space, config=config)
-        record = session.execute(np.array([0.5, 0.5]))
-        assert record.executed_plan >= 0
-        assert self.rejected(session, "non_finite") == 0
-
 
 class TestBreakerFallback:
     def warm_cache(self, session, plan_space):
@@ -149,10 +146,9 @@ class TestBreakerFallback:
         injector = FaultInjector(
             {"optimizer": FaultSpec(failure_probability=1.0)}, seed=0
         )
-        config = fast_config(
-            breaker_failure_threshold=3, breaker_recovery_time=60.0
+        session, clock = make_session(
+            tiny_space, injector, failure_threshold=3, recovery_time=60.0
         )
-        session, clock = make_session(tiny_space, injector, config=config)
         warm_plan = self.warm_cache(session, tiny_space)
 
         rng = np.random.default_rng(2)
@@ -183,10 +179,9 @@ class TestBreakerFallback:
         injector = FaultInjector(
             {"optimizer": FaultSpec(failure_probability=1.0)}, seed=0
         )
-        config = fast_config(
-            breaker_failure_threshold=2, breaker_recovery_time=30.0
+        session, clock = make_session(
+            tiny_space, injector, failure_threshold=2, recovery_time=30.0
         )
-        session, clock = make_session(tiny_space, injector, config=config)
         self.warm_cache(session, tiny_space)
         rng = np.random.default_rng(3)
         points = rng.uniform(0.0, 1.0, size=(4, tiny_space.dimensions))
@@ -224,7 +219,7 @@ class TestNegativeFeedbackDegraded:
     def test_unverifiable_suspicion_keeps_the_executed_plan(
         self, tiny_space
     ):
-        config = fast_config(_ppc={"mean_invocation_probability": 0.0})
+        config = PPCConfig(mean_invocation_probability=0.0)
         session, __ = make_session(tiny_space, config=config)
         rng = np.random.default_rng(4)
         # Warm up until the predictor answers from the synopses.

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.exceptions import ConfigurationError, ResilienceError
-from repro.config import ResilienceConfig
+from repro.exceptions import ResilienceError
 from repro.resilience import (
     RetryExhaustedError,
     RetryPolicy,
@@ -134,20 +133,3 @@ class TestPolicyValidation:
         assert policy.delay(0) == pytest.approx(0.01)
         assert policy.delay(1) == pytest.approx(0.03)
         assert policy.delay(2) == pytest.approx(0.05)  # capped
-
-
-class TestResilienceConfig:
-    def test_defaults_valid(self):
-        config = ResilienceConfig()
-        assert config.retry_attempts >= 1
-        assert config.breaker_failure_threshold >= 1
-
-    def test_invalid_knobs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(retry_attempts=0)
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(retry_multiplier=0.0)
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(breaker_failure_threshold=0)
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(breaker_recovery_time=-1.0)

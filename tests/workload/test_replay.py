@@ -9,12 +9,19 @@ and the committed golden trace that guards cross-version determinism.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 
 import pytest
 
-from repro.config import PPCConfig, SLODefinition, TelemetryConfig
+from repro.config import (
+    EventsConfig,
+    PPCConfig,
+    ProfileConfig,
+    TelemetryConfig,
+    TraceConfig,
+)
 from repro.core.persistence import encode_artifact, frame_line
 from repro.exceptions import ConfigurationError, PersistenceError
 from repro.resilience.faults import FaultSpec
@@ -40,27 +47,61 @@ from repro.workload.scenarios import (
 GOLDEN = pathlib.Path(__file__).parent / "golden_trace.jsonl"
 
 
+def _leaves(config, prefix=""):
+    """Every settable leaf of a config, by dotted path."""
+    leaves = {}
+    for spec in dataclasses.fields(config):
+        value = getattr(config, spec.name)
+        if dataclasses.is_dataclass(value):
+            leaves.update(_leaves(value, f"{prefix}{spec.name}."))
+        else:
+            leaves[prefix + spec.name] = value
+    return leaves
+
+
 class TestConfigRoundTrip:
     def test_default_config(self):
         config = PPCConfig()
         assert config_from_dict(config_to_dict(config)) == config
 
-    def test_customized_config_with_nested_slos(self):
+    def test_every_leaf_round_trips(self):
         config = PPCConfig(
-            cache_capacity=2,
-            drift_threshold=0.6,
+            transforms=3,
+            resolution=12,
+            max_buckets=24,
+            radius=0.07,
+            confidence_threshold=0.75,
+            noise_fraction=None,
+            mean_invocation_probability=0.1,
+            negative_feedback=False,
+            cost_epsilon=0.5,
+            positive_feedback=True,
+            positive_feedback_min_confidence=0.9,
+            positive_feedback_weight=0.5,
+            positive_feedback_mass_cap=0.25,
             monitor_window=50,
-            telemetry=TelemetryConfig(
-                slos=(
-                    SLODefinition(
-                        name="x", signal="regret", objective=0.25
-                    ),
-                )
+            drift_threshold=0.6,
+            drift_min_observations=20,
+            drift_response=False,
+            cache_capacity=2,
+            trace=TraceConfig(
+                enabled=False, interval=3, capacity=16, error_capacity=8
             ),
+            telemetry=TelemetryConfig(
+                enabled=False,
+                sample_interval=2.5,
+                quality_every=3,
+                quality_window=40,
+            ),
+            profiling=ProfileConfig(enabled=True, interval=4),
+            events=EventsConfig(enabled=True, capacity=128),
         )
-        rebuilt = config_from_dict(config_to_dict(config))
-        assert rebuilt == config
-        assert rebuilt.telemetry.slos[0].name == "x"
+        leaves = _leaves(config)
+        defaults = _leaves(PPCConfig())
+        assert len(leaves) == 30
+        assert [key for key in leaves if leaves[key] == defaults[key]] == []
+        payload = json.loads(json.dumps(config_to_dict(config)))
+        assert config_from_dict(payload) == config
 
     def test_round_trip_survives_json(self):
         config = PPCConfig(confidence_threshold=0.75)
@@ -117,6 +158,16 @@ class TestTraceFormat:
         header = encode_artifact(TRACE_KIND, TRACE_VERSION, [])
         trace.write_text(header + header)
         with pytest.raises(PersistenceError, match="duplicate"):
+            load_trace(trace)
+
+    def test_v2_trace_is_refused(self, tmp_path):
+        # A v2 header still carries the retired settings (resilience,
+        # trace head, SLO set, ...); the version check turns it away.
+        trace = tmp_path / "v2.jsonl"
+        config = config_to_dict(PPCConfig())
+        config["resilience"] = {"retry_attempts": 3}
+        trace.write_text(encode_artifact(TRACE_KIND, 2, [], {"config": config}))
+        with pytest.raises(PersistenceError, match="version 2"):
             load_trace(trace)
 
     def test_unsupported_version_is_an_error(self, tmp_path):
