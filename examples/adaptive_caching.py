@@ -81,7 +81,7 @@ def main() -> None:
 
     q1 = framework.session("Q1")
     print(f"\nQ1 raised {q1.drift_events} drift event(s): the stale "
-          f"histograms were dropped and {q1.online.sample_count} fresh "
+          f"histograms were dropped and {q1.predictor.total_points} fresh "
           "points were accumulated against the new plan space.  (The "
           "scrambled space deliberately violates the predictability "
           "assumptions, so precision stays low after the switch — the "

@@ -66,8 +66,8 @@ def main() -> None:
     for name in spaces:
         session = framework.session(name)
         print(
-            f"{name}: {session.online.space_bytes():6,d} bytes, "
-            f"b_h={session.online.predictor.max_buckets:3d}, "
+            f"{name}: {session.predictor.space_bytes():6,d} bytes, "
+            f"b_h={session.predictor.max_buckets:3d}, "
             f"recall~{session.monitor.recall_estimate:.2f}"
         )
     reclaimed = {}
@@ -92,7 +92,7 @@ def main() -> None:
 
     # Persist and restore the hottest template's synopses.
     print("\n=== persistence (Q1) ===")
-    hot = framework.session("Q1").online.predictor
+    hot = framework.session("Q1").predictor
     with tempfile.NamedTemporaryFile(suffix=".jsonl", delete=False) as handle:
         path = save_predictor(hot, handle.name)
     size = path.stat().st_size

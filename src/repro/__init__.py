@@ -32,7 +32,6 @@ from repro.core import (
     HistogramPredictor,
     LshPredictor,
     NaivePredictor,
-    OnlinePredictor,
     PerformanceMonitor,
     PlanCache,
     PlanPredictor,
@@ -75,7 +74,6 @@ __all__ = [
     "HistogramPredictor",
     "LshPredictor",
     "NaivePredictor",
-    "OnlinePredictor",
     "PerformanceMonitor",
     "PlanCache",
     "PlanPredictor",

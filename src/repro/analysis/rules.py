@@ -771,7 +771,7 @@ _SYNOPSIS_ATTRS = frozenset(
     }
 )
 _MUTATION_COUNTER = "_mutations"
-#: The one mutation seam (``PlanPredictor._commit``), as a raw call.
+#: The one mutation seam (``HistogramPredictor._commit``), as a raw call.
 _COMMIT_CALL = "self._commit"
 
 #: Method names that mutate their receiver in place — list/set/dict
@@ -821,13 +821,14 @@ class MutationDiscipline(Rule):
 
     ``TemplateSession.execute_batch`` prefetches predictions and
     invalidates the prefetched tail by comparing
-    ``online.mutation_count`` across instances, and the lineage engine
-    reconstructs cache state from the lifecycle journal.  Both hold by
-    construction as long as ``PlanPredictor._commit`` — which bumps
-    ``_mutations`` and journals, exactly once — is the only way
-    synopsis state changes.  The check is local to each function body
+    ``predictor.mutation_count`` across instances, and the lineage
+    engine reconstructs cache state from the lifecycle journal.  Both
+    hold by construction as long as ``HistogramPredictor._commit`` —
+    which bumps ``_mutations`` and journals, exactly once — is the only
+    way synopsis state changes.  The check is local to each function body
     (nested closures fold into it): (a) no function writes
-    ``_mutations``; (b) every method other than ``__init__`` that
+    ``_mutations`` (the seam itself carries the one documented
+    ``noqa``); (b) every method other than ``__init__`` that
     writes or mutates synopsis state, directly or through a local
     alias, calls ``self._commit(...)`` itself.  Before ``bind_events``
     a commit journals nothing, so construction-time builders need no

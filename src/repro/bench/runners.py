@@ -106,7 +106,7 @@ def run_predict_throughput() -> dict[str, Any]:
     for x in _q1_trajectory(WARM_SEED, PREDICT_WARMUP):
         session.execute(x)
     probes = _q1_trajectory(PROBE_SEED, PREDICT_PROBES)
-    online = session.online
+    predictor = session.predictor
 
     best_batch = float("inf")
     best_scalar = float("inf")
@@ -114,11 +114,11 @@ def run_predict_throughput() -> dict[str, Any]:
     scalar_predictions = None
     for __ in range(PREDICT_REPEATS):
         t0 = perf_counter()
-        batch_predictions = online.predict_batch(probes)
+        batch_predictions = predictor.predict_batch(probes)
         best_batch = min(best_batch, (perf_counter() - t0) / PREDICT_PROBES)
 
         t0 = perf_counter()
-        scalar_predictions = [online.predict(x) for x in probes]
+        scalar_predictions = [predictor.predict(x) for x in probes]
         best_scalar = min(best_scalar, (perf_counter() - t0) / PREDICT_PROBES)
 
     if batch_predictions != scalar_predictions:

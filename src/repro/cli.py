@@ -260,7 +260,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
     print(f"optimizer invocations: {session.optimizer_invocations}")
     print(f"precision            : {metrics.precision:.3f}")
     print(f"recall               : {metrics.recall:.3f}")
-    print(f"synopsis bytes       : {session.online.space_bytes():,d}")
+    print(f"synopsis bytes       : {session.predictor.space_bytes():,d}")
     return 0
 
 

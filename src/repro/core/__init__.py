@@ -1,7 +1,7 @@
 """The paper's primary contribution: density-based plan prediction.
 
-Four approximation levels (Section IV) plus the online variant and the
-framework gluing them to a plan cache:
+Four approximation levels (Section IV) and the framework that runs the
+online variant against a plan cache:
 
 * :class:`~repro.core.baseline.BaselinePredictor` — Algorithm 1, exact.
 * :class:`~repro.core.naive.NaivePredictor` — one fixed grid, O(1).
@@ -9,9 +9,11 @@ framework gluing them to a plan cache:
   ``t`` randomized grids.
 * :class:`~repro.core.histogram_predictor.HistogramPredictor` — z-order
   linearization stored in database histograms.
-* :class:`~repro.core.online.OnlinePredictor` — empty-start incremental
-  variant with exploration and negative feedback.
-* :class:`~repro.core.framework.PPCFramework` — the Figure-1 workflow.
+* :class:`~repro.core.framework.TemplateSession` — the Figure-1 workflow
+  for one template: the empty-start incremental histogram predictor
+  with exploration and negative feedback (Section IV-D).
+* :class:`~repro.core.framework.PPCFramework` — one session per
+  template.
 """
 
 from repro.core.baseline import BaselinePredictor
@@ -28,7 +30,6 @@ from repro.core.histogram_predictor import HistogramPredictor
 from repro.core.lsh_predictor import LshPredictor
 from repro.core.monitor import PerformanceMonitor
 from repro.core.naive import NaivePredictor
-from repro.core.online import OnlinePredictor
 from repro.core.persistence import (
     atomic_write_text,
     dumps_predictor,
@@ -72,7 +73,6 @@ __all__ = [
     "LshPredictor",
     "PerformanceMonitor",
     "NaivePredictor",
-    "OnlinePredictor",
     "LabeledPoint",
     "SamplePool",
     "PlanPredictor",

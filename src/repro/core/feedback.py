@@ -21,29 +21,24 @@ DEFAULT_EPSILON = 0.25
 class CostFeedbackDetector:
     """Binary classifier: was a prediction erroneous, judging by cost?
 
-    By default the check is one-sided: executing a *wrong* plan can only
-    cost more than the optimal-cost estimate, never less, so a cheaper-
-    than-estimated execution signals estimate smearing rather than a
-    misprediction.  ``one_sided=False`` restores the symmetric bound for
-    ablation.
+    The check is one-sided: executing a *wrong* plan can only cost more
+    than the optimal-cost estimate, never less, so a cheaper-than-
+    estimated execution signals estimate smearing rather than a
+    misprediction.
     """
 
-    def __init__(
-        self,
-        epsilon: float = DEFAULT_EPSILON,
-        one_sided: bool = True,
-    ) -> None:
+    def __init__(self, epsilon: float = DEFAULT_EPSILON) -> None:
         if epsilon <= 0.0:
             raise ConfigurationError("epsilon must be > 0")
         self.epsilon = epsilon
-        self.one_sided = one_sided
 
     def is_erroneous(
         self,
         estimated_cost: "float | None",
         observed_cost: float,
     ) -> bool:
-        """True when the observed cost falls outside the error bound.
+        """True when the observed cost exceeds the estimate by more
+        than the error bound.
 
         With no cost estimate available (empty neighborhood) the
         detector abstains, i.e. reports "not erroneous".
@@ -52,8 +47,4 @@ class CostFeedbackDetector:
             return False
         if observed_cost <= 0.0:
             return False
-        ratio = observed_cost / estimated_cost
-        bound = 1.0 + self.epsilon
-        if ratio > bound:
-            return True
-        return not self.one_sided and ratio < 1.0 / bound
+        return observed_cost / estimated_cost > 1.0 + self.epsilon

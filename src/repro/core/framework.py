@@ -1,9 +1,13 @@
 """The parametric plan-caching framework: the Figure-1 workflow.
 
 A :class:`TemplateSession` owns everything the RDBMS keeps per query
-template: the online predictor (clustered plan-space synopses), the
-performance monitor, and the plan cache.  ``execute`` runs one query
-instance through the full decision flow:
+template: the incremental histogram predictor (clustered plan-space
+synopses), the performance monitor, and the plan cache.  It is
+ONLINE-APPROXIMATE-LSH-HISTOGRAMS (Section IV-D): the synopsis starts
+empty and learns from optimizer-verified points, and the online
+policies (random exploration, negative and positive feedback) are
+session methods next to the decision flow that calls them.  ``execute``
+runs one query instance through the full decision flow:
 
 1. validate the instance (NaN/inf/out-of-domain points are rejected
    with a clean :class:`~repro.exceptions.PredictionError`);
@@ -60,9 +64,12 @@ import numpy as np
 from repro.buildinfo import VERSION, commit_id
 from repro.config import PPCConfig
 from repro.core.cache import PlanCache
+from repro.core.feedback import CostFeedbackDetector
+from repro.core.histogram_predictor import HistogramPredictor
 from repro.core.monitor import PerformanceMonitor
-from repro.core.online import OnlinePredictor
+from repro.core.point import SamplePool
 from repro.core.positive_feedback import PositiveFeedbackPolicy
+from repro.core.predictor import Prediction
 from repro.exceptions import PredictionError, ResilienceError
 from repro.metrics.classification import PrecisionRecall, summarize
 from repro.metrics.classification import PredictionOutcome
@@ -83,6 +90,7 @@ from repro.resilience.retry import (
     RetryPolicy,
     retry_call,
 )
+from repro.rng import as_generator
 
 
 #: Sentinel: "no precomputed prediction — run the scalar predict path".
@@ -345,15 +353,14 @@ class TemplateSession:
             metrics=self.metrics,
             template=template,
         )
-        policy = None
-        if self.config.positive_feedback:
-            policy = PositiveFeedbackPolicy(
-                min_confidence=self.config.positive_feedback_min_confidence,
-                weight=self.config.positive_feedback_weight,
-                mass_cap_ratio=self.config.positive_feedback_mass_cap,
-            )
-        self.online = OnlinePredictor(
-            dimensions=plan_space.dimensions,
+        # ONLINE-APPROXIMATE-LSH-HISTOGRAMS (Section IV-D): the synopsis
+        # starts empty and learns only from the points this session
+        # inserts.  One generator serves both random streams: the
+        # transform ensemble draws from it first, then the exploration
+        # coin of every decision.
+        self._rng = as_generator(seed)
+        self.predictor = HistogramPredictor(
+            SamplePool(plan_space.dimensions),
             plan_count=plan_space.plan_count,
             transforms=self.config.transforms,
             resolution=self.config.resolution,
@@ -361,17 +368,22 @@ class TemplateSession:
             radius=self.config.radius,
             confidence_threshold=self.config.confidence_threshold,
             noise_fraction=self.config.noise_fraction,
-            mean_invocation_probability=self.config.mean_invocation_probability,
-            negative_feedback=self.config.negative_feedback,
-            cost_epsilon=self.config.cost_epsilon,
-            positive_feedback=policy,
-            seed=seed,
+            histogram_kind="incremental",
+            seed=self._rng,
         )
+        self.detector = CostFeedbackDetector(self.config.cost_epsilon)
+        self.positive_feedback: "PositiveFeedbackPolicy | None" = None
+        if self.config.positive_feedback:
+            self.positive_feedback = PositiveFeedbackPolicy(
+                min_confidence=self.config.positive_feedback_min_confidence,
+                weight=self.config.positive_feedback_weight,
+                mass_cap_ratio=self.config.positive_feedback_mass_cap,
+            )
         if self._events is not None:
             # Binding journals one ``histogram_built`` (the synopsis
             # going live); the cache emits evictions with the prec/rec
             # scores that chose the victim.
-            self.online.bind_events(self._events)
+            self.predictor.bind_events(self._events)
             self.cache.bind_events(self._events)
         if profiler is None and self.config.profiling.enabled:
             profiler = StageProfiler(self.config.profiling)
@@ -395,19 +407,19 @@ class TemplateSession:
         if fault_injector is not None:
             self._label = fault_injector.wrap("optimizer", plan_space.label)
             self._predict = fault_injector.wrap(
-                "predictor", self.online.predict
+                "predictor", self.predictor.predict
             )
             self._predict_batch = fault_injector.wrap(
-                "predictor", self.online.predict_batch
+                "predictor", self.predictor.predict_batch
             )
             self._observe = fault_injector.wrap(
-                "predictor_insert", self.online.observe
+                "predictor_insert", self.observe
             )
         else:
             self._label = plan_space.label
-            self._predict = self.online.predict
-            self._predict_batch = self.online.predict_batch
-            self._observe = self.online.observe
+            self._predict = self.predictor.predict
+            self._predict_batch = self.predictor.predict_batch
+            self._observe = self.observe
 
         # Stable metric handles: fetched once, updated lock-free in the
         # hot path below.  Stage timings are the tracer's: its span seam
@@ -508,6 +520,90 @@ class TemplateSession:
         self._breaker_transition_counters[state].inc()
         if self._events is not None:
             self._events("breaker_transition", state=state)
+
+    # ------------------------------------------------------------------
+    # The online policies (Section IV-D)
+    # ------------------------------------------------------------------
+    def observe(
+        self,
+        x: np.ndarray,
+        plan_id: int,
+        cost: float,
+        provenance: str = "direct",
+    ) -> None:
+        """Insert a truly optimized (verified) point into the synopsis.
+
+        ``provenance`` names the decision-flow origin of the point
+        (cache miss, exploration, negative feedback, ...) and flows
+        through to the ``point_inserted`` lifecycle event; it never
+        affects the insert.
+        """
+        self.predictor.insert(x, plan_id, cost, provenance=provenance)
+        if self.positive_feedback is not None:
+            self.positive_feedback.record_verified()
+
+    def should_explore(self, prediction: Prediction) -> bool:
+        """Random exploration: invoke the optimizer despite a prediction.
+
+        The invocation probability is the mean probability ``p`` scaled
+        by how unsure the prediction is, ``2 p (1 - confidence)``, so a
+        50 %-confidence prediction is explored at exactly the mean rate
+        and a fully confident one almost never.  ``p = 0`` draws no
+        coin.
+        """
+        mean = self.config.mean_invocation_probability
+        if mean == 0.0:
+            return False
+        probability = min(1.0, 2.0 * mean * (1.0 - prediction.confidence))
+        return bool(self._rng.random() < probability)
+
+    def suspect_error(
+        self, prediction: Prediction, observed_cost: float
+    ) -> bool:
+        """Negative feedback: does the observed execution cost
+        contradict the synopsis cost estimate?"""
+        if not self.config.negative_feedback:
+            return False
+        return self.detector.is_erroneous(
+            prediction.estimated_cost, observed_cost
+        )
+
+    def offer_unverified(
+        self,
+        x: np.ndarray,
+        prediction: Prediction,
+        observed_cost: float,
+    ) -> bool:
+        """Offer an executed-but-unverified prediction as positive
+        feedback.
+
+        Accepted only when a positive-feedback policy is configured and
+        its checks and balances pass; the point then enters the synopsis
+        at the policy's discounted weight.  Returns whether the point
+        was inserted.
+        """
+        policy = self.positive_feedback
+        if policy is None or not policy.should_insert(prediction):
+            return False
+        self.predictor.insert(
+            x,
+            prediction.plan_id,
+            observed_cost,
+            weight=policy.weight,
+            provenance="positive_feedback",
+        )
+        return True
+
+    def forget(self) -> None:
+        """Start learning from scratch: drop the synopsis, reset the
+        positive-feedback policy and the monitor, and clear the cache.
+        The drift response and the memory governor's drop both take
+        this one step."""
+        self.predictor.drop()
+        if self.positive_feedback is not None:
+            self.positive_feedback.reset()
+        self.monitor.reset()
+        self.cache.clear()
 
     # ------------------------------------------------------------------
     # The decision flow
@@ -665,10 +761,10 @@ class TemplateSession:
             predictions, amortized = self._prefetch_predictions(
                 points[start:]
             )
-            version = self.online.mutation_count
+            version = self.predictor.mutation_count
             advanced = 0
             for offset, precomputed in enumerate(predictions):
-                if offset > 0 and self.online.mutation_count != version:
+                if offset > 0 and self.predictor.mutation_count != version:
                     break  # Synopses changed: the tail is stale.
                 trace = self.tracer.begin()
                 records.append(
@@ -822,7 +918,7 @@ class TemplateSession:
             reason = ""
             if prediction is None:
                 reason = "null_prediction"
-            elif self.online.should_invoke_optimizer(prediction):
+            elif self.should_explore(prediction):
                 reason = "exploration"
             elif self.cache.get(prediction.plan_id) is None:
                 # The one real lookup: it books the hit or the miss.
@@ -886,9 +982,7 @@ class TemplateSession:
                 if trace.active:
                     execute_span.set(plan=executed_plan, cost=execution_cost)
             with trace.span("feedback") as feedback_span:
-                suspect = self.online.suspect_error(
-                    prediction, execution_cost
-                )
+                suspect = self.suspect_error(prediction, execution_cost)
                 if trace.active:
                     feedback_span.set(
                         estimated_cost=prediction.estimated_cost,
@@ -922,14 +1016,14 @@ class TemplateSession:
                     # positive feedback (discounted + capped by the
                     # policy).
                     try:
-                        inserted = self.online.observe_unverified(
+                        inserted = self.offer_unverified(
                             x, prediction, execution_cost
                         )
                     except Exception:
                         inserted = False
                         degraded = True
                         self._degraded_counters["predictor_insert"].inc()
-                    if self.online.positive_feedback is not None:
+                    if self.positive_feedback is not None:
                         outcome_label = "accepted" if inserted else "rejected"
                         self._feedback_counters[outcome_label].inc()
                         if trace.active:
@@ -952,11 +1046,9 @@ class TemplateSession:
                         precision=float(self.monitor.precision_estimate),
                         recall=float(self.monitor.recall_estimate),
                         cached_plans=len(self.cache),
-                        points_held=int(self.online.sample_count),
+                        points_held=self.predictor.total_points,
                     )
-                self.online.drop()
-                self.monitor.reset()
-                self.cache.clear()
+                self.forget()
                 if trace.active:
                     drift_span.set(
                         response=["drop_synopses", "reset_monitor", "clear_cache"]
@@ -1017,7 +1109,7 @@ class TemplateSession:
                 "transform_seconds": self._transform_seconds.summary(),
                 "range_query_seconds": self._range_query_seconds.summary(),
             },
-            "synopsis_bytes": self.online.space_bytes(),
+            "synopsis_bytes": self.predictor.space_bytes(),
             "resilience": {
                 "breaker_state": self.breaker.state,
                 "breaker_transitions": counts(
@@ -1293,5 +1385,5 @@ class PPCFramework:
     def space_bytes(self) -> int:
         """Combined synopsis footprint of all sessions."""
         return sum(
-            s.online.space_bytes() for s in self.sessions.values()
+            s.predictor.space_bytes() for s in self.sessions.values()
         )

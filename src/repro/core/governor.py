@@ -99,7 +99,7 @@ class MemoryGovernor:
     @property
     def total_bytes(self) -> int:
         return sum(
-            r.session.online.space_bytes()
+            r.session.predictor.space_bytes()
             for r in self._registrations.values()
         )
 
@@ -122,7 +122,7 @@ class MemoryGovernor:
         candidates = [
             r
             for r in self._registrations.values()
-            if r.session.online.space_bytes() > 0
+            if r.session.predictor.space_bytes() > 0
         ]
         if not candidates:
             return None
@@ -131,8 +131,8 @@ class MemoryGovernor:
     def _reclaim(self, registration: _Registration) -> GovernorAction:
         session = registration.session
         name = session.plan_space.template.name
-        predictor = session.online.predictor
-        before = session.online.space_bytes()
+        predictor = session.predictor
+        before = predictor.space_bytes()
         current = predictor.max_buckets
         if current > MIN_BUCKETS:
             new_buckets = max(MIN_BUCKETS, current // 2)
@@ -141,17 +141,16 @@ class MemoryGovernor:
                 name,
                 "shrink",
                 new_buckets,
-                reclaimed_bytes=before - session.online.space_bytes(),
+                reclaimed_bytes=before - predictor.space_bytes(),
             )
         else:
-            # At the floor: drop the template's synopses entirely.
-            session.online.drop()
-            session.monitor.reset()
-            session.cache.clear()
+            # At the floor: the template forgets everything it learned,
+            # exactly as a drift response does.
+            session.forget()
             action = GovernorAction(
                 name,
                 "drop",
-                reclaimed_bytes=before - session.online.space_bytes(),
+                reclaimed_bytes=before - predictor.space_bytes(),
             )
         self._account(action)
         return action

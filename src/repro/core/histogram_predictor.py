@@ -67,6 +67,13 @@ _STATIC_BUILDERS = {
 class HistogramPredictor(PlanPredictor):
     """The paper's flagship structure: LSH + z-order + histograms."""
 
+    #: Lifecycle event emitter (``repro.obs.events``); ``None`` until
+    #: the owning session binds one, so construction-time pool replay
+    #: journals nothing and the disabled path is one ``is None`` check.
+    _events: "_TemplateEmitter | None" = None
+    #: Monotone synopsis-mutation counter, written only by :meth:`_commit`.
+    _mutations: int = 0
+
     def __init__(
         self,
         pool: SamplePool,
@@ -171,6 +178,23 @@ class HistogramPredictor(PlanPredictor):
         self._stacked = StackedEnsemble(
             self.ensemble, self.grids, curve=self.curve
         )
+
+    @property
+    def mutation_count(self) -> int:
+        """Number of synopsis mutations so far.  Batch consumers
+        (``TemplateSession.execute_batch``) compare it to detect when
+        precomputed predictions went stale."""
+        return self._mutations
+
+    def _commit(self, kind: str, **fields) -> None:  # repro: noqa[RPR103] - the seam
+        """The one seam every synopsis mutation goes through: bump
+        :attr:`mutation_count` and journal ``kind`` (with ``fields``)
+        if an emitter is bound.  A mutation therefore always invalidates
+        prefetched predictions and always reaches the journal, exactly
+        once."""
+        self._mutations += 1
+        if self._events is not None:
+            self._events(kind, **fields)
 
     def bind_events(self, emitter: "_TemplateEmitter") -> None:
         """Attach a lifecycle event emitter (``repro.obs.events``).

@@ -1,7 +1,7 @@
 """Common predictor interface.
 
-Every plan-prediction algorithm — the Section III comparators, the four
-approximation levels of Section IV, and the online variant — answers
+Every plan-prediction algorithm — the Section III comparators and the
+four approximation levels of Section IV — answers
 the same question: *given a plan-space point, which plan would the
 optimizer choose, or NULL if unsure* (the output model of Section
 II-B).  :class:`PlanPredictor` fixes that interface so experiments can
@@ -12,14 +12,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.exceptions import PredictionError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.events import _TemplateEmitter
 
 
 @dataclass(frozen=True)
@@ -93,30 +88,6 @@ class PlanPredictor(ABC):
 
     #: Dimensionality ``r`` of the plan space the predictor serves.
     dimensions: int
-
-    #: Lifecycle event emitter (``repro.obs.events``); ``None`` until
-    #: the owning session binds one, so construction-time pool replay
-    #: journals nothing and the disabled path is one ``is None`` check.
-    _events: "_TemplateEmitter | None" = None
-    #: Monotone synopsis-mutation counter, written only by :meth:`_commit`.
-    _mutations: int = 0
-
-    @property
-    def mutation_count(self) -> int:
-        """Number of synopsis mutations so far.  Batch consumers
-        (``TemplateSession.execute_batch``) compare it to detect when
-        precomputed predictions went stale."""
-        return self._mutations
-
-    def _commit(self, kind: str, **fields) -> None:
-        """The one seam every synopsis mutation goes through: bump
-        :attr:`mutation_count` and journal ``kind`` (with ``fields``)
-        if an emitter is bound.  A mutation therefore always invalidates
-        prefetched predictions and always reaches the journal, exactly
-        once."""
-        self._mutations += 1
-        if self._events is not None:
-            self._events(kind, **fields)
 
     @abstractmethod
     def predict(self, x: np.ndarray) -> "Prediction | None":

@@ -156,7 +156,7 @@ def compute_scorecard(
     non-trivial sub-computation), the mode the periodic gauge refresh
     uses to stay inside its overhead budget.
     """
-    predictor = session.online.predictor
+    predictor = session.predictor
     synopsis = synopsis_scorecard(predictor.cell_densities(probes))
     rolling = rolling_window_stats(
         session.settled_records(),
@@ -171,7 +171,7 @@ def compute_scorecard(
             **synopsis,
             "total_points": predictor.total_points,
             "total_mass": predictor.total_mass,
-            "space_bytes": session.online.space_bytes(),
+            "space_bytes": predictor.space_bytes(),
         },
         "rolling": rolling,
         "monitor": monitor,

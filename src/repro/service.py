@@ -247,7 +247,7 @@ class PlanCachingService:
             session = self.framework.session(name)
             registry.gauge(
                 metric_names.SYNOPSIS_BYTES, template=name
-            ).set(session.online.space_bytes())
+            ).set(session.predictor.space_bytes())
             registry.gauge(
                 metric_names.CACHE_PLANS, template=name
             ).set(len(session.cache))
@@ -306,7 +306,7 @@ class PlanCachingService:
                 ),
                 "precision": metrics.precision,
                 "recall": metrics.recall,
-                "space_bytes": float(session.online.space_bytes()),
+                "space_bytes": float(session.predictor.space_bytes()),
             }
         return summary
 

@@ -66,12 +66,30 @@ def config_to_dict(config: PPCConfig) -> "dict[str, Any]":
 
 def config_from_dict(payload: "dict[str, Any]") -> PPCConfig:
     """Rebuild a :class:`PPCConfig` from its nested-dict form: every
-    field whose default is a config class is rebuilt as that class."""
+    field whose default is a config class is rebuilt as that class.
+
+    A key no config declares, or a missing nested block, raises
+    :class:`PersistenceError` naming it."""
     data = dict(payload)
+    _check_keys("config", data, PPCConfig)
     for spec in fields(PPCConfig):
-        if spec.default_factory is not MISSING:
-            data[spec.name] = spec.default_factory(**data[spec.name])
+        if spec.default_factory is MISSING:
+            continue
+        block = data.get(spec.name)
+        if not isinstance(block, dict):
+            raise PersistenceError(
+                f"config block {spec.name!r} is missing or not an object"
+            )
+        _check_keys(f"config.{spec.name}", block, spec.default_factory)
+        data[spec.name] = spec.default_factory(**block)
     return PPCConfig(**data)
+
+
+def _check_keys(where: str, block: "dict[str, Any]", cls: type) -> None:
+    known = {spec.name for spec in fields(cls)}
+    for key in block:
+        if key not in known:
+            raise PersistenceError(f"unknown {where} key {key!r}")
 
 
 # ----------------------------------------------------------------------

@@ -64,7 +64,7 @@ class TestSessionExecuteBatch:
         expected = [decision_digest(sequential.execute(x)) for x in workload]
         got = [decision_digest(r) for r in batched.execute_batch(workload)]
         assert got == expected
-        assert batched.online.mutation_count > 0
+        assert batched.predictor.mutation_count > 0
 
     def test_traced_instances_keep_parity(self, q1_space):
         """Sampled traces re-predict through the scalar traced path;

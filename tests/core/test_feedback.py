@@ -26,14 +26,6 @@ class TestOneSided:
         assert detector.is_erroneous(100.0, 125.0001)
 
 
-class TestTwoSided:
-    def test_symmetric_bound(self):
-        detector = CostFeedbackDetector(epsilon=0.25, one_sided=False)
-        assert detector.is_erroneous(100.0, 130.0)
-        assert detector.is_erroneous(100.0, 70.0)
-        assert not detector.is_erroneous(100.0, 90.0)
-
-
 class TestAbstention:
     def test_missing_estimate_abstains(self):
         detector = CostFeedbackDetector()

@@ -76,7 +76,7 @@ class TestDriftResponse:
         true_plan = int(tiny_space.plan_at(x[None, :])[0])
         wrong_plan = (true_plan + 1) % tiny_space.plan_count
         for __ in range(12):
-            session.online.observe(x, wrong_plan, cost=1.0)
+            session.observe(x, wrong_plan, cost=1.0)
         fired = False
         for __ in range(30):
             record = session.execute(x)
@@ -85,7 +85,7 @@ class TestDriftResponse:
                 break
         assert fired
         assert session.drift_events >= 1
-        assert session.online.sample_count <= 1
+        assert session.predictor.total_points <= 1
 
 
 class TestMultiTemplate:

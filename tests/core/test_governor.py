@@ -31,7 +31,7 @@ class TestAccounting:
         governor.register(hot)
         governor.register(cold)
         assert governor.total_bytes == (
-            hot.online.space_bytes() + cold.online.space_bytes()
+            hot.predictor.space_bytes() + cold.predictor.space_bytes()
         )
         assert not governor.over_budget()
 
@@ -78,20 +78,20 @@ class TestEnforcement:
         actions = governor.enforce()
         kinds = {a.action for a in actions}
         assert "drop" in kinds
-        assert cold.online.sample_count == 0
+        assert cold.predictor.total_points == 0
 
     def test_shrink_preserves_prediction_ability(self, sessions):
         hot, __ = sessions
         governor = MemoryGovernor(budget_bytes=10**9)
         governor.register(hot)
-        governor.budget_bytes = hot.online.space_bytes() // 2
+        governor.budget_bytes = hot.predictor.space_bytes() // 2
         governor.enforce()
-        predictor = hot.online.predictor
+        predictor = hot.predictor
         assert predictor.max_buckets >= MIN_BUCKETS
         # The shrunken structure still answers.
         workload = RandomTrajectoryWorkload(2, spread=0.05, seed=2).generate(50)
         answered = sum(
-            1 for p in workload if hot.online.predict(p) is not None
+            1 for p in workload if hot.predictor.predict(p) is not None
         )
         assert answered > 0
 
@@ -103,10 +103,10 @@ class TestEnforcement:
         hot, __ = sessions
         governor = MemoryGovernor(budget_bytes=10**9)
         governor.register(hot)
-        predictor = hot.online.predictor
+        predictor = hot.predictor
         before = predictor.mutation_count
         buckets_before = predictor.max_buckets
-        governor.budget_bytes = hot.online.space_bytes() // 2
+        governor.budget_bytes = hot.predictor.space_bytes() // 2
         actions = governor.enforce()
         assert actions and actions[0].action == "shrink"
         assert predictor.max_buckets < buckets_before

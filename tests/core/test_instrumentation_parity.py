@@ -122,8 +122,8 @@ def test_channel_is_decision_neutral(q1_space, mode, path):
     assert got == expected
     # Equal next draws: the channel consumed no randomness.
     assert (
-        plain.session("Q1").online._rng.random()
-        == instrumented.session("Q1").online._rng.random()
+        plain.session("Q1")._rng.random()
+        == instrumented.session("Q1")._rng.random()
     )
     # The twin really recorded; the plain rig recorded nothing.
     recorded = _recorded(instrumented)

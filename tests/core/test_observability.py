@@ -153,7 +153,7 @@ class TestSessionMetrics:
         true_plan = int(tiny_space.plan_at(x[None, :])[0])
         wrong_plan = (true_plan + 1) % tiny_space.plan_count
         for __ in range(12):
-            session.online.observe(x, wrong_plan, cost=1.0)
+            session.observe(x, wrong_plan, cost=1.0)
         for __ in range(30):
             if session.execute(x).drift_triggered:
                 break
@@ -231,8 +231,8 @@ class TestPerTemplateSeeding:
         framework = PPCFramework(PPCConfig(drift_response=False), seed=7)
         a = framework.register(tiny_space)
         b = framework.register(q1_space)
-        dirs_a = a.online.predictor.ensemble.transforms[0].directions
-        dirs_b = b.online.predictor.ensemble.transforms[0].directions
+        dirs_a = a.predictor.ensemble.transforms[0].directions
+        dirs_b = b.predictor.ensemble.transforms[0].directions
         assert not np.allclose(dirs_a, dirs_b)
 
     def test_multi_template_run_reproducible_from_one_seed(
@@ -245,8 +245,8 @@ class TestPerTemplateSeeding:
             a = framework.register(tiny_space)
             b = framework.register(q1_space)
             return (
-                a.online.predictor.ensemble.transforms[0].directions,
-                b.online.predictor.ensemble.transforms[0].directions,
+                a.predictor.ensemble.transforms[0].directions,
+                b.predictor.ensemble.transforms[0].directions,
             )
 
         first = directions(7)
@@ -263,8 +263,8 @@ class TestPerTemplateSeeding:
         )
         a = framework.register(tiny_space)
         b = framework.register(q1_space)
-        dirs_a = a.online.predictor.ensemble.transforms[0].directions
-        dirs_b = b.online.predictor.ensemble.transforms[0].directions
+        dirs_a = a.predictor.ensemble.transforms[0].directions
+        dirs_b = b.predictor.ensemble.transforms[0].directions
         assert not np.allclose(dirs_a, dirs_b)
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.config import PPCConfig
 from repro.core.framework import TemplateSession
-from repro.core.online import OnlinePredictor
 from repro.core.positive_feedback import PositiveFeedbackPolicy
 from repro.core.predictor import Prediction
 from repro.exceptions import ConfigurationError
@@ -66,46 +65,57 @@ class TestPolicy:
 
 
 class TestOnlineIntegration:
-    def test_unverified_points_carry_fractional_weight(self):
-        online = OnlinePredictor(
-            dimensions=2,
-            plan_count=2,
-            confidence_threshold=0.5,
-            positive_feedback=PositiveFeedbackPolicy(
-                min_confidence=0.0, weight=0.25, mass_cap_ratio=10.0
+    def test_unverified_points_carry_fractional_weight(self, tiny_space):
+        session = TemplateSession(
+            tiny_space,
+            PPCConfig(
+                confidence_threshold=0.5,
+                positive_feedback=True,
+                positive_feedback_min_confidence=0.0,
+                positive_feedback_weight=0.25,
+                positive_feedback_mass_cap=10.0,
             ),
             seed=0,
         )
         x = np.array([0.3, 0.3])
-        online.observe(x, 0, cost=5.0)
-        inserted = online.observe_unverified(
+        session.observe(x, 0, cost=5.0)
+        inserted = session.offer_unverified(
             x, Prediction(0, confidence=1.0), observed_cost=5.0
         )
         assert inserted
         # The sample count stays an integer; the discount shows up in
         # the separately tracked weighted mass.
-        assert online.sample_count == 2
-        assert isinstance(online.sample_count, int)
-        assert online.predictor.total_mass == pytest.approx(1.25)
+        assert session.predictor.total_points == 2
+        assert isinstance(session.predictor.total_points, int)
+        assert session.predictor.total_mass == pytest.approx(1.25)
 
-    def test_no_policy_means_no_positive_feedback(self):
-        online = OnlinePredictor(2, 2, seed=0)
-        assert not online.observe_unverified(
+    def test_no_policy_means_no_positive_feedback(self, tiny_space):
+        session = TemplateSession(tiny_space, PPCConfig(), seed=0)
+        assert session.positive_feedback is None
+        assert not session.offer_unverified(
             np.array([0.3, 0.3]), Prediction(0, confidence=1.0), 5.0
         )
+        assert session.predictor.total_points == 0
 
-    def test_drop_resets_policy(self):
-        policy = PositiveFeedbackPolicy(min_confidence=0.0, mass_cap_ratio=10)
-        online = OnlinePredictor(
-            2, 2, positive_feedback=policy, seed=0
+    def test_drop_resets_policy(self, tiny_space):
+        session = TemplateSession(
+            tiny_space,
+            PPCConfig(
+                positive_feedback=True,
+                positive_feedback_min_confidence=0.0,
+                positive_feedback_mass_cap=10.0,
+            ),
+            seed=0,
         )
-        online.observe(np.array([0.3, 0.3]), 0, 5.0)
-        online.observe_unverified(
+        policy = session.positive_feedback
+        session.observe(np.array([0.3, 0.3]), 0, 5.0)
+        assert session.offer_unverified(
             np.array([0.3, 0.3]), Prediction(0, confidence=1.0), 5.0
         )
-        online.drop()
+        session.forget()
         assert policy.verified_mass == 0.0
-        assert online.sample_count == 0
+        assert policy.unverified_mass == 0.0
+        assert session.predictor.total_points == 0
 
 
 class TestFrameworkIntegration:
@@ -143,7 +153,7 @@ class TestFrameworkIntegration:
         )
         for point in workload:
             session.execute(point)
-        policy = session.online.positive_feedback
+        policy = session.positive_feedback
         assert policy is not None
         assert (
             session.metrics.counter_value(

@@ -78,8 +78,8 @@ class TestTelemetryParity:
         # Telemetry consumed zero randomness: the next draw from each
         # session's internal RNG must agree.
         assert (
-            plain.session("tiny").online._rng.random()
-            == sampled.session("tiny").online._rng.random()
+            plain.session("tiny")._rng.random()
+            == sampled.session("tiny")._rng.random()
         )
 
     def test_mid_stream_quality_refresh_is_decision_neutral(self, tiny_space):

@@ -96,4 +96,4 @@ class TestTraceParity:
             traced.execute(x)
         # Both sessions drew the same number of invocation-probability
         # samples: the next draw from each internal RNG must agree.
-        assert untraced.online._rng.random() == traced.online._rng.random()
+        assert untraced._rng.random() == traced._rng.random()

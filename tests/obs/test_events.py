@@ -239,7 +239,7 @@ class TestDisabledIsFree:
         )
         assert session.events is None
         assert session._events is None
-        assert session.online.predictor._events is None
+        assert session.predictor._events is None
         assert session.cache._events is None
         for x in RandomTrajectoryWorkload(2, seed=5).generate(50):
             session.execute(x)
@@ -343,7 +343,7 @@ class TestFrameworkIntegration:
         true_plan = int(space.plan_at(x[None, :])[0])
         wrong_plan = (true_plan + 1) % space.plan_count
         for __ in range(12):
-            session.online.observe(x, wrong_plan, cost=1.0)
+            session.observe(x, wrong_plan, cost=1.0)
         fired = False
         for __ in range(30):
             if session.execute(x).drift_triggered:

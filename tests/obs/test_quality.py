@@ -141,13 +141,13 @@ class TestComputeScorecard:
         before = (
             len(session.records),
             session.optimizer_invocations,
-            session.online.space_bytes(),
+            session.predictor.space_bytes(),
         )
         compute_scorecard(session, probes=32)
         after = (
             len(session.records),
             session.optimizer_invocations,
-            session.online.space_bytes(),
+            session.predictor.space_bytes(),
         )
         assert before == after
         # Deterministic: computing it twice yields the same card.

@@ -412,7 +412,7 @@ class TestPredictSpanPayload:
     def _traced(self, session, kind):
         """The first candidate point of ``kind`` with a non-empty
         neighbourhood, its expected payloads and its decision trace."""
-        predictor = session.online.predictor
+        predictor = session.predictor
         for x in sample_points(2, 400, seed=3):
             found, expected = self._expected(predictor, x)
             if found == kind and expected["noise_elimination"]["max_count"] > 0:
@@ -482,11 +482,11 @@ class TestOptimizeSpan:
         probe = None
         for x in RandomTrajectoryWorkload(2, spread=0.05, seed=4).generate(300):
             session.execute(x)
-            prediction = session.online.predict(x)
+            prediction = session.predictor.predict(x)
             if prediction is not None and prediction.plan_id in session.cache:
                 probe = x
         assert probe is not None, "predictor never warmed up"
-        session.online.suspect_error = lambda *args, **kwargs: True
+        session.suspect_error = lambda *args, **kwargs: True
         verified = session.explain(probe)
 
         top = next(invoked.spans("optimize"))

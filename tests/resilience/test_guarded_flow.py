@@ -84,7 +84,7 @@ class TestPredictorDegradation:
             assert record.executed_plan >= 0
         # Every optimizer result failed to insert, so the predictor
         # stays cold — but each instance still executed.
-        assert session.online.sample_count == 0
+        assert session.predictor.total_points == 0
         assert degraded_count(session, "predictor_insert") == 10
 
 
@@ -227,13 +227,13 @@ class TestNegativeFeedbackDegraded:
         probe = None
         for x in rng.uniform(0.0, 1.0, size=(400, tiny_space.dimensions)):
             session.execute(x)
-            candidate = session.online.predict(x)
+            candidate = session.predictor.predict(x)
             if candidate is not None and candidate.plan_id in session.cache:
                 prediction, probe = candidate, x
         assert prediction is not None, "predictor never warmed up"
 
         # Force a suspected misprediction while the optimizer is down.
-        session.online.suspect_error = lambda *a, **k: True
+        session.suspect_error = lambda *a, **k: True
 
         def broken(points):
             raise RuntimeError("optimizer offline")
@@ -288,7 +288,7 @@ class TestAcceptanceStorm:
             if (index + 1) % self.SNAPSHOT_EVERY == 0:
                 try:
                     injector.save_predictor(
-                        session.online.predictor, state_path
+                        session.predictor, state_path
                     )
                     snapshots["clean"] += 1
                 except InjectedFault:

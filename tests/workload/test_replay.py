@@ -22,7 +22,7 @@ from repro.config import (
     TelemetryConfig,
     TraceConfig,
 )
-from repro.core.persistence import encode_artifact, frame_line
+from repro.core.persistence import decode_artifact, encode_artifact, frame_line
 from repro.exceptions import ConfigurationError, PersistenceError
 from repro.resilience.faults import FaultSpec
 from repro.workload.replay import (
@@ -107,6 +107,51 @@ class TestConfigRoundTrip:
         config = PPCConfig(confidence_threshold=0.75)
         payload = json.loads(json.dumps(config_to_dict(config)))
         assert config_from_dict(payload) == config
+
+
+def _damaged_config(damage):
+    payload = json.loads(json.dumps(config_to_dict(PPCConfig())))
+    if damage == "unknown_key":
+        payload["retired_knob"] = 1
+    elif damage == "unknown_nested_key":
+        payload["trace"]["head"] = 8
+    else:
+        del payload["events"]
+    return payload
+
+
+class TestBadConfigHeader:
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("unknown_key", "unknown config key 'retired_knob'"),
+            ("unknown_nested_key", "unknown config.trace key 'head'"),
+            ("missing_block", "config block 'events' is missing"),
+        ],
+        ids=["unknown_key", "unknown_nested_key", "missing_block"],
+    )
+    def test_names_the_bad_key(self, damage, message):
+        with pytest.raises(PersistenceError, match=message):
+            config_from_dict(_damaged_config(damage))
+
+    def test_replay_verify_reports_one_line(self, tmp_path, capsys):
+        from repro.cli import main
+
+        header, records, __ = decode_artifact(
+            GOLDEN.read_text(), TRACE_KIND, TRACE_VERSION
+        )
+        header["config"] = _damaged_config("unknown_key")
+        for key in ("artifact", "version"):
+            del header[key]
+        trace = tmp_path / "bad_header.jsonl"
+        trace.write_text(
+            encode_artifact(TRACE_KIND, TRACE_VERSION, records, header)
+        )
+        assert main(["replay", "verify", str(trace)]) == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            "repro replay: unknown config key 'retired_knob'"
+        ]
 
 
 class TestEventRoundTrip:
