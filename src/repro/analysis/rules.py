@@ -820,8 +820,9 @@ class MutationDiscipline(Rule):
     """RPR103: every synopsis mutation goes through ``self._commit``.
 
     ``TemplateSession.execute_batch`` prefetches predictions and
-    invalidates the prefetched tail by comparing
-    ``predictor.mutation_count`` across instances, and the lineage
+    patches the prefetched tail by comparing
+    ``predictor.mutation_count`` across instances and re-querying the
+    plans ``_commit`` recorded as changed, and the lineage
     engine reconstructs cache state from the lifecycle journal.  Both
     hold by construction as long as ``HistogramPredictor._commit`` —
     which bumps ``_mutations`` and journals, exactly once — is the only

@@ -44,6 +44,7 @@ Small utilities for poking at the reproduction without writing code:
   and print the per-stage call/cumulative/self-time tree (normalize →
   predict → decide → optimize/execute → feedback, plus the
   predictor-internal stages on traced instances);
+  ``--batch-size 16`` runs blocks through ``execute_batch``;
   ``--collapsed-out stacks.json`` writes collapsed stacks for
   flamegraph tooling;
 * ``lineage why --template Q1 --plan 3`` / ``lineage timeline`` /
@@ -164,12 +165,14 @@ def _run_framework(
     instances: int,
     spread: float,
     seed: int,
+    batch_size: int = 1,
 ) -> PPCFramework:
     """Run each template's seeded trajectory in turn on a new framework.
 
     Templates are registered and driven one after another (duplicates
     dropped), template ``i`` drawing ``instances`` points seeded
-    ``seed + i``.
+    ``seed + i``.  ``batch_size > 1`` runs them in blocks of that many
+    through ``execute_batch`` (the same decisions).
     """
     framework = PPCFramework(config, seed=seed)
     for offset, template in enumerate(dict.fromkeys(templates)):
@@ -178,6 +181,12 @@ def _run_framework(
         workload = RandomTrajectoryWorkload(
             space.dimensions, spread=spread, seed=seed + offset
         ).generate(instances)
+        if batch_size > 1:
+            for start in range(0, instances, batch_size):
+                framework.execute_batch(
+                    template, workload[start:start + batch_size]
+                )
+            continue
         for point in workload:
             framework.execute(template, point)
     return framework
@@ -798,12 +807,20 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.core.persistence import atomic_write_text
     from repro.obs.profiling import render_profile
 
+    if args.batch_size < 1:
+        print("--batch-size must be >= 1", file=sys.stderr)
+        return 1
     config = PPCConfig(
         confidence_threshold=args.gamma,
         profiling=ProfileConfig(enabled=True, interval=args.every),
     )
     framework = _run_framework(
-        config, args.templates, args.instances, args.spread, args.seed
+        config,
+        args.templates,
+        args.instances,
+        args.spread,
+        args.seed,
+        batch_size=args.batch_size,
     )
     report = framework.profile_report()
     print(render_profile(report))
@@ -1215,6 +1232,10 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--every", type=int, default=1,
         help="profile every Nth execution per template",
+    )
+    profile.add_argument(
+        "--batch-size", type=int, default=1,
+        help="run blocks of this many instances through execute_batch",
     )
     profile.add_argument(
         "--collapsed-out", default=None,

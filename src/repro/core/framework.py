@@ -93,9 +93,6 @@ from repro.resilience.retry import (
 from repro.rng import as_generator
 
 
-#: Sentinel: "no precomputed prediction — run the scalar predict path".
-_RECOMPUTE = object()
-
 #: Decisions between two scheduled settles of a session's ground-truth
 #: ledger.  It bounds the ledger (at most this many unlabelled rows), the
 #: lag of the telemetry that reads settled ground truth, and the slack of
@@ -307,6 +304,88 @@ class GroundTruthLedger:
         self._rows.clear()
 
 
+class _BatchTail:
+    """What :meth:`TemplateSession.execute_batch` holds ahead of a
+    block's decisions: the finite rows' z-values and ``(t, plans, m)``
+    estimates, the ``(z, prediction)`` each row will be served (``None``:
+    the row predicts on the scalar path), and the prefetch time not yet
+    charged to a decision."""
+
+    def __init__(self, points: np.ndarray) -> None:
+        self.points = points
+        self.finite = np.flatnonzero(np.isfinite(points).all(axis=1))
+        #: Block row of each estimate column; ``None`` until predicted.
+        self.rows: "np.ndarray | None" = None
+        self.z_values: "np.ndarray | None" = None
+        self.counts: "np.ndarray | None" = None
+        self.avg_costs: "np.ndarray | None" = None
+        self.served: list = [None] * points.shape[0]
+        self.owed = 0.0
+        self.share = 0.0
+
+    def predict(
+        self,
+        predictor: HistogramPredictor,
+        start: int,
+        dirty: list[int],
+        trace: DecisionTrace,
+    ) -> None:
+        """Predict the rows ``start:``.  Without estimates this is the
+        whole predict: one z pass and one lookup over the finite rows.
+        Otherwise only the ``dirty`` plans' rows are queried again —
+        the others answer as before — and the tail is decided again,
+        since ``total_mass`` moved."""
+        if self.z_values is None:
+            rows = self.finite[self.finite >= start]
+            if not rows.shape[0]:
+                return
+            self.rows = rows
+            self.z_values = predictor.z_values(self.points[rows], trace)
+            self.counts, self.avg_costs = predictor.lookup(
+                self.z_values, trace
+            )
+            first = 0
+        else:
+            first = int(np.searchsorted(self.rows, start))
+            if first == self.rows.shape[0]:
+                return
+            if dirty:
+                (
+                    self.counts[:, dirty, first:],
+                    self.avg_costs[:, dirty, first:],
+                ) = predictor.lookup(self.z_values[:, first:], trace, dirty)
+        z_values = self.z_values[:, first:]
+        predictions = predictor.decide(
+            z_values,
+            self.counts[..., first:],
+            self.avg_costs[..., first:],
+            trace,
+        )
+        for row, z, prediction in zip(
+            self.rows[first:].tolist(), z_values.T, predictions, strict=True
+        ):
+            self.served[row] = (z, prediction)
+
+    def forget(self, start: int) -> None:
+        """The batch predictor raised: rows ``start:`` take the scalar
+        path, and the next prefetch predicts from scratch."""
+        self.served[start:] = [None] * (len(self.served) - start)
+        self.z_values = self.counts = self.avg_costs = self.rows = None
+
+    def owe(self, seconds: float, start: int) -> None:
+        """Add ``seconds`` of prefetch work to what rows ``start:`` are
+        charged, spreading everything still unpaid evenly over them."""
+        self.owed += seconds
+        self.share = self.owed / (len(self.served) - start)
+
+    def serve(self, row: int) -> tuple:
+        """``(served, seconds)`` for decision ``row``: its prefetched
+        ``(z, prediction)`` (or ``None``) and its share of the prefetch
+        time.  Over a whole block the shares sum to the time spent."""
+        self.owed -= self.share
+        return self.served[row], self.share
+
+
 class TemplateSession:
     """Per-template plan-caching state and decision flow."""
 
@@ -407,18 +486,18 @@ class TemplateSession:
         if fault_injector is not None:
             self._label = fault_injector.wrap("optimizer", plan_space.label)
             self._predict = fault_injector.wrap(
-                "predictor", self.predictor.predict
+                "predictor", self._predict_point
             )
-            self._predict_batch = fault_injector.wrap(
-                "predictor", self.predictor.predict_batch
+            self._predict_tail = fault_injector.wrap(
+                "predictor", _BatchTail.predict
             )
             self._observe = fault_injector.wrap(
                 "predictor_insert", self.observe
             )
         else:
             self._label = plan_space.label
-            self._predict = self.predictor.predict
-            self._predict_batch = self.predictor.predict_batch
+            self._predict = self._predict_point
+            self._predict_tail = _BatchTail.predict
             self._observe = self.observe
 
         # Stable metric handles: fetched once, updated lock-free in the
@@ -530,15 +609,17 @@ class TemplateSession:
         plan_id: int,
         cost: float,
         provenance: str = "direct",
+        z: "np.ndarray | None" = None,
     ) -> None:
         """Insert a truly optimized (verified) point into the synopsis.
 
         ``provenance`` names the decision-flow origin of the point
         (cache miss, exploration, negative feedback, ...) and flows
         through to the ``point_inserted`` lifecycle event; it never
-        affects the insert.
+        affects the insert.  ``z`` hands over the point's z-values from
+        the decision's predict (see :meth:`HistogramPredictor.insert`).
         """
-        self.predictor.insert(x, plan_id, cost, provenance=provenance)
+        self.predictor.insert(x, plan_id, cost, provenance=provenance, z=z)
         if self.positive_feedback is not None:
             self.positive_feedback.record_verified()
 
@@ -573,6 +654,7 @@ class TemplateSession:
         x: np.ndarray,
         prediction: Prediction,
         observed_cost: float,
+        z: "np.ndarray | None" = None,
     ) -> bool:
         """Offer an executed-but-unverified prediction as positive
         feedback.
@@ -580,7 +662,8 @@ class TemplateSession:
         Accepted only when a positive-feedback policy is configured and
         its checks and balances pass; the point then enters the synopsis
         at the policy's discounted weight.  Returns whether the point
-        was inserted.
+        was inserted.  ``z`` is the point's z-values, as for
+        :meth:`observe`.
         """
         policy = self.positive_feedback
         if policy is None or not policy.should_insert(prediction):
@@ -591,6 +674,7 @@ class TemplateSession:
             observed_cost,
             weight=policy.weight,
             provenance="positive_feedback",
+            z=z,
         )
         return True
 
@@ -635,7 +719,7 @@ class TemplateSession:
         return x
 
     def _invoke_optimizer(
-        self, x: np.ndarray, reason: str
+        self, x: np.ndarray, reason: str, z: "np.ndarray | None"
     ) -> "tuple[int, float] | None":
         """Guarded black-box optimizer call.
 
@@ -647,7 +731,10 @@ class TemplateSession:
         invocation reason driving the call: an answered call books it
         on ``ppc_optimizer_invocations_total{reason}``, and it flows
         into the ``point_inserted`` lifecycle event as the point's
-        provenance.  It never affects the decision.
+        provenance.  It never affects the decision.  ``z`` is the
+        point's z-values from the decision's predict, handed to the
+        insert; ``None`` (the predictor raised) has the insert make its
+        own pass.
         """
         if not self.breaker.allow():
             self._degraded_counters["optimizer"].inc()
@@ -668,7 +755,7 @@ class TemplateSession:
         self._reason_counters[reason].inc()
         plan_id, cost = int(ids[0]), float(costs[0])
         try:
-            self._observe(x, plan_id, cost, provenance=reason)
+            self._observe(x, plan_id, cost, provenance=reason, z=z)
         except Exception:
             # A lost training point degrades learning, never execution.
             self._degraded_counters["predictor_insert"].inc()
@@ -676,7 +763,11 @@ class TemplateSession:
         return plan_id, cost
 
     def _optimize(
-        self, trace: DecisionTrace, x: np.ndarray, reason: str
+        self,
+        trace: DecisionTrace,
+        x: np.ndarray,
+        reason: str,
+        z: "np.ndarray | None",
     ) -> "tuple[int, float] | None":
         """:meth:`_invoke_optimizer` inside an ``optimize`` span of
         ``trace``, opened wherever the caller stands: at the decision
@@ -688,7 +779,7 @@ class TemplateSession:
             if trace.active:
                 span.set(reason=reason, breaker_before=self.breaker.state)
             retries_before = self._retries_counter.value
-            outcome = self._invoke_optimizer(x, reason)
+            outcome = self._invoke_optimizer(x, reason, z)
             if trace.active:
                 span.set(
                     breaker_after=self.breaker.state,
@@ -733,13 +824,14 @@ class TemplateSession:
 
         Lockstep-equivalent to calling :meth:`execute` per point —
         bit-for-bit identical records, counters and RNG consumption —
-        but the predict stage runs vectorized: the remaining batch tail
-        is predicted in one ``predict_batch`` call, and each instance
-        then flows through the normal decision path with its prediction
-        precomputed.  Any synopsis mutation (optimizer feedback,
-        positive feedback, a drift drop) invalidates the precomputed
-        tail, which is re-predicted against the updated synopses —
-        exactly what the sequential path would have seen.
+        but the predict stage runs vectorized: one z pass and one
+        density lookup over the block's finite rows, one decide over
+        the tail, and each instance then flows through the normal
+        decision path with its prediction and z-values precomputed.  A
+        synopsis mutation mid-batch re-queries only the rows it changed
+        — the inserted plan's, or every plan's after a drift drop — and
+        decides the tail again (:meth:`_prefetch_predictions`), exactly
+        what the sequential path would have seen.
 
         Traced instances re-predict as a traced batch of one (the same
         decision, with annotated spans), preserving trace parity.  Rows
@@ -755,63 +847,44 @@ class TemplateSession:
                 f"{points.shape}"
             )
         records: list[ExecutionRecord] = []
-        total = points.shape[0]
-        start = 0
-        while start < total:
-            predictions, amortized = self._prefetch_predictions(
-                points[start:]
-            )
-            version = self.predictor.mutation_count
-            advanced = 0
-            for offset, precomputed in enumerate(predictions):
-                if offset > 0 and self.predictor.mutation_count != version:
-                    break  # Synopses changed: the tail is stale.
-                trace = self.tracer.begin()
-                records.append(
-                    self._run(
-                        points[start + offset],
-                        trace,
-                        precomputed=precomputed,
-                        predict_seconds=amortized,
-                    )
+        tail = _BatchTail(points)
+        version = None
+        for row in range(points.shape[0]):
+            if self.predictor.mutation_count != version:
+                version = self.predictor.mutation_count
+                self._prefetch_predictions(tail, row)
+            served, seconds = tail.serve(row)
+            trace = self.tracer.begin()
+            records.append(
+                self._run(
+                    points[row], trace, served=served, predict_seconds=seconds
                 )
-                advanced += 1
-            start += advanced
+            )
         return records
 
-    def _prefetch_predictions(
-        self, tail: np.ndarray
-    ) -> tuple[list, float]:
-        """Vectorized predictions for the remaining batch tail.
+    def _prefetch_predictions(self, tail: _BatchTail, start: int) -> None:
+        """Bring the predictions of ``tail``'s rows ``start:`` up to
+        date with the synopsis: the whole predict on a block's first
+        call, afterwards a re-query of the plans the mutations since
+        changed (:meth:`HistogramPredictor.take_dirty`).
 
-        Returns ``(predictions, amortized_seconds)`` where each entry is
-        either a precomputed prediction or the ``_RECOMPUTE`` sentinel
-        (non-finite rows, or the whole tail when the batch predictor
-        itself failed — both then replay the scalar path per point).
-        The batch predict runs between decisions on the tracer's
-        inactive trace, so its z-value and density-lookup spans feed
-        their metrics once per call; each instance's decision is later
-        charged the amortized share.
+        If the batch predictor raises, the rows ``start:`` replay the
+        scalar path per point, whose degradation accounting matches
+        sequential execution, and the next call predicts from scratch.
+        The work runs between decisions on the tracer's inactive trace,
+        so its z-value and density-lookup spans feed their metrics; its
+        time is charged to the instances it serves, spread evenly over
+        the rows still to run (:meth:`_BatchTail.owe`).
         """
         started = perf_counter()
-        finite = np.isfinite(tail).all(axis=1)
-        predictions: list = [_RECOMPUTE] * tail.shape[0]
-        clean = tail[finite] if not finite.all() else tail
-        if clean.shape[0]:
-            try:
-                computed = self._predict_batch(
-                    clean, trace=self.tracer.inactive
-                )
-            except Exception:
-                # Degradation accounting happens per point in the
-                # scalar fallback, exactly like sequential execution.
-                return predictions, 0.0
-            for row, prediction in zip(
-                np.flatnonzero(finite), computed, strict=True
-            ):
-                predictions[row] = prediction
-        amortized = (perf_counter() - started) / max(1, tail.shape[0])
-        return predictions, amortized
+        dirty = self.predictor.take_dirty()
+        try:
+            self._predict_tail(
+                tail, self.predictor, start, dirty, self.tracer.inactive
+            )
+        except Exception:
+            tail.forget(start)
+        tail.owe(perf_counter() - started, start)
 
     def explain(self, x: np.ndarray) -> DecisionTrace:
         """Run one instance fully traced; returns its decision trace.
@@ -831,7 +904,7 @@ class TemplateSession:
         self,
         x: np.ndarray,
         trace: DecisionTrace,
-        precomputed=_RECOMPUTE,
+        served: "tuple | None" = None,
         predict_seconds: float = 0.0,
     ) -> ExecutionRecord:
         """Drive one decision, sealing the trace on every exit path."""
@@ -841,8 +914,7 @@ class TemplateSession:
             self._events.set_trace(trace.seq)
         try:
             record = self._decide_and_execute(
-                x, trace, precomputed=precomputed,
-                predict_seconds=predict_seconds,
+                x, trace, served=served, predict_seconds=predict_seconds
             )
         except BaseException as exc:
             self.tracer.finish(trace, error=exc)
@@ -850,11 +922,25 @@ class TemplateSession:
         self.tracer.finish(trace, record=record)
         return record
 
+    def _predict_point(
+        self, x: np.ndarray, trace: DecisionTrace
+    ) -> "tuple[np.ndarray, Prediction | None]":
+        """The predict stage of one decision: the predictor's z pass,
+        lookup and decide over a batch of one.  Returns the point's
+        ``(t,)`` z-values, which every insert the decision makes reuses,
+        and the prediction."""
+        predictor = self.predictor
+        z_values = predictor.z_values(x[None, :], trace)
+        prediction = predictor.decide(
+            z_values, *predictor.lookup(z_values, trace), trace
+        )[0]
+        return z_values[:, 0], prediction
+
     def _decide_and_execute(
         self,
         x: np.ndarray,
         trace: DecisionTrace,
-        precomputed=_RECOMPUTE,
+        served: "tuple | None" = None,
         predict_seconds: float = 0.0,
     ) -> ExecutionRecord:
         """The Figure-1 decision flow, one span per stage of ``trace``.
@@ -866,12 +952,14 @@ class TemplateSession:
         metrically identical to the untraced flow — and allocates no
         span.
 
-        ``precomputed`` (from :meth:`execute_batch`) supplies the
-        predict-stage result computed vectorized for the whole batch;
-        ``predict_seconds`` is that call's amortized per-instance cost,
-        charged to the predict span.  Traced instances ignore the
-        precomputed value and re-predict as a traced batch of one, which
-        annotates its spans with the same decision.
+        ``served`` (from :meth:`execute_batch`) supplies the
+        predict-stage result, ``(z-values, prediction)``, computed
+        vectorized for the whole batch; ``predict_seconds`` is this
+        instance's share of that work, charged to the predict span.
+        Traced instances ignore the served value and re-predict as a
+        traced batch of one, which annotates its spans with the same
+        decision.  The z-values go to every insert the decision makes,
+        so the point is transformed once.
 
         Ground truth is the optimizer's answer when it ran; the fallback
         path labels eagerly to account the suboptimality it accepted;
@@ -890,15 +978,15 @@ class TemplateSession:
         degraded = False
         fallback_source = ""
         with trace.span("predict") as predict_span:
-            if precomputed is not _RECOMPUTE and not trace.active:
-                prediction = precomputed
-                trace.charge(predict_seconds)
+            trace.charge(predict_seconds)
+            if served is not None and not trace.active:
+                z_values, prediction = served
             else:
                 try:
-                    prediction = self._predict(x, trace=trace)
+                    z_values, prediction = self._predict(x, trace)
                 except Exception:
                     # A broken predictor degrades to the optimizer path.
-                    prediction = None
+                    z_values = prediction = None
                     degraded = True
                     self._degraded_counters["predictor"].inc()
                     predict_span.set(
@@ -932,7 +1020,7 @@ class TemplateSession:
                 )
 
         if reason:
-            outcome = self._optimize(trace, x, reason)
+            outcome = self._optimize(trace, x, reason, z_values)
             if outcome is not None:
                 executed_plan, execution_cost = truth = outcome
                 if prediction is None:
@@ -991,7 +1079,7 @@ class TemplateSession:
                     )
                 if suspect:
                     reason = "negative_feedback"
-                    outcome = self._optimize(trace, x, reason)
+                    outcome = self._optimize(trace, x, reason, z_values)
                     if outcome is not None:
                         true_plan, __ = truth = outcome
                         self.monitor.record_prediction(
@@ -1017,7 +1105,7 @@ class TemplateSession:
                     # policy).
                     try:
                         inserted = self.offer_unverified(
-                            x, prediction, execution_cost
+                            x, prediction, execution_cost, z_values
                         )
                     except Exception:
                         inserted = False

@@ -152,6 +152,8 @@ class HistogramPredictor(PlanPredictor):
                 )
             plan_count = int(pool.plan_ids.max()) + 1
         self.plan_count = plan_count
+        #: Plans whose rows changed since the last :meth:`take_dirty`.
+        self._dirty: set[int] = set()
         #: Number of points inserted (integer, weight-independent).
         self.total_points = 0
         #: Total inserted mass: verified points carry weight 1, positive
@@ -188,13 +190,28 @@ class HistogramPredictor(PlanPredictor):
 
     def _commit(self, kind: str, **fields) -> None:  # repro: noqa[RPR103] - the seam
         """The one seam every synopsis mutation goes through: bump
-        :attr:`mutation_count` and journal ``kind`` (with ``fields``)
-        if an emitter is bound.  A mutation therefore always invalidates
-        prefetched predictions and always reaches the journal, exactly
+        :attr:`mutation_count`, record which plans' rows changed (a
+        ``point_inserted`` changes its plan's; a rebuild, shrink or load
+        every plan's) and journal ``kind`` (with ``fields``) if an
+        emitter is bound.  A mutation therefore always reaches the
+        batch path's patch (:meth:`take_dirty`) and the journal, exactly
         once."""
         self._mutations += 1
+        if kind == "point_inserted":
+            self._dirty.add(fields["plan"])
+        else:
+            self._dirty.update(range(self.plan_count))
         if self._events is not None:
             self._events(kind, **fields)
+
+    def take_dirty(self) -> list[int]:
+        """The plans whose rows some mutation changed since the last
+        call, ascending, and forget them.  Every other row still
+        answers a range query exactly as before, so a caller holding
+        estimates re-queries just these plans' rows."""
+        dirty = sorted(self._dirty)
+        self._dirty.clear()
+        return dirty
 
     def bind_events(self, emitter: "_TemplateEmitter") -> None:
         """Attach a lifecycle event emitter (``repro.obs.events``).
@@ -255,6 +272,7 @@ class HistogramPredictor(PlanPredictor):
         cost: float = 0.0,
         weight: float = 1.0,
         provenance: str = "direct",
+        z: "np.ndarray | None" = None,
     ) -> None:
         """Add one labeled point (incremental predictors only).
 
@@ -266,11 +284,18 @@ class HistogramPredictor(PlanPredictor):
         ``positive_feedback`` / ``direct``) and is journaled with the
         ``point_inserted`` lifecycle event; it never affects the insert.
 
+        ``z`` hands over the point's ``(t,)`` z-values from a z pass
+        the caller already made (a decision inserts the point its
+        predict has just transformed: :meth:`z_values`); ``x`` is then
+        not transformed again.  Without it the insert makes its own
+        pass over the checked ``x``.
+
         The insert is atomic across transforms: the kind, the weight,
         and every z-value are validated up front, so a rejected insert
         leaves no row partially mutated.
         """
-        x = self._check_point(x)
+        if z is None:
+            z = self._z_values_batch(self._check_point(x)[None, :])[:, 0]
         if weight <= 0.0:
             raise PredictionError("insertion weight must be > 0")
         if self.histogram_kind != "incremental":
@@ -279,13 +304,7 @@ class HistogramPredictor(PlanPredictor):
                 f"{self.histogram_kind!r} does not support insertion; "
                 "use histogram_kind='incremental'"
             )
-        self._packed.insert(
-            plan_id,
-            self._z_values_batch(x[None, :])[:, 0],
-            cost,
-            weight,
-            self.max_buckets,
-        )
+        self._packed.insert(plan_id, z, cost, weight, self.max_buckets)
         self.total_points += 1
         self.total_mass += weight
         self._commit(
@@ -299,28 +318,46 @@ class HistogramPredictor(PlanPredictor):
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
-    def _range_estimates(
+    def z_values(
         self, points: np.ndarray, trace: "DecisionTrace | None" = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The struct-of-arrays lookup core shared by every predict path.
+    ) -> np.ndarray:
+        """The validated z pass: z-values ``(t, m)`` of each point of a
+        batch under every transform, in one stacked pass (span
+        ``z_values``).
 
-        For validated points ``(m, r)``, returns ``(z_values (t, m),
-        counts (t, plans, m), avg_costs (t, plans, m))``: one stacked
-        pass computes all z-values (span ``z_values``), then the packed
-        block answers every (transform, plan) range query in one
-        vectorized pass (span ``density_lookup``).  On a tracer's trace
-        the two spans feed the transform and range-query metrics once
-        per call.
+        The batch is checked first (:meth:`_check_batch`: shape errors
+        and non-finite rows raise, exactly like the scalar guard).  The
+        result feeds :meth:`lookup`, :meth:`decide` and :meth:`insert`,
+        so a caller that predicts a point and then inserts it transforms
+        it once.
         """
+        points = self._check_batch(points)
+        if not points.shape[0]:
+            return np.empty((len(self.ensemble), 0))
         if trace is None:
             trace = untraced()
         with trace.span("z_values"):
-            z_values = self._z_values_batch(points)
+            return self._z_values_batch(points)
+
+    def lookup(
+        self,
+        z_values: np.ndarray,
+        trace: "DecisionTrace | None" = None,
+        plans: "list[int] | None" = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Density lookup: ``(counts, avg_costs)``, each ``(t, plans,
+        m)``, of every (transform, plan) range query
+        ``[z - delta, z + delta]``, in one vectorized pass over the
+        packed block (span ``density_lookup``).  ``plans`` restricts the
+        answer to those plans' rows, bit for bit the matching slice of
+        the full one.
+        """
+        if trace is None:
+            trace = untraced()
         with trace.span("density_lookup"):
-            counts, avg_costs = self._packed.query(
-                z_values - self.delta, z_values + self.delta
+            return self._packed.query(
+                z_values - self.delta, z_values + self.delta, plans
             )
-        return z_values, counts, avg_costs
 
     def _aggregate(self, estimates: np.ndarray) -> np.ndarray:
         """Median (or mean, under the ablation) over the transform axis."""
@@ -370,7 +407,7 @@ class HistogramPredictor(PlanPredictor):
 
         A separate method only so that layer timing
         (``benchmarks/e2e/layers.py``) can tell traced predicts from
-        untraced ones; :meth:`predict_batch` annotates the spans.
+        untraced ones; :meth:`decide` annotates the spans.
         """
         return self.predict_batch(
             np.asarray(x, dtype=float).reshape(1, -1), trace
@@ -379,17 +416,36 @@ class HistogramPredictor(PlanPredictor):
     def predict_batch(
         self, points: np.ndarray, trace: "DecisionTrace | None" = None
     ) -> "list[Prediction | None]":
-        """Vectorized prediction for a whole point batch — the one place
-        this predictor decides; every other predict path wraps it.
+        """Vectorized prediction for a whole point batch: the validated
+        z pass (:meth:`z_values`), the density lookup (:meth:`lookup`)
+        and :meth:`decide` — the operation the runtime simulation
+        charges as "prediction overhead".  An empty ``(0, r)`` batch
+        returns ``[]``.  A caller that keeps the z-values or the
+        estimates (the session's decision and batch paths) composes the
+        same three steps itself."""
+        if trace is None:
+            trace = untraced()
+        z_values = self.z_values(points, trace)
+        if z_values.shape[1] == 0:
+            return []
+        return self.decide(z_values, *self.lookup(z_values, trace), trace)
 
-        The batch is validated up front (`_check_batch`: shape errors
-        and non-finite rows raise, exactly like the scalar guard) and an
-        empty ``(0, r)`` batch returns ``[]``.  One stacked pass
-        computes the z-values of every point under every transform,
-        all histogram range queries run through the packed block, and
-        aggregation, noise elimination, the confidence decision and the
-        winner cost estimates are fully vectorized — the operation the
-        runtime simulation charges as "prediction overhead".
+    def decide(
+        self,
+        z_values: np.ndarray,
+        counts_tpm: np.ndarray,
+        avg_costs: np.ndarray,
+        trace: "DecisionTrace | None" = None,
+    ) -> "list[Prediction | None]":
+        """The one place this predictor decides: a prediction (or
+        ``None``) per column of the ``(t, plans, m)`` estimates of
+        :meth:`lookup` at the ``(t, m)`` ``z_values``.
+
+        Aggregation, noise elimination, the confidence decision and the
+        winner cost estimates are fully vectorized, and every step is
+        elementwise per column, so a column's decision does not depend
+        on the batch around it.  Noise elimination reads the current
+        ``total_mass``.
 
         Each stage runs in its span on ``trace``.  On an active trace
         (a traced decision: a batch of one) the spans also carry the
@@ -401,14 +457,10 @@ class HistogramPredictor(PlanPredictor):
         ``mixed`` model, ``sin_theta``, pass/fail) and ``cost_estimate``
         payloads.  The decision is the same either way.
         """
-        points = self._check_batch(points)
-        m = points.shape[0]
-        if m == 0:
-            return []
+        m = z_values.shape[1]
         if trace is None:
             trace = untraced()
         traced = trace.active and m == 1
-        z_values, counts_tpm, avg_costs = self._range_estimates(points, trace)
         if traced:
             # One ``tolist`` per array: the same Python floats as
             # per-element ``float()`` conversions, at a fraction of the

@@ -241,29 +241,40 @@ class PackedHistograms:
         return int(self.bucket_counts.sum()) * BYTES_PER_BUCKET
 
     def query(
-        self, lo: np.ndarray, hi: np.ndarray
+        self,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        plans: "Sequence[int] | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Masses and average costs of every row for query bounds
         ``lo``/``hi`` of shape ``(t, m)`` (one query batch per
         transform, shared by its plans).  Returns two ``(t, plans, m)``
         arrays; the average is 0 where the mass is.
 
-        Wide batches run in column chunks of at most ``_CHUNK_CELLS``
-        (bound, row, query, bucket) cells, which bounds the temporaries;
-        every step is elementwise per query, so chunking changes no bit.
+        ``plans`` restricts the answer to those plans' rows: two
+        ``(t, len(plans), m)`` arrays, bit for bit the matching slice of
+        the full answer, since every step is elementwise per row and
+        per query.  Wide batches run in column chunks of at most
+        ``_CHUNK_CELLS`` (bound, row, query, bucket) cells, which bounds
+        the temporaries; for the same reason chunking changes no bit.
         """
+        block, base = self._buckets, self._base
+        if plans is not None:
+            block = block[:, :, plans]
+            base = np.arange(self.transforms * len(plans)).reshape(
+                self.transforms, len(plans), 1
+            ) * self.width
         m = lo.shape[1]
-        chunk = max(
-            1, _CHUNK_CELLS // (2 * self.transforms * self.plans * self.width)
-        )
+        rows = block.shape[1] * block.shape[2]
+        chunk = max(1, _CHUNK_CELLS // (2 * rows * self.width))
         if m <= chunk:
-            return self._query(lo, hi)
-        mass = np.empty((self.transforms, self.plans, m))
+            return self._query(block, base, lo, hi)
+        mass = np.empty((*block.shape[1:3], m))
         average = np.empty_like(mass)
         for start in range(0, m, chunk):
             part = slice(start, start + chunk)
             mass[..., part], average[..., part] = self._query(
-                lo[:, part], hi[:, part]
+                block, base, lo[:, part], hi[:, part]
             )
         return mass, average
 
@@ -296,6 +307,8 @@ class PackedHistograms:
             )[:, :cells]
         shape = (self.transforms, cells)
         mass, __ = self._query(
+            self._buckets,
+            self._base,
             np.broadcast_to(edges[:-1], shape),
             np.broadcast_to(edges[1:], shape),
             ends,
@@ -304,11 +317,15 @@ class PackedHistograms:
 
     def _query(
         self,
+        block: np.ndarray,
+        base: np.ndarray,
         lo: np.ndarray,
         hi: np.ndarray,
         ends: "np.ndarray | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        block = self._buckets
+        """The query pass over ``block``, a ``(6, t, k, width)``
+        block (the store or a plan selection of it), whose row offsets
+        into its flattened planes are ``base``."""
         q_lo = lo[:, None, :]
         q_hi = hi[:, None, :]
         # ends[0]: first bucket with lo >= q_lo; ends[1]: first bucket
@@ -333,7 +350,7 @@ class PackedHistograms:
         # overlaps nothing.
         np.maximum(ends[1], ends[0], out=ends[1])
         ends[0] -= 1
-        edges = block.reshape(_PLANES, -1).take(ends + self._base, axis=1)
+        edges = block.reshape(_PLANES, -1).take(ends + base, axis=1)
         b_lo, b_hi = edges[_LO], edges[_HI]
         near = edges[_COUNT:_COST + 1, 0]
         # Prefix sums up to ends[1] minus those up to ends[0]; the

@@ -274,8 +274,8 @@ class DecisionTrace:
             self._frames[-1][3].attributes.update(attributes)
 
     def charge(self, seconds: float) -> None:
-        """Bill ``seconds`` of work done ahead of this decision — the
-        batch prefetch's amortized share — to the innermost open span:
+        """Bill ``seconds`` of work done ahead of this decision — its
+        share of the batch prefetch — to the innermost open span:
         the seam's clock moves on by that much, so the span's metric,
         its profile rows and the decision's total all include it."""
         self._skew += seconds

@@ -34,12 +34,11 @@ def block_histograms(predictor):
     return rows
 
 
-def legacy_range_estimates(predictor, points):
-    """``(z_values, counts, avg_costs)`` via per-histogram queries."""
-    z_values = predictor._z_values_batch(points)
+def legacy_lookup(predictor, z_values):
+    """``(counts, avg_costs)`` at ``z_values`` via per-histogram queries."""
     lo = z_values - predictor.delta
     hi = z_values + predictor.delta
-    shape = (len(predictor.ensemble), predictor.plan_count, points.shape[0])
+    shape = (len(predictor.ensemble), predictor.plan_count, z_values.shape[1])
     counts = np.empty(shape)
     avg_costs = np.empty(shape)
     for index, row in enumerate(block_histograms(predictor)):
@@ -47,7 +46,13 @@ def legacy_range_estimates(predictor, points):
             counts[index, plan], avg_costs[index, plan] = (
                 histogram.range_query_batch(lo[index], hi[index])
             )
-    return z_values, counts, avg_costs
+    return counts, avg_costs
+
+
+def legacy_range_estimates(predictor, points):
+    """``(z_values, counts, avg_costs)`` via per-histogram queries."""
+    z_values = predictor.z_values(points)
+    return (z_values, *legacy_lookup(predictor, z_values))
 
 
 def legacy_cell_densities(predictor, probes=64):
@@ -63,8 +68,8 @@ def legacy_predict_batch(predictor, points):
     """``predict_batch`` with the per-histogram lookup swapped in."""
     with mock.patch.object(
         predictor,
-        "_range_estimates",
-        lambda pts, trace: legacy_range_estimates(predictor, pts),
+        "lookup",
+        lambda z_values, trace: legacy_lookup(predictor, z_values),
     ):
         return predictor.predict_batch(points)
 

@@ -1,20 +1,26 @@
 """The batch execution path is lockstep-identical to sequential calls.
 
-``TemplateSession.execute_batch`` prefetches predictions through the
-vectorized ``predict_batch`` primitive and invalidates the prefetched
-tail whenever a synopsis mutation lands mid-batch, so two identically
-seeded sessions — one executing per instance, one in batches — must
-produce bit-identical decision streams.  That guarantee is what lets
-the runtime simulation and the service facade route through the batch
-hot path without changing any reproduced number.
+``TemplateSession.execute_batch`` predicts a block vectorized — one z
+pass, one density lookup, one decide — and when a synopsis mutation
+lands mid-batch it re-queries the rows that mutation changed and decides
+the tail again, so two identically seeded sessions — one executing per
+instance, one in batches — must produce bit-identical decision streams.
+That guarantee is what lets the runtime simulation and the service
+facade route through the batch hot path without changing any
+reproduced number.
 """
 
 import numpy as np
 import pytest
 
-from repro.config import PPCConfig
+from repro.config import PPCConfig, TraceConfig
+from repro.core import framework as framework_module
 from repro.core.framework import PPCFramework, TemplateSession
 from repro.exceptions import PredictionError, WorkloadError
+from repro.lsh.stacked import StackedEnsemble
+from repro.obs import names as metric_names
+from repro.obs.tracing import DecisionTracer
+from repro.tpch import plan_space_for
 from repro.workload import QueryInstance, RandomTrajectoryWorkload
 from repro.workload.runner import decision_digest
 
@@ -80,8 +86,6 @@ class TestSessionExecuteBatch:
         )
 
     def test_predict_timer_observes_once_per_instance(self, q1_space):
-        from repro.obs import names as metric_names
-
         session = TemplateSession(q1_space, _config(), seed=7)
         session.execute_batch(_workload(n=40, seed=8))
         digest = session.metrics.histogram_summary(
@@ -95,7 +99,6 @@ class TestSessionExecuteBatch:
         # Both read the predict span, which each instance is charged
         # its amortized share of the vectorized prefetch.
         from repro.config import ProfileConfig
-        from repro.obs import names as metric_names
 
         session = TemplateSession(
             q1_space,
@@ -123,6 +126,207 @@ class TestSessionExecuteBatch:
         session = TemplateSession(tiny_space, _config(), seed=1)
         with pytest.raises(PredictionError):
             session.execute_batch(np.array([0.5, 0.5]))
+
+
+class _PatchProbe:
+    """Wraps a session's batch predict so that after every call the
+    tail's estimates are compared, bit for bit, with a fresh
+    ``PackedHistograms.query`` of the same rows, and logs what each
+    call saw: the dirty plans, the block width, the weights inserted
+    since the previous call."""
+
+    def __init__(self, session: TemplateSession) -> None:
+        self.calls: list[dict] = []
+        self.weights: list[float] = []
+        self._width = session.predictor._packed.width
+        predict_tail = session._predict_tail
+        insert = session.predictor.insert
+
+        def probed_insert(*args, **kwargs):
+            self.weights.append(kwargs.get("weight", 1.0))
+            return insert(*args, **kwargs)
+
+        def probed(tail, predictor, start, dirty, trace):
+            patch = tail.z_values is not None
+            predict_tail(tail, predictor, start, dirty, trace)
+            self._check(tail, predictor, start, dirty, patch)
+
+        session.predictor.insert = probed_insert
+        session._predict_tail = probed
+
+    def _check(self, tail, predictor, start, dirty, patch):
+        packed = predictor._packed
+        self.calls.append({
+            "patch": patch,
+            "dirty": list(dirty),
+            "widened": packed.width > self._width,
+            "weights": list(self.weights),
+        })
+        self._width = packed.width
+        self.weights.clear()
+        if tail.z_values is None:
+            return
+        first = int(np.searchsorted(tail.rows, start))
+        z_values = tail.z_values[:, first:]
+        counts, avg_costs = packed.query(
+            z_values - predictor.delta, z_values + predictor.delta
+        )
+        np.testing.assert_array_equal(tail.counts[..., first:], counts)
+        np.testing.assert_array_equal(tail.avg_costs[..., first:], avg_costs)
+
+    def patches(self) -> list[dict]:
+        return [call for call in self.calls if call["patch"]]
+
+
+def _run_blocks(session, points, size=16):
+    records = []
+    for start in range(0, points.shape[0], size):
+        records.extend(session.execute_batch(points[start:start + size]))
+    return records
+
+
+class TestPatchParity:
+    """A mid-batch mutation re-queries only the rows it changed; the
+    patched estimates must equal a fresh query of the whole block."""
+
+    @pytest.mark.parametrize("template", ["Q1", "Q3", "Q5", "Q8"])
+    def test_patched_estimates_equal_a_fresh_query(self, template):
+        space = plan_space_for(template)
+        config = _config(
+            positive_feedback=True,
+            positive_feedback_min_confidence=0.5,
+            max_buckets=8,
+        )
+        session = TemplateSession(space, config, seed=21)
+        sequential = TemplateSession(space, config, seed=21)
+        probe = _PatchProbe(session)
+        points = RandomTrajectoryWorkload(
+            space.dimensions, spread=0.05, seed=22
+        ).generate(320)
+        records = _run_blocks(session, points)
+        assert [decision_digest(r) for r in records] == [
+            decision_digest(sequential.execute(x)) for x in points
+        ]
+        patches = probe.patches()
+        partial = [
+            call for call in patches
+            if 0 < len(call["dirty"]) < space.plan_count
+        ]
+        assert partial, "no patch re-queried a plan subset"
+        assert any(call["widened"] for call in partial)
+        assert any(
+            weight < 1.0 for call in partial for weight in call["weights"]
+        ), "no patch followed a positive-feedback insert"
+
+    def test_a_drift_drop_requeries_every_plan(self, q1_space):
+        session = TemplateSession(
+            q1_space, _config(drift_response=True), seed=23
+        )
+        sequential = TemplateSession(
+            q1_space, _config(drift_response=True), seed=23
+        )
+        drifts = {37, 90}
+        for target in (session, sequential):
+            calls = iter(range(10_000))
+            target.monitor.drift_detected = (
+                lambda calls=calls: next(calls) in drifts
+            )
+        probe = _PatchProbe(session)
+        points = _workload(n=128, seed=24)
+        records = _run_blocks(session, points)
+        assert [decision_digest(r) for r in records] == [
+            decision_digest(sequential.execute(x)) for x in points
+        ]
+        assert session.drift_events == 2
+        # Decisions 37 and 90 drop the synopsis mid-block; the patch
+        # before 38 and 91 re-queries every plan.
+        full = [
+            call for call in probe.patches()
+            if call["dirty"] == list(range(q1_space.plan_count))
+        ]
+        assert len(full) >= 2
+
+
+class TestOneZPassPerDecision:
+    """Each instance's point is transformed once: the decision's predict
+    hands its z-values to every insert the decision makes."""
+
+    @pytest.fixture()
+    def z_calls(self, monkeypatch):
+        calls = []
+        z_values = StackedEnsemble.z_values
+
+        def counted(self, points):
+            calls.append(points.shape[0])
+            return z_values(self, points)
+
+        monkeypatch.setattr(StackedEnsemble, "z_values", counted)
+        return calls
+
+    def test_a_scalar_decision_makes_one_z_pass(self, q1_space, z_calls):
+        session = TemplateSession(
+            q1_space,
+            _config(
+                positive_feedback=True, trace=TraceConfig(enabled=False)
+            ),
+            seed=25,
+        )
+        inserted = 0
+        for x in _workload(n=150, seed=26):
+            before, mass = len(z_calls), session.predictor.total_mass
+            session.execute(x)
+            assert len(z_calls) - before == 1
+            inserted += session.predictor.total_mass != mass
+        assert inserted > 10
+
+    def test_a_batch_block_makes_one_z_pass_plus_its_traced(
+        self, q1_space, z_calls
+    ):
+        session = TemplateSession(q1_space, _config(), seed=27)
+        points = _workload(n=64, seed=28)
+        for start in range(0, 64, 16):
+            before = len(z_calls)
+            traces = len(session.tracer.traces())
+            session.execute_batch(points[start:start + 16])
+            traced = len(session.tracer.traces()) - traces
+            assert len(z_calls) - before == 1 + traced
+        # Inserts landed mid-block, so the tails were patched, not
+        # transformed again.
+        assert session.predictor.mutation_count > 8
+
+
+class TestPredictCharge:
+    def test_predict_stage_sums_to_the_prefetch_time(
+        self, q1_space, monkeypatch
+    ):
+        """Every second of batch predict work is charged to exactly one
+        instance's predict span, discarded tails included.  The prefetch
+        clock ticks one second per read (each prefetch reads it once
+        before and once after its work); the seam's clock stands still,
+        so each predict span measures exactly its charge."""
+        ticks = iter(range(1_000_000))
+        reads = []
+
+        def clock():
+            reads.append(float(next(ticks)))
+            return reads[-1]
+
+        monkeypatch.setattr(framework_module, "perf_counter", clock)
+        session = TemplateSession(q1_space, _config(), seed=29)
+        session.tracer = DecisionTracer(
+            "Q1",
+            config=TraceConfig(enabled=False),
+            metrics=session.metrics,
+            clock=lambda: 0.0,
+        )
+        _run_blocks(session, _workload(n=96, seed=30))
+        spent = sum(reads[1::2]) - sum(reads[0::2])
+        digest = session.metrics.histogram_summary(
+            metric_names.STAGE_SECONDS, template="Q1", stage="predict"
+        )
+        assert digest["count"] == 96
+        assert len(reads) > 2 * 96 // 16  # patches ran, not just blocks
+        assert digest["sum"] == pytest.approx(spent, rel=1e-12)
 
 
 class TestFrameworkExecuteBatch:

@@ -221,7 +221,7 @@ class TestPackedLookup:
             confidence_threshold=0.5,
         )
         probes = np.random.default_rng(4).uniform(0.0, 1.0, (300, 2))
-        __, counts, avg_costs = predictor._range_estimates(probes)
+        counts, avg_costs = predictor.lookup(predictor.z_values(probes))
         __, ref_counts, ref_costs = legacy_range_estimates(predictor, probes)
         np.testing.assert_allclose(counts, ref_counts, rtol=1e-12, atol=0)
         np.testing.assert_allclose(avg_costs, ref_costs, rtol=1e-12, atol=0)
@@ -245,7 +245,7 @@ class TestPackedLookup:
         probes = rng.uniform(0.0, 1.0, (50, 2))
         for x in rng.uniform(0.0, 1.0, (40, 2)):
             predictor.insert(x, int(x[0] > 0.5), cost=float(x.sum()))
-            __, counts, __ = predictor._range_estimates(probes)
+            counts, __ = predictor.lookup(predictor.z_values(probes))
             __, ref_counts, __ = legacy_range_estimates(predictor, probes)
             np.testing.assert_allclose(counts, ref_counts, rtol=1e-12, atol=0)
 

@@ -335,6 +335,64 @@ class TestOneStore:
         restored = PackedHistograms.from_buckets(packed.rows())
         assert_same_block(restored, packed)
 
+    @given(
+        history=histories(),
+        queries=st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_plan_restricted_query_is_a_slice_of_the_full_one(
+        self, history, queries, data
+    ):
+        """After any history of inserts (merging over budget, widening
+        the block), a query restricted to some plans answers exactly
+        those plans' rows of the full query, bit for bit."""
+        t, plans, budget, operations = history
+        packed = PackedHistograms.from_buckets(
+            [[[] for __ in range(plans)] for __ in range(t)]
+        )
+        for operation, *args in operations:
+            if operation == "insert":
+                plan, z, cost, weight = args
+                packed.insert(plan, np.array(z), cost, weight, budget)
+            elif operation == "shrink":
+                (budget,) = args
+                packed.shrink(budget)
+        centers = np.array(queries)
+        half = data.draw(st.sampled_from([0.0, 0.01, 0.1, 0.6]))
+        lo = np.tile(centers - half, (t, 1))
+        hi = np.tile(centers + half, (t, 1))
+        selected = data.draw(
+            st.lists(
+                st.integers(0, plans - 1), min_size=1, max_size=plans,
+                unique=True,
+            ).map(sorted)
+        )
+        mass, average = packed.query(lo, hi)
+        part_mass, part_average = packed.query(lo, hi, selected)
+        assert part_mass.shape == (t, len(selected), centers.shape[0])
+        np.testing.assert_array_equal(part_mass, mass[:, selected])
+        np.testing.assert_array_equal(part_average, average[:, selected])
+
+    def test_plan_restricted_wide_batch_is_a_slice(self):
+        """Wide batches run in column chunks sized by the rows queried;
+        a restricted query's chunks still answer the same bits."""
+        rng = np.random.default_rng(7)
+        packed = PackedHistograms.from_buckets([[[]] * 5 for __ in range(4)])
+        for __ in range(300):
+            packed.insert(
+                int(rng.integers(5)), rng.uniform(0.0, 1.0, 4),
+                float(rng.uniform(1.0, 9.0)), 1.0, 12,
+            )
+        centers = rng.uniform(0.0, 1.0, (4, 3000))
+        mass, average = packed.query(centers - 0.02, centers + 0.02)
+        for selected in ([3], [0, 4], [1, 2, 3]):
+            part_mass, part_average = packed.query(
+                centers - 0.02, centers + 0.02, selected
+            )
+            np.testing.assert_array_equal(part_mass, mass[:, selected])
+            np.testing.assert_array_equal(part_average, average[:, selected])
+
     @pytest.mark.parametrize("bad", [-1e-9, 1.0 + 1e-9, float("nan")])
     def test_rejected_insert_writes_nothing(self, bad):
         """A z-value outside ``[0, 1]`` in any row rejects the insert

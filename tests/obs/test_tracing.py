@@ -327,7 +327,7 @@ class TestSessionIntegration:
 
 class TestPredictSpanPayload:
     """One traced decision's predict spans carry exactly the quantities
-    the decision used, each recomputed here from ``_range_estimates``
+    the decision used, each recomputed here from ``z_values``, ``lookup``
     and ``decide_batch`` on the same (warmed) predictor state."""
 
     NOISE_FRACTION = 0.02
@@ -350,7 +350,8 @@ class TestPredictSpanPayload:
         """Every predict-stage payload of a traced decision at ``x``,
         plus the decision's kind (answered / rejected / eliminated)."""
         gamma = predictor.confidence_threshold
-        z_values, estimates, averages = predictor._range_estimates(x[None, :])
+        z_values = predictor.z_values(x[None, :])
+        estimates, averages = predictor.lookup(z_values)
         transforms = []
         for index in range(estimates.shape[0]):
             z = float(z_values[index, 0])

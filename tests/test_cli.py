@@ -174,6 +174,25 @@ class TestProfileCommand:
         # Deep predictor stages appear because tracing runs at interval 1.
         assert "aggregate" in out
 
+    def test_profile_batched_runs_execute_batch(self, capsys):
+        from repro.cli import main as cli_main
+
+        assert (
+            cli_main(
+                ["profile", "Q1", "--instances", "64", "--batch-size", "16"]
+            )
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert "decision" in out
+        assert "predict" in out
+
+    def test_profile_rejects_a_zero_batch_size(self, capsys):
+        from repro.cli import main as cli_main
+
+        assert cli_main(["profile", "Q1", "--batch-size", "0"]) == 1
+        assert "--batch-size" in capsys.readouterr().err
+
     def test_profile_writes_collapsed_stacks(self, tmp_path, capsys):
         import json
 
