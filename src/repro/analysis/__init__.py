@@ -7,8 +7,8 @@ persistence — but conventions that nothing enforces decay.  This
 package is the enforcement layer: a small AST-based rule framework
 (:mod:`repro.analysis.core`), the project rules
 (:mod:`repro.analysis.rules`: ``RPR001``–``RPR009`` plus the
-side-effect rules ``RPR101`` I/O-free observability, ``RPR103`` the
-``_commit`` mutation seam and ``RPR104`` documented exceptions),
+side-effect rules ``RPR101`` I/O-free observability and ``RPR104``
+documented exceptions),
 inline ``# repro: noqa[RULE]`` suppressions, and text/JSON/GitHub
 reporters (:mod:`repro.analysis.report`).  Every rule is checked one
 file at a time.

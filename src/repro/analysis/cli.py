@@ -32,8 +32,8 @@ def build_parser() -> argparse.ArgumentParser:
             "exception hygiene (RPR004), atomic persistence (RPR005), "
             "float tolerance (RPR006), typed public API (RPR007), "
             "session-state ownership (RPR008), span discipline (RPR009), "
-            "I/O-free observability (RPR101), the _commit mutation seam "
-            "(RPR103), documented exceptions (RPR104)"
+            "I/O-free observability (RPR101), documented exceptions "
+            "(RPR104)"
         ),
     )
     parser.add_argument(

@@ -1,4 +1,4 @@
-"""The project rules: RPR001–RPR009, RPR101, RPR103 and RPR104.
+"""The project rules: RPR001–RPR009, RPR101 and RPR104.
 
 Each rule guards one convention the pipeline's correctness story leans
 on (DESIGN.md §6.1 maps them to the design decisions they protect).
@@ -526,7 +526,6 @@ _PROTECTED_STATE = frozenset(
         "cache",
         "drift_events",
         "monitor",
-        "online",
         "optimizer_invocations",
         "records",
         "retry_policy",
@@ -753,223 +752,6 @@ class ObsLayerIO(Rule):
                     f"filesystem call .{node.func.attr}() in the "
                     "observability layer",
                 )
-
-
-#: Synopsis state of the batch-invalidation and journal contract:
-#: mutating any of these must go through ``self._commit``.
-_SYNOPSIS_MODULES = (
-    "repro.core.histogram_predictor",
-    "repro.core.lsh_predictor",
-)
-_SYNOPSIS_ATTRS = frozenset(
-    {
-        "_packed",
-        "_counts",
-        "_cost_sums",
-        "total_points",
-        "total_mass",
-    }
-)
-_MUTATION_COUNTER = "_mutations"
-#: The one mutation seam (``HistogramPredictor._commit``), as a raw call.
-_COMMIT_CALL = "self._commit"
-
-#: Method names that mutate their receiver in place — list/set/dict
-#: and ndarray surfaces plus the synopsis store's ``insert`` and
-#: ``shrink``.
-_MUTATOR_METHODS = frozenset(
-    {
-        "append",
-        "extend",
-        "insert",
-        "add",
-        "update",
-        "setdefault",
-        "pop",
-        "popitem",
-        "remove",
-        "discard",
-        "clear",
-        "sort",
-        "reverse",
-        "fill",
-        "partial_fit",
-        "shrink",
-    }
-)
-
-#: In-place mutators taking their target as first argument
-#: (``np.add.at(self._counts[i], ...)``).
-_INPLACE_FUNCTIONS = frozenset(
-    {
-        "numpy.add.at",
-        "numpy.subtract.at",
-        "numpy.multiply.at",
-        "numpy.divide.at",
-        "numpy.maximum.at",
-        "numpy.minimum.at",
-        "numpy.put",
-        "numpy.place",
-        "numpy.copyto",
-    }
-)
-
-
-@register_rule
-class MutationDiscipline(Rule):
-    """RPR103: every synopsis mutation goes through ``self._commit``.
-
-    ``TemplateSession.execute_batch`` prefetches predictions and
-    patches the prefetched tail by comparing
-    ``predictor.mutation_count`` across instances and re-querying the
-    plans ``_commit`` recorded as changed, and the lineage
-    engine reconstructs cache state from the lifecycle journal.  Both
-    hold by construction as long as ``HistogramPredictor._commit`` —
-    which bumps ``_mutations`` and journals, exactly once — is the only
-    way synopsis state changes.  The check is local to each function body
-    (nested closures fold into it): (a) no function writes
-    ``_mutations`` (the seam itself carries the one documented
-    ``noqa``); (b) every method other than ``__init__`` that
-    writes or mutates synopsis state, directly or through a local
-    alias, calls ``self._commit(...)`` itself.  Before ``bind_events``
-    a commit journals nothing, so construction-time builders need no
-    exemption.
-    """
-
-    code = "RPR103"
-    title = "synopsis mutation outside the _commit seam"
-    rationale = (
-        "call self._commit(kind, ...) in every method that mutates the "
-        "synopsis, and never write _mutations directly"
-    )
-    only_modules = _SYNOPSIS_MODULES
-
-    def check(self, ctx: ModuleContext) -> "Iterator[tuple[ast.AST, str]]":
-        for cls, node in _functions(ctx.tree):
-            display = f"{cls}.{node.name}" if cls else node.name
-            written, mutated, commits = _self_state_effects(ctx, node)
-            if _MUTATION_COUNTER in written:
-                yield (
-                    node,
-                    f"{display} writes {_MUTATION_COUNTER} directly; "
-                    f"only {_COMMIT_CALL} may bump it",
-                )
-                continue
-            attrs = (written | mutated) & _SYNOPSIS_ATTRS
-            if cls is None or node.name == "__init__" or not attrs or commits:
-                continue
-            yield (
-                node,
-                f"{display} mutates synopsis state "
-                f"({', '.join(sorted(attrs))}) without calling "
-                f"{_COMMIT_CALL}",
-            )
-
-
-def _attr_root(node: ast.AST) -> "tuple[str, str] | None":
-    """``(base name, first attribute)`` of a chain like
-    ``self._counts[i]`` / ``self.a.b`` — the owner-rooted attribute an
-    assignment or mutator call touches."""
-    attrs: "list[str]" = []
-    while True:
-        if isinstance(node, (ast.Subscript, ast.Starred)):
-            node = node.value
-        elif isinstance(node, ast.Attribute):
-            attrs.append(node.attr)
-            node = node.value
-        else:
-            break
-    if isinstance(node, ast.Name) and attrs:
-        return node.id, attrs[-1]
-    return None
-
-
-def _self_attr_reads(node: ast.AST) -> set:
-    """Attribute names read as ``self.<attr>`` anywhere in a subtree."""
-    return {
-        sub.attr
-        for sub in ast.walk(node)
-        if isinstance(sub, ast.Attribute)
-        and isinstance(sub.value, ast.Name)
-        and sub.value.id == "self"
-    }
-
-
-def _names_in(node: ast.AST) -> set:
-    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
-
-
-def _self_state_effects(
-    ctx: ModuleContext, function: ast.AST
-) -> "tuple[set, set, bool]":
-    """``(written, mutated, commits)`` for one function body:
-    ``self.<attr>`` roots assigned/deleted, roots mutated in place
-    (directly or through a local alias of ``self`` state), and whether
-    the body calls ``self._commit``."""
-    written: set = set()
-    mutated: set = set()
-    commits = False
-    #: local name -> self attributes it may alias.  Iterated to a
-    #: fixpoint over chained aliases (small bound).
-    taint: "dict[str, set]" = {}
-    body = list(ast.walk(function))
-    for _ in range(8):
-        changed = False
-        for node in body:
-            if isinstance(node, ast.Assign):
-                value, targets = node.value, node.targets
-            elif isinstance(node, ast.AnnAssign) and node.value:
-                value, targets = node.value, [node.target]
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                value, targets = node.iter, [node.target]
-            else:
-                continue
-            attrs = _self_attr_reads(value)
-            for name in _names_in(value) & set(taint):
-                attrs = attrs | taint[name]
-            if not attrs:
-                continue
-            for target in targets:
-                for name in _names_in(target):
-                    if attrs - taint.get(name, set()):
-                        taint[name] = taint.get(name, set()) | attrs
-                        changed = True
-        if not changed:
-            break
-    for node in body:
-        targets: "list[ast.AST]" = []
-        if isinstance(node, (ast.Assign, ast.Delete)):
-            targets = node.targets
-        elif isinstance(node, ast.AugAssign) or (
-            isinstance(node, ast.AnnAssign) and node.value is not None
-        ):
-            targets = [node.target]
-        for target in targets:
-            root = _attr_root(target)
-            if root is not None and root[0] == "self":
-                written.add(root[1])
-        if not isinstance(node, ast.Call):
-            continue
-        dotted = ctx.resolve(node.func)
-        commits = commits or dotted == _COMMIT_CALL
-        if dotted in _INPLACE_FUNCTIONS and node.args:
-            mutated |= _self_attr_reads(node.args[0])
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in _MUTATOR_METHODS
-        ):
-            receiver = node.func.value
-            if isinstance(receiver, ast.Name):
-                mutated |= taint.get(receiver.id, set())
-                continue
-            root = _attr_root(receiver)
-            if root is None:
-                continue
-            if root[0] == "self":
-                mutated.add(root[1])
-            else:
-                mutated |= taint.get(root[0], set())
-    return written, mutated, commits
 
 
 #: Builtin exceptions that may be raised anywhere: abstract-method

@@ -29,16 +29,6 @@ class SelfTestCase:
     bad_findings: int = 1
 
 
-#: RPR103's fixture: a synopsis-store insert through a local alias.
-_PACKED_INSERT = (
-    "class HistogramPredictor:\n"
-    "    def __init__(self):\n"
-    "        self._packed = None\n"
-    "    def insert(self, plan, z_values):\n"
-    "        block = self._packed\n"
-    "        block.insert(plan, z_values)\n"
-)
-
 SELFTEST_CASES = (
     SelfTestCase(
         rule="RPR001",
@@ -186,29 +176,6 @@ SELFTEST_CASES = (
             "def scorecard(values):\n"
             "    return max(values) - min(values)\n"
         ),
-    ),
-    # RPR103, half (a): nobody but _commit writes the counter.
-    SelfTestCase(
-        rule="RPR103",
-        module="repro.core.lsh_predictor",
-        bad=(
-            "class LshPredictor:\n"
-            "    def insert(self, cell):\n"
-            "        self._mutations += 1\n"
-        ),
-        good=(
-            "class LshPredictor:\n"
-            "    def insert(self, cell):\n"
-            "        self._commit('point_inserted', plan=cell)\n"
-        ),
-    ),
-    # RPR103, half (b): a synopsis mutation, here through a local
-    # alias, commits in the same body; ``__init__`` is exempt.
-    SelfTestCase(
-        rule="RPR103",
-        module="repro.core.histogram_predictor",
-        bad=_PACKED_INSERT,
-        good=_PACKED_INSERT + "        self._commit('point_inserted')\n",
     ),
     # RPR104, raise half: a builtin raise, caught or not, is flagged.
     SelfTestCase(

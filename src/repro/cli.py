@@ -64,9 +64,8 @@ Small utilities for poking at the reproduction without writing code:
   with MAD-widened per-metric tolerances (exit 1 on any regression);
 * ``lint`` — the AST-based invariant linter, one file at a time
   (RPR001-RPR009: determinism, clock, metrics, persistence, span
-  discipline; RPR101/RPR103/RPR104: I/O-free observability, the
-  ``_commit`` mutation seam, documented exceptions — see
-  ``repro lint --list-rules``), exit 1 on findings;
+  discipline; RPR101/RPR104: I/O-free observability, documented
+  exceptions — see ``repro lint --list-rules``), exit 1 on findings;
 * ``assumptions Q1`` — validate plan choice predictability on a template.
 
 The workload commands (``session``, ``stats``, ``explain``, ``trace``,

@@ -22,6 +22,7 @@ Two sanity checks keep the lossy summarization honest:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,7 +44,7 @@ from repro.histograms import (
     MaxDiffHistogram,
     VOptimalHistogram,
 )
-from repro.histograms.packed import PackedHistograms
+from repro.histograms.packed import PackedHistograms, bucket_rows
 from repro.lsh.grid import Grid
 from repro.lsh.stacked import StackedEnsemble
 from repro.lsh.transforms import TransformEnsemble
@@ -66,13 +67,6 @@ _STATIC_BUILDERS = {
 
 class HistogramPredictor(PlanPredictor):
     """The paper's flagship structure: LSH + z-order + histograms."""
-
-    #: Lifecycle event emitter (``repro.obs.events``); ``None`` until
-    #: the owning session binds one, so construction-time pool replay
-    #: journals nothing and the disabled path is one ``is None`` check.
-    _events: "_TemplateEmitter | None" = None
-    #: Monotone synopsis-mutation counter, written only by :meth:`_commit`.
-    _mutations: int = 0
 
     def __init__(
         self,
@@ -152,24 +146,24 @@ class HistogramPredictor(PlanPredictor):
                 )
             plan_count = int(pool.plan_ids.max()) + 1
         self.plan_count = plan_count
-        #: Plans whose rows changed since the last :meth:`take_dirty`.
-        self._dirty: set[int] = set()
-        #: Number of points inserted (integer, weight-independent).
-        self.total_points = 0
-        #: Total inserted mass: verified points carry weight 1, positive
-        #: feedback inserts discounted weights.  Noise elimination
-        #: compares against this, matching the weighted bucket counts.
-        self.total_mass = 0.0
-        #: ``_packed`` is the synopsis store: every (transform, plan)
-        #: histogram's buckets in one block, which the density lookup
-        #: reads and an insert writes in place.
+        #: ``_packed`` is the synopsis store for the predictor's whole
+        #: life: every (transform, plan) histogram's buckets in one
+        #: block, which the density lookup reads and every write changes
+        #: in place.  The block keeps the books (version, dirty plans,
+        #: totals, journal); no emitter is bound yet, so building it
+        #: journals nothing.
+        self._packed = PackedHistograms.from_buckets(
+            [[[]] * plan_count for __ in self.ensemble]
+        )
         if histogram_kind == "incremental" or len(pool) == 0:
-            self._packed = self._empty_block()
             for point in pool.points():
                 self.insert(point.coords, point.plan_id, point.cost)
         else:
-            static = PackedHistograms(self._static_histograms(pool))
-            self.load_histograms(static, len(pool), float(len(pool)))
+            self.load_histograms(
+                bucket_rows(self._static_histograms(pool)),
+                len(pool),
+                float(len(pool)),
+            )
 
     def _rebuild_stacked(self) -> None:
         """(Re)build the struct-of-arrays transform/grid view.
@@ -183,46 +177,40 @@ class HistogramPredictor(PlanPredictor):
 
     @property
     def mutation_count(self) -> int:
-        """Number of synopsis mutations so far.  Batch consumers
-        (``TemplateSession.execute_batch``) compare it to detect when
-        precomputed predictions went stale."""
-        return self._mutations
+        """Number of synopsis writes so far (the block's version).
+        Batch consumers (``TemplateSession.execute_batch``) compare it
+        to detect when precomputed predictions went stale."""
+        return self._packed.version
 
-    def _commit(self, kind: str, **fields) -> None:  # repro: noqa[RPR103] - the seam
-        """The one seam every synopsis mutation goes through: bump
-        :attr:`mutation_count`, record which plans' rows changed (a
-        ``point_inserted`` changes its plan's; a rebuild, shrink or load
-        every plan's) and journal ``kind`` (with ``fields``) if an
-        emitter is bound.  A mutation therefore always reaches the
-        batch path's patch (:meth:`take_dirty`) and the journal, exactly
-        once."""
-        self._mutations += 1
-        if kind == "point_inserted":
-            self._dirty.add(fields["plan"])
-        else:
-            self._dirty.update(range(self.plan_count))
-        if self._events is not None:
-            self._events(kind, **fields)
+    @property
+    def total_points(self) -> int:
+        """Number of points inserted (integer, weight-independent)."""
+        return self._packed.total_points
+
+    @property
+    def total_mass(self) -> float:
+        """Total inserted mass: verified points carry weight 1, positive
+        feedback inserts discounted weights.  Noise elimination compares
+        against this, matching the weighted bucket counts."""
+        return self._packed.total_mass
 
     def take_dirty(self) -> list[int]:
-        """The plans whose rows some mutation changed since the last
-        call, ascending, and forget them.  Every other row still
-        answers a range query exactly as before, so a caller holding
-        estimates re-queries just these plans' rows."""
-        dirty = sorted(self._dirty)
-        self._dirty.clear()
-        return dirty
+        """The plans whose rows some write changed since the last call,
+        ascending, and forget them (the block's
+        :meth:`~PackedHistograms.take_dirty`)."""
+        return self._packed.take_dirty()
 
     def bind_events(self, emitter: "_TemplateEmitter") -> None:
-        """Attach a lifecycle event emitter (``repro.obs.events``).
+        """Attach a lifecycle event emitter (``repro.obs.events``): the
+        block journals every later write through it.
 
         Late binding: the constructor's pool replay runs before any
         emitter exists, so the journal records the synopsis *going
-        live* (one ``histogram_built`` event) and every mutation after
-        that, not the seed replay.  Going live is
-        not a mutation: it journals without bumping ``mutation_count``.
+        live* (one ``histogram_built`` event) and every write after
+        that, not the seed replay.  Going live is not a write: it
+        journals without bumping ``mutation_count``.
         """
-        self._events = emitter
+        self._packed.bind(emitter)
         emitter("histogram_built", **self._built_fields())
 
     def _built_fields(self) -> dict:
@@ -237,11 +225,6 @@ class HistogramPredictor(PlanPredictor):
     # ------------------------------------------------------------------
     # Construction / population
     # ------------------------------------------------------------------
-    def _empty_block(self) -> PackedHistograms:
-        return PackedHistograms.from_buckets(
-            [[[]] * self.plan_count for __ in self.ensemble]
-        )
-
     def _static_histograms(self, pool: SamplePool) -> list[list[Histogram]]:
         """One row of static ``histogram_kind`` histograms per
         transform, built over the whole pool at once."""
@@ -304,15 +287,8 @@ class HistogramPredictor(PlanPredictor):
                 f"{self.histogram_kind!r} does not support insertion; "
                 "use histogram_kind='incremental'"
             )
-        self._packed.insert(plan_id, z, cost, weight, self.max_buckets)
-        self.total_points += 1
-        self.total_mass += weight
-        self._commit(
-            "point_inserted",
-            plan=int(plan_id),
-            cost=float(cost),
-            weight=float(weight),
-            provenance=provenance,
+        self._packed.insert(
+            plan_id, z, cost, weight, self.max_buckets, provenance
         )
 
     # ------------------------------------------------------------------
@@ -575,42 +551,34 @@ class HistogramPredictor(PlanPredictor):
         return self._packed.tiles(np.linspace(0.0, 1.0, probes + 1))
 
     def drop(self) -> None:
-        """Drop every histogram and restart from scratch (Section IV-E:
-        the reaction to a detected plan-space change)."""
-        points_dropped = self.total_points
-        mass_dropped = self.total_mass
-        self._packed = self._empty_block()
+        """Drop every histogram and restart from scratch, learning
+        incrementally from then on (Section IV-E: the reaction to a
+        detected plan-space change)."""
         self.histogram_kind = "incremental"
-        self.total_points = 0
-        self.total_mass = 0.0
-        self._commit(
-            "histogram_rebuilt",
-            points_dropped=points_dropped,
-            mass_dropped=mass_dropped,
-        )
+        self._packed.clear()
 
     def shrink(self, max_buckets: int) -> None:
         """Cut the bucket budget to ``max_buckets``: an incremental
         predictor merges every row down to it (the memory governor's
-        recall-for-space dial); static histograms keep theirs."""
+        recall-for-space dial); static histograms keep theirs, so their
+        rows, version and journal do not move."""
+        if max_buckets < 1:
+            raise HistogramError("max_buckets must be >= 1")
         if self.histogram_kind == "incremental":
             self._packed.shrink(max_buckets)
         self.max_buckets = max_buckets
-        self._commit("histogram_shrunk", max_buckets=max_buckets)
 
     def load_histograms(
         self,
-        histograms: PackedHistograms,
+        rows: "Sequence[Sequence[Sequence[Sequence[float]]]]",
         total_points: int,
         total_mass: float,
     ) -> None:
-        """Replace the whole synopsis with the block ``histograms`` (one
-        row of ``plan_count`` histograms per transform) and their
-        totals — the persistence restore path and the static build."""
-        self._packed = histograms
-        self.total_points = total_points
-        self.total_mass = total_mass
-        self._commit("histogram_built", **self._built_fields())
+        """Replace every row with ``rows`` (one ``(lo, hi, count,
+        cost_sum)`` bucket list per (transform, plan)) and the totals
+        with those given, in place — the persistence restore path and
+        the static build."""
+        self._packed.load(rows, total_points, total_mass)
 
     def space_bytes(self) -> int:
         """``t * n_plans * b_h * 12`` bytes; actual bucket counts may be

@@ -42,7 +42,6 @@ import numpy as np
 from repro.core.histogram_predictor import HistogramPredictor
 from repro.core.point import SamplePool
 from repro.exceptions import PersistenceError
-from repro.histograms.packed import PackedHistograms
 from repro.lsh.grid import Grid
 from repro.lsh.transforms import PlanSpaceTransform
 
@@ -136,9 +135,7 @@ def predictor_from_state(state: dict) -> HistogramPredictor:
     predictor._rebuild_stacked()
     # Every restored row takes the predictor's bucket budget.
     predictor.load_histograms(
-        PackedHistograms.from_buckets(
-            [[spec["buckets"] for spec in row] for row in state["histograms"]]
-        ),
+        [[spec["buckets"] for spec in row] for row in state["histograms"]],
         total_points=int(state["total_points"]),
         total_mass=float(state["total_mass"]),
     )

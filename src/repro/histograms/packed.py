@@ -36,11 +36,18 @@ IV-D): :meth:`PackedHistograms.insert` repeats
 :class:`~repro.histograms.incremental.IncrementalHistogram`'s insert
 bit for bit on a plan's ``t`` rows in place; that class is the
 reference the block is tested against.
+
+It keeps its own books.  Its four writers — :meth:`insert`,
+:meth:`clear`, :meth:`shrink` and :meth:`load` — are the only code
+that changes its rows, and each bumps :attr:`version`, marks the plans
+it changed dirty (:meth:`take_dirty`), keeps ``total_points`` and
+``total_mass`` and hands one change event to the callback bound with
+:meth:`bind`.  No caller can change a row without all four following.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -73,6 +80,27 @@ _TINY = float(np.nextafter(0.0, 1.0))
 _CHUNK_CELLS = 1 << 16
 
 
+def _sentinels(shape: tuple[int, int], width: int) -> np.ndarray:
+    """A ``(6, *shape, width)`` block of empty rows: all sentinels."""
+    block = np.empty((_PLANES, *shape, width))
+    block[...] = _TRAILING[:, None, None, :]
+    block[_LO:_HI + 1, :, :, 0] = -_FAR
+    return block
+
+
+def bucket_rows(
+    rows: Sequence[Sequence[Histogram]],
+) -> list[list[list[tuple[float, float, float, float]]]]:
+    """The ``(lo, hi, count, cost_sum)`` bucket lists of offline-built
+    histograms, one row of ``plans`` per transform: the form
+    :meth:`PackedHistograms.load` and :meth:`~PackedHistograms.rows`
+    share."""
+    return [
+        [[(b.lo, b.hi, b.count, b.cost_sum) for b in h.buckets] for h in row]
+        for row in rows
+    ]
+
+
 class PackedHistograms:
     """The ``t × plans`` histograms of a predictor as one padded block:
     the synopsis store itself, not a copy.
@@ -84,13 +112,22 @@ class PackedHistograms:
     query's cost scales with the width.
     """
 
+    #: Number of writes so far: each writer adds exactly one.
+    version = 0
+    #: Number of points inserted (integer, weight-independent).
+    total_points = 0
+    #: Total inserted mass: the sum of the inserted weights.
+    total_mass = 0.0
+    #: Plans whose rows changed since the last :meth:`take_dirty`
+    #: (immutable, so the class default is never shared by a write).
+    _dirty: "frozenset[int]" = frozenset()
+    #: Change callback ``(kind, **fields)``; ``None`` journals nothing.
+    _on_change: "Callable[..., object] | None" = None
+
     def __init__(self, rows: Sequence[Sequence[Histogram]]) -> None:
         """Pack offline-built histograms, one row of ``plans`` per
         transform."""
-        self._load([
-            [[(b.lo, b.hi, b.count, b.cost_sum) for b in h.buckets] for h in row]
-            for row in rows
-        ])
+        self._pack(bucket_rows(rows))
 
     @classmethod
     def from_buckets(
@@ -99,38 +136,62 @@ class PackedHistograms:
         """A block from one ``(lo, hi, count, cost_sum)`` bucket list
         per (transform, plan): the snapshot's form (empty: no points)."""
         packed = cls.__new__(cls)
-        packed._load(rows)
+        packed._pack(rows)
         return packed
 
-    def _load(self, rows: Sequence[Sequence[Sequence[Sequence[float]]]]) -> None:
-        self.transforms = len(rows)
-        self.plans = len(rows[0])
-        #: ``(t, plans)``: real buckets per row.
-        self.bucket_counts = np.array(
+    def bind(self, on_change: "Callable[..., object]") -> None:
+        """Hand every later write's change event to ``on_change(kind,
+        **fields)``: ``point_inserted``, ``histogram_rebuilt``,
+        ``histogram_shrunk`` or ``histogram_built``."""
+        self._on_change = on_change
+
+    def take_dirty(self) -> list[int]:
+        """The plans whose rows some write changed since the last call,
+        ascending, and forget them.  Every other row still answers a
+        range query exactly as before, so a caller holding estimates
+        re-queries just these plans' rows."""
+        dirty = sorted(self._dirty)
+        self._dirty = frozenset()
+        return dirty
+
+    def _changed(self, kind: str, dirty: "Iterable[int]", /, **fields) -> None:
+        """Book one write: bump :attr:`version`, mark the plans ``dirty``
+        and hand the event ``kind`` with ``fields`` to the bound
+        callback, if any."""
+        self.version += 1
+        self._dirty = self._dirty.union(dirty)
+        if self._on_change is not None:
+            self._on_change(kind, **fields)
+
+    def _pack(self, rows: Sequence[Sequence[Sequence[Sequence[float]]]]) -> None:
+        """Lay out ``rows`` (one bucket list per (transform, plan)) as
+        the block, as narrow as its widest row allows.  Malformed rows
+        raise before the block changes."""
+        counts = np.array(
             [[len(buckets) for buckets in row] for row in rows], dtype=np.intp
         )
-        self._allocate(int(self.bucket_counts.max()) + 2)
+        block = _sentinels(counts.shape, int(counts.max()) + 2)
         for index, row in enumerate(rows):
             for plan, buckets in enumerate(row):
-                self._buckets[:_STORED, index, plan, 1:len(buckets) + 1] = (
+                block[:_STORED, index, plan, 1:len(buckets) + 1] = (
                     np.array(buckets, dtype=float).T
                 )
-        self._accumulate(self._buckets)
+        self._accumulate(block)
+        self._install(block)
+        #: ``(t, plans)``: real buckets per row.
+        self.bucket_counts = counts
 
-    def _allocate(self, width: int) -> None:
-        """Empty rows of ``width`` columns: all sentinels."""
-        shape = (self.transforms, self.plans)
+    def _install(self, block: np.ndarray) -> None:
+        """Make ``block`` the store."""
         #: ``(6, t, plans, width)``: lo, hi, count and cost-sum planes,
         #: then the count and cost-sum prefix sums — column ``k`` holds
         #: the sum over buckets ``< k``.
-        self._buckets = np.empty((_PLANES, *shape, width))
-        self._buckets[...] = _TRAILING[:, None, None, :]
-        self._buckets[_LO:_HI + 1, :, :, 0] = -_FAR
-        self.width = width
+        self._buckets = block
+        self.transforms, self.plans, self.width = block.shape[1:]
         # Flat offset of each row, for gathering one column per row.
         self._base = np.arange(self.transforms * self.plans).reshape(
-            *shape, 1
-        ) * width
+            self.transforms, self.plans, 1
+        ) * self.width
 
     def _accumulate(self, rows: np.ndarray) -> None:
         """Refresh the prefix-sum planes of the block view ``rows``."""
@@ -142,10 +203,10 @@ class PackedHistograms:
 
     def _grow(self, width: int) -> None:
         """Widen every row to ``width`` columns of trailing sentinels."""
-        old, old_width = self._buckets, self.width
-        self._allocate(width)
-        self._buckets[..., :old_width] = old
-        self._accumulate(self._buckets)
+        block = _sentinels(self.bucket_counts.shape, width)
+        block[..., :self.width] = self._buckets
+        self._accumulate(block)
+        self._install(block)
 
     def _store(
         self, index: int, plan: int, cells: np.ndarray, budget: int
@@ -172,6 +233,7 @@ class PackedHistograms:
         cost: float,
         weight: float,
         budget: int,
+        provenance: str = "direct",
     ) -> None:
         """Insert one point into plan ``plan``'s row of each transform
         ``i`` at ``z_values[i]``, bit for bit as
@@ -179,7 +241,11 @@ class PackedHistograms:
         whose ``lo`` is z, else the previous bucket if it reaches z,
         else open a point mass; then merge while over ``budget``.
         Every z is checked against ``[0, 1]`` before any write.
+
+        Adds one point and ``weight`` to the totals, dirties ``plan``
+        and journals ``point_inserted`` with ``provenance``.
         """
+        plan = int(plan)
         z = np.asarray(z_values, dtype=float)
         if not ((z >= 0.0) & (z <= 1.0)).all():
             raise HistogramError(f"z-values {z.tolist()} outside [0, 1]")
@@ -212,18 +278,63 @@ class PackedHistograms:
             if n > budget:
                 self._store(index, plan, cells, budget)
         self._accumulate(self._buckets[:, :, plan])
+        self.total_points += 1
+        self.total_mass += weight
+        self._changed(
+            "point_inserted",
+            (plan,),
+            plan=plan,
+            cost=float(cost),
+            weight=float(weight),
+            provenance=provenance,
+        )
+
+    def clear(self) -> None:
+        """Empty every row and zero the totals (Section IV-E's drop);
+        journals ``histogram_rebuilt`` with what was dropped."""
+        points, mass = self.total_points, self.total_mass
+        self._pack([[[]] * self.plans for __ in range(self.transforms)])
+        self.total_points, self.total_mass = 0, 0.0
+        self._changed(
+            "histogram_rebuilt",
+            range(self.plans),
+            points_dropped=points,
+            mass_dropped=mass,
+        )
 
     def shrink(self, budget: int) -> None:
         """Merge every row down to at most ``budget`` buckets, as
         :meth:`~repro.histograms.incremental.IncrementalHistogram.shrink`
-        does, and narrow the block to its widest row."""
+        does, and narrow the block to its widest row; journals
+        ``histogram_shrunk``."""
         if budget < 1:
             raise HistogramError("max_buckets must be >= 1")
         for index, plan in np.argwhere(self.bucket_counts > budget).tolist():
             n = self.bucket_counts[index, plan]
             cells = self._buckets[:_STORED, index, plan, 1:n + 1]
             self._store(index, plan, cells, budget)
-        self._load(self.rows())
+        self._pack(self.rows())
+        self._changed("histogram_shrunk", range(self.plans), max_buckets=budget)
+
+    def load(
+        self,
+        rows: Sequence[Sequence[Sequence[Sequence[float]]]],
+        total_points: int,
+        total_mass: float,
+    ) -> None:
+        """Replace every row with ``rows`` (one ``(lo, hi, count,
+        cost_sum)`` bucket list per (transform, plan), as :meth:`rows`
+        gives them) and the totals with those given: a static build or
+        a snapshot restore.  Journals ``histogram_built``."""
+        self._pack(rows)
+        self.total_points, self.total_mass = total_points, total_mass
+        self._changed(
+            "histogram_built",
+            range(self.plans),
+            transforms=self.transforms,
+            plans=self.plans,
+            points=total_points,
+        )
 
     def rows(self) -> list[list[list[list[float]]]]:
         """Each (transform, plan) row's ``[lo, hi, count, cost_sum]``

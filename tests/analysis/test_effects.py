@@ -1,10 +1,9 @@
-"""The side-effect rules RPR101, RPR103 and RPR104, one file at a time.
+"""The side-effect rules RPR101 and RPR104, one file at a time.
 
 The selftest pairs prove each rule fires and stays quiet end to end;
 these tests pin the finer points: only a module's own calls count
-(RPR101), the per-body commit seam and its alias tracking (RPR103),
-which raises and exception classes RPR104 sees, and range-aware
-``noqa`` on a wrapped ``raise``.
+(RPR101), which raises and exception classes RPR104 sees, and
+range-aware ``noqa`` on a wrapped ``raise``.
 """
 
 from repro.analysis import lint_source
@@ -92,69 +91,6 @@ class TestRaisePropagation:
     def test_exceptions_module_defines_the_root(self):
         source = "class ReproError(Exception):\n    pass\n"
         assert _findings(source, "repro.exceptions", "RPR104") == []
-
-
-class TestCommitSeam:
-    """RPR103 is local: each function body either commits its own
-    synopsis mutation or is flagged itself; a committing caller does
-    not cover a mutating helper."""
-
-    @staticmethod
-    def _rpr103(source: str) -> list:
-        return _findings(source, "repro.core.lsh_predictor", "RPR103")
-
-    def test_rpr103_flags_the_mutating_helper_itself(self):
-        (finding,) = self._rpr103(
-            "class LshPredictor:\n"
-            "    def __init__(self):\n"
-            "        self._counts = {}\n"
-            "    def insert(self, cell):\n"
-            "        self._store(cell)\n"
-            "        self._commit('point_inserted', plan=cell)\n"
-            "    def _store(self, cell):\n"
-            "        self._counts[cell] = 1.0\n"
-        )
-        assert "LshPredictor._store" in finding.message
-        assert "_counts" in finding.message
-        assert finding.line == 7
-
-    def test_rpr103_flags_any_direct_counter_write(self):
-        (finding,) = self._rpr103(
-            "class LshPredictor:\n"
-            "    def __init__(self):\n"
-            "        self._mutations = 0\n"
-        )
-        assert "LshPredictor.__init__ writes _mutations" in finding.message
-
-    def test_builder_reached_only_from_init_is_not_exempt(self):
-        source = (
-            "class LshPredictor:\n"
-            "    def __init__(self):\n"
-            "        self._counts = {}\n"
-            "        self._seed()\n"
-            "    def _seed(self):\n"
-            "        self._counts[0] = 0.0\n"
-        )
-        (finding,) = self._rpr103(source)
-        assert "LshPredictor._seed" in finding.message
-        committed = source + "        self._commit('histogram_built')\n"
-        assert self._rpr103(committed) == []
-
-    def test_mutation_through_a_chained_alias_is_seen(self):
-        source = (
-            "import numpy as np\n"
-            "class LshPredictor:\n"
-            "    def merge(self, cells):\n"
-            "        table = self._cost_sums\n"
-            "        rows = table\n"
-            "        rows.update(cells)\n"
-            "    def bump(self, index):\n"
-            "        np.add.at(self._counts, index, 1.0)\n"
-        )
-        messages = [f.message for f in self._rpr103(source)]
-        assert len(messages) == 2
-        assert "merge mutates synopsis state (_cost_sums)" in messages[0]
-        assert "bump mutates synopsis state (_counts)" in messages[1]
 
 
 class TestSuppression:

@@ -25,9 +25,6 @@ CASES = {
     "RPR009": ("repro.core.scratch", 3),
     # 3 = open + .write_text + socket.create_connection.
     "RPR101": ("repro.obs.quality", 3),
-    # 3 = the uncommitted insert, the _mutations write, and the
-    # uncommitted alias mutation in _refill.
-    "RPR103": ("repro.core.lsh_predictor", 3),
     # 3 = the RuntimeError-based class and both foreign raises.
     "RPR104": ("repro.service.scratch", 3),
 }

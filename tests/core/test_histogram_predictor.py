@@ -155,6 +155,125 @@ class TestCountVersusMass:
         assert predictor.total_mass == 0.0
 
 
+class TestBlockKeepsItsBooks:
+    """The packed block books its own writes: a write that reaches past
+    the predictor straight to ``predictor._packed`` still bumps
+    ``mutation_count``, dirties exactly its plans and journals exactly
+    one event, and the block stays the predictor's one store."""
+
+    @staticmethod
+    def _bound():
+        predictor = HistogramPredictor(
+            _pool(), histogram_kind="incremental", seed=1
+        )
+        events = []
+        predictor.bind_events(lambda kind, **fields: events.append(kind))
+        assert events == ["histogram_built"]
+        events.clear()
+        predictor.take_dirty()
+        return predictor, events
+
+    @pytest.mark.parametrize(
+        "write, kind, dirty",
+        [
+            (
+                lambda block: block.insert(
+                    1, np.full(block.transforms, 0.5), 2.0, 1.0, 40
+                ),
+                "point_inserted",
+                [1],
+            ),
+            (lambda block: block.clear(), "histogram_rebuilt", [0, 1]),
+            (lambda block: block.shrink(5), "histogram_shrunk", [0, 1]),
+            (
+                lambda block: block.load(block.rows(), 7, 6.5),
+                "histogram_built",
+                [0, 1],
+            ),
+        ],
+        ids=["insert", "clear", "shrink", "load"],
+    )
+    def test_direct_write_keeps_the_books(self, write, kind, dirty):
+        predictor, events = self._bound()
+        block = predictor._packed
+        before = predictor.mutation_count
+        write(block)
+        assert predictor._packed is block
+        assert predictor.mutation_count == before + 1
+        assert predictor.take_dirty() == dirty
+        assert events == [kind]
+
+    def test_writers_keep_the_totals(self):
+        predictor, __ = self._bound()
+        block = predictor._packed
+        block.insert(0, np.full(block.transforms, 0.25), 1.0, 0.5, 40)
+        assert (predictor.total_points, predictor.total_mass) == (201, 200.5)
+        block.shrink(3)
+        assert (predictor.total_points, predictor.total_mass) == (201, 200.5)
+        block.load(block.rows(), 9, 8.5)
+        assert (predictor.total_points, predictor.total_mass) == (9, 8.5)
+        block.clear()
+        assert (predictor.total_points, predictor.total_mass) == (0, 0.0)
+
+    def test_predictor_writes_keep_the_one_block(self):
+        predictor, events = self._bound()
+        block = predictor._packed
+        rows = block.rows()
+        predictor.shrink(5)
+        predictor.drop()
+        predictor.insert(np.array([0.2, 0.2]), 0, cost=1.0)
+        predictor.load_histograms(rows, 200, 200.0)
+        assert predictor._packed is block
+        assert events == [
+            "histogram_shrunk",
+            "histogram_rebuilt",
+            "point_inserted",
+            "histogram_built",
+        ]
+
+    def test_malformed_load_changes_nothing(self):
+        predictor, events = self._bound()
+        rows = predictor._packed.rows()
+        bad = [list(row) for row in rows]
+        bad[2][1] = [[0.1, 0.2, 1.0]]  # three fields, not four
+        version = predictor.mutation_count
+        with pytest.raises(ValueError):
+            predictor.load_histograms(bad, 9, 9.0)
+        assert predictor._packed.rows() == rows
+        assert predictor.mutation_count == version
+        assert (predictor.total_points, predictor.take_dirty()) == (200, [])
+        assert events == []
+
+    def test_unbound_block_still_counts_its_writes(self):
+        predictor = HistogramPredictor(
+            _pool(), histogram_kind="incremental", seed=1
+        )
+        assert predictor.mutation_count == 200
+        predictor._packed.clear()
+        assert predictor.mutation_count == 201
+
+    def test_static_shrink_moves_no_books(self):
+        predictor = HistogramPredictor(_pool(), histogram_kind="maxdiff", seed=1)
+        events = []
+        predictor.bind_events(lambda kind, **fields: events.append(kind))
+        predictor.take_dirty()
+        before = predictor._packed._buckets.copy()
+        version = predictor.mutation_count
+        predictor.shrink(5)
+        assert predictor.max_buckets == 5
+        assert predictor._packed._buckets.tobytes() == before.tobytes()
+        assert predictor.mutation_count == version
+        assert predictor.take_dirty() == []
+        assert events == ["histogram_built"]
+
+    @pytest.mark.parametrize("kind", ["maxdiff", "incremental"])
+    def test_shrink_rejects_an_empty_budget(self, kind):
+        predictor = HistogramPredictor(_pool(), histogram_kind=kind, seed=1)
+        with pytest.raises(HistogramError):
+            predictor.shrink(0)
+        assert predictor.max_buckets == 40
+
+
 class TestNoiseElimination:
     def test_sparse_support_suppressed(self):
         pool = _pool()

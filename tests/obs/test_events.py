@@ -239,7 +239,7 @@ class TestDisabledIsFree:
         )
         assert session.events is None
         assert session._events is None
-        assert session.predictor._events is None
+        assert session.predictor._packed._on_change is None
         assert session.cache._events is None
         for x in RandomTrajectoryWorkload(2, seed=5).generate(50):
             session.execute(x)
