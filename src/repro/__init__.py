@@ -47,7 +47,7 @@ from repro.exceptions import (
     ResilienceError,
 )
 from repro.obs import MetricsRegistry, render_prometheus
-from repro.optimizer import Optimizer, PlanSpace, QueryTemplate
+from repro.optimizer import PlanSpace, QueryTemplate
 from repro.resilience import (
     CircuitBreaker,
     FaultInjector,
@@ -87,7 +87,6 @@ __all__ = [
     "ResilienceError",
     "MetricsRegistry",
     "render_prometheus",
-    "Optimizer",
     "PlanSpace",
     "QueryTemplate",
     "PlanCachingService",

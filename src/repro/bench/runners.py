@@ -37,8 +37,9 @@ from repro.config import (
 from repro.core.framework import PPCFramework, TemplateSession
 from repro.core.persistence import atomic_write_text
 from repro.exceptions import BenchError
+from repro.optimizer.plan_space import PlanSpace
 from repro.resilience import VirtualClock
-from repro.tpch import plan_space_for
+from repro.tpch import build_catalog, plan_space_for, query_template
 from repro.workload import RandomTrajectoryWorkload
 from repro.workload.runner import decision_digest, run_matrix
 from repro.workload.scenarios import SCENARIO_NAMES
@@ -46,6 +47,7 @@ from repro.workload.scenarios import SCENARIO_NAMES
 __all__ = [
     "BENCHES",
     "SUITES",
+    "run_harvest",
     "run_instrumentation_overhead",
     "run_predict_throughput",
     "run_scenarios",
@@ -349,6 +351,47 @@ def run_instrumentation_overhead() -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
+# harvest: a template's plan-space set-up, one batched DP per probe round
+# ----------------------------------------------------------------------
+
+HARVEST_TEMPLATES = ("Q3", "Q5", "Q7")
+HARVEST_REPEATS = 3
+#: Shared-runner allowance on the harvest walls, as for the other
+#: wall-clock metrics.
+HARVEST_TOLERANCE_PCT = 100.0
+
+
+def run_harvest() -> dict[str, Any]:
+    """Best-of-N wall of one :class:`PlanSpace` harvest per template,
+    each on a fresh catalog (built outside the timer), and the exact
+    number of plans it harvests."""
+    metrics: dict[str, dict[str, Any]] = {}
+    for name in HARVEST_TEMPLATES:
+        template = query_template(name)
+        best = float("inf")
+        for __ in range(HARVEST_REPEATS):
+            catalog = build_catalog()
+            t0 = perf_counter()
+            space = PlanSpace(template, catalog)
+            best = min(best, perf_counter() - t0)
+        metrics[f"{name}_harvest_ms"] = metric(
+            best * 1e3, "ms", "lower", tolerance_pct=HARVEST_TOLERANCE_PCT
+        )
+        metrics[f"{name}_plans"] = metric(
+            space.plan_count, "plans", "higher", tolerance_abs=0.0
+        )
+    return make_envelope(
+        "harvest",
+        metrics=metrics,
+        workload={
+            "templates": list(HARVEST_TEMPLATES),
+            "repeats": HARVEST_REPEATS,
+            "seed": 0,
+        },
+    )
+
+
+# ----------------------------------------------------------------------
 # Scenario fleet
 # ----------------------------------------------------------------------
 
@@ -425,6 +468,7 @@ BENCHES: dict[str, BenchDef] = {
             ("ci", "full"),
         ),
         BenchDef("scenarios", "scenarios", run_scenarios, ("ci", "full")),
+        BenchDef("harvest", "harvest", run_harvest, ("ci", "full")),
     )
 }
 

@@ -24,6 +24,7 @@ confidence after ``alpha`` agreeing samples is ``1 - (1 - chi)^alpha``
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -75,6 +76,25 @@ def confidence_from_ratio(ratio: float) -> float:
     return math.sin(confidence_angle(ratio))
 
 
+@functools.cache
+def chord_table() -> tuple[np.ndarray, np.ndarray]:
+    """``(ratios, confidences)``: the chord model at ``_TABLE_SIZE``
+    log-spaced ratios in ``[1, 1e6]``; the curve saturates near 1 well
+    before the upper end.
+
+    Built once per process, on first use, and read-only, so no model can
+    change another's table: it does not depend on ``chi``.  Each entry
+    comes from the scalar :func:`confidence_from_ratio`; the bisection
+    is never vectorized, since ``np.sin`` is not guaranteed bit-equal to
+    ``math.sin``.
+    """
+    ratios = np.logspace(0.0, 6.0, _TABLE_SIZE)
+    confidences = np.array([confidence_from_ratio(r) for r in ratios])
+    ratios.flags.writeable = False
+    confidences.flags.writeable = False
+    return ratios, confidences
+
+
 def pure_confidence(chi: float, alpha: np.ndarray) -> np.ndarray:
     """``1 - (1 - chi)^alpha`` for an array of agreeing-sample counts.
 
@@ -98,12 +118,11 @@ class ConfidenceModel:
         if not 0.0 < chi < 1.0:
             raise ConfigurationError("chi must lie strictly inside (0, 1)")
         self.chi = chi
-        # Tabulate confidence against log-spaced ratios in [1, 1e6]; the
-        # curve saturates near 1 well before the upper end.
-        self._ratios = np.logspace(0.0, 6.0, _TABLE_SIZE)
-        self._confidences = np.array(
-            [confidence_from_ratio(r) for r in self._ratios]
-        )
+        # Writeable copies of the shared table: ``np.interp`` copies a
+        # read-only operand on every call, which costs more than these
+        # two 4 KiB copies once.
+        ratios, confidences = chord_table()
+        self._ratios, self._confidences = ratios.copy(), confidences.copy()
 
     def confidence(self, max_count: float, other_count: float) -> float:
         """Confidence that the majority plan is optimal at the test point.

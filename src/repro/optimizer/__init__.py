@@ -29,7 +29,6 @@ from repro.optimizer.expressions import (
     ParamPredicate,
     QueryTemplate,
 )
-from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.plan_space import PlanSpace
 from repro.optimizer.plans import PhysicalPlan
 from repro.optimizer.statistics import CatalogStatistics, ColumnStatistics
@@ -45,7 +44,6 @@ __all__ = [
     "QueryTemplate",
     "CostModel",
     "DPEnumerator",
-    "Optimizer",
     "PlanSpace",
     "PhysicalPlan",
     "CatalogStatistics",

@@ -4,14 +4,16 @@
 operator nodes (access paths per table, join alternatives per step);
 :class:`DPEnumerator` runs the classic bottom-up dynamic program over
 connected table subsets, keeping the cheapest plan per (subset,
-interesting order) at a given selectivity point.
+interesting order) at each selectivity point of a batch.
 
-The enumerator works at one point at a time — exactly like a real
-optimizer invoked for one query instance — and costs it in Python
-floats, while the :class:`~repro.optimizer.plan_space.PlanSpace`
-oracle harvests its results across many points and then re-evaluates
-the harvested candidates with the same operator formulas, over arrays
-for a batch.
+A real optimizer is invoked for one query instance at a time; the
+:class:`~repro.optimizer.plan_space.PlanSpace` oracle instead harvests
+plan choices over rounds of probe points, so the enumerator runs one
+dynamic program for a whole round.  Every DP cell holds per-point
+arrays, each candidate is costed once over the round in arrays, and
+each point ends with the plan and cost bits a one-point run gives.  The
+oracle then re-evaluates the harvested candidates with the same
+operator formulas.
 """
 
 from __future__ import annotations
@@ -226,11 +228,46 @@ class PlanBuilder:
         return candidates
 
 
+class _Cell:
+    """One ``(subset, sort_order)`` cell of the DP table over a round of
+    ``n`` points: the cheapest cost found so far at each point, whether
+    the point has seen a candidate yet, and the index into ``nodes`` of
+    the plan holding that cost."""
+
+    __slots__ = ("cost", "seen", "index", "nodes")
+
+    def __init__(self, n: int) -> None:
+        self.cost = np.zeros(n)
+        self.seen = np.zeros(n, dtype=bool)
+        self.index = np.zeros(n, dtype=np.intp)
+        self.nodes: list[PlanNode] = []
+
+    def take(self, node: PlanNode, cost: np.ndarray, where: np.ndarray) -> bool:
+        """Give ``node`` the points of ``where`` at which it is the first
+        candidate or strictly cheaper than the plan held; whether it
+        took any."""
+        better = where & (~self.seen | (cost < self.cost))
+        if not better.any():
+            return False
+        self.cost[better] = cost[better]
+        self.seen |= better
+        self.index[better] = len(self.nodes)
+        self.nodes.append(node)
+        return True
+
+    def winners(self) -> list[tuple[PlanNode, np.ndarray]]:
+        """Each node that holds the cell at some point, with the mask of
+        those points."""
+        return [
+            (self.nodes[i], self.index == i) for i in np.unique(self.index)
+        ]
+
+
 class DPEnumerator:
     """Bottom-up dynamic program over connected table subsets.
 
-    ``optimize`` takes a *normalized* plan-space point in ``[0, 1]^r``
-    and converts it to actual predicate selectivities through the
+    ``optimize`` takes *normalized* plan-space points in ``[0, 1]^r``
+    and converts them to actual predicate selectivities through the
     template's :class:`~repro.optimizer.parameters.ParameterMapping`
     before costing — the ``plan(f(q))`` decomposition of Section II-A.
     """
@@ -269,31 +306,38 @@ class DPEnumerator:
             )
         return self.mapping.to_selectivity(points)
 
-    def optimize(self, x: np.ndarray) -> tuple[PhysicalPlan, float]:
-        """Best plan and its cost at one normalized point ``x``.
+    def optimize(self, points: np.ndarray) -> list[tuple[PhysicalPlan, float]]:
+        """Best plan and its cost at each normalized point, ``(r,)`` or
+        ``(n, r)``: ``n`` pairs, in point order.
 
-        The point is costed in Python floats, never in arrays: the DP
-        costs thousands of candidates at one point each call.
+        One dynamic program serves the whole batch.  Each DP cell keeps
+        per-point arrays (cost, seen, winner index), so a join candidate
+        is built once per distinct subplan that wins its outer side at
+        some point, costed once over all ``n`` points, and takes the
+        cell only at the points where that subplan is the winner and it
+        is the first candidate seen or strictly cheaper — the rule a
+        one-point DP applies, so every point gets the plan and the cost
+        bits it would get alone.  A one-point caller passes a batch of
+        one and takes ``[0]``.
 
         Every candidate is costed through one memo, so a subtree kept in
         the DP table is evaluated once, not once per join built on it.
-        A candidate that loses leaves the memo again (its own node and
-        the fresh operators under it), so the memo holds only the kept
-        plans and the DP's memory stays what it was without one.
+        A candidate that wins at no point leaves the memo again (its own
+        node and the fresh operators under it), and after each subset
+        size the memo keeps only the winners later joins can build on.
         """
-        x = self.selectivities(x)
-        if len(x) != 1:
-            raise OptimizationError(f"expected one point, got {len(x)}")
-        x = x[0].tolist()
+        x = self.selectivities(points)
+        n = len(x)
+        if n == 0:
+            return []
+        everywhere = np.ones(n, dtype=bool)
         memo: Memo = {}
 
-        # best[subset][sort_order] = (cost, node)
-        best: dict[frozenset[str], dict[str | None, tuple[float, PlanNode]]] = {}
-
+        best: dict[frozenset[str], dict[str | None, _Cell]] = {}
         for table in self.template.tables:
-            entries: dict[str | None, tuple[float, PlanNode]] = {}
+            entries: dict[str | None, _Cell] = {}
             for path in self.builder.access_paths(table):
-                self._keep_if_better(entries, path, x, memo)
+                self._keep_if_better(entries, path, x, memo, everywhere)
             best[frozenset((table,))] = entries
 
         table_list = list(self.template.tables)
@@ -308,45 +352,64 @@ class DPEnumerator:
                         continue
                     if not self.template.joins_between(remainder, inner_table):
                         continue
-                    for __, outer in outer_entries.values():
-                        for candidate in self.builder.join_candidates(
-                            outer, inner_table
-                        ):
-                            self._keep_if_better(entries, candidate, x, memo)
+                    for outer_cell in outer_entries.values():
+                        for outer, where in outer_cell.winners():
+                            for candidate in self.builder.join_candidates(
+                                outer, inner_table
+                            ):
+                                self._keep_if_better(
+                                    entries, candidate, x, memo, where
+                                )
                 if self.allow_bushy and size >= 4:
                     self._expand_bushy(best, subset, entries, x, memo)
                 if entries:
                     best[subset] = entries
+            # The next size builds only on this size's winners (bushy
+            # joins on any size from two up): every other subplan's costs
+            # leave the memo.
+            floor = 2 if self.allow_bushy else size
+            memo = {
+                node: memo[node]
+                for tables, cells in best.items()
+                if len(tables) >= floor
+                for cell in cells.values()
+                for node, __ in cell.winners()
+                if node in memo
+            }
 
         full = best.get(frozenset(table_list))
         if not full:
             raise OptimizationError(
                 f"template {self.template.name}: join graph is disconnected"
             )
-        if self.template.order_by is not None:
-            # Interesting order at the root: either a plan already sorted
-            # on the requested column, or the cheapest plan plus a final
-            # sort enforcer — whichever costs less.
-            target = str(self.template.order_by)
-            finalists: dict[str | None, tuple[float, PlanNode]] = {}
-            for __, node in full.values():
-                candidate = (
-                    node
-                    if node.sort_order == target
-                    else Sort(node, target, self.builder.model)
-                )
-                self._keep_if_better(finalists, candidate, x, memo)
-            cost, node = min(finalists.values(), key=lambda pair: pair[0])
-            return PhysicalPlan(node), cost
-        cost, node = min(full.values(), key=lambda pair: pair[0])
-        return PhysicalPlan(node), cost
+        # The cheapest full plan, first seen on a tie.  Under ORDER BY,
+        # the interesting order at the root: either a plan already
+        # sorted on the requested column, or a plan plus a final sort
+        # enforcer — whichever costs less.
+        target = (
+            None if self.template.order_by is None else str(self.template.order_by)
+        )
+        chosen = _Cell(n)
+        for cell in full.values():
+            for node, where in cell.winners():
+                if target is not None and node.sort_order != target:
+                    node = Sort(node, target, self.builder.model)
+                self._offer(chosen, node, x, memo, where)
+        plans = {
+            i: PhysicalPlan(chosen.nodes[i])
+            for i in np.unique(chosen.index).tolist()
+        }
+        return [
+            (plans[i], cost)
+            for i, cost in zip(chosen.index.tolist(), chosen.cost.tolist())
+        ]
 
     def _expand_bushy(
         self,
         best: dict,
         subset: frozenset[str],
         entries: dict,
-        x: list[float],
+        x: np.ndarray,
         memo: Memo,
     ) -> None:
         """Consider composite-composite joins (bushy trees).
@@ -354,7 +417,8 @@ class DPEnumerator:
         Partitions the subset into two halves of size >= 2 each (the
         size-1 halves are the left-deep expansions already handled);
         the smallest member anchors one side to avoid enumerating each
-        partition twice.
+        partition twice.  A pair of subplans is joined only if both win
+        their side at some common point.
         """
         members = sorted(subset)
         anchor = members[0]
@@ -370,27 +434,50 @@ class DPEnumerator:
             right_entries = best.get(right)
             if not left_entries or not right_entries:
                 continue
-            for __, outer in left_entries.values():
-                for __, inner in right_entries.values():
-                    for candidate in self.builder.join_subtree_candidates(
-                        outer, inner
-                    ):
-                        self._keep_if_better(entries, candidate, x, memo)
+            for left_cell in left_entries.values():
+                for right_cell in right_entries.values():
+                    right_winners = right_cell.winners()
+                    for outer, outer_where in left_cell.winners():
+                        for inner, inner_where in right_winners:
+                            where = outer_where & inner_where
+                            if not where.any():
+                                continue
+                            for candidate in self.builder.join_subtree_candidates(
+                                outer, inner
+                            ):
+                                self._keep_if_better(
+                                    entries, candidate, x, memo, where
+                                )
+
+    @classmethod
+    def _keep_if_better(
+        cls,
+        entries: dict["str | None", _Cell],
+        node: PlanNode,
+        x: np.ndarray,
+        memo: Memo,
+        where: np.ndarray,
+    ) -> None:
+        """Offer ``node`` to the cell of its sort order."""
+        cell = entries.get(node.sort_order)
+        if cell is None:
+            cell = entries[node.sort_order] = _Cell(len(x))
+        cls._offer(cell, node, x, memo, where)
 
     @staticmethod
-    def _keep_if_better(
-        entries: dict["str | None", tuple[float, PlanNode]],
+    def _offer(
+        cell: _Cell,
         node: PlanNode,
-        x: list[float],
+        x: np.ndarray,
         memo: Memo,
+        where: np.ndarray,
     ) -> None:
+        """Cost ``node`` over the round and let it take ``cell`` at the
+        points of ``where`` it wins.  If it wins none, its memo entries
+        — the newest, since dicts pop in LIFO order — leave again."""
         known = len(memo)
-        __, cost = node.evaluate_point(x, memo)
-        cost_value = float(cost)
-        current = entries.get(node.sort_order)
-        if current is None or cost_value < current[0]:
-            entries[node.sort_order] = (cost_value, node)
+        __, cost = node.evaluate(x, memo)
+        if cell.take(node, cost, where):
             return
-        # A loser's entries are the newest: dicts pop in LIFO order.
         for __ in range(len(memo) - known):
             memo.popitem()

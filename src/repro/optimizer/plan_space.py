@@ -4,9 +4,11 @@ Definition 2 of the paper models the optimizer, for one query template,
 as a function from normalized optimizer parameters (the ``r`` predicate
 selectivities) to plans.  :class:`PlanSpace` realizes that function:
 
-1. **Harvest** — run the full DP enumerator at batches of sampled
-   selectivity points, collecting every distinct winning plan, until a
-   whole batch yields nothing new.  The harvested set is the candidate
+1. **Harvest** — run the full DP enumerator over rounds of probe
+   points (the structured probes, then rounds of 64 random points),
+   one batched dynamic program per round, collecting every distinct
+   winning plan in point order until a whole random round yields
+   nothing new.  The harvested set is the candidate
    plan pool of the template.  Each new plan's subtrees are interned:
    a join prefix or access path that several candidates share becomes
    one node object.
@@ -40,6 +42,11 @@ from repro.optimizer.operators import Memo, PlanNode
 from repro.optimizer.plans import PhysicalPlan
 from repro.rng import as_generator
 
+#: Random points per harvest round, each round one batched DP.
+HARVEST_ROUND_POINTS = 64
+#: Random rounds at most, after the structured probes.
+HARVEST_ROUNDS = 8
+
 
 class PlanSpace:
     """Oracle for one template's plan space over ``[0, 1]^r``."""
@@ -50,9 +57,6 @@ class PlanSpace:
         catalog: Catalog,
         model: CostModel | None = None,
         seed: "int | np.random.Generator | None" = 0,
-        harvest_batch: int = 64,
-        max_harvest_rounds: int = 8,
-        optimizer: "DPEnumerator | None" = None,
     ) -> None:
         if template.parameter_degree < 1:
             raise OptimizationError(
@@ -61,31 +65,27 @@ class PlanSpace:
         self.template = template
         self.catalog = catalog
         self.model = model or CostModel()
-        self._enumerator = optimizer or DPEnumerator(template, catalog, self.model)
+        self._enumerator = DPEnumerator(template, catalog, self.model)
         self.plans: list[PhysicalPlan] = []
         self._ids_by_fingerprint: dict[str, int] = {}
         #: Structural key -> the one node of that structure in ``plans``.
         self._subplans: dict[tuple, PlanNode] = {}
-        self._harvest(as_generator(seed), harvest_batch, max_harvest_rounds)
+        self._harvest(as_generator(seed))
 
     # ------------------------------------------------------------------
     # Harvesting
     # ------------------------------------------------------------------
-    def _harvest(
-        self,
-        rng: np.random.Generator,
-        batch: int,
-        max_rounds: int,
-    ) -> None:
+    def _harvest(self, rng: np.random.Generator) -> None:
+        """One batched DP per probe round; the winners are registered in
+        point order."""
         degree = self.template.parameter_degree
         probes = [self._structured_probes(degree)]
-        for __ in range(max_rounds):
-            probes.append(rng.uniform(0.0, 1.0, size=(batch, degree)))
+        for __ in range(HARVEST_ROUNDS):
+            probes.append(rng.uniform(0.0, 1.0, size=(HARVEST_ROUND_POINTS, degree)))
 
         for round_index, points in enumerate(probes):
             new_plans = 0
-            for point in points:
-                plan, __ = self._enumerator.optimize(point[None, :])
+            for plan, __ in self._enumerator.optimize(points):
                 if self._register(plan):
                     new_plans += 1
             # After the structured probes, stop as soon as a whole random

@@ -183,3 +183,20 @@ class TestPredictGate:
         ])
         assert code == 1
         assert "bench gate failed: predict_throughput" in capsys.readouterr().err
+
+
+class TestHarvestBench:
+    def test_reports_a_wall_and_the_exact_plan_count_per_template(
+        self, monkeypatch
+    ):
+        from repro.bench import runners
+        from repro.tpch import plan_space_for
+
+        monkeypatch.setattr(runners, "HARVEST_TEMPLATES", ("Q1",))
+        monkeypatch.setattr(runners, "HARVEST_REPEATS", 1)
+        envelope = runners.run_harvest()
+        assert envelope["bench"] == "harvest"
+        metrics = envelope["metrics"]
+        assert set(metrics) == {"Q1_harvest_ms", "Q1_plans"}
+        assert metrics["Q1_harvest_ms"]["value"] > 0.0
+        assert metrics["Q1_plans"]["value"] == plan_space_for("Q1").plan_count

@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.confidence import (
     ConfidenceModel,
+    FrequencyConfidenceModel,
+    chord_table,
     confidence_angle,
     confidence_from_ratio,
     segment_fraction,
@@ -53,6 +55,31 @@ class TestConfidenceModel:
             tabulated = model.confidence(ratio, 1.0)
             exact = confidence_from_ratio(ratio)
             assert tabulated == pytest.approx(exact, abs=1e-3)
+
+    def test_shared_table_is_a_fresh_table_bit_for_bit_and_read_only(self):
+        ratios, confidences = chord_table()
+        fresh_ratios, fresh_confidences = chord_table.__wrapped__()
+        assert fresh_confidences is not confidences
+        assert ratios.tobytes() == fresh_ratios.tobytes()
+        assert confidences.tobytes() == fresh_confidences.tobytes()
+        assert not ratios.flags.writeable
+        assert not confidences.flags.writeable
+        with pytest.raises(ValueError):
+            confidences[0] = 0.5
+
+    def test_every_model_interpolates_the_one_table(self):
+        """The table does not depend on chi: every model holds a copy of
+        the shared one, bit for bit, and writeable, since ``np.interp``
+        copies a read-only operand on every call."""
+        ratios, confidences = chord_table()
+        for model in (
+            ConfidenceModel(chi=0.5),
+            ConfidenceModel(chi=0.9),
+            FrequencyConfidenceModel(),
+        ):
+            assert model._ratios.tobytes() == ratios.tobytes()
+            assert model._confidences.tobytes() == confidences.tobytes()
+            assert model._confidences.flags.writeable
 
     def test_pure_neighborhood_grows_with_alpha(self):
         model = ConfidenceModel(chi=0.9)

@@ -168,3 +168,38 @@ class TestDiagrams:
     def test_trajectory_sample_shape(self):
         workload = trajectory_sample(count=200)
         assert workload.shape == (200, 2)
+
+
+class TestExperimentSetupHelpers:
+    def test_offline_truth_shapes(self, q1_space):
+        from repro.experiments.setup import offline_truth
+
+        test, truth = offline_truth(q1_space, test_count=100, seed=1)
+        assert test.shape == (100, 2)
+        assert truth.shape == (100,)
+        assert (truth >= 0).all()
+
+    def test_evaluate_offline_agrees_with_manual_scoring(
+        self, q1_space, q1_pool, q1_test
+    ):
+        from repro.core.baseline import BaselinePredictor
+        from repro.experiments.setup import evaluate_offline
+        from repro.metrics import evaluate_predictions
+
+        predictor = BaselinePredictor(q1_pool, 0.1, 0.7)
+        test, truth = q1_test
+        metrics = evaluate_offline(predictor, test, truth)
+        manual_ids = [
+            None if p is None else p.plan_id
+            for p in predictor.predict_batch(test)
+        ]
+        manual = evaluate_predictions(manual_ids, truth)
+        assert metrics.precision == manual.precision
+        assert metrics.recall == manual.recall
+
+    def test_standard_pool_sizes(self):
+        from repro.experiments.setup import standard_pool
+
+        space, pool = standard_pool("Q0", sample_size=64, seed=5)
+        assert len(pool) == 64
+        assert pool.dimensions == space.dimensions

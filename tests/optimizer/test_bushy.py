@@ -21,8 +21,8 @@ class TestBushyEnumeration:
         bushy = DPEnumerator(template, catalog, allow_bushy=True)
         rng = np.random.default_rng(0)
         for point in rng.uniform(0, 1, (8, 6)):
-            __, cost_ld = left_deep.optimize(point[None, :])
-            __, cost_bushy = bushy.optimize(point[None, :])
+            __, cost_ld = left_deep.optimize(point[None, :])[0]
+            __, cost_bushy = bushy.optimize(point[None, :])[0]
             assert cost_bushy <= cost_ld + 1e-9
 
     def test_bushy_wins_on_double_ended_chain(self):
@@ -85,8 +85,8 @@ class TestBushyEnumeration:
         left_deep = DPEnumerator(template, catalog, allow_bushy=False)
         bushy = DPEnumerator(template, catalog, allow_bushy=True)
         point = np.array([[0.1, 0.1]])
-        plan_bushy, cost_bushy = bushy.optimize(point)
-        __, cost_ld = left_deep.optimize(point)
+        plan_bushy, cost_bushy = bushy.optimize(point)[0]
+        __, cost_ld = left_deep.optimize(point)[0]
         assert cost_bushy < cost_ld
         assert _has_bushy_shape(plan_bushy.root)
 
@@ -98,8 +98,8 @@ class TestBushyEnumeration:
         bushy = DPEnumerator(template, catalog, allow_bushy=True)
         rng = np.random.default_rng(2)
         for point in rng.uniform(0, 1, (5, 3)):
-            plan_ld, cost_ld = left_deep.optimize(point[None, :])
-            plan_bushy, cost_bushy = bushy.optimize(point[None, :])
+            plan_ld, cost_ld = left_deep.optimize(point[None, :])[0]
+            plan_bushy, cost_bushy = bushy.optimize(point[None, :])[0]
             assert cost_bushy == pytest.approx(cost_ld)
             assert plan_bushy.fingerprint == plan_ld.fingerprint
 

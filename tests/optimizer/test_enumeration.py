@@ -1,9 +1,12 @@
-"""DP enumeration: access paths, join candidates, optimality."""
+"""DP enumeration: access paths, join candidates, optimality, and the
+batched DP's parity with one point at a time."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import OptimizationError
 from repro.optimizer.catalog import Catalog, Column, Index, Table
@@ -15,6 +18,8 @@ from repro.optimizer.expressions import (
     QueryTemplate,
 )
 from repro.optimizer.operators import IndexScan, SeqScan
+from repro.tpch import TEMPLATE_NAMES, build_catalog, query_template
+from tests.optimizer.test_order_by import _template as ordered_template
 
 
 class TestAccessPaths:
@@ -88,7 +93,7 @@ class TestDPOptimality:
                     __, cost = candidate.evaluate(x_sel)
                     best_cost = min(best_cost, float(cost[0]))
 
-        plan, dp_cost = enumerator.optimize(x_norm)
+        plan, dp_cost = enumerator.optimize(x_norm)[0]
         assert dp_cost == pytest.approx(best_cost, rel=1e-9)
 
     def test_plan_choice_varies_across_space(self, tiny_template, tiny_catalog):
@@ -96,13 +101,13 @@ class TestDPOptimality:
         fingerprints = set()
         for x0 in (0.02, 0.5, 0.98):
             for x1 in (0.02, 0.5, 0.98):
-                plan, __ = enumerator.optimize(np.array([[x0, x1]]))
+                plan, __ = enumerator.optimize(np.array([[x0, x1]]))[0]
                 fingerprints.add(plan.fingerprint)
         assert len(fingerprints) >= 2
 
     def test_cost_positive(self, tiny_template, tiny_catalog):
         enumerator = DPEnumerator(tiny_template, tiny_catalog)
-        __, cost = enumerator.optimize(np.array([[0.5, 0.5]]))
+        __, cost = enumerator.optimize(np.array([[0.5, 0.5]]))[0]
         assert cost > 0
 
     def test_wrong_arity_rejected(self, tiny_template, tiny_catalog):
@@ -169,6 +174,77 @@ class TestThreeWayJoin:
             ),
         )
         enumerator = DPEnumerator(template, catalog)
-        plan, cost = enumerator.optimize(np.array([[0.3, 0.7]]))
+        plan, cost = enumerator.optimize(np.array([[0.3, 0.7]]))[0]
         assert plan.root.tables == frozenset(("emp", "dept", "region"))
         assert cost > 0
+
+
+#: Coordinates drawn per row: anywhere in [0, 1], or on a 1/10 or 1/100
+#: grid, where candidate costs tie most often.
+tie_prone = st.one_of(
+    st.floats(0.0, 1.0, allow_nan=False),
+    st.integers(0, 10).map(lambda k: k / 10.0),
+    st.integers(0, 100).map(lambda k: k / 100.0),
+)
+
+
+def draw_batch(data, dimensions: int) -> np.ndarray:
+    """A few drawn rows, then the all-0 and all-1 corners."""
+    rows = data.draw(
+        st.lists(
+            st.lists(tie_prone, min_size=dimensions, max_size=dimensions),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return np.array(rows + [[0.0] * dimensions, [1.0] * dimensions])
+
+
+def assert_batch_is_per_point(enumerator: DPEnumerator, points: np.ndarray):
+    """``optimize(batch)[i]`` is ``optimize(batch[i:i+1])[0]``: the same
+    plan fingerprint and the same cost bits."""
+    answers = enumerator.optimize(points)
+    assert len(answers) == len(points)
+    for i, (plan, cost) in enumerate(answers):
+        alone, alone_cost = enumerator.optimize(points[i : i + 1])[0]
+        assert plan.fingerprint == alone.fingerprint
+        assert isinstance(cost, float)
+        assert np.float64(cost).tobytes() == np.float64(alone_cost).tobytes()
+
+
+@pytest.fixture(scope="module")
+def tpch_catalog() -> Catalog:
+    return build_catalog()
+
+
+class TestBatchParity:
+    @pytest.mark.parametrize("bushy", [False, True], ids=["left_deep", "bushy"])
+    @pytest.mark.parametrize("name", TEMPLATE_NAMES)
+    @given(data=st.data())
+    @settings(max_examples=3, deadline=None)
+    def test_tpch_batch_is_per_point(self, tpch_catalog, name, bushy, data):
+        template = query_template(name)
+        enumerator = DPEnumerator(template, tpch_catalog, allow_bushy=bushy)
+        assert_batch_is_per_point(
+            enumerator, draw_batch(data, template.parameter_degree)
+        )
+
+    @given(data=st.data())
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_order_by_batch_is_per_point(self, tiny_catalog, data):
+        """The finalist step: a plan sorted on the ORDER BY column, or a
+        plan under a final ``Sort``."""
+        template = ordered_template(order_by=ColumnRef("emp", "hired"))
+        enumerator = DPEnumerator(template, tiny_catalog)
+        points = draw_batch(data, template.parameter_degree)
+        assert_batch_is_per_point(enumerator, points)
+        for plan, __ in enumerator.optimize(points):
+            assert plan.root.sort_order == "emp.hired"
+
+    def test_empty_batch_has_no_answers(self, tiny_template, tiny_catalog):
+        enumerator = DPEnumerator(tiny_template, tiny_catalog)
+        assert enumerator.optimize(np.empty((0, 2))) == []

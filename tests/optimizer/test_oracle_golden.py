@@ -61,7 +61,7 @@ def oracle_digest(name: str) -> str:
     digest.update(np.ascontiguousarray(matrix).tobytes())
     enumerator = DPEnumerator(space.template, space.catalog, space.model)
     for point in PlanSpace._structured_probes(space.dimensions):
-        plan, cost = enumerator.optimize(point)
+        plan, cost = enumerator.optimize(point)[0]
         digest.update(plan.fingerprint.encode())
         digest.update(np.float64(cost).tobytes())
     return digest.hexdigest()

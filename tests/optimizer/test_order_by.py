@@ -35,7 +35,7 @@ class TestOrderBy:
         enumerator = DPEnumerator(template, tiny_catalog)
         rng = np.random.default_rng(0)
         for point in rng.uniform(0, 1, (6, 2)):
-            plan, __ = enumerator.optimize(point[None, :])
+            plan, __ = enumerator.optimize(point[None, :])[0]
             assert plan.root.sort_order == "emp.hired"
 
     def test_sorted_plan_no_more_than_sort_on_cheapest(self, tiny_catalog):
@@ -47,13 +47,13 @@ class TestOrderBy:
         )
         rng = np.random.default_rng(1)
         for point in rng.uniform(0, 1, (6, 2)):
-            plan_plain, cost_plain = plain.optimize(point[None, :])
+            plan_plain, cost_plain = plain.optimize(point[None, :])[0]
             x_sel = plain.mapping.to_selectivity(point[None, :])
             sorted_cheapest = Sort(
                 plan_plain.root, "emp.hired", plain.builder.model
             )
             __, upper_bound = sorted_cheapest.evaluate(x_sel)
-            __, cost_ordered = ordered.optimize(point[None, :])
+            __, cost_ordered = ordered.optimize(point[None, :])[0]
             assert cost_ordered <= float(upper_bound[0]) + 1e-9
 
     def test_ordered_at_least_as_expensive_as_plain(self, tiny_catalog):
@@ -62,8 +62,8 @@ class TestOrderBy:
             _template(order_by=ColumnRef("emp", "hired")), tiny_catalog
         )
         point = np.array([[0.3, 0.6]])
-        __, cost_plain = plain.optimize(point)
-        __, cost_ordered = ordered.optimize(point)
+        __, cost_plain = plain.optimize(point)[0]
+        __, cost_ordered = ordered.optimize(point)[0]
         assert cost_ordered >= cost_plain - 1e-9
 
     def test_interesting_order_exploited_when_sort_is_expensive(
@@ -84,7 +84,7 @@ class TestOrderBy:
             order_by=ColumnRef("emp", "hired"),
         )
         enumerator = DPEnumerator(template, tiny_catalog)
-        plan, __ = enumerator.optimize(np.array([[0.9]]))
+        plan, __ = enumerator.optimize(np.array([[0.9]]))[0]
         assert not isinstance(plan.root, Sort)
         assert plan.root.sort_order == "emp.hired"
 
@@ -94,7 +94,7 @@ class TestOrderBy:
         ordered = DPEnumerator(
             _template(order_by=ColumnRef("emp", "hired")), tiny_catalog
         )
-        plan, __ = ordered.optimize(np.array([[0.05, 0.5]]))
+        plan, __ = ordered.optimize(np.array([[0.05, 0.5]]))[0]
         assert isinstance(plan.root, Sort)
 
     def test_order_by_rendered_in_sql(self):

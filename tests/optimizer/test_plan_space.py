@@ -9,7 +9,12 @@ from repro.optimizer.expressions import (
     ParamPredicate,
     QueryTemplate,
 )
-from repro.optimizer.plan_space import PlanSpace
+from repro.optimizer.enumeration import DPEnumerator
+from repro.optimizer.plan_space import (
+    HARVEST_ROUND_POINTS,
+    HARVEST_ROUNDS,
+    PlanSpace,
+)
 
 
 class TestHarvest:
@@ -27,6 +32,21 @@ class TestHarvest:
         points = np.random.default_rng(0).uniform(0, 1, (50, 2))
         assert (a.plan_at(points) == b.plan_at(points)).all()
 
+    def test_one_dp_per_probe_round(self, tiny_template, tiny_catalog, monkeypatch):
+        """The structured probes are one batch, then each random round."""
+        batches = []
+        optimize = DPEnumerator.optimize
+
+        def recording(self, points):
+            batches.append(len(points))
+            return optimize(self, points)
+
+        monkeypatch.setattr(DPEnumerator, "optimize", recording)
+        PlanSpace(tiny_template, tiny_catalog, seed=0)
+        assert batches[0] == len(PlanSpace._structured_probes(2))
+        assert 2 <= len(batches) <= 1 + HARVEST_ROUNDS
+        assert set(batches[1:]) == {HARVEST_ROUND_POINTS}
+
     def test_zero_degree_template_rejected(self, tiny_catalog):
         template = QueryTemplate(name="none", tables=("dept",))
         with pytest.raises(OptimizationError):
@@ -38,7 +58,7 @@ class TestLabeling:
         """At any point, the oracle's plan cost equals the DP result."""
         rng = np.random.default_rng(1)
         for point in rng.uniform(0, 1, (10, 2)):
-            dp_plan, dp_cost = tiny_space._enumerator.optimize(point[None, :])
+            dp_plan, dp_cost = tiny_space._enumerator.optimize(point[None, :])[0]
             ids, costs = tiny_space.label(point[None, :])
             assert costs[0] <= dp_cost + 1e-9
 

@@ -181,14 +181,14 @@ def test_single_point_cost_at_is_batch_cost_at_bitwise(name, data):
 
 @pytest.mark.parametrize("name", TEMPLATE_NAMES)
 def test_optimize_cost_is_the_batch_cost_of_its_plan(name):
-    """The DP costs in floats; its answer equals the batch cost of the
-    plan it returns, at every structured harvest probe."""
+    """The DP's answer at one point equals the batch cost of the plan it
+    returns, at every structured harvest probe."""
     space = plan_space_for(name)
     enumerator = DPEnumerator(space.template, space.catalog, space.model)
     probes = space._structured_probes(space.dimensions)
     selectivities = enumerator.mapping.to_selectivity(probes)
     for i, probe in enumerate(probes):
-        plan, cost = enumerator.optimize(probe)
+        plan, cost = enumerator.optimize(probe)[0]
         assert isinstance(cost, float)
         assert bits(cost) == plan.cost(selectivities[i : i + 1])[0].tobytes()
 
@@ -219,7 +219,10 @@ class TestNonFinitePoints:
         with pytest.raises(OptimizationError):
             enumerator.optimize(point)
 
-    def test_optimizer_takes_exactly_one_point(self, q5_space):
+    def test_optimizer_rejects_a_batch_with_one_bad_point(self, q5_space):
         enumerator = DPEnumerator(q5_space.template, q5_space.catalog, q5_space.model)
+        batch = np.full((2, q5_space.dimensions), 0.5)
+        assert len(enumerator.optimize(batch)) == 2
+        batch[1, 0] = math.nan
         with pytest.raises(OptimizationError):
-            enumerator.optimize(np.full((2, q5_space.dimensions), 0.5))
+            enumerator.optimize(batch)

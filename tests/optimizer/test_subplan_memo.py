@@ -1,10 +1,11 @@
 """Costing shared subplans once changes no cost bit.
 
 ``PlanSpace.cost_matrix`` and ``DPEnumerator.optimize`` evaluate their
-plans through one memo, and the plan space interns the subtrees its
-candidates share.  Both are exact only if a memoized evaluation returns
-bit for bit what costing each plan alone returns, and if interning never
-folds two nodes whose cost formulas differ.
+plans through one memo (the DP's spans its whole batch of points), and
+the plan space interns the subtrees its candidates share.  Both are
+exact only if a memoized evaluation returns bit for bit what costing
+each plan alone returns, and if interning never folds two nodes whose
+cost formulas differ.
 """
 
 import numpy as np
@@ -30,11 +31,11 @@ def plain_matrix(space, points):
 
 
 class PlainEnumerator(DPEnumerator):
-    """The DP with every candidate costed from scratch."""
+    """The batch DP with every candidate costed from scratch."""
 
     @staticmethod
-    def _keep_if_better(entries, node, x, memo):
-        DPEnumerator._keep_if_better(entries, node, x, {})
+    def _offer(cell, node, x, memo, where):
+        DPEnumerator._offer(cell, node, x, {}, where)
 
 
 @pytest.mark.parametrize("name", TEMPLATE_NAMES)
@@ -73,9 +74,9 @@ def test_memoized_optimize_is_plain_optimize_bitwise(name, bushy):
     plain = PlainEnumerator(*args, allow_bushy=bushy)
     points = np.random.default_rng(5).uniform(0.0, 1.0, (6, space.dimensions))
     points[:3] = np.round(points[:3], 2)
-    for point in points:
-        plan_a, cost_a = memoized.optimize(point)
-        plan_b, cost_b = plain.optimize(point)
+    for (plan_a, cost_a), (plan_b, cost_b) in zip(
+        memoized.optimize(points), plain.optimize(points)
+    ):
         assert plan_a.fingerprint == plan_b.fingerprint
         assert np.float64(cost_a).tobytes() == np.float64(cost_b).tobytes()
 
@@ -107,8 +108,8 @@ class TestInterning:
         ids = {plan.fingerprint: i for i, plan in enumerate(space.plans)}
         points = np.random.default_rng(9).uniform(0.0, 1.0, (64, space.dimensions))
         selectivities = enumerator.mapping.to_selectivity(points)
-        for probe in PlanSpace._structured_probes(space.dimensions):
-            fresh, __ = enumerator.optimize(probe)
+        probes = PlanSpace._structured_probes(space.dimensions)
+        for fresh, __ in enumerator.optimize(probes):
             interned = space.cost_at(points, ids[fresh.fingerprint])
             assert interned.tobytes() == fresh.cost(selectivities).tobytes()
 
