@@ -47,6 +47,7 @@ from repro.workload.scenarios import SCENARIO_NAMES
 __all__ = [
     "BENCHES",
     "SUITES",
+    "run_batch",
     "run_harvest",
     "run_instrumentation_overhead",
     "run_predict_throughput",
@@ -392,6 +393,108 @@ def run_harvest() -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
+# batch: execute_batch blocks against the scalar loop, write-heavy too
+# ----------------------------------------------------------------------
+
+#: Q1 and Q8 insert on about half their decisions, Q3 on ~3/4 and Q5 on
+#: nearly all: the write-heavy end of the batch path.
+BATCH_TEMPLATES = ("Q1", "Q3", "Q5", "Q8")
+BATCH_SPREADS = (0.02, 0.1)
+BATCH_INSTANCES = 1504
+BATCH_BLOCK = 16
+BATCH_WALK_SEED = 3
+BATCH_REPEATS = 2
+#: The gate: blocks may cost at most this much more per decision than
+#: the scalar loop.  Four runs on one 2-core host spread each ratio by
+#: 0.6-6.2%; the limit allows that spread with room for shared runners.
+BATCH_RATIO_LIMIT = 1.1
+#: Compare allowances.  The same four runs spread the per-decision walls
+#: by 3-15%, and they move with the machine, so they get the 100%
+#: shared-runner allowance of the other walls; the interleaved ratio
+#: gets about twice its largest spread.
+BATCH_TOLERANCE_PCT = 100.0
+BATCH_RATIO_TOLERANCE_PCT = 15.0
+
+
+def _batch_cell(space: PlanSpace, points: np.ndarray) -> tuple[float, float]:
+    """Seconds per decision of a scalar ``execute`` loop and of
+    ``execute_batch`` blocks over ``points``, each on a fresh session
+    seeded alike.  The two run block by block, alternating which goes
+    first, so a slow spell of the machine lands on both.  Raises
+    :class:`BenchError` if their decisions differ."""
+    scalar = TemplateSession(space, PPCConfig(), seed=SESSION_SEED)
+    batched = TemplateSession(space, PPCConfig(), seed=SESSION_SEED)
+    spent = [0.0, 0.0]
+    records: list[list] = [[], []]
+    for index, start in enumerate(range(0, points.shape[0], BATCH_BLOCK)):
+        block = points[start:start + BATCH_BLOCK]
+        for which in (0, 1) if index % 2 == 0 else (1, 0):
+            t0 = perf_counter()
+            if which == 0:
+                out = [scalar.execute(x) for x in block]
+            else:
+                out = batched.execute_batch(block)
+            spent[which] += perf_counter() - t0
+            records[which].extend(out)
+    if [decision_digest(r) for r in records[0]] != [
+        decision_digest(r) for r in records[1]
+    ]:
+        raise BenchError(
+            f"execute_batch changed decisions on {space.template.name}"
+        )
+    return spent[0] / points.shape[0], spent[1] / points.shape[0]
+
+
+def run_batch() -> dict[str, Any]:
+    """Per-decision cost of ``execute_batch`` in blocks against the
+    scalar loop, per template and walk spread (best of N, default
+    config); the gate holds every ratio to :data:`BATCH_RATIO_LIMIT`."""
+    metrics: dict[str, dict[str, Any]] = {}
+    ratios: dict[str, float] = {}
+    for name in BATCH_TEMPLATES:
+        space = plan_space_for(name)
+        for spread in BATCH_SPREADS:
+            points = RandomTrajectoryWorkload(
+                space.dimensions, spread=spread, seed=BATCH_WALK_SEED
+            ).generate(BATCH_INSTANCES)
+            cells = [_batch_cell(space, points) for __ in range(BATCH_REPEATS)]
+            scalar_us = min(cell[0] for cell in cells) * 1e6
+            batch_us = min(cell[1] for cell in cells) * 1e6
+            key = f"{name}_{spread:g}"
+            ratios[key] = batch_us / scalar_us
+            metrics[f"{key}_scalar_us"] = metric(
+                scalar_us, "us/decision", "lower",
+                tolerance_pct=BATCH_TOLERANCE_PCT,
+            )
+            metrics[f"{key}_batch_us"] = metric(
+                batch_us, "us/decision", "lower",
+                tolerance_pct=BATCH_TOLERANCE_PCT,
+            )
+            metrics[f"{key}_batch_ratio"] = metric(
+                ratios[key], "x", "lower",
+                tolerance_pct=BATCH_RATIO_TOLERANCE_PCT,
+            )
+    return make_envelope(
+        "batch",
+        metrics=metrics,
+        workload={
+            "templates": list(BATCH_TEMPLATES),
+            "spreads": list(BATCH_SPREADS),
+            "instances": BATCH_INSTANCES,
+            "block": BATCH_BLOCK,
+            "repeats": BATCH_REPEATS,
+            "seeds": {"session": SESSION_SEED, "walk": BATCH_WALK_SEED},
+        },
+        gate={
+            "max_batch_ratio": BATCH_RATIO_LIMIT,
+            "passed": all(
+                ratio <= BATCH_RATIO_LIMIT for ratio in ratios.values()
+            ),
+        },
+    )
+
+
+# ----------------------------------------------------------------------
 # Scenario fleet
 # ----------------------------------------------------------------------
 
@@ -469,6 +572,7 @@ BENCHES: dict[str, BenchDef] = {
         ),
         BenchDef("scenarios", "scenarios", run_scenarios, ("ci", "full")),
         BenchDef("harvest", "harvest", run_harvest, ("ci", "full")),
+        BenchDef("batch", "batch", run_batch, ("ci", "full")),
     )
 }
 

@@ -305,21 +305,36 @@ class GroundTruthLedger:
 
 
 class _BatchTail:
-    """What :meth:`TemplateSession.execute_batch` holds ahead of a
-    block's decisions: the finite rows' z-values and ``(t, plans, m)``
-    estimates, the ``(z, prediction)`` each row will be served (``None``:
-    the row predicts on the scalar path), and the prefetch time not yet
-    charged to a decision."""
+    """What :meth:`TemplateSession.execute_batch` holds across a block's
+    decisions: the finite rows' z-values and ``(t, plans, m)``
+    estimates, kept current with the synopsis by each prefetch; the
+    predictions decided since the last write; and the prefetch time not
+    yet charged to a decision.
 
-    def __init__(self, points: np.ndarray) -> None:
+    A row is decided when it is served (:meth:`serve`), from the
+    estimates as they stand then.  While the block's writes are rare
+    that decide covers the rest of the tail, whose predictions hold
+    until the next write; once writes come in at least every other row,
+    it covers the served row alone, so no decided column is thrown
+    away."""
+
+    def __init__(self, points: np.ndarray, version: int) -> None:
         self.points = points
         self.finite = np.flatnonzero(np.isfinite(points).all(axis=1))
+        #: Synopsis version when the block started.
+        self.version = version
         #: Block row of each estimate column; ``None`` until predicted.
         self.rows: "np.ndarray | None" = None
+        #: Estimate column of each block row; ``None``: the row
+        #: predicts on the scalar path.
+        self.columns: list = [None] * points.shape[0]
         self.z_values: "np.ndarray | None" = None
         self.counts: "np.ndarray | None" = None
         self.avg_costs: "np.ndarray | None" = None
-        self.served: list = [None] * points.shape[0]
+        #: Per column, its prediction once decided; the columns before
+        #: ``decided`` hold one decided since the last write.
+        self.predictions: list = []
+        self.decided = 0
         self.owed = 0.0
         self.share = 0.0
 
@@ -330,11 +345,12 @@ class _BatchTail:
         dirty: list[int],
         trace: DecisionTrace,
     ) -> None:
-        """Predict the rows ``start:``.  Without estimates this is the
-        whole predict: one z pass and one lookup over the finite rows.
-        Otherwise only the ``dirty`` plans' rows are queried again —
-        the others answer as before — and the tail is decided again,
-        since ``total_mass`` moved."""
+        """Bring the estimates of rows ``start:`` up to date.  Without
+        estimates this is one z pass and one lookup over the finite
+        rows; otherwise only the ``dirty`` plans' rows are queried
+        again, and the others answer as before.  Every decided
+        prediction is stale now: ``total_mass`` moved."""
+        self.decided = 0
         if self.z_values is None:
             rows = self.finite[self.finite >= start]
             if not rows.shape[0]:
@@ -344,46 +360,62 @@ class _BatchTail:
             self.counts, self.avg_costs = predictor.lookup(
                 self.z_values, trace
             )
-            first = 0
-        else:
+            self.predictions = [None] * rows.shape[0]
+            for column, row in enumerate(rows.tolist()):
+                self.columns[row] = column
+        elif dirty:
             first = int(np.searchsorted(self.rows, start))
             if first == self.rows.shape[0]:
                 return
-            if dirty:
-                (
-                    self.counts[:, dirty, first:],
-                    self.avg_costs[:, dirty, first:],
-                ) = predictor.lookup(self.z_values[:, first:], trace, dirty)
-        z_values = self.z_values[:, first:]
-        predictions = predictor.decide(
-            z_values,
-            self.counts[..., first:],
-            self.avg_costs[..., first:],
-            trace,
-        )
-        for row, z, prediction in zip(
-            self.rows[first:].tolist(), z_values.T, predictions, strict=True
-        ):
-            self.served[row] = (z, prediction)
+            (
+                self.counts[:, dirty, first:],
+                self.avg_costs[:, dirty, first:],
+            ) = predictor.lookup(self.z_values[:, first:], trace, dirty)
 
     def forget(self, start: int) -> None:
         """The batch predictor raised: rows ``start:`` take the scalar
         path, and the next prefetch predicts from scratch."""
-        self.served[start:] = [None] * (len(self.served) - start)
+        self.columns[start:] = [None] * (len(self.columns) - start)
         self.z_values = self.counts = self.avg_costs = self.rows = None
 
     def owe(self, seconds: float, start: int) -> None:
         """Add ``seconds`` of prefetch work to what rows ``start:`` are
         charged, spreading everything still unpaid evenly over them."""
         self.owed += seconds
-        self.share = self.owed / (len(self.served) - start)
+        self.share = self.owed / (len(self.columns) - start)
 
-    def serve(self, row: int) -> tuple:
-        """``(served, seconds)`` for decision ``row``: its prefetched
-        ``(z, prediction)`` (or ``None``) and its share of the prefetch
-        time.  Over a whole block the shares sum to the time spent."""
+    def pay(self) -> float:
+        """The next decision's share of the prefetch time.  Over a
+        whole block the shares sum to the time spent."""
         self.owed -= self.share
-        return self.served[row], self.share
+        return self.share
+
+    def serve(
+        self, predictor: HistogramPredictor, row: int, trace: DecisionTrace
+    ) -> "tuple | None":
+        """``(z, prediction)`` for block row ``row``, or ``None`` if the
+        row predicts on the scalar path.
+
+        A row without a prediction decided since the last write is
+        decided now, by :meth:`HistogramPredictor.decide` on ``trace``:
+        the served row alone once the block has written at least once
+        every other row, else the served row and the rest of the tail.
+        """
+        column = self.columns[row]
+        if column is None:
+            return None
+        if column >= self.decided:
+            stop = self.rows.shape[0]
+            if 2 * (predictor.mutation_count - self.version) >= row:
+                stop = column + 1
+            self.predictions[column:stop] = predictor.decide(
+                self.z_values[:, column:stop],
+                self.counts[..., column:stop],
+                self.avg_costs[..., column:stop],
+                trace,
+            )
+            self.decided = stop
+        return self.z_values[:, column], self.predictions[column]
 
 
 class TemplateSession:
@@ -824,14 +856,15 @@ class TemplateSession:
 
         Lockstep-equivalent to calling :meth:`execute` per point —
         bit-for-bit identical records, counters and RNG consumption —
-        but the predict stage runs vectorized: one z pass and one
-        density lookup over the block's finite rows, one decide over
-        the tail, and each instance then flows through the normal
-        decision path with its prediction and z-values precomputed.  A
-        synopsis mutation mid-batch re-queries only the rows it changed
-        — the inserted plan's, or every plan's after a drift drop — and
-        decides the tail again (:meth:`_prefetch_predictions`), exactly
-        what the sequential path would have seen.
+        but the block is transformed and looked up vectorized: one z
+        pass and one density lookup over its finite rows.  A synopsis
+        mutation mid-batch re-queries only the rows it changed — the
+        inserted plan's, or every plan's after a drift drop
+        (:meth:`_prefetch_predictions`).  Each row is decided when it
+        is served, inside its own ``predict`` span, by the same
+        ``decide`` a scalar decision runs, from the estimates and the
+        ``total_mass`` of that moment (:meth:`_BatchTail.serve`); then
+        it flows through the normal decision path.
 
         Traced instances re-predict as a traced batch of one (the same
         decision, with annotated spans), preserving trace parity.  Rows
@@ -847,26 +880,30 @@ class TemplateSession:
                 f"{points.shape}"
             )
         records: list[ExecutionRecord] = []
-        tail = _BatchTail(points)
+        tail = _BatchTail(points, self.predictor.mutation_count)
         version = None
         for row in range(points.shape[0]):
             if self.predictor.mutation_count != version:
                 version = self.predictor.mutation_count
                 self._prefetch_predictions(tail, row)
-            served, seconds = tail.serve(row)
             trace = self.tracer.begin()
             records.append(
                 self._run(
-                    points[row], trace, served=served, predict_seconds=seconds
+                    points[row],
+                    trace,
+                    tail=tail,
+                    row=row,
+                    predict_seconds=tail.pay(),
                 )
             )
         return records
 
     def _prefetch_predictions(self, tail: _BatchTail, start: int) -> None:
-        """Bring the predictions of ``tail``'s rows ``start:`` up to
-        date with the synopsis: the whole predict on a block's first
+        """Bring the estimates of ``tail``'s rows ``start:`` up to date
+        with the synopsis: the z pass and lookup on a block's first
         call, afterwards a re-query of the plans the mutations since
-        changed (:meth:`HistogramPredictor.take_dirty`).
+        changed (:meth:`HistogramPredictor.take_dirty`).  Nothing is
+        decided here: a row is decided when it is served.
 
         If the batch predictor raises, the rows ``start:`` replay the
         scalar path per point, whose degradation accounting matches
@@ -904,7 +941,8 @@ class TemplateSession:
         self,
         x: np.ndarray,
         trace: DecisionTrace,
-        served: "tuple | None" = None,
+        tail: "_BatchTail | None" = None,
+        row: int = 0,
         predict_seconds: float = 0.0,
     ) -> ExecutionRecord:
         """Drive one decision, sealing the trace on every exit path."""
@@ -914,7 +952,7 @@ class TemplateSession:
             self._events.set_trace(trace.seq)
         try:
             record = self._decide_and_execute(
-                x, trace, served=served, predict_seconds=predict_seconds
+                x, trace, tail=tail, row=row, predict_seconds=predict_seconds
             )
         except BaseException as exc:
             self.tracer.finish(trace, error=exc)
@@ -940,7 +978,8 @@ class TemplateSession:
         self,
         x: np.ndarray,
         trace: DecisionTrace,
-        served: "tuple | None" = None,
+        tail: "_BatchTail | None" = None,
+        row: int = 0,
         predict_seconds: float = 0.0,
     ) -> ExecutionRecord:
         """The Figure-1 decision flow, one span per stage of ``trace``.
@@ -952,14 +991,15 @@ class TemplateSession:
         metrically identical to the untraced flow — and allocates no
         span.
 
-        ``served`` (from :meth:`execute_batch`) supplies the
-        predict-stage result, ``(z-values, prediction)``, computed
-        vectorized for the whole batch; ``predict_seconds`` is this
-        instance's share of that work, charged to the predict span.
-        Traced instances ignore the served value and re-predict as a
-        traced batch of one, which annotates its spans with the same
-        decision.  The z-values go to every insert the decision makes,
-        so the point is transformed once.
+        ``tail`` and ``row`` (from :meth:`execute_batch`) supply the
+        point's z-values and density estimates, computed vectorized for
+        the whole block; the predict span decides the row from them
+        (:meth:`_BatchTail.serve`).  ``predict_seconds`` is this
+        instance's share of the block's z pass and lookups, charged to
+        the predict span.  Traced instances ignore the tail and
+        re-predict as a traced batch of one, which annotates its spans
+        with the same decision.  The z-values go to every insert the
+        decision makes, so the point is transformed once.
 
         Ground truth is the optimizer's answer when it ran; the fallback
         path labels eagerly to account the suboptimality it accepted;
@@ -979,19 +1019,21 @@ class TemplateSession:
         fallback_source = ""
         with trace.span("predict") as predict_span:
             trace.charge(predict_seconds)
-            if served is not None and not trace.active:
+            try:
+                served = None
+                if tail is not None and not trace.active:
+                    served = tail.serve(self.predictor, row, trace)
+                if served is None:
+                    served = self._predict(x, trace)
                 z_values, prediction = served
-            else:
-                try:
-                    z_values, prediction = self._predict(x, trace)
-                except Exception:
-                    # A broken predictor degrades to the optimizer path.
-                    z_values = prediction = None
-                    degraded = True
-                    self._degraded_counters["predictor"].inc()
-                    predict_span.set(
-                        degraded=True, status_detail="predictor raised"
-                    )
+            except Exception:
+                # A broken predictor degrades to the optimizer path.
+                z_values = prediction = None
+                degraded = True
+                self._degraded_counters["predictor"].inc()
+                predict_span.set(
+                    degraded=True, status_detail="predictor raised"
+                )
             if trace.active:
                 if prediction is None:
                     predict_span.set(plan=None)
@@ -1377,9 +1419,11 @@ class PPCFramework:
     ) -> list[ExecutionRecord]:
         """Run a batch of instances of one template.
 
-        Without a memory governor this is the vectorized session batch
-        path plus one telemetry tick per record — lockstep-identical to
-        sequential :meth:`execute` calls.  With a governor, reclamation
+        Without a memory governor this is the session's batch path —
+        one z pass and one lookup per block, each row decided when it
+        is served (:meth:`TemplateSession.execute_batch`) — plus one
+        telemetry tick per record, lockstep-identical to sequential
+        :meth:`execute` calls.  With a governor, reclamation
         must interleave between instances at exactly the configured
         cadence (and governor shrinks mutate synopses behind the
         predictor's mutation counter), so the batch falls back to the

@@ -62,6 +62,12 @@ class ParameterMapping:
         self._lo = np.array([r[0] for r in ranges])
         self._hi = np.array([r[1] for r in ranges])
         self._log = np.array([s == "log" for s in scales])
+        # Every conversion reads these; the bounds never change.
+        self._log_lo = np.log(self._lo)
+        self._log_span = np.log(self._hi) - self._log_lo
+        self._log_denominator = self._log_span + 1e-300
+        self._span = self._hi - self._lo
+        self._denominator = self._span + 1e-300
 
     @classmethod
     def for_template(
@@ -92,10 +98,8 @@ class ParameterMapping:
             raise ConfigurationError(
                 f"expected {self.dimensions}-dimensional points"
             )
-        log_sel = np.exp(
-            np.log(self._lo) + x * (np.log(self._hi) - np.log(self._lo))
-        )
-        linear_sel = self._lo + x * (self._hi - self._lo)
+        log_sel = np.exp(self._log_lo + x * self._log_span)
+        linear_sel = self._lo + x * self._span
         return np.where(self._log, log_sel, linear_sel)
 
     def to_normalized(self, selectivity: np.ndarray) -> np.ndarray:
@@ -103,9 +107,9 @@ class ParameterMapping:
         selectivity = np.asarray(selectivity, dtype=float)
         if selectivity.ndim == 1:
             selectivity = selectivity[None, :]
-        clipped = np.clip(selectivity, self._lo, self._hi)
-        log_x = (np.log(clipped) - np.log(self._lo)) / (
-            np.log(self._hi) - np.log(self._lo) + 1e-300
+        clipped = np.minimum(np.maximum(selectivity, self._lo), self._hi)
+        log_x = (np.log(clipped) - self._log_lo) / self._log_denominator
+        linear_x = (clipped - self._lo) / self._denominator
+        return np.minimum(
+            np.maximum(np.where(self._log, log_x, linear_x), 0.0), 1.0
         )
-        linear_x = (clipped - self._lo) / (self._hi - self._lo + 1e-300)
-        return np.clip(np.where(self._log, log_x, linear_x), 0.0, 1.0)

@@ -11,10 +11,8 @@ estimations").
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError
-from repro.optimizer.expressions import ParamPredicate, QueryTemplate
+from repro.optimizer.expressions import ParamPredicate
 from repro.optimizer.statistics import CatalogStatistics
 
 
@@ -49,21 +47,3 @@ def value_for_selectivity(
     target = selectivity if predicate.op == "<=" else 1.0 - selectivity
     return float(sketch.value_at_selectivity(target))
 
-
-def instance_selectivities(
-    template: QueryTemplate,
-    statistics: CatalogStatistics,
-    values: "tuple[float, ...] | list[float]",
-) -> np.ndarray:
-    """Selectivity vector of one instance, ordered by ``param_index``."""
-    predicates = sorted(template.predicates, key=lambda p: p.param_index)
-    if len(values) != len(predicates):
-        raise ConfigurationError(
-            f"expected {len(predicates)} values, got {len(values)}"
-        )
-    return np.array(
-        [
-            predicate_selectivity(statistics, predicate, value)
-            for predicate, value in zip(predicates, values, strict=True)
-        ]
-    )

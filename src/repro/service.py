@@ -141,10 +141,13 @@ class PlanCachingService:
     ) -> list[ExecutionRecord]:
         """Run a sequence of query instances through the batch hot path.
 
-        Consecutive same-template runs are grouped and handed to the
-        framework's vectorized ``execute_batch``; records come back in
-        submission order and are lockstep-identical to calling
-        :meth:`execute` per instance.
+        Consecutive same-template runs are grouped; each run is bound
+        in one pass (:meth:`TemplateBinder.to_points`) and handed to the
+        framework's ``execute_batch``.  A malformed instance raises
+        :class:`WorkloadError` before any instance of its run executes
+        (its position counts from the start of the run); runs before it
+        have executed.  Records come back in submission order and are
+        lockstep-identical to calling :meth:`execute` per instance.
         """
         records: list[ExecutionRecord] = []
         start = 0
@@ -157,13 +160,7 @@ class PlanCachingService:
                 and instances[stop].template_name == name
             ):
                 stop += 1
-            points = np.array(
-                [
-                    binder.to_point(instances[i])
-                    for i in range(start, stop)
-                ],
-                dtype=float,
-            )
+            points = binder.to_points(instances[start:stop])
             records.extend(self.framework.execute_batch(name, points))
             start = stop
         return records

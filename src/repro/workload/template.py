@@ -12,6 +12,7 @@ coordinates.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +20,7 @@ import numpy as np
 from repro.exceptions import WorkloadError
 from repro.optimizer.expressions import QueryTemplate
 from repro.optimizer.parameters import ParameterMapping
-from repro.optimizer.selectivity import (
-    instance_selectivities,
-    value_for_selectivity,
-)
+from repro.optimizer.selectivity import value_for_selectivity
 from repro.optimizer.statistics import CatalogStatistics
 
 
@@ -39,7 +37,13 @@ class QueryInstance:
 
 
 class TemplateBinder:
-    """Bidirectional ``f`` map for one template."""
+    """Bidirectional ``f`` map for one template.
+
+    Binding works on a run of instances at once (:meth:`to_points`):
+    the column sketches are resolved when the binder is built, so a run
+    costs one ``np.interp`` per predicate and one normalization, however
+    long it is.  A single instance is a run of one (:meth:`to_point`).
+    """
 
     def __init__(
         self,
@@ -55,23 +59,59 @@ class TemplateBinder:
         self._predicates = sorted(
             template.predicates, key=lambda p: p.param_index
         )
+        # Per predicate, in parameter order: its column's sketch, and
+        # whether its selectivity is ``1 - leq`` (``>=``).
+        self._sketches = [
+            (
+                statistics.column(
+                    predicate.column.table, predicate.column.column
+                ),
+                predicate.op == ">=",
+            )
+            for predicate in self._predicates
+        ]
+
+    def to_points(self, instances: Sequence[QueryInstance]) -> np.ndarray:
+        """Map a run of instances to plan-space points, ``(m, r)``.
+
+        Every instance is checked before any is bound: its template,
+        its value count, and that each value is a number.  The first
+        bad one raises :class:`WorkloadError` naming its position in
+        ``instances``.  ``None`` binds as NaN, like NaN itself, and the
+        session's non-finite guard rejects the point.  The selectivities
+        are then computed the way the optimizer estimates them, one
+        sketch lookup (``np.interp``) per predicate over the run's column
+        of values, and normalized in one call over the block.
+        """
+        name = self.template.name
+        degree = self.template.parameter_degree
+        for index, instance in enumerate(instances):
+            if instance.template_name != name:
+                raise WorkloadError(
+                    f"instance {index} of {instance.template_name!r} bound "
+                    f"against template {name!r}"
+                )
+            if len(instance.values) != degree:
+                raise WorkloadError(
+                    f"instance {index} has {len(instance.values)} values; "
+                    f"template {name!r} expects {degree}"
+                )
+        try:
+            values = np.array(
+                [instance.values for instance in instances], dtype=float
+            ).reshape(len(instances), degree)
+        except (TypeError, ValueError, OverflowError):
+            raise WorkloadError(_non_numeric(instances)) from None
+        selectivities = np.empty_like(values)
+        for column, (sketch, geq) in enumerate(self._sketches):
+            leq = sketch.selectivity_leq(values[:, column])
+            selectivities[:, column] = 1.0 - leq if geq else leq
+        return self.mapping.to_normalized(selectivities)
 
     def to_point(self, instance: QueryInstance) -> np.ndarray:
-        """Map an instance's parameter values to a plan-space point."""
-        if instance.template_name != self.template.name:
-            raise WorkloadError(
-                f"instance of {instance.template_name!r} bound against "
-                f"template {self.template.name!r}"
-            )
-        if len(instance.values) != self.template.parameter_degree:
-            raise WorkloadError(
-                f"instance has {len(instance.values)} values; template "
-                f"expects {self.template.parameter_degree}"
-            )
-        selectivities = instance_selectivities(
-            self.template, self.statistics, instance.values
-        )
-        return self.mapping.to_normalized(selectivities)[0]
+        """Map one instance's parameter values to a plan-space point: a
+        run of one through :meth:`to_points`."""
+        return self.to_points([instance])[0]
 
     def to_instance(self, point: np.ndarray) -> QueryInstance:
         """Produce parameter values landing at a plan-space point."""
@@ -87,3 +127,19 @@ class TemplateBinder:
             for predicate, selectivity in zip(self._predicates, selectivities, strict=True)
         )
         return QueryInstance(self.template.name, values)
+
+
+def _non_numeric(instances: Sequence[QueryInstance]) -> str:
+    """The error message naming the first value that is not a number."""
+    for index, instance in enumerate(instances):
+        for position, value in enumerate(instance.values):
+            try:
+                numeric = np.asarray(value, dtype=float).ndim == 0
+            except (TypeError, ValueError, OverflowError):
+                numeric = False
+            if not numeric:
+                return (
+                    f"instance {index} of {instance.template_name!r}: "
+                    f"value {position} ({value!r:.40}) is not a number"
+                )
+    return "instance values are not numbers"

@@ -200,3 +200,44 @@ class TestHarvestBench:
         assert set(metrics) == {"Q1_harvest_ms", "Q1_plans"}
         assert metrics["Q1_harvest_ms"]["value"] > 0.0
         assert metrics["Q1_plans"]["value"] == plan_space_for("Q1").plan_count
+
+
+class TestBatchBench:
+    def test_reports_scalar_batch_and_ratio_per_cell(self, monkeypatch):
+        from repro.bench import runners
+
+        monkeypatch.setattr(runners, "BATCH_TEMPLATES", ("Q1",))
+        monkeypatch.setattr(runners, "BATCH_SPREADS", (0.1,))
+        monkeypatch.setattr(runners, "BATCH_INSTANCES", 48)
+        monkeypatch.setattr(runners, "BATCH_REPEATS", 1)
+        envelope = runners.run_batch()
+        assert envelope["bench"] == "batch"
+        metrics = envelope["metrics"]
+        assert set(metrics) == {
+            "Q1_0.1_scalar_us", "Q1_0.1_batch_us", "Q1_0.1_batch_ratio"
+        }
+        assert metrics["Q1_0.1_batch_ratio"]["value"] == pytest.approx(
+            metrics["Q1_0.1_batch_us"]["value"]
+            / metrics["Q1_0.1_scalar_us"]["value"]
+        )
+        assert envelope["gate"]["max_batch_ratio"] == runners.BATCH_RATIO_LIMIT
+        assert "batch" in runners.SUITES["ci"]
+
+    def test_a_batch_that_changes_a_decision_fails(self, monkeypatch):
+        from repro.bench import runners
+        from repro.core.framework import TemplateSession
+        from repro.exceptions import BenchError
+
+        monkeypatch.setattr(runners, "BATCH_TEMPLATES", ("Q1",))
+        monkeypatch.setattr(runners, "BATCH_SPREADS", (0.1,))
+        monkeypatch.setattr(runners, "BATCH_INSTANCES", 32)
+        monkeypatch.setattr(runners, "BATCH_REPEATS", 1)
+        execute_batch = TemplateSession.execute_batch
+
+        def shifted(self, points):
+            return execute_batch(self, points[::-1])
+
+        monkeypatch.setattr(TemplateSession, "execute_batch", shifted)
+        with pytest.raises(BenchError, match="changed decisions on Q1"):
+            runners.run_batch()
+

@@ -1,9 +1,10 @@
 """The batch execution path is lockstep-identical to sequential calls.
 
-``TemplateSession.execute_batch`` predicts a block vectorized — one z
-pass, one density lookup, one decide — and when a synopsis mutation
-lands mid-batch it re-queries the rows that mutation changed and decides
-the tail again, so two identically seeded sessions — one executing per
+``TemplateSession.execute_batch`` transforms and looks up a block
+vectorized — one z pass, one density lookup — and when a synopsis
+mutation lands mid-batch it re-queries the rows that mutation changed.
+Each row is decided when it is served, from the estimates of that
+moment, so two identically seeded sessions — one executing per
 instance, one in batches — must produce bit-identical decision streams.
 That guarantee is what lets the runtime simulation and the service
 facade route through the batch hot path without changing any
@@ -245,6 +246,70 @@ class TestPatchParity:
             if call["dirty"] == list(range(q1_space.plan_count))
         ]
         assert len(full) >= 2
+
+
+class TestDecideWhenServed:
+    """A row is decided when it is served.  On a write-heavy block each
+    row is decided once, alone, and no decided column is thrown away;
+    on a read-mostly block one decide covers the rest of the tail."""
+
+    @staticmethod
+    def _count_decides(session):
+        columns = []
+        decide = session.predictor.decide
+
+        def counted(z_values, *args, **kwargs):
+            columns.append(z_values.shape[1])
+            return decide(z_values, *args, **kwargs)
+
+        session.predictor.decide = counted
+        return columns
+
+    @staticmethod
+    def _sessions(space, seed):
+        config = _config(trace=TraceConfig(enabled=False))
+        return (
+            TemplateSession(space, config, seed=seed),
+            TemplateSession(space, config, seed=seed),
+        )
+
+    def test_a_write_heavy_block_decides_each_row_once(self):
+        space = plan_space_for("Q5")
+        session, sequential = self._sessions(space, 31)
+        columns = self._count_decides(session)
+        points = RandomTrajectoryWorkload(
+            space.dimensions, spread=0.1, seed=32
+        ).generate(64)
+        records = []
+        for start in range(0, 64, 16):
+            written = session.predictor.mutation_count
+            decided = len(columns)
+            records.extend(session.execute_batch(points[start:start + 16]))
+            assert session.predictor.mutation_count - written >= 14
+            # Sixteen decides of one column each: every served row
+            # decided exactly once, none decided and then discarded.
+            assert columns[decided:] == [1] * 16
+        assert [decision_digest(r) for r in records] == [
+            decision_digest(sequential.execute(x)) for x in points
+        ]
+
+    def test_a_read_mostly_block_decides_the_tail_at_once(self, q1_space):
+        session, sequential = self._sessions(q1_space, 33)
+        warm = RandomTrajectoryWorkload(2, spread=0.02, seed=34).generate(600)
+        for x in warm:
+            session.execute(x)
+            sequential.execute(x)
+        columns = self._count_decides(session)
+        points = RandomTrajectoryWorkload(2, spread=0.02, seed=35).generate(
+            160
+        )
+        records = _run_blocks(session, points)
+        assert [decision_digest(r) for r in records] == [
+            decision_digest(sequential.execute(x)) for x in points
+        ]
+        assert sum(columns) >= 160
+        assert len(columns) < 160
+        assert max(columns) > 1
 
 
 class TestOneZPassPerDecision:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.optimizer.parameters import (
@@ -104,3 +106,87 @@ class TestTemplateDerivedMapping:
         assert mapping.ranges[0] == (0.25, 0.75)
         sel = mapping.to_selectivity(np.array([[0.5]]))
         assert sel[0, 0] == pytest.approx(0.5)
+
+
+def _reference_to_selectivity(mapping, x):
+    """The conversion as first written: every bound's log taken again."""
+    lo, hi = mapping._lo, mapping._hi
+    log_sel = np.exp(np.log(lo) + x * (np.log(hi) - np.log(lo)))
+    linear_sel = lo + x * (hi - lo)
+    return np.where(mapping._log, log_sel, linear_sel)
+
+
+def _reference_to_normalized(mapping, selectivity):
+    lo, hi = mapping._lo, mapping._hi
+    clipped = np.clip(selectivity, lo, hi)
+    log_x = (np.log(clipped) - np.log(lo)) / (
+        np.log(hi) - np.log(lo) + 1e-300
+    )
+    linear_x = (clipped - lo) / (hi - lo + 1e-300)
+    return np.clip(np.where(mapping._log, log_x, linear_x), 0.0, 1.0)
+
+
+def _bits(array):
+    return np.ascontiguousarray(array, dtype=float).view(np.uint64)
+
+
+@st.composite
+def _mappings(draw):
+    """A mapping of 1-6 dimensions, log and linear, ``lo == hi`` too."""
+    ranges, scales = [], []
+    for __ in range(draw(st.integers(1, 6))):
+        lo = draw(st.floats(1e-6, 1.0))
+        hi = draw(st.floats(lo, 1.0))
+        ranges.append((lo, hi))
+        scales.append(draw(st.sampled_from(["log", "linear"])))
+    return ParameterMapping(ranges, scales)
+
+
+_COORDINATES = st.floats(-0.5, 1.5) | st.sampled_from(
+    [0.0, 1.0, -0.0, np.nan]
+)
+_SELECTIVITIES = st.floats(-0.5, 1.5) | st.sampled_from(
+    [0.0, 1.0, 1e-300, np.nan, np.inf, -np.inf]
+)
+
+
+class TestPrecomputedBounds:
+    """The bounds' logs are taken once; each conversion equals the
+    expressions that took them on every call, bit for bit, NaN too."""
+
+    @given(mapping=_mappings(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_to_selectivity_matches_the_reference(self, mapping, data):
+        rows = data.draw(st.integers(1, 8))
+        x = np.array(
+            data.draw(
+                st.lists(
+                    _COORDINATES,
+                    min_size=rows * mapping.dimensions,
+                    max_size=rows * mapping.dimensions,
+                )
+            )
+        ).reshape(rows, mapping.dimensions)
+        np.testing.assert_array_equal(
+            _bits(mapping.to_selectivity(x)),
+            _bits(_reference_to_selectivity(mapping, x)),
+        )
+
+    @given(mapping=_mappings(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_to_normalized_matches_the_reference(self, mapping, data):
+        rows = data.draw(st.integers(1, 8))
+        selectivity = np.array(
+            data.draw(
+                st.lists(
+                    _SELECTIVITIES,
+                    min_size=rows * mapping.dimensions,
+                    max_size=rows * mapping.dimensions,
+                )
+            )
+        ).reshape(rows, mapping.dimensions)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            got = mapping.to_normalized(selectivity)
+            expected = _reference_to_normalized(mapping, selectivity)
+        np.testing.assert_array_equal(_bits(got), _bits(expected))
+

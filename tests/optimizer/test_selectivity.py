@@ -1,12 +1,10 @@
 """Predicate selectivity estimation."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.optimizer.expressions import ColumnRef, ParamPredicate, QueryTemplate
+from repro.optimizer.expressions import ColumnRef, ParamPredicate
 from repro.optimizer.selectivity import (
-    instance_selectivities,
     predicate_selectivity,
     value_for_selectivity,
 )
@@ -62,26 +60,3 @@ class TestPredicateSelectivity:
         with pytest.raises(ConfigurationError):
             value_for_selectivity(statistics, leq_predicate, 1.5)
 
-
-class TestInstanceSelectivities:
-    def test_ordered_by_param_index(self, statistics):
-        template = QueryTemplate(
-            name="two",
-            tables=("customer",),
-            predicates=(
-                ParamPredicate(ColumnRef("customer", "c_acctbal"), 0),
-                ParamPredicate(ColumnRef("customer", "c_date"), 1),
-            ),
-        )
-        sels = instance_selectivities(template, statistics, (9999.0, 0.0))
-        assert sels[0] == pytest.approx(1.0, abs=0.01)
-        assert sels[1] == pytest.approx(0.0, abs=0.01)
-
-    def test_arity_checked(self, statistics):
-        template = QueryTemplate(
-            name="one",
-            tables=("customer",),
-            predicates=(ParamPredicate(ColumnRef("customer", "c_date"), 0),),
-        )
-        with pytest.raises(ConfigurationError):
-            instance_selectivities(template, statistics, (1.0, 2.0))
