@@ -18,6 +18,7 @@ the CI gate runs; ``full`` is every bench, today the same set).
 
 from __future__ import annotations
 
+import copy
 import json
 import pathlib
 from time import perf_counter
@@ -35,8 +36,11 @@ from repro.config import (
     TraceConfig,
 )
 from repro.core.framework import PPCFramework, TemplateSession
+from repro.core.histogram_predictor import HistogramPredictor
+from repro.core.point import SamplePool
 from repro.core.persistence import atomic_write_text
 from repro.exceptions import BenchError
+from repro.histograms.packed import PackedHistograms
 from repro.optimizer.plan_space import PlanSpace
 from repro.resilience import VirtualClock
 from repro.tpch import build_catalog, plan_space_for, query_template
@@ -53,6 +57,7 @@ __all__ = [
     "run_predict_throughput",
     "run_scenarios",
     "run_suite",
+    "run_write_path",
     "scenarios_envelope",
 ]
 
@@ -495,6 +500,122 @@ def run_batch() -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
+# write_path: what an optimizer call adds to a decision
+# ----------------------------------------------------------------------
+
+#: Each cell: a walk of this spread, as in the e2e ``q5_wide`` workload,
+#: where nearly every decision calls the optimizer and inserts.
+WRITE_SPREAD = 0.15
+WRITE_WALK_SEED = 3
+#: The insert cell: a block shaped like a default Q5 session's (five
+#: transforms, one row per Q5 plan, 40 buckets), warmed by the first
+#: walk points; about 96% of the timed inserts then land on rows at
+#: the budget, so they open a bucket and merge or join one.
+WRITE_INSERT_TEMPLATE = "Q5"
+WRITE_BUDGET = 40
+WRITE_WARMUP = 4000
+WRITE_PROBES = 1000
+WRITE_LABEL_TEMPLATES = ("Q1", "Q3", "Q5")
+WRITE_REPEATS = 5
+#: Shared-runner allowance on the per-call walls, as for the other
+#: wall-clock metrics.
+WRITE_TOLERANCE_PCT = 100.0
+
+
+def _write_walk(space: PlanSpace, count: int) -> np.ndarray:
+    return RandomTrajectoryWorkload(
+        space.dimensions, spread=WRITE_SPREAD, seed=WRITE_WALK_SEED
+    ).generate(count)
+
+
+def _insert_cell() -> tuple[float, float]:
+    """Best-of-N seconds per :meth:`PackedHistograms.insert` of a
+    labelled walk point into the warmed block, and the share of the
+    timed inserts whose plan's rows are all at the budget."""
+    space = plan_space_for(WRITE_INSERT_TEMPLATE)
+    points = _write_walk(space, WRITE_WARMUP + WRITE_PROBES)
+    ids, costs = space.label(points)
+    predictor = HistogramPredictor(
+        SamplePool(space.dimensions),
+        plan_count=space.plan_count,
+        histogram_kind="incremental",
+        seed=SESSION_SEED,
+    )
+    z_values = predictor.z_values(points)
+    writes = list(zip(ids.tolist(), z_values.T, costs.tolist(), strict=True))
+    warmed = PackedHistograms.from_buckets(
+        [[[]] * space.plan_count for __ in range(z_values.shape[0])]
+    )
+    for plan, z, cost in writes[:WRITE_WARMUP]:
+        warmed.insert(plan, z, cost, 1.0, WRITE_BUDGET)
+    full = (warmed.bucket_counts == WRITE_BUDGET).all(axis=0)
+    best = float("inf")
+    for __ in range(WRITE_REPEATS):
+        block = copy.deepcopy(warmed)
+        t0 = perf_counter()
+        for plan, z, cost in writes[WRITE_WARMUP:]:
+            block.insert(plan, z, cost, 1.0, WRITE_BUDGET)
+        best = min(best, perf_counter() - t0)
+    share = float(np.mean(full[ids[WRITE_WARMUP:]]))
+    return best / WRITE_PROBES, share
+
+
+def _label_cell(name: str) -> float:
+    """Best-of-N seconds per one-point :meth:`PlanSpace.label` over a
+    walk.  Raises :class:`BenchError` unless every one-point label
+    equals the batch label of the walk, plan id and cost bits."""
+    space = plan_space_for(name)
+    points = _write_walk(space, WRITE_PROBES)
+    rows = [point[None, :] for point in points]
+    ids, costs = space.label(points)
+    labels = [space.label(row) for row in rows]
+    if [int(i[0]) for i, __ in labels] != ids.tolist() or (
+        np.array([c[0] for __, c in labels]).tobytes() != costs.tobytes()
+    ):
+        raise BenchError(f"one-point labels differ from the batch on {name}")
+    best = float("inf")
+    for __ in range(WRITE_REPEATS):
+        t0 = perf_counter()
+        for row in rows:
+            space.label(row)
+        best = min(best, perf_counter() - t0)
+    return best / WRITE_PROBES
+
+
+def run_write_path() -> dict[str, Any]:
+    """Per-call cost of the two writes an optimizer call makes past its
+    decision: one steady-state insert into a Q5-shaped packed block,
+    and one one-point label per template."""
+    insert_s, full_share = _insert_cell()
+    metrics = {
+        "insert_us": metric(
+            insert_s * 1e6, "us/call", "lower",
+            tolerance_pct=WRITE_TOLERANCE_PCT,
+        )
+    }
+    for name in WRITE_LABEL_TEMPLATES:
+        metrics[f"{name}_label_us"] = metric(
+            _label_cell(name) * 1e6, "us/call", "lower",
+            tolerance_pct=WRITE_TOLERANCE_PCT,
+        )
+    return make_envelope(
+        "write_path",
+        metrics=metrics,
+        workload={
+            "insert_template": WRITE_INSERT_TEMPLATE,
+            "budget": WRITE_BUDGET,
+            "warmup": WRITE_WARMUP,
+            "probes": WRITE_PROBES,
+            "label_templates": list(WRITE_LABEL_TEMPLATES),
+            "spread": WRITE_SPREAD,
+            "repeats": WRITE_REPEATS,
+            "seeds": {"session": SESSION_SEED, "walk": WRITE_WALK_SEED},
+        },
+        details={"insert_full_row_share": full_share},
+    )
+
+
+# ----------------------------------------------------------------------
 # Scenario fleet
 # ----------------------------------------------------------------------
 
@@ -573,6 +694,7 @@ BENCHES: dict[str, BenchDef] = {
         BenchDef("scenarios", "scenarios", run_scenarios, ("ci", "full")),
         BenchDef("harvest", "harvest", run_harvest, ("ci", "full")),
         BenchDef("batch", "batch", run_batch, ("ci", "full")),
+        BenchDef("write_path", "write_path", run_write_path, ("ci", "full")),
     )
 }
 

@@ -1011,9 +1011,10 @@ class TemplateSession:
             if trace.active:
                 trace.point = [float(v) for v in x]
                 trace.annotate(dimensions=int(x.shape[0]))
-        invocations_before = self.optimizer_invocations
         # Experimenter-side ground truth, (plan, cost) once known.
         truth: "tuple[int, float] | None" = None
+        # Whether an optimizer call of this decision answered.
+        invoked = False
 
         degraded = False
         fallback_source = ""
@@ -1064,6 +1065,7 @@ class TemplateSession:
         if reason:
             outcome = self._optimize(trace, x, reason, z_values)
             if outcome is not None:
+                invoked = True
                 executed_plan, execution_cost = truth = outcome
                 if prediction is None:
                     self.monitor.record_null()
@@ -1123,6 +1125,7 @@ class TemplateSession:
                     reason = "negative_feedback"
                     outcome = self._optimize(trace, x, reason, z_values)
                     if outcome is not None:
+                        invoked = True
                         true_plan, __ = truth = outcome
                         self.monitor.record_prediction(
                             prediction.plan_id,
@@ -1190,8 +1193,7 @@ class TemplateSession:
                 point=x,
                 predicted=None if prediction is None else prediction.plan_id,
                 confidence=0.0 if prediction is None else prediction.confidence,
-                optimizer_invoked=self.optimizer_invocations
-                > invocations_before,
+                optimizer_invoked=invoked,
                 invocation_reason=reason,
                 executed_plan=executed_plan,
                 execution_cost=execution_cost,

@@ -511,29 +511,30 @@ class HistogramPredictor(PlanPredictor):
                 )
             if noisy is not None:
                 winners = np.where(noisy, -1, winners)
+        plans = winners.tolist()
         with trace.span("cost_estimate") as span:
-            medians, any_support = self._winner_costs(
-                counts_tpm, avg_costs, winners
-            )
+            # A vote with no winner reads no cost: skip the median.
+            estimates = [None] * m
+            if max(plans, default=-1) >= 0:
+                medians, any_support = self._winner_costs(
+                    counts_tpm, avg_costs, winners
+                )
+                estimates = [
+                    median if plan >= 0 and supported else None
+                    for plan, median, supported in zip(
+                        plans, medians.tolist(), any_support.tolist()
+                    )
+                ]
             if traced:
-                answered = bool(winners[0] >= 0)
                 span.set(
-                    plan=int(winners[0]) if answered else None,
-                    estimated_cost=(
-                        float(medians[0])
-                        if answered and any_support[0]
-                        else None
-                    ),
+                    plan=plans[0] if plans[0] >= 0 else None,
+                    estimated_cost=estimates[0],
                 )
         return [
-            None
-            if winners[j] < 0
-            else Prediction(
-                int(winners[j]),
-                float(confidences[j]),
-                float(medians[j]) if any_support[j] else None,
+            None if plan < 0 else Prediction(plan, confidence, estimate)
+            for plan, confidence, estimate in zip(
+                plans, confidences.tolist(), estimates
             )
-            for j in range(m)
         ]
 
     def cell_densities(self, probes: int = 64) -> np.ndarray:

@@ -35,7 +35,11 @@ The block is also the store the online predictor writes (Section
 IV-D): :meth:`PackedHistograms.insert` repeats
 :class:`~repro.histograms.incremental.IncrementalHistogram`'s insert
 bit for bit on a plan's ``t`` rows in place; that class is the
-reference the block is tested against.
+reference the block is tested against.  An insert writes a row's
+fields as scalars, and a row over its budget merges in place
+(:meth:`PackedHistograms._merge`, a slice shift, no copy of the row):
+an online optimizer call pays for the arithmetic, not for building
+arrays.
 
 It keeps its own books.  Its four writers — :meth:`insert`,
 :meth:`clear`, :meth:`shrink` and :meth:`load` — are the only code
@@ -208,23 +212,24 @@ class PackedHistograms:
         self._accumulate(block)
         self._install(block)
 
-    def _store(
-        self, index: int, plan: int, cells: np.ndarray, budget: int
-    ) -> None:
-        """Merge ``cells``' narrowest adjacent pair (the first on a tie,
-        as ``IncrementalHistogram`` does) until ``budget`` buckets remain
-        and write them as row ``(index, plan)``'s stored planes.  May
-        write into ``cells``; the caller re-accumulates the prefixes."""
-        while cells.shape[1] > budget:
-            left = int(np.argmin(cells[_HI, 1:] - cells[_LO, :-1]))
-            cells[_HI, left] = cells[_HI, left + 1]
-            cells[_COUNT:_COST + 1, left] += cells[_COUNT:_COST + 1, left + 1]
-            cells = np.delete(cells, left + 1, axis=1)
-        n = cells.shape[1]
-        row = self._buckets[:_STORED, index, plan]
-        row[:, 1:n + 1] = cells
-        row[:, n + 1:] = _TRAILING[:_STORED]
-        self.bucket_counts[index, plan] = n
+    def _merge(self, row: np.ndarray, n: int, budget: int) -> int:
+        """Merge the narrowest adjacent pair of ``row``'s ``n`` buckets
+        (the first on a tie, as ``IncrementalHistogram`` does) until
+        ``budget`` remain, in place: the right bucket of a pair folds
+        into the left one and the buckets after it shift one column
+        left; the freed columns become trailing sentinels.  ``row`` is
+        one row's stored planes; returns its bucket count.  The caller
+        re-accumulates the prefixes."""
+        end = n
+        while n > budget:
+            left = int(np.argmin(row[_HI, 2:n + 1] - row[_LO, 1:n])) + 1
+            row[_HI, left] = row[_HI, left + 1]
+            row[_COUNT, left] += row[_COUNT, left + 1]
+            row[_COST, left] += row[_COST, left + 1]
+            row[:, left + 1:n] = row[:, left + 2:n + 1]
+            n -= 1
+        row[:, n + 1:end + 1] = _TRAILING[:_STORED]
+        return n
 
     def insert(
         self,
@@ -239,44 +244,64 @@ class PackedHistograms:
         ``i`` at ``z_values[i]``, bit for bit as
         ``IncrementalHistogram(budget).insert`` does: join the bucket
         whose ``lo`` is z, else the previous bucket if it reaches z,
-        else open a point mass; then merge while over ``budget``.
-        Every z is checked against ``[0, 1]`` before any write.
+        else open a point mass; then merge while over ``budget``
+        (:meth:`_merge`, in place).  The plan id, the number of
+        z-values and every z (in ``[0, 1]``) are checked before any
+        write, so a rejected insert changes nothing.
+
+        A row's writes are scalar: an opened bucket's four fields, or
+        the joined bucket's count and cost sum, with ``cost * weight``
+        computed once for every row.
 
         Adds one point and ``weight`` to the totals, dirties ``plan``
         and journals ``point_inserted`` with ``provenance``.
         """
         plan = int(plan)
+        if not 0 <= plan < self.plans:
+            raise HistogramError(
+                f"plan {plan} outside the block's {self.plans} plans"
+            )
         z = np.asarray(z_values, dtype=float)
-        if not ((z >= 0.0) & (z <= 1.0)).all():
-            raise HistogramError(f"z-values {z.tolist()} outside [0, 1]")
-        rows = np.arange(self.transforms)
-        lo = self._buckets[_LO, :, plan]
+        if z.shape != (self.transforms,):
+            raise HistogramError(
+                f"z-values of shape {z.shape} for {self.transforms} transforms"
+            )
+        values = z.tolist()
+        if not all(0.0 <= value <= 1.0 for value in values):
+            raise HistogramError(f"z-values {values} outside [0, 1]")
         # ``bisect_left`` over each row's buckets, plus one for the
         # -_FAR sentinel: the column of the first bucket with lo >= z.
-        at = (lo < z[:, None]).sum(axis=1)
-        hit = lo[rows, at] == z
-        joins = hit | (self._buckets[_HI, rows, plan, at - 1] >= z)
-        at -= joins & ~hit
+        at = (self._buckets[_LO, :, plan] < z[:, None]).sum(axis=1)
         counts = self.bucket_counts[:, plan].tolist()
-        for index, (column, value, opens, n) in enumerate(
-            zip(at.tolist(), z.tolist(), (~joins).tolist(), counts, strict=True)
+        added = cost * weight
+        for index, (column, value, n) in enumerate(
+            zip(at.tolist(), values, counts, strict=True)
         ):
-            if opens:
+            row = self._buckets[:_STORED, index, plan]
+            hit = row[_LO, column] == value
+            if hit or row[_HI, column - 1] >= value:
+                if not hit:
+                    column -= 1
+                row[_COUNT, column] += weight
+                row[_COST, column] += added
+            else:
                 # Shift the tail right over the first trailing sentinel;
                 # a full row merges back before the insert returns, so
                 # only a row that keeps the new bucket widens the block.
                 if n < budget and n + 3 > self.width:
                     self._grow(n + 3)
-                row = self._buckets[:_STORED, index, plan]
+                    row = self._buckets[:_STORED, index, plan]
                 row[:, column + 1:n + 2] = row[:, column:n + 1]
-                row[:, column] = (value, value, 0.0, 0.0)
+                row[_LO, column] = value
+                row[_HI, column] = value
+                # The reference adds to a fresh bucket's zeros, which
+                # turns a -0.0 into 0.0; ``0.0 +`` keeps those bits.
+                row[_COUNT, column] = 0.0 + weight
+                row[_COST, column] = 0.0 + added
                 n += 1
-                self.bucket_counts[index, plan] = n
-            cells = self._buckets[:_STORED, index, plan, 1:n + 1]
-            cells[_COUNT, column - 1] += weight
-            cells[_COST, column - 1] += cost * weight
             if n > budget:
-                self._store(index, plan, cells, budget)
+                n = self._merge(row, n, budget)
+            self.bucket_counts[index, plan] = n
         self._accumulate(self._buckets[:, :, plan])
         self.total_points += 1
         self.total_mass += weight
@@ -305,14 +330,16 @@ class PackedHistograms:
     def shrink(self, budget: int) -> None:
         """Merge every row down to at most ``budget`` buckets, as
         :meth:`~repro.histograms.incremental.IncrementalHistogram.shrink`
-        does, and narrow the block to its widest row; journals
-        ``histogram_shrunk``."""
+        does, with the insert's in-place :meth:`_merge`, and narrow the
+        block to its widest row; journals ``histogram_shrunk``."""
         if budget < 1:
             raise HistogramError("max_buckets must be >= 1")
         for index, plan in np.argwhere(self.bucket_counts > budget).tolist():
-            n = self.bucket_counts[index, plan]
-            cells = self._buckets[:_STORED, index, plan, 1:n + 1]
-            self._store(index, plan, cells, budget)
+            self.bucket_counts[index, plan] = self._merge(
+                self._buckets[:_STORED, index, plan],
+                int(self.bucket_counts[index, plan]),
+                budget,
+            )
         self._pack(self.rows())
         self._changed("histogram_shrunk", range(self.plans), max_buckets=budget)
 

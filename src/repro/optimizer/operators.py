@@ -23,9 +23,13 @@ where array code would call ``np.where`` or ``np.maximum``.  The two
 kinds agree to the last bit: ``+ - * /`` are the same IEEE operations
 on a float and on an array element, and ``np.exp``/``np.log2`` run the
 same ufunc loop on both (``math.exp`` is *not* bit-equal to
-``np.exp``).  A non-finite point would break the agreement (a
-comparison with NaN is False, ``np.maximum`` propagates it); the
-callers reject it before costing.
+``np.exp``).  A ufunc hands a float its result back as a numpy scalar,
+and every later operation on one costs several times a float's, so
+:func:`_ufunc` converts a float point's result back to a Python float:
+the same bits, and the ancestors above ``IndexScan`` and ``Sort`` stay
+in float arithmetic.  An array comes back as it was.  A non-finite
+point would break the agreement (a comparison with NaN is False,
+``np.maximum`` propagates it); the callers reject it before costing.
 
 Plans that share a subtree — a join prefix, an access path — share its
 cost too.  One ``memo`` threaded through several calls at the same
@@ -75,6 +79,13 @@ def _selectivity_product(x: PointView, param_indexes: tuple[int, ...]) -> Value:
     for index in param_indexes[1:]:
         product = product * x[index]
     return product
+
+
+def _ufunc(ufunc: np.ufunc, value: Value) -> Value:
+    """``ufunc(value)``: an array for an array; for a float, the numpy
+    scalar's Python float, the same bits."""
+    result = ufunc(value)
+    return result if isinstance(value, np.ndarray) else float(result)
 
 
 def _column(value: Value, n: int) -> np.ndarray:
@@ -265,7 +276,8 @@ class IndexScan(PlanNode):
             # Mackert-Lohman estimate of distinct pages touched by
             # `fetched` random row accesses; saturates at the table's
             # page count instead of growing without bound.
-            pages_touched = self.pages * (1.0 - np.exp(-fetched / self.pages))
+            decay = _ufunc(np.exp, -fetched / self.pages)
+            pages_touched = self.pages * (1.0 - decay)
             io_cost = pages_touched * self.model.random_page_cost
         cost = self.model.index_probe_cost + io_cost + fetched * self.model.cpu_tuple_cost
         rows = fetched * _selectivity_product(x, self.residual_params)
@@ -305,7 +317,7 @@ class Sort(PlanNode):
         rows, cost = self.child._memoized(x, memo)
         # max(rows, 2.0): exactly one term is nonzero.
         safe_rows = (rows > 2.0) * rows + (rows <= 2.0) * 2.0
-        sort_cost = self.model.sort_cost_factor * rows * np.log2(safe_rows)
+        sort_cost = self.model.sort_cost_factor * rows * _ufunc(np.log2, safe_rows)
         return rows, cost + sort_cost
 
     def _fields(self) -> tuple:

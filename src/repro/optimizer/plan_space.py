@@ -15,14 +15,16 @@ selectivities) to plans.  :class:`PlanSpace` realizes that function:
 2. **Label** — for arbitrary points, evaluate every candidate's cost
    formula and take the argmin: over ``(n,)`` arrays for a batch, in
    Python floats for one point (an online optimizer call), bit for bit
-   the same either way.  All candidates are costed through one memo,
-   so each distinct subplan is evaluated once per call however many
-   candidates contain it (Q5's 17 plans hold 85 operator nodes but only
-   37 distinct ones); the costs are bit for bit those of costing each
-   plan alone.  At harvested points this matches the DP result
-   exactly; elsewhere it defines a consistent piecewise-minimum plan
-   diagram with the same cost surfaces, which is the structure every
-   experiment consumes.
+   the same either way.  One point's costs stay a list of floats and
+   its first minimum is taken in Python, which is ``np.argmin``'s tie
+   rule, so no numpy call costs a one-element array.  All candidates
+   are costed through one memo, so each distinct subplan is evaluated
+   once per call however many candidates contain it (Q5's 17 plans
+   hold 85 operator nodes but only 37 distinct ones); the costs are bit
+   for bit those of costing each plan alone.  At harvested points this
+   matches the DP result exactly; elsewhere it defines a consistent
+   piecewise-minimum plan diagram with the same cost surfaces, which is
+   the structure every experiment consumes.
 
 The PPC framework uses the oracle both as ground truth (did the
 prediction match the optimizer's choice?) and as the "optimizer" it
@@ -130,7 +132,30 @@ class PlanSpace:
         return len(self.plans)
 
     def plan(self, plan_id: int) -> PhysicalPlan:
-        return self.plans[plan_id]
+        return self.plans[self._checked_id(plan_id)]
+
+    def _checked_id(self, plan_id: int) -> int:
+        """``plan_id`` if it names a candidate; a negative id would
+        otherwise index from the end."""
+        if not 0 <= plan_id < len(self.plans):
+            raise OptimizationError(
+                f"plan id {plan_id} outside the {len(self.plans)} plans of "
+                f"template {self.template.name}"
+            )
+        return plan_id
+
+    def _costs(self, points: np.ndarray) -> "list[float] | np.ndarray":
+        """Every candidate's cost at ``points``, through one memo: a list
+        of Python floats for one point, a ``(plans, n)`` matrix of
+        ``(n,)`` cost arrays for a batch."""
+        selectivities = self._enumerator.selectivities(points)
+        memo: Memo = {}
+        if len(selectivities) == 1:
+            point = selectivities[0].tolist()
+            return [plan.root.evaluate_point(point, memo)[1] for plan in self.plans]
+        return np.stack(
+            [plan.root.evaluate(selectivities, memo)[1] for plan in self.plans]
+        )
 
     def cost_matrix(self, points: np.ndarray) -> np.ndarray:
         """Costs of every candidate plan at every point: ``(plans, n)``.
@@ -140,20 +165,22 @@ class PlanSpace:
         that plan alone.  One point is costed in Python floats, a batch
         in ``(n,)`` arrays; the two agree bit for bit.
         """
-        selectivities = self._enumerator.selectivities(points)
-        memo: Memo = {}
-        if len(selectivities) == 1:
-            point = selectivities[0].tolist()
-            return np.array(
-                [[plan.root.evaluate_point(point, memo)[1]] for plan in self.plans]
-            )
-        return np.stack(
-            [plan.root.evaluate(selectivities, memo)[1] for plan in self.plans]
-        )
+        costs = self._costs(points)
+        if isinstance(costs, list):
+            return np.array(costs).reshape(-1, 1)
+        return costs
 
     def label(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Optimal plan ids and costs at each point: ``((n,), (n,))``."""
-        costs = self.cost_matrix(points)
+        """Optimal plan ids and costs at each point: ``((n,), (n,))``.
+
+        The lowest id wins a tie.  One point stays in Python floats: its
+        costs are a list and the first minimum is taken there, which is
+        ``np.argmin``'s rule over a batch's cost matrix.
+        """
+        costs = self._costs(points)
+        if isinstance(costs, list):
+            best = min(costs)
+            return np.array([costs.index(best)]), np.array([best])
         ids = np.argmin(costs, axis=0)
         return ids, costs[ids, np.arange(costs.shape[1])]
 
@@ -168,8 +195,8 @@ class PlanSpace:
         if plan_id is None:
             __, costs = self.label(points)
             return costs
+        plan = self.plans[self._checked_id(plan_id)]
         selectivities = self._enumerator.selectivities(points)
-        plan = self.plans[plan_id]
         if len(selectivities) == 1:
             return np.array([plan.root.evaluate_point(selectivities[0].tolist())[1]])
         return plan.cost(selectivities)

@@ -241,3 +241,35 @@ class TestBatchBench:
         with pytest.raises(BenchError, match="changed decisions on Q1"):
             runners.run_batch()
 
+
+class TestWritePathBench:
+    def test_reports_an_insert_and_a_label_per_template(self, monkeypatch):
+        from repro.bench import runners
+
+        monkeypatch.setattr(runners, "WRITE_WARMUP", 300)
+        monkeypatch.setattr(runners, "WRITE_PROBES", 40)
+        monkeypatch.setattr(runners, "WRITE_LABEL_TEMPLATES", ("Q1",))
+        monkeypatch.setattr(runners, "WRITE_REPEATS", 1)
+        envelope = runners.run_write_path()
+        assert envelope["bench"] == "write_path"
+        metrics = envelope["metrics"]
+        assert set(metrics) == {"insert_us", "Q1_label_us"}
+        assert all(entry["value"] > 0.0 for entry in metrics.values())
+        assert 0.0 <= envelope["details"]["insert_full_row_share"] <= 1.0
+        assert "write_path" in runners.SUITES["ci"]
+
+    def test_a_one_point_label_off_the_batch_fails(self, monkeypatch):
+        from repro.bench import runners
+        from repro.exceptions import BenchError
+        from repro.optimizer.plan_space import PlanSpace
+
+        monkeypatch.setattr(runners, "WRITE_PROBES", 8)
+        label = PlanSpace.label
+
+        def shifted(self, points):
+            ids, costs = label(self, points)
+            return (ids + 1, costs) if len(points) == 1 else (ids, costs)
+
+        monkeypatch.setattr(PlanSpace, "label", shifted)
+        with pytest.raises(BenchError, match="differ from the batch on Q1"):
+            runners._label_cell("Q1")

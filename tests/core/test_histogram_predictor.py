@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.config import PPCConfig
+from repro.core.framework import TemplateSession
 from repro.core.histogram_predictor import HistogramPredictor, ball_volume
 from repro.core.point import SamplePool
 from repro.exceptions import (
@@ -10,6 +12,8 @@ from repro.exceptions import (
     HistogramError,
     PredictionError,
 )
+from repro.tpch import plan_space_for
+from repro.workload.runner import decision_digest
 from tests.core.legacy import (
     assert_predictions_match,
     legacy_cell_densities,
@@ -399,3 +403,89 @@ class TestAgainstOracle:
             correct += prediction.plan_id == truth[i]
         assert answered > test.shape[0] * 0.4
         assert correct / answered > 0.95
+
+
+class TestEmptyVote:
+    """A decision in which no column has a winner reads no cost
+    estimate, so ``decide`` skips the winner-cost median; the
+    ``cost_estimate`` span still opens and is annotated, and the stage
+    metrics count the decision as before."""
+
+    POINT = np.array([0.3, 0.6])
+
+    @staticmethod
+    def _tree(span, depth=0):
+        """``(depth, name)`` of every span, parents first."""
+        yield depth, span.name
+        for child in span.children:
+            yield from TestEmptyVote._tree(child, depth + 1)
+
+    @staticmethod
+    def _stage_counts(session):
+        return (
+            {stage: h.count for stage, h in session._stage_histograms.items()},
+            session._transform_seconds.count,
+            session._range_query_seconds.count,
+        )
+
+    def test_cold_decision_traced_and_untraced(self):
+        config = PPCConfig()
+        traced = TemplateSession(plan_space_for("Q1"), config, seed=0)
+        trace = traced.explain(self.POINT)
+        t = len(traced.predictor.ensemble)
+        assert list(self._tree(trace.root)) == [
+            (0, "decision"), (1, "normalize"), (1, "predict"),
+            (2, "z_values"), (2, "density_lookup"), *[(2, "transform")] * t,
+            (2, "aggregate"), (2, "noise_elimination"), (2, "confidence"),
+            (2, "cost_estimate"), (1, "decide"), (1, "optimize"),
+            (1, "drift_check"), (1, "record"),
+        ]
+        spans = {span.name: span.attributes for span in trace.spans()}
+        plans = traced.plan_space.plan_count
+        assert spans["predict"] == {"plan": None}
+        assert spans["aggregate"] == {
+            "method": "median", "counts": [0.0] * plans,
+        }
+        assert spans["noise_elimination"] == {
+            "max_count": 0.0,
+            "total_mass": 0.0,
+            "noise_fraction": config.noise_fraction,
+            "threshold": 0.0,
+            "eliminated": False,
+        }
+        assert spans["confidence"] == {
+            "gamma": config.confidence_threshold,
+            "winner": None,
+            "max_count": 0.0,
+            "other_count": 0.0,
+            "ratio": None,
+            "model": "null",
+            "sin_theta": 0.0,
+            "passed": False,
+        }
+        assert spans["cost_estimate"] == {"plan": None, "estimated_cost": None}
+
+        untraced = TemplateSession(plan_space_for("Q1"), config, seed=0)
+        record = untraced.execute(self.POINT)
+        assert record.invocation_reason == "null_prediction"
+        assert record.optimizer_invoked
+        assert decision_digest(record) == decision_digest(traced.records[-1])
+        expected = ({"predict": 1, "optimize": 1, "execute": 0, "feedback": 0}, 1, 1)
+        assert self._stage_counts(traced) == expected
+        assert self._stage_counts(untraced) == expected
+
+    def test_a_batch_without_a_winner_decides_all_null(self):
+        """Columns with no mass at all, then columns γ rejects: every
+        prediction is ``None``, as each column's alone."""
+        predictor = HistogramPredictor(
+            SamplePool(2), plan_count=2, histogram_kind="incremental", seed=1
+        )
+        points = np.random.default_rng(3).uniform(0.0, 1.0, (6, 2))
+        assert predictor.predict_batch(points) == [None] * 6
+        # Two plans with equal mass everywhere: γ rejects every column.
+        for x in points:
+            predictor.insert(x, 0, cost=2.0)
+            predictor.insert(x, 1, cost=3.0)
+        predictions = predictor.predict_batch(points)
+        assert predictions == [None] * 6
+        assert predictions == [predictor.predict(x) for x in points]

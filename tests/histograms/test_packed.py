@@ -393,17 +393,40 @@ class TestOneStore:
             np.testing.assert_array_equal(part_mass, mass[:, selected])
             np.testing.assert_array_equal(part_average, average[:, selected])
 
-    @pytest.mark.parametrize("bad", [-1e-9, 1.0 + 1e-9, float("nan")])
-    def test_rejected_insert_writes_nothing(self, bad):
-        """A z-value outside ``[0, 1]`` in any row rejects the insert
-        before the rows before it are touched."""
-        packed = PackedHistograms.from_buckets([[[]], [[]], [[]]])
+    @pytest.mark.parametrize(
+        "plan, z",
+        [
+            (0, [0.1, 0.2, -1e-9]),
+            (0, [0.1, 0.2, 1.0 + 1e-9]),
+            (0, [0.1, 0.2, float("nan")]),
+            (-1, [0.1, 0.2, 0.3]),
+            (2, [0.1, 0.2, 0.3]),
+            (0, [0.1, 0.2]),
+            (0, [0.1, 0.2, 0.3, 0.4]),
+            (0, [[0.1, 0.2, 0.3]]),
+        ],
+        ids=[
+            "-1e-09", "1.000000001", "nan", "negative-plan",
+            "plan-past-end", "short-z", "long-z", "2-d-z",
+        ],
+    )
+    def test_rejected_insert_writes_nothing(self, plan, z):
+        """A z-value outside ``[0, 1]`` in any row, a plan id outside
+        the block (a negative one included) or a z-vector that is not
+        one value per transform rejects the insert before any row is
+        touched, and the block's books stay as they were."""
+        packed = PackedHistograms.from_buckets([[[], []], [[], []], [[], []]])
         packed.insert(0, np.array([0.25, 0.5, 0.75]), 2.0, 1.0, 4)
+        packed.take_dirty()
         before = packed._buckets.copy()
+        books = (packed.version, packed.total_points, packed.total_mass)
         with pytest.raises(HistogramError):
-            packed.insert(0, np.array([0.1, 0.2, bad]), 2.0, 1.0, 4)
+            packed.insert(plan, np.array(z), 2.0, 1.0, 4)
         assert packed._buckets.tobytes() == before.tobytes()
+        assert packed.bucket_counts.tolist() == [[1, 0]] * 3
         assert packed.space_bytes() == 3 * 12
+        assert (packed.version, packed.total_points, packed.total_mass) == books
+        assert packed.take_dirty() == []
 
     def test_insert_at_budget_keeps_the_width(self):
         """A full row opens a bucket and merges back without widening

@@ -1,5 +1,7 @@
 """The plan-space oracle: harvesting, labeling, cost queries."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.optimizer.plan_space import (
     HARVEST_ROUNDS,
     PlanSpace,
 )
+from repro.tpch import plan_space_for
 
 
 class TestHarvest:
@@ -92,6 +95,61 @@ class TestLabeling:
     def test_single_point_convenience(self, tiny_space):
         ids = tiny_space.plan_at(np.array([0.5, 0.5]))
         assert ids.shape == (1,)
+
+    @pytest.mark.parametrize("name", ["Q1", "Q3", "Q5"])
+    def test_a_tie_goes_to_the_lowest_id_on_both_paths(self, name):
+        """A candidate listed twice ties with itself at every point.
+        A one-point label takes the first minimum of its float costs,
+        which is ``np.argmin``'s rule: it returns the lower id, the id
+        a batch label returns, with the same cost bits."""
+        space = copy.copy(plan_space_for(name))
+        original = space.plans
+        # Every plan again after the originals, and the last one first.
+        space.plans = [original[-1], *original, *original]
+        points = np.random.default_rng(5).uniform(
+            0.0, 1.0, (60, space.dimensions)
+        )
+        batch_ids, batch_costs = space.label(points)
+        ids = []
+        for index, point in enumerate(points):
+            point_ids, point_costs = space.label(point[None, :])
+            assert point_ids.shape == point_costs.shape == (1,)
+            assert point_costs[0].tobytes() == batch_costs[index].tobytes()
+            ids.append(int(point_ids[0]))
+        assert ids == batch_ids.tolist()
+        # The lowest copy of each winner: the front copy of the last
+        # plan, else the first of the originals.
+        true_ids, __ = plan_space_for(name).label(points)
+        last = len(original) - 1
+        assert ids == [0 if k == last else k + 1 for k in true_ids.tolist()]
+
+    @pytest.mark.parametrize("name", ["Q1", "Q3", "Q5", "Q7"])
+    def test_one_point_costs_stay_python_floats(self, name):
+        """``np.exp`` and ``np.log2`` hand a float point a Python float
+        back, so no node above them computes in numpy scalars."""
+        space = plan_space_for(name)
+        point = space._enumerator.selectivities(
+            np.full(space.dimensions, 0.37)
+        )[0].tolist()
+        for plan in space.plans:
+            rows, cost = plan.root.evaluate_point(point)
+            assert type(rows) is float
+            assert type(cost) is float
+
+    @pytest.mark.parametrize("plan_id", [-1, -2, "count"])
+    def test_an_id_outside_the_candidates_is_refused(self, tiny_space, plan_id):
+        """A negative id would index from the end and serve the last
+        plans; one past the end would raise a bare ``IndexError``.
+        Both name the id in an ``OptimizationError``."""
+        if plan_id == "count":
+            plan_id = tiny_space.plan_count
+        with pytest.raises(OptimizationError, match=f"plan id {plan_id} "):
+            tiny_space.plan(plan_id)
+        for points in (np.array([[0.5, 0.5]]), np.full((3, 2), 0.5)):
+            with pytest.raises(OptimizationError, match=f"plan id {plan_id} "):
+                tiny_space.cost_at(points, plan_id)
+        last = tiny_space.plan_count - 1
+        assert tiny_space.plan(last) is tiny_space.plans[last]
 
 
 class TestTpchSpaces:
