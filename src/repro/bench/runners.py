@@ -19,6 +19,7 @@ the CI gate runs; ``full`` is every bench, today the same set).
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import pathlib
 from time import perf_counter
@@ -266,9 +267,11 @@ def run_instrumentation_overhead() -> dict[str, Any]:
     evicted by the rig before, land on every mode alike.  A fixed
     rotation would not do: the rig after the heaviest one would always
     pay for it.  ``off_twin`` is an A/A control, so its overhead is the
-    rig's own noise floor.  Raises :class:`BenchError` if any mode
-    changes a decision, or if a rig's channels recorded anything other
-    than exactly the one its mode turns on.
+    rig's own noise floor.  The cyclic garbage collector is off for the
+    timed probes (one collection runs first), so no rig is charged for
+    a pass the others' garbage triggered.  Raises :class:`BenchError`
+    if any mode changes a decision, or if a rig's channels recorded
+    anything other than exactly the one its mode turns on.
     """
     rigs: dict[str, tuple[PPCFramework, VirtualClock]] = {}
     for mode in INSTRUMENTATION_MODES:
@@ -292,14 +295,24 @@ def run_instrumentation_overhead() -> dict[str, Any]:
     names = list(rigs)
     order = np.random.default_rng(ORDER_SEED)
     spent = dict.fromkeys(names, 0.0)
-    for x in probes:
-        for index in order.permutation(len(names)):
-            framework, clock = rigs[names[index]]
-            t0 = perf_counter()
-            record = framework.execute("Q1", x)
-            spent[names[index]] += perf_counter() - t0
-            records[names[index]].append(record)
-            clock.advance(INSTRUMENTATION_ADVANCE)
+    # A cyclic collection would land on whichever rig's allocation
+    # crosses the threshold, a fixed function of the code and of what
+    # the process allocated before: collect once, then time without it.
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for x in probes:
+            for index in order.permutation(len(names)):
+                framework, clock = rigs[names[index]]
+                t0 = perf_counter()
+                record = framework.execute("Q1", x)
+                spent[names[index]] += perf_counter() - t0
+                records[names[index]].append(record)
+                clock.advance(INSTRUMENTATION_ADVANCE)
+    finally:
+        if collecting:
+            gc.enable()
 
     reference = [decision_digest(r) for r in records["off"]]
     modes: dict[str, dict[str, Any]] = {}
@@ -560,32 +573,72 @@ def _insert_cell() -> tuple[float, float]:
     return best / WRITE_PROBES, share
 
 
+def _best_per_call(call: Callable[[], Any]) -> float:
+    """Best-of-N seconds per call of a :data:`WRITE_PROBES`-call loop."""
+    best = float("inf")
+    for __ in range(WRITE_REPEATS):
+        t0 = perf_counter()
+        call()
+        best = min(best, perf_counter() - t0)
+    return best / WRITE_PROBES
+
+
+def _checked_walk(name: str) -> tuple[PlanSpace, list[np.ndarray]]:
+    """A template's plan space and its walk as one-point rows.  Raises
+    :class:`BenchError` unless, at every walk point, the compiled
+    program costs every plan bit for bit what the plan's node formulas
+    (:meth:`PhysicalPlan.cost`) cost."""
+    space = plan_space_for(name)
+    points = _write_walk(space, WRITE_PROBES)
+    rows = [point[None, :] for point in points]
+    selectivities = space._enumerator.selectivities(points)
+    formulas = np.stack([plan.cost(selectivities) for plan in space.plans])
+    program = np.hstack([space.cost_matrix(row) for row in rows])
+    if program.tobytes() != formulas.tobytes():
+        raise BenchError(
+            f"the cost program differs from the node formulas on {name}"
+        )
+    return space, rows
+
+
 def _label_cell(name: str) -> float:
     """Best-of-N seconds per one-point :meth:`PlanSpace.label` over a
     walk.  Raises :class:`BenchError` unless every one-point label
     equals the batch label of the walk, plan id and cost bits."""
-    space = plan_space_for(name)
-    points = _write_walk(space, WRITE_PROBES)
-    rows = [point[None, :] for point in points]
-    ids, costs = space.label(points)
+    space, rows = _checked_walk(name)
+    ids, costs = space.label(np.vstack(rows))
     labels = [space.label(row) for row in rows]
     if [int(i[0]) for i, __ in labels] != ids.tolist() or (
         np.array([c[0] for __, c in labels]).tobytes() != costs.tobytes()
     ):
         raise BenchError(f"one-point labels differ from the batch on {name}")
-    best = float("inf")
-    for __ in range(WRITE_REPEATS):
-        t0 = perf_counter()
+
+    def label() -> None:
         for row in rows:
             space.label(row)
-        best = min(best, perf_counter() - t0)
-    return best / WRITE_PROBES
+
+    return _best_per_call(label)
+
+
+def _cost_at_cell(name: str) -> float:
+    """Best-of-N seconds per one-point :meth:`PlanSpace.cost_at` over a
+    walk, the cost of plan ``i % plans`` at point ``i``."""
+    space, rows = _checked_walk(name)
+    calls = [(row, i % space.plan_count) for i, row in enumerate(rows)]
+
+    def cost_at() -> None:
+        for row, plan_id in calls:
+            space.cost_at(row, plan_id)
+
+    return _best_per_call(cost_at)
 
 
 def run_write_path() -> dict[str, Any]:
     """Per-call cost of the two writes an optimizer call makes past its
     decision: one steady-state insert into a Q5-shaped packed block,
-    and one one-point label per template."""
+    and one one-point label per template; and of one one-point
+    ``cost_at``, which a decision served from the cache pays to cost
+    the plan it runs."""
     insert_s, full_share = _insert_cell()
     metrics = {
         "insert_us": metric(
@@ -596,6 +649,10 @@ def run_write_path() -> dict[str, Any]:
     for name in WRITE_LABEL_TEMPLATES:
         metrics[f"{name}_label_us"] = metric(
             _label_cell(name) * 1e6, "us/call", "lower",
+            tolerance_pct=WRITE_TOLERANCE_PCT,
+        )
+        metrics[f"{name}_cost_at_us"] = metric(
+            _cost_at_cell(name) * 1e6, "us/call", "lower",
             tolerance_pct=WRITE_TOLERANCE_PCT,
         )
     return make_envelope(

@@ -5,19 +5,17 @@ Every node answers two entry points, both running its one
 
 - ``evaluate(x, memo=None)`` costs a batch: ``x`` is an ``(n, r)``
   array of selectivity points, and ``(rows, cost)`` come back as
-  ``(n,)`` arrays.  Evaluating many plan-space points at once is what
-  makes the :class:`~repro.optimizer.plan_space.PlanSpace` oracle fast
-  enough to label the tens of thousands of points the experiments
-  need.
+  ``(n,)`` arrays.
 - ``evaluate_point(point, memo=None)`` costs one point, given as ``r``
-  Python floats, and returns two floats.  The online optimizer call
-  costs one point at a time, and a float operation costs a tenth of a
-  numpy call on a one-element array.
+  Python floats, and returns two floats.
+
+The DP enumerator costs plans that do not exist until it builds them,
+so it runs ``_evaluate``, and so does :meth:`PhysicalPlan.cost`.
 
 A formula reads its point through a *point view* ``x``: ``x[i]`` is
 selectivity ``i``, an ``(n,)`` column for a batch and a float for one
 point.  It only multiplies, adds, compares and calls numpy ufuncs, which
-accept both kinds, so there is no scalar twin of any formula.  A branch
+accept both kinds, so one formula serves both operand kinds.  A branch
 is a comparison multiplied in — ``(a > b) * v`` is ``v`` or ``0.0`` —
 where array code would call ``np.where`` or ``np.maximum``.  The two
 kinds agree to the last bit: ``+ - * /`` are the same IEEE operations
@@ -31,13 +29,27 @@ in float arithmetic.  An array comes back as it was.  A non-finite
 point would break the agreement (a comparison with NaN is False,
 ``np.maximum`` propagates it); the callers reject it before costing.
 
+Each formula has a second rendering, the compiled program.  A
+:class:`~repro.optimizer.plan_space.PlanSpace` knows its candidates
+once harvested, so :func:`compile_costs` turns them into one
+straight-line Python function: every distinct node once, children
+first, each by the lines its ``_source`` method (next to its
+``_evaluate``) emits — the same formula, in the same operation order,
+with the node's numbers and its cost model's constants inlined as
+literals.  That function is the plan space's only costing path, for
+one point and for a batch.  The two renderings must agree on every bit:
+``tests/optimizer/test_cost_program.py`` compares them on every TPC-H
+template and on hand-built plans at both sides of each branch, and
+``repro bench run write_path`` fails if they differ at any point it
+times.  Emitted source holds only node numbers (finite ``int`` or
+``float``, asserted), parameter indices and generated local names.
+
 Plans that share a subtree — a join prefix, an access path — share its
-cost too.  One ``memo`` threaded through several calls at the same
-points evaluates each distinct node once: the oracle costs all its
-candidates through one memo, and the DP enumerator costs every
-candidate built on a kept subtree through one.  Sharing needs shared
+cost too.  The program evaluates each shared node once; in the DP, one
+``memo`` threaded through several calls at the same points does the
+same for every candidate built on a kept subtree.  Sharing needs shared
 *objects*; :meth:`PlanNode.interned` folds structurally equal subtrees
-into one node so the memo can find them.
+into one node so the memo and the program can find them.
 
 Nodes are constructed with all catalog quantities (row counts, page
 counts, join selectivities) already resolved to plain numbers, so the
@@ -47,8 +59,9 @@ executor receives a fully bound plan.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -64,6 +77,12 @@ PointView = np.ndarray | Sequence[float]
 RowsCost = tuple[Value, Value]
 #: Evaluated nodes at one set of points, keyed by node identity.
 Memo = dict["PlanNode", RowsCost]
+#: ``name(node)`` emits a node's program lines once and returns the
+#: suffix ``k`` of its ``rows{k}`` and ``cost{k}`` locals.
+Namer = Callable[["PlanNode"], str]
+#: A compiled cost program: every candidate's cost at the point view
+#: ``x`` (see :func:`compile_costs`).
+CostProgram = Callable[[PointView], list[Value]]
 
 
 def _selectivity_product(x: PointView, param_indexes: tuple[int, ...]) -> Value:
@@ -86,6 +105,60 @@ def _ufunc(ufunc: np.ufunc, value: Value) -> Value:
     scalar's Python float, the same bits."""
     result = ufunc(value)
     return result if isinstance(value, np.ndarray) else float(result)
+
+
+def _literal(value: "int | float") -> str:
+    """A node's number as program source: only a finite ``int`` or
+    ``float`` is ever emitted, so ``repr`` is an exact literal."""
+    assert type(value) in (int, float) and math.isfinite(value), value
+    return repr(value)
+
+
+def _product_source(param_indexes: tuple[int, ...]) -> str:
+    """:func:`_selectivity_product` as source, in the same order."""
+    if not param_indexes:
+        return "1.0"
+    return " * ".join(f"x{_literal(index)}" for index in param_indexes)
+
+
+def compile_costs(roots: Sequence["PlanNode"], degree: int) -> CostProgram:
+    """One straight-line function costing every plan of ``roots``.
+
+    Each distinct node (by identity) is evaluated once, children before
+    parents, by the lines its :meth:`PlanNode._source` emits: its
+    ``_evaluate`` formula with the catalog and cost-model numbers
+    inlined as literals, in the same operation order.  The function
+    takes a point view of ``degree`` selectivities — ``r`` Python floats
+    for one point, an ``(r, n)`` array for a batch — and returns each
+    root's cost in ``roots`` order, bit for bit what
+    :meth:`PlanNode.evaluate_point` or :meth:`PlanNode.evaluate`
+    returns.  A cost no selectivity reaches is a float on both paths.
+    """
+    source = _Source(degree)
+    costs = ", ".join(f"cost{source.name(root)}" for root in roots)
+    lines = [*source.lines, f"return [{costs}]"]
+    body = "".join(f"    {line}\n" for line in lines)
+    namespace = {"_ufunc": _ufunc, "_exp": np.exp, "_log2": np.log2}
+    exec(compile(f"def program(x):\n{body}", "<cost program>", "exec"), namespace)
+    return namespace["program"]
+
+
+class _Source:
+    """A cost program's body: each distinct node's lines once, children
+    first.  A class, not a recursive closure: a closure that names
+    itself is a reference cycle, which would keep every line alive until
+    the cyclic collector runs."""
+
+    def __init__(self, degree: int) -> None:
+        self.lines = [f"x{i} = x[{i}]" for i in range(degree)]
+        self.names: dict[PlanNode, str] = {}
+
+    def name(self, node: "PlanNode") -> str:
+        k = self.names.get(node)
+        if k is None:
+            k = self.names[node] = str(len(self.names))
+            self.lines.extend(node._source(k, self.name))
+        return k
 
 
 def _column(value: Value, n: int) -> np.ndarray:
@@ -161,6 +234,12 @@ class PlanNode(ABC):
         children evaluated through ``memo``."""
 
     @abstractmethod
+    def _source(self, k: str, name: Namer) -> list[str]:
+        """:meth:`_evaluate` as program lines assigning ``rows{k}`` and
+        ``cost{k}`` (:func:`compile_costs`); ``name`` emits a child and
+        returns its suffix.  Selectivity ``i`` is the local ``x{i}``."""
+
+    @abstractmethod
     def _fields(self) -> tuple:
         """Every attribute ``_evaluate`` reads, other than the children
         and the cost model."""
@@ -228,6 +307,14 @@ class SeqScan(PlanNode):
         )
         return rows, cost
 
+    def _source(self, k: str, name: Namer) -> list[str]:
+        return [
+            f"rows{k} = {_literal(self.base_rows)}"
+            f" * ({_product_source(self.param_indexes)})",
+            f"cost{k} = {_literal(self.pages)} * {_literal(self.model.seq_page_cost)}"
+            f" + {_literal(self.base_rows)} * {_literal(self.model.cpu_tuple_cost)}",
+        ]
+
     def _fields(self) -> tuple:
         return (self.table, self.base_rows, self.pages, self.param_indexes)
 
@@ -283,6 +370,23 @@ class IndexScan(PlanNode):
         rows = fetched * _selectivity_product(x, self.residual_params)
         return rows, cost
 
+    def _source(self, k: str, name: Namer) -> list[str]:
+        sarg = f"x{_literal(self.sarg_param)}"
+        pages = _literal(self.pages)
+        if self.clustered:
+            io_cost = f"{pages} * {sarg} * {_literal(self.model.seq_page_cost)}"
+        else:
+            io_cost = (
+                f"{pages} * (1.0 - _ufunc(_exp, -fetched{k} / {pages}))"
+                f" * {_literal(self.model.random_page_cost)}"
+            )
+        return [
+            f"fetched{k} = {_literal(self.base_rows)} * {sarg}",
+            f"cost{k} = {_literal(self.model.index_probe_cost)} + {io_cost}"
+            f" + fetched{k} * {_literal(self.model.cpu_tuple_cost)}",
+            f"rows{k} = fetched{k} * ({_product_source(self.residual_params)})",
+        ]
+
     def _fields(self) -> tuple:
         return (
             self.table,
@@ -319,6 +423,16 @@ class Sort(PlanNode):
         safe_rows = (rows > 2.0) * rows + (rows <= 2.0) * 2.0
         sort_cost = self.model.sort_cost_factor * rows * _ufunc(np.log2, safe_rows)
         return rows, cost + sort_cost
+
+    def _source(self, k: str, name: Namer) -> list[str]:
+        child = name(self.child)
+        rows = f"rows{child}"
+        safe_rows = f"({rows} > 2.0) * {rows} + ({rows} <= 2.0) * 2.0"
+        return [
+            f"rows{k} = {rows}",
+            f"cost{k} = cost{child} + {_literal(self.model.sort_cost_factor)}"
+            f" * {rows} * _ufunc(_log2, {safe_rows})",
+        ]
 
     def _fields(self) -> tuple:
         return (self.order,)
@@ -360,6 +474,10 @@ class _Join(PlanNode):
     def _output_rows(self, outer_rows: Value, inner_rows: Value) -> Value:
         return outer_rows * inner_rows * self.join_selectivity
 
+    def _output_source(self, k: str, outer: str, inner: str) -> str:
+        selectivity = _literal(self.join_selectivity)
+        return f"rows{k} = rows{outer} * rows{inner} * {selectivity}"
+
     def _fields(self) -> tuple:
         return (self.join_selectivity,)
 
@@ -392,6 +510,15 @@ class NestedLoopJoin(_Join):
         rows = self._output_rows(outer_rows, inner_rows)
         cost = outer_cost + inner_cost + compare_cost + rows * self.model.cpu_tuple_cost
         return rows, cost
+
+    def _source(self, k: str, name: Namer) -> list[str]:
+        outer, inner = name(self.outer), name(self.inner)
+        return [
+            self._output_source(k, outer, inner),
+            f"cost{k} = cost{outer} + cost{inner}"
+            f" + rows{outer} * rows{inner} * {_literal(self.model.cpu_compare_cost)}"
+            f" + rows{k} * {_literal(self.model.cpu_tuple_cost)}",
+        ]
 
     def fingerprint(self) -> str:
         return f"NLJ({self.outer.fingerprint()},{self.inner.fingerprint()})"
@@ -448,6 +575,23 @@ class IndexNLJoin(_Join):
         )
         return rows, cost
 
+    def _source(self, k: str, name: Namer) -> list[str]:
+        # The inner scan is never evaluated, so it gets no lines.
+        outer = name(self.outer)
+        matches_per_probe = (
+            f"{_literal(self.inner_base_rows)} * {_literal(self.join_selectivity)}"
+        )
+        probe_cost = (
+            f"{_literal(self.model.index_probe_cost)}"
+            f" + {matches_per_probe} * {_literal(self.model.random_page_cost)}"
+        )
+        return [
+            f"rows{k} = rows{outer} * ({matches_per_probe})"
+            f" * ({_product_source(self.inner_param_indexes)})",
+            f"cost{k} = cost{outer} + rows{outer} * ({probe_cost})"
+            f" + rows{k} * {_literal(self.model.cpu_tuple_cost)}",
+        ]
+
     def _fields(self) -> tuple:
         return (
             self.join_selectivity,
@@ -495,6 +639,20 @@ class HashJoin(_Join):
         )
         return rows, cost
 
+    def _source(self, k: str, name: Namer) -> list[str]:
+        outer, inner = name(self.outer), name(self.inner)
+        model = self.model
+        return [
+            self._output_source(k, outer, inner),
+            f"cost{k} = cost{outer} + cost{inner}"
+            f" + rows{inner} * {_literal(model.hash_build_cost)}"
+            f" + rows{outer} * {_literal(model.hash_probe_cost)}"
+            f" + (rows{inner} > {_literal(model.hash_memory_rows)})"
+            f" * ((rows{outer} + rows{inner}) * {_literal(model.hash_spill_factor)}"
+            f" * {_literal(model.cpu_tuple_cost)})"
+            f" + rows{k} * {_literal(model.cpu_tuple_cost)}",
+        ]
+
     def fingerprint(self) -> str:
         return f"HJ({self.outer.fingerprint()},{self.inner.fingerprint()})"
 
@@ -520,6 +678,15 @@ class MergeJoin(_Join):
         rows = self._output_rows(outer_rows, inner_rows)
         cost = outer_cost + inner_cost + merge + rows * self.model.cpu_tuple_cost
         return rows, cost
+
+    def _source(self, k: str, name: Namer) -> list[str]:
+        outer, inner = name(self.outer), name(self.inner)
+        return [
+            self._output_source(k, outer, inner),
+            f"cost{k} = cost{outer} + cost{inner}"
+            f" + (rows{outer} + rows{inner}) * {_literal(self.model.merge_cost_factor)}"
+            f" + rows{k} * {_literal(self.model.cpu_tuple_cost)}",
+        ]
 
     def fingerprint(self) -> str:
         return f"MJ({self.outer.fingerprint()},{self.inner.fingerprint()})"

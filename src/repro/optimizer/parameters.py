@@ -68,6 +68,15 @@ class ParameterMapping:
         self._log_denominator = self._log_span + 1e-300
         self._span = self._hi - self._lo
         self._denominator = self._span + 1e-300
+        # One point's conversion, in Python floats: (log?, offset, span).
+        self._point_terms = list(
+            zip(
+                self._log.tolist(),
+                np.where(self._log, self._log_lo, self._lo).tolist(),
+                np.where(self._log, self._log_span, self._span).tolist(),
+                strict=True,
+            )
+        )
 
     @classmethod
     def for_template(
@@ -101,6 +110,15 @@ class ParameterMapping:
         log_sel = np.exp(self._log_lo + x * self._log_span)
         linear_sel = self._lo + x * self._span
         return np.where(self._log, log_sel, linear_sel)
+
+    def point_to_selectivity(self, x: list[float]) -> list[float]:
+        """:meth:`to_selectivity` of one point given as ``r`` Python
+        floats, computed in floats: bit for bit the batch's row, since
+        ``np.exp`` of a float runs the array's ufunc loop."""
+        return [
+            float(np.exp(offset + value * span)) if log else offset + value * span
+            for value, (log, offset, span) in zip(x, self._point_terms, strict=True)
+        ]
 
     def to_normalized(self, selectivity: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`to_selectivity` (clipped to ``[0, 1]``)."""

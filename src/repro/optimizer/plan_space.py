@@ -12,16 +12,19 @@ selectivities) to plans.  :class:`PlanSpace` realizes that function:
    plan pool of the template.  Each new plan's subtrees are interned:
    a join prefix or access path that several candidates share becomes
    one node object.
-2. **Label** — for arbitrary points, evaluate every candidate's cost
-   formula and take the argmin: over ``(n,)`` arrays for a batch, in
+2. **Label** — for arbitrary points, cost every candidate and take the
+   argmin.  The candidates are costed by one compiled program
+   (:func:`~repro.optimizer.operators.compile_costs`), built on the
+   first costing call and again whenever ``plans`` is reassigned: a
+   straight-line function that evaluates each distinct subplan once
+   (Q5's 17 plans hold 85 operator nodes; the program evaluates 34),
+   with every node's numbers inlined, bit for bit what each plan's own
+   formulas cost.  It runs over ``(n,)`` arrays for a batch and in
    Python floats for one point (an online optimizer call), bit for bit
-   the same either way.  One point's costs stay a list of floats and
-   its first minimum is taken in Python, which is ``np.argmin``'s tie
-   rule, so no numpy call costs a one-element array.  All candidates
-   are costed through one memo, so each distinct subplan is evaluated
-   once per call however many candidates contain it (Q5's 17 plans
-   hold 85 operator nodes but only 37 distinct ones); the costs are bit
-   for bit those of costing each plan alone.  At harvested points this
+   the same either way.  One point is checked and mapped to
+   selectivities in floats, its costs stay a list, and its first
+   minimum is taken in Python, which is ``np.argmin``'s tie rule, so no
+   numpy call costs a one-element array.  At harvested points this
    matches the DP result exactly; elsewhere it defines a consistent
    piecewise-minimum plan diagram with the same cost surfaces, which is
    the structure every experiment consumes.
@@ -40,7 +43,7 @@ from repro.optimizer.catalog import Catalog
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.enumeration import DPEnumerator
 from repro.optimizer.expressions import QueryTemplate
-from repro.optimizer.operators import Memo, PlanNode
+from repro.optimizer.operators import CostProgram, PlanNode, Value, compile_costs
 from repro.optimizer.plans import PhysicalPlan
 from repro.rng import as_generator
 
@@ -68,7 +71,9 @@ class PlanSpace:
         self.catalog = catalog
         self.model = model or CostModel()
         self._enumerator = DPEnumerator(template, catalog, self.model)
-        self.plans: list[PhysicalPlan] = []
+        self._plans: list[PhysicalPlan] = []
+        #: The candidates' costing program, compiled on first use.
+        self._program: "CostProgram | None" = None
         self._ids_by_fingerprint: dict[str, int] = {}
         #: Structural key -> the one node of that structure in ``plans``.
         self._subplans: dict[tuple, PlanNode] = {}
@@ -116,73 +121,116 @@ class PlanSpace:
     def _register(self, plan: PhysicalPlan) -> bool:
         if plan.fingerprint in self._ids_by_fingerprint:
             return False
-        self._ids_by_fingerprint[plan.fingerprint] = len(self.plans)
-        self.plans.append(PhysicalPlan(plan.root.interned(self._subplans)))
+        self._ids_by_fingerprint[plan.fingerprint] = len(self._plans)
+        self._plans.append(PhysicalPlan(plan.root.interned(self._subplans)))
         return True
 
     # ------------------------------------------------------------------
     # Oracle queries
     # ------------------------------------------------------------------
     @property
+    def plans(self) -> list[PhysicalPlan]:
+        """The candidates; plan ``i`` is ``plans[i]``."""
+        return self._plans
+
+    @plans.setter
+    def plans(self, plans: list[PhysicalPlan]) -> None:
+        """A new candidate list; its program is compiled on next use."""
+        self._plans = plans
+        self._program = None
+
+    @property
     def dimensions(self) -> int:
         return self.template.parameter_degree
 
     @property
     def plan_count(self) -> int:
-        return len(self.plans)
+        return len(self._plans)
 
     def plan(self, plan_id: int) -> PhysicalPlan:
-        return self.plans[self._checked_id(plan_id)]
+        return self._plans[self._checked_id(plan_id)]
 
     def _checked_id(self, plan_id: int) -> int:
-        """``plan_id`` if it names a candidate; a negative id would
-        otherwise index from the end."""
-        if not 0 <= plan_id < len(self.plans):
+        """``plan_id`` if it names a candidate: an integer (never a
+        bool) in ``0..plan_count-1``.  A negative id would otherwise
+        index from the end, and ``True`` would serve plan 1."""
+        if isinstance(plan_id, (bool, np.bool_)) or not isinstance(
+            plan_id, (int, np.integer)
+        ):
+            raise OptimizationError(f"plan id {plan_id} is not an integer")
+        if not 0 <= plan_id < len(self._plans):
             raise OptimizationError(
-                f"plan id {plan_id} outside the {len(self.plans)} plans of "
+                f"plan id {plan_id} outside the {len(self._plans)} plans of "
                 f"template {self.template.name}"
             )
-        return plan_id
+        return int(plan_id)
 
-    def _costs(self, points: np.ndarray) -> "list[float] | np.ndarray":
-        """Every candidate's cost at ``points``, through one memo: a list
-        of Python floats for one point, a ``(plans, n)`` matrix of
-        ``(n,)`` cost arrays for a batch."""
+    def _point(self, points: np.ndarray) -> "list[float] | None":
+        """The selectivities of ``points`` as ``r`` Python floats if it
+        is one point, ``(r,)`` or ``(1, r)``; None for a batch.
+
+        Checks the point as :meth:`DPEnumerator.selectivities` checks a
+        batch: ``r`` coordinates, each a number in ``[0, 1]`` (NaN
+        fails both comparisons).
+        """
+        points = np.asarray(points, dtype=float)
+        if not (points.ndim == 1 or points.ndim == 2 and len(points) == 1):
+            return None
+        point = points.ravel().tolist()
+        if len(point) != self.dimensions:
+            raise OptimizationError(
+                f"expected {self.dimensions}-dimensional points, got shape "
+                f"{points.shape}"
+            )
+        for coordinate in point:
+            if not 0.0 <= coordinate <= 1.0:
+                raise OptimizationError(
+                    "plan-space points must be finite and lie in [0, 1]^r"
+                )
+        return self._enumerator.mapping.point_to_selectivity(point)
+
+    def _costs(self, points: np.ndarray) -> "tuple[list[Value], int | None]":
+        """Every candidate's cost at ``points``, by the compiled program,
+        and the batch size: Python floats and None for one point; for a
+        batch of ``n``, ``(n,)`` arrays, or a float where no selectivity
+        reaches a candidate."""
+        if self._program is None:
+            self._program = compile_costs(
+                [plan.root for plan in self._plans], self.dimensions
+            )
+        point = self._point(points)
+        if point is not None:
+            return self._program(point), None
         selectivities = self._enumerator.selectivities(points)
-        memo: Memo = {}
-        if len(selectivities) == 1:
-            point = selectivities[0].tolist()
-            return [plan.root.evaluate_point(point, memo)[1] for plan in self.plans]
-        return np.stack(
-            [plan.root.evaluate(selectivities, memo)[1] for plan in self.plans]
-        )
+        return self._program(selectivities.T), len(selectivities)
 
     def cost_matrix(self, points: np.ndarray) -> np.ndarray:
         """Costs of every candidate plan at every point: ``(plans, n)``.
 
-        One memo spans the candidates, so a subplan several of them
-        share is costed once; every row is bit for bit ``plan.cost`` of
-        that plan alone.  One point is costed in Python floats, a batch
-        in ``(n,)`` arrays; the two agree bit for bit.
+        Each distinct subplan is costed once, by the compiled program;
+        every row is bit for bit ``plan.cost`` of that plan alone.  One
+        point is costed in Python floats, a batch in ``(n,)`` arrays;
+        the two agree bit for bit.
         """
-        costs = self._costs(points)
-        if isinstance(costs, list):
+        costs, n = self._costs(points)
+        if n is None:
             return np.array(costs).reshape(-1, 1)
-        return costs
+        return _matrix(costs, n)
 
     def label(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Optimal plan ids and costs at each point: ``((n,), (n,))``.
 
         The lowest id wins a tie.  One point stays in Python floats: its
-        costs are a list and the first minimum is taken there, which is
-        ``np.argmin``'s rule over a batch's cost matrix.
+        costs are the program's list and the first minimum is taken
+        there, which is ``np.argmin``'s rule over a batch's cost matrix.
         """
-        costs = self._costs(points)
-        if isinstance(costs, list):
+        costs, n = self._costs(points)
+        if n is None:
             best = min(costs)
             return np.array([costs.index(best)]), np.array([best])
-        ids = np.argmin(costs, axis=0)
-        return ids, costs[ids, np.arange(costs.shape[1])]
+        matrix = _matrix(costs, n)
+        ids = np.argmin(matrix, axis=0)
+        return ids, matrix[ids, np.arange(n)]
 
     def plan_at(self, points: np.ndarray) -> np.ndarray:
         """Optimal plan id at each point."""
@@ -190,19 +238,35 @@ class PlanSpace:
         return ids
 
     def cost_at(self, points: np.ndarray, plan_id: "int | None" = None) -> np.ndarray:
-        """Cost of ``plan_id`` (or of the optimal plan) at each point;
-        one point is costed in Python floats, like :meth:`cost_matrix`."""
+        """Cost of ``plan_id`` (or of the optimal plan) at each point,
+        read off the compiled program's costs: in Python floats for one
+        point, in ``(n,)`` arrays for a batch, bit for bit alike."""
         if plan_id is None:
             __, costs = self.label(points)
             return costs
-        plan = self.plans[self._checked_id(plan_id)]
-        selectivities = self._enumerator.selectivities(points)
-        if len(selectivities) == 1:
-            return np.array([plan.root.evaluate_point(selectivities[0].tolist())[1]])
-        return plan.cost(selectivities)
+        plan_id = self._checked_id(plan_id)
+        costs, n = self._costs(points)
+        if n is None:
+            return np.array([costs[plan_id]])
+        cost = costs[plan_id]
+        return cost if isinstance(cost, np.ndarray) else np.full(n, cost)
+
+    def __getstate__(self) -> dict:
+        """The state without the compiled program, which a generated
+        function cannot be pickled as; it is rebuilt on first use."""
+        return {**self.__dict__, "_program": None}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PlanSpace({self.template.name}, r={self.dimensions}, "
             f"plans={self.plan_count})"
         )
+
+
+def _matrix(costs: list[Value], n: int) -> np.ndarray:
+    """A batch's candidate costs as a ``(plans, n)`` matrix; a constant
+    cost fills its row."""
+    matrix = np.empty((len(costs), n))
+    for row, cost in zip(matrix, costs, strict=True):
+        row[:] = cost
+    return matrix

@@ -253,7 +253,7 @@ class TestWritePathBench:
         envelope = runners.run_write_path()
         assert envelope["bench"] == "write_path"
         metrics = envelope["metrics"]
-        assert set(metrics) == {"insert_us", "Q1_label_us"}
+        assert set(metrics) == {"insert_us", "Q1_label_us", "Q1_cost_at_us"}
         assert all(entry["value"] > 0.0 for entry in metrics.values())
         assert 0.0 <= envelope["details"]["insert_full_row_share"] <= 1.0
         assert "write_path" in runners.SUITES["ci"]
@@ -273,3 +273,22 @@ class TestWritePathBench:
         monkeypatch.setattr(PlanSpace, "label", shifted)
         with pytest.raises(BenchError, match="differ from the batch on Q1"):
             runners._label_cell("Q1")
+
+    def test_a_program_off_the_node_formulas_fails(self, monkeypatch):
+        import numpy as np
+
+        from repro.bench import runners
+        from repro.exceptions import BenchError
+        from repro.optimizer.plan_space import PlanSpace
+
+        monkeypatch.setattr(runners, "WRITE_PROBES", 8)
+        cost_matrix = PlanSpace.cost_matrix
+
+        def nudged(self, points):
+            costs = cost_matrix(self, points)
+            return np.nextafter(costs, np.inf) if costs.shape[1] == 1 else costs
+
+        monkeypatch.setattr(PlanSpace, "cost_matrix", nudged)
+        for cell in (runners._label_cell, runners._cost_at_cell):
+            with pytest.raises(BenchError, match="node formulas on Q1"):
+                cell("Q1")

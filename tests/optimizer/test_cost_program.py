@@ -1,0 +1,260 @@
+"""The compiled cost program is the node formulas, bit for bit.
+
+A :class:`~repro.optimizer.plan_space.PlanSpace` costs its candidates
+through one straight-line function (``operators.compile_costs``) with
+the catalog and cost-model numbers inlined.  It is the second rendering
+of every operator formula, next to ``_evaluate``, which the DP
+enumerator and ``PhysicalPlan.cost`` still run.  The two must agree on
+every cost bit: at one point in Python floats (against
+``evaluate_point``), over a batch in arrays (against ``evaluate``), and
+above all where a formula branches — the ``Sort`` floor at two rows and
+the hash join's spill threshold.  No harvested TPC-H candidate holds
+a ``Sort``, a ``MergeJoin`` or a clustered ``IndexScan``, so hand-built
+plans cover those.  A one-point call maps and checks its coordinates
+itself, so it must refuse every point the batch refuses.
+"""
+
+import math
+import pickle
+
+import numpy as np
+import pytest
+
+from repro.exceptions import OptimizationError
+from repro.optimizer.cost_model import CostModel
+from repro.optimizer.operators import (
+    HashJoin,
+    IndexNLJoin,
+    IndexScan,
+    MergeJoin,
+    NestedLoopJoin,
+    PlanNode,
+    SeqScan,
+    Sort,
+    _literal,
+    compile_costs,
+)
+from repro.optimizer.plan_space import PlanSpace
+from repro.tpch import TEMPLATE_NAMES, plan_space_for
+
+MODEL = CostModel()
+LIMIT = MODEL.hash_memory_rows
+
+
+def nodes(space: PlanSpace) -> list[PlanNode]:
+    """Every distinct node of the candidates."""
+    seen: dict[int, PlanNode] = {}
+    stack = [plan.root for plan in space.plans]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(getattr(node, slot) for slot in node._child_slots)
+    return list(seen.values())
+
+
+def rows_along(space, node, start, direction, t):
+    """``node``'s output rows at ``start + t * direction``."""
+    x = space._enumerator.selectivities(start + t * direction)
+    rows, __ = node.evaluate(x)
+    return float(rows[0])
+
+
+def straddling(space: PlanSpace) -> list[np.ndarray]:
+    """Points just below and just above each hash join's spill
+    threshold, found by bisection along the diagonal and along each axis
+    through the centre (a node's rows never fall as a coordinate
+    grows)."""
+    degree = space.dimensions
+    lines = [(np.zeros(degree), np.ones(degree))]
+    for axis in range(degree):
+        start = np.full(degree, 0.5)
+        start[axis] = 0.0
+        direction = np.zeros(degree)
+        direction[axis] = 1.0
+        lines.append((start, direction))
+    points = []
+    for node in nodes(space):
+        if type(node) is not HashJoin:
+            continue
+        inner, limit = node.inner, node.model.hash_memory_rows
+        for start, direction in lines:
+            lo, hi = 0.0, 1.0
+            if not (
+                rows_along(space, inner, start, direction, lo) <= limit
+                < rows_along(space, inner, start, direction, hi)
+            ):
+                continue
+            for __ in range(64):
+                mid = (lo + hi) / 2.0
+                if rows_along(space, inner, start, direction, mid) <= limit:
+                    lo = mid
+                else:
+                    hi = mid
+            points += [start + lo * direction, start + hi * direction]
+    return points
+
+
+def parity_points(space: PlanSpace) -> np.ndarray:
+    degree = space.dimensions
+    random = np.random.default_rng(21).uniform(0.0, 1.0, (64, degree))
+    edges = [np.zeros(degree), np.ones(degree)]
+    for axis in range(degree):
+        edge = np.full(degree, 0.5)
+        edge[axis] = 0.0
+        edges.append(edge.copy())
+        edge[axis] = 1.0
+        edges.append(edge)
+    return np.vstack(
+        [random, space._structured_probes(degree), np.array(edges), *straddling(space)]
+    )
+
+
+@pytest.mark.parametrize("name", TEMPLATE_NAMES)
+def test_the_program_is_the_node_formulas_bitwise(name):
+    space = plan_space_for(name)
+    points = parity_points(space)
+    selectivities = space._enumerator.selectivities(points)
+    formulas = np.stack([plan.root.evaluate(selectivities)[1] for plan in space.plans])
+    assert space.cost_matrix(points).tobytes() == formulas.tobytes()
+    mapping = space._enumerator.mapping
+    for i, point in enumerate(points):
+        row = mapping.point_to_selectivity(point.tolist())
+        assert np.array(row).tobytes() == selectivities[i].tobytes()
+        costs, n = space._costs(point)
+        assert n is None
+        for plan, cost in zip(space.plans, costs, strict=True):
+            assert type(cost) is float
+            alone = plan.root.evaluate_point(selectivities[i].tolist())[1]
+            assert np.float64(cost).tobytes() == np.float64(alone).tobytes()
+        assert np.array(costs).tobytes() == formulas[:, i].tobytes()
+
+
+def test_the_spill_threshold_is_crossed_on_tpch():
+    """The parity points straddle some hash join's spill threshold, so
+    the test above is not vacuous there."""
+    assert any(straddling(plan_space_for(name)) for name in ("Q1", "Q5"))
+
+
+def hand_built() -> list[PlanNode]:
+    """Every operator kind, a clustered and an unclustered index scan,
+    a sort whose input falls below two rows and a hash join whose
+    inner crosses ``hash_memory_rows``, over selectivities ``(s0, s1)``."""
+    tiny = SeqScan("a", 4.0, 1, (0,), MODEL)
+    big = SeqScan("b", 2.0 * LIMIT, 782, (1,), MODEL)
+    constant = SeqScan("c", 5_000, 50, (), MODEL)
+    clustered = IndexScan("b", "pk_b", 1, 2.0 * LIMIT, 782, (0,), True, MODEL)
+    unclustered = IndexScan("b", "ix_b", 1, 2.0 * LIMIT, 782, (), False, MODEL)
+    return [
+        Sort(tiny, "a.k", MODEL),
+        HashJoin(SeqScan("d", 1_000, 10, (0,), MODEL), big, 1e-4, MODEL),
+        HashJoin(tiny, clustered, 1e-4, MODEL),
+        NestedLoopJoin(tiny, unclustered, 1e-3, MODEL),
+        IndexNLJoin(tiny, "b", "pk_b", 2.0 * LIMIT, (1,), 1e-5, MODEL),
+        MergeJoin(
+            Sort(big, "b.k", MODEL), Sort(constant, "c.k", MODEL),
+            1e-3, MODEL, order="b.k",
+        ),
+        constant,
+    ]
+
+
+def test_hand_built_plans_cost_their_formulas_bitwise_at_the_branches():
+    roots = hand_built()
+    program = compile_costs(roots, 2)
+    half = 0.5
+    points = np.array(
+        [
+            # The sort's input is 4 * s0 rows: the floor lies at s0 = 0.5.
+            [math.nextafter(half, 0.0), 0.3],
+            [half, 0.3],
+            [math.nextafter(half, 1.0), 0.3],
+            # The spill: the inner is 2 * LIMIT * s1 rows.
+            [0.7, math.nextafter(half, 0.0)],
+            [0.7, half],
+            [0.7, math.nextafter(half, 1.0)],
+            [0.0, 0.0],
+            [1.0, 1.0],
+            [0.0, 1.0],
+            [1e-5, 0.02],
+        ]
+    )
+    batch = program(points.T)
+    for root, cost in zip(roots, batch, strict=True):
+        expected = root.evaluate(points)[1]
+        column = cost if isinstance(cost, np.ndarray) else np.full(len(points), cost)
+        assert column.tobytes() == expected.tobytes()
+    for point in points:
+        for root, cost in zip(roots, program(point.tolist()), strict=True):
+            assert type(cost) is float
+            expected = root.evaluate_point(point.tolist())[1]
+            assert np.float64(cost).tobytes() == np.float64(expected).tobytes()
+    # Both sides of both branches were reached.
+    sort_input = 4.0 * points[:3, 0]
+    assert (sort_input <= 2.0).any() and (sort_input > 2.0).any()
+    spill_input = 2.0 * LIMIT * points[3:6, 1]
+    assert (spill_input <= LIMIT).any() and (spill_input > LIMIT).any()
+
+
+BAD = [math.nan, math.inf, -math.inf, -0.1, 1.1]
+
+
+@pytest.mark.parametrize("bad", BAD, ids=["nan", "inf", "-inf", "below", "above"])
+def test_a_one_point_call_refuses_a_bad_coordinate(q5_space, bad):
+    for axis in range(q5_space.dimensions):
+        point = np.full(q5_space.dimensions, 0.5)
+        point[axis] = bad
+        for shaped in (point, point[None, :], point.tolist()):
+            with pytest.raises(OptimizationError, match=r"\[0, 1\]"):
+                q5_space.label(shaped)
+            with pytest.raises(OptimizationError, match=r"\[0, 1\]"):
+                q5_space.cost_at(shaped, 0)
+            with pytest.raises(OptimizationError, match=r"\[0, 1\]"):
+                q5_space.cost_at(shaped)
+
+
+@pytest.mark.parametrize("length", [0, 3, 5])
+def test_a_one_point_call_refuses_a_wrong_length(q5_space, length):
+    point = np.full(length, 0.5)
+    for shaped in (point, point[None, :]):
+        with pytest.raises(OptimizationError, match="4-dimensional"):
+            q5_space.label(shaped)
+        with pytest.raises(OptimizationError, match="4-dimensional"):
+            q5_space.cost_at(shaped, 0)
+
+
+def test_the_program_is_built_on_first_use_and_after_plans_change(
+    tiny_template, tiny_catalog
+):
+    space = PlanSpace(tiny_template, tiny_catalog, seed=0)
+    assert space._program is None
+    point = np.array([0.3, 0.6])
+    before = space.cost_matrix(point)
+    program = space._program
+    assert program is not None
+    space.label(point)
+    assert space._program is program
+    space.plans = space.plans[::-1]
+    assert space._program is None
+    after = space.cost_matrix(point)
+    assert after[::-1].tobytes() == before.tobytes()
+
+
+def test_a_costed_space_pickles_and_recompiles(q1_space):
+    points = np.random.default_rng(3).uniform(0.0, 1.0, (5, 2))
+    before = q1_space.cost_matrix(points)
+    assert q1_space._program is not None
+    restored = pickle.loads(pickle.dumps(q1_space))
+    assert restored._program is None
+    assert restored.cost_matrix(points).tobytes() == before.tobytes()
+    assert q1_space._program is not None
+
+
+@pytest.mark.parametrize(
+    "value", [np.float64(1.0), np.int64(1), True, "1.0", math.inf, math.nan]
+)
+def test_only_finite_python_numbers_become_source(value):
+    with pytest.raises(AssertionError):
+        _literal(value)
+    assert _literal(0.1) == "0.1"
+    assert _literal(3) == "3"

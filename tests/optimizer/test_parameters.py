@@ -190,3 +190,22 @@ class TestPrecomputedBounds:
             expected = _reference_to_normalized(mapping, selectivity)
         np.testing.assert_array_equal(_bits(got), _bits(expected))
 
+
+    @given(mapping=_mappings(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_point_in_floats_is_the_batch_row(self, mapping, data):
+        """``point_to_selectivity`` maps one point in Python floats, bit
+        for bit the batch's row, over ``[0, 1]`` (callers check the
+        range first)."""
+        x = data.draw(
+            st.lists(
+                st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]),
+                min_size=mapping.dimensions,
+                max_size=mapping.dimensions,
+            )
+        )
+        point = mapping.point_to_selectivity(x)
+        assert all(type(value) is float for value in point)
+        np.testing.assert_array_equal(
+            _bits(np.array(point)), _bits(mapping.to_selectivity(np.array(x))[0])
+        )

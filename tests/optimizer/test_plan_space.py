@@ -136,11 +136,16 @@ class TestLabeling:
             assert type(rows) is float
             assert type(cost) is float
 
-    @pytest.mark.parametrize("plan_id", [-1, -2, "count"])
+    @pytest.mark.parametrize(
+        "plan_id",
+        [-1, -2, "count", 1.0, np.float64(1.0), True],
+        ids=["-1", "-2", "count", "float", "numpy_float", "True"],
+    )
     def test_an_id_outside_the_candidates_is_refused(self, tiny_space, plan_id):
         """A negative id would index from the end and serve the last
-        plans; one past the end would raise a bare ``IndexError``.
-        Both name the id in an ``OptimizationError``."""
+        plans; one past the end would raise a bare ``IndexError``; a
+        float id would raise a bare ``TypeError``, and ``True`` would
+        serve plan 1.  Each names the id in an ``OptimizationError``."""
         if plan_id == "count":
             plan_id = tiny_space.plan_count
         with pytest.raises(OptimizationError, match=f"plan id {plan_id} "):
@@ -150,6 +155,19 @@ class TestLabeling:
                 tiny_space.cost_at(points, plan_id)
         last = tiny_space.plan_count - 1
         assert tiny_space.plan(last) is tiny_space.plans[last]
+
+    def test_numpy_integer_ids_are_accepted(self, tiny_space):
+        points = np.full((3, 2), 0.5)
+        for plan_id in (1, np.int64(1), np.intp(1)):
+            assert tiny_space.plan(plan_id) is tiny_space.plans[1]
+            assert (
+                tiny_space.cost_at(points, plan_id).tobytes()
+                == tiny_space.cost_matrix(points)[1].tobytes()
+            )
+            assert (
+                tiny_space.cost_at(points[:1], plan_id).tobytes()
+                == tiny_space.cost_matrix(points[:1])[1].tobytes()
+            )
 
 
 class TestTpchSpaces:

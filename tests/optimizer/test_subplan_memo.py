@@ -1,11 +1,12 @@
 """Costing shared subplans once changes no cost bit.
 
-``PlanSpace.cost_matrix`` and ``DPEnumerator.optimize`` evaluate their
-plans through one memo (the DP's spans its whole batch of points), and
-the plan space interns the subtrees its candidates share.  Both are
-exact only if a memoized evaluation returns bit for bit what costing
-each plan alone returns, and if interning never folds two nodes whose
-cost formulas differ.
+``DPEnumerator.optimize`` evaluates its plans through one memo that
+spans its whole batch of points, ``PlanSpace.cost_matrix`` costs each
+distinct subplan once through its compiled program, and the plan space
+interns the subtrees its candidates share.  Both are exact only if
+costing a shared subplan once returns bit for bit what costing each
+plan alone returns, and if interning never folds two nodes whose cost
+formulas differ.
 """
 
 import numpy as np
