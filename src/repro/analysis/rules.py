@@ -179,6 +179,7 @@ _REGISTRY_METHODS = frozenset(
         "counter",
         "counter_series",
         "counter_value",
+        "family",
         "gauge",
         "gauge_value",
         "histogram",

@@ -47,12 +47,12 @@ class PlanCache:
         # owning session binds one.
         self._events = None
         registry = metrics if metrics is not None else MetricsRegistry()
-        counters = {
-            event: registry.counter(
-                metric_names.CACHE_EVENTS_TOTAL, template=template, event=event
-            )
-            for event in metric_names.CACHE_EVENTS
-        }
+        counters = registry.family(
+            metric_names.CACHE_EVENTS_TOTAL,
+            "event",
+            metric_names.CACHE_EVENTS,
+            template=template,
+        )
         self._hits = counters["hit"]
         self._misses = counters["miss"]
         self._evictions = counters["eviction"]

@@ -22,10 +22,11 @@ runs one query instance through the full decision flow:
 
 The flow is **guarded**: a degraded component never takes down query
 execution.  A predictor exception degrades to the optimizer (counted
-in :mod:`repro.obs`); optimizer invocations get retry with capped
-exponential backoff under a deadline, behind a per-template circuit
-breaker; when the optimizer is unavailable (retries exhausted or
-breaker open), the session answers from the fallback chain —
+in :mod:`repro.obs`).  Every optimizer call is one guarded step
+(``_optimize``): retry with capped exponential backoff under a
+deadline, behind a per-template circuit breaker.  When the optimizer
+is unavailable (retries exhausted or breaker open), the session
+answers in one step (``_serve_fallback``) from the fallback chain —
 
     prediction (if cached) → last served plan → most recent cached plan
 
@@ -47,9 +48,9 @@ the degraded fallback path labels eagerly, to account the
 suboptimality it accepted.
 
 Every session reports into a :class:`~repro.obs.registry.MetricsRegistry`
-(per-stage wall-clock, invocation reasons, drift events, feedback
-outcomes, degradations, breaker state); a framework shares one registry
-across all its sessions.
+(invocation reasons, drift events, feedback outcomes, degradations,
+breaker state; the tracer books per-stage wall-clock); a framework
+shares one registry across all its sessions.
 """
 
 from __future__ import annotations
@@ -535,62 +536,39 @@ class TemplateSession:
         # Stable metric handles: fetched once, updated lock-free in the
         # hot path below.  Stage timings are the tracer's: its span seam
         # feeds them (``repro.obs.names.SPAN_METRICS``).
-        # The tracer's span histograms, held again for :meth:`stats`.
-        self._stage_histograms = {
-            stage: self.metrics.histogram(
-                metric_names.STAGE_SECONDS, template=template, stage=stage
-            )
-            for stage in metric_names.STAGES
-        }
-        self._transform_seconds = self.metrics.histogram(
-            metric_names.PREDICT_TRANSFORM_SECONDS, template=template
+        self._reason_counters = self.metrics.family(
+            metric_names.INVOCATIONS_TOTAL,
+            "reason",
+            metric_names.INVOCATION_REASONS,
+            template=template,
         )
-        self._range_query_seconds = self.metrics.histogram(
-            metric_names.PREDICT_RANGE_QUERY_SECONDS, template=template
+        self._feedback_counters = self.metrics.family(
+            metric_names.POSITIVE_FEEDBACK_TOTAL,
+            "outcome",
+            metric_names.FEEDBACK_OUTCOMES,
+            template=template,
         )
-        self._reason_counters = {
-            reason: self.metrics.counter(
-                metric_names.INVOCATIONS_TOTAL,
-                template=template,
-                reason=reason,
-            )
-            for reason in metric_names.INVOCATION_REASONS
-        }
-        self._feedback_counters = {
-            outcome: self.metrics.counter(
-                metric_names.POSITIVE_FEEDBACK_TOTAL,
-                template=template,
-                outcome=outcome,
-            )
-            for outcome in ("accepted", "rejected")
-        }
         self._drift_counter = self.metrics.counter(
             metric_names.DRIFT_EVENTS_TOTAL, template=template
         )
-        self._degraded_counters = {
-            component: self.metrics.counter(
-                metric_names.DEGRADED_TOTAL,
-                template=template,
-                component=component,
-            )
-            for component in metric_names.DEGRADED_COMPONENTS
-        }
-        self._fallback_counters = {
-            source: self.metrics.counter(
-                metric_names.FALLBACK_SERVED_TOTAL,
-                template=template,
-                source=source,
-            )
-            for source in metric_names.FALLBACK_SOURCES
-        }
-        self._rejected_counters = {
-            reason: self.metrics.counter(
-                metric_names.REJECTED_INSTANCES_TOTAL,
-                template=template,
-                reason=reason,
-            )
-            for reason in metric_names.REJECTION_REASONS
-        }
+        self._degraded_counters = self.metrics.family(
+            metric_names.DEGRADED_TOTAL,
+            "component",
+            metric_names.DEGRADED_COMPONENTS,
+            template=template,
+        )
+        self._fallback_counters = self.metrics.family(
+            metric_names.FALLBACK_SERVED_TOTAL,
+            "source",
+            metric_names.FALLBACK_SOURCES,
+            template=template,
+        )
+        self._rejected_counters = self.metrics.family(
+            metric_names.REJECTED_INSTANCES_TOTAL,
+            "reason",
+            metric_names.REJECTION_REASONS,
+            template=template,
+        )
         self._retries_counter = self.metrics.counter(
             metric_names.OPTIMIZER_RETRIES_TOTAL, template=template
         )
@@ -617,14 +595,12 @@ class TemplateSession:
         self._breaker_gauge = self.metrics.gauge(
             metric_names.BREAKER_STATE, template=template
         )
-        self._breaker_transition_counters = {
-            state: self.metrics.counter(
-                metric_names.BREAKER_TRANSITIONS_TOTAL,
-                template=template,
-                state=state,
-            )
-            for state in BREAKER_STATE_VALUES
-        }
+        self._breaker_transition_counters = self.metrics.family(
+            metric_names.BREAKER_TRANSITIONS_TOTAL,
+            "state",
+            BREAKER_STATE_VALUES,
+            template=template,
+        )
 
     def _on_breaker_transition(self, state: str) -> None:
         self._breaker_gauge.set(BREAKER_STATE_VALUES[state])
@@ -750,68 +726,61 @@ class TemplateSession:
             )
         return x
 
-    def _invoke_optimizer(
-        self, x: np.ndarray, reason: str, z: "np.ndarray | None"
-    ) -> "tuple[int, float] | None":
-        """Guarded black-box optimizer call.
-
-        Behind the circuit breaker, with retry + capped exponential
-        backoff under the configured deadline.  Returns the true
-        (plan id, cost) at ``x`` — inserted into the synopses and the
-        plan cache — or ``None`` when the optimizer is unavailable
-        (breaker open, or every attempt failed).  ``reason`` is the
-        invocation reason driving the call: an answered call books it
-        on ``ppc_optimizer_invocations_total{reason}``, and it flows
-        into the ``point_inserted`` lifecycle event as the point's
-        provenance.  It never affects the decision.  ``z`` is the
-        point's z-values from the decision's predict, handed to the
-        insert; ``None`` (the predictor raised) has the insert make its
-        own pass.
-        """
-        if not self.breaker.allow():
-            self._degraded_counters["optimizer"].inc()
-            return None
-        try:
-            ids, costs = retry_call(
-                lambda: self._label(x[None, :]),
-                self.retry_policy,
-                clock=self._clock,
-                sleep=self._sleep,
-                on_retry=self._retries_counter.inc,
-            )
-        except RetryExhaustedError:
-            self.breaker.record_failure()
-            self._degraded_counters["optimizer"].inc()
-            return None
-        self.breaker.record_success()
-        self._reason_counters[reason].inc()
-        plan_id, cost = int(ids[0]), float(costs[0])
-        try:
-            self._observe(x, plan_id, cost, provenance=reason, z=z)
-        except Exception:
-            # A lost training point degrades learning, never execution.
-            self._degraded_counters["predictor_insert"].inc()
-        self.cache.put(plan_id, self.plan_space.plan(plan_id))
-        return plan_id, cost
-
     def _optimize(
         self,
         trace: DecisionTrace,
         x: np.ndarray,
         reason: str,
         z: "np.ndarray | None",
+        prediction: "Prediction | None",
     ) -> "tuple[int, float] | None":
-        """:meth:`_invoke_optimizer` inside an ``optimize`` span of
-        ``trace``, opened wherever the caller stands: at the decision
+        """Guarded black-box optimizer call, in an ``optimize`` span of
+        ``trace`` opened wherever the caller stands: at the decision
         level for an invocation reason, under ``feedback`` for the
-        negative-feedback verify.  A traced span records the reason,
-        the breaker state before and after, the retries spent, whether
-        the optimizer answered, and its plan and cost."""
+        negative-feedback verify.
+
+        Behind the circuit breaker, with retry + capped exponential
+        backoff under the configured deadline.  Returns the true
+        (plan id, cost) at ``x`` — inserted into the synopses and the
+        plan cache, and recorded by the monitor against ``prediction``
+        — or ``None`` when the optimizer is unavailable (breaker open,
+        or every attempt failed).  An answered call books ``reason`` on
+        ``ppc_optimizer_invocations_total{reason}``, and the insert
+        journals it as the point's provenance; it never affects the
+        decision.  ``z`` is the point's z-values from the decision's
+        predict, handed to the insert (``None``: the insert makes its
+        own pass).  A traced span records the reason, the breaker state
+        before and after, the retries spent, and the answer.
+        """
+        outcome = None
         with trace.span("optimize") as span:
             if trace.active:
                 span.set(reason=reason, breaker_before=self.breaker.state)
             retries_before = self._retries_counter.value
-            outcome = self._invoke_optimizer(x, reason, z)
+            if self.breaker.allow():
+                try:
+                    ids, costs = retry_call(
+                        lambda: self._label(x[None, :]),
+                        self.retry_policy,
+                        clock=self._clock,
+                        sleep=self._sleep,
+                        on_retry=self._retries_counter.inc,
+                    )
+                except RetryExhaustedError:
+                    self.breaker.record_failure()
+                else:
+                    self.breaker.record_success()
+                    self._reason_counters[reason].inc()
+                    outcome = plan_id, cost = int(ids[0]), float(costs[0])
+                    try:
+                        self._observe(x, plan_id, cost, provenance=reason, z=z)
+                    except Exception:
+                        # A lost training point degrades learning, never
+                        # execution.
+                        self._degraded_counters["predictor_insert"].inc()
+                    self.cache.put(plan_id, self.plan_space.plan(plan_id))
+            if outcome is None:
+                self._degraded_counters["optimizer"].inc()
             if trace.active:
                 span.set(
                     breaker_after=self.breaker.state,
@@ -820,9 +789,21 @@ class TemplateSession:
                 )
                 if outcome is not None:
                     span.set(plan=outcome[0], cost=outcome[1])
+        if outcome is not None:
+            if prediction is None:
+                self.monitor.record_null()
+            else:
+                self.monitor.record_prediction(
+                    prediction.plan_id, prediction.plan_id == outcome[0]
+                )
         return outcome
 
-    def _fallback_plan(self, prediction) -> tuple[int, str]:
+    def _serve_fallback(
+        self,
+        trace: DecisionTrace,
+        x: np.ndarray,
+        prediction: "Prediction | None",
+    ) -> "tuple[tuple[int, float], int, float, str]":
         """The optimizer is unavailable: serve the best plan we hold.
 
         Preference order: the current prediction if its plan is still
@@ -830,21 +811,36 @@ class TemplateSession:
         the most recently used resident plan.  Raises
         :class:`ResilienceError` only when the cache is empty — before
         the first successful optimization there is nothing to serve.
+        Returns the ground truth, labelled eagerly to account the
+        suboptimality accepted, the plan, its cost and its source.
         """
-        if prediction is not None and prediction.plan_id in self.cache:
-            self.cache.get(prediction.plan_id)
-            return prediction.plan_id, "prediction"
-        if self._last_plan_id is not None and self._last_plan_id in self.cache:
-            self.cache.get(self._last_plan_id)
-            return self._last_plan_id, "last_plan"
-        recent = self.cache.most_recent()
-        if recent is not None:
-            return recent, "cache"
-        raise ResilienceError(
-            f"optimizer unavailable for template "
-            f"{self.plan_space.template.name!r} and the plan cache is "
-            "empty: no executable plan exists"
-        )
+        with trace.span("ground_truth"):
+            true_ids, true_costs = self.plan_space.label(x[None, :])
+        truth = int(true_ids[0]), float(true_costs[0])
+        with trace.span("fallback") as span:
+            if prediction is not None and prediction.plan_id in self.cache:
+                self.cache.get(prediction.plan_id)
+                plan, source = prediction.plan_id, "prediction"
+            elif self._last_plan_id is not None and self._last_plan_id in self.cache:
+                self.cache.get(self._last_plan_id)
+                plan, source = self._last_plan_id, "last_plan"
+            else:
+                plan, source = self.cache.most_recent(), "cache"
+                if plan is None:
+                    raise ResilienceError(
+                        f"optimizer unavailable for template "
+                        f"{self.plan_space.template.name!r} and the plan "
+                        "cache is empty: no executable plan exists"
+                    )
+            cost = float(self.plan_space.cost_at(x[None, :], plan)[0])
+            accepted = cost / truth[1] if truth[1] > 0.0 else 1.0
+            if trace.active:
+                span.set(source=source, plan=plan, suboptimality=accepted)
+        self._fallback_counters[source].inc()
+        if self._events is not None:
+            self._events("fallback_served", source=source, plan=int(plan))
+        self._fallback_suboptimality.observe(accepted)
+        return truth, plan, cost, source
 
     def execute(self, x: np.ndarray) -> ExecutionRecord:
         """Run one query instance through the PPC workflow."""
@@ -1013,8 +1009,6 @@ class TemplateSession:
                 trace.annotate(dimensions=int(x.shape[0]))
         # Experimenter-side ground truth, (plan, cost) once known.
         truth: "tuple[int, float] | None" = None
-        # Whether an optimizer call of this decision answered.
-        invoked = False
 
         degraded = False
         fallback_source = ""
@@ -1063,48 +1057,16 @@ class TemplateSession:
                 )
 
         if reason:
-            outcome = self._optimize(trace, x, reason, z_values)
-            if outcome is not None:
-                invoked = True
-                executed_plan, execution_cost = truth = outcome
-                if prediction is None:
-                    self.monitor.record_null()
-                else:
-                    self.monitor.record_prediction(
-                        prediction.plan_id,
-                        prediction.plan_id == executed_plan,
-                    )
+            truth = self._optimize(trace, x, reason, z_values, prediction)
+            if truth is not None:
+                executed_plan, execution_cost = truth
             else:
                 # Optimizer down: answer from the fallback chain.  The
                 # estimators see nothing — there is no verified signal.
                 degraded = True
-                with trace.span("ground_truth"):
-                    true_ids, true_costs = self.plan_space.label(x[None, :])
-                truth = int(true_ids[0]), float(true_costs[0])
-                with trace.span("fallback") as fallback_span:
-                    executed_plan, fallback_source = self._fallback_plan(
-                        prediction
-                    )
-                    execution_cost = float(
-                        self.plan_space.cost_at(x[None, :], executed_plan)[0]
-                    )
-                    accepted = (
-                        execution_cost / truth[1] if truth[1] > 0.0 else 1.0
-                    )
-                    if trace.active:
-                        fallback_span.set(
-                            source=fallback_source,
-                            plan=executed_plan,
-                            suboptimality=accepted,
-                        )
-                self._fallback_counters[fallback_source].inc()
-                if self._events is not None:
-                    self._events(
-                        "fallback_served",
-                        source=fallback_source,
-                        plan=int(executed_plan),
-                    )
-                self._fallback_suboptimality.observe(accepted)
+                truth, executed_plan, execution_cost, fallback_source = (
+                    self._serve_fallback(trace, x, prediction)
+                )
         else:
             executed_plan = prediction.plan_id
             with trace.span("execute_plan") as execute_span:
@@ -1123,23 +1085,16 @@ class TemplateSession:
                     )
                 if suspect:
                     reason = "negative_feedback"
-                    outcome = self._optimize(trace, x, reason, z_values)
-                    if outcome is not None:
-                        invoked = True
-                        true_plan, __ = truth = outcome
-                        self.monitor.record_prediction(
-                            prediction.plan_id,
-                            prediction.plan_id == true_plan,
-                        )
-                        if trace.active:
-                            feedback_span.set(verified_plan=true_plan)
-                    else:
+                    truth = self._optimize(trace, x, reason, z_values, prediction)
+                    if truth is None:
                         # Optimizer down: the suspicion stays
                         # unverified; the executed plan stands and the
                         # estimators see nothing.
                         degraded = True
                         if trace.active:
                             feedback_span.set(verified=False)
+                    elif trace.active:
+                        feedback_span.set(verified_plan=truth[0])
                 else:
                     # No ground truth available: the cost estimator
                     # believes the prediction, and the estimators record
@@ -1193,7 +1148,7 @@ class TemplateSession:
                 point=x,
                 predicted=None if prediction is None else prediction.plan_id,
                 confidence=0.0 if prediction is None else prediction.confidence,
-                optimizer_invoked=invoked,
+                optimizer_invoked=truth is not None and not fallback_source,
                 invocation_reason=reason,
                 executed_plan=executed_plan,
                 execution_cost=execution_cost,
@@ -1214,17 +1169,23 @@ class TemplateSession:
 
     def stats(self) -> dict:
         """This template's block of ``service.metrics()``: counts and
-        latency digests read from the handles the session holds."""
+        latency digests read from the handles the session holds, and
+        the tracer's span histograms read from the registry by name."""
+
+        template = self.plan_space.template.name
 
         def counts(counters: "dict[str, Counter]") -> "dict[str, int]":
             return {key: int(counter.value) for key, counter in counters.items()}
+
+        def summary(name: str, **labels) -> dict:
+            return self.metrics.histogram(name, template=template, **labels).summary()
 
         cache = self.cache
         return {
             "executions": self.decisions,
             "stage_seconds": {
-                stage: histogram.summary()
-                for stage, histogram in self._stage_histograms.items()
+                stage: summary(metric_names.STAGE_SECONDS, stage=stage)
+                for stage in metric_names.STAGES
             },
             "invocation_reasons": counts(self._reason_counters),
             "optimizer_invocations": self.optimizer_invocations,
@@ -1238,8 +1199,10 @@ class TemplateSession:
                 "size": len(cache),
             },
             "predictor": {
-                "transform_seconds": self._transform_seconds.summary(),
-                "range_query_seconds": self._range_query_seconds.summary(),
+                "transform_seconds": summary(metric_names.PREDICT_TRANSFORM_SECONDS),
+                "range_query_seconds": summary(
+                    metric_names.PREDICT_RANGE_QUERY_SECONDS
+                ),
             },
             "synopsis_bytes": self.predictor.space_bytes(),
             "resilience": {

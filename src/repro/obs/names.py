@@ -5,7 +5,7 @@ One place to look up what the instrumented pipeline emits; README's
 Label conventions: ``template`` is the query-template name; ``stage``
 is one of :data:`STAGES`; ``reason`` is one of
 :data:`INVOCATION_REASONS`; ``event`` is one of :data:`CACHE_EVENTS`;
-``outcome`` is ``accepted``/``rejected``; ``action`` is
+``outcome`` is one of :data:`FEEDBACK_OUTCOMES`; ``action`` is
 ``shrink``/``drop``; ``component`` is one of
 :data:`DEGRADED_COMPONENTS`; ``source`` is one of
 :data:`FALLBACK_SOURCES`; ``state`` is a circuit-breaker state.
@@ -202,6 +202,10 @@ INVOCATION_REASONS = (
     "cache_miss",
     "negative_feedback",
 )
+
+#: Positive-feedback offer outcomes (``outcome`` label of
+#: :data:`POSITIVE_FEEDBACK_TOTAL`).
+FEEDBACK_OUTCOMES = ("accepted", "rejected")
 
 #: Plan-cache event labels.
 CACHE_EVENTS = ("hit", "miss", "eviction")

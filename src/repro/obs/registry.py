@@ -10,16 +10,17 @@ Metrics are identified by a name plus a label set (``template="Q1"``,
 ``stage="predict"``), mirroring the Prometheus data model so the
 snapshot renders directly as Prometheus exposition text (see
 :mod:`repro.obs.prometheus`).  Handles returned by
-:meth:`MetricsRegistry.counter` / ``gauge`` / ``histogram`` are stable:
-hot-path code fetches them once and calls ``inc``/``observe`` directly,
-paying only an attribute update per event.
+:meth:`MetricsRegistry.counter` / ``gauge`` / ``histogram`` / ``family``
+are stable: hot-path code fetches them once and calls
+``inc``/``observe`` directly, paying only an attribute update per
+event.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from typing import Any
 
 from repro.exceptions import ConfigurationError
@@ -214,6 +215,17 @@ class MetricsRegistry:
 
     def histogram(self, name: str, **labels) -> LatencyHistogram:
         return self._get(self._histograms, LatencyHistogram, name, labels)
+
+    def family(
+        self, name: str, label: str, values: Iterable[str], **labels
+    ) -> "dict[str, Counter]":
+        """One counter of ``name`` per value of ``label`` (its tuple in
+        :mod:`repro.obs.names`), keyed by the value and created in
+        ``values`` order, each also carrying ``labels``."""
+        return {
+            value: self.counter(name, **labels, **{label: value})
+            for value in values
+        }
 
     def add_settler(self, settle: Callable[[], None]) -> None:
         """Run ``settle`` before every read, to book deferred updates."""

@@ -528,12 +528,12 @@ class DecisionTracer:
             metrics=registry,
             template=template,
         )
-        self._sampler_counters = {
-            decision: registry.counter(
-                names.TRACE_SAMPLER_TOTAL, template=template, decision=decision
-            )
-            for decision in names.SAMPLER_DECISIONS
-        }
+        self._sampler_counters = registry.family(
+            names.TRACE_SAMPLER_TOTAL,
+            "decision",
+            names.SAMPLER_DECISIONS,
+            template=template,
+        )
         self._timers = {
             span: (
                 registry.histogram(

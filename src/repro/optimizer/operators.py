@@ -1,33 +1,11 @@
 """Physical plan operators: one cardinality and cost formula per node.
 
-Every node answers two entry points, both running its one
-``_evaluate`` formula:
-
-- ``evaluate(x, memo=None)`` costs a batch: ``x`` is an ``(n, r)``
-  array of selectivity points, and ``(rows, cost)`` come back as
-  ``(n,)`` arrays.
-- ``evaluate_point(point, memo=None)`` costs one point, given as ``r``
-  Python floats, and returns two floats.
-
-The DP enumerator costs plans that do not exist until it builds them,
-so it runs ``_evaluate``, and so does :meth:`PhysicalPlan.cost`.
-
-A formula reads its point through a *point view* ``x``: ``x[i]`` is
-selectivity ``i``, an ``(n,)`` column for a batch and a float for one
-point.  It only multiplies, adds, compares and calls numpy ufuncs, which
-accept both kinds, so one formula serves both operand kinds.  A branch
-is a comparison multiplied in — ``(a > b) * v`` is ``v`` or ``0.0`` —
-where array code would call ``np.where`` or ``np.maximum``.  The two
-kinds agree to the last bit: ``+ - * /`` are the same IEEE operations
-on a float and on an array element, and ``np.exp``/``np.log2`` run the
-same ufunc loop on both (``math.exp`` is *not* bit-equal to
-``np.exp``).  A ufunc hands a float its result back as a numpy scalar,
-and every later operation on one costs several times a float's, so
-:func:`_ufunc` converts a float point's result back to a Python float:
-the same bits, and the ancestors above ``IndexScan`` and ``Sort`` stay
-in float arithmetic.  An array comes back as it was.  A non-finite
-point would break the agreement (a comparison with NaN is False,
-``np.maximum`` propagates it); the callers reject it before costing.
+Every node has one ``_evaluate`` formula, which ``evaluate(x,
+memo=None)`` runs over a batch: ``x`` is an ``(n, r)`` array of
+selectivity points, and ``(rows, cost)`` come back as ``(n,)`` arrays;
+one point is a one-row batch.  The DP enumerator costs plans that do
+not exist until it builds them, so it runs ``evaluate``, and so does
+:meth:`PhysicalPlan.cost`.
 
 Each formula has a second rendering, the compiled program.  A
 :class:`~repro.optimizer.plan_space.PlanSpace` knows its candidates
@@ -43,6 +21,24 @@ template and on hand-built plans at both sides of each branch, and
 ``repro bench run write_path`` fails if they differ at any point it
 times.  Emitted source holds only node numbers (finite ``int`` or
 ``float``, asserted), parameter indices and generated local names.
+
+The program reads its point through a *point view* ``x``: ``x[i]`` is
+selectivity ``i``, an ``(n,)`` column for a batch and a float for one
+point (``_evaluate`` always sees columns).  A formula only multiplies,
+adds, compares and calls numpy ufuncs, which accept both kinds, so one
+formula serves both operand kinds.  A branch is a comparison multiplied
+in — ``(a > b) * v`` is ``v`` or ``0.0`` — where array code would call
+``np.where`` or ``np.maximum``.  The two kinds agree to the last bit:
+``+ - * /`` are the same IEEE operations on a float and on an array
+element, and ``np.exp``/``np.log2`` run the same ufunc loop on both
+(``math.exp`` is *not* bit-equal to ``np.exp``).  A ufunc hands a float
+its result back as a numpy scalar, and every later operation on one
+costs several times a float's, so :func:`_ufunc` converts a float
+point's result back to a Python float: the same bits, and the ancestors
+above ``IndexScan`` and ``Sort`` stay in float arithmetic.  An array
+comes back as it was.  A non-finite point would break the agreement (a
+comparison with NaN is False, ``np.maximum`` propagates it); the
+callers reject it before costing.
 
 Plans that share a subtree — a join prefix, an access path — share its
 cost too.  The program evaluates each shared node once; in the DP, one
@@ -130,9 +126,9 @@ def compile_costs(roots: Sequence["PlanNode"], degree: int) -> CostProgram:
     inlined as literals, in the same operation order.  The function
     takes a point view of ``degree`` selectivities — ``r`` Python floats
     for one point, an ``(r, n)`` array for a batch — and returns each
-    root's cost in ``roots`` order, bit for bit what
-    :meth:`PlanNode.evaluate_point` or :meth:`PlanNode.evaluate`
-    returns.  A cost no selectivity reaches is a float on both paths.
+    root's cost in ``roots`` order, bit for bit the entries of
+    :meth:`PlanNode.evaluate` over the same points.  A cost no
+    selectivity reaches is a float on both paths.
     """
     source = _Source(degree)
     costs = ", ".join(f"cost{source.name(root)}" for root in roots)
@@ -207,25 +203,14 @@ class PlanNode(ABC):
         rows, cost = self._evaluate(x.T, None)
         return _column(rows, x.shape[0]), _column(cost, x.shape[0])
 
-    def evaluate_point(
-        self, point: Sequence[float], memo: "Memo | None" = None
-    ) -> tuple[float, float]:
-        """:meth:`evaluate` at one point, given as ``r`` Python floats
-        (``row.tolist()``): two floats, bit for bit the batch's entries.
-        A ``memo`` works as in :meth:`evaluate` but holds floats, so
-        never share one with a batch call."""
-        return self._memoized(point, memo)
-
-    def _memoized(self, x: PointView, memo: "Memo | None") -> RowsCost:
+    def _memoized(self, x: np.ndarray, memo: "Memo | None") -> RowsCost:
         if memo is None:
             return self._evaluate(x, None)
         found = memo.get(self)
         if found is None:
-            found = self._evaluate(x, memo)
-            if isinstance(x, np.ndarray):
-                n = x.shape[1]
-                found = (_frozen(found[0], n), _frozen(found[1], n))
-            memo[self] = found
+            rows, cost = self._evaluate(x, memo)
+            n = x.shape[1]
+            found = memo[self] = (_frozen(rows, n), _frozen(cost, n))
         return found
 
     @abstractmethod

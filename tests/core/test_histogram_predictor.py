@@ -12,6 +12,7 @@ from repro.exceptions import (
     HistogramError,
     PredictionError,
 )
+from repro.obs import names as metric_names
 from repro.tpch import plan_space_for
 from repro.workload.runner import decision_digest
 from tests.core.legacy import (
@@ -422,10 +423,16 @@ class TestEmptyVote:
 
     @staticmethod
     def _stage_counts(session):
+        def count(name, **labels):
+            return session.metrics.histogram(name, template="Q1", **labels).count
+
         return (
-            {stage: h.count for stage, h in session._stage_histograms.items()},
-            session._transform_seconds.count,
-            session._range_query_seconds.count,
+            {
+                stage: count(metric_names.STAGE_SECONDS, stage=stage)
+                for stage in metric_names.STAGES
+            },
+            count(metric_names.PREDICT_TRANSFORM_SECONDS),
+            count(metric_names.PREDICT_RANGE_QUERY_SECONDS),
         )
 
     def test_cold_decision_traced_and_untraced(self):

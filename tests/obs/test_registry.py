@@ -121,6 +121,17 @@ class TestMetricsRegistry:
         b = registry.counter("t", y="2", x="1")
         assert a is b
 
+    def test_family_is_one_counter_per_value_in_order(self):
+        registry = MetricsRegistry()
+        family = registry.family("events_total", "kind", ("y", "x"), template="Q1")
+        assert list(family) == ["y", "x"]
+        for kind, counter in family.items():
+            assert counter is registry.counter("events_total", template="Q1", kind=kind)
+        assert [labels for *__, labels, __ in registry.handles()] == [
+            {"template": "Q1", "kind": "y"},
+            {"template": "Q1", "kind": "x"},
+        ]
+
     def test_unknown_series_read_as_zero_or_none(self):
         registry = MetricsRegistry()
         assert registry.counter_value("nope") == 0.0

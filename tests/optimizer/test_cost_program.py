@@ -5,9 +5,8 @@ through one straight-line function (``operators.compile_costs``) with
 the catalog and cost-model numbers inlined.  It is the second rendering
 of every operator formula, next to ``_evaluate``, which the DP
 enumerator and ``PhysicalPlan.cost`` still run.  The two must agree on
-every cost bit: at one point in Python floats (against
-``evaluate_point``), over a batch in arrays (against ``evaluate``), and
-above all where a formula branches — the ``Sort`` floor at two rows and
+every cost bit, against ``evaluate``'s columns: at one point in Python
+floats, over a batch in arrays, and above all where a formula branches — the ``Sort`` floor at two rows and
 the hash join's spill threshold.  No harvested TPC-H candidate holds
 a ``Sort``, a ``MergeJoin`` or a clustered ``IndexScan``, so hand-built
 plans cover those.  A one-point call maps and checks its coordinates
@@ -123,10 +122,7 @@ def test_the_program_is_the_node_formulas_bitwise(name):
         assert np.array(row).tobytes() == selectivities[i].tobytes()
         costs, n = space._costs(point)
         assert n is None
-        for plan, cost in zip(space.plans, costs, strict=True):
-            assert type(cost) is float
-            alone = plan.root.evaluate_point(selectivities[i].tolist())[1]
-            assert np.float64(cost).tobytes() == np.float64(alone).tobytes()
+        assert all(type(cost) is float for cost in costs)
         assert np.array(costs).tobytes() == formulas[:, i].tobytes()
 
 
@@ -180,15 +176,14 @@ def test_hand_built_plans_cost_their_formulas_bitwise_at_the_branches():
         ]
     )
     batch = program(points.T)
-    for root, cost in zip(roots, batch, strict=True):
-        expected = root.evaluate(points)[1]
+    formulas = [root.evaluate(points)[1] for root in roots]
+    for cost, expected in zip(batch, formulas, strict=True):
         column = cost if isinstance(cost, np.ndarray) else np.full(len(points), cost)
         assert column.tobytes() == expected.tobytes()
-    for point in points:
-        for root, cost in zip(roots, program(point.tolist()), strict=True):
+    for i, point in enumerate(points):
+        for cost, expected in zip(program(point.tolist()), formulas, strict=True):
             assert type(cost) is float
-            expected = root.evaluate_point(point.tolist())[1]
-            assert np.float64(cost).tobytes() == np.float64(expected).tobytes()
+            assert np.float64(cost).tobytes() == expected[i].tobytes()
     # Both sides of both branches were reached.
     sort_input = 4.0 * points[:3, 0]
     assert (sort_input <= 2.0).any() and (sort_input > 2.0).any()

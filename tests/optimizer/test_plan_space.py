@@ -126,15 +126,16 @@ class TestLabeling:
     @pytest.mark.parametrize("name", ["Q1", "Q3", "Q5", "Q7"])
     def test_one_point_costs_stay_python_floats(self, name):
         """``np.exp`` and ``np.log2`` hand a float point a Python float
-        back, so no node above them computes in numpy scalars."""
+        back, so no node above them computes in numpy scalars; each
+        one-point cost is its plan's ``evaluate`` over a one-row batch,
+        bit for bit."""
         space = plan_space_for(name)
-        point = space._enumerator.selectivities(
-            np.full(space.dimensions, 0.37)
-        )[0].tolist()
-        for plan in space.plans:
-            rows, cost = plan.root.evaluate_point(point)
-            assert type(rows) is float
+        point = np.full(space.dimensions, 0.37)
+        row = space._enumerator.selectivities(point)
+        costs, __ = space._costs(point)
+        for plan, cost in zip(space.plans, costs, strict=True):
             assert type(cost) is float
+            assert np.float64(cost).tobytes() == plan.root.evaluate(row)[1].tobytes()
 
     @pytest.mark.parametrize(
         "plan_id",

@@ -1,15 +1,15 @@
-"""One point costs in Python floats, bit for bit what a batch costs.
+"""One point costs bit for bit what a batch costs.
 
-Every operator has one ``_evaluate`` formula.  ``evaluate`` runs it over
-``(n,)`` columns, ``evaluate_point`` over the Python floats of one
-point, and the plan-space oracle and the DP enumerator pick the float
-path whenever they cost exactly one point.  The two operand kinds must
-agree on every row count and cost bit, above all where a formula
-branches: the ``Sort`` floor at two rows, the hash join's spill
-threshold, the unclustered index scan's ``exp`` and a scan with no
-predicate, whose cardinality and cost are constants.  A non-finite
-point would split the modes (a comparison with NaN is False where
-``np.maximum`` propagates it), so the oracle and the optimizer reject it.
+Every operator has one ``_evaluate`` formula, which ``evaluate`` runs
+over ``(n,)`` columns; one point is a one-row batch, and a plan space's
+compiled program (``operators.compile_costs``) costs one point in
+Python floats.  Each must agree with the batch's column on every row
+count and cost bit, above all where a formula branches: the ``Sort``
+floor at two rows, the hash join's spill threshold, the unclustered
+index scan's ``exp`` and a scan with no predicate, whose cardinality
+and cost are constants.  A non-finite point would split the modes (a
+comparison with NaN is False where ``np.maximum`` propagates it), so
+the oracle and the optimizer reject it.
 """
 
 import math
@@ -30,6 +30,7 @@ from repro.optimizer.operators import (
     NestedLoopJoin,
     SeqScan,
     Sort,
+    compile_costs,
 )
 from repro.tpch import TEMPLATE_NAMES, plan_space_for
 from tests.optimizer.test_label_batching import coordinate
@@ -46,21 +47,30 @@ def bits(value) -> bytes:
     return np.float64(value).tobytes()
 
 
+def one_point(node, point) -> "tuple[float, float]":
+    """``node``'s rows and cost at one point: a one-row batch."""
+    rows, cost = node.evaluate(np.array([point], dtype=float))
+    return float(rows[0]), float(cost[0])
+
+
 def assert_modes_agree(node, points: np.ndarray) -> None:
-    """Each row's float-path rows and cost equal the batch's, bitwise,
-    with and without a memo."""
+    """Each row's one-row-batch rows and cost, with and without a memo,
+    and its one-point program cost in Python floats equal the batch's,
+    bitwise."""
     rows, cost = node.evaluate(points)
     assert rows.shape == cost.shape == (len(points),)
     memo_rows, memo_cost = node.evaluate(points, {})
     assert memo_rows.tobytes() == rows.tobytes()
     assert memo_cost.tobytes() == cost.tobytes()
+    program = compile_costs([node], points.shape[1])
     for i, point in enumerate(points):
         for memo in (None, {}):
-            point_rows, point_cost = node.evaluate_point(point.tolist(), memo)
-            assert isinstance(point_rows, float)
-            assert isinstance(point_cost, float)
-            assert bits(point_rows) == rows[i].tobytes()
-            assert bits(point_cost) == cost[i].tobytes()
+            point_rows, point_cost = node.evaluate(points[i : i + 1], memo)
+            assert point_rows.tobytes() == rows[i : i + 1].tobytes()
+            assert point_cost.tobytes() == cost[i : i + 1].tobytes()
+        (program_cost,) = program(point.tolist())
+        assert isinstance(program_cost, float)
+        assert bits(program_cost) == cost[i].tobytes()
 
 
 def sort_over(base_rows: float) -> Sort:
@@ -81,7 +91,7 @@ class TestBranchPoints:
         """At or below two rows the sort costs ``factor * rows``:
         ``log2(2.0)`` is exactly one on both paths."""
         for base_rows in (0.5, 2.0):
-            rows, cost = sort_over(base_rows).evaluate_point([1.0])
+            rows, cost = one_point(sort_over(base_rows), [1.0])
             assert rows == base_rows
             scan_cost = 10 * MODEL.seq_page_cost + base_rows * MODEL.cpu_tuple_cost
             assert cost == scan_cost + MODEL.sort_cost_factor * base_rows
@@ -99,11 +109,14 @@ class TestBranchPoints:
         join = HashJoin(outer, inner, 1e-4, MODEL)
         points = np.array([[0.5, 1.0], [1.0, 1.0], [0.01, 1.0]])
         assert_modes_agree(join, points)
-        __, spilled = join.evaluate_point([0.5, 1.0])
-        __, unspilled = HashJoin(
-            outer, SeqScan("b", inner_rows, 782, (1,), MODEL), 1e-4,
-            CostModel(hash_memory_rows=2 * LIMIT),
-        ).evaluate_point([0.5, 1.0])
+        __, spilled = one_point(join, [0.5, 1.0])
+        __, unspilled = one_point(
+            HashJoin(
+                outer, SeqScan("b", inner_rows, 782, (1,), MODEL), 1e-4,
+                CostModel(hash_memory_rows=2 * LIMIT),
+            ),
+            [0.5, 1.0],
+        )
         assert (spilled > unspilled) == (inner_rows > LIMIT)
 
     @given(s0=selectivity, s1=selectivity)

@@ -6,6 +6,7 @@ import pytest
 from repro.config import PPCConfig
 from repro.core.framework import TemplateSession
 from repro.core.persistence import load_predictor
+from repro.core.predictor import Prediction
 from repro.exceptions import PredictionError, ResilienceError
 from repro.resilience import (
     CircuitBreaker,
@@ -205,6 +206,39 @@ class TestBreakerFallback:
         assert not record.degraded
         assert session.breaker.state == CLOSED
         assert session.breaker.transitions[CLOSED] == 1
+
+    def test_the_chain_prefers_prediction_then_last_plan_then_cache(
+        self, tiny_space
+    ):
+        """Each link in turn: a cached prediction, else the plan served
+        last, else the most recently used resident plan.  Each serving
+        books its source once, its ground truth is the oracle's and its
+        cost the served plan's.  The storm serves only ``last_plan``."""
+        assert tiny_space.plan_count >= 3
+        session, __ = make_session(tiny_space)
+        for plan_id in (0, 1, 2):
+            session.cache.put(plan_id, tiny_space.plan(plan_id))
+        x = np.full(tiny_space.dimensions, 0.5)
+        ids, costs = tiny_space.label(x[None, :])
+        session._last_plan_id = 1
+        steps = [(Prediction(0, 0.9), 0, "prediction"), (None, 1, "last_plan")]
+        for prediction, plan_id, source in steps:
+            truth, plan, cost, served = session._serve_fallback(
+                session.tracer.inactive, x, prediction
+            )
+            assert (plan, served) == (plan_id, source)
+            assert truth == (int(ids[0]), float(costs[0]))
+            assert cost == float(tiny_space.cost_at(x[None, :], plan_id)[0])
+        session._last_plan_id = None
+        session.cache.get(2)
+        __, plan, __, served = session._serve_fallback(
+            session.tracer.inactive, x, None
+        )
+        assert (plan, served) == (2, "cache")
+        assert session.stats()["resilience"]["fallback_served"] == {
+            "prediction": 1, "last_plan": 1, "cache": 1,
+        }
+        assert session.stats()["resilience"]["fallback_suboptimality"]["count"] == 3
 
     def test_empty_cache_with_optimizer_down_is_an_error(self, tiny_space):
         injector = FaultInjector(
