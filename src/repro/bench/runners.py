@@ -529,6 +529,8 @@ WRITE_BUDGET = 40
 WRITE_WARMUP = 4000
 WRITE_PROBES = 1000
 WRITE_LABEL_TEMPLATES = ("Q1", "Q3", "Q5")
+#: The one-point z pass cell: a 2-d and a 4-d template.
+WRITE_Z_TEMPLATES = ("Q1", "Q5")
 WRITE_REPEATS = 5
 #: Shared-runner allowance on the per-call walls, as for the other
 #: wall-clock metrics.
@@ -633,12 +635,41 @@ def _cost_at_cell(name: str) -> float:
     return _best_per_call(cost_at)
 
 
+def _z_cell(name: str) -> float:
+    """Best-of-N seconds per one-point :meth:`HistogramPredictor.z_values`
+    over a walk, on a predictor seeded as the sessions are.  Raises
+    :class:`BenchError` unless, at every walk point, the compiled
+    one-point program's z-values equal the stacked pass over the whole
+    walk, bit for bit."""
+    space = plan_space_for(name)
+    points = _write_walk(space, WRITE_PROBES)
+    rows = [point[None, :] for point in points]
+    predictor = HistogramPredictor(
+        SamplePool(space.dimensions),
+        plan_count=space.plan_count,
+        histogram_kind="incremental",
+        seed=SESSION_SEED,
+    )
+    program = np.hstack([predictor.z_values(row) for row in rows])
+    if program.tobytes() != predictor.z_values(points).tobytes():
+        raise BenchError(
+            f"the z program differs from the stacked pass on {name}"
+        )
+
+    def z_values() -> None:
+        for row in rows:
+            predictor.z_values(row)
+
+    return _best_per_call(z_values)
+
+
 def run_write_path() -> dict[str, Any]:
     """Per-call cost of the two writes an optimizer call makes past its
     decision: one steady-state insert into a Q5-shaped packed block,
-    and one one-point label per template; and of one one-point
-    ``cost_at``, which a decision served from the cache pays to cost
-    the plan it runs."""
+    and one one-point label per template; of one one-point ``cost_at``,
+    which a decision served from the cache pays to cost the plan it
+    runs; and of one one-point z pass, which every decision and every
+    insert without handed-over z-values pays."""
     insert_s, full_share = _insert_cell()
     metrics = {
         "insert_us": metric(
@@ -655,6 +686,11 @@ def run_write_path() -> dict[str, Any]:
             _cost_at_cell(name) * 1e6, "us/call", "lower",
             tolerance_pct=WRITE_TOLERANCE_PCT,
         )
+    for name in WRITE_Z_TEMPLATES:
+        metrics[f"{name}_z_us"] = metric(
+            _z_cell(name) * 1e6, "us/call", "lower",
+            tolerance_pct=WRITE_TOLERANCE_PCT,
+        )
     return make_envelope(
         "write_path",
         metrics=metrics,
@@ -664,6 +700,7 @@ def run_write_path() -> dict[str, Any]:
             "warmup": WRITE_WARMUP,
             "probes": WRITE_PROBES,
             "label_templates": list(WRITE_LABEL_TEMPLATES),
+            "z_templates": list(WRITE_Z_TEMPLATES),
             "spread": WRITE_SPREAD,
             "repeats": WRITE_REPEATS,
             "seeds": {"session": SESSION_SEED, "walk": WRITE_WALK_SEED},

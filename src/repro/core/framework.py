@@ -706,8 +706,19 @@ class TemplateSession:
         NaN poisons every density estimate downstream (NaN comparisons
         are silently false), so the guard runs up front and raises a
         clean :class:`PredictionError`, counted per rejection reason.
+
+        A well-formed point passes one check in Python floats (NaN
+        fails ``0.0 <= v <= 1.0`` too); any other falls through to the
+        classifying checks, one of which raises.  The predict stage
+        then skips the predictor's own point check.
         """
         x = np.asarray(x, dtype=float).reshape(-1)
+        if x.shape[0] == self.plan_space.dimensions:
+            for value in x.tolist():
+                if not 0.0 <= value <= 1.0:
+                    break
+            else:
+                return x
         if x.shape[0] != self.plan_space.dimensions:
             self._rejected_counters["bad_shape"].inc()
             raise PredictionError(
@@ -962,9 +973,13 @@ class TemplateSession:
         """The predict stage of one decision: the predictor's z pass,
         lookup and decide over a batch of one.  Returns the point's
         ``(t,)`` z-values, which every insert the decision makes reuses,
-        and the prediction."""
+        and the prediction.  ``x`` is checked already
+        (:meth:`_validate_point`), so the z pass is the predictor's
+        unchecked one, in the same ``z_values`` span as
+        :meth:`HistogramPredictor.z_values` opens."""
         predictor = self.predictor
-        z_values = predictor.z_values(x[None, :], trace)
+        with trace.span("z_values"):
+            z_values = predictor._z_values_batch(x[None, :])
         prediction = predictor.decide(
             z_values, *predictor.lookup(z_values, trace), trace
         )[0]

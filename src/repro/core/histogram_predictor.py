@@ -243,7 +243,8 @@ class HistogramPredictor(PlanPredictor):
         ]
 
     def _z_values_batch(self, points: np.ndarray) -> np.ndarray:
-        """z-values ``(t, m)`` of each point under every transform."""
+        """z-values ``(t, m)`` of each point under every transform,
+        unchecked: the points must be finite ``(m, r)`` rows."""
         return self._stacked.z_values(
             apply_axis_weights(points, self.axis_weights)
         )
@@ -298,8 +299,9 @@ class HistogramPredictor(PlanPredictor):
         self, points: np.ndarray, trace: "DecisionTrace | None" = None
     ) -> np.ndarray:
         """The validated z pass: z-values ``(t, m)`` of each point of a
-        batch under every transform, in one stacked pass (span
-        ``z_values``).
+        batch under every transform (span ``z_values``): one stacked
+        pass for a block, the compiled one-point program for one point
+        (:meth:`StackedEnsemble.z_values`), the same bits either way.
 
         The batch is checked first (:meth:`_check_batch`: shape errors
         and non-finite rows raise, exactly like the scalar guard).  The

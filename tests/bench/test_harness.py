@@ -249,11 +249,14 @@ class TestWritePathBench:
         monkeypatch.setattr(runners, "WRITE_WARMUP", 300)
         monkeypatch.setattr(runners, "WRITE_PROBES", 40)
         monkeypatch.setattr(runners, "WRITE_LABEL_TEMPLATES", ("Q1",))
+        monkeypatch.setattr(runners, "WRITE_Z_TEMPLATES", ("Q1",))
         monkeypatch.setattr(runners, "WRITE_REPEATS", 1)
         envelope = runners.run_write_path()
         assert envelope["bench"] == "write_path"
         metrics = envelope["metrics"]
-        assert set(metrics) == {"insert_us", "Q1_label_us", "Q1_cost_at_us"}
+        assert set(metrics) == {
+            "insert_us", "Q1_label_us", "Q1_cost_at_us", "Q1_z_us"
+        }
         assert all(entry["value"] > 0.0 for entry in metrics.values())
         assert 0.0 <= envelope["details"]["insert_full_row_share"] <= 1.0
         assert "write_path" in runners.SUITES["ci"]
@@ -292,3 +295,21 @@ class TestWritePathBench:
         for cell in (runners._label_cell, runners._cost_at_cell):
             with pytest.raises(BenchError, match="node formulas on Q1"):
                 cell("Q1")
+
+    def test_a_z_program_off_the_stacked_pass_fails(self, monkeypatch):
+        import numpy as np
+
+        from repro.bench import runners
+        from repro.exceptions import BenchError
+        from repro.lsh.stacked import StackedEnsemble
+
+        monkeypatch.setattr(runners, "WRITE_PROBES", 8)
+        z_values = StackedEnsemble.z_values
+
+        def nudged(self, points):
+            z = z_values(self, points)
+            return np.nextafter(z, np.inf) if points.shape[0] == 1 else z
+
+        monkeypatch.setattr(StackedEnsemble, "z_values", nudged)
+        with pytest.raises(BenchError, match="stacked pass on Q1"):
+            runners._z_cell("Q1")
