@@ -305,120 +305,6 @@ class GroundTruthLedger:
         self._rows.clear()
 
 
-class _BatchTail:
-    """What :meth:`TemplateSession.execute_batch` holds across a block's
-    decisions: the finite rows' z-values and ``(t, plans, m)``
-    estimates, kept current with the synopsis by each prefetch; the
-    predictions decided since the last write; and the prefetch time not
-    yet charged to a decision.
-
-    A row is decided when it is served (:meth:`serve`), from the
-    estimates as they stand then.  While the block's writes are rare
-    that decide covers the rest of the tail, whose predictions hold
-    until the next write; once writes come in at least every other row,
-    it covers the served row alone, so no decided column is thrown
-    away."""
-
-    def __init__(self, points: np.ndarray, version: int) -> None:
-        self.points = points
-        self.finite = np.flatnonzero(np.isfinite(points).all(axis=1))
-        #: Synopsis version when the block started.
-        self.version = version
-        #: Block row of each estimate column; ``None`` until predicted.
-        self.rows: "np.ndarray | None" = None
-        #: Estimate column of each block row; ``None``: the row
-        #: predicts on the scalar path.
-        self.columns: list = [None] * points.shape[0]
-        self.z_values: "np.ndarray | None" = None
-        self.counts: "np.ndarray | None" = None
-        self.avg_costs: "np.ndarray | None" = None
-        #: Per column, its prediction once decided; the columns before
-        #: ``decided`` hold one decided since the last write.
-        self.predictions: list = []
-        self.decided = 0
-        self.owed = 0.0
-        self.share = 0.0
-
-    def predict(
-        self,
-        predictor: HistogramPredictor,
-        start: int,
-        dirty: list[int],
-        trace: DecisionTrace,
-    ) -> None:
-        """Bring the estimates of rows ``start:`` up to date.  Without
-        estimates this is one z pass and one lookup over the finite
-        rows; otherwise only the ``dirty`` plans' rows are queried
-        again, and the others answer as before.  Every decided
-        prediction is stale now: ``total_mass`` moved."""
-        self.decided = 0
-        if self.z_values is None:
-            rows = self.finite[self.finite >= start]
-            if not rows.shape[0]:
-                return
-            self.rows = rows
-            self.z_values = predictor.z_values(self.points[rows], trace)
-            self.counts, self.avg_costs = predictor.lookup(
-                self.z_values, trace
-            )
-            self.predictions = [None] * rows.shape[0]
-            for column, row in enumerate(rows.tolist()):
-                self.columns[row] = column
-        elif dirty:
-            first = int(np.searchsorted(self.rows, start))
-            if first == self.rows.shape[0]:
-                return
-            (
-                self.counts[:, dirty, first:],
-                self.avg_costs[:, dirty, first:],
-            ) = predictor.lookup(self.z_values[:, first:], trace, dirty)
-
-    def forget(self, start: int) -> None:
-        """The batch predictor raised: rows ``start:`` take the scalar
-        path, and the next prefetch predicts from scratch."""
-        self.columns[start:] = [None] * (len(self.columns) - start)
-        self.z_values = self.counts = self.avg_costs = self.rows = None
-
-    def owe(self, seconds: float, start: int) -> None:
-        """Add ``seconds`` of prefetch work to what rows ``start:`` are
-        charged, spreading everything still unpaid evenly over them."""
-        self.owed += seconds
-        self.share = self.owed / (len(self.columns) - start)
-
-    def pay(self) -> float:
-        """The next decision's share of the prefetch time.  Over a
-        whole block the shares sum to the time spent."""
-        self.owed -= self.share
-        return self.share
-
-    def serve(
-        self, predictor: HistogramPredictor, row: int, trace: DecisionTrace
-    ) -> "tuple | None":
-        """``(z, prediction)`` for block row ``row``, or ``None`` if the
-        row predicts on the scalar path.
-
-        A row without a prediction decided since the last write is
-        decided now, by :meth:`HistogramPredictor.decide` on ``trace``:
-        the served row alone once the block has written at least once
-        every other row, else the served row and the rest of the tail.
-        """
-        column = self.columns[row]
-        if column is None:
-            return None
-        if column >= self.decided:
-            stop = self.rows.shape[0]
-            if 2 * (predictor.mutation_count - self.version) >= row:
-                stop = column + 1
-            self.predictions[column:stop] = predictor.decide(
-                self.z_values[:, column:stop],
-                self.counts[..., column:stop],
-                self.avg_costs[..., column:stop],
-                trace,
-            )
-            self.decided = stop
-        return self.z_values[:, column], self.predictions[column]
-
-
 class TemplateSession:
     """Per-template plan-caching state and decision flow."""
 
@@ -521,16 +407,12 @@ class TemplateSession:
             self._predict = fault_injector.wrap(
                 "predictor", self._predict_point
             )
-            self._predict_tail = fault_injector.wrap(
-                "predictor", _BatchTail.predict
-            )
             self._observe = fault_injector.wrap(
                 "predictor_insert", self.observe
             )
         else:
             self._label = plan_space.label
             self._predict = self._predict_point
-            self._predict_tail = _BatchTail.predict
             self._observe = self.observe
 
         # Stable metric handles: fetched once, updated lock-free in the
@@ -859,25 +741,24 @@ class TemplateSession:
         return self._run(x, trace)
 
     def execute_batch(self, points: np.ndarray) -> list[ExecutionRecord]:
-        """Run a batch of instances, amortizing prediction across it.
+        """Run a batch of instances, sharing the block's z pass.
 
         Lockstep-equivalent to calling :meth:`execute` per point —
-        bit-for-bit identical records, counters and RNG consumption —
-        but the block is transformed and looked up vectorized: one z
-        pass and one density lookup over its finite rows.  A synopsis
-        mutation mid-batch re-queries only the rows it changed — the
-        inserted plan's, or every plan's after a drift drop
-        (:meth:`_prefetch_predictions`).  Each row is decided when it
-        is served, inside its own ``predict`` span, by the same
-        ``decide`` a scalar decision runs, from the estimates and the
-        ``total_mass`` of that moment (:meth:`_BatchTail.serve`); then
-        it flows through the normal decision path.
+        bit-for-bit identical records, counters, RNG consumption and
+        fault rolls — because every row runs the scalar decision flow.
+        Each insert changes the synopsis the next lookup reads, so the
+        only work a block shares is the z pass, a pure function of the
+        point: one stacked pass over the block
+        (:meth:`_prefetch_predictions`), whose time is charged to the
+        rows' predict spans in even shares.  Each row then makes its own
+        lookup and decide through the fault-wrapped ``predictor``
+        surface, once per row as sequential execution does.
 
-        Traced instances re-predict as a traced batch of one (the same
-        decision, with annotated spans), preserving trace parity.  Rows
-        the vectorized validation rejects (non-finite coordinates) fall
-        back to the scalar path so they raise — or degrade — exactly as
-        a sequential ``execute`` would.
+        Traced rows ignore the shared z-values and transform their own
+        point, so their span tree keeps its ``z_values`` span.  A block
+        holding a malformed row shares nothing: its rows run the plain
+        scalar flow, which raises at the first bad row exactly as a
+        sequential ``execute`` would.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2:
@@ -886,49 +767,33 @@ class TemplateSession:
                 f"{self.plan_space.dimensions}) batch, got shape "
                 f"{points.shape}"
             )
-        records: list[ExecutionRecord] = []
-        tail = _BatchTail(points, self.predictor.mutation_count)
-        version = None
-        for row in range(points.shape[0]):
-            if self.predictor.mutation_count != version:
-                version = self.predictor.mutation_count
-                self._prefetch_predictions(tail, row)
-            trace = self.tracer.begin()
-            records.append(
-                self._run(
-                    points[row],
-                    trace,
-                    tail=tail,
-                    row=row,
-                    predict_seconds=tail.pay(),
-                )
-            )
-        return records
-
-    def _prefetch_predictions(self, tail: _BatchTail, start: int) -> None:
-        """Bring the estimates of ``tail``'s rows ``start:`` up to date
-        with the synopsis: the z pass and lookup on a block's first
-        call, afterwards a re-query of the plans the mutations since
-        changed (:meth:`HistogramPredictor.take_dirty`).  Nothing is
-        decided here: a row is decided when it is served.
-
-        If the batch predictor raises, the rows ``start:`` replay the
-        scalar path per point, whose degradation accounting matches
-        sequential execution, and the next call predicts from scratch.
-        The work runs between decisions on the tracer's inactive trace,
-        so its z-value and density-lookup spans feed their metrics; its
-        time is charged to the instances it serves, spread evenly over
-        the rows still to run (:meth:`_BatchTail.owe`).
-        """
+        if not points.shape[0]:
+            return []
         started = perf_counter()
-        dirty = self.predictor.take_dirty()
-        try:
-            self._predict_tail(
-                tail, self.predictor, start, dirty, self.tracer.inactive
+        z_values = self._prefetch_predictions(points)
+        share = (perf_counter() - started) / points.shape[0]
+        return [
+            self._run(
+                x,
+                self.tracer.begin(),
+                None if z_values is None else z_values[:, row],
+                share,
             )
-        except Exception:
-            tail.forget(start)
-        tail.owe(perf_counter() - started, start)
+            for row, x in enumerate(points)
+        ]
+
+    def _prefetch_predictions(self, points: np.ndarray) -> "np.ndarray | None":
+        """The z-values ``(t, m)`` of a block's rows in one stacked
+        pass, on the tracer's inactive trace, whose ``z_values`` span
+        feeds the stage metric; ``None`` unless every row is
+        well-formed (``r`` wide, finite, in ``[0, 1]``), and then the
+        rows run the plain scalar flow, whose point check raises."""
+        if points.shape[1] != self.plan_space.dimensions or not (
+            (points >= 0.0) & (points <= 1.0)
+        ).all():
+            return None
+        with self.tracer.inactive.span("z_values"):
+            return self.predictor._z_values_batch(points)
 
     def explain(self, x: np.ndarray) -> DecisionTrace:
         """Run one instance fully traced; returns its decision trace.
@@ -948,8 +813,7 @@ class TemplateSession:
         self,
         x: np.ndarray,
         trace: DecisionTrace,
-        tail: "_BatchTail | None" = None,
-        row: int = 0,
+        z: "np.ndarray | None" = None,
         predict_seconds: float = 0.0,
     ) -> ExecutionRecord:
         """Drive one decision, sealing the trace on every exit path."""
@@ -958,9 +822,7 @@ class TemplateSession:
             # runs carry the active trace seq (None when unsampled).
             self._events.set_trace(trace.seq)
         try:
-            record = self._decide_and_execute(
-                x, trace, tail=tail, row=row, predict_seconds=predict_seconds
-            )
+            record = self._decide_and_execute(x, trace, z, predict_seconds)
         except BaseException as exc:
             self.tracer.finish(trace, error=exc)
             raise
@@ -968,7 +830,7 @@ class TemplateSession:
         return record
 
     def _predict_point(
-        self, x: np.ndarray, trace: DecisionTrace
+        self, x: np.ndarray, trace: DecisionTrace, z: "np.ndarray | None" = None
     ) -> "tuple[np.ndarray, Prediction | None]":
         """The predict stage of one decision: the predictor's z pass,
         lookup and decide over a batch of one.  Returns the point's
@@ -976,10 +838,16 @@ class TemplateSession:
         and the prediction.  ``x`` is checked already
         (:meth:`_validate_point`), so the z pass is the predictor's
         unchecked one, in the same ``z_values`` span as
-        :meth:`HistogramPredictor.z_values` opens."""
+        :meth:`HistogramPredictor.z_values` opens.  ``z`` hands over the
+        z-values of a block's shared pass (:meth:`execute_batch`); an
+        active trace ignores it and makes its own pass, so its span tree
+        keeps the ``z_values`` span."""
         predictor = self.predictor
-        with trace.span("z_values"):
-            z_values = predictor._z_values_batch(x[None, :])
+        if z is None or trace.active:
+            with trace.span("z_values"):
+                z_values = predictor._z_values_batch(x[None, :])
+        else:
+            z_values = z[:, None]
         prediction = predictor.decide(
             z_values, *predictor.lookup(z_values, trace), trace
         )[0]
@@ -989,8 +857,7 @@ class TemplateSession:
         self,
         x: np.ndarray,
         trace: DecisionTrace,
-        tail: "_BatchTail | None" = None,
-        row: int = 0,
+        z: "np.ndarray | None" = None,
         predict_seconds: float = 0.0,
     ) -> ExecutionRecord:
         """The Figure-1 decision flow, one span per stage of ``trace``.
@@ -1002,15 +869,12 @@ class TemplateSession:
         metrically identical to the untraced flow — and allocates no
         span.
 
-        ``tail`` and ``row`` (from :meth:`execute_batch`) supply the
-        point's z-values and density estimates, computed vectorized for
-        the whole block; the predict span decides the row from them
-        (:meth:`_BatchTail.serve`).  ``predict_seconds`` is this
-        instance's share of the block's z pass and lookups, charged to
-        the predict span.  Traced instances ignore the tail and
-        re-predict as a traced batch of one, which annotates its spans
-        with the same decision.  The z-values go to every insert the
-        decision makes, so the point is transformed once.
+        ``z`` (from :meth:`execute_batch`) is the point's z-values from
+        the block's shared z pass, and ``predict_seconds`` this
+        instance's share of that pass, charged to the predict span; the
+        lookup and decide are the row's own (:meth:`_predict_point`).
+        The z-values go to every insert the decision makes, so the
+        point is transformed once.
 
         Ground truth is the optimizer's answer when it ran; the fallback
         path labels eagerly to account the suboptimality it accepted;
@@ -1030,12 +894,7 @@ class TemplateSession:
         with trace.span("predict") as predict_span:
             trace.charge(predict_seconds)
             try:
-                served = None
-                if tail is not None and not trace.active:
-                    served = tail.serve(self.predictor, row, trace)
-                if served is None:
-                    served = self._predict(x, trace)
-                z_values, prediction = served
+                z_values, prediction = self._predict(x, trace, z)
             except Exception:
                 # A broken predictor degrades to the optimizer path.
                 z_values = prediction = None
@@ -1400,14 +1259,13 @@ class PPCFramework:
         """Run a batch of instances of one template.
 
         Without a memory governor this is the session's batch path —
-        one z pass and one lookup per block, each row decided when it
-        is served (:meth:`TemplateSession.execute_batch`) — plus one
-        telemetry tick per record, lockstep-identical to sequential
-        :meth:`execute` calls.  With a governor, reclamation
-        must interleave between instances at exactly the configured
-        cadence (and governor shrinks mutate synopses behind the
-        predictor's mutation counter), so the batch falls back to the
-        sequential path rather than drift from it.
+        one shared z pass per block, then each row's scalar decision
+        (:meth:`TemplateSession.execute_batch`) — plus one telemetry
+        tick per record, lockstep-identical to sequential
+        :meth:`execute` calls.  With a governor, its touch and every
+        ``governor_interval``-th enforcement must run between instances
+        at exactly the sequential cadence, so the batch takes the
+        sequential path.
         """
         if self.governor is not None:
             points = np.asarray(points, dtype=float)

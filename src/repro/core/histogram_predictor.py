@@ -149,8 +149,8 @@ class HistogramPredictor(PlanPredictor):
         #: ``_packed`` is the synopsis store for the predictor's whole
         #: life: every (transform, plan) histogram's buckets in one
         #: block, which the density lookup reads and every write changes
-        #: in place.  The block keeps the books (version, dirty plans,
-        #: totals, journal); no emitter is bound yet, so building it
+        #: in place.  The block keeps the books (version, totals,
+        #: journal); no emitter is bound yet, so building it
         #: journals nothing.
         self._packed = PackedHistograms.from_buckets(
             [[[]] * plan_count for __ in self.ensemble]
@@ -177,9 +177,9 @@ class HistogramPredictor(PlanPredictor):
 
     @property
     def mutation_count(self) -> int:
-        """Number of synopsis writes so far (the block's version).
-        Batch consumers (``TemplateSession.execute_batch``) compare it
-        to detect when precomputed predictions went stale."""
+        """Number of synopsis writes so far (the block's version): each
+        of the block's writers adds one, so two equal reads bracket no
+        change to what a lookup answers."""
         return self._packed.version
 
     @property
@@ -193,12 +193,6 @@ class HistogramPredictor(PlanPredictor):
         feedback inserts discounted weights.  Noise elimination compares
         against this, matching the weighted bucket counts."""
         return self._packed.total_mass
-
-    def take_dirty(self) -> list[int]:
-        """The plans whose rows some write changed since the last call,
-        ascending, and forget them (the block's
-        :meth:`~PackedHistograms.take_dirty`)."""
-        return self._packed.take_dirty()
 
     def bind_events(self, emitter: "_TemplateEmitter") -> None:
         """Attach a lifecycle event emitter (``repro.obs.events``): the
@@ -318,23 +312,18 @@ class HistogramPredictor(PlanPredictor):
             return self._z_values_batch(points)
 
     def lookup(
-        self,
-        z_values: np.ndarray,
-        trace: "DecisionTrace | None" = None,
-        plans: "list[int] | None" = None,
+        self, z_values: np.ndarray, trace: "DecisionTrace | None" = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Density lookup: ``(counts, avg_costs)``, each ``(t, plans,
         m)``, of every (transform, plan) range query
         ``[z - delta, z + delta]``, in one vectorized pass over the
-        packed block (span ``density_lookup``).  ``plans`` restricts the
-        answer to those plans' rows, bit for bit the matching slice of
-        the full one.
+        packed block (span ``density_lookup``).
         """
         if trace is None:
             trace = untraced()
         with trace.span("density_lookup"):
             return self._packed.query(
-                z_values - self.delta, z_values + self.delta, plans
+                z_values - self.delta, z_values + self.delta
             )
 
     def _aggregate(self, estimates: np.ndarray) -> np.ndarray:

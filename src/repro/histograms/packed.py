@@ -43,15 +43,15 @@ arrays.
 
 It keeps its own books.  Its four writers — :meth:`insert`,
 :meth:`clear`, :meth:`shrink` and :meth:`load` — are the only code
-that changes its rows, and each bumps :attr:`version`, marks the plans
-it changed dirty (:meth:`take_dirty`), keeps ``total_points`` and
-``total_mass`` and hands one change event to the callback bound with
-:meth:`bind`.  No caller can change a row without all four following.
+that changes its rows, and each bumps :attr:`version`, keeps
+``total_points`` and ``total_mass`` and hands one change event to the
+callback bound with :meth:`bind`.  No caller can change a row without
+all three following.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -122,9 +122,6 @@ class PackedHistograms:
     total_points = 0
     #: Total inserted mass: the sum of the inserted weights.
     total_mass = 0.0
-    #: Plans whose rows changed since the last :meth:`take_dirty`
-    #: (immutable, so the class default is never shared by a write).
-    _dirty: "frozenset[int]" = frozenset()
     #: Change callback ``(kind, **fields)``; ``None`` journals nothing.
     _on_change: "Callable[..., object] | None" = None
 
@@ -149,21 +146,10 @@ class PackedHistograms:
         ``histogram_shrunk`` or ``histogram_built``."""
         self._on_change = on_change
 
-    def take_dirty(self) -> list[int]:
-        """The plans whose rows some write changed since the last call,
-        ascending, and forget them.  Every other row still answers a
-        range query exactly as before, so a caller holding estimates
-        re-queries just these plans' rows."""
-        dirty = sorted(self._dirty)
-        self._dirty = frozenset()
-        return dirty
-
-    def _changed(self, kind: str, dirty: "Iterable[int]", /, **fields) -> None:
-        """Book one write: bump :attr:`version`, mark the plans ``dirty``
-        and hand the event ``kind`` with ``fields`` to the bound
-        callback, if any."""
+    def _changed(self, kind: str, /, **fields) -> None:
+        """Book one write: bump :attr:`version` and hand the event
+        ``kind`` with ``fields`` to the bound callback, if any."""
         self.version += 1
-        self._dirty = self._dirty.union(dirty)
         if self._on_change is not None:
             self._on_change(kind, **fields)
 
@@ -253,8 +239,8 @@ class PackedHistograms:
         the joined bucket's count and cost sum, with ``cost * weight``
         computed once for every row.
 
-        Adds one point and ``weight`` to the totals, dirties ``plan``
-        and journals ``point_inserted`` with ``provenance``.
+        Adds one point and ``weight`` to the totals and journals
+        ``point_inserted`` with ``provenance``.
         """
         plan = int(plan)
         if not 0 <= plan < self.plans:
@@ -307,7 +293,6 @@ class PackedHistograms:
         self.total_mass += weight
         self._changed(
             "point_inserted",
-            (plan,),
             plan=plan,
             cost=float(cost),
             weight=float(weight),
@@ -322,7 +307,6 @@ class PackedHistograms:
         self.total_points, self.total_mass = 0, 0.0
         self._changed(
             "histogram_rebuilt",
-            range(self.plans),
             points_dropped=points,
             mass_dropped=mass,
         )
@@ -341,7 +325,7 @@ class PackedHistograms:
                 budget,
             )
         self._pack(self.rows())
-        self._changed("histogram_shrunk", range(self.plans), max_buckets=budget)
+        self._changed("histogram_shrunk", max_buckets=budget)
 
     def load(
         self,
@@ -357,7 +341,6 @@ class PackedHistograms:
         self.total_points, self.total_mass = total_points, total_mass
         self._changed(
             "histogram_built",
-            range(self.plans),
             transforms=self.transforms,
             plans=self.plans,
             points=total_points,
@@ -379,40 +362,29 @@ class PackedHistograms:
         return int(self.bucket_counts.sum()) * BYTES_PER_BUCKET
 
     def query(
-        self,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        plans: "Sequence[int] | None" = None,
+        self, lo: np.ndarray, hi: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Masses and average costs of every row for query bounds
         ``lo``/``hi`` of shape ``(t, m)`` (one query batch per
         transform, shared by its plans).  Returns two ``(t, plans, m)``
         arrays; the average is 0 where the mass is.
 
-        ``plans`` restricts the answer to those plans' rows: two
-        ``(t, len(plans), m)`` arrays, bit for bit the matching slice of
-        the full answer, since every step is elementwise per row and
-        per query.  Wide batches run in column chunks of at most
-        ``_CHUNK_CELLS`` (bound, row, query, bucket) cells, which bounds
-        the temporaries; for the same reason chunking changes no bit.
+        Wide batches run in column chunks of at most ``_CHUNK_CELLS``
+        (bound, row, query, bucket) cells, which bounds the
+        temporaries; every step is elementwise per row and per query,
+        so chunking changes no bit.
         """
-        block, base = self._buckets, self._base
-        if plans is not None:
-            block = block[:, :, plans]
-            base = np.arange(self.transforms * len(plans)).reshape(
-                self.transforms, len(plans), 1
-            ) * self.width
         m = lo.shape[1]
-        rows = block.shape[1] * block.shape[2]
+        rows = self.transforms * self.plans
         chunk = max(1, _CHUNK_CELLS // (2 * rows * self.width))
         if m <= chunk:
-            return self._query(block, base, lo, hi)
-        mass = np.empty((*block.shape[1:3], m))
+            return self._query(lo, hi)
+        mass = np.empty((self.transforms, self.plans, m))
         average = np.empty_like(mass)
         for start in range(0, m, chunk):
             part = slice(start, start + chunk)
             mass[..., part], average[..., part] = self._query(
-                block, base, lo[:, part], hi[:, part]
+                lo[:, part], hi[:, part]
             )
         return mass, average
 
@@ -445,8 +417,6 @@ class PackedHistograms:
             )[:, :cells]
         shape = (self.transforms, cells)
         mass, __ = self._query(
-            self._buckets,
-            self._base,
             np.broadcast_to(edges[:-1], shape),
             np.broadcast_to(edges[1:], shape),
             ends,
@@ -455,15 +425,13 @@ class PackedHistograms:
 
     def _query(
         self,
-        block: np.ndarray,
-        base: np.ndarray,
         lo: np.ndarray,
         hi: np.ndarray,
         ends: "np.ndarray | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The query pass over ``block``, a ``(6, t, k, width)``
-        block (the store or a plan selection of it), whose row offsets
-        into its flattened planes are ``base``."""
+        """The query pass over the block; ``ends`` (from :meth:`tiles`)
+        skips its bucket-axis count."""
+        block = self._buckets
         q_lo = lo[:, None, :]
         q_hi = hi[:, None, :]
         # ends[0]: first bucket with lo >= q_lo; ends[1]: first bucket
@@ -488,7 +456,7 @@ class PackedHistograms:
         # overlaps nothing.
         np.maximum(ends[1], ends[0], out=ends[1])
         ends[0] -= 1
-        edges = block.reshape(_PLANES, -1).take(ends + base, axis=1)
+        edges = block.reshape(_PLANES, -1).take(ends + self._base, axis=1)
         b_lo, b_hi = edges[_LO], edges[_HI]
         near = edges[_COUNT:_COST + 1, 0]
         # Prefix sums up to ends[1] minus those up to ends[0]; the

@@ -183,8 +183,8 @@ STAGES = ("predict", "optimize", "execute", "feedback")
 #: plus ``stage`` when given) on every execution, sampled or not.  A
 #: ``parent`` restricts the entry to spans opened directly under that
 #: span, so the negative-feedback ``feedback/optimize`` never feeds
-#: ``stage="optimize"``; ``None`` matches anywhere, including the batch
-#: prefetch's predict outside any decision.
+#: ``stage="optimize"``; ``None`` matches anywhere, including a batch
+#: block's z pass outside any decision.
 SPAN_METRICS: dict[str, tuple[str, str | None, str | None]] = {
     # span: (metric, stage label, parent span)
     "z_values": (PREDICT_TRANSFORM_SECONDS, None, None),

@@ -275,7 +275,7 @@ class DecisionTrace:
 
     def charge(self, seconds: float) -> None:
         """Bill ``seconds`` of work done ahead of this decision — its
-        share of the batch prefetch — to the innermost open span:
+        share of a batch block's z pass — to the innermost open span:
         the seam's clock moves on by that much, so the span's metric,
         its profile rows and the decision's total all include it."""
         self._skew += seconds
@@ -546,7 +546,7 @@ class DecisionTracer:
             for span, (metric, stage, parent) in names.SPAN_METRICS.items()
         }
         #: The trace every unsampled execution reuses; work outside any
-        #: decision (the batch prefetch) also runs on it, between
+        #: decision (a batch block's z pass) also runs on it, between
         #: decisions, where it feeds metrics only.
         self.inactive = DecisionTrace(
             template,

@@ -12,6 +12,7 @@ crossovers are what give plan spaces their structure (Figure 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
@@ -50,5 +51,9 @@ class CostModel:
             "hash_memory_rows",
             "hash_spill_factor",
         ):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"cost constant {name} must be > 0")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigurationError(
+                    f"cost constant {name} must be finite and > 0, "
+                    f"got {value!r}"
+                )

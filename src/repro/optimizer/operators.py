@@ -20,7 +20,7 @@ one point and for a batch.  The two renderings must agree on every bit:
 template and on hand-built plans at both sides of each branch, and
 ``repro bench run write_path`` fails if they differ at any point it
 times.  Emitted source holds only node numbers (finite ``int`` or
-``float``, asserted), parameter indices and generated local names.
+``float``, checked), parameter indices and generated local names.
 
 The program reads its point through a *point view* ``x``: ``x[i]`` is
 selectivity ``i``, an ``(n,)`` column for a batch and a float for one
@@ -105,8 +105,13 @@ def _ufunc(ufunc: np.ufunc, value: Value) -> Value:
 
 def _literal(value: "int | float") -> str:
     """A node's number as program source: only a finite ``int`` or
-    ``float`` is ever emitted, so ``repr`` is an exact literal."""
-    assert type(value) in (int, float) and math.isfinite(value), value
+    ``float`` is ever emitted, so ``repr`` is an exact literal.  The
+    numbers come from a catalog and a cost model, so anything else
+    raises."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ConfigurationError(
+            f"cost program constant must be a finite number, got {value!r}"
+        )
     return repr(value)
 
 

@@ -98,8 +98,7 @@ class TestEnforcement:
     def test_shrink_refreshes_the_packed_lookup(self, sessions):
         """A governor shrink goes through the predictor: the packed
         block is repacked (predictions equal the per-histogram
-        reference) and the mutation counter advances, so prefetched
-        batch predictions get invalidated."""
+        reference) and the mutation counter advances."""
         hot, __ = sessions
         governor = MemoryGovernor(budget_bytes=10**9)
         governor.register(hot)

@@ -163,8 +163,8 @@ class TestCountVersusMass:
 class TestBlockKeepsItsBooks:
     """The packed block books its own writes: a write that reaches past
     the predictor straight to ``predictor._packed`` still bumps
-    ``mutation_count``, dirties exactly its plans and journals exactly
-    one event, and the block stays the predictor's one store."""
+    ``mutation_count`` and journals exactly one event, and the block
+    stays the predictor's one store."""
 
     @staticmethod
     def _bound():
@@ -175,37 +175,33 @@ class TestBlockKeepsItsBooks:
         predictor.bind_events(lambda kind, **fields: events.append(kind))
         assert events == ["histogram_built"]
         events.clear()
-        predictor.take_dirty()
         return predictor, events
 
     @pytest.mark.parametrize(
-        "write, kind, dirty",
+        "write, kind",
         [
             (
                 lambda block: block.insert(
                     1, np.full(block.transforms, 0.5), 2.0, 1.0, 40
                 ),
                 "point_inserted",
-                [1],
             ),
-            (lambda block: block.clear(), "histogram_rebuilt", [0, 1]),
-            (lambda block: block.shrink(5), "histogram_shrunk", [0, 1]),
+            (lambda block: block.clear(), "histogram_rebuilt"),
+            (lambda block: block.shrink(5), "histogram_shrunk"),
             (
                 lambda block: block.load(block.rows(), 7, 6.5),
                 "histogram_built",
-                [0, 1],
             ),
         ],
         ids=["insert", "clear", "shrink", "load"],
     )
-    def test_direct_write_keeps_the_books(self, write, kind, dirty):
+    def test_direct_write_keeps_the_books(self, write, kind):
         predictor, events = self._bound()
         block = predictor._packed
         before = predictor.mutation_count
         write(block)
         assert predictor._packed is block
         assert predictor.mutation_count == before + 1
-        assert predictor.take_dirty() == dirty
         assert events == [kind]
 
     def test_writers_keep_the_totals(self):
@@ -246,7 +242,7 @@ class TestBlockKeepsItsBooks:
             predictor.load_histograms(bad, 9, 9.0)
         assert predictor._packed.rows() == rows
         assert predictor.mutation_count == version
-        assert (predictor.total_points, predictor.take_dirty()) == (200, [])
+        assert predictor.total_points == 200
         assert events == []
 
     def test_unbound_block_still_counts_its_writes(self):
@@ -261,14 +257,12 @@ class TestBlockKeepsItsBooks:
         predictor = HistogramPredictor(_pool(), histogram_kind="maxdiff", seed=1)
         events = []
         predictor.bind_events(lambda kind, **fields: events.append(kind))
-        predictor.take_dirty()
         before = predictor._packed._buckets.copy()
         version = predictor.mutation_count
         predictor.shrink(5)
         assert predictor.max_buckets == 5
         assert predictor._packed._buckets.tobytes() == before.tobytes()
         assert predictor.mutation_count == version
-        assert predictor.take_dirty() == []
         assert events == ["histogram_built"]
 
     @pytest.mark.parametrize("kind", ["maxdiff", "incremental"])

@@ -335,64 +335,6 @@ class TestOneStore:
         restored = PackedHistograms.from_buckets(packed.rows())
         assert_same_block(restored, packed)
 
-    @given(
-        history=histories(),
-        queries=st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=6),
-        data=st.data(),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_plan_restricted_query_is_a_slice_of_the_full_one(
-        self, history, queries, data
-    ):
-        """After any history of inserts (merging over budget, widening
-        the block), a query restricted to some plans answers exactly
-        those plans' rows of the full query, bit for bit."""
-        t, plans, budget, operations = history
-        packed = PackedHistograms.from_buckets(
-            [[[] for __ in range(plans)] for __ in range(t)]
-        )
-        for operation, *args in operations:
-            if operation == "insert":
-                plan, z, cost, weight = args
-                packed.insert(plan, np.array(z), cost, weight, budget)
-            elif operation == "shrink":
-                (budget,) = args
-                packed.shrink(budget)
-        centers = np.array(queries)
-        half = data.draw(st.sampled_from([0.0, 0.01, 0.1, 0.6]))
-        lo = np.tile(centers - half, (t, 1))
-        hi = np.tile(centers + half, (t, 1))
-        selected = data.draw(
-            st.lists(
-                st.integers(0, plans - 1), min_size=1, max_size=plans,
-                unique=True,
-            ).map(sorted)
-        )
-        mass, average = packed.query(lo, hi)
-        part_mass, part_average = packed.query(lo, hi, selected)
-        assert part_mass.shape == (t, len(selected), centers.shape[0])
-        np.testing.assert_array_equal(part_mass, mass[:, selected])
-        np.testing.assert_array_equal(part_average, average[:, selected])
-
-    def test_plan_restricted_wide_batch_is_a_slice(self):
-        """Wide batches run in column chunks sized by the rows queried;
-        a restricted query's chunks still answer the same bits."""
-        rng = np.random.default_rng(7)
-        packed = PackedHistograms.from_buckets([[[]] * 5 for __ in range(4)])
-        for __ in range(300):
-            packed.insert(
-                int(rng.integers(5)), rng.uniform(0.0, 1.0, 4),
-                float(rng.uniform(1.0, 9.0)), 1.0, 12,
-            )
-        centers = rng.uniform(0.0, 1.0, (4, 3000))
-        mass, average = packed.query(centers - 0.02, centers + 0.02)
-        for selected in ([3], [0, 4], [1, 2, 3]):
-            part_mass, part_average = packed.query(
-                centers - 0.02, centers + 0.02, selected
-            )
-            np.testing.assert_array_equal(part_mass, mass[:, selected])
-            np.testing.assert_array_equal(part_average, average[:, selected])
-
     @pytest.mark.parametrize(
         "plan, z",
         [
@@ -417,7 +359,6 @@ class TestOneStore:
         touched, and the block's books stay as they were."""
         packed = PackedHistograms.from_buckets([[[], []], [[], []], [[], []]])
         packed.insert(0, np.array([0.25, 0.5, 0.75]), 2.0, 1.0, 4)
-        packed.take_dirty()
         before = packed._buckets.copy()
         books = (packed.version, packed.total_points, packed.total_mass)
         with pytest.raises(HistogramError):
@@ -426,7 +367,6 @@ class TestOneStore:
         assert packed.bucket_counts.tolist() == [[1, 0]] * 3
         assert packed.space_bytes() == 3 * 12
         assert (packed.version, packed.total_points, packed.total_mass) == books
-        assert packed.take_dirty() == []
 
     def test_insert_at_budget_keeps_the_width(self):
         """A full row opens a bucket and merges back without widening

@@ -201,9 +201,8 @@ class TestLockstepParity:
     )
 
     def test_batch_journal_equals_sequential_journal(self):
-        # Speculative prefetches and re-predicted tails must journal
-        # nothing: the batch path records exactly the mutations the
-        # sequential path does.  Wide probes make noise elimination
+        # A block's shared z pass must journal nothing: the batch path
+        # records exactly the mutations the sequential path does.  Wide probes make noise elimination
         # fire; a constant clock makes the timestamps comparable.
         def session():
             return TemplateSession(

@@ -19,7 +19,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.exceptions import OptimizationError
+from repro.exceptions import ConfigurationError, OptimizationError
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.operators import (
     HashJoin,
@@ -249,7 +249,7 @@ def test_a_costed_space_pickles_and_recompiles(q1_space):
     "value", [np.float64(1.0), np.int64(1), True, "1.0", math.inf, math.nan]
 )
 def test_only_finite_python_numbers_become_source(value):
-    with pytest.raises(AssertionError):
+    with pytest.raises(ConfigurationError):
         _literal(value)
     assert _literal(0.1) == "0.1"
     assert _literal(3) == "3"

@@ -1,5 +1,7 @@
 """Physical operators: cardinality and cost formulas."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,20 @@ class TestIndexScan:
     def test_sarg_cannot_repeat_as_residual(self):
         with pytest.raises(ConfigurationError):
             IndexScan("a", "ix", 0, 100, 10, (0,), False, MODEL)
+
+
+class TestCostModel:
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 0.0, -1.0]
+    )
+    @pytest.mark.parametrize(
+        "name", ["seq_page_cost", "hash_memory_rows", "hash_spill_factor"]
+    )
+    def test_a_constant_must_be_finite_and_positive(self, name, value):
+        """A NaN or infinite constant would reach the compiled cost
+        program as a literal it cannot write; it is refused up front."""
+        with pytest.raises(ConfigurationError, match=name):
+            CostModel(**{name: value})
 
 
 class TestSort:
