@@ -756,10 +756,27 @@ class TemplateSession:
 
         Traced rows ignore the shared z-values and transform their own
         point, so their span tree keeps its ``z_values`` span.  A block
-        holding a malformed row shares nothing: its rows run the plain
-        scalar flow, which raises at the first bad row exactly as a
-        sequential ``execute`` would.
+        holding a malformed row runs none of its rows: the block check
+        (:meth:`_checked_block`) raises first.
         """
+        points = self._checked_block(points)
+        if not points.shape[0]:
+            return []
+        started = perf_counter()
+        z_values = self._prefetch_predictions(points)
+        share = (perf_counter() - started) / points.shape[0]
+        return [
+            self._run(x, self.tracer.begin(), z_values[:, row], share)
+            for row, x in enumerate(points)
+        ]
+
+    def _checked_block(self, points: np.ndarray) -> np.ndarray:
+        """``points`` as an ``(m, r)`` float block whose every row is
+        well-formed (``r`` wide, finite, in ``[0, 1]``), checked before
+        any row runs.  A block that is not two-dimensional raises.  A
+        block with a malformed row raises what :meth:`execute` of its
+        first such row would, through :meth:`_validate_point`, so the
+        rejection is counted once."""
         points = np.asarray(points, dtype=float)
         if points.ndim != 2:
             raise PredictionError(
@@ -767,31 +784,18 @@ class TemplateSession:
                 f"{self.plan_space.dimensions}) batch, got shape "
                 f"{points.shape}"
             )
-        if not points.shape[0]:
-            return []
-        started = perf_counter()
-        z_values = self._prefetch_predictions(points)
-        share = (perf_counter() - started) / points.shape[0]
-        return [
-            self._run(
-                x,
-                self.tracer.begin(),
-                None if z_values is None else z_values[:, row],
-                share,
-            )
-            for row, x in enumerate(points)
-        ]
-
-    def _prefetch_predictions(self, points: np.ndarray) -> "np.ndarray | None":
-        """The z-values ``(t, m)`` of a block's rows in one stacked
-        pass, on the tracer's inactive trace, whose ``z_values`` span
-        feeds the stage metric; ``None`` unless every row is
-        well-formed (``r`` wide, finite, in ``[0, 1]``), and then the
-        rows run the plain scalar flow, whose point check raises."""
         if points.shape[1] != self.plan_space.dimensions or not (
             (points >= 0.0) & (points <= 1.0)
         ).all():
-            return None
+            for x in points:
+                self._validate_point(x)
+        return points
+
+    def _prefetch_predictions(self, points: np.ndarray) -> np.ndarray:
+        """The z-values ``(t, m)`` of a checked block's rows
+        (:meth:`_checked_block`) in one stacked pass, on the tracer's
+        inactive trace, whose ``z_values`` span feeds the stage
+        metric."""
         with self.tracer.inactive.span("z_values"):
             return self.predictor._z_values_batch(points)
 
@@ -1265,14 +1269,12 @@ class PPCFramework:
         :meth:`execute` calls.  With a governor, its touch and every
         ``governor_interval``-th enforcement must run between instances
         at exactly the sequential cadence, so the batch takes the
-        sequential path.
+        sequential path, after the same block check: either way a
+        malformed block raises the same error before any row runs.
         """
         if self.governor is not None:
-            points = np.asarray(points, dtype=float)
-            return [
-                self.execute(template_name, points[i])
-                for i in range(points.shape[0])
-            ]
+            points = self.sessions[template_name]._checked_block(points)
+            return [self.execute(template_name, x) for x in points]
         records = self.sessions[template_name].execute_batch(points)
         for __ in records:
             self._telemetry_tick()

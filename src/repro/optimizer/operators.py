@@ -7,20 +7,17 @@ one point is a one-row batch.  The DP enumerator costs plans that do
 not exist until it builds them, so it runs ``evaluate``, and so does
 :meth:`PhysicalPlan.cost`.
 
-Each formula has a second rendering, the compiled program.  A
-:class:`~repro.optimizer.plan_space.PlanSpace` knows its candidates
+A :class:`~repro.optimizer.plan_space.PlanSpace` knows its candidates
 once harvested, so :func:`compile_costs` turns them into one
-straight-line Python function: every distinct node once, children
-first, each by the lines its ``_source`` method (next to its
-``_evaluate``) emits — the same formula, in the same operation order,
-with the node's numbers and its cost model's constants inlined as
-literals.  That function is the plan space's only costing path, for
-one point and for a batch.  The two renderings must agree on every bit:
-``tests/optimizer/test_cost_program.py`` compares them on every TPC-H
-template and on hand-built plans at both sides of each branch, and
-``repro bench run write_path`` fails if they differ at any point it
-times.  Emitted source holds only node numbers (finite ``int`` or
-``float``, checked), parameter indices and generated local names.
+straight-line Python function, its only costing path.  That program is
+the formula itself, recorded: each node's ``_evaluate`` runs once over
+a point view of symbolic values, and every operation it applies to one
+becomes a program operation, in the same order, while what Python
+computes from the node's numbers alone is folded into a literal.  So
+program and formula agree on every bit by construction.  A formula may
+apply only ``+ - * /``, comparisons, unary minus and
+``np.exp``/``np.log2`` to a point value; anything else, and any Python
+branch on one, raises :class:`ConfigurationError` at compile time.
 
 The program reads its point through a *point view* ``x``: ``x[i]`` is
 selectivity ``i``, an ``(n,)`` column for a batch and a float for one
@@ -33,10 +30,10 @@ in — ``(a > b) * v`` is ``v`` or ``0.0`` — where array code would call
 element, and ``np.exp``/``np.log2`` run the same ufunc loop on both
 (``math.exp`` is *not* bit-equal to ``np.exp``).  A ufunc hands a float
 its result back as a numpy scalar, and every later operation on one
-costs several times a float's, so :func:`_ufunc` converts a float
-point's result back to a Python float: the same bits, and the ancestors
-above ``IndexScan`` and ``Sort`` stay in float arithmetic.  An array
-comes back as it was.  A non-finite point would break the agreement (a
+costs several times a float's, so the program calls each ufunc through
+:func:`_ufunc`, which converts a float's result back to a Python float:
+the same bits, and the ancestors above ``IndexScan`` and ``Sort`` stay
+in float arithmetic.  A non-finite point would break the agreement (a
 comparison with NaN is False, ``np.maximum`` propagates it); the
 callers reject it before costing.
 
@@ -73,12 +70,11 @@ PointView = np.ndarray | Sequence[float]
 RowsCost = tuple[Value, Value]
 #: Evaluated nodes at one set of points, keyed by node identity.
 Memo = dict["PlanNode", RowsCost]
-#: ``name(node)`` emits a node's program lines once and returns the
-#: suffix ``k`` of its ``rows{k}`` and ``cost{k}`` locals.
-Namer = Callable[["PlanNode"], str]
 #: A compiled cost program: every candidate's cost at the point view
 #: ``x`` (see :func:`compile_costs`).
 CostProgram = Callable[[PointView], list[Value]]
+#: The ufuncs a formula may apply to a point value.
+_UFUNCS = (np.exp, np.log2)
 
 
 def _selectivity_product(x: PointView, param_indexes: tuple[int, ...]) -> Value:
@@ -97,10 +93,10 @@ def _selectivity_product(x: PointView, param_indexes: tuple[int, ...]) -> Value:
 
 
 def _ufunc(ufunc: np.ufunc, value: Value) -> Value:
-    """``ufunc(value)``: an array for an array; for a float, the numpy
-    scalar's Python float, the same bits."""
+    """``ufunc(value)``: for a Python float, the numpy scalar's Python
+    float, the same bits; an array or a recorded value as it comes."""
     result = ufunc(value)
-    return result if isinstance(value, np.ndarray) else float(result)
+    return float(result) if isinstance(value, float) else result
 
 
 def _literal(value: "int | float") -> str:
@@ -115,51 +111,133 @@ def _literal(value: "int | float") -> str:
     return repr(value)
 
 
-def _product_source(param_indexes: tuple[int, ...]) -> str:
-    """:func:`_selectivity_product` as source, in the same order."""
-    if not param_indexes:
-        return "1.0"
-    return " * ".join(f"x{_literal(index)}" for index in param_indexes)
+def _operation(symbol: str) -> tuple[Callable, Callable]:
+    """The :class:`_Recorded` methods recording ``a {symbol} b``: the
+    forward one, called on ``a``, and the reflected one, called on
+    ``b``."""
+    template = f"({{}} {symbol} {{}})"
+    return (
+        lambda self, other: _Recorded(template, self, other),
+        lambda self, other: _Recorded(template, other, self),
+    )
+
+
+class _Recorded:
+    """A point value while :func:`compile_costs` records a formula: the
+    source ``template`` of one operation over its ``operands``, each an
+    earlier recorded value or a constant Python folded.  An operand
+    never refers back, so a recording is freed without the cyclic
+    collector."""
+
+    __slots__ = ("template", "operands", "uses", "name")
+
+    def __init__(self, template: str, *operands: "_Recorded | int | float") -> None:
+        self.template = template
+        self.operands = operands
+        #: Recorded values with this one as an operand.
+        self.uses = 0
+        #: The program local holding the value; None inlines it.
+        self.name: "str | None" = None
+        for operand in operands:
+            if isinstance(operand, _Recorded):
+                operand.uses += 1
+
+    __add__, __radd__ = _operation("+")
+    __sub__, __rsub__ = _operation("-")
+    __mul__, __rmul__ = _operation("*")
+    __truediv__, __rtruediv__ = _operation("/")
+    # Python reflects a comparison into the mirrored one.
+    __lt__, __le__, __gt__, __ge__, __eq__, __ne__ = (
+        _operation(symbol)[0] for symbol in ("<", "<=", ">", ">=", "==", "!=")
+    )
+
+    def __neg__(self) -> "_Recorded":
+        return _Recorded("(-{})", self)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs) -> "_Recorded":
+        if ufunc not in _UFUNCS or method != "__call__" or kwargs:
+            raise ConfigurationError(
+                f"a cost formula cannot apply {ufunc.__name__} to a point value"
+            )
+        return _Recorded(f"_ufunc({ufunc.__name__}, {{}})", *inputs)
+
+    def __bool__(self) -> bool:
+        raise ConfigurationError(
+            "a cost formula cannot branch on a point value in Python: "
+            "multiply a comparison in"
+        )
+
+
+class _Recording:
+    """A cost program in the making.  As the memo of the formulas,
+    ``get`` runs a node's ``_evaluate`` over the recorded point ``x``
+    the first time a parent (or the caller) asks for it, and names the
+    node's results ``rows{k}`` and ``cost{k}``.  Then ``source`` emits a
+    value: a named or shared one as a line of its own, once, after its
+    operands', any other inline.  A class, not a recursive closure: a
+    closure that names itself is a reference cycle."""
+
+    def __init__(self, degree: int) -> None:
+        self.x = [_Recorded("x[{}]", i) for i in range(degree)]
+        self.results: dict[PlanNode, RowsCost] = {}
+        self.lines: list[str] = []
+        self.defined: set[str] = set()
+
+    def get(self, node: "PlanNode") -> RowsCost:
+        found = self.results.get(node)
+        if found is None:
+            found = self.results[node] = node._evaluate(self.x, self)
+            for prefix, value in zip(("rows", "cost"), found):
+                if isinstance(value, _Recorded) and value.name is None:
+                    value.name = f"{prefix}{len(self.results)}"
+        return found
+
+    def source(self, value: "_Recorded | int | float") -> str:
+        if not isinstance(value, _Recorded):
+            # A folded comparison is a bool: ``True * v == 1 * v``.
+            return _literal(int(value) if type(value) is bool else value)
+        if value.name in self.defined:
+            return value.name
+        expression = value.template.format(*map(self.source, value.operands))
+        if value.name is None:
+            if value.uses < 2:
+                return expression
+            value.name = f"v{len(self.lines)}"
+        self.defined.add(value.name)
+        self.lines.append(f"{value.name} = {expression}")
+        return value.name
 
 
 def compile_costs(roots: Sequence["PlanNode"], degree: int) -> CostProgram:
     """One straight-line function costing every plan of ``roots``.
 
-    Each distinct node (by identity) is evaluated once, children before
-    parents, by the lines its :meth:`PlanNode._source` emits: its
-    ``_evaluate`` formula with the catalog and cost-model numbers
-    inlined as literals, in the same operation order.  The function
-    takes a point view of ``degree`` selectivities — ``r`` Python floats
-    for one point, an ``(r, n)`` array for a batch — and returns each
-    root's cost in ``roots`` order, bit for bit the entries of
+    Recorded from the formulas: each distinct node's (by identity)
+    ``_evaluate`` runs once over ``degree`` recorded selectivities,
+    children first.  Node results and values read more than once become
+    locals, a value read once is inlined, and nothing is rewritten:
+    each operation keeps its operands' order and association.
+
+    The function takes a point view — ``r`` Python floats for one
+    point, an ``(r, n)`` array for a batch — and returns each root's
+    cost in ``roots`` order, bit for bit the entries of
     :meth:`PlanNode.evaluate` over the same points.  A cost no
     selectivity reaches is a float on both paths.
     """
-    source = _Source(degree)
-    costs = ", ".join(f"cost{source.name(root)}" for root in roots)
-    lines = [*source.lines, f"return [{costs}]"]
-    body = "".join(f"    {line}\n" for line in lines)
-    namespace = {"_ufunc": _ufunc, "_exp": np.exp, "_log2": np.log2}
-    exec(compile(f"def program(x):\n{body}", "<cost program>", "exec"), namespace)
-    return namespace["program"]
-
-
-class _Source:
-    """A cost program's body: each distinct node's lines once, children
-    first.  A class, not a recursive closure: a closure that names
-    itself is a reference cycle, which would keep every line alive until
-    the cyclic collector runs."""
-
-    def __init__(self, degree: int) -> None:
-        self.lines = [f"x{i} = x[{i}]" for i in range(degree)]
-        self.names: dict[PlanNode, str] = {}
-
-    def name(self, node: "PlanNode") -> str:
-        k = self.names.get(node)
-        if k is None:
-            k = self.names[node] = str(len(self.names))
-            self.lines.extend(node._source(k, self.name))
-        return k
+    recording = _Recording(degree)
+    try:
+        costs = [recording.get(root)[1] for root in roots]
+    except TypeError as exc:
+        raise ConfigurationError(
+            f"a cost formula applies an operation a cost program cannot "
+            f"record to a point value: {exc}"
+        ) from exc
+    returned = ", ".join(map(recording.source, costs))
+    body = "".join(f"    {line}\n" for line in recording.lines)
+    namespace = {"_ufunc": _ufunc, **{ufunc.__name__: ufunc for ufunc in _UFUNCS}}
+    source = f"def program(x):\n{body}    return [{returned}]\n"
+    exec(compile(source, "<cost program>", "exec"), namespace)
+    # Popped, so its globals do not hold it: no cycle outlives a space.
+    return namespace.pop("program")
 
 
 def _column(value: Value, n: int) -> np.ndarray:
@@ -222,12 +300,6 @@ class PlanNode(ABC):
     def _evaluate(self, x: PointView, memo: "Memo | None") -> RowsCost:
         """This node's formula at the points of view ``x``, its
         children evaluated through ``memo``."""
-
-    @abstractmethod
-    def _source(self, k: str, name: Namer) -> list[str]:
-        """:meth:`_evaluate` as program lines assigning ``rows{k}`` and
-        ``cost{k}`` (:func:`compile_costs`); ``name`` emits a child and
-        returns its suffix.  Selectivity ``i`` is the local ``x{i}``."""
 
     @abstractmethod
     def _fields(self) -> tuple:
@@ -297,14 +369,6 @@ class SeqScan(PlanNode):
         )
         return rows, cost
 
-    def _source(self, k: str, name: Namer) -> list[str]:
-        return [
-            f"rows{k} = {_literal(self.base_rows)}"
-            f" * ({_product_source(self.param_indexes)})",
-            f"cost{k} = {_literal(self.pages)} * {_literal(self.model.seq_page_cost)}"
-            f" + {_literal(self.base_rows)} * {_literal(self.model.cpu_tuple_cost)}",
-        ]
-
     def _fields(self) -> tuple:
         return (self.table, self.base_rows, self.pages, self.param_indexes)
 
@@ -360,23 +424,6 @@ class IndexScan(PlanNode):
         rows = fetched * _selectivity_product(x, self.residual_params)
         return rows, cost
 
-    def _source(self, k: str, name: Namer) -> list[str]:
-        sarg = f"x{_literal(self.sarg_param)}"
-        pages = _literal(self.pages)
-        if self.clustered:
-            io_cost = f"{pages} * {sarg} * {_literal(self.model.seq_page_cost)}"
-        else:
-            io_cost = (
-                f"{pages} * (1.0 - _ufunc(_exp, -fetched{k} / {pages}))"
-                f" * {_literal(self.model.random_page_cost)}"
-            )
-        return [
-            f"fetched{k} = {_literal(self.base_rows)} * {sarg}",
-            f"cost{k} = {_literal(self.model.index_probe_cost)} + {io_cost}"
-            f" + fetched{k} * {_literal(self.model.cpu_tuple_cost)}",
-            f"rows{k} = fetched{k} * ({_product_source(self.residual_params)})",
-        ]
-
     def _fields(self) -> tuple:
         return (
             self.table,
@@ -413,16 +460,6 @@ class Sort(PlanNode):
         safe_rows = (rows > 2.0) * rows + (rows <= 2.0) * 2.0
         sort_cost = self.model.sort_cost_factor * rows * _ufunc(np.log2, safe_rows)
         return rows, cost + sort_cost
-
-    def _source(self, k: str, name: Namer) -> list[str]:
-        child = name(self.child)
-        rows = f"rows{child}"
-        safe_rows = f"({rows} > 2.0) * {rows} + ({rows} <= 2.0) * 2.0"
-        return [
-            f"rows{k} = {rows}",
-            f"cost{k} = cost{child} + {_literal(self.model.sort_cost_factor)}"
-            f" * {rows} * _ufunc(_log2, {safe_rows})",
-        ]
 
     def _fields(self) -> tuple:
         return (self.order,)
@@ -464,10 +501,6 @@ class _Join(PlanNode):
     def _output_rows(self, outer_rows: Value, inner_rows: Value) -> Value:
         return outer_rows * inner_rows * self.join_selectivity
 
-    def _output_source(self, k: str, outer: str, inner: str) -> str:
-        selectivity = _literal(self.join_selectivity)
-        return f"rows{k} = rows{outer} * rows{inner} * {selectivity}"
-
     def _fields(self) -> tuple:
         return (self.join_selectivity,)
 
@@ -500,15 +533,6 @@ class NestedLoopJoin(_Join):
         rows = self._output_rows(outer_rows, inner_rows)
         cost = outer_cost + inner_cost + compare_cost + rows * self.model.cpu_tuple_cost
         return rows, cost
-
-    def _source(self, k: str, name: Namer) -> list[str]:
-        outer, inner = name(self.outer), name(self.inner)
-        return [
-            self._output_source(k, outer, inner),
-            f"cost{k} = cost{outer} + cost{inner}"
-            f" + rows{outer} * rows{inner} * {_literal(self.model.cpu_compare_cost)}"
-            f" + rows{k} * {_literal(self.model.cpu_tuple_cost)}",
-        ]
 
     def fingerprint(self) -> str:
         return f"NLJ({self.outer.fingerprint()},{self.inner.fingerprint()})"
@@ -565,23 +589,6 @@ class IndexNLJoin(_Join):
         )
         return rows, cost
 
-    def _source(self, k: str, name: Namer) -> list[str]:
-        # The inner scan is never evaluated, so it gets no lines.
-        outer = name(self.outer)
-        matches_per_probe = (
-            f"{_literal(self.inner_base_rows)} * {_literal(self.join_selectivity)}"
-        )
-        probe_cost = (
-            f"{_literal(self.model.index_probe_cost)}"
-            f" + {matches_per_probe} * {_literal(self.model.random_page_cost)}"
-        )
-        return [
-            f"rows{k} = rows{outer} * ({matches_per_probe})"
-            f" * ({_product_source(self.inner_param_indexes)})",
-            f"cost{k} = cost{outer} + rows{outer} * ({probe_cost})"
-            f" + rows{k} * {_literal(self.model.cpu_tuple_cost)}",
-        ]
-
     def _fields(self) -> tuple:
         return (
             self.join_selectivity,
@@ -629,20 +636,6 @@ class HashJoin(_Join):
         )
         return rows, cost
 
-    def _source(self, k: str, name: Namer) -> list[str]:
-        outer, inner = name(self.outer), name(self.inner)
-        model = self.model
-        return [
-            self._output_source(k, outer, inner),
-            f"cost{k} = cost{outer} + cost{inner}"
-            f" + rows{inner} * {_literal(model.hash_build_cost)}"
-            f" + rows{outer} * {_literal(model.hash_probe_cost)}"
-            f" + (rows{inner} > {_literal(model.hash_memory_rows)})"
-            f" * ((rows{outer} + rows{inner}) * {_literal(model.hash_spill_factor)}"
-            f" * {_literal(model.cpu_tuple_cost)})"
-            f" + rows{k} * {_literal(model.cpu_tuple_cost)}",
-        ]
-
     def fingerprint(self) -> str:
         return f"HJ({self.outer.fingerprint()},{self.inner.fingerprint()})"
 
@@ -668,15 +661,6 @@ class MergeJoin(_Join):
         rows = self._output_rows(outer_rows, inner_rows)
         cost = outer_cost + inner_cost + merge + rows * self.model.cpu_tuple_cost
         return rows, cost
-
-    def _source(self, k: str, name: Namer) -> list[str]:
-        outer, inner = name(self.outer), name(self.inner)
-        return [
-            self._output_source(k, outer, inner),
-            f"cost{k} = cost{outer} + cost{inner}"
-            f" + (rows{outer} + rows{inner}) * {_literal(self.model.merge_cost_factor)}"
-            f" + rows{k} * {_literal(self.model.cpu_tuple_cost)}",
-        ]
 
     def fingerprint(self) -> str:
         return f"MJ({self.outer.fingerprint()},{self.inner.fingerprint()})"

@@ -16,10 +16,11 @@ selectivities) to plans.  :class:`PlanSpace` realizes that function:
    argmin.  The candidates are costed by one compiled program
    (:func:`~repro.optimizer.operators.compile_costs`), built on the
    first costing call and again whenever ``plans`` is reassigned: a
-   straight-line function that evaluates each distinct subplan once
-   (Q5's 17 plans hold 85 operator nodes; the program evaluates 34),
-   with every node's numbers inlined, bit for bit what each plan's own
-   formulas cost.  It runs over ``(n,)`` arrays for a batch and in
+   straight-line function recorded from the nodes' own ``_evaluate``
+   formulas, which evaluates each distinct subplan once (Q5's 17 plans
+   hold 85 operator nodes; the program evaluates 34) with every node's
+   numbers folded into literals, so it is bit for bit what each plan's
+   own formulas cost.  It runs over ``(n,)`` arrays for a batch and in
    Python floats for one point (an online optimizer call), bit for bit
    the same either way.  One point is checked and mapped to
    selectivities in floats, its costs stay a list, and its first

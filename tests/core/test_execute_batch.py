@@ -129,6 +129,77 @@ class TestSessionExecuteBatch:
             session.execute_batch(np.array([0.5, 0.5]))
 
 
+def _rejections(metrics) -> dict:
+    return {
+        reason: metrics.counter_value(
+            metric_names.REJECTED_INSTANCES_TOTAL, template="Q1", reason=reason
+        )
+        for reason in metric_names.REJECTION_REASONS
+    }
+
+
+class TestMalformedBlock:
+    """A block holding a malformed row runs none of its rows: the block
+    check raises that row's error, counted once, before any row runs."""
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.5], ids=["nan", "out-of-domain"])
+    def test_the_session_is_as_if_the_block_never_came(self, q1_space, bad):
+        clean = TemplateSession(q1_space, _config(), seed=3)
+        hit = TemplateSession(q1_space, _config(), seed=3)
+        workload = _workload(n=24, seed=6)
+        block = workload[8:16].copy()
+        block[2, 1] = bad
+        clean.execute_batch(workload[:8])
+        hit.execute_batch(workload[:8])
+        with pytest.raises(PredictionError) as batch_error:
+            hit.execute_batch(block)
+        probe = TemplateSession(q1_space, _config(), seed=3)
+        with pytest.raises(PredictionError) as row_error:
+            probe.execute(block[2])
+        assert type(batch_error.value) is type(row_error.value)
+        assert str(batch_error.value) == str(row_error.value)
+        assert _rejections(hit.metrics) == _rejections(probe.metrics)
+        assert sum(_rejections(hit.metrics).values()) == 1
+        assert hit.decisions == clean.decisions == 8
+        assert [decision_digest(r) for r in hit.records] == [
+            decision_digest(r) for r in clean.records
+        ]
+        after = workload[16:]
+        assert [decision_digest(r) for r in hit.execute_batch(after)] == [
+            decision_digest(r) for r in clean.execute_batch(after)
+        ]
+
+    @pytest.mark.parametrize("shape", ["one-dimensional", "malformed-row"])
+    def test_the_governor_path_checks_the_block_first(self, q1_space, shape):
+        """With and without a memory governor, a bad block raises the
+        same error, counts the same rejections and runs nothing."""
+        outcomes = []
+        for budget in (None, 200_000):
+            framework = PPCFramework(
+                _config(), memory_budget_bytes=budget, seed=0
+            )
+            session = framework.register(q1_space)
+            assert (framework.governor is None) == (budget is None)
+            framework.execute_batch("Q1", _workload(n=8, seed=12))
+            block = _workload(n=8, seed=13)
+            if shape == "one-dimensional":
+                block = block[0]
+            else:
+                block[3, 0] = np.nan
+            with pytest.raises(PredictionError) as error:
+                framework.execute_batch("Q1", block)
+            outcomes.append(
+                (
+                    type(error.value),
+                    str(error.value),
+                    _rejections(framework.metrics),
+                    session.decisions,
+                )
+            )
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][3] == 8
+
+
 def _run_blocks(session, points, size=16):
     records = []
     for start in range(0, points.shape[0], size):

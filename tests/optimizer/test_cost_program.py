@@ -1,16 +1,19 @@
 """The compiled cost program is the node formulas, bit for bit.
 
 A :class:`~repro.optimizer.plan_space.PlanSpace` costs its candidates
-through one straight-line function (``operators.compile_costs``) with
-the catalog and cost-model numbers inlined.  It is the second rendering
-of every operator formula, next to ``_evaluate``, which the DP
-enumerator and ``PhysicalPlan.cost`` still run.  The two must agree on
-every cost bit, against ``evaluate``'s columns: at one point in Python
-floats, over a batch in arrays, and above all where a formula branches — the ``Sort`` floor at two rows and
-the hash join's spill threshold.  No harvested TPC-H candidate holds
-a ``Sort``, a ``MergeJoin`` or a clustered ``IndexScan``, so hand-built
-plans cover those.  A one-point call maps and checks its coordinates
-itself, so it must refuse every point the batch refuses.
+through one straight-line function (``operators.compile_costs``),
+recorded by running each node's own ``_evaluate`` over symbolic
+selectivities, with the catalog and cost-model numbers folded into
+literals.  There is one formula and one recorded program, which must
+agree on every cost bit with ``evaluate``'s columns: at one point in
+Python floats, over a batch in arrays, and above all where a formula
+branches — the ``Sort`` floor at two rows and the hash join's spill
+threshold.  No harvested TPC-H candidate holds a ``Sort``, a
+``MergeJoin`` or a clustered ``IndexScan``, so hand-built plans cover
+those, and a test-local operator shows that ``_evaluate`` alone is
+enough, while a formula the program cannot record is refused when it
+compiles.  A one-point call maps and checks its coordinates itself, so
+it must refuse every point the batch refuses.
 """
 
 import math
@@ -189,6 +192,70 @@ def test_hand_built_plans_cost_their_formulas_bitwise_at_the_branches():
     assert (sort_input <= 2.0).any() and (sort_input > 2.0).any()
     spill_input = 2.0 * LIMIT * points[3:6, 1]
     assert (spill_input <= LIMIT).any() and (spill_input > LIMIT).any()
+
+
+class Formula(PlanNode):
+    """An operator defined by its ``_evaluate`` alone: ``formula(x,
+    rows)`` with ``rows = 1000 * s0`` rows in."""
+
+    def __init__(self, formula) -> None:
+        self.formula = formula
+        self.model = MODEL
+        self.tables = frozenset(("t",))
+
+    def _evaluate(self, x, memo):
+        rows = 1000.0 * x[0]
+        return rows, self.formula(x, rows)
+
+    def _fields(self) -> tuple:
+        return (self.formula,)
+
+    def fingerprint(self) -> str:
+        return "Formula(t)"
+
+
+def capped(x, rows):
+    """A branch at 400 rows and an ``np.exp``, as the operators write
+    them: a comparison multiplied in."""
+    decay = np.exp(-rows / 250.0)
+    return (rows > 400.0) * (rows * decay + x[1]) + (rows <= 400.0) * 7.5 - 1.0
+
+
+def test_an_operator_needs_only_its_evaluate():
+    node = Formula(capped)
+    program = compile_costs([node], 2)
+    points = np.array(
+        [[0.0, 0.1], [0.2, 0.9], [0.4, 0.5], [math.nextafter(0.4, 1.0), 0.5],
+         [0.7, 0.0], [1.0, 1.0]]
+    )
+    __, expected = node.evaluate(points)
+    (batch,) = program(points.T)
+    assert batch.tobytes() == expected.tobytes()
+    for i, point in enumerate(points):
+        (cost,) = program(point.tolist())
+        assert type(cost) is float
+        assert np.float64(cost).tobytes() == expected[i].tobytes()
+    # Both sides of the branch were reached.
+    assert (points[:, 0] * 1000.0 > 400.0).any()
+    assert (points[:, 0] * 1000.0 <= 400.0).any()
+
+
+def python_branch(x, rows):
+    return rows * 2.0 if rows > 400.0 else rows
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        python_branch,
+        lambda x, rows: rows**2,
+        lambda x, rows: np.maximum(rows, 2.0),
+    ],
+    ids=["python-if", "power", "np.maximum"],
+)
+def test_a_formula_the_program_cannot_record_is_refused(formula):
+    with pytest.raises(ConfigurationError):
+        compile_costs([Formula(formula)], 2)
 
 
 BAD = [math.nan, math.inf, -math.inf, -0.1, 1.1]

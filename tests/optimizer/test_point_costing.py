@@ -2,8 +2,8 @@
 
 Every operator has one ``_evaluate`` formula, which ``evaluate`` runs
 over ``(n,)`` columns; one point is a one-row batch, and a plan space's
-compiled program (``operators.compile_costs``) costs one point in
-Python floats.  Each must agree with the batch's column on every row
+program (``operators.compile_costs``), recorded from the same formula,
+costs one point in Python floats.  Each must agree with the batch's column on every row
 count and cost bit, above all where a formula branches: the ``Sort``
 floor at two rows, the hash join's spill threshold, the unclustered
 index scan's ``exp`` and a scan with no predicate, whose cardinality

@@ -250,6 +250,26 @@ class TestExecutor:
             assert not isinstance(digest["confidence"], np.floating)
             assert not isinstance(digest["executed_plan"], np.integer)
 
+    def test_a_batched_run_books_only_the_blocks_it_ran(self, q1_space):
+        """A malformed row fails its whole block, and nothing of that
+        block runs: the digests call its rows errors, and only the
+        other block's decisions are booked."""
+        points = np.random.default_rng(3).uniform(0.1, 0.9, (8, 2))
+        events = [QueryEvent("Q1", tuple(point)) for point in points.tolist()]
+        events[2] = QueryEvent("Q1", (float("nan"), 0.5))
+        sequential = WorkloadExecutor(("Q1",), {"Q1": q1_space}, seed=3)
+        batched = WorkloadExecutor(
+            ("Q1",), {"Q1": q1_space}, seed=3, batch_size=4
+        )
+        expected = sequential.drive(events)
+        digests = batched.drive(events)
+        assert sequential.framework.session("Q1").decisions == 7
+        assert batched.framework.session("Q1").decisions == 4
+        assert [d["i"] for d in digests if "error" in d] == [0, 1, 2, 3]
+        assert {d["error"] for d in digests if "error" in d} == {
+            expected[2]["error"]
+        }
+
     def test_clock_advances_per_query(self, q1_space):
         executor = WorkloadExecutor(("Q1",), {"Q1": q1_space})
         start = executor.clock.now()
