@@ -14,8 +14,9 @@ reporters (:mod:`repro.analysis.report`).  Every rule is checked one
 file at a time.
 
 Run it as ``repro lint`` or ``python -m repro.analysis``; CI gates on
-both the repository tree being clean and the rules themselves firing
-on known-bad snippets (``--selftest``).
+the repository tree being clean.  The rules themselves are kept honest
+by one bad/good fixture pair each under ``tests/analysis/fixtures/``,
+checked at exact finding counts by ``tests/analysis/test_rules.py``.
 """
 
 from repro.analysis.core import (
@@ -28,13 +29,11 @@ from repro.analysis.core import (
     rule_registry,
 )
 from repro.analysis.report import render_github, render_json, render_text
-from repro.analysis.selftest import SELFTEST_CASES, run_selftest
 
 __all__ = [
     "Finding",
     "ModuleContext",
     "Rule",
-    "SELFTEST_CASES",
     "all_rules",
     "lint_paths",
     "lint_source",
@@ -42,5 +41,4 @@ __all__ = [
     "render_json",
     "render_text",
     "rule_registry",
-    "run_selftest",
 ]

@@ -4,14 +4,14 @@ Exposed two ways — ``repro lint ...`` (subcommand of the main CLI) and
 ``python -m repro.analysis ...`` (no package install needed beyond
 ``PYTHONPATH=src``, which is what CI runs).
 
-Exit status: 0 clean, 1 on findings, unreadable files, or a failed
-``--selftest``, 2 on usage errors.
+Exit status: 0 clean, 1 on findings or unreadable files, 2 on usage
+errors.  The rules themselves are checked by their fixture pairs under
+``tests/analysis/fixtures/``.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 
 from repro.analysis.core import lint_paths
 from repro.analysis.report import (
@@ -20,7 +20,6 @@ from repro.analysis.report import (
     render_rules,
     render_text,
 )
-from repro.analysis.selftest import run_selftest
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,11 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--selftest",
-        action="store_true",
-        help="run every rule against its known-bad/known-good fixtures",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="describe every rule, its scope, and how to fix it",
@@ -64,23 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_selftest() -> int:
-    failures = run_selftest()
-    if failures:
-        for failure in failures:
-            print(f"selftest FAIL: {failure}", file=sys.stderr)
-        return 1
-    print("selftest OK: every rule fires on bad and stays quiet on good")
-    return 0
-
-
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_rules:
         print(render_rules())
         return 0
-    if args.selftest:
-        return _run_selftest()
 
     findings, errors = lint_paths(args.paths)
     renderer = {

@@ -1175,7 +1175,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = commands.add_parser(
         "lint",
         help="invariant linter (RPR rules); args pass through, "
-        "e.g. `repro lint src --format json` or `repro lint --selftest`",
+        "e.g. `repro lint src --format json` or `repro lint --list-rules`",
     )
     lint.add_argument("lint_args", nargs=argparse.REMAINDER)
     lint.set_defaults(handler=_cmd_lint)
@@ -1347,7 +1347,7 @@ def main(argv: "list[str] | None" = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # ``lint`` forwards everything to the linter's own parser; argparse's
-    # REMAINDER would swallow leading flags (``repro lint --selftest``),
+    # REMAINDER would swallow leading flags (``repro lint --list-rules``),
     # so hand over before parsing.
     if argv and argv[0] == "lint":
         return _cmd_lint_args(argv[1:])

@@ -324,4 +324,5 @@ def compile_point(
         compile(f"def program({params}):\n{body}", "<z program>", "exec"),
         namespace,
     )
-    return namespace["program"]
+    # Popped, so its globals do not hold it: no cycle outlives a predictor.
+    return namespace.pop("program")

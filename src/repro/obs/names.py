@@ -436,9 +436,6 @@ INVENTORY: "tuple[MetricSpec, ...]" = (
 #: ``name -> help`` view of :data:`INVENTORY` for the exporter.
 HELP_TEXT: "dict[str, str]" = {spec.name: spec.help for spec in INVENTORY}
 
-#: ``name -> kind`` view of :data:`INVENTORY`.
-METRIC_KINDS: "dict[str, str]" = {spec.name: spec.kind for spec in INVENTORY}
-
 
 def help_text(name: str) -> str:
     """Return the inventory help line for *name* (empty if unknown)."""

@@ -421,6 +421,9 @@ class IndexScan(PlanNode):
             pages_touched = self.pages * (1.0 - decay)
             io_cost = pages_touched * self.model.random_page_cost
         cost = self.model.index_probe_cost + io_cost + fetched * self.model.cpu_tuple_cost
+        if not self.residual_params:
+            # No residual predicate: skip the product's ``* 1.0``.
+            return fetched, cost
         rows = fetched * _selectivity_product(x, self.residual_params)
         return rows, cost
 

@@ -81,6 +81,7 @@ def test_per_file_pass_flags_the_clock_in_its_defining_module(
         ["--baseline", "baseline.json"],
         ["--no-baseline"],
         ["--write-baseline"],
+        ["--selftest"],
     ],
     ids=lambda flag: flag[0],
 )
@@ -88,11 +89,6 @@ def test_retired_flags_no_longer_parse(flag, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["src", *flag])
     assert excinfo.value.code == 2
-
-
-def test_selftest_exits_zero(capsys):
-    assert main(["--selftest"]) == 0
-    assert "selftest OK" in capsys.readouterr().out
 
 
 def test_list_rules_mentions_every_rule(capsys):

@@ -1,7 +1,7 @@
 """The side-effect rules RPR101 and RPR104, one file at a time.
 
-The selftest pairs prove each rule fires and stays quiet end to end;
-these tests pin the finer points: only a module's own calls count
+The fixture pairs under ``tests/analysis/fixtures/`` prove each rule
+fires and stays quiet end to end; these tests pin the finer points: only a module's own calls count
 (RPR101), which raises and exception classes RPR104 sees, and
 range-aware ``noqa`` on a wrapped ``raise``.
 """

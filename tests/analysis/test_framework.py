@@ -2,15 +2,7 @@
 
 import json
 
-from repro.analysis import (
-    SELFTEST_CASES,
-    all_rules,
-    lint_paths,
-    lint_source,
-    render_json,
-    render_text,
-    run_selftest,
-)
+from repro.analysis import lint_paths, lint_source, render_json, render_text
 
 BAD_SLEEP = "import time\ntime.sleep(1.0)\n"
 
@@ -69,13 +61,3 @@ class TestLintPaths:
         assert findings == []
         assert len(errors) == 1
         assert "broken.py" in errors[0]
-
-
-def test_selftest_passes():
-    assert run_selftest() == []
-
-
-def test_every_rule_has_a_selftest_pair():
-    assert {case.rule for case in SELFTEST_CASES} == {
-        rule.code for rule in all_rules()
-    }

@@ -13,11 +13,14 @@ zero-norm branch), the floats on either side of a cell boundary, and
 coordinates that land exactly on a cell boundary or on the clip edges.
 
 A restored or copied predictor compiles its own program from its own
-transforms.
+transforms.  A dropped program, z or cost, is freed at once: it holds
+no reference cycle for the collector to find.
 """
 
 import copy
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from repro.core.point import SamplePool
 from repro.exceptions import ConfigurationError
 from repro.lsh import Grid, StackedEnsemble, TransformEnsemble, ZOrderCurve
 from repro.lsh.stacked import _pairwise_source, compile_point
+from repro.optimizer.operators import compile_costs
 from repro.tpch import TEMPLATE_NAMES, plan_space_for
 from repro.workload import sample_points
 
@@ -284,6 +288,27 @@ class TestWhereTheProgramRuns:
         stacked = StackedEnsemble(ensemble, grids)
         with pytest.raises(ConfigurationError, match="without a z-order curve"):
             stacked.z_values(sample_points(2, 1, seed=0))
+
+
+def z_program():
+    return compile_point(template_stacked("Q1"))
+
+
+def cost_program():
+    space = plan_space_for("Q1")
+    return compile_costs([plan.root for plan in space.plans], space.dimensions)
+
+
+@pytest.mark.parametrize("build", [z_program, cost_program], ids=["z", "cost"])
+def test_a_dropped_program_is_freed_without_the_collector(build):
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        program = weakref.ref(build())
+        assert program() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def trained(seed: int) -> HistogramPredictor:
