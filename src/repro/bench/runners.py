@@ -22,6 +22,7 @@ import copy
 import gc
 import json
 import pathlib
+import struct
 from time import perf_counter
 from typing import Any, Callable, NamedTuple
 
@@ -39,6 +40,7 @@ from repro.config import (
 from repro.core.framework import PPCFramework, TemplateSession
 from repro.core.histogram_predictor import HistogramPredictor
 from repro.core.point import SamplePool
+from repro.core.predictor import Prediction
 from repro.core.persistence import atomic_write_text
 from repro.exceptions import BenchError
 from repro.histograms.packed import PackedHistograms
@@ -531,6 +533,10 @@ WRITE_PROBES = 1000
 WRITE_LABEL_TEMPLATES = ("Q1", "Q3", "Q5")
 #: The one-point z pass cell: a 2-d and a 4-d template.
 WRITE_Z_TEMPLATES = ("Q1", "Q5")
+#: The one-point predict cell: a session warmed by a walk's first
+#: points, then timed over the next :data:`WRITE_PROBES`.
+WRITE_PREDICT_TEMPLATES = ("Q1", "Q5")
+WRITE_PREDICT_WARMUP = 1000
 WRITE_REPEATS = 5
 #: Shared-runner allowance on the per-call walls, as for the other
 #: wall-clock metrics.
@@ -663,13 +669,61 @@ def _z_cell(name: str) -> float:
     return _best_per_call(z_values)
 
 
+def _prediction_bits(
+    predictions: "list[Prediction | None]",
+) -> "list[tuple[int, bytes, bytes | None] | None]":
+    """Each prediction's plan id and its confidence and estimated-cost
+    bits (``None`` for a NULL prediction or an absent estimate)."""
+    return [
+        None if p is None else (
+            p.plan_id,
+            struct.pack("<d", p.confidence),
+            None if p.estimated_cost is None
+            else struct.pack("<d", p.estimated_cost),
+        )
+        for p in predictions
+    ]
+
+
+def _predict_cell(name: str) -> tuple[float, float]:
+    """Best-of-N seconds per one-point
+    :meth:`HistogramPredictor.predict_z` (a served decision's lookup
+    and decide) over a walk, on a session warmed by the walk's first
+    points, and the share of the timed points it answers.  Raises
+    :class:`BenchError` unless, at every timed point, the step's
+    prediction is the block path's decision of its column, plan id,
+    confidence and estimated-cost bits."""
+    space = plan_space_for(name)
+    points = _write_walk(space, WRITE_PREDICT_WARMUP + WRITE_PROBES)
+    session = TemplateSession(space, PPCConfig(), seed=SESSION_SEED)
+    for x in points[:WRITE_PREDICT_WARMUP]:
+        session.execute(x)
+    predictor = session.predictor
+    z_values = predictor.z_values(points[WRITE_PREDICT_WARMUP:])
+    columns = list(z_values.T.copy())
+    block = predictor.decide(z_values, *predictor.lookup(z_values))
+    one_point = [predictor.predict_z(z) for z in columns]
+    if _prediction_bits(one_point) != _prediction_bits(block):
+        raise BenchError(
+            f"the one-point predict differs from the block decision on {name}"
+        )
+
+    def predict() -> None:
+        for z in columns:
+            predictor.predict_z(z)
+
+    answered = sum(p is not None for p in one_point) / WRITE_PROBES
+    return _best_per_call(predict), answered
+
+
 def run_write_path() -> dict[str, Any]:
     """Per-call cost of the two writes an optimizer call makes past its
     decision: one steady-state insert into a Q5-shaped packed block,
     and one one-point label per template; of one one-point ``cost_at``,
     which a decision served from the cache pays to cost the plan it
-    runs; and of one one-point z pass, which every decision and every
-    insert without handed-over z-values pays."""
+    runs; of one one-point z pass, which every decision and every
+    insert without handed-over z-values pays; and of the one-point
+    lookup and decide that follow it in every decision."""
     insert_s, full_share = _insert_cell()
     metrics = {
         "insert_us": metric(
@@ -691,6 +745,13 @@ def run_write_path() -> dict[str, Any]:
             _z_cell(name) * 1e6, "us/call", "lower",
             tolerance_pct=WRITE_TOLERANCE_PCT,
         )
+    answered = {}
+    for name in WRITE_PREDICT_TEMPLATES:
+        seconds, answered[name] = _predict_cell(name)
+        metrics[f"{name}_predict_us"] = metric(
+            seconds * 1e6, "us/call", "lower",
+            tolerance_pct=WRITE_TOLERANCE_PCT,
+        )
     return make_envelope(
         "write_path",
         metrics=metrics,
@@ -701,11 +762,16 @@ def run_write_path() -> dict[str, Any]:
             "probes": WRITE_PROBES,
             "label_templates": list(WRITE_LABEL_TEMPLATES),
             "z_templates": list(WRITE_Z_TEMPLATES),
+            "predict_templates": list(WRITE_PREDICT_TEMPLATES),
+            "predict_warmup": WRITE_PREDICT_WARMUP,
             "spread": WRITE_SPREAD,
             "repeats": WRITE_REPEATS,
             "seeds": {"session": SESSION_SEED, "walk": WRITE_WALK_SEED},
         },
-        details={"insert_full_row_share": full_share},
+        details={
+            "insert_full_row_share": full_share,
+            "predict_answered_share": answered,
+        },
     )
 
 

@@ -109,9 +109,13 @@ class ConfidenceModel:
     """Fast vectorized confidence evaluation with a precomputed table.
 
     :meth:`decide_batch` is the one decision: :meth:`decide` and
-    scalar ``predict`` are one-row calls of it, and a traced decision's
-    ``confidence`` span payload is read from that call's input row and
-    output, not recomputed by a second routine.
+    scalar ``predict`` are one-row calls of it.  Its one-row arithmetic
+    is :meth:`confidence` of ``c_max`` and the row's sum less ``c_max``,
+    which a served point's decision
+    (:meth:`~repro.core.histogram_predictor.HistogramPredictor.predict_z`)
+    calls directly; a traced decision's ``confidence`` span payload is
+    read from that call's inputs and output, not recomputed by a second
+    routine.
     """
 
     def __init__(self, chi: float = DEFAULT_CHI) -> None:

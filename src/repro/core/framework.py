@@ -837,7 +837,8 @@ class TemplateSession:
         self, x: np.ndarray, trace: DecisionTrace, z: "np.ndarray | None" = None
     ) -> "tuple[np.ndarray, Prediction | None]":
         """The predict stage of one decision: the predictor's z pass,
-        lookup and decide over a batch of one.  Returns the point's
+        then its one-point lookup and decide
+        (:meth:`HistogramPredictor.predict_z`).  Returns the point's
         ``(t,)`` z-values, which every insert the decision makes reuses,
         and the prediction.  ``x`` is checked already
         (:meth:`_validate_point`), so the z pass is the predictor's
@@ -849,13 +850,8 @@ class TemplateSession:
         predictor = self.predictor
         if z is None or trace.active:
             with trace.span("z_values"):
-                z_values = predictor._z_values_batch(x[None, :])
-        else:
-            z_values = z[:, None]
-        prediction = predictor.decide(
-            z_values, *predictor.lookup(z_values, trace), trace
-        )[0]
-        return z_values[:, 0], prediction
+                z = predictor._z_values_batch(x[None, :])[:, 0]
+        return z, predictor.predict_z(z, trace)
 
     def _decide_and_execute(
         self,

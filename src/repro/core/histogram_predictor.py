@@ -299,9 +299,9 @@ class HistogramPredictor(PlanPredictor):
 
         The batch is checked first (:meth:`_check_batch`: shape errors
         and non-finite rows raise, exactly like the scalar guard).  The
-        result feeds :meth:`lookup`, :meth:`decide` and :meth:`insert`,
-        so a caller that predicts a point and then inserts it transforms
-        it once.
+        result feeds :meth:`predict_z` (a block: :meth:`lookup` and
+        :meth:`decide`) and :meth:`insert`, so a caller that predicts a
+        point and then inserts it transforms it once.
         """
         points = self._check_batch(points)
         if not points.shape[0]:
@@ -317,7 +317,9 @@ class HistogramPredictor(PlanPredictor):
         """Density lookup: ``(counts, avg_costs)``, each ``(t, plans,
         m)``, of every (transform, plan) range query
         ``[z - delta, z + delta]``, in one vectorized pass over the
-        packed block (span ``density_lookup``).
+        packed block (span ``density_lookup``).  The block form: one
+        point's lookup is :meth:`predict_z`'s, which gives the same
+        bits.
         """
         if trace is None:
             trace = untraced()
@@ -359,8 +361,9 @@ class HistogramPredictor(PlanPredictor):
         """A thin wrapper over a batch of one: ``predict_batch(x[None,
         :], trace)[0]``, whose check of that one-row batch is the only
         validation.  An active ``trace`` goes through
-        :meth:`_predict_traced` into the same call, so traced and
-        untraced decisions run one decision path."""
+        :meth:`_predict_traced`: the same check and z pass, then the
+        one-point step :meth:`predict_z`, which decides the same bits
+        and fills the trace's payloads."""
         if trace is not None and trace.active:
             return self._predict_traced(x, trace)
         return self.predict_batch(
@@ -370,15 +373,18 @@ class HistogramPredictor(PlanPredictor):
     def _predict_traced(
         self, x: np.ndarray, trace: "DecisionTrace"
     ) -> "Prediction | None":
-        """:meth:`predict` on an active trace — no logic of its own.
+        """:meth:`predict` on an active trace: the validated z pass of
+        the one-row batch, then the one-point step :meth:`predict_z`,
+        which annotates the spans.
 
-        A separate method only so that layer timing
+        A separate method so that layer timing
         (``benchmarks/e2e/layers.py``) can tell traced predicts from
-        untraced ones; :meth:`decide` annotates the spans.
+        untraced ones.
         """
-        return self.predict_batch(
+        z_values = self.z_values(
             np.asarray(x, dtype=float).reshape(1, -1), trace
-        )[0]
+        )
+        return self.predict_z(z_values[:, 0], trace)
 
     def predict_batch(
         self, points: np.ndarray, trace: "DecisionTrace | None" = None
@@ -404,106 +410,38 @@ class HistogramPredictor(PlanPredictor):
         avg_costs: np.ndarray,
         trace: "DecisionTrace | None" = None,
     ) -> "list[Prediction | None]":
-        """The one place this predictor decides: a prediction (or
-        ``None``) per column of the ``(t, plans, m)`` estimates of
-        :meth:`lookup` at the ``(t, m)`` ``z_values``.
+        """The block decision: a prediction (or ``None``) per column of
+        the ``(t, plans, m)`` estimates of :meth:`lookup` at the ``(t,
+        m)`` ``z_values``.
 
         Aggregation, noise elimination, the confidence decision and the
         winner cost estimates are fully vectorized, and every step is
         elementwise per column, so a column's decision does not depend
         on the batch around it.  Noise elimination reads the current
-        ``total_mass``.
-
-        Each stage runs in its span on ``trace``.  On an active trace
-        (a traced decision: a batch of one) the spans also carry the
-        stage's inputs and verdict, read from the arrays the decision
-        computed: per-transform ``transform`` spans (z-value and range,
-        per-plan counts and average costs, the transform's vote), then
-        the ``aggregate``, ``noise_elimination``, ``confidence`` (γ, the
-        ``c_max``/``sum(others)`` counts, their ratio, ``pure``/
-        ``mixed`` model, ``sin_theta``, pass/fail) and ``cost_estimate``
-        payloads.  The decision is the same either way.
+        ``total_mass``.  Each stage runs in its span on ``trace``; the
+        spans carry no payload.  One point is decided by
+        :meth:`predict_z`, bit for bit as its column is here, and a
+        traced decision's payloads are that step's.
         """
         m = z_values.shape[1]
         if trace is None:
             trace = untraced()
-        traced = trace.active and m == 1
-        if traced:
-            # One ``tolist`` per array: the same Python floats as
-            # per-element ``float()`` conversions, at a fraction of the
-            # calls.
-            rows = zip(
-                z_values[:, 0].tolist(),
-                counts_tpm[:, :, 0].tolist(),
-                avg_costs[:, :, 0].tolist(),
-            )
-            for index, (z, row, costs) in enumerate(rows):
-                with trace.span("transform") as span:
-                    top = max(row)
-                    span.set(
-                        index=index,
-                        z=z,
-                        z_range=[z - self.delta, z + self.delta],
-                        counts=row,
-                        avg_costs=[
-                            cost if count > 0 else None
-                            for cost, count in zip(costs, row, strict=True)
-                        ],
-                        vote=row.index(top) if top > 0.0 else None,
-                    )
-        with trace.span("aggregate") as span:
+        with trace.span("aggregate"):
             counts = self._aggregate(counts_tpm)  # (plans, m)
-            if traced:
-                aggregated = counts[:, 0].tolist()
-                c_max = max(aggregated)
-                span.set(method=self.aggregation, counts=aggregated)
-        with trace.span("noise_elimination") as span:
-            threshold = (
-                None
-                if self.noise_fraction is None
-                else self.noise_fraction * self.total_mass
-            )
+        with trace.span("noise_elimination"):
             noisy = (
-                counts.max(axis=0) < threshold
-                if threshold is not None and self.total_mass > 0
+                counts.max(axis=0) < self.noise_fraction * self.total_mass
+                if self.noise_fraction is not None and self.total_mass > 0
                 else None
             )
-            if traced:
-                span.set(
-                    max_count=c_max,
-                    total_mass=self.total_mass,
-                    noise_fraction=self.noise_fraction,
-                    threshold=threshold,
-                    eliminated=noisy is not None and bool(noisy[0]),
-                )
-        with trace.span("confidence") as span:
+        with trace.span("confidence"):
             winners, confidences = self.model.decide_batch(
                 counts.T, self.confidence_threshold
             )
-            if traced:
-                others = float(counts.sum()) - c_max
-                span.set(
-                    gamma=float(self.confidence_threshold),
-                    winner=aggregated.index(c_max) if c_max > 0.0 else None,
-                    max_count=c_max,
-                    other_count=others,
-                    ratio=(
-                        c_max / others
-                        if c_max > 0.0 and others > 0.0
-                        else None
-                    ),
-                    model=(
-                        "null" if c_max <= 0.0
-                        else "mixed" if others > 0.0
-                        else "pure"
-                    ),
-                    sin_theta=float(confidences[0]),
-                    passed=bool(winners[0] >= 0),
-                )
             if noisy is not None:
                 winners = np.where(noisy, -1, winners)
         plans = winners.tolist()
-        with trace.span("cost_estimate") as span:
+        with trace.span("cost_estimate"):
             # A vote with no winner reads no cost: skip the median.
             estimates = [None] * m
             if max(plans, default=-1) >= 0:
@@ -516,17 +454,146 @@ class HistogramPredictor(PlanPredictor):
                         plans, medians.tolist(), any_support.tolist()
                     )
                 ]
-            if traced:
-                span.set(
-                    plan=plans[0] if plans[0] >= 0 else None,
-                    estimated_cost=estimates[0],
-                )
         return [
             None if plan < 0 else Prediction(plan, confidence, estimate)
             for plan, confidence, estimate in zip(
                 plans, confidences.tolist(), estimates
             )
         ]
+
+    def predict_z(
+        self, z: np.ndarray, trace: "DecisionTrace | None" = None
+    ) -> "Prediction | None":
+        """The one-point predict step: the density lookup and the
+        decision at one point's ``(t,)`` z-values, with the plan,
+        confidence and cost-estimate bits of ``decide(z[:, None],
+        *lookup(z[:, None]))[0]``, in the spans those two open.
+
+        The lookup is the block's one-point query
+        (:meth:`PackedHistograms.query_point`) over bounds formed in
+        Python floats; the decision aggregates with :meth:`_aggregate`
+        and then runs in floats: the first maximum of the aggregated
+        row, its confidence from ``model.confidence`` (the one-row
+        arithmetic of :meth:`ConfidenceModel.decide_batch`, with
+        numpy's sum of the row), and the median average cost of the
+        winner over the transforms holding its mass, as
+        :func:`median_supported` takes it.
+
+        On an active ``trace`` the spans also carry the stage's inputs
+        and verdict: per-transform ``transform`` spans (z-value and
+        range, per-plan counts and average costs, the transform's
+        vote), then the ``aggregate``, ``noise_elimination``,
+        ``confidence`` (γ, the ``c_max``/``sum(others)`` counts, their
+        ratio, ``pure``/``mixed`` model, ``sin_theta``, pass/fail) and
+        ``cost_estimate`` payloads.  The decision is the same either
+        way.
+        """
+        if trace is None:
+            trace = untraced()
+        values = z.tolist()
+        lo = [value - self.delta for value in values]
+        hi = [value + self.delta for value in values]
+        with trace.span("density_lookup"):
+            mass, cost = self._packed.query_point(lo, hi)
+        traced = trace.active
+        if traced:
+            self._trace_transforms(trace, values, lo, hi, mass, cost)
+        with trace.span("aggregate") as span:
+            counts = self._aggregate(mass)
+            aggregated = counts.tolist()
+            c_max = max(aggregated)
+            if traced:
+                span.set(method=self.aggregation, counts=aggregated)
+        with trace.span("noise_elimination") as span:
+            total_mass = self.total_mass
+            threshold = (
+                None
+                if self.noise_fraction is None
+                else self.noise_fraction * total_mass
+            )
+            noisy = (
+                threshold is not None and total_mass > 0 and c_max < threshold
+            )
+            if traced:
+                span.set(
+                    max_count=c_max,
+                    total_mass=total_mass,
+                    noise_fraction=self.noise_fraction,
+                    threshold=threshold,
+                    eliminated=noisy,
+                )
+        with trace.span("confidence") as span:
+            others = float(counts.sum()) - c_max
+            confidence = self.model.confidence(c_max, others)
+            passed = confidence > self.confidence_threshold and c_max > 0.0
+            winner = aggregated.index(c_max)
+            if traced:
+                span.set(
+                    gamma=float(self.confidence_threshold),
+                    winner=winner if c_max > 0.0 else None,
+                    max_count=c_max,
+                    other_count=others,
+                    ratio=(
+                        c_max / others
+                        if c_max > 0.0 and others > 0.0
+                        else None
+                    ),
+                    model=(
+                        "null" if c_max <= 0.0
+                        else "mixed" if others > 0.0
+                        else "pure"
+                    ),
+                    sin_theta=confidence,
+                    passed=passed,
+                )
+        plan = winner if passed and not noisy else None
+        with trace.span("cost_estimate") as span:
+            estimate = None
+            if plan is not None:
+                # The winner's average cost where it holds mass, sorted;
+                # the middle pair averaged, as ``median_supported`` does.
+                kept = sorted(
+                    total / max(weight, 1e-300)
+                    for weight, total in zip(
+                        mass[:, plan].tolist(), cost[:, plan].tolist(), strict=True
+                    )
+                    if weight > 0.0
+                )
+                if kept:
+                    k = len(kept)
+                    estimate = (kept[(k - 1) // 2] + kept[k // 2]) / 2.0
+            if traced:
+                span.set(plan=plan, estimated_cost=estimate)
+        return None if plan is None else Prediction(plan, confidence, estimate)
+
+    def _trace_transforms(
+        self,
+        trace: "DecisionTrace",
+        values: list[float],
+        lo: list[float],
+        hi: list[float],
+        mass: np.ndarray,
+        cost: np.ndarray,
+    ) -> None:
+        """One ``transform`` span per transform of a traced
+        :meth:`predict_z`: its z-value and range, per-plan counts and
+        average costs (``None`` without mass, else :meth:`lookup`'s
+        bits) and its vote."""
+        rows = zip(values, lo, hi, mass.tolist(), cost.tolist(), strict=True)
+        for index, (z, low, high, row, sums) in enumerate(rows):
+            with trace.span("transform") as span:
+                top = max(row)
+                span.set(
+                    index=index,
+                    z=z,
+                    z_range=[low, high],
+                    counts=row,
+                    avg_costs=[
+                        total / max(count, 1e-300) if count > 0 else None
+                        for total, count in zip(sums, row, strict=True)
+                    ],
+                    vote=row.index(top) if top > 0.0 else None,
+                )
 
     def cell_densities(self, probes: int = 64) -> np.ndarray:
         """Density mass per (transform, plan, z-cell): shape

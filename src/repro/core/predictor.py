@@ -10,6 +10,7 @@ treat algorithms uniformly.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 import numpy as np
@@ -130,7 +131,9 @@ class PlanPredictor(ABC):
 
         Shape errors raise :class:`ValueError`; non-finite coordinates
         raise :class:`PredictionError`, mirroring :meth:`_check_point`
-        so a batch can never sneak past the scalar guard.
+        so a batch can never sneak past the scalar guard.  One row (the
+        one-point z pass's input) is checked in Python floats, which
+        costs a fraction of the array check.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
@@ -150,7 +153,11 @@ class PlanPredictor(ABC):
                 f"expected {self.dimensions}-dimensional points, "
                 f"got shape {points.shape}"
             )
-        if points.shape[0] and not np.isfinite(points).all():
+        if points.shape[0] == 1:
+            finite = all(map(math.isfinite, points[0].tolist()))
+        else:
+            finite = not points.shape[0] or bool(np.isfinite(points).all())
+        if not finite:
             raise PredictionError(
                 "point batch contains NaN or infinity"
             )

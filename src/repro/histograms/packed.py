@@ -21,7 +21,9 @@ a whole query batch in one vectorized pass:
 
 Steps 2 and 3 read one gather: the two edge buckets' columns of every
 plane, prefix sums included.  At one query the pass costs a few dozen
-numpy calls, whatever ``t`` and ``plans``.
+numpy calls, whatever ``t`` and ``plans``; a served decision's one
+point takes :meth:`PackedHistograms.query_point`, which runs steps 2
+and 3 on the same code without the query axis.
 
 The pass relies on each row's buckets being sorted by ``lo`` and
 pairwise non-overlapping (``hi[b] <= lo[b + 1]``), which every
@@ -51,6 +53,7 @@ all three following.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -178,10 +181,11 @@ class PackedHistograms:
         #: the sum over buckets ``< k``.
         self._buckets = block
         self.transforms, self.plans, self.width = block.shape[1:]
-        # Flat offset of each row, for gathering one column per row.
-        self._base = np.arange(self.transforms * self.plans).reshape(
-            self.transforms, self.plans, 1
-        ) * self.width
+        # Flat offset of each row's two edge columns, for gathering
+        # them: the first edge is the column before the covered run.
+        self._edge_base = np.arange(self.transforms * self.plans).reshape(
+            self.transforms, self.plans
+        ) * self.width + np.array([-1, 0]).reshape(2, 1, 1)
 
     def _accumulate(self, rows: np.ndarray) -> None:
         """Refresh the prefix-sum planes of the block view ``rows``."""
@@ -423,6 +427,28 @@ class PackedHistograms:
         )
         return mass
 
+    def query_point(
+        self, lo: Sequence[float], hi: Sequence[float]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Masses and cost sums of every row for one query per
+        transform, ``[lo[i], hi[i]]`` in Python floats: two ``(t,
+        plans)`` arrays, each entry bit for bit :meth:`query`'s of the
+        same bounds (its average is the cost sum over the mass, where
+        the mass is positive).
+
+        The one-point form of :meth:`query`: one compare of the lo and
+        hi planes against the stacked bounds, one ``argmin`` and the
+        shared overlap pass (:meth:`_sums`), without the batch axis or
+        the all-rows average.  ``math.nextafter`` on a float gives
+        ``np.nextafter``'s bits.
+        """
+        # The compared bounds lo and nextafter(hi), then hi itself.
+        bounds = np.array([lo, [math.nextafter(v, math.inf) for v in hi], hi])
+        ends = np.less(
+            self._buckets[_LO:_HI + 1], bounds[:2, :, None, None]
+        ).argmin(axis=3)
+        return self._sums(bounds[0, :, None], bounds[2, :, None], ends)
+
     def _query(
         self,
         lo: np.ndarray,
@@ -448,6 +474,19 @@ class PackedHistograms:
             # +_FAR sentinel ends every run: the first False (argmin) is
             # the count of Trues.
             ends = below.argmin(axis=4)
+        mass, cost = self._sums(q_lo, q_hi, ends)
+        average = np.where(mass > 0.0, cost / np.maximum(mass, 1e-300), 0.0)
+        return mass, average
+
+    def _sums(
+        self, q_lo: np.ndarray, q_hi: np.ndarray, ends: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Mass and cost sum of every row over the query bounds ``q_lo``
+        and ``q_hi``, given each row's covered run ``ends`` (``(2, t,
+        plans, ...)``: the first bucket with ``lo >= q_lo``, the first
+        with ``hi > q_hi``).  Elementwise, so a query's bits do not
+        depend on the shape around it.  Overwrites ``ends``."""
+        block = self._buckets
         # Edge buckets: the one before the covered run and the one that
         # ends it.  A query inside a single bucket has ends[1] ==
         # ends[0] - 1; raising ends[1] to ends[0] leaves its covered run
@@ -455,8 +494,9 @@ class PackedHistograms:
         # starts at or after that bucket's end, beyond q_hi, and so
         # overlaps nothing.
         np.maximum(ends[1], ends[0], out=ends[1])
-        ends[0] -= 1
-        edges = block.reshape(_PLANES, -1).take(ends + self._base, axis=1)
+        # The edges' flat offsets, with the query axis if there is one.
+        base = self._edge_base if ends.ndim == 3 else self._edge_base[..., None]
+        edges = block.reshape(_PLANES, -1).take(ends + base, axis=1)
         b_lo, b_hi = edges[_LO], edges[_HI]
         near = edges[_COUNT:_COST + 1, 0]
         # Prefix sums up to ends[1] minus those up to ends[0]; the
@@ -474,8 +514,8 @@ class PackedHistograms:
         fraction = np.minimum(q_hi, b_hi) - np.maximum(q_lo, b_lo)
         np.maximum(fraction, 0.0, out=fraction)
         fraction /= np.maximum(widths, _TINY)
-        mass, cost = (
-            covered + fraction[0] * near + fraction[1] * edges[_COUNT:_COST + 1, 1]
-        )
-        average = np.where(mass > 0.0, cost / np.maximum(mass, 1e-300), 0.0)
-        return mass, average
+        # Each edge's count and cost sum times its fraction, in one
+        # product; added to the covered sums first edge first.
+        parts = edges[_COUNT:_COST + 1] * fraction
+        mass, cost = covered + parts[:, 0] + parts[:, 1]
+        return mass, cost

@@ -111,6 +111,10 @@ def _literal(value: "int | float") -> str:
     return repr(value)
 
 
+#: The comparisons a formula may record; at one point each is a bool.
+_COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
+
+
 def _operation(symbol: str) -> tuple[Callable, Callable]:
     """The :class:`_Recorded` methods recording ``a {symbol} b``: the
     forward one, called on ``a``, and the reflected one, called on
@@ -120,6 +124,12 @@ def _operation(symbol: str) -> tuple[Callable, Callable]:
         lambda self, other: _Recorded(template, self, other),
         lambda self, other: _Recorded(template, other, self),
     )
+
+
+#: The source templates of the recorded comparisons.
+_COMPARISON_TEMPLATES = frozenset(
+    f"({{}} {symbol} {{}})" for symbol in _COMPARISONS
+)
 
 
 class _Recorded:
@@ -144,12 +154,29 @@ class _Recorded:
 
     __add__, __radd__ = _operation("+")
     __sub__, __rsub__ = _operation("-")
-    __mul__, __rmul__ = _operation("*")
     __truediv__, __rtruediv__ = _operation("/")
     # Python reflects a comparison into the mirrored one.
     __lt__, __le__, __gt__, __ge__, __eq__, __ne__ = (
-        _operation(symbol)[0] for symbol in ("<", "<=", ">", ">=", "==", "!=")
+        _operation(symbol)[0] for symbol in _COMPARISONS
     )
+    _times, _rtimes = _operation("*")
+
+    def _unit(self, other: object) -> bool:
+        """Whether ``self * other`` is ``self`` bit for bit: ``v * 1.0
+        == v`` for every float ``v``, so a folded ``1.0`` factor records
+        nothing.  Not for a comparison, which is a bool at one point
+        (``True * 1.0`` is the float ``1.0``)."""
+        return (
+            type(other) is float
+            and other == 1.0
+            and self.template not in _COMPARISON_TEMPLATES
+        )
+
+    def __mul__(self, other: "_Recorded | int | float") -> "_Recorded":
+        return self if self._unit(other) else self._times(other)
+
+    def __rmul__(self, other: "int | float") -> "_Recorded":
+        return self if self._unit(other) else self._rtimes(other)
 
     def __neg__(self) -> "_Recorded":
         return _Recorded("(-{})", self)
@@ -215,7 +242,9 @@ def compile_costs(roots: Sequence["PlanNode"], degree: int) -> CostProgram:
     ``_evaluate`` runs once over ``degree`` recorded selectivities,
     children first.  Node results and values read more than once become
     locals, a value read once is inlined, and nothing is rewritten:
-    each operation keeps its operands' order and association.
+    each operation keeps its operands' order and association.  The one
+    operation not recorded is a product with a folded ``1.0``, which
+    is its other operand bit for bit (:meth:`_Recorded._unit`).
 
     The function takes a point view — ``r`` Python floats for one
     point, an ``(r, n)`` array for a batch — and returns each root's

@@ -250,15 +250,19 @@ class TestWritePathBench:
         monkeypatch.setattr(runners, "WRITE_PROBES", 40)
         monkeypatch.setattr(runners, "WRITE_LABEL_TEMPLATES", ("Q1",))
         monkeypatch.setattr(runners, "WRITE_Z_TEMPLATES", ("Q1",))
+        monkeypatch.setattr(runners, "WRITE_PREDICT_TEMPLATES", ("Q1",))
+        monkeypatch.setattr(runners, "WRITE_PREDICT_WARMUP", 200)
         monkeypatch.setattr(runners, "WRITE_REPEATS", 1)
         envelope = runners.run_write_path()
         assert envelope["bench"] == "write_path"
         metrics = envelope["metrics"]
         assert set(metrics) == {
-            "insert_us", "Q1_label_us", "Q1_cost_at_us", "Q1_z_us"
+            "insert_us", "Q1_label_us", "Q1_cost_at_us", "Q1_z_us",
+            "Q1_predict_us",
         }
         assert all(entry["value"] > 0.0 for entry in metrics.values())
         assert 0.0 <= envelope["details"]["insert_full_row_share"] <= 1.0
+        assert 0.0 < envelope["details"]["predict_answered_share"]["Q1"] <= 1.0
         assert "write_path" in runners.SUITES["ci"]
 
     def test_a_one_point_label_off_the_batch_fails(self, monkeypatch):
@@ -313,3 +317,27 @@ class TestWritePathBench:
         monkeypatch.setattr(StackedEnsemble, "z_values", nudged)
         with pytest.raises(BenchError, match="stacked pass on Q1"):
             runners._z_cell("Q1")
+
+    def test_a_one_point_predict_off_the_block_fails(self, monkeypatch):
+        import math
+
+        from repro.bench import runners
+        from repro.core.histogram_predictor import HistogramPredictor
+        from repro.core.predictor import Prediction
+        from repro.exceptions import BenchError
+
+        monkeypatch.setattr(runners, "WRITE_PREDICT_WARMUP", 200)
+        monkeypatch.setattr(runners, "WRITE_PROBES", 40)
+        predict_z = HistogramPredictor.predict_z
+
+        def nudged(self, z, trace=None):
+            p = predict_z(self, z, trace)
+            if p is None:
+                return None
+            return Prediction(
+                p.plan_id, math.nextafter(p.confidence, 0.0), p.estimated_cost
+            )
+
+        monkeypatch.setattr(HistogramPredictor, "predict_z", nudged)
+        with pytest.raises(BenchError, match="block decision on Q1"):
+            runners._predict_cell("Q1")

@@ -325,6 +325,16 @@ class TestBatchInputContract:
             predictor.predict_batch(points)
 
     @pytest.mark.parametrize("build", [_histogram, _lsh])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(2,), (1, 2)])
+    def test_one_row_non_finite_raises_the_batch_error(self, build, bad, shape):
+        # One row takes the check in floats; the error is the batch's.
+        point = np.full(shape, 0.5)
+        point.flat[1] = bad
+        with pytest.raises(PredictionError, match="batch contains NaN"):
+            build().predict_batch(point)
+
+    @pytest.mark.parametrize("build", [_histogram, _lsh])
     def test_scalar_predict_rejects_non_finite(self, build):
         predictor = build()
         with pytest.raises(PredictionError):

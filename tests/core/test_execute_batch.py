@@ -294,15 +294,15 @@ class TestDecideWhenServed:
 
     @staticmethod
     def _count_decides(session):
-        columns = []
-        decide = session.predictor.decide
+        calls = []
+        predict_z = session.predictor.predict_z
 
-        def counted(z_values, *args, **kwargs):
-            columns.append(z_values.shape[1])
-            return decide(z_values, *args, **kwargs)
+        def counted(z, *args, **kwargs):
+            calls.append(z.shape)
+            return predict_z(z, *args, **kwargs)
 
-        session.predictor.decide = counted
-        return columns
+        session.predictor.predict_z = counted
+        return calls
 
     @staticmethod
     def _sessions(space, seed):
@@ -315,19 +315,20 @@ class TestDecideWhenServed:
     def test_a_write_heavy_block_decides_each_row_once(self):
         space = plan_space_for("Q5")
         session, sequential = self._sessions(space, 31)
-        columns = self._count_decides(session)
+        calls = self._count_decides(session)
         points = RandomTrajectoryWorkload(
             space.dimensions, spread=0.1, seed=32
         ).generate(64)
+        transforms = session.config.transforms
         records = []
         for start in range(0, 64, 16):
             written = session.predictor.mutation_count
-            decided = len(columns)
+            decided = len(calls)
             records.extend(session.execute_batch(points[start:start + 16]))
             assert session.predictor.mutation_count - written >= 14
-            # Sixteen decides of one column each: every served row
-            # decided exactly once, none decided and then discarded.
-            assert columns[decided:] == [1] * 16
+            # Sixteen one-point decides: every served row decided
+            # exactly once, none decided and then discarded.
+            assert calls[decided:] == [(transforms,)] * 16
         assert [decision_digest(r) for r in records] == [
             decision_digest(sequential.execute(x)) for x in points
         ]

@@ -18,11 +18,13 @@ it must refuse every point the batch refuses.
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, OptimizationError
+from repro.optimizer import operators
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.operators import (
     HashJoin,
@@ -238,6 +240,54 @@ def test_an_operator_needs_only_its_evaluate():
     # Both sides of the branch were reached.
     assert (points[:, 0] * 1000.0 > 400.0).any()
     assert (points[:, 0] * 1000.0 <= 400.0).any()
+
+
+def unit_factors(x, rows):
+    """Folded ``1.0`` factors on both sides of a value, and one on a
+    comparison, which stays: at one point ``True * 1.0`` is a float."""
+    return 1.0 * (rows * 1.0) + (x[1] > 0.5) * 1.0
+
+
+def program_source(monkeypatch, roots, degree) -> str:
+    """The source :func:`compile_costs` generates for ``roots``."""
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(operators, "compile", spy, raising=False)
+    compile_costs(roots, degree)
+    return sources[0]
+
+
+def test_a_folded_unit_factor_records_nothing(monkeypatch):
+    node = Formula(unit_factors)
+    source = program_source(monkeypatch, [node], 2)
+    assert source.count("1.0") == 1
+    assert "((x[1] > 0.5) * 1.0)" in source
+    program = compile_costs([node], 2)
+    points = np.array([[0.2, 0.9], [0.4, 0.5], [0.7, 0.0], [1.0, 1.0]])
+    __, expected = node.evaluate(points)
+    (batch,) = program(points.T)
+    assert batch.tobytes() == expected.tobytes()
+    for i, point in enumerate(points):
+        (cost,) = program(point.tolist())
+        assert type(cost) is float
+        assert np.float64(cost).tobytes() == expected[i].tobytes()
+
+
+@pytest.mark.parametrize("name", TEMPLATE_NAMES)
+def test_no_program_multiplies_by_one(monkeypatch, name):
+    """No recorded TPC-H program holds a ``* 1.0`` (or ``1.0 *``), and
+    no cost of a batch is a view of the batch's point view."""
+    space = plan_space_for(name)
+    roots = [plan.root for plan in space.plans]
+    source = program_source(monkeypatch, roots, space.dimensions)
+    assert re.search(r"\* 1\.0(?![0-9e])|(?<![0-9.e])1\.0 \*", source) is None
+    view = space._enumerator.selectivities(parity_points(space)).T
+    for cost in compile_costs(roots, space.dimensions)(view):
+        assert not np.shares_memory(cost, view)
 
 
 def python_branch(x, rows):
