@@ -46,8 +46,13 @@ from repro.exceptions import BenchError
 from repro.histograms.packed import PackedHistograms
 from repro.optimizer.plan_space import PlanSpace
 from repro.resilience import VirtualClock
-from repro.tpch import build_catalog, plan_space_for, query_template
-from repro.workload import RandomTrajectoryWorkload
+from repro.tpch import (
+    build_catalog,
+    build_statistics,
+    plan_space_for,
+    query_template,
+)
+from repro.workload import RandomTrajectoryWorkload, TemplateBinder
 from repro.workload.runner import decision_digest, run_matrix
 from repro.workload.scenarios import SCENARIO_NAMES
 
@@ -537,6 +542,8 @@ WRITE_Z_TEMPLATES = ("Q1", "Q5")
 #: points, then timed over the next :data:`WRITE_PROBES`.
 WRITE_PREDICT_TEMPLATES = ("Q1", "Q5")
 WRITE_PREDICT_WARMUP = 1000
+#: The one-instance bind cell: a 2-d and a 4-d template.
+WRITE_BIND_TEMPLATES = ("Q1", "Q5")
 WRITE_REPEATS = 5
 #: Shared-runner allowance on the per-call walls, as for the other
 #: wall-clock metrics.
@@ -716,14 +723,44 @@ def _predict_cell(name: str) -> tuple[float, float]:
     return _best_per_call(predict), answered
 
 
+def _bind_cell(name: str) -> float:
+    """Best-of-N seconds per one-instance :meth:`TemplateBinder.to_point`
+    over the instances of a walk (placed with ``to_instance``), on a
+    binder over the default TPC-H statistics.  Raises
+    :class:`BenchError` unless every instance's point equals its row of
+    one :meth:`TemplateBinder.to_points` over the whole walk, bit for
+    bit."""
+    binder = TemplateBinder(
+        query_template(name), build_statistics(build_catalog(), seed=0)
+    )
+    points = RandomTrajectoryWorkload(
+        binder.template.parameter_degree,
+        spread=WRITE_SPREAD,
+        seed=WRITE_WALK_SEED,
+    ).generate(WRITE_PROBES)
+    instances = [binder.to_instance(point) for point in points]
+    one_point = np.array([binder.to_point(i) for i in instances])
+    if one_point.tobytes() != binder.to_points(instances).tobytes():
+        raise BenchError(
+            f"the one-instance bind differs from the run's rows on {name}"
+        )
+
+    def bind() -> None:
+        for instance in instances:
+            binder.to_point(instance)
+
+    return _best_per_call(bind)
+
+
 def run_write_path() -> dict[str, Any]:
     """Per-call cost of the two writes an optimizer call makes past its
     decision: one steady-state insert into a Q5-shaped packed block,
     and one one-point label per template; of one one-point ``cost_at``,
     which a decision served from the cache pays to cost the plan it
     runs; of one one-point z pass, which every decision and every
-    insert without handed-over z-values pays; and of the one-point
-    lookup and decide that follow it in every decision."""
+    insert without handed-over z-values pays; of the one-point lookup
+    and decide that follow it in every decision; and of the
+    one-instance bind in front of every scalar ``service.execute``."""
     insert_s, full_share = _insert_cell()
     metrics = {
         "insert_us": metric(
@@ -752,6 +789,11 @@ def run_write_path() -> dict[str, Any]:
             seconds * 1e6, "us/call", "lower",
             tolerance_pct=WRITE_TOLERANCE_PCT,
         )
+    for name in WRITE_BIND_TEMPLATES:
+        metrics[f"{name}_bind_us"] = metric(
+            _bind_cell(name) * 1e6, "us/call", "lower",
+            tolerance_pct=WRITE_TOLERANCE_PCT,
+        )
     return make_envelope(
         "write_path",
         metrics=metrics,
@@ -764,6 +806,7 @@ def run_write_path() -> dict[str, Any]:
             "z_templates": list(WRITE_Z_TEMPLATES),
             "predict_templates": list(WRITE_PREDICT_TEMPLATES),
             "predict_warmup": WRITE_PREDICT_WARMUP,
+            "bind_templates": list(WRITE_BIND_TEMPLATES),
             "spread": WRITE_SPREAD,
             "repeats": WRITE_REPEATS,
             "seeds": {"session": SESSION_SEED, "walk": WRITE_WALK_SEED},

@@ -113,6 +113,10 @@ class PlanPredictor(ABC):
         (Table I)."""
 
     def _check_point(self, x: np.ndarray) -> np.ndarray:
+        """Validate one point into an ``(r,)`` float vector.  A wrong
+        length raises :class:`ValueError`; a non-finite coordinate
+        raises :class:`PredictionError`, checked in Python floats as
+        :meth:`_check_batch` checks one row."""
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.shape[0] != self.dimensions:
             # Callers and tests pin ValueError for shape mismatches.
@@ -120,7 +124,7 @@ class PlanPredictor(ABC):
                 f"expected a {self.dimensions}-dimensional point, "
                 f"got {x.shape[0]}"
             )
-        if not np.isfinite(x).all():
+        if not all(map(math.isfinite, x.tolist())):
             raise PredictionError(
                 "plan-space point contains NaN or infinity"
             )

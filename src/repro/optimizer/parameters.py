@@ -77,6 +77,20 @@ class ParameterMapping:
                 strict=True,
             )
         )
+        # One point's normalization, in Python floats:
+        # (lo, hi, log?, offset, denominator).
+        self._normal_terms = list(
+            zip(
+                self._lo.tolist(),
+                self._hi.tolist(),
+                self._log.tolist(),
+                np.where(self._log, self._log_lo, self._lo).tolist(),
+                np.where(
+                    self._log, self._log_denominator, self._denominator
+                ).tolist(),
+                strict=True,
+            )
+        )
 
     @classmethod
     def for_template(
@@ -131,3 +145,19 @@ class ParameterMapping:
         return np.minimum(
             np.maximum(np.where(self._log, log_x, linear_x), 0.0), 1.0
         )
+
+    def point_to_normalized(self, selectivity: list[float]) -> list[float]:
+        """:meth:`to_normalized` of one point given as ``r`` Python
+        floats, computed in floats: bit for bit the batch's row, since
+        ``np.log`` of a float runs the array's ufunc loop.  The clips
+        are comparisons, which keep a NaN as ``np.minimum`` and
+        ``np.maximum`` do (a NaN compares false)."""
+        point = []
+        for value, (lo, hi, log, offset, denominator) in zip(
+            selectivity, self._normal_terms, strict=True
+        ):
+            clipped = lo if value < lo else hi if value > hi else value
+            scaled = float(np.log(clipped)) if log else clipped
+            x = (scaled - offset) / denominator
+            point.append(0.0 if x < 0.0 else 1.0 if x > 1.0 else x)
+        return point

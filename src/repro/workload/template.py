@@ -5,13 +5,16 @@ application supplies (Definition 1).  The :class:`TemplateBinder`
 implements the paper's ``f`` function (Section II-A): it converts those
 values to predicate selectivities using the same column statistics the
 optimizer uses, then normalizes the selectivities onto ``[0, 1]``
-through the template's parameter mapping.  The inverse direction lets
-workload generators place query instances at chosen plan-space
-coordinates.
+through the template's parameter mapping.  A run of instances binds in
+arrays (:meth:`TemplateBinder.to_points`); a single instance binds in
+Python floats (:meth:`TemplateBinder.to_point`), bit for bit the run's
+row.  The inverse direction lets workload generators place query
+instances at chosen plan-space coordinates.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -22,6 +25,16 @@ from repro.optimizer.expressions import QueryTemplate
 from repro.optimizer.parameters import ParameterMapping
 from repro.optimizer.selectivity import value_for_selectivity
 from repro.optimizer.statistics import CatalogStatistics
+
+#: Value types the one-instance bind converts with ``float``, as the
+#: run's ``np.array(..., dtype=float)`` converts them.
+_REAL_TYPES = frozenset(
+    {float, int, bool, np.bool_}
+    | {
+        np.dtype(code).type
+        for code in np.typecodes["AllInteger"] + np.typecodes["Float"]
+    }
+)
 
 
 @dataclass(frozen=True)
@@ -39,10 +52,11 @@ class QueryInstance:
 class TemplateBinder:
     """Bidirectional ``f`` map for one template.
 
-    Binding works on a run of instances at once (:meth:`to_points`):
-    the column sketches are resolved when the binder is built, so a run
-    costs one ``np.interp`` per predicate and one normalization, however
-    long it is.  A single instance is a run of one (:meth:`to_point`).
+    The column sketches are resolved when the binder is built.  A run
+    of instances (:meth:`to_points`) then costs one ``np.interp`` per
+    predicate and one normalization, however long it is; a single
+    instance (:meth:`to_point`) costs one ``np.interp`` and one
+    normalization per predicate, in Python floats.
     """
 
     def __init__(
@@ -59,17 +73,18 @@ class TemplateBinder:
         self._predicates = sorted(
             template.predicates, key=lambda p: p.param_index
         )
-        # Per predicate, in parameter order: its column's sketch, and
-        # whether its selectivity is ``1 - leq`` (``>=``).
-        self._sketches = [
-            (
-                statistics.column(
-                    predicate.column.table, predicate.column.column
-                ),
-                predicate.op == ">=",
+        # Per predicate, in parameter order: its column sketch's
+        # quantiles and fractions (``ColumnStatistics.selectivity_leq``
+        # is ``np.interp`` over them), and whether its selectivity is
+        # ``1 - leq`` (``>=``).
+        self._sketches = []
+        for predicate in self._predicates:
+            sketch = statistics.column(
+                predicate.column.table, predicate.column.column
             )
-            for predicate in self._predicates
-        ]
+            self._sketches.append(
+                (sketch.quantiles, sketch.fractions, predicate.op == ">=")
+            )
 
     def to_points(self, instances: Sequence[QueryInstance]) -> np.ndarray:
         """Map a run of instances to plan-space points, ``(m, r)``.
@@ -103,15 +118,44 @@ class TemplateBinder:
         except (TypeError, ValueError, OverflowError):
             raise WorkloadError(_non_numeric(instances)) from None
         selectivities = np.empty_like(values)
-        for column, (sketch, geq) in enumerate(self._sketches):
-            leq = sketch.selectivity_leq(values[:, column])
+        for column, (quantiles, fractions, geq) in enumerate(self._sketches):
+            leq = np.interp(values[:, column], quantiles, fractions)
             selectivities[:, column] = 1.0 - leq if geq else leq
         return self.mapping.to_normalized(selectivities)
 
     def to_point(self, instance: QueryInstance) -> np.ndarray:
-        """Map one instance's parameter values to a plan-space point: a
-        run of one through :meth:`to_points`."""
-        return self.to_points([instance])[0]
+        """Map one instance's parameter values to a plan-space point.
+
+        Computed in Python floats, per predicate: ``np.interp`` of the
+        value on its column sketch, ``1 - leq`` for ``>=``, then
+        :meth:`ParameterMapping.point_to_normalized`.  The arithmetic
+        runs the same numpy loops as :meth:`to_points`, so the point is
+        bit for bit the run's row.  An instance this path does not
+        take (another template, another value count, or a value that is
+        not ``None``, a real number or a numpy real scalar, or does not
+        fit a float) is a run of one through :meth:`to_points`, which
+        raises its :class:`WorkloadError` or binds it as a run does.
+        """
+        values = instance.values
+        if (
+            instance.template_name != self.template.name
+            or len(values) != len(self._sketches)
+        ):
+            return self.to_points([instance])[0]
+        selectivities = []
+        for value, (quantiles, fractions, geq) in zip(values, self._sketches):
+            if value is None:
+                value = math.nan
+            elif type(value) in _REAL_TYPES:
+                try:
+                    value = float(value)
+                except OverflowError:
+                    return self.to_points([instance])[0]
+            else:
+                return self.to_points([instance])[0]
+            leq = float(np.interp(value, quantiles, fractions))
+            selectivities.append(1.0 - leq if geq else leq)
+        return np.array(self.mapping.point_to_normalized(selectivities))
 
     def to_instance(self, point: np.ndarray) -> QueryInstance:
         """Produce parameter values landing at a plan-space point."""

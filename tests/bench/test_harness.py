@@ -252,13 +252,14 @@ class TestWritePathBench:
         monkeypatch.setattr(runners, "WRITE_Z_TEMPLATES", ("Q1",))
         monkeypatch.setattr(runners, "WRITE_PREDICT_TEMPLATES", ("Q1",))
         monkeypatch.setattr(runners, "WRITE_PREDICT_WARMUP", 200)
+        monkeypatch.setattr(runners, "WRITE_BIND_TEMPLATES", ("Q1",))
         monkeypatch.setattr(runners, "WRITE_REPEATS", 1)
         envelope = runners.run_write_path()
         assert envelope["bench"] == "write_path"
         metrics = envelope["metrics"]
         assert set(metrics) == {
             "insert_us", "Q1_label_us", "Q1_cost_at_us", "Q1_z_us",
-            "Q1_predict_us",
+            "Q1_predict_us", "Q1_bind_us",
         }
         assert all(entry["value"] > 0.0 for entry in metrics.values())
         assert 0.0 <= envelope["details"]["insert_full_row_share"] <= 1.0
@@ -341,3 +342,20 @@ class TestWritePathBench:
         monkeypatch.setattr(HistogramPredictor, "predict_z", nudged)
         with pytest.raises(BenchError, match="block decision on Q1"):
             runners._predict_cell("Q1")
+
+    def test_a_one_instance_bind_off_the_run_fails(self, monkeypatch):
+        import numpy as np
+
+        from repro.bench import runners
+        from repro.exceptions import BenchError
+        from repro.workload import TemplateBinder
+
+        monkeypatch.setattr(runners, "WRITE_PROBES", 8)
+        to_point = TemplateBinder.to_point
+
+        def nudged(self, instance):
+            return np.nextafter(to_point(self, instance), np.inf)
+
+        monkeypatch.setattr(TemplateBinder, "to_point", nudged)
+        with pytest.raises(BenchError, match="run's rows on Q1"):
+            runners._bind_cell("Q1")

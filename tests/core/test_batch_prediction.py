@@ -368,6 +368,71 @@ class TestBatchInputContract:
             predictor.predict_batch(bad)
 
 
+#: Every caller of ``PlanPredictor._check_point``: scalar ``predict`` on
+#: the predictors without a vectorized one, and the inserts that take no
+#: z-values.
+CHECKED_CALLS = [
+    "histogram.insert",
+    "baseline.predict",
+    "naive.predict",
+    "naive.insert",
+    "kmeans.predict",
+    "single_linkage.predict",
+]
+
+
+@pytest.fixture(scope="module")
+def checked_calls():
+    from repro.clustering.kmeans import KMeansPredictor
+    from repro.clustering.single_linkage import SingleLinkagePredictor
+    from repro.core.baseline import BaselinePredictor
+    from repro.core.naive import NaivePredictor
+
+    incremental = _histogram(histogram_kind="incremental")
+    naive = NaivePredictor(_pool())
+    calls = {
+        "histogram.insert": lambda x: incremental.insert(x, 0, cost=1.0),
+        "baseline.predict": BaselinePredictor(_pool(), radius=0.15).predict,
+        "naive.predict": naive.predict,
+        "naive.insert": lambda x: naive.insert(x, 0),
+        "kmeans.predict": KMeansPredictor(_pool(), clusters_per_plan=4).predict,
+        "single_linkage.predict": SingleLinkagePredictor(_pool()).predict,
+    }
+    assert list(calls) == CHECKED_CALLS
+    return calls
+
+
+class TestPointCheck:
+    """``_check_point`` checks in floats; its errors are unchanged."""
+
+    @pytest.mark.parametrize("call", CHECKED_CALLS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_non_finite_raises_the_point_error(
+        self, checked_calls, call, bad, position
+    ):
+        point = [0.3, 0.3]
+        point[position] = bad
+        with pytest.raises(
+            PredictionError, match=r"^plan-space point contains NaN or infinity$"
+        ):
+            checked_calls[call](np.array(point))
+
+    @pytest.mark.parametrize("call", CHECKED_CALLS)
+    @pytest.mark.parametrize("point", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5, 0.5]]])
+    def test_wrong_length_raises_value_error(self, checked_calls, call, point):
+        length = np.asarray(point).size
+        with pytest.raises(
+            ValueError, match=rf"^expected a 2-dimensional point, got {length}$"
+        ):
+            checked_calls[call](point)
+
+    @pytest.mark.parametrize("call", CHECKED_CALLS)
+    def test_a_list_or_a_one_row_matrix_is_a_point(self, checked_calls, call):
+        checked_calls[call]([0.3, 0.3])
+        checked_calls[call](np.array([[0.3, 0.3]]))
+
+
 def _point_mass_predictor(n_points, noise_fraction, seed=1):
     """A predictor whose whole mass sits on one plan at one point, so
     the aggregated count at that point equals ``n_points`` exactly."""

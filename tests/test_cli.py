@@ -333,7 +333,28 @@ class TestReport:
         assert html.startswith("<!DOCTYPE html>")
         assert "template Q1" in html
 
-    def test_fail_on_breach_passes_on_a_healthy_run(self, capsys):
+    def test_fail_on_breach_passes_on_a_healthy_run(self, capsys, monkeypatch):
+        # The predict-latency SLO reads wall-clock span times and keeps
+        # the largest p95 the telemetry sampled in its window.  A sample
+        # of fewer than 20 observations has its slowest one as its p95,
+        # and the samples after decisions 1, 6, 11 and 16 are such: one
+        # ~100 ms stall in any of the first 16 predict stages (a busy
+        # machine) breaches the SLO for the whole run.  A span clock
+        # that ticks one microsecond per read makes the timings depend
+        # on the run's work, not on the machine's load.
+        import functools
+        import itertools
+
+        from repro.core import framework
+
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            framework,
+            "DecisionTracer",
+            functools.partial(
+                framework.DecisionTracer, clock=lambda: next(ticks) * 1e-6
+            ),
+        )
         assert main(
             [
                 "report", "Q1",
@@ -341,6 +362,7 @@ class TestReport:
                 "--fail-on-breach",
             ]
         ) == 0
+        assert "predict_latency_p95" in capsys.readouterr().out
 
     def test_multi_template_report(self, capsys):
         assert main(
