@@ -311,22 +311,17 @@ class HistogramPredictor(PlanPredictor):
         with trace.span("z_values"):
             return self._z_values_batch(points)
 
-    def lookup(
-        self, z_values: np.ndarray, trace: "DecisionTrace | None" = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def lookup(self, z_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Density lookup: ``(counts, avg_costs)``, each ``(t, plans,
         m)``, of every (transform, plan) range query
         ``[z - delta, z + delta]``, in one vectorized pass over the
-        packed block (span ``density_lookup``).  The block form: one
-        point's lookup is :meth:`predict_z`'s, which gives the same
-        bits.
+        packed block.  The block form, untraced: one point's lookup is
+        :meth:`predict_z`'s, which gives the same bits and opens the
+        ``density_lookup`` span.
         """
-        if trace is None:
-            trace = untraced()
-        with trace.span("density_lookup"):
-            return self._packed.query(
-                z_values - self.delta, z_values + self.delta
-            )
+        return self._packed.query(
+            z_values - self.delta, z_values + self.delta
+        )
 
     def _aggregate(self, estimates: np.ndarray) -> np.ndarray:
         """Median (or mean, under the ablation) over the transform axis."""
@@ -359,16 +354,14 @@ class HistogramPredictor(PlanPredictor):
         self, x: np.ndarray, trace: "DecisionTrace | None" = None
     ) -> "Prediction | None":
         """A thin wrapper over a batch of one: ``predict_batch(x[None,
-        :], trace)[0]``, whose check of that one-row batch is the only
+        :])[0]``, whose check of that one-row batch is the only
         validation.  An active ``trace`` goes through
         :meth:`_predict_traced`: the same check and z pass, then the
         one-point step :meth:`predict_z`, which decides the same bits
         and fills the trace's payloads."""
         if trace is not None and trace.active:
             return self._predict_traced(x, trace)
-        return self.predict_batch(
-            np.asarray(x, dtype=float).reshape(1, -1), trace
-        )[0]
+        return self.predict_batch(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
     def _predict_traced(
         self, x: np.ndarray, trace: "DecisionTrace"
@@ -386,29 +379,23 @@ class HistogramPredictor(PlanPredictor):
         )
         return self.predict_z(z_values[:, 0], trace)
 
-    def predict_batch(
-        self, points: np.ndarray, trace: "DecisionTrace | None" = None
-    ) -> "list[Prediction | None]":
+    def predict_batch(self, points: np.ndarray) -> "list[Prediction | None]":
         """Vectorized prediction for a whole point batch: the validated
         z pass (:meth:`z_values`), the density lookup (:meth:`lookup`)
         and :meth:`decide` — the operation the runtime simulation
         charges as "prediction overhead".  An empty ``(0, r)`` batch
-        returns ``[]``.  A caller that keeps the z-values or the
-        estimates (the session's decision and batch paths) composes the
-        same three steps itself."""
-        if trace is None:
-            trace = untraced()
-        z_values = self.z_values(points, trace)
+        returns ``[]``.  It takes no trace: a traced decision is one
+        point's, through :meth:`predict_z`."""
+        z_values = self.z_values(points)
         if z_values.shape[1] == 0:
             return []
-        return self.decide(z_values, *self.lookup(z_values, trace), trace)
+        return self.decide(z_values, *self.lookup(z_values))
 
     def decide(
         self,
         z_values: np.ndarray,
         counts_tpm: np.ndarray,
         avg_costs: np.ndarray,
-        trace: "DecisionTrace | None" = None,
     ) -> "list[Prediction | None]":
         """The block decision: a prediction (or ``None``) per column of
         the ``(t, plans, m)`` estimates of :meth:`lookup` at the ``(t,
@@ -418,42 +405,35 @@ class HistogramPredictor(PlanPredictor):
         winner cost estimates are fully vectorized, and every step is
         elementwise per column, so a column's decision does not depend
         on the batch around it.  Noise elimination reads the current
-        ``total_mass``.  Each stage runs in its span on ``trace``; the
-        spans carry no payload.  One point is decided by
-        :meth:`predict_z`, bit for bit as its column is here, and a
-        traced decision's payloads are that step's.
+        ``total_mass``.  The block form, untraced: one point is decided
+        by :meth:`predict_z`, bit for bit as its column is here, in the
+        spans a traced decision shows.
         """
         m = z_values.shape[1]
-        if trace is None:
-            trace = untraced()
-        with trace.span("aggregate"):
-            counts = self._aggregate(counts_tpm)  # (plans, m)
-        with trace.span("noise_elimination"):
-            noisy = (
-                counts.max(axis=0) < self.noise_fraction * self.total_mass
-                if self.noise_fraction is not None and self.total_mass > 0
-                else None
-            )
-        with trace.span("confidence"):
-            winners, confidences = self.model.decide_batch(
-                counts.T, self.confidence_threshold
-            )
-            if noisy is not None:
-                winners = np.where(noisy, -1, winners)
+        counts = self._aggregate(counts_tpm)  # (plans, m)
+        noisy = (
+            counts.max(axis=0) < self.noise_fraction * self.total_mass
+            if self.noise_fraction is not None and self.total_mass > 0
+            else None
+        )
+        winners, confidences = self.model.decide_batch(
+            counts.T, self.confidence_threshold
+        )
+        if noisy is not None:
+            winners = np.where(noisy, -1, winners)
         plans = winners.tolist()
-        with trace.span("cost_estimate"):
-            # A vote with no winner reads no cost: skip the median.
-            estimates = [None] * m
-            if max(plans, default=-1) >= 0:
-                medians, any_support = self._winner_costs(
-                    counts_tpm, avg_costs, winners
+        # A vote with no winner reads no cost: skip the median.
+        estimates = [None] * m
+        if max(plans, default=-1) >= 0:
+            medians, any_support = self._winner_costs(
+                counts_tpm, avg_costs, winners
+            )
+            estimates = [
+                median if plan >= 0 and supported else None
+                for plan, median, supported in zip(
+                    plans, medians.tolist(), any_support.tolist()
                 )
-                estimates = [
-                    median if plan >= 0 and supported else None
-                    for plan, median, supported in zip(
-                        plans, medians.tolist(), any_support.tolist()
-                    )
-                ]
+            ]
         return [
             None if plan < 0 else Prediction(plan, confidence, estimate)
             for plan, confidence, estimate in zip(

@@ -5,28 +5,27 @@ independently randomized transforms.  Looping Python over the ensemble
 costs ``t`` interpreter round-trips per prediction; this module
 flattens the per-transform direction matrices, translations and grid
 bounds into contiguous arrays so one numpy pass answers *all* ``t``
-transforms for a whole point batch at once — the layout behind
-``predict_batch`` being the primitive.
+transforms for a whole point batch at once — the layout behind block
+and offline prediction (``predict_batch``) and the shared z pass of a
+batched ``execute_batch`` block.
 
-Numerical contract: every reduction runs along the trailing axis of a
-contiguous array, so each output element is computed from its own data
-strip regardless of how many points (or transforms) ride in the batch.
-That makes a batch of one bitwise identical to any row of a larger
-batch, so seeded experiment results do not depend on how points are
-batched.
+Numerical contract: every output element is computed from its own
+point by elementwise operations, so a batch of one is bitwise identical
+to any row of a larger batch, and seeded experiment results do not
+depend on how points are batched.  Each sum over the ``r`` input axes
+(the norm and every dot product) is written out as a left-to-right loop
+of elementwise adds from ``0.0``: its order is fixed by the code, not
+by a reduction's internal blocking.
 
 The z pass has a second rendering for one point.  Ten numpy calls over
 a one-row batch cost more in dispatch than in arithmetic, so
 :meth:`StackedEnsemble.z_values` hands a one-row batch to a compiled
 program (:func:`compile_point`): straight-line Python over the point's
 ``r`` floats, every direction, translation and grid bound inlined as a
-literal, each operation in the stacked pass's IEEE order.  The order of
-a sum is part of that: ``np.add.reduce`` over a short contiguous axis
-is numpy's pairwise sum, and the program writes each dot product and
-the norm out in exactly that order (:func:`_pairwise_source`).  A block
-keeps the stacked pass.  The two renderings agree bit for bit
-(``tests/lsh/test_point_program.py``; ``repro bench run write_path``
-checks it too).
+literal, each operation in the stacked pass's IEEE order, each sum
+``0.0 + t0 + ... + t{r-1}``.  A block keeps the stacked pass.  The two
+renderings agree bit for bit (``tests/lsh/test_point_program.py``;
+``repro bench run write_path`` checks it too).
 """
 
 from __future__ import annotations
@@ -41,12 +40,6 @@ from repro.exceptions import ConfigurationError
 
 #: Largest float below 1: the top of the unit interval z_values clips to.
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
-
-#: numpy's pairwise-summation block: ``np.add.reduce`` over a
-#: contiguous axis of at most this many terms sums them in the order
-#: :func:`_pairwise_source` writes out.  A longer axis is split
-#: recursively, so the one-point program declines more input dimensions.
-_PAIRWISE_BLOCK = 128
 
 #: One point's program: the point's ``r`` coordinates as Python floats
 #: in, one float per transform out (see :func:`compile_point`).
@@ -107,12 +100,6 @@ class StackedEnsemble:
         self.cell_widths = np.stack([grid.cell_widths for grid in grids])
         self.resolution = grids[0].resolution
         self.curve = curve
-        #: The batch shape :meth:`z_values` hands to the one-point
-        #: program (none past numpy's pairwise block), and the program.
-        self._point_shape = (
-            (1, self.input_dims)
-            if self.input_dims <= _PAIRWISE_BLOCK else None
-        )
         self._program: "PointProgram | None" = None
 
     def __getstate__(self) -> dict:
@@ -126,13 +113,15 @@ class StackedEnsemble:
 
         Stages 1-3 (center, scale, radial stretch) depend only on the
         input dimensionality, so they run once and feed all ``t``
-        projections; stages 4-5 run as one stacked multiply-sum.
+        projections; stages 4-5 run as one stacked multiply-add per
+        input axis.  Both sums run left to right over the ``r`` axes.
         """
         points = np.asarray(points, dtype=float)
         centered = (points - 0.5) * (2.0 * self.cube_half_width)
-        # np.linalg.norm(centered, axis=1), bit for bit, without its
-        # per-call dispatch.
-        norms = np.sqrt(np.add.reduce(centered * centered, axis=1))
+        squares = np.zeros(points.shape[0])
+        for i in range(self.input_dims):
+            squares += centered[:, i] * centered[:, i]
+        norms = np.sqrt(squares)
         max_components = np.maximum.reduce(np.abs(centered), axis=1)
         factors = np.divide(
             self.radius * max_components,
@@ -141,12 +130,12 @@ class StackedEnsemble:
             where=norms > 0.0,
         )
         stretched = centered * factors[:, None]
-        # Explicit multiply + trailing-axis sum instead of BLAS `@`:
-        # gemv/gemm may round dot products differently across batch
-        # shapes, and the parity contract forbids that.
-        projected = np.add.reduce(
-            stretched[:, None, :] * self.directions[None, :, :], axis=2
-        )
+        # Elementwise multiply-adds instead of BLAS `@`: gemv/gemm may
+        # round dot products differently across batch shapes, and the
+        # parity contract forbids that.
+        projected = np.zeros((points.shape[0], self.directions.shape[0]))
+        for i in range(self.input_dims):
+            projected += stretched[:, i, None] * self.directions[:, i]
         projected += self.translations
         return projected.reshape(
             points.shape[0], self.count, self.output_dims
@@ -178,7 +167,7 @@ class StackedEnsemble:
                 "stacked ensemble was built without a z-order curve"
             )
         points = np.asarray(points, dtype=float)
-        if points.shape == self._point_shape:
+        if points.shape == (1, self.input_dims):
             if self._program is None:
                 self._program = compile_point(self)
             return np.array(self._program(*points[0].tolist()))[:, None]
@@ -207,31 +196,10 @@ def _literal(value: "int | float") -> str:
     return repr(value)
 
 
-def _pairwise_source(terms: list[str]) -> str:
-    """The sum of ``terms`` as one expression, in numpy's order.
-
-    ``np.add.reduce`` over a contiguous axis of ``n`` terms is numpy's
-    pairwise sum.  Below eight terms it adds left to right from
-    ``0.0``.  From eight to :data:`_PAIRWISE_BLOCK` it runs eight
-    strided accumulators, combines them as ``((r0 + r1) + (r2 + r3)) +
-    ((r4 + r5) + (r6 + r7))`` and then adds the remainder left to
-    right.  Floating-point addition does not associate, so any other
-    order rounds some sums differently.
-    """
-    if len(terms) < 8:
-        return " + ".join(["0.0", *terms])
-    stop = len(terms) - len(terms) % 8
-    acc = terms[:8]
-    for start in range(8, stop, 8):
-        acc = [
-            f"({total} + {term})"
-            for total, term in zip(acc, terms[start:start + 8], strict=True)
-        ]
-    head = (
-        f"(({acc[0]} + {acc[1]}) + ({acc[2]} + {acc[3]}))"
-        f" + (({acc[4]} + {acc[5]}) + ({acc[6]} + {acc[7]}))"
-    )
-    return " + ".join([f"({head})", *terms[stop:]])
+def _sum_source(terms: list[str]) -> str:
+    """The sum of ``terms`` as one expression, left to right from
+    ``0.0``: the order of :meth:`StackedEnsemble.transform`'s loops."""
+    return " + ".join(["0.0", *terms])
 
 
 def _point_source(stacked: StackedEnsemble) -> tuple[list[str], dict]:
@@ -251,7 +219,7 @@ def _point_source(stacked: StackedEnsemble) -> tuple[list[str], dict]:
         f"c{i} = (x{i} - 0.5) * {_literal(2.0 * half)}" for i in range(dims)
     ]
     squares = [f"c{i} * c{i}" for i in range(dims)]
-    lines.append(f"norm = _sqrt({_pairwise_source(squares)})")
+    lines.append(f"norm = _sqrt({_sum_source(squares)})")
     signed = ", ".join(f"c{i}, -c{i}" for i in range(dims))
     lines.append(f"top = max({signed})")
     lines.append(
@@ -263,7 +231,7 @@ def _point_source(stacked: StackedEnsemble) -> tuple[list[str], dict]:
     for j, direction in enumerate(stacked.directions.tolist()):
         products = [f"s{i} * {_literal(d)}" for i, d in enumerate(direction)]
         lines.append(
-            f"p{j} = ({_pairwise_source(products)})"
+            f"p{j} = ({_sum_source(products)})"
             f" + {_literal(translations[j])}"
         )
     namespace: dict = {"_sqrt": math.sqrt}

@@ -127,9 +127,13 @@ class PlanSpaceTransform:
 
         A point on the cube surface (``max_i |p_i| = cube_half_width``)
         lands exactly on the sphere of radius ``radius``; interior
-        points scale linearly along their ray.
+        points scale linearly along their ray.  The norm sums its
+        squares left to right over the ``r`` axes.
         """
-        norms = np.linalg.norm(centered, axis=1)
+        squares = np.zeros(centered.shape[0])
+        for i in range(self.input_dims):
+            squares += centered[:, i] * centered[:, i]
+        norms = np.sqrt(squares)
         max_components = np.abs(centered).max(axis=1)
         factors = np.ones_like(norms)
         nonzero = norms > 0.0
@@ -143,16 +147,19 @@ class PlanSpaceTransform:
     def project(self, stretched: np.ndarray) -> np.ndarray:
         """Stages 4-5: random unit-vector projection plus translation.
 
-        Computed as an explicit multiply + trailing-axis sum rather
-        than a BLAS ``@``: gemv/gemm may round dot products differently
-        depending on the batch shape, and the scalar/batch parity
-        contract requires each point's projection to be bitwise
-        independent of how many points it is batched with (and equal to
-        the stacked fast path in :mod:`repro.lsh.stacked`).
+        Each dot product is a left-to-right loop of elementwise
+        multiply-adds over the ``r`` axes from ``0.0``, not a BLAS
+        ``@`` or a numpy reduction: gemv/gemm may round dot products
+        differently depending on the batch shape, and a reduction's
+        order is numpy's to choose.  The scalar/batch parity contract
+        requires each point's projection to be bitwise independent of
+        how many points it is batched with, and equal to the stacked
+        fast path in :mod:`repro.lsh.stacked`, which writes the same
+        loop.
         """
-        projected = (
-            stretched[:, None, :] * self.directions[None, :, :]
-        ).sum(axis=2)
+        projected = np.zeros((stretched.shape[0], self.output_dims))
+        for i in range(self.input_dims):
+            projected += stretched[:, i, None] * self.directions[:, i]
         return projected + self.translations
 
     def apply(self, points: np.ndarray) -> np.ndarray:

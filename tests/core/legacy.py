@@ -69,7 +69,7 @@ def legacy_predict_batch(predictor, points):
     with mock.patch.object(
         predictor,
         "lookup",
-        lambda z_values, trace: legacy_lookup(predictor, z_values),
+        lambda z_values: legacy_lookup(predictor, z_values),
     ):
         return predictor.predict_batch(points)
 

@@ -6,14 +6,15 @@ to the stacked numpy pass.  The two renderings must agree on every
 projection bit (compiled with a projection ``return``) and every
 z-value: on the predictors the TPC-H sessions build (Q0-Q8) and on
 hand-built ensembles that reach what those do not — one to twelve
-input dimensions, so numpy's eight-accumulator summation order is
-exercised; fewer output than input dimensions; and a curve whose codes
-pass 2**53.  Points include the cube's corners and centre (the
+input dimensions, where a numpy reduction would stop adding left to
+right from eight terms on; fewer output than input dimensions; and a
+curve whose codes pass 2**53.  Points include the cube's corners and centre (the
 zero-norm branch), the floats on either side of a cell boundary, and
 coordinates that land exactly on a cell boundary or on the clip edges.
 
 A restored or copied predictor compiles its own program from its own
-transforms.  A dropped program, z or cost, is freed at once: it holds
+transforms.  Any one-row batch of the ensemble's width runs the
+program, however wide.  A dropped program, z or cost, is freed at once: it holds
 no reference cycle for the collector to find.
 """
 
@@ -34,7 +35,7 @@ from repro.core.persistence import dumps_predictor, loads_predictor
 from repro.core.point import SamplePool
 from repro.exceptions import ConfigurationError
 from repro.lsh import Grid, StackedEnsemble, TransformEnsemble, ZOrderCurve
-from repro.lsh.stacked import _pairwise_source, compile_point
+from repro.lsh.stacked import compile_point
 from repro.optimizer.operators import compile_costs
 from repro.tpch import TEMPLATE_NAMES, plan_space_for
 from repro.workload import sample_points
@@ -156,26 +157,6 @@ def unit_points(dims: int) -> st.SearchStrategy:
     )
 
 
-class TestPairwiseOrder:
-    """The summation order is numpy's, not Python's left to right."""
-
-    @pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 12, 15, 16, 17, 40])
-    def test_sums_match_add_reduce(self, count):
-        rng = np.random.default_rng(count)
-        rows = rng.standard_normal((500, count)) * 10.0 ** rng.integers(
-            -3, 4, (500, count)
-        )
-        source = _pairwise_source([f"v[{i}]" for i in range(count)])
-        summed = [eval(source, {"v": row}) for row in rows.tolist()]
-        assert np.array(summed).tobytes() == np.add.reduce(rows, axis=1).tobytes()
-
-    def test_eight_terms_use_the_accumulators(self):
-        assert _pairwise_source(list("abcdefgh")) == (
-            "(((a + b) + (c + d)) + ((e + f) + (g + h)))"
-        )
-        assert _pairwise_source(list("abc")) == "0.0 + a + b + c"
-
-
 class TestTemplatePredictors:
     @pytest.mark.parametrize("name", TEMPLATE_NAMES)
     def test_corners_straddles_and_uniform_points(self, name):
@@ -271,10 +252,13 @@ class TestWhereTheProgramRuns:
         stacked.z_values(sample_points(2, 1, seed=0))
         assert stacked._program is not None
 
-    def test_past_the_pairwise_block_the_stacked_pass_answers(self):
-        stacked = hand_built(129, output_dims=2, transforms=1)
-        stacked.z_values(sample_points(129, 1, seed=0))
-        assert stacked._program is None
+    def test_a_wide_one_row_batch_runs_the_program(self):
+        stacked = hand_built(129, output_dims=2, transforms=2)
+        points = sample_points(129, 2, seed=0)
+        block = stacked.z_values(points)
+        one = stacked.z_values(points[:1])
+        assert stacked._program is not None
+        assert one.tobytes() == block[:, :1].tobytes()
 
     def test_a_non_finite_constant_is_refused(self):
         stacked = hand_built(2)

@@ -30,7 +30,7 @@ def _build(transforms=5, dims=2, resolution=8, seed=3, output_dims=None):
 
 
 class TestTransform:
-    @pytest.mark.parametrize("dims", [2, 3, 4])
+    @pytest.mark.parametrize("dims", [2, 3, 4, 8, 12])
     def test_bitwise_equal_to_per_transform_apply(self, dims):
         ensemble, grids = _build(dims=dims, seed=dims)
         stacked = StackedEnsemble(ensemble, grids)
