@@ -52,7 +52,8 @@ class SLODefinition:
       rate is the windowed miss fraction divided by that budget;
     * ``predict_p95`` — p95 of ``ppc_stage_seconds{stage="predict"}``
       must stay at or below ``objective`` seconds; the burn rate is the
-      windowed p95 divided by the objective;
+      largest p95 sampled in the window, from a histogram of at least
+      :data:`P95_MIN_COUNT` observations, divided by the objective;
     * ``regret`` — average regret (``suboptimality - 1``) per execution
       must stay at or below ``objective``; the burn rate is the
       windowed mean regret divided by the objective.
@@ -92,6 +93,12 @@ class SLODefinition:
                 "SLO burn thresholds must satisfy 0 < warning <= breach"
             )
 
+
+#: Observations a sampled predict histogram must hold before its p95
+#: counts toward ``predict_p95``.  The sample is cumulative, and the p95
+#: of fewer than 20 observations is the slowest one: one early stall
+#: would otherwise read as the p95 of the whole window.
+P95_MIN_COUNT = 20
 
 #: The shipped SLO set: generous enough that a healthy seeded workload
 #: never breaches (CI fails the build on breach), tight enough that a
@@ -139,6 +146,7 @@ def _burn_rate(
             "p95",
             window,
             now,
+            min_count=P95_MIN_COUNT,
             template=template,
             stage="predict",
         )

@@ -112,10 +112,21 @@ class RingSeries:
             base = head[1] if head is not None else 0.0
         return tail[1] - base
 
-    def window_max(self, now: float, window: float) -> "float | None":
-        """Max value among points inside ``[now - window, now]``."""
+    def window_max(
+        self,
+        now: float,
+        window: float,
+        gate: "RingSeries | None" = None,
+        minimum: float = 0.0,
+    ) -> "float | None":
+        """Max value among points inside ``[now - window, now]``.  With a
+        ``gate``, a ring appended point for point alongside this one,
+        only the points whose gate value is at least ``minimum`` count."""
+        gates = None if gate is None else gate._iter_points()
         result: "float | None" = None
         for time, value in self._iter_points():
+            if gates is not None and next(gates)[1] < minimum:
+                continue
             if time < now - window or time > now:
                 continue
             if result is None or value > result:
@@ -257,10 +268,12 @@ class TimeSeriesStore:
         field: str,
         window: float,
         now: "float | None" = None,
+        min_count: float = 0.0,
         **labels: str,
     ) -> "float | None":
         """Max sampled histogram summary *field* (e.g. ``p95``) in the
-        window; None when nothing was sampled there."""
+        window, among the samples whose histogram held at least
+        ``min_count`` observations; None when there is no such sample."""
         if field not in HISTOGRAM_FIELDS:
             raise ConfigurationError(
                 f"unknown histogram field {field!r}; "
@@ -268,12 +281,12 @@ class TimeSeriesStore:
             )
         if now is None:
             now = self._clock()
-        entry = self._series.get(
-            ("histogram", name, _label_key(labels), field)
-        )
+        key = _label_key(labels)
+        entry = self._series.get(("histogram", name, key, field))
         if entry is None:
             return None
-        return entry[1].window_max(now, window)
+        counts = self._series[("histogram", name, key, "count")][1]
+        return entry[1].window_max(now, window, gate=counts, minimum=min_count)
 
     def series_points(
         self,

@@ -146,6 +146,33 @@ class TestTimeSeriesStore:
         with pytest.raises(ConfigurationError):
             store.histogram_field_max("ppc_stage_seconds", "p42", 60.0, now)
 
+    def test_a_field_max_skips_samples_of_too_few_observations(self):
+        registry, clock, store = self._store(interval=1.0)
+        hist = registry.histogram(
+            "ppc_stage_seconds", template="Q1", stage="predict"
+        )
+        hist.observe(0.5)
+        store.sample()  # one observation: its p95 is the stall
+        for __ in range(19):
+            hist.observe(0.001)
+        clock.advance(1.0)
+        store.sample()  # twenty: the stall is past the p95
+
+        def p95_max(min_count):
+            return store.histogram_field_max(
+                "ppc_stage_seconds",
+                "p95",
+                60.0,
+                clock.now(),
+                min_count=min_count,
+                template="Q1",
+                stage="predict",
+            )
+
+        assert p95_max(0) == pytest.approx(0.5)
+        assert p95_max(20) < 0.01
+        assert p95_max(21) is None
+
     def test_sampling_meters_itself(self):
         registry, __, store = self._store()
         store.sample()

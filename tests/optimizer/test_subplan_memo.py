@@ -1,4 +1,5 @@
-"""Costing shared subplans once changes no cost bit.
+"""Costing shared subplans once changes no cost bit, and one dynamic
+program costs each shared node once.
 
 ``DPEnumerator.optimize`` evaluates its plans through one memo that
 spans its whole batch of points, ``PlanSpace.cost_matrix`` costs each
@@ -9,15 +10,23 @@ plan alone returns, and if interning never folds two nodes whose cost
 formulas differ.
 """
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.optimizer.cost_model import CostModel
-from repro.optimizer.enumeration import DPEnumerator
-from repro.optimizer.operators import HashJoin, IndexNLJoin, SeqScan
-from repro.optimizer.plan_space import PlanSpace
+from repro.optimizer.enumeration import DPEnumerator, PlanBuilder, _Cell
+from repro.optimizer.operators import (
+    HashJoin,
+    IndexNLJoin,
+    IndexScan,
+    SeqScan,
+    Sort,
+)
+from repro.optimizer.plan_space import HARVEST_ROUND_POINTS, PlanSpace
 from repro.tpch import TEMPLATE_NAMES, plan_space_for
 from tests.optimizer.test_label_batching import coordinate
 
@@ -146,3 +155,95 @@ class TestMemo:
         scan = SeqScan("a", 10_000, 100, (0,), MODEL)
         rows, cost = scan.evaluate(np.array([0.5]))
         rows[0] = cost[0] = 1.0
+
+
+class TestSharedNodes:
+    @pytest.mark.parametrize("bushy", [False, True], ids=["left_deep", "bushy"])
+    @pytest.mark.parametrize("name", TEMPLATE_NAMES)
+    def test_a_round_evaluates_each_access_path_and_sort_once(
+        self, name, bushy, monkeypatch
+    ):
+        """Every candidate over an access path or a sort enforcer shares
+        the one node, and its costs stay in the memo while any later
+        join can use it: no loser's pop and no end-of-size pruning makes
+        the round cost it again.  Counted per node and per structure, so
+        a rebuilt copy of a shared node counts too."""
+        space = plan_space_for(name)
+        enumerator = DPEnumerator(
+            space.template, space.catalog, space.model, allow_bushy=bushy
+        )
+        calls: collections.Counter = collections.Counter()
+        structures: collections.Counter = collections.Counter()
+        for kind in (SeqScan, IndexScan, Sort):
+
+            def counted(self, x, memo, _evaluate=kind._evaluate):
+                calls[self] += 1
+                structures[self.fingerprint()] += 1
+                return _evaluate(self, x, memo)
+
+            monkeypatch.setattr(kind, "_evaluate", counted)
+        points = np.random.default_rng(7).uniform(
+            0.0, 1.0, (HARVEST_ROUND_POINTS, space.dimensions)
+        )
+        enumerator.optimize(points)
+        assert any(isinstance(node, IndexScan) for node in calls)
+        assert any(isinstance(node, Sort) for node in calls)
+        assert max(calls.values()) == 1
+        assert max(structures.values()) == 1
+
+    def test_a_builder_builds_each_shared_node_once(self, q5_space):
+        builder = PlanBuilder(q5_space.template, q5_space.catalog)
+        tables = q5_space.template.tables
+        assert builder.access_paths(tables[0]) is builder.access_paths(tables[0])
+        scan = builder.access_paths(tables[0])[0]
+        order = "nowhere.column"
+        assert builder.sorted(scan, order) is builder.sorted(scan, order)
+        assert builder.sorted(scan, order).child is scan
+        assert builder.sorted(scan, order) is not builder.sorted(scan, "x.y")
+
+    def test_retain_keeps_the_enforcers_later_joins_can_use(self, q5_space):
+        builder = PlanBuilder(q5_space.template, q5_space.catalog)
+        paths = [
+            path
+            for table in q5_space.template.tables
+            for path in builder.access_paths(table)
+        ]
+        others = [path for path in paths if path.tables != paths[0].tables]
+        kept, dropped = (
+            HashJoin(paths[0], other, 0.5, MODEL) for other in others[:2]
+        )
+        over_path = builder.sorted(paths[0], "o.path")
+        over_kept = builder.sorted(kept, "o.kept")
+        over_dropped = builder.sorted(dropped, "o.dropped")
+        shared = builder.retain([kept])
+        assert shared == paths + [over_path, over_kept]
+        assert over_dropped not in shared
+        assert builder.sorted(dropped, "o.dropped") is not over_dropped
+
+
+class TestCell:
+    def test_a_node_that_holds_no_point_leaves_its_slot(self):
+        """A displaced node is let go; its slot holds None, so every
+        index and the order of the winners stay."""
+        everywhere = np.ones(4, dtype=bool)
+        a, b, c = (SeqScan(t, 100, 10, (), MODEL) for t in "abc")
+        cell = _Cell(4)
+        assert cell.take(a, np.array([5.0, 5.0, 5.0, 5.0]), everywhere) == []
+        assert cell.take(b, np.array([6.0, 4.0, 6.0, 4.0]), everywhere) == []
+        assert cell.take(b, np.array([9.0, 9.0, 9.0, 9.0]), everywhere) is None
+        assert cell.take(c, np.array([1.0, 9.0, 1.0, 9.0]), everywhere) == [a]
+        assert cell.nodes == [None, b, c]
+        assert [(node, mask.tolist()) for node, mask in cell.winners()] == [
+            (b, [False, True, False, True]),
+            (c, [True, False, True, False]),
+        ]
+        assert cell.index.tolist() == [2, 1, 2, 1]
+        assert cell.cost.tolist() == [1.0, 4.0, 1.0, 4.0]
+
+    def test_a_tie_keeps_the_first_node(self):
+        everywhere = np.ones(2, dtype=bool)
+        a, b = (SeqScan(t, 100, 10, (), MODEL) for t in "ab")
+        cell = _Cell(2)
+        cell.take(a, np.array([3.0, 3.0]), everywhere)
+        assert cell.take(b, np.array([3.0, 3.0]), everywhere) is None
+        assert cell.nodes == [a]

@@ -364,6 +364,63 @@ class TestReport:
         ) == 0
         assert "predict_latency_p95" in capsys.readouterr().out
 
+    @staticmethod
+    def _predict_slo_under_stalls(capsys, monkeypatch, stalled) -> dict:
+        """The ``predict_latency_p95`` verdict of ``repro report Q1
+        --instances 300`` under a span clock that ticks one microsecond
+        per read and jumps 110 ms inside the predict stage of each
+        decision ``stalled`` accepts (0-based)."""
+        import functools
+        import itertools
+        import json
+
+        from repro.core import framework
+        from repro.core.histogram_predictor import HistogramPredictor
+
+        ticks = itertools.count()
+        stall = [0.0]
+        decisions = itertools.count()
+        predict_z = HistogramPredictor.predict_z
+
+        def stalling_predict_z(self, *args, **kwargs):
+            if stalled(next(decisions)):
+                stall[0] += 0.110
+            return predict_z(self, *args, **kwargs)
+
+        monkeypatch.setattr(HistogramPredictor, "predict_z", stalling_predict_z)
+        monkeypatch.setattr(
+            framework,
+            "DecisionTracer",
+            functools.partial(
+                framework.DecisionTracer,
+                clock=lambda: next(ticks) * 1e-6 + stall[0],
+            ),
+        )
+        assert main(
+            ["report", "Q1", "--instances", "300", "--format", "json"]
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        (verdict,) = [
+            slo
+            for slo in report["slo"]["Q1"]
+            if slo["name"] == "predict_latency_p95"
+        ]
+        return verdict
+
+    def test_one_early_predict_stall_does_not_breach(self, capsys, monkeypatch):
+        # The sample after the stall holds fewer than 20 observations, so
+        # its p95 is the stall itself; such a sample does not count.
+        verdict = self._predict_slo_under_stalls(
+            capsys, monkeypatch, lambda decision: decision == 3
+        )
+        assert verdict["state"] == "ok"
+
+    def test_a_stall_on_every_decision_breaches(self, capsys, monkeypatch):
+        verdict = self._predict_slo_under_stalls(
+            capsys, monkeypatch, lambda decision: True
+        )
+        assert verdict["state"] == "breach"
+
     def test_multi_template_report(self, capsys):
         assert main(
             ["report", "Q1", "Q5", "--instances", "120"]
