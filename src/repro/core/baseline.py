@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.confidence import ConfidenceModel
 from repro.core.point import SamplePool
-from repro.core.predictor import PlanPredictor, Prediction
+from repro.core.predictor import PlanPredictor, Prediction, vote
 from repro.exceptions import PredictionError
 
 #: Bytes per stored sample: r float32 coordinates + plan id + cost.
@@ -80,11 +80,14 @@ class BaselinePredictor(PlanPredictor):
         """Vectorized Algorithm 1 over a point batch.
 
         Chunked distance matrices keep memory bounded; per-plan counts
-        come from one matrix product against a plan one-hot matrix, and
-        the confidence decisions run vectorized.  Results are identical
-        to per-point :meth:`predict`.  Shares the batch contract of
-        :meth:`PlanPredictor.predict_batch`: ``(0, r)`` returns ``[]``,
-        a ``(0,)`` vector is a shape error, non-finite rows raise.
+        and cost sums come from matrix products against a plan one-hot
+        matrix, and each chunk is decided by
+        :func:`~repro.core.predictor.vote` as one estimate per point.
+        Plans and confidences are identical to per-point :meth:`predict`;
+        a cost estimate agrees with its mean up to summation order.
+        Shares the batch contract of :meth:`PlanPredictor.predict_batch`:
+        ``(0, r)`` returns ``[]``, a ``(0,)`` vector is a shape error,
+        non-finite rows raise.
         """
         points = self._check_batch(points)
         onehot = np.zeros((self._coords.shape[0], self._plan_count))
@@ -98,25 +101,14 @@ class BaselinePredictor(PlanPredictor):
                 block[:, None, :] - self._coords[None, :, :], axis=2
             )
             inside = (distances <= self.radius).astype(float)
-            counts = inside @ onehot  # (m, plans)
-            cost_sums = inside @ cost_onehot
-            winners, confidences = self.model.decide_batch(
-                counts, self.confidence_threshold
+            # One estimate (t = 1) per plan and point.
+            counts = (inside @ onehot).T[None]
+            averages = (inside @ cost_onehot).T[None] / np.maximum(
+                counts, 1e-300
             )
-            for j in range(block.shape[0]):
-                plan_id = int(winners[j])
-                if plan_id < 0:
-                    predictions.append(None)
-                    continue
-                count = counts[j, plan_id]
-                cost = (
-                    float(cost_sums[j, plan_id] / count)
-                    if count > 0
-                    else None
-                )
-                predictions.append(
-                    Prediction(plan_id, float(confidences[j]), cost)
-                )
+            predictions += vote(
+                counts, averages, self.model, self.confidence_threshold
+            )
         return predictions
 
     def space_bytes(self) -> int:

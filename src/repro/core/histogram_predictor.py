@@ -17,6 +17,12 @@ Two sanity checks keep the lossy summarization honest:
 * **noise elimination** — the majority plan's density must exceed a
   fixed fraction of the total sample count, suppressing z-order
   artifacts that place a few far-away points into the queried range.
+
+Everything but the density estimate is APPROXIMATE-LSH's: the shared
+:class:`~repro.core.lsh_predictor.EnsemblePredictor` base and the one
+block vote (:func:`~repro.core.predictor.vote`) that :meth:`decide`
+ends in.  The served one-point step :meth:`predict_z` is the vote's
+only other rendering, bit for bit the same.
 """
 
 from __future__ import annotations
@@ -28,13 +34,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.confidence import ConfidenceModel
+from repro.core.lsh_predictor import EnsemblePredictor
 from repro.core.point import SamplePool
-from repro.core.predictor import (
-    PlanPredictor,
-    Prediction,
-    median_over_transforms,
-    median_supported,
-)
+from repro.core.predictor import Prediction, vote
+# The layer map of ``benchmarks/e2e/layers.py`` names this module's
+# ``median_supported`` (layer ``predictor.median``); it must resolve.
+from repro.core.predictor import median_supported  # noqa: F401
 from repro.core.relevance import apply_axis_weights
 from repro.exceptions import ConfigurationError, HistogramError, PredictionError
 from repro.histograms import (
@@ -45,9 +50,6 @@ from repro.histograms import (
     VOptimalHistogram,
 )
 from repro.histograms.packed import PackedHistograms, bucket_rows
-from repro.lsh.grid import Grid
-from repro.lsh.stacked import StackedEnsemble
-from repro.lsh.transforms import TransformEnsemble
 from repro.lsh.zorder import ZOrderCurve
 from repro.obs.tracing import untraced
 
@@ -65,8 +67,16 @@ _STATIC_BUILDERS = {
 }
 
 
-class HistogramPredictor(PlanPredictor):
-    """The paper's flagship structure: LSH + z-order + histograms."""
+class HistogramPredictor(EnsemblePredictor):
+    """The paper's flagship structure: LSH + z-order + histograms.
+
+    The block decision is :meth:`decide`, the one
+    :func:`~repro.core.predictor.vote` the LSH pair shares; one served
+    point is decided by :meth:`predict_z`, bit for bit as its column
+    is there.
+    """
+
+    label = "APPROXIMATE-LSH-HISTOGRAMS"
 
     def __init__(
         self,
@@ -95,34 +105,14 @@ class HistogramPredictor(PlanPredictor):
             raise PredictionError("radius must be > 0")
         if max_buckets < 1:
             raise HistogramError("max_buckets must be >= 1")
-        if aggregation not in ("median", "mean"):
-            raise ConfigurationError(f"unknown aggregation {aggregation!r}")
-        self.dimensions = pool.dimensions
+        super().__init__(
+            pool, plan_count, transforms, resolution, confidence_threshold,
+            output_dims, aggregation, axis_weights, seed, confidence_model
+        )
         self.radius = radius
-        self.confidence_threshold = confidence_threshold
         self.noise_fraction = noise_fraction
         self.max_buckets = max_buckets
         self.histogram_kind = histogram_kind
-        self.aggregation = aggregation
-        self.axis_weights = (
-            None if axis_weights is None
-            else np.asarray(axis_weights, dtype=float)
-        )
-        self.model = confidence_model or ConfidenceModel()
-
-        # Default s = r; pass output_dims < r explicitly for
-        # dimensionality reduction (useful only on redundant axes).
-        self.ensemble = TransformEnsemble(
-            transforms,
-            self.dimensions,
-            output_dims=output_dims,
-            resolution=resolution,
-            seed=seed,
-        )
-        self.grids = [
-            Grid(*transform.output_bounds, resolution)
-            for transform in self.ensemble
-        ]
         output_dims = self.ensemble.transforms[0].output_dims
         bits = int(math.log2(resolution))
         if output_dims * bits > 62:
@@ -138,14 +128,6 @@ class HistogramPredictor(PlanPredictor):
             self.curve.cell_extent(),
         )
 
-        if plan_count is None:
-            if len(pool) == 0:
-                raise PredictionError(
-                    "APPROXIMATE-LSH-HISTOGRAMS needs samples "
-                    "or an explicit plan count"
-                )
-            plan_count = int(pool.plan_ids.max()) + 1
-        self.plan_count = plan_count
         #: ``_packed`` is the synopsis store for the predictor's whole
         #: life: every (transform, plan) histogram's buckets in one
         #: block, which the density lookup reads and every write changes
@@ -153,7 +135,7 @@ class HistogramPredictor(PlanPredictor):
         #: journal); no emitter is bound yet, so building it
         #: journals nothing.
         self._packed = PackedHistograms.from_buckets(
-            [[[]] * plan_count for __ in self.ensemble]
+            [[[]] * self.plan_count for __ in self.ensemble]
         )
         if histogram_kind == "incremental" or len(pool) == 0:
             for point in pool.points():
@@ -164,16 +146,6 @@ class HistogramPredictor(PlanPredictor):
                 len(pool),
                 float(len(pool)),
             )
-
-    def _rebuild_stacked(self) -> None:
-        """(Re)build the struct-of-arrays transform/grid view.
-
-        Derived state: must be called again after ``ensemble`` or
-        ``grids`` are replaced wholesale (persistence restore does).
-        """
-        self._stacked = StackedEnsemble(
-            self.ensemble, self.grids, curve=self.curve
-        )
 
     @property
     def mutation_count(self) -> int:
@@ -323,33 +295,6 @@ class HistogramPredictor(PlanPredictor):
             z_values - self.delta, z_values + self.delta
         )
 
-    def _aggregate(self, estimates: np.ndarray) -> np.ndarray:
-        """Median (or mean, under the ablation) over the transform axis."""
-        if self.aggregation == "mean":
-            return estimates.mean(axis=0)
-        return median_over_transforms(estimates)
-
-    def _winner_costs(
-        self,
-        counts: np.ndarray,
-        avg_costs: np.ndarray,
-        winners: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized cost estimate for each point's winning plan.
-
-        Selects the winner's per-transform (count, avg cost) columns
-        from the ``(t, plans, m)`` estimate arrays and medians the
-        averages over the transforms holding mass.  NULL rows
-        (``winners < 0``) are gathered against plan 0 merely to keep
-        the gather in bounds; callers never read them.
-        """
-        columns = np.arange(winners.shape[0])
-        safe = np.maximum(winners, 0)
-        return median_supported(
-            avg_costs[:, safe, columns],
-            counts[:, safe, columns] > 0.0,
-        )
-
     def predict(
         self, x: np.ndarray, trace: "DecisionTrace | None" = None
     ) -> "Prediction | None":
@@ -399,47 +344,25 @@ class HistogramPredictor(PlanPredictor):
     ) -> "list[Prediction | None]":
         """The block decision: a prediction (or ``None``) per column of
         the ``(t, plans, m)`` estimates of :meth:`lookup` at the ``(t,
-        m)`` ``z_values``.
-
-        Aggregation, noise elimination, the confidence decision and the
-        winner cost estimates are fully vectorized, and every step is
-        elementwise per column, so a column's decision does not depend
-        on the batch around it.  Noise elimination reads the current
+        m)`` ``z_values``: the :func:`~repro.core.predictor.vote` of the
+        LSH pair, whose noise floor is ``noise_fraction`` of the current
         ``total_mass``.  The block form, untraced: one point is decided
         by :meth:`predict_z`, bit for bit as its column is here, in the
         spans a traced decision shows.
         """
-        m = z_values.shape[1]
-        counts = self._aggregate(counts_tpm)  # (plans, m)
-        noisy = (
-            counts.max(axis=0) < self.noise_fraction * self.total_mass
-            if self.noise_fraction is not None and self.total_mass > 0
-            else None
+        noise_floor = (
+            None
+            if self.noise_fraction is None
+            else self.noise_fraction * self.total_mass
         )
-        winners, confidences = self.model.decide_batch(
-            counts.T, self.confidence_threshold
+        return vote(
+            counts_tpm,
+            avg_costs,
+            self.model,
+            self.confidence_threshold,
+            self._aggregate,
+            noise_floor,
         )
-        if noisy is not None:
-            winners = np.where(noisy, -1, winners)
-        plans = winners.tolist()
-        # A vote with no winner reads no cost: skip the median.
-        estimates = [None] * m
-        if max(plans, default=-1) >= 0:
-            medians, any_support = self._winner_costs(
-                counts_tpm, avg_costs, winners
-            )
-            estimates = [
-                median if plan >= 0 and supported else None
-                for plan, median, supported in zip(
-                    plans, medians.tolist(), any_support.tolist()
-                )
-            ]
-        return [
-            None if plan < 0 else Prediction(plan, confidence, estimate)
-            for plan, confidence, estimate in zip(
-                plans, confidences.tolist(), estimates
-            )
-        ]
 
     def predict_z(
         self, z: np.ndarray, trace: "DecisionTrace | None" = None

@@ -8,6 +8,12 @@ feeds the confidence sanity check.  A bucket misaligned with the plan
 clusters in one transform is overruled by the others, so precision
 approaches BASELINE at a fraction of the space.
 
+:class:`EnsemblePredictor` is what this predictor and its histogram
+variant (Section IV-C: histograms in place of grid cells) share: the
+transform ensemble and its grids, the axis weights, the confidence
+model, the plan count and the aggregation over the transforms.  Both
+decide a block with the one :func:`~repro.core.predictor.vote`.
+
 The per-grid synopses live in one contiguous ``(t, plans, cells)``
 array pair (counts and cost sums), and every lookup goes through the
 stacked transform view, so ``predict_batch`` answers a whole batch of
@@ -25,41 +31,44 @@ from repro.core.predictor import (
     PlanPredictor,
     Prediction,
     median_over_transforms,
-    median_supported,
+    vote,
 )
 from repro.core.relevance import apply_axis_weights
-from repro.exceptions import PredictionError
+from repro.exceptions import ConfigurationError, PredictionError
 from repro.lsh.grid import Grid
 from repro.lsh.stacked import StackedEnsemble
 from repro.lsh.transforms import TransformEnsemble
+from repro.lsh.zorder import ZOrderCurve
 
 
-class LshPredictor(PlanPredictor):
-    """Median-of-``t`` grid densities with the confidence sanity check.
+class EnsemblePredictor(PlanPredictor):
+    """``t`` randomized transforms, one grid each, and the median (or
+    mean) of the ``t`` per-plan density estimates.
 
-    :meth:`predict_batch` is the one place it decides; scalar
-    :meth:`predict` is a batch of one.  It is an offline predictor:
-    the pool given to the constructor is its whole synopsis.  Sessions
-    serve through
-    :class:`~repro.core.histogram_predictor.HistogramPredictor`, so
-    this predictor takes no decision trace, insert or event journal.
+    A subclass estimates the densities and builds the stacked view
+    (:meth:`_rebuild_stacked`) once its :attr:`curve` is set.
     """
+
+    #: The algorithm's name, for error messages.
+    label = "APPROXIMATE-LSH"
+    #: The z-order curve over the grids, if the synopses are z-ordered.
+    curve: "ZOrderCurve | None" = None
 
     def __init__(
         self,
         pool: SamplePool,
-        plan_count: "int | None" = None,
-        transforms: int = 5,
-        resolution: int = 8,
-        confidence_threshold: float = 0.7,
-        output_dims: "int | None" = None,
-        aggregation: str = "median",
-        axis_weights: "np.ndarray | None" = None,
-        seed: "int | np.random.Generator | None" = 0,
-        confidence_model: "ConfidenceModel | None" = None,
+        plan_count: "int | None",
+        transforms: int,
+        resolution: int,
+        confidence_threshold: float,
+        output_dims: "int | None",
+        aggregation: str,
+        axis_weights: "np.ndarray | None",
+        seed: "int | np.random.Generator | None",
+        confidence_model: "ConfidenceModel | None",
     ) -> None:
         if aggregation not in ("median", "mean"):
-            raise PredictionError(f"unknown aggregation {aggregation!r}")
+            raise ConfigurationError(f"unknown aggregation {aggregation!r}")
         self.dimensions = pool.dimensions
         self.confidence_threshold = confidence_threshold
         self.aggregation = aggregation
@@ -82,20 +91,73 @@ class LshPredictor(PlanPredictor):
             Grid(*transform.output_bounds, resolution)
             for transform in self.ensemble
         ]
-        self._rebuild_stacked()
         if plan_count is None:
             if len(pool) == 0:
                 raise PredictionError(
-                    "APPROXIMATE-LSH needs samples or an explicit plan count"
+                    f"{self.label} needs samples or an explicit plan count"
                 )
             plan_count = int(pool.plan_ids.max()) + 1
         self.plan_count = plan_count
+
+    def _rebuild_stacked(self) -> None:
+        """(Re)build the struct-of-arrays transform/grid view.
+
+        Derived state: must be called again after ``ensemble`` or
+        ``grids`` are replaced wholesale (persistence restore does).
+        """
+        self._stacked = StackedEnsemble(
+            self.ensemble, self.grids, curve=self.curve
+        )
+
+    def _aggregate(self, estimates: np.ndarray) -> np.ndarray:
+        """Median (or mean, under the ablation) over the transform axis."""
+        if self.aggregation == "mean":
+            return estimates.mean(axis=0)
+        return median_over_transforms(estimates)
+
+    def predict(self, x: np.ndarray) -> "Prediction | None":
+        """A batch of one: ``predict_batch(x[None, :])[0]``, whose
+        check of that one-row batch is the only validation."""
+        return self.predict_batch(
+            np.asarray(x, dtype=float).reshape(1, -1)
+        )[0]
+
+
+class LshPredictor(EnsemblePredictor):
+    """Median-of-``t`` grid densities with the confidence sanity check.
+
+    :meth:`predict_batch` gathers the per-grid estimates and decides
+    them with :func:`~repro.core.predictor.vote`; scalar :meth:`predict`
+    is a batch of one.  It is an offline predictor: the pool given to
+    the constructor is its whole synopsis.  Sessions serve through
+    :class:`~repro.core.histogram_predictor.HistogramPredictor`, so
+    this predictor takes no decision trace, insert or event journal.
+    """
+
+    def __init__(
+        self,
+        pool: SamplePool,
+        plan_count: "int | None" = None,
+        transforms: int = 5,
+        resolution: int = 8,
+        confidence_threshold: float = 0.7,
+        output_dims: "int | None" = None,
+        aggregation: str = "median",
+        axis_weights: "np.ndarray | None" = None,
+        seed: "int | np.random.Generator | None" = 0,
+        confidence_model: "ConfidenceModel | None" = None,
+    ) -> None:
+        super().__init__(
+            pool, plan_count, transforms, resolution, confidence_threshold,
+            output_dims, aggregation, axis_weights, seed, confidence_model
+        )
+        self._rebuild_stacked()
         # Struct-of-arrays synopses: one contiguous (t, plans, cells)
         # block each for counts and cost sums.  Indexing `_counts[i]`
         # still yields the per-grid (plans, cells) view older callers
         # (and tests) poke at.
         self._counts = np.zeros(
-            (len(self.ensemble), plan_count, self.grids[0].total_cells)
+            (len(self.ensemble), self.plan_count, self.grids[0].total_cells)
         )
         self._cost_sums = np.zeros_like(self._counts)
         if len(pool):
@@ -108,11 +170,6 @@ class LshPredictor(PlanPredictor):
                     (plan_ids, cells[index]),
                     pool.costs,
                 )
-
-    def _rebuild_stacked(self) -> None:
-        """(Re)build the struct-of-arrays transform/grid view; call
-        again after replacing ``ensemble`` or ``grids`` wholesale."""
-        self._stacked = StackedEnsemble(self.ensemble, self.grids)
 
     def _cell_ids_batch(self, points: np.ndarray) -> np.ndarray:
         """Grid cell ids ``(t, m)`` of each point under every transform
@@ -127,47 +184,16 @@ class LshPredictor(PlanPredictor):
     def _cell_estimates(self, cells: np.ndarray) -> np.ndarray:
         """Per-plan bucket counts ``(t, plans, m)`` for cell ids
         ``(t, m)``."""
+        return self._gather(self._counts, cells)
+
+    def _gather(self, synopsis: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Each grid's ``(plans, m)`` columns of a ``(t, plans, cells)``
+        synopsis at cell ids ``(t, m)``."""
         t, m = cells.shape
         estimates = np.empty((t, self.plan_count, m))
         for index in range(t):
-            estimates[index] = self._counts[index][:, cells[index]]
+            estimates[index] = synopsis[index][:, cells[index]]
         return estimates
-
-    def _aggregate(self, estimates: np.ndarray) -> np.ndarray:
-        """Median (or mean, under the ablation) over the transform axis."""
-        if self.aggregation == "mean":
-            return estimates.mean(axis=0)
-        return median_over_transforms(estimates)
-
-    def _winner_costs(
-        self, cells: np.ndarray, winners: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized cost estimate for each point's winning plan:
-        median over the transforms whose winning-plan bucket holds mass
-        of that bucket's average cost.  NULL rows (``winners < 0``)
-        gather against plan 0 to stay in bounds; callers never read
-        them."""
-        t, m = cells.shape
-        columns = np.arange(m)
-        safe = np.where(winners < 0, 0, winners)
-        counts = np.empty((t, m))
-        cost_sums = np.empty((t, m))
-        for index in range(t):
-            counts[index] = self._counts[index][safe, cells[index]]
-            cost_sums[index] = self._cost_sums[index][safe, cells[index]]
-        supported = counts > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            averages = np.where(
-                supported, cost_sums / np.maximum(counts, 1e-300), np.nan
-            )
-        return median_supported(averages, supported)
-
-    def predict(self, x: np.ndarray) -> "Prediction | None":
-        """A batch of one: ``predict_batch(x[None, :])[0]``, whose
-        check of that one-row batch is the only validation."""
-        return self.predict_batch(
-            np.asarray(x, dtype=float).reshape(1, -1)
-        )[0]
 
     def predict_batch(self, points: np.ndarray) -> "list[Prediction | None]":
         """Vectorized prediction for a whole point batch — the primitive
@@ -177,30 +203,24 @@ class LshPredictor(PlanPredictor):
         rows raise, exactly like the scalar guard) and an empty
         ``(0, r)`` batch returns ``[]``.  One stacked pass computes
         every point's grid cell under every transform; the per-plan
-        count gather, aggregation, confidence decision and winner cost
-        estimates are fully vectorized.
+        counts and average costs of those cells go to
+        :func:`~repro.core.predictor.vote`.
         """
         points = self._check_batch(points)
-        m = points.shape[0]
-        if m == 0:
+        if points.shape[0] == 0:
             return []
         cells = self._cell_ids_batch(points)
-        estimates = self._cell_estimates(cells)
-        counts = self._aggregate(estimates)  # (plans, m)
-        winners, confidences = self.model.decide_batch(
-            counts.T, self.confidence_threshold
+        counts = self._cell_estimates(cells)
+        averages = self._gather(self._cost_sums, cells) / np.maximum(
+            counts, 1e-300
         )
-        medians, any_support = self._winner_costs(cells, winners)
-        return [
-            None
-            if winners[j] < 0
-            else Prediction(
-                int(winners[j]),
-                float(confidences[j]),
-                float(medians[j]) if any_support[j] else None,
-            )
-            for j in range(m)
-        ]
+        return vote(
+            counts,
+            averages,
+            self.model,
+            self.confidence_threshold,
+            self._aggregate,
+        )
 
     def space_bytes(self) -> int:
         """``t * n_plans * buckets * 8`` bytes (count + average cost)."""

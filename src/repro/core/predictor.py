@@ -5,17 +5,25 @@ four approximation levels of Section IV — answers
 the same question: *given a plan-space point, which plan would the
 optimizer choose, or NULL if unsure* (the output model of Section
 II-B).  :class:`PlanPredictor` fixes that interface so experiments can
-treat algorithms uniformly.
+treat algorithms uniformly.  :func:`vote` is Algorithm 1's block
+decision, which BASELINE, APPROXIMATE-LSH and
+APPROXIMATE-LSH-HISTOGRAMS share over their own density estimates.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.exceptions import PredictionError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.confidence import ConfidenceModel
 
 
 @dataclass(frozen=True)
@@ -82,6 +90,54 @@ def median_supported(
         np.nan,
     )
     return medians, any_support
+
+
+def vote(
+    counts: np.ndarray,
+    averages: np.ndarray,
+    model: "ConfidenceModel",
+    threshold: float,
+    aggregate: "Callable[[np.ndarray], np.ndarray]" = median_over_transforms,
+    noise_floor: "float | None" = None,
+) -> "list[Prediction | None]":
+    """Algorithm 1's block vote: a prediction (or ``None``) per column
+    of the ``(t, plans, m)`` per-estimate ``counts`` and ``averages``
+    (average costs, read only where the count holds mass).
+
+    The ``t`` estimates are aggregated per plan (the median over the
+    transforms by default), a column whose aggregated maximum lies
+    below ``noise_floor`` is eliminated, the confidence check of
+    ``model.decide_batch`` picks the winner, and the winner's cost is
+    the median of its averages over the estimates holding its mass
+    (:func:`median_supported`).  Every step is elementwise per column,
+    so a column's decision does not depend on the block around it.
+    """
+    m = counts.shape[2]
+    aggregated = aggregate(counts)  # (plans, m)
+    winners, confidences = model.decide_batch(aggregated.T, threshold)
+    if noise_floor is not None:
+        winners = np.where(aggregated.max(axis=0) < noise_floor, -1, winners)
+    plans = winners.tolist()
+    # A vote with no winner reads no cost: skip the median.
+    estimates = [None] * m
+    if max(plans, default=-1) >= 0:
+        columns = np.arange(m)
+        safe = np.maximum(winners, 0)
+        medians, any_support = median_supported(
+            averages[:, safe, columns], counts[:, safe, columns] > 0.0
+        )
+        estimates = [
+            median if plan >= 0 and supported else None
+            for plan, median, supported in zip(
+                plans, medians.tolist(), any_support.tolist()
+            )
+        ]
+    return [
+        None if plan < 0 else Prediction(plan, confidence, estimate)
+        for plan, confidence, estimate in zip(
+            plans, confidences.tolist(), estimates
+        )
+    ]
 
 
 class PlanPredictor(ABC):

@@ -135,22 +135,24 @@ class ParameterMapping:
         ]
 
     def to_normalized(self, selectivity: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`to_selectivity` (clipped to ``[0, 1]``)."""
+        """Inverse of :meth:`to_selectivity`.  A selectivity outside its
+        range is clipped to it first, so every coordinate lands in
+        ``[0, 1]``: the offset from ``lo`` is at least 0 and at most the
+        span, which the denominator (span plus ``1e-300``) never
+        undercuts."""
         selectivity = np.asarray(selectivity, dtype=float)
         if selectivity.ndim == 1:
             selectivity = selectivity[None, :]
         clipped = np.minimum(np.maximum(selectivity, self._lo), self._hi)
         log_x = (np.log(clipped) - self._log_lo) / self._log_denominator
         linear_x = (clipped - self._lo) / self._denominator
-        return np.minimum(
-            np.maximum(np.where(self._log, log_x, linear_x), 0.0), 1.0
-        )
+        return np.where(self._log, log_x, linear_x)
 
     def point_to_normalized(self, selectivity: list[float]) -> list[float]:
         """:meth:`to_normalized` of one point given as ``r`` Python
         floats, computed in floats: bit for bit the batch's row, since
-        ``np.log`` of a float runs the array's ufunc loop.  The clips
-        are comparisons, which keep a NaN as ``np.minimum`` and
+        ``np.log`` of a float runs the array's ufunc loop.  The clip is
+        two comparisons, which keep a NaN as ``np.minimum`` and
         ``np.maximum`` do (a NaN compares false)."""
         point = []
         for value, (lo, hi, log, offset, denominator) in zip(
@@ -158,6 +160,5 @@ class ParameterMapping:
         ):
             clipped = lo if value < lo else hi if value > hi else value
             scaled = float(np.log(clipped)) if log else clipped
-            x = (scaled - offset) / denominator
-            point.append(0.0 if x < 0.0 else 1.0 if x > 1.0 else x)
+            point.append((scaled - offset) / denominator)
         return point

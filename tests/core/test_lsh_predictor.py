@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.histogram_predictor import HistogramPredictor
 from repro.core.lsh_predictor import LshPredictor
 from repro.core.point import SamplePool
-from repro.exceptions import PredictionError
+from repro.exceptions import ConfigurationError, PredictionError
 
 
 def _pool():
@@ -66,6 +67,26 @@ class TestPrediction:
         b = LshPredictor(pool, transforms=3, resolution=8, seed=9)
         x = np.array([0.7, 0.6])
         assert np.allclose(median_counts(a, x), median_counts(b, x))
+
+
+class TestSettings:
+    @pytest.mark.parametrize("cls", [LshPredictor, HistogramPredictor])
+    def test_unknown_aggregation_is_a_configuration_error(self, cls):
+        """Both rungs of the ladder refuse the same bad setting with
+        the same error, before any synopsis is built."""
+        with pytest.raises(ConfigurationError, match="unknown aggregation"):
+            cls(_pool(), aggregation="mode")
+
+    @pytest.mark.parametrize(
+        ("cls", "name"),
+        [
+            (LshPredictor, "APPROXIMATE-LSH"),
+            (HistogramPredictor, "APPROXIMATE-LSH-HISTOGRAMS"),
+        ],
+    )
+    def test_empty_pool_names_the_algorithm(self, cls, name):
+        with pytest.raises(PredictionError, match=f"^{name} needs samples"):
+            cls(SamplePool(2))
 
 
 class TestSpace:

@@ -209,3 +209,41 @@ class TestPrecomputedBounds:
         np.testing.assert_array_equal(
             _bits(np.array(point)), _bits(mapping.to_selectivity(np.array(x))[0])
         )
+
+
+def _edge_ranges(rng, count):
+    """Selectivity ranges: random, one value wide (``lo == hi``) and one
+    ulp wide, each starting at a random ``lo``."""
+    for __ in range(count):
+        lo = 10.0 ** rng.uniform(-6.0, 0.0)
+        yield lo, min(1.0, lo * 10.0 ** rng.uniform(0.0, 6.0))
+        yield lo, lo
+        yield lo, min(1.0, float(np.nextafter(lo, 2.0)))
+
+
+def _around(lo, hi, rng):
+    """Selectivities below, at, inside and above ``[lo, hi]``, and NaN."""
+    below = [-np.inf, -0.5, 0.0, lo / 2.0, np.nextafter(lo, 0.0)]
+    edges = [lo, np.nextafter(lo, 2.0), np.nextafter(hi, 0.0), hi]
+    above = [np.nextafter(hi, 2.0), 2.0 * hi, 1.5, np.inf]
+    inside = rng.uniform(lo, hi, 8).tolist()
+    return [float(v) for v in [*below, *edges, *inside, *above, np.nan]]
+
+
+class TestNormalizedRange:
+    """The ``[lo, hi]`` clip alone keeps a normalized coordinate in
+    ``[0, 1]``: no second clip is needed, in either rendering."""
+
+    @pytest.mark.parametrize("scale", ["log", "linear"])
+    def test_both_renderings_stay_in_the_unit_interval(self, scale):
+        rng = np.random.default_rng(4503)
+        for lo, hi in _edge_ranges(rng, 300):
+            mapping = ParameterMapping([(lo, hi)], [scale])
+            values = _around(lo, hi, rng)
+            batch = mapping.to_normalized(np.array(values)[:, None])[:, 0]
+            point = [mapping.point_to_normalized([v])[0] for v in values]
+            assert all(type(x) is float for x in point)
+            np.testing.assert_array_equal(_bits(point), _bits(batch))
+            nan = np.isnan(values)
+            assert (np.isnan(batch) == nan).all(), (lo, hi)
+            assert ((batch[~nan] >= 0.0) & (batch[~nan] <= 1.0)).all(), (lo, hi)
