@@ -708,7 +708,7 @@ def _predict_cell(name: str) -> tuple[float, float]:
     predictor = session.predictor
     z_values = predictor.z_values(points[WRITE_PREDICT_WARMUP:])
     columns = list(z_values.T.copy())
-    block = predictor.decide(z_values, *predictor.lookup(z_values))
+    block = predictor.decide(*predictor.lookup(z_values))
     one_point = [predictor.predict_z(z) for z in columns]
     if _prediction_bits(one_point) != _prediction_bits(block):
         raise BenchError(

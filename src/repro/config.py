@@ -90,11 +90,11 @@ class EventsConfig:
 class TelemetryConfig:
     """Windowed cache-quality telemetry knobs (time series + SLOs).
 
-    The framework snapshots every metric into fixed-capacity ring
-    series each ``sample_interval`` seconds *of the injected clock* —
+    The framework snapshots every metric into one row of a float64
+    table each ``sample_interval`` seconds *of the injected clock* —
     no wall-clock reads, so storms on a ``VirtualClock`` fill hours of
-    windows in milliseconds and the memory stays O(capacity) per
-    series.  Every ``quality_every``-th sample additionally refreshes
+    windows in milliseconds.  The table holds 8 bytes per series per
+    retained sample, at most 256 samples.  Every ``quality_every``-th sample additionally refreshes
     the per-template plan-space scorecard gauges (coverage, purity,
     rolling accuracy/regret, drift pressure), a synopsis scan.  SLO
     burn rates are read against :data:`~repro.obs.slo.DEFAULT_SLOS`.

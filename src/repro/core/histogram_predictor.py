@@ -334,17 +334,14 @@ class HistogramPredictor(EnsemblePredictor):
         z_values = self.z_values(points)
         if z_values.shape[1] == 0:
             return []
-        return self.decide(z_values, *self.lookup(z_values))
+        return self.decide(*self.lookup(z_values))
 
     def decide(
-        self,
-        z_values: np.ndarray,
-        counts_tpm: np.ndarray,
-        avg_costs: np.ndarray,
+        self, counts_tpm: np.ndarray, avg_costs: np.ndarray
     ) -> "list[Prediction | None]":
         """The block decision: a prediction (or ``None``) per column of
-        the ``(t, plans, m)`` estimates of :meth:`lookup` at the ``(t,
-        m)`` ``z_values``: the :func:`~repro.core.predictor.vote` of the
+        the ``(t, plans, m)`` estimates of :meth:`lookup`: the
+        :func:`~repro.core.predictor.vote` of the
         LSH pair, whose noise floor is ``noise_fraction`` of the current
         ``total_mass``.  The block form, untraced: one point is decided
         by :meth:`predict_z`, bit for bit as its column is here, in the
@@ -369,8 +366,8 @@ class HistogramPredictor(EnsemblePredictor):
     ) -> "Prediction | None":
         """The one-point predict step: the density lookup and the
         decision at one point's ``(t,)`` z-values, with the plan,
-        confidence and cost-estimate bits of ``decide(z[:, None],
-        *lookup(z[:, None]))[0]``, in the spans those two open.
+        confidence and cost-estimate bits of ``decide(*lookup(z[:,
+        None]))[0]``, in the spans those two open.
 
         The lookup is the block's one-point query
         (:meth:`PackedHistograms.query_point`) over bounds formed in

@@ -30,8 +30,8 @@ A dependency-free metrics layer sized for a hot path:
 * :mod:`repro.obs.audit` — the misprediction regret audit that joins
   recorded traces against optimizer ground truth and blames the
   pipeline stage that caused each suboptimal decision;
-* :mod:`repro.obs.timeseries` — fixed-capacity ring series sampling
-  every metric on the injected clock, with windowed deltas/rates and
+* :mod:`repro.obs.timeseries` — one fixed-capacity table sampling
+  every metric on the injected clock, with windowed deltas and
   quantile trends;
 * :mod:`repro.obs.quality` — the per-template plan-space scorecard
   (synopsis coverage/purity/entropy, rolling accuracy/regret,
@@ -80,7 +80,7 @@ from repro.obs.report import (
     sparkline,
 )
 from repro.obs.slo import SLOEngine, evaluate_slo
-from repro.obs.timeseries import RingSeries, TimeSeriesStore
+from repro.obs.timeseries import TimeSeriesStore
 
 __all__ = [
     "CACHING_PROVENANCES",
@@ -94,7 +94,6 @@ __all__ = [
     "LatencyHistogram",
     "LineageEngine",
     "MetricsRegistry",
-    "RingSeries",
     "SLOEngine",
     "Span",
     "StageProfiler",

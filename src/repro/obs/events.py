@@ -37,10 +37,14 @@ whole by an atomic rename: re-exporting to a path replaces its events.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 import pathlib
 from collections import deque
+from collections.abc import Callable
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from repro.config import EventsConfig
@@ -66,9 +70,56 @@ EVENT_KINDS = (
 )
 
 
+def _dumps(value: Any) -> str:
+    """Canonical JSON (sorted keys, no whitespace)."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _float_json(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else _dumps(value)
+
+
+#: A string's JSON, as ``json.dumps`` writes it (``ensure_ascii``).
+_json_str = functools.lru_cache(maxsize=1024)(encode_basestring_ascii)
+
+#: :func:`_dumps` of each scalar type an event carries, spelled directly
+#: (a ``bool`` is not an ``int`` here); any other value takes _dumps.
+_SCALAR_JSON: "dict[type, Callable[[Any], str]]" = {
+    str: _json_str,
+    int: int.__repr__,
+    float: _float_json,
+    type(None): lambda __: "null",
+}
+
+
+@functools.lru_cache(maxsize=64)
+def _key_prefixes(
+    keys: "tuple[Any, ...]",
+) -> "tuple[tuple[str, str], ...] | None":
+    """Each key of an event in sorted order, with the text written
+    before its value (``{"key":`` first, ``,"key":`` after); None unless
+    every key is a ``str``."""
+    if not keys or any(type(key) is not str for key in keys):
+        return None
+    return tuple(
+        (("," if index else "{") + _json_str(key) + ":", key)
+        for index, key in enumerate(sorted(keys))
+    )
+
+
 def _canonical(event: "dict[str, Any]") -> str:
-    """Canonical JSON of one event (sorted keys, no whitespace)."""
-    return json.dumps(event, sort_keys=True, separators=(",", ":"))
+    """Canonical JSON of one event (sorted keys, no whitespace): byte
+    for byte :func:`_dumps`, without building an encoder per call."""
+    prefixes = _key_prefixes(tuple(event))
+    if prefixes is None:
+        return _dumps(event)
+    scalar = _SCALAR_JSON.get
+    return "".join(
+        [
+            prefix + scalar(type(value := event[key]), _dumps)(value)
+            for prefix, key in prefixes
+        ]
+    ) + "}"
 
 
 class _TemplateEmitter:

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from collections.abc import Callable, Iterable
+from itertools import accumulate
 from typing import Any
 
 from repro.exceptions import ConfigurationError
@@ -85,7 +87,9 @@ class LatencyHistogram:
     ``max`` are tracked alongside.
     """
 
-    __slots__ = ("counts", "count", "sum", "min", "max")
+    __slots__ = (
+        "counts", "count", "sum", "min", "max", "_summary", "_summary_count"
+    )
 
     def __init__(self) -> None:
         self.counts = [0] * BUCKET_COUNT
@@ -93,6 +97,9 @@ class LatencyHistogram:
         self.sum = 0.0
         self.min = math.inf
         self.max = 0.0
+        #: :meth:`summary_quantiles` as of ``count`` observations.
+        self._summary = (0.0,) * len(SUMMARY_QUANTILES)
+        self._summary_count = 0
 
     def observe(self, seconds: float) -> None:
         if seconds < 0.0:
@@ -122,28 +129,37 @@ class LatencyHistogram:
         return self.quantiles((q,))[0]
 
     def quantiles(self, qs: "tuple[float, ...]") -> list[float]:
-        """:meth:`quantile` of each ascending ``q``, in one bucket scan."""
+        """:meth:`quantile` of each ascending ``q``, from one prefix-sum
+        pass: the ``q``-quantile lies in the first non-empty bucket whose
+        running count reaches ``q * count``."""
         if self.count == 0:
             return [0.0] * len(qs)
-        targets = [q * self.count for q in qs]
+        reached = list(accumulate(self.counts))
         values: list[float] = []
-        target = targets[0]
-        cumulative = 0
-        for index, bucket_count in enumerate(self.counts):
-            if bucket_count == 0:
+        for q in qs:
+            target = q * self.count
+            # Running counts are integers, so reaching a target below 1
+            # is reaching 1: the first non-empty bucket, never an empty
+            # leading one.
+            index = bisect_left(reached, max(target, 1))
+            if index == BUCKET_COUNT:
+                values.append(self.max)
                 continue
-            reached = cumulative + bucket_count
-            while reached >= target:
-                fraction = (target - cumulative) / bucket_count
-                lo = max(_BOUNDS[index], self.min)
-                hi = min(_BOUNDS[index + 1], self.max)
-                # Geometric interpolation matches the log bucket scale.
-                values.append(lo if hi <= lo else lo * (hi / lo) ** fraction)
-                if len(values) == len(targets):
-                    return values
-                target = targets[len(values)]
-            cumulative = reached
-        return values + [self.max] * (len(qs) - len(values))
+            bucket_count = self.counts[index]
+            fraction = (target - (reached[index] - bucket_count)) / bucket_count
+            lo = max(_BOUNDS[index], self.min)
+            hi = min(_BOUNDS[index + 1], self.max)
+            # Geometric interpolation matches the log bucket scale.
+            values.append(lo if hi <= lo else lo * (hi / lo) ** fraction)
+        return values
+
+    def summary_quantiles(self) -> "tuple[float, ...]":
+        """:meth:`quantiles` of :data:`SUMMARY_QUANTILES`, recomputed
+        only after an :meth:`observe` (the only writer of ``count``)."""
+        if self._summary_count != self.count:
+            self._summary = tuple(self.quantiles(SUMMARY_QUANTILES))
+            self._summary_count = self.count
+        return self._summary
 
     @property
     def mean(self) -> float:
@@ -151,7 +167,7 @@ class LatencyHistogram:
 
     def summary(self) -> dict:
         """JSON-ready digest of the distribution (times in seconds)."""
-        p50, p95, p99 = self.quantiles(SUMMARY_QUANTILES)
+        p50, p95, p99 = self.summary_quantiles()
         return {
             "count": self.count,
             "sum": self.sum,

@@ -68,10 +68,11 @@ class PlanBuilder:
     """Builds the bound operator nodes of one dynamic program.
 
     Every node that several candidates share is built once: a table's
-    access paths on first use, and one sort enforcer per (input node,
-    order).  Each pair of join sides has its :class:`JoinSpec` resolved
-    once.  So every candidate over the same access path or enforcer
-    holds the same object, and a memo keyed by identity costs it once.
+    access paths and its index probes' synthetic inner on first use, and
+    one sort enforcer per (input node, order).  Each pair of join sides
+    has its :class:`JoinSpec` resolved once.  So every candidate over the
+    same access path or enforcer holds the same object, and a memo keyed
+    by identity costs it once.
     :class:`DPEnumerator` makes one builder per ``optimize`` call: the
     nodes of one program are never handed to another.
     """
@@ -87,6 +88,7 @@ class PlanBuilder:
         self.model = model or CostModel()
         self._paths: dict[str, tuple[PlanNode, ...]] = {}
         self._sorts: dict[tuple[PlanNode, str], Sort] = {}
+        self._probe_sides: dict[str, SeqScan] = {}
         #: Keyed by (outer tables, inner table) for a base-table inner,
         #: by (outer tables, inner tables) for a bushy join.
         self._specs: dict[tuple, "JoinSpec | None"] = {}
@@ -141,6 +143,20 @@ class PlanBuilder:
         if enforcer is None:
             enforcer = self._sorts[key] = Sort(node, order, self.model)
         return enforcer
+
+    def probe_side(
+        self, table_name: str, probe: "tuple[str, float, tuple[int, ...]]"
+    ) -> SeqScan:
+        """The synthetic inner every index nested-loops probe of
+        ``table_name`` shares (:meth:`IndexNLJoin.probe_side`), built on
+        the first call; ``probe`` is the :class:`JoinSpec`'s."""
+        side = self._probe_sides.get(table_name)
+        if side is None:
+            __, base_rows, param_indexes = probe
+            side = self._probe_sides[table_name] = IndexNLJoin.probe_side(
+                table_name, base_rows, param_indexes, self.model
+            )
+        return side
 
     def retain(self, kept: list[PlanNode]) -> list[PlanNode]:
         """Forget every sort enforcer except those over an access path or
@@ -228,7 +244,14 @@ class PlanBuilder:
 
         if spec.probe is not None:
             candidates.append(
-                IndexNLJoin(outer, inner_table, *spec.probe, selectivity, self.model)
+                IndexNLJoin(
+                    outer,
+                    inner_table,
+                    *spec.probe,
+                    selectivity,
+                    self.model,
+                    inner=self.probe_side(inner_table, spec.probe),
+                )
             )
 
         sorted_outer = self.sorted(outer, spec.outer_order)

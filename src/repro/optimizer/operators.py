@@ -580,10 +580,12 @@ class IndexNLJoin(_Join):
 
     The probe cost comes from the index, not from a scan of the inner,
     so ``inner`` is a synthetic ``SeqScan`` with one page that is never
-    evaluated: it exists only so the node has the two sides every join
-    has (tables, fingerprints).  Its fingerprint equals the real scan's;
-    only its page count tells them apart, which is why
-    :meth:`PlanNode.interned` keys on every costed field.
+    evaluated (:meth:`probe_side`): it exists only so the node has the
+    two sides every join has (tables, fingerprints).  Its fingerprint
+    equals the real scan's; only its page count tells them apart, which
+    is why :meth:`PlanNode.interned` keys on every costed field.  A
+    caller building many probes of one table passes one ``probe_side``
+    as ``inner``; without it, the join builds its own.
     """
 
     def __init__(
@@ -595,8 +597,12 @@ class IndexNLJoin(_Join):
         inner_param_indexes: tuple[int, ...],
         join_selectivity: float,
         model: CostModel,
+        inner: "SeqScan | None" = None,
     ) -> None:
-        inner = SeqScan(inner_table, inner_base_rows, 1.0, inner_param_indexes, model)
+        if inner is None:
+            inner = self.probe_side(
+                inner_table, inner_base_rows, inner_param_indexes, model
+            )
         super().__init__(outer, inner, join_selectivity, model)
         self.inner_table = inner_table
         self.inner_index = inner_index
@@ -604,6 +610,16 @@ class IndexNLJoin(_Join):
         self.inner_param_indexes = tuple(inner_param_indexes)
         # Nested loops emit outer tuples in order.
         self.sort_order = outer.sort_order
+
+    @staticmethod
+    def probe_side(
+        table: str,
+        base_rows: float,
+        param_indexes: tuple[int, ...],
+        model: CostModel,
+    ) -> "SeqScan":
+        """The synthetic one-page inner of every probe of ``table``."""
+        return SeqScan(table, base_rows, 1.0, param_indexes, model)
 
     def _evaluate(self, x: PointView, memo: "Memo | None") -> RowsCost:
         outer_rows, outer_cost = self.outer._memoized(x, memo)

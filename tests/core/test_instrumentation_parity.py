@@ -36,6 +36,7 @@ from repro.resilience import VirtualClock
 from repro.workload import RandomTrajectoryWorkload
 from repro.workload.runner import decision_digest
 from tests.core.legacy import eager_ground_truth, eager_regret
+from tests.obs.timeseries_reference import series_points
 
 #: Trace and telemetry ship enabled; profile and events ship disabled.
 ALL_OFF = {
@@ -189,8 +190,9 @@ def test_deferred_ground_truth_matches_the_eager_oracle(
     scheduled = range(SETTLE_EVERY, len(records) + 1, SETTLE_EVERY)
     assert settles == [(k, regret[k - 1]) for k in scheduled]
     if mode == "observed":
-        sampled = framework.telemetry.series_points(
-            "counter", metric_names.REGRET_TOTAL, template="Q1"
+        sampled = series_points(
+            framework.telemetry, "counter", metric_names.REGRET_TOTAL,
+            template="Q1",
         )
         values = {value for __, value in sampled}
         assert len(values) > 2

@@ -3,8 +3,8 @@
 A served decision predicts through ``HistogramPredictor.predict_z``:
 the packed block's one-point query (``PackedHistograms.query_point``)
 and a decision in Python floats.  It must decide exactly what the block
-path decides for that point's column, ``decide(z[:, None],
-*lookup(z[:, None]))[0]``: the same plan id, the same confidence bits
+path decides for that point's column, ``decide(*lookup(z[:,
+None]))[0]``: the same plan id, the same confidence bits
 and the same estimated-cost bits.  Warmed sessions of every template
 pin that, under each setting the float decision branches on (mean
 aggregation, the frequency confidence model, no noise elimination, an
@@ -51,7 +51,7 @@ def _key(prediction):
 def _block(predictor, z):
     """The block path's decision for one point's ``(t,)`` z-values."""
     column = z[:, None]
-    return predictor.decide(column, *predictor.lookup(column))[0]
+    return predictor.decide(*predictor.lookup(column))[0]
 
 
 def _assert_parity(predictor, points) -> int:

@@ -12,6 +12,9 @@ journal.
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from repro.exceptions import ConfigurationError, PersistenceError
 from repro.obs.events import (
     EVENT_KINDS,
     EventJournal,
+    _canonical,
     export_journal,
     load_journal,
     render_timeline,
@@ -57,6 +61,83 @@ def _journal(capacity: int = 64) -> EventJournal:
     return EventJournal(
         EventsConfig(enabled=True, capacity=capacity), clock=FakeClock()
     )
+
+
+def _dumps(event):
+    return json.dumps(event, sort_keys=True, separators=(",", ":"))
+
+
+#: The fields each kind carries at its emission site, in emission order.
+KIND_FIELDS = {
+    "point_inserted": {
+        "plan": 3, "cost": 1234.5678, "weight": 0.25, "provenance": "optimizer"
+    },
+    "histogram_built": {
+        "histogram_kind": "incremental", "transforms": 5, "plans": 9,
+        "points": 0,
+    },
+    "histogram_rebuilt": {"points_dropped": 120, "mass_dropped": 118.75},
+    "histogram_shrunk": {"max_buckets": 20},
+    "cache_evicted": {
+        "plan": 7, "prec_k": 1.0, "rec_k": 0.0, "resident": 31
+    },
+    "drift_drop": {
+        "precision": 0.45, "recall": 0.125, "cached_plans": 4,
+        "points_held": 300,
+    },
+    "breaker_transition": {"state": "half_open"},
+    "fallback_served": {"source": "last_plan", "plan": 2},
+}
+
+#: Scalars of every type an event field takes, and values the fast path
+#: hands to ``json.dumps``: non-finite floats, bools, containers.
+_SCALARS = (
+    st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+    | st.none()
+    | st.booleans()
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestCanonicalJson:
+    """The journal's canonical line is ``json.dumps``'s, byte for byte:
+    the stream digest and every recorded ``events_digest`` hash it."""
+
+    def test_every_event_kind(self):
+        assert set(KIND_FIELDS) == set(EVENT_KINDS)
+        journal = EventJournal(clock=FakeClock())
+        journal.set_trace("Q1", 12)
+        for kind, fields in KIND_FIELDS.items():
+            event = journal.emit("Q1", kind, **fields)
+            assert _canonical(event) == _dumps(event)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            math.nan, math.inf, -math.inf, -0.0, 1e-300, 2.0**63, True,
+            False, None, 2**70, -5, 'a"b\\c\n\u2028\ud800é', np.float64(0.5),
+            [1, 2.5, None], {"b": 1, "a": [math.inf]},
+        ],
+    )
+    def test_values_outside_the_fast_path(self, value):
+        event = {"ts": 1.0, "kind": "drift_drop", "value": value}
+        assert _canonical(event) == _dumps(event)
+
+    def test_empty_and_non_string_keys(self):
+        assert _canonical({}) == "{}"
+        assert _canonical({1: "x", 0: None}) == _dumps({1: "x", 0: None})
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.dictionaries(st.text(max_size=8), _VALUES, max_size=10))
+    def test_any_event_is_json_dumps(self, event):
+        assert _canonical(event) == _dumps(event)
 
 
 class TestEventsConfig:

@@ -1,6 +1,8 @@
 """Unit tests for the observability layer (registry + exporters)."""
 
 import json
+import random
+import struct
 
 import pytest
 
@@ -14,7 +16,37 @@ from repro.obs import (
 )
 from repro.obs import names as metric_names
 from repro.obs.prometheus import _format_value
-from repro.obs.registry import BUCKET_MIN
+from repro.obs.registry import _BOUNDS, BUCKET_MIN, SUMMARY_QUANTILES
+
+
+def scan_quantiles(hist, qs):
+    """The bucket scan ``LatencyHistogram.quantiles`` replaced: walk the
+    non-empty buckets once, taking each ascending target as the running
+    count reaches it."""
+    if hist.count == 0:
+        return [0.0] * len(qs)
+    targets = [q * hist.count for q in qs]
+    values = []
+    target = targets[0]
+    cumulative = 0
+    for index, bucket_count in enumerate(hist.counts):
+        if bucket_count == 0:
+            continue
+        reached = cumulative + bucket_count
+        while reached >= target:
+            fraction = (target - cumulative) / bucket_count
+            lo = max(_BOUNDS[index], hist.min)
+            hi = min(_BOUNDS[index + 1], hist.max)
+            values.append(lo if hi <= lo else lo * (hi / lo) ** fraction)
+            if len(values) == len(targets):
+                return values
+            target = targets[len(values)]
+        cumulative = reached
+    return values + [hist.max] * (len(qs) - len(values))
+
+
+def _bits(values):
+    return [struct.pack("<d", value) for value in values]
 
 
 class TestCounter:
@@ -101,6 +133,45 @@ class TestLatencyHistogram:
         hist = LatencyHistogram()
         with pytest.raises(ConfigurationError):
             hist.quantile(1.5)
+
+    def test_prefix_sum_quantiles_are_the_bucket_scan(self):
+        rng = random.Random(46)
+        for __ in range(3000):
+            hist = LatencyHistogram()
+            # Some histograms start high, leaving leading buckets empty.
+            low = rng.choice((-8.0, -7.0, -4.0, 0.0))
+            for __ in range(rng.randint(1, 60)):
+                hist.observe(10.0 ** rng.uniform(low, 3.5))
+            qs = sorted(
+                rng.choice((0.0, 1.0, rng.random()))
+                for __ in range(rng.randint(1, 5))
+            )
+            for ascending in (tuple(qs), SUMMARY_QUANTILES, (0.0, 1.0)):
+                assert _bits(hist.quantiles(ascending)) == _bits(
+                    scan_quantiles(hist, ascending)
+                )
+
+    def test_q0_skips_leading_empty_buckets_and_q1_is_the_last(self):
+        hist = LatencyHistogram()
+        for seconds in (0.004, 0.004, 0.2):
+            hist.observe(seconds)
+        assert hist.counts[0] == 0
+        assert hist.quantiles((0.0, 1.0)) == scan_quantiles(hist, (0.0, 1.0))
+        assert hist.quantile(0.0) == pytest.approx(0.004)
+        assert hist.quantile(1.0) == pytest.approx(0.2)
+
+    def test_summary_quantiles_wait_for_an_observation(self):
+        hist = LatencyHistogram()
+        assert hist.summary_quantiles() == (0.0, 0.0, 0.0)
+        hist.observe(0.01)
+        first = hist.summary_quantiles()
+        assert list(first) == hist.quantiles(SUMMARY_QUANTILES)
+        # Nothing observed since: the same tuple, not a rescan.
+        assert hist.summary_quantiles() is first
+        hist.observe(2.0)
+        assert list(hist.summary_quantiles()) == hist.quantiles(
+            SUMMARY_QUANTILES
+        )
 
 
 class TestMetricsRegistry:

@@ -1,11 +1,19 @@
-"""Unit tests for the ring-buffer time series and the registry sampler."""
+"""Unit tests for the registry sampler, against the ring-buffer store
+it replaced (``tests/obs/timeseries_reference.py``)."""
+
+import json
+import random
+import tracemalloc
 
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.obs import MetricsRegistry, RingSeries, TimeSeriesStore
+from repro.obs import MetricsRegistry, TimeSeriesStore, timeseries
 from repro.obs import names as metric_names
+from repro.obs.timeseries import HISTOGRAM_FIELDS
 from repro.resilience import VirtualClock
+from tests.obs import timeseries_reference
+from tests.obs.timeseries_reference import RingSeries, RingStore, series_points
 
 
 class TestRingSeries:
@@ -87,6 +95,10 @@ class TestTimeSeriesStore:
         with pytest.raises(ConfigurationError):
             TimeSeriesStore(MetricsRegistry(), interval=0.0)
 
+    def test_rejects_degenerate_capacity(self):
+        with pytest.raises(ConfigurationError):
+            TimeSeriesStore(MetricsRegistry(), capacity=1)
+
     def test_maybe_sample_respects_the_interval(self):
         registry, clock, store = self._store(interval=5.0)
         registry.counter("ppc_executions_total", template="Q1").inc()
@@ -135,7 +147,8 @@ class TestTimeSeriesStore:
             stage="predict",
         )
         assert p95 is not None and p95 > 0.0
-        counts = store.series_points(
+        counts = series_points(
+            store,
             "histogram",
             "ppc_stage_seconds",
             field="count",
@@ -207,3 +220,165 @@ class TestTimeSeriesStore:
         stats = store.stats()
         assert stats["samples"] == 10
         assert stats["series"] == len(digest["series"])
+
+
+class _Timer:
+    """A seeded ``perf_counter`` stand-in, so two stores sampling twin
+    registries observe the same sample durations."""
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+        self._now = 0.0
+
+    def __call__(self):
+        self._now += self._rng.uniform(1e-6, 1e-3)
+        return self._now
+
+
+class _Twins:
+    """A table store and a reference ring store over two registries
+    that every operation changes alike."""
+
+    def __init__(self, monkeypatch, capacity, seed):
+        monkeypatch.setattr(timeseries, "perf_counter", _Timer(seed))
+        monkeypatch.setattr(timeseries_reference, "perf_counter", _Timer(seed))
+        self.registries = (MetricsRegistry(), MetricsRegistry())
+        self.stores = (
+            TimeSeriesStore(self.registries[0], capacity=capacity),
+            RingStore(self.registries[1], capacity=capacity),
+        )
+        self.capacity = capacity
+        self.rng = random.Random(seed)
+        self.created = []
+
+    def create(self, kind, name, **labels):
+        self.created.append((kind, name, labels))
+        for registry in self.registries:
+            getattr(registry, kind)(name, **labels)
+
+    def handles(self, kind, name, labels):
+        return [
+            getattr(registry, kind)(name, **labels)
+            for registry in self.registries
+        ]
+
+    def churn(self):
+        """One seeded round of updates; some series see nothing."""
+        for kind, name, labels in self.created:
+            if self.rng.random() < 0.3:
+                continue
+            handles = self.handles(kind, name, labels)
+            if kind == "counter":
+                amount = float(self.rng.randint(0, 5))
+                for handle in handles:
+                    handle.inc(amount)
+            elif kind == "gauge":
+                value = self.rng.uniform(-10.0, 10.0)
+                for handle in handles:
+                    handle.set(value)
+            else:
+                seconds = 10.0 ** self.rng.uniform(-7.5, 1.0)
+                for handle in handles:
+                    handle.observe(seconds)
+
+    def sample(self, now):
+        for store in self.stores:
+            store.sample(now)
+
+    def assert_same_reads(self, now):
+        new, ref = self.stores
+        assert new.stats() == ref.stats()
+        digest = new.to_dict(tail=self.capacity)
+        assert digest == ref.to_dict(tail=self.capacity)
+        assert json.dumps(digest) == json.dumps(ref.to_dict(tail=self.capacity))
+        assert new.to_dict(tail=3) == ref.to_dict(tail=3)
+        for window in (0.5, 3.0, 1e9):
+            for kind, name, labels in self.created:
+                if kind == "counter":
+                    assert new.counter_delta(
+                        name, window, now, **labels
+                    ) == ref.counter_delta(name, window, now, **labels)
+                elif kind == "histogram":
+                    for field in HISTOGRAM_FIELDS:
+                        for min_count in (0.0, 3.0):
+                            assert new.histogram_field_max(
+                                name, field, window, now, min_count, **labels
+                            ) == ref.histogram_field_max(
+                                name, field, window, now, min_count, **labels
+                            )
+
+
+class TestTableAgainstRings:
+    """The one-table store reads exactly what one ring per series
+    read: every reader, through growth, wrap-around and late series."""
+
+    @pytest.mark.parametrize(
+        ("capacity", "seed"), [(2, 1), (5, 2), (8, 3), (16, 4)]
+    )
+    def test_every_reader_matches_the_reference(self, monkeypatch, capacity, seed):
+        twins = _Twins(monkeypatch, capacity, seed)
+        twins.create("counter", "ppc_executions_total", template="Q1")
+        twins.create("gauge", "ppc_cache_plans", template="Q1")
+        twins.create("histogram", "ppc_stage_seconds", template="Q1", stage="a")
+        # Never observed: its quantiles are the empty histogram's.
+        twins.create("histogram", "ppc_stage_seconds", template="Q1", stage="b")
+        # An empty store reads alike.
+        twins.assert_same_reads(0.0)
+        now = 0.0
+        for step in range(3 * capacity + 7):
+            if step in (3, capacity + 2):
+                # A registry generation bump mid-run: series born late.
+                twins.create("counter", "ppc_late_total", step=str(step))
+                twins.create("histogram", "ppc_late_seconds", step=str(step))
+                twins.create("gauge", "ppc_late_gauge", step=str(step))
+            twins.churn()
+            now += twins.rng.choice((0.0, 0.5, 1.0, 2.5))
+            twins.sample(now)
+            twins.assert_same_reads(now)
+            twins.assert_same_reads(now - 1.0)
+
+
+def _traced_bytes(registry, store_type, samples):
+    """Memory a store of ``store_type`` holds after ``samples`` samples
+    of ``registry`` whose counters move each time."""
+    counters = [
+        metric for kind, *__, metric in registry.handles() if kind == "counter"
+    ]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = store_type(registry)
+        for index in range(samples):
+            for counter in counters:
+                counter.inc()
+            store.sample(float(index))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert store.stats()["series"] == MIXTURE_SERIES
+    return held
+
+
+#: Registry series of the seven-template observed mixture workload.
+MIXTURE_SERIES = 555
+
+
+def _mixture_sized_registry():
+    """A registry that, with a store's own two meters (a counter and a
+    five-field histogram), holds :data:`MIXTURE_SERIES` series."""
+    registry = MetricsRegistry()
+    histograms = 10
+    for index in range(histograms):
+        registry.histogram("ppc_stage_seconds", stage=str(index)).observe(0.01)
+    for index in range(MIXTURE_SERIES - 6 - 5 * histograms):
+        kind = registry.counter if index % 2 else registry.gauge
+        kind("ppc_series", index=str(index)).inc()
+    return registry
+
+
+class TestFootprint:
+    @pytest.mark.parametrize(("samples", "ratio"), [(256, 2), (30, 8)])
+    def test_the_table_is_a_fraction_of_the_rings(self, samples, ratio):
+        table = _traced_bytes(_mixture_sized_registry(), TimeSeriesStore, samples)
+        rings = _traced_bytes(_mixture_sized_registry(), RingStore, samples)
+        assert table * ratio <= rings

@@ -201,6 +201,22 @@ class TestSharedNodes:
         assert builder.sorted(scan, order).child is scan
         assert builder.sorted(scan, order) is not builder.sorted(scan, "x.y")
 
+    def test_every_probe_of_a_table_shares_one_synthetic_inner(self, q5_space):
+        builder = PlanBuilder(q5_space.template, q5_space.catalog)
+        inners: dict = {}
+        for outer_table in q5_space.template.tables:
+            for outer in builder.access_paths(outer_table):
+                for inner_table in q5_space.template.tables:
+                    if inner_table == outer_table:
+                        continue
+                    for join in builder.join_candidates(outer, inner_table):
+                        if isinstance(join, IndexNLJoin):
+                            inners.setdefault(inner_table, set()).add(
+                                id(join.inner)
+                            )
+        assert inners
+        assert all(len(ids) == 1 for ids in inners.values())
+
     def test_retain_keeps_the_enforcers_later_joins_can_use(self, q5_space):
         builder = PlanBuilder(q5_space.template, q5_space.catalog)
         paths = [
