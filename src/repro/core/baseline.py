@@ -42,10 +42,16 @@ class BaselinePredictor(PlanPredictor):
         self.radius = radius
         self.confidence_threshold = confidence_threshold
         self.model = confidence_model or ConfidenceModel()
-        self._coords = pool.coords
-        self._plan_ids = pool.plan_ids
-        self._costs = pool.costs
+        # The pool sorted by plan (stably), so each plan's samples are
+        # one slice: ``_bounds[p]:_bounds[p + 1]``.
+        order = np.argsort(pool.plan_ids, kind="stable")
+        self._coords = pool.coords[order]
+        self._plan_ids = pool.plan_ids[order]
+        self._costs = pool.costs[order]
         self._plan_count = int(self._plan_ids.max()) + 1
+        self._bounds = np.searchsorted(
+            self._plan_ids, np.arange(self._plan_count + 1)
+        ).tolist()
 
     def neighborhood_counts(self, x: np.ndarray) -> np.ndarray:
         """Per-plan sample counts within the query ball (lines 1-5)."""
@@ -57,59 +63,49 @@ class BaselinePredictor(PlanPredictor):
         ).astype(float)
 
     def predict(self, x: np.ndarray) -> "Prediction | None":
-        counts = self.neighborhood_counts(x)
-        plan_id, confidence = self.model.decide(
-            counts, self.confidence_threshold
-        )
-        if plan_id is None:
-            return None
-        estimated_cost = self._neighborhood_cost(x, plan_id)
-        return Prediction(plan_id, confidence, estimated_cost)
-
-    def _neighborhood_cost(self, x: np.ndarray, plan_id: int) -> "float | None":
-        """Average recorded cost of the plan's samples inside the ball."""
-        distances = np.linalg.norm(self._coords - x, axis=1)
-        mask = (distances <= self.radius) & (self._plan_ids == plan_id)
-        if not mask.any():
-            return None
-        return float(self._costs[mask].mean())
+        """A batch of one, checked as one point (the errors of
+        :meth:`PlanPredictor._check_point`)."""
+        return self._vote_block(self._check_point(x)[None, :])[0]
 
     def predict_batch(
         self, points: np.ndarray, chunk_size: int = 256
     ) -> "list[Prediction | None]":
         """Vectorized Algorithm 1 over a point batch.
 
-        Chunked distance matrices keep memory bounded; per-plan counts
-        and cost sums come from matrix products against a plan one-hot
-        matrix, and each chunk is decided by
-        :func:`~repro.core.predictor.vote` as one estimate per point.
-        Plans and confidences are identical to per-point :meth:`predict`;
-        a cost estimate agrees with its mean up to summation order.
-        Shares the batch contract of :meth:`PlanPredictor.predict_batch`:
-        ``(0, r)`` returns ``[]``, a ``(0,)`` vector is a shape error,
-        non-finite rows raise.
+        Chunked distance matrices keep memory bounded; each chunk is
+        decided by :meth:`_vote_block`.  Shares the batch contract of
+        :meth:`PlanPredictor.predict_batch`: ``(0, r)`` returns ``[]``,
+        a ``(0,)`` vector is a shape error, non-finite rows raise.
         """
         points = self._check_batch(points)
-        onehot = np.zeros((self._coords.shape[0], self._plan_count))
-        onehot[np.arange(self._coords.shape[0]), self._plan_ids] = 1.0
-        cost_onehot = onehot * self._costs[:, None]
-
         predictions: "list[Prediction | None]" = []
         for start in range(0, points.shape[0], chunk_size):
-            block = points[start : start + chunk_size]
-            distances = np.linalg.norm(
-                block[:, None, :] - self._coords[None, :, :], axis=2
-            )
-            inside = (distances <= self.radius).astype(float)
-            # One estimate (t = 1) per plan and point.
-            counts = (inside @ onehot).T[None]
-            averages = (inside @ cost_onehot).T[None] / np.maximum(
-                counts, 1e-300
-            )
-            predictions += vote(
-                counts, averages, self.model, self.confidence_threshold
-            )
+            predictions += self._vote_block(points[start : start + chunk_size])
         return predictions
+
+    def _vote_block(self, block: np.ndarray) -> "list[Prediction | None]":
+        """Per-plan counts and average costs in the ball around each row
+        of a checked block, decided by :func:`~repro.core.predictor.vote`
+        as one estimate (``t = 1``) per point.
+
+        A plan's count and cost sum run over its slice of the
+        plan-sorted pool, the sum left to right (``np.cumsum``), so a
+        row's estimate depends on no other row: one-point
+        :meth:`predict` gets the bits of the point's row in any batch.
+        """
+        distances = np.linalg.norm(
+            block[:, None, :] - self._coords[None, :, :], axis=2
+        )
+        inside = distances <= self.radius
+        costs = np.where(inside, self._costs, 0.0)
+        counts = np.zeros((1, self._plan_count, block.shape[0]))
+        sums = np.zeros_like(counts)
+        for plan, (lo, hi) in enumerate(zip(self._bounds, self._bounds[1:])):
+            if hi > lo:
+                counts[0, plan] = inside[:, lo:hi].sum(axis=1)
+                sums[0, plan] = np.cumsum(costs[:, lo:hi], axis=1)[:, -1]
+        averages = sums / np.maximum(counts, 1e-300)
+        return vote(counts, averages, self.model, self.confidence_threshold)
 
     def space_bytes(self) -> int:
         return self._coords.shape[0] * _bytes_per_point(self.dimensions)

@@ -131,11 +131,6 @@ class ParameterRelevanceAnalyzer:
         rates = self.axis_flip_rates()
         return [int(i) for i in np.flatnonzero(rates > threshold)]
 
-    def suggested_output_dims(self, threshold: float = 1.0) -> int:
-        """An ``s`` for dimensionality reduction: the number of axes
-        that genuinely drive plan choice (at least 1)."""
-        return max(1, len(self.relevant_axes(threshold)))
-
 
 def apply_axis_weights(
     points: np.ndarray, weights: "np.ndarray | None"

@@ -19,7 +19,7 @@ from repro.lsh.grid import Grid
 from repro.lsh.transforms import PlanSpaceTransform
 from repro.lsh.zorder import ZOrderCurve
 from repro.tpch import plan_space_for
-from repro.workload import RandomTrajectoryWorkload, sample_points
+from repro.workload import sample_points
 
 _GLYPHS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -140,14 +140,3 @@ def zorder_distributions(
     return distributions
 
 
-def trajectory_sample(
-    template: str = "Q1",
-    spread: float = 0.02,
-    count: int = 1000,
-    seed: int = 7,
-) -> np.ndarray:
-    """Figure 7: one random-trajectories workload over a template."""
-    plan_space = plan_space_for(template)
-    return RandomTrajectoryWorkload(
-        plan_space.dimensions, spread=spread, seed=seed
-    ).generate(count)

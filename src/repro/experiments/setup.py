@@ -15,8 +15,7 @@ import numpy as np
 from repro.core.predictor import PlanPredictor
 from repro.metrics.classification import PrecisionRecall, evaluate_predictions
 from repro.optimizer.plan_space import PlanSpace
-from repro.tpch import plan_space_for
-from repro.workload import sample_labeled_pool, sample_points
+from repro.workload import sample_points
 
 #: Templates used throughout Section V.
 ALL_TEMPLATES = tuple(f"Q{i}" for i in range(9))
@@ -74,9 +73,3 @@ def evaluate_offline(
     predictions = predictor.predict_batch(test)
     ids = [None if p is None else p.plan_id for p in predictions]
     return evaluate_predictions(ids, truth)
-
-
-def standard_pool(template: str, sample_size: int, seed: int = 42):
-    """The warm-up sample set ``X`` for one template."""
-    plan_space = plan_space_for(template)
-    return plan_space, sample_labeled_pool(plan_space, sample_size, seed=seed)

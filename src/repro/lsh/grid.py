@@ -42,10 +42,6 @@ class Grid:
     def total_cells(self) -> int:
         return self.resolution**self.dims
 
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.cell_widths))
-
     def cell_coords(self, points: np.ndarray) -> np.ndarray:
         """Integer cell coordinates ``(n, dims)`` of each point (clipped)."""
         points = np.asarray(points, dtype=float)

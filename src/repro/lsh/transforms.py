@@ -211,7 +211,3 @@ class TransformEnsemble:
 
     def __iter__(self):
         return iter(self.transforms)
-
-    def apply_all(self, points: np.ndarray) -> list[np.ndarray]:
-        """Transform the same points through every ensemble member."""
-        return [transform.apply(points) for transform in self.transforms]

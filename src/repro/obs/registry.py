@@ -73,9 +73,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class LatencyHistogram:
     """Streaming latency distribution over fixed log-scale buckets.

@@ -111,9 +111,6 @@ class ManipulatedPlanSpace:
         """
         self._change(1.0)
 
-    def deactivate(self) -> None:
-        self._change(0.0)
-
     def set_intensity(self, fraction: float) -> None:
         """Scramble the ``fraction`` of cells with lowest activation rank.
 

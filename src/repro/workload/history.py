@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.point import SamplePool
 from repro.exceptions import WorkloadError
 
 
@@ -61,15 +60,3 @@ class WorkloadHistory:
 
     def for_template(self, template_name: str) -> list[HistoryEntry]:
         return [e for e in self._entries if e.template_name == template_name]
-
-    def sample_pool(self, template_name: str) -> SamplePool:
-        """Project one template's history onto a predictor sample pool."""
-        entries = self.for_template(template_name)
-        if not entries:
-            raise WorkloadError(
-                f"no history for template {template_name!r}"
-            )
-        pool = SamplePool(entries[0].point.shape[0])
-        for entry in entries:
-            pool.add(entry.point, entry.plan_id, entry.cost)
-        return pool

@@ -106,14 +106,3 @@ class MixtureWorkload:
             name = self.templates[int(choice)]
             workload.append((name, next(streams[name])))
         return workload
-
-    def expected_share(self, template_name: str) -> float:
-        """The template's popularity under the Zipf law."""
-        try:
-            index = self.templates.index(template_name)
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown template {template_name!r}; known templates "
-                f"are {self.templates}"
-            ) from None
-        return float(self.popularity[index])

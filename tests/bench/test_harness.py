@@ -202,6 +202,45 @@ class TestHarvestBench:
         assert metrics["Q1_plans"]["value"] == plan_space_for("Q1").plan_count
 
 
+class TestSetupBench:
+    def test_reports_each_stage_and_the_total(self, monkeypatch):
+        from repro.bench import runners
+
+        monkeypatch.setattr(runners, "SETUP_TEMPLATES", ("Q1",))
+        monkeypatch.setattr(runners, "SETUP_REPEATS", 2)
+        envelope = runners.run_setup()
+        assert envelope["bench"] == "setup"
+        metrics = envelope["metrics"]
+        assert set(metrics) == {
+            "catalog_ms", "statistics_ms", "Q1_register_ms", "total_ms"
+        }
+        assert all(entry["value"] > 0.0 for entry in metrics.values())
+        stages = sum(
+            entry["value"] for name, entry in metrics.items() if name != "total_ms"
+        )
+        assert stages <= metrics["total_ms"]["value"]
+        assert 0.0 < envelope["details"]["coverage_pct"] <= 100.0
+        assert envelope["gate"]["passed"] is True
+        assert "setup" in runners.SUITES["ci"]
+
+    def test_an_unnamed_slow_step_fails_the_gate(self, monkeypatch):
+        import time
+
+        from repro.bench import runners
+
+        class SlowService(runners.PlanCachingService):
+            def __init__(self, *args, **kwargs):
+                time.sleep(0.05)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runners, "PlanCachingService", SlowService)
+        monkeypatch.setattr(runners, "SETUP_TEMPLATES", ("Q1",))
+        monkeypatch.setattr(runners, "SETUP_REPEATS", 1)
+        envelope = runners.run_setup()
+        assert envelope["details"]["coverage_pct"] < 95.0
+        assert envelope["gate"]["passed"] is False
+
+
 class TestBatchBench:
     def test_reports_scalar_batch_and_ratio_per_cell(self, monkeypatch):
         from repro.bench import runners

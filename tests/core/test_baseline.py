@@ -74,6 +74,48 @@ class TestPrediction:
         assert strict.predict([0.56]) is None
 
 
+class TestOneRendering:
+    """Scalar ``predict`` is a batch of one, and a point's row of any
+    batch holds the same bits: each plan's cost sum runs left to right
+    over the plan's samples in pool order."""
+
+    @staticmethod
+    def _pool():
+        rng = np.random.default_rng(7)
+        coords = rng.uniform(size=(900, 2))
+        # Four quadrant plans, a tenth of the labels scattered.
+        plan_ids = (coords[:, 0] > 0.5) + 2 * (coords[:, 1] > 0.5)
+        scattered = rng.uniform(size=900) < 0.1
+        plan_ids[scattered] = rng.integers(0, 4, size=scattered.sum())
+        costs = rng.uniform(1.0, 1000.0, size=900)
+        return SamplePool.from_arrays(coords, plan_ids, costs)
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        pool = self._pool()
+        predictor = BaselinePredictor(pool, radius=0.12, confidence_threshold=0.5)
+        probes = np.random.default_rng(8).uniform(size=(300, 2))
+        full = predictor.predict_batch(probes)
+        assert sum(p is not None for p in full) > 100
+        for chunk in (1, 2, 7, 100):
+            assert predictor.predict_batch(probes, chunk_size=chunk) == full
+        assert [predictor.predict(x) for x in probes] == full
+
+    def test_cost_is_the_left_to_right_mean(self):
+        pool = self._pool()
+        predictor = BaselinePredictor(pool, radius=0.12, confidence_threshold=0.5)
+        probes = np.random.default_rng(9).uniform(size=(100, 2))
+        for x, prediction in zip(probes, predictor.predict_batch(probes)):
+            if prediction is None:
+                continue
+            distances = np.linalg.norm(pool.coords - x, axis=1)
+            total, count = 0.0, 0
+            for k in range(len(pool)):
+                if pool.plan_ids[k] == prediction.plan_id and distances[k] <= 0.12:
+                    total += float(pool.costs[k])
+                    count += 1
+            assert prediction.estimated_cost == total / count
+
+
 class TestValidation:
     def test_empty_pool_rejected(self):
         with pytest.raises(PredictionError):

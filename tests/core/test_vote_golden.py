@@ -27,8 +27,8 @@ from repro.core.baseline import BaselinePredictor
 from repro.core.confidence import ConfidenceModel, FrequencyConfidenceModel
 from repro.core.histogram_predictor import HistogramPredictor
 from repro.core.lsh_predictor import LshPredictor
-from repro.experiments.setup import standard_pool
-from repro.workload import sample_points
+from repro.tpch import plan_space_for
+from repro.workload import sample_labeled_pool, sample_points
 
 TEMPLATES = ("Q1", "Q5", "Q7")
 POOL_SIZE = 1200
@@ -89,7 +89,7 @@ def _cases():
 CASES = _cases()
 
 GOLDEN = {
-    "Q1/baseline": "b50a429f3d913257fadb42d1a9132eac666634dec7a7900f9f88d77e2a001383",
+    "Q1/baseline": "e5021b579455e75eb7112db148ca9dbb6e09b535a54108f94d2cd8288589df7b",
     "Q1/histogram/incremental/0.002/mean/chord": "76a8db3f1f8f0ecdab78a3e103d8735076c3407b76d36a7f04ed8f59e2ff27c5",
     "Q1/histogram/incremental/0.002/mean/frequency": "011526ff51e49b8b9c0b2b5937a4eccb4592ab5982f8ad4b5afba189c6a2a004",
     "Q1/histogram/incremental/0.002/median/chord": "5b613c2f422988e6c4d1eb4cf0893d29c5b64a9b13a06fe2da28ffc6a0f3d822",
@@ -120,7 +120,7 @@ GOLDEN = {
     "Q1/lsh/median/chord": "2e64ff5ced31fdb2b5d7a770149809edc2c42c1e0dcf1208134e0591b568430c",
     "Q1/lsh/median/frequency": "2d22cf5e25e57f479c73091fedece0f2a663e4e5489fb867f10ebc535f1120c6",
     "Q1/lsh/t4": "c5716e0933157e67561582375c9b78e76068df59415642cc518c4b33a5ee4e63",
-    "Q5/baseline": "a6e0462edc0dedfde986ccd6d4b35f45bc422f830650496f2dff4f05d6aefb54",
+    "Q5/baseline": "14ba4072c5b3aaab09f1d098bdcea8592fc25336864cb62a5c5bd79ccdfe6ecb",
     "Q5/histogram/incremental/0.002/mean/chord": "2d284dbcf74d73f7fc22937775fa6714abc487d04b7f78387fb2a9eba3bb8e20",
     "Q5/histogram/incremental/0.002/mean/frequency": "2d284dbcf74d73f7fc22937775fa6714abc487d04b7f78387fb2a9eba3bb8e20",
     "Q5/histogram/incremental/0.002/median/chord": "2d284dbcf74d73f7fc22937775fa6714abc487d04b7f78387fb2a9eba3bb8e20",
@@ -207,7 +207,7 @@ def _probes(pool):
 
 def vote_digest(template: str, case: str) -> str:
     """SHA-256 over a case's block and scalar predictions."""
-    __, pool = standard_pool(template, POOL_SIZE, seed=POOL_SEED)
+    pool = sample_labeled_pool(plan_space_for(template), POOL_SIZE, seed=POOL_SEED)
     predictor = CASES[case](template, pool)
     probes = _probes(pool)
     digest = hashlib.sha256()

@@ -12,7 +12,6 @@ from repro.experiments.assumptions import run_assumption_validation
 from repro.experiments.comparison import run_clustering_comparison
 from repro.experiments.diagrams import (
     plan_diagram,
-    trajectory_sample,
     transform_views,
     zorder_distributions,
 )
@@ -20,6 +19,8 @@ from repro.experiments.drift import run_drift_detection, run_estimator_accuracy
 from repro.experiments.online_perf import run_feedback_ablation
 from repro.experiments.runtime_perf import run_runtime_comparison
 from repro.experiments.tables import run_space_accounting, run_template_inventory
+from repro.tpch import plan_space_for
+from repro.workload import RandomTrajectoryWorkload, sample_labeled_pool
 
 
 class TestComparison:
@@ -166,7 +167,11 @@ class TestDiagrams:
         assert any(d.interval_count > 1 for d in distributions)
 
     def test_trajectory_sample_shape(self):
-        workload = trajectory_sample(count=200)
+        # Figure 7: one random-trajectories workload over Q1.
+        dimensions = plan_space_for("Q1").dimensions
+        workload = RandomTrajectoryWorkload(
+            dimensions, spread=0.02, seed=7
+        ).generate(200)
         assert workload.shape == (200, 2)
 
 
@@ -198,8 +203,7 @@ class TestExperimentSetupHelpers:
         assert metrics.recall == manual.recall
 
     def test_standard_pool_sizes(self):
-        from repro.experiments.setup import standard_pool
-
-        space, pool = standard_pool("Q0", sample_size=64, seed=5)
+        space = plan_space_for("Q0")
+        pool = sample_labeled_pool(space, 64, seed=5)
         assert len(pool) == 64
         assert pool.dimensions == space.dimensions

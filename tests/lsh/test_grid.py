@@ -35,7 +35,7 @@ class TestCellAssignment:
 
     def test_total_cells_and_volume(self, unit_grid):
         assert unit_grid.total_cells == 16
-        assert unit_grid.cell_volume == pytest.approx(1.0 / 16.0)
+        assert np.prod(unit_grid.cell_widths) == pytest.approx(1.0 / 16.0)
 
     def test_nonuniform_bounds(self):
         grid = Grid(np.array([-2.0, 0.0]), np.array([2.0, 1.0]), resolution=2)

@@ -126,7 +126,7 @@ class TestEnsemble:
 
     def test_apply_all_shapes(self):
         ensemble = TransformEnsemble(4, 3, seed=0)
-        outputs = ensemble.apply_all(np.zeros((7, 3)))
+        outputs = [transform.apply(np.zeros((7, 3))) for transform in ensemble]
         assert len(outputs) == 4
         assert all(out.shape == (7, 3) for out in outputs)
 

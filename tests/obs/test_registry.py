@@ -69,7 +69,7 @@ class TestGauge:
         gauge = Gauge()
         gauge.set(10.0)
         gauge.inc(5.0)
-        gauge.dec(2.0)
+        gauge.inc(-2.0)
         assert gauge.value == 13.0
 
 

@@ -1,5 +1,7 @@
 """Column statistics: quantile sketches and selectivity maps."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,11 @@ from repro.optimizer.statistics import (
     ColumnStatistics,
     TableStatistics,
 )
+from repro.tpch import build_catalog, build_statistics
+
+#: sha256 over every column sketch of ``build_statistics(build_catalog(1.0),
+#: seed=0)``: tables, then columns, in sorted order, ``quantiles.tobytes()``.
+SKETCH_SHA256 = "d87ac964716e8acc50707c275d9d7feab6eb26e37526aa3bd311019f2ad443e8"
 
 
 @pytest.fixture()
@@ -69,6 +76,77 @@ class TestColumnStatistics:
     def test_rejects_empty_samples(self, uniform_column):
         with pytest.raises(CatalogError):
             ColumnStatistics.from_samples(uniform_column, np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_sketch(self, uniform_column, bad):
+        for quantiles in ([1.0, bad], [bad, 1.0], [1.0, bad, 3.0], [bad, bad]):
+            with pytest.raises(CatalogError, match="finite"):
+                ColumnStatistics(uniform_column, np.array(quantiles))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, uniform_column, bad):
+        for samples in ([bad], [1.0, bad], [bad, 1.0], [1.0, bad, 3.0]):
+            with pytest.raises(CatalogError, match="finite"):
+                ColumnStatistics.from_samples(uniform_column, np.array(samples))
+
+
+def _sample_sets(count, seed=0):
+    """Seeded sample sets of 1 to 30,000 values: plain, tied, and with
+    point masses clipped at both bounds of the column."""
+    rng = np.random.default_rng(seed)
+    sizes = [1, 2, 3, 129, 130, 30_000]
+    sizes += rng.integers(1, 30_001, size=count - len(sizes)).tolist()
+    for i, size in enumerate(sizes):
+        samples = rng.normal(50.0, rng.uniform(30.0, 60.0), size=size)
+        if i % 3 == 1:
+            # floor, not round: a negative value never floors to -0.0
+            samples = np.floor(samples / rng.uniform(0.5, 20.0))
+        elif i % 3 == 2:
+            samples = np.clip(samples, 0.0, 100.0)
+        yield samples
+
+
+class TestFromSamplesParity:
+    def test_equals_quantile_of_unsorted_samples(self, uniform_column):
+        fractions = np.linspace(0.0, 1.0, 129)
+        for samples in _sample_sets(300):
+            expected = np.quantile(samples, fractions)
+            before = samples.copy()
+            stats = ColumnStatistics.from_samples(uniform_column, samples)
+            assert stats.quantiles.tobytes() == expected.tobytes()
+            assert stats.fractions.tobytes() == fractions.tobytes()
+            assert samples.tobytes() == before.tobytes()
+
+    def test_sample_sets_have_ties_and_clipped_masses(self):
+        sets = list(_sample_sets(300))
+        assert min(s.size for s in sets) == 1
+        assert max(s.size for s in sets) == 30_000
+        assert all(np.unique(s).size < s.size for s in sets[1::3] if s.size > 100)
+        clipped = [s for s in sets[2::3] if s.size > 100]
+        assert all((s == 0.0).sum() > 1 and (s == 100.0).sum() > 1 for s in clipped)
+
+    def test_signed_zeros_tie_by_value(self, uniform_column):
+        # -0.0 and 0.0 compare equal, so sorting may order them either
+        # way: the one tie whose members differ in their bytes.  The
+        # sketch may then differ in a zero's sign, never in a value.
+        rng = np.random.default_rng(1)
+        fractions = np.linspace(0.0, 1.0, 129)
+        for __ in range(50):
+            samples = rng.choice([-1.0, -0.0, 0.0, 1.0], size=rng.integers(1, 500))
+            expected = np.quantile(samples, fractions)
+            stats = ColumnStatistics.from_samples(uniform_column, samples)
+            assert np.array_equal(stats.quantiles, expected)
+
+
+def test_tpch_sketches_golden():
+    statistics = build_statistics(build_catalog(1.0), seed=0)
+    digest = hashlib.sha256()
+    for table in sorted(statistics.tables):
+        columns = statistics.tables[table].columns
+        for column in sorted(columns):
+            digest.update(columns[column].quantiles.tobytes())
+    assert digest.hexdigest() == SKETCH_SHA256
 
 
 class TestCatalogStatistics:

@@ -85,7 +85,7 @@ class TestActivation:
         oracle = ManipulatedPlanSpace(tiny_space, seed=0)
         oracle.activate()
         scrambled, __ = oracle.label(points)
-        oracle.deactivate()
+        oracle.set_intensity(0.0)
         assert not oracle.active
         restored, __ = oracle.label(points)
         assert (restored == tiny_space.plan_at(points)).all()

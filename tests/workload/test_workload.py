@@ -62,13 +62,8 @@ class TestWorkloadHistory:
         history.record("Q2", [0.5, 0.6], plan_id=0, cost=5.0)
         assert len(history) == 3
         assert history.templates() == {"Q1", "Q2"}
-        pool = history.sample_pool("Q1")
-        assert len(pool) == 2
-        assert pool.plan_ids.tolist() == [3, 1]
-
-    def test_empty_template_projection_rejected(self):
-        with pytest.raises(WorkloadError):
-            WorkloadHistory().sample_pool("Q1")
+        entries = history.for_template("Q1")
+        assert [entry.plan_id for entry in entries] == [3, 1]
 
     def test_negative_cost_rejected(self):
         with pytest.raises(WorkloadError):
@@ -160,7 +155,7 @@ class TestManipulatedPlanSpace:
     def test_deactivation_restores_truth(self, q1_space):
         oracle = ManipulatedPlanSpace(q1_space, seed=0)
         oracle.activate()
-        oracle.deactivate()
+        oracle.set_intensity(0.0)
         points = sample_points(2, 50, seed=1)
         assert (oracle.plan_at(points) == q1_space.plan_at(points)).all()
 
