@@ -379,7 +379,7 @@ def run_instrumentation_overhead() -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# harvest: a template's plan-space set-up, one batched DP per probe round
+# harvest: a template's plan-space set-up, one batched DP per group of rounds
 # ----------------------------------------------------------------------
 
 HARVEST_TEMPLATES = ("Q3", "Q5", "Q7")

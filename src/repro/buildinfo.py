@@ -7,13 +7,14 @@ regression in ``history.jsonl`` points at the commit that caused it).
 Commit detection never shells out: ``$REPRO_COMMIT`` wins (CI sets it
 from the checkout SHA), otherwise the enclosing checkout's
 ``.git/HEAD`` is parsed directly (symbolic ref → loose ref file →
-``packed-refs``); installed outside a checkout the answer is
-``"unknown"``.  All filesystem errors degrade to ``"unknown"`` — this
-must never take down a metrics scrape.
+``packed-refs``), once per process; installed outside a checkout the
+answer is ``"unknown"``.  All filesystem errors degrade to
+``"unknown"`` — this must never take down a metrics scrape.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from pathlib import Path
 
@@ -48,10 +49,17 @@ def _read_git_head(repo_root: Path) -> "str | None":
     return None
 
 
+@functools.cache
+def _checkout_commit() -> str:
+    """The enclosing checkout's HEAD, read on the first call: a moved
+    checkout does not change the code a running process has loaded, and
+    every service construction asks (the reads cost ~0.4 ms)."""
+    return _read_git_head(Path(__file__).resolve().parents[2]) or "unknown"
+
+
 def commit_id() -> str:
     """The source commit serving this process (or ``"unknown"``)."""
     env = os.environ.get("REPRO_COMMIT")
     if env:
         return env
-    repo_root = Path(__file__).resolve().parents[2]
-    return _read_git_head(repo_root) or "unknown"
+    return _checkout_commit()

@@ -6,10 +6,10 @@ selectivities) to plans.  :class:`PlanSpace` realizes that function:
 
 1. **Harvest** — run the full DP enumerator over rounds of probe
    points (the structured probes, then rounds of 64 random points),
-   one batched dynamic program per round, collecting every distinct
-   winning plan in point order until a whole random round yields
-   nothing new.  The harvested set is the candidate
-   plan pool of the template.  Each new plan's subtrees are interned:
+   one batched dynamic program per fixed group of rounds, collecting
+   every distinct winning plan in point order, round by round, until a
+   whole random round yields nothing new.  The harvested set is the
+   candidate plan pool of the template.  Each new plan's subtrees are interned:
    a join prefix or access path that several candidates share becomes
    one node object.
 2. **Label** — for arbitrary points, cost every candidate and take the
@@ -37,6 +37,8 @@ invokes on cache misses, so labels are consistent by construction.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.exceptions import OptimizationError
@@ -48,10 +50,18 @@ from repro.optimizer.operators import CostProgram, PlanNode, Value, compile_cost
 from repro.optimizer.plans import PhysicalPlan
 from repro.rng import as_generator
 
-#: Random points per harvest round, each round one batched DP.
+#: Random points per harvest round.
 HARVEST_ROUND_POINTS = 64
 #: Random rounds at most, after the structured probes.
 HARVEST_ROUNDS = 8
+#: Rounds per batched DP, in order; the structured probes count as the
+#: first round, so the groups sum to ``1 + HARVEST_ROUNDS``.  A DP costs
+#: about the same at 64 points as at 200 (it pays per candidate), so
+#: the first group covers the harvests that stop at their second random
+#: round, most TPC-H templates at seed 0.  Later groups stay small
+#: because a DP's peak memory grows with its points: one DP over all
+#: nine rounds peaks at about three times these groups' peak.
+HARVEST_GROUPS = (3, 2, 4)
 
 
 class PlanSpace:
@@ -84,16 +94,23 @@ class PlanSpace:
     # Harvesting
     # ------------------------------------------------------------------
     def _harvest(self, rng: np.random.Generator) -> None:
-        """One batched DP per probe round; the winners are registered in
-        point order."""
-        degree = self.template.parameter_degree
-        probes = [self._structured_probes(degree)]
-        for __ in range(HARVEST_ROUNDS):
-            probes.append(rng.uniform(0.0, 1.0, size=(HARVEST_ROUND_POINTS, degree)))
+        """Register each probe round's winners in point order, round by
+        round, until a random round registers nothing new.
 
-        for round_index, points in enumerate(probes):
+        Every round is drawn first, in order, from ``rng``; then one
+        batched DP runs per group of :data:`HARVEST_GROUPS`, and only
+        when the harvest reaches the group.  ``optimize`` gives each
+        point the plan it would get alone, so the plans, their order and
+        their ids are those of one DP per round.
+        """
+        degree = self.template.parameter_degree
+        rounds = [self._structured_probes(degree)]
+        for __ in range(HARVEST_ROUNDS):
+            rounds.append(rng.uniform(0.0, 1.0, size=(HARVEST_ROUND_POINTS, degree)))
+
+        for round_index, winners in enumerate(self._round_winners(rounds)):
             new_plans = 0
-            for plan, __ in self._enumerator.optimize(points):
+            for plan, __ in winners:
                 if self._register(plan):
                     new_plans += 1
             # After the structured probes, stop as soon as a whole random
@@ -102,6 +119,21 @@ class PlanSpace:
                 break
         if not self.plans:
             raise OptimizationError("harvest produced no plans")
+
+    def _round_winners(
+        self, rounds: list[np.ndarray]
+    ) -> Iterator[list[tuple[PhysicalPlan, float]]]:
+        """Each round's ``optimize`` pairs, in round order, from one DP
+        per group of :data:`HARVEST_GROUPS` rounds, run lazily."""
+        start = 0
+        for size in HARVEST_GROUPS:
+            group = rounds[start : start + size]
+            start += size
+            winners = self._enumerator.optimize(np.concatenate(group))
+            offset = 0
+            for points in group:
+                yield winners[offset : offset + len(points)]
+                offset += len(points)
 
     @staticmethod
     def _structured_probes(degree: int) -> np.ndarray:

@@ -50,20 +50,18 @@ class ColumnStatistics:
     def from_samples(cls, column: Column, samples: np.ndarray) -> "ColumnStatistics":
         """Build the sketch from sampled column values.
 
-        The samples are sorted first: ``np.quantile`` reads only order
-        statistics, so sorting leaves every value of the sketch as it is
-        (and every byte, unless the samples hold both ``-0.0`` and
-        ``0.0``), while one sort is about a third of the cost of
-        partitioning the unsorted samples around each of the sketch's
-        fractions.  A non-finite sample makes a non-finite quantile,
+        The sketch is what ``np.quantile(samples, fractions)`` returns
+        (numpy's default ``linear`` method), byte for byte unless the
+        samples hold both ``-0.0`` and ``0.0``, which sort either way.
+        :func:`_linear_quantiles` reads it off the sorted samples by
+        index, without numpy's partition around every fraction's order
+        statistics.  A non-finite sample makes a non-finite quantile,
         which the constructor rejects.
         """
         samples = np.asarray(samples, dtype=float)
         if samples.size == 0:
             raise CatalogError(f"no samples for column {column.name}")
-        fractions = np.linspace(0.0, 1.0, QUANTILE_POINTS)
-        quantiles = np.quantile(np.sort(samples), fractions, overwrite_input=True)
-        return cls(column, quantiles)
+        return cls(column, _linear_quantiles(np.sort(samples, axis=None)))
 
     @classmethod
     def uniform(cls, column: Column) -> "ColumnStatistics":
@@ -109,6 +107,33 @@ class ColumnStatistics:
         if np.isscalar(selectivity):
             return float(result)
         return result
+
+
+def _linear_quantiles(ordered: np.ndarray) -> np.ndarray:
+    """The sketch's quantiles of sorted samples, bit for bit what
+    ``np.quantile`` returns for them with its ``linear`` method.
+
+    numpy's recipe, written out: fraction ``f`` of ``n`` samples sits at
+    virtual index ``(n - 1) * f``, between the order statistics at its
+    floor and the next index (both the last sample from ``n - 1`` on,
+    where the weight becomes ``virtual + 1``), and numpy's ``_lerp``
+    weighs the pair from the lower one below a weight of one half and
+    from the upper one from there on.
+    """
+    n = ordered.size
+    virtual = (n - 1) * np.linspace(0.0, 1.0, QUANTILE_POINTS)
+    index = np.floor(virtual)
+    last = virtual >= n - 1
+    index[last] = -1
+    weight = virtual - index
+    lower = index.astype(np.intp)
+    upper = lower + 1
+    upper[last] = -1
+    below, above = ordered[lower], ordered[upper]
+    span = above - below
+    quantiles = below + span * weight
+    np.subtract(above, span * (1 - weight), out=quantiles, where=weight >= 0.5)
+    return quantiles
 
 
 class TableStatistics:

@@ -1,6 +1,7 @@
 """The plan-space oracle: harvesting, labeling, cost queries."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,13 +12,25 @@ from repro.optimizer.expressions import (
     ParamPredicate,
     QueryTemplate,
 )
-from repro.optimizer.enumeration import DPEnumerator
+from repro.optimizer.enumeration import DPEnumerator, PlanBuilder
 from repro.optimizer.plan_space import (
-    HARVEST_ROUND_POINTS,
+    HARVEST_GROUPS,
     HARVEST_ROUNDS,
     PlanSpace,
 )
-from repro.tpch import plan_space_for
+from repro.optimizer.plans import PhysicalPlan
+from repro.tpch import TEMPLATE_NAMES, build_catalog, plan_space_for, query_template
+from tests.optimizer.harvest_reference import (
+    probe_rounds,
+    round_by_round_fingerprints,
+)
+from tests.optimizer.test_harvest_golden import BushyPlanSpace, _catalog
+
+#: The tiny template's structured probes: 13 distinct points.
+TINY_STRUCTURED = 13
+#: One DP's batch per group of rounds on the tiny template: the
+#: structured probes and two random rounds, then two rounds, then four.
+TINY_GROUP_BATCHES = [TINY_STRUCTURED + 128, 128, 256]
 
 
 class TestHarvest:
@@ -35,8 +48,12 @@ class TestHarvest:
         points = np.random.default_rng(0).uniform(0, 1, (50, 2))
         assert (a.plan_at(points) == b.plan_at(points)).all()
 
-    def test_one_dp_per_probe_round(self, tiny_template, tiny_catalog, monkeypatch):
-        """The structured probes are one batch, then each random round."""
+    def test_one_dp_per_group_of_rounds(
+        self, tiny_template, tiny_catalog, monkeypatch
+    ):
+        """The structured probes and the first two random rounds are one
+        batch, then two rounds, then the last four; a group runs only if
+        the harvest reaches it."""
         batches = []
         optimize = DPEnumerator.optimize
 
@@ -46,14 +63,147 @@ class TestHarvest:
 
         monkeypatch.setattr(DPEnumerator, "optimize", recording)
         PlanSpace(tiny_template, tiny_catalog, seed=0)
-        assert batches[0] == len(PlanSpace._structured_probes(2))
-        assert 2 <= len(batches) <= 1 + HARVEST_ROUNDS
-        assert set(batches[1:]) == {HARVEST_ROUND_POINTS}
+        assert HARVEST_GROUPS == (3, 2, 4)
+        assert sum(HARVEST_GROUPS) == 1 + HARVEST_ROUNDS
+        assert len(PlanSpace._structured_probes(2)) == TINY_STRUCTURED
+        assert 1 <= len(batches) <= len(HARVEST_GROUPS)
+        assert batches == TINY_GROUP_BATCHES[: len(batches)]
 
     def test_zero_degree_template_rejected(self, tiny_catalog):
         template = QueryTemplate(name="none", tables=("dept",))
         with pytest.raises(OptimizationError):
             PlanSpace(template, tiny_catalog)
+
+
+class ScriptedEnumerator:
+    """Stands in for the DP: every point of probe round ``k`` wins with
+    ``plans[script[k]]``.  It tells the rounds apart by their points,
+    drawn here as the harvest draws them (so a harvest that drew them
+    otherwise fails the lookup), and records each call's batch size."""
+
+    def __init__(self, plans, script, degree, seed):
+        self.plans = plans
+        self.script = script
+        self.batches = []
+        self.round_of = {
+            point.tobytes(): k
+            for k, points in enumerate(probe_rounds(degree, seed))
+            for point in points
+        }
+
+    def optimize(self, points):
+        self.batches.append(len(points))
+        return [
+            (self.plans[self.script[self.round_of[point.tobytes()]]], 0.0)
+            for point in points
+        ]
+
+
+@pytest.fixture(scope="module")
+def tiny_plans(tiny_template, tiny_catalog):
+    """Nine distinct emp-dept join plans, as many as probe rounds."""
+    builder = PlanBuilder(tiny_template, tiny_catalog)
+    plans = [
+        PhysicalPlan(join)
+        for outer, inner in (("emp", "dept"), ("dept", "emp"))
+        for path in builder.access_paths(outer)
+        for join in builder.join_candidates(path, inner)
+    ]
+    assert len({plan.fingerprint for plan in plans}) >= 1 + HARVEST_ROUNDS
+    return plans[: 1 + HARVEST_ROUNDS]
+
+
+class TestGroupedHarvestStops:
+    """Where a harvest stops, against the group it stops in.  Rounds 0-2
+    are the first group, 3-4 the second and 5-8 the third."""
+
+    @pytest.mark.parametrize(
+        "script, plan_count, batches",
+        [
+            # Round 1 finds nothing new: inside the first group.
+            ([0, 0, 1, 2, 3, 4, 5, 6, 7], 1, TINY_GROUP_BATCHES[:1]),
+            # Round 2, the first group's last round.
+            ([0, 1, 1, 2, 3, 4, 5, 6, 7], 2, TINY_GROUP_BATCHES[:1]),
+            # Round 3, the first of the second group.
+            ([0, 1, 2, 2, 3, 4, 5, 6, 7], 3, TINY_GROUP_BATCHES[:2]),
+            # Round 4, inside a later group.
+            ([0, 1, 2, 3, 3, 4, 5, 6, 7], 4, TINY_GROUP_BATCHES[:2]),
+            # Round 6, inside the last group.
+            ([0, 1, 2, 3, 4, 5, 5, 6, 7], 6, TINY_GROUP_BATCHES),
+            # The last round finds nothing new.
+            ([0, 1, 2, 3, 4, 5, 6, 7, 7], 8, TINY_GROUP_BATCHES),
+            # Every round finds a new plan: all rounds run.
+            (list(range(1 + HARVEST_ROUNDS)), 9, TINY_GROUP_BATCHES),
+        ],
+        ids=["round1", "round2", "round3", "round4", "round6", "round8", "all"],
+    )
+    def test_stops_at_the_first_round_with_nothing_new(
+        self, tiny_template, tiny_catalog, tiny_plans, monkeypatch,
+        script, plan_count, batches,
+    ):
+        scripted = ScriptedEnumerator(tiny_plans, script, 2, seed=5)
+        monkeypatch.setattr(
+            DPEnumerator, "optimize", lambda self, points: scripted.optimize(points)
+        )
+        space = PlanSpace(tiny_template, tiny_catalog, seed=5)
+        assert [plan.fingerprint for plan in space.plans] == [
+            plan.fingerprint for plan in tiny_plans[:plan_count]
+        ]
+        assert scripted.batches == batches
+
+    def test_a_harvest_without_winners_raises(
+        self, tiny_template, tiny_catalog, monkeypatch
+    ):
+        batches = []
+
+        def nothing(self, points):
+            batches.append(len(points))
+            return []
+
+        monkeypatch.setattr(DPEnumerator, "optimize", nothing)
+        with pytest.raises(OptimizationError, match="^harvest produced no plans$"):
+            PlanSpace(tiny_template, tiny_catalog, seed=0)
+        assert batches == TINY_GROUP_BATCHES[:1]
+
+
+class TestRoundByRoundParity:
+    """One DP per group of rounds registers what one DP per round does:
+    the same fingerprints in the same order."""
+
+    @pytest.mark.parametrize("bushy", [False, True], ids=["left_deep", "bushy"])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("name", TEMPLATE_NAMES)
+    def test_same_fingerprints_in_the_same_order(self, name, seed, bushy):
+        template = query_template(name)
+        space_type = BushyPlanSpace if bushy else PlanSpace
+        space = space_type(template, _catalog(), seed=seed)
+        reference = DPEnumerator(template, _catalog(), allow_bushy=bushy)
+        assert [plan.fingerprint for plan in space.plans] == (
+            round_by_round_fingerprints(reference, seed)
+        )
+
+
+#: ``tracemalloc`` peak of one harvest, MiB.  One DP per group of rounds
+#: peaks at about 0.56 (Q5) and 1.56 (Q7); one DP over all nine rounds
+#: at 1.81 and 4.58.
+HARVEST_PEAK_LIMIT_MIB = {"Q5": 0.75, "Q7": 2.0}
+
+
+@pytest.mark.parametrize("name", sorted(HARVEST_PEAK_LIMIT_MIB))
+def test_harvest_peak_memory(name):
+    template = query_template(name)
+    catalog = build_catalog()
+    # A first harvest keeps one-time set-up out of the measured one.
+    PlanSpace(template, catalog)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, __ = tracemalloc.get_traced_memory()
+        PlanSpace(template, catalog)
+        __, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / 2**20 <= HARVEST_PEAK_LIMIT_MIB[name]
 
 
 class TestLabeling:

@@ -139,6 +139,29 @@ class TestFromSamplesParity:
             assert np.array_equal(stats.quantiles, expected)
 
 
+class TestHalfWeights:
+    def test_a_half_weight_lerps_from_the_upper_sample(self, uniform_column):
+        # With 128m + 65 samples, every odd fraction k/128 sits halfway
+        # between two order statistics.  There numpy's lerp takes
+        # ``b - (b - a) * 0.5``, which differs from ``a + (b - a) * 0.5``
+        # in the last bit on some pairs; the sets below hold such pairs.
+        rng = np.random.default_rng(3)
+        fractions = np.linspace(0.0, 1.0, 129)
+        odd = np.arange(1, 129, 2)
+        split = 0
+        for size in (65, 193, 321, 449) * 30:
+            samples = rng.normal(size=size) * 10.0 ** rng.uniform(-3.0, 3.0)
+            ordered = np.sort(samples)
+            below = ordered[(size - 1) * odd // 128]
+            above = ordered[(size - 1) * odd // 128 + 1]
+            span = above - below
+            split += int(np.sum(below + span * 0.5 != above - span * 0.5))
+            stats = ColumnStatistics.from_samples(uniform_column, samples)
+            expected = np.quantile(samples, fractions)
+            assert stats.quantiles.tobytes() == expected.tobytes()
+        assert split > 0
+
+
 def test_tpch_sketches_golden():
     statistics = build_statistics(build_catalog(1.0), seed=0)
     digest = hashlib.sha256()

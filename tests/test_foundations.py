@@ -1,4 +1,4 @@
-"""Foundational modules: geometry, rng, config, exceptions."""
+"""Foundational modules: geometry, rng, config, exceptions, build info."""
 
 import dataclasses
 import math
@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from repro import PPCConfig
+from repro import PPCConfig, buildinfo
 from repro.exceptions import (
     CatalogError,
     ConfigurationError,
@@ -121,3 +121,29 @@ class TestExceptionHierarchy:
         assert issubclass(exception, ReproError)
         with pytest.raises(ReproError):
             raise exception("boom")
+
+
+class TestBuildInfo:
+    def test_the_checkout_is_read_once_per_process(self, monkeypatch):
+        reads = []
+
+        def reading(repo_root):
+            reads.append(repo_root)
+            return "c" * 40
+
+        monkeypatch.delenv("REPRO_COMMIT", raising=False)
+        monkeypatch.setattr(buildinfo, "_read_git_head", reading)
+        buildinfo._checkout_commit.cache_clear()
+        try:
+            assert buildinfo.commit_id() == "c" * 40
+            assert buildinfo.commit_id() == "c" * 40
+            assert len(reads) == 1
+        finally:
+            buildinfo._checkout_commit.cache_clear()
+
+    def test_the_environment_wins_on_every_call(self, monkeypatch):
+        buildinfo.commit_id()
+        monkeypatch.setenv("REPRO_COMMIT", "from-ci")
+        assert buildinfo.commit_id() == "from-ci"
+        monkeypatch.setenv("REPRO_COMMIT", "from-ci-2")
+        assert buildinfo.commit_id() == "from-ci-2"
