@@ -189,13 +189,14 @@ _REGISTRY_METHODS = frozenset(
 
 
 def _declared_metric_names() -> frozenset:
-    """String constants declared in :mod:`repro.obs.names`."""
+    """Constants of :mod:`repro.obs.names` naming an inventoried metric."""
     import repro.obs.names as names
 
+    inventoried = {spec.name for spec in names.INVENTORY}
     return frozenset(
         attr
         for attr, value in vars(names).items()
-        if isinstance(value, str) and not attr.startswith("_")
+        if isinstance(value, str) and value in inventoried
     )
 
 
@@ -213,8 +214,8 @@ class RegisteredMetricNames(Rule):
     code = "RPR003"
     title = "metric name not declared in repro.obs.names"
     rationale = (
-        "declare the name as a constant in repro/obs/names.py and pass "
-        "that constant"
+        "declare the metric in repro/obs/names.py and pass the constant "
+        "its declaration returns"
     )
     exempt_modules = ("repro.obs",)
 

@@ -48,10 +48,7 @@ class PlanCache:
         self._events = None
         registry = metrics if metrics is not None else MetricsRegistry()
         counters = registry.family(
-            metric_names.CACHE_EVENTS_TOTAL,
-            "event",
-            metric_names.CACHE_EVENTS,
-            template=template,
+            metric_names.CACHE_EVENTS_TOTAL, template=template
         )
         self._hits = counters["hit"]
         self._misses = counters["miss"]

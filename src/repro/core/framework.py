@@ -419,37 +419,22 @@ class TemplateSession:
         # hot path below.  Stage timings are the tracer's: its span seam
         # feeds them (``repro.obs.names.SPAN_METRICS``).
         self._reason_counters = self.metrics.family(
-            metric_names.INVOCATIONS_TOTAL,
-            "reason",
-            metric_names.INVOCATION_REASONS,
-            template=template,
+            metric_names.INVOCATIONS_TOTAL, template=template
         )
         self._feedback_counters = self.metrics.family(
-            metric_names.POSITIVE_FEEDBACK_TOTAL,
-            "outcome",
-            metric_names.FEEDBACK_OUTCOMES,
-            template=template,
+            metric_names.POSITIVE_FEEDBACK_TOTAL, template=template
         )
         self._drift_counter = self.metrics.counter(
             metric_names.DRIFT_EVENTS_TOTAL, template=template
         )
         self._degraded_counters = self.metrics.family(
-            metric_names.DEGRADED_TOTAL,
-            "component",
-            metric_names.DEGRADED_COMPONENTS,
-            template=template,
+            metric_names.DEGRADED_TOTAL, template=template
         )
         self._fallback_counters = self.metrics.family(
-            metric_names.FALLBACK_SERVED_TOTAL,
-            "source",
-            metric_names.FALLBACK_SOURCES,
-            template=template,
+            metric_names.FALLBACK_SERVED_TOTAL, template=template
         )
         self._rejected_counters = self.metrics.family(
-            metric_names.REJECTED_INSTANCES_TOTAL,
-            "reason",
-            metric_names.REJECTION_REASONS,
-            template=template,
+            metric_names.REJECTED_INSTANCES_TOTAL, template=template
         )
         self._retries_counter = self.metrics.counter(
             metric_names.OPTIMIZER_RETRIES_TOTAL, template=template
@@ -478,10 +463,7 @@ class TemplateSession:
             metric_names.BREAKER_STATE, template=template
         )
         self._breaker_transition_counters = self.metrics.family(
-            metric_names.BREAKER_TRANSITIONS_TOTAL,
-            "state",
-            BREAKER_STATE_VALUES,
-            template=template,
+            metric_names.BREAKER_TRANSITIONS_TOTAL, template=template
         )
 
     def _on_breaker_transition(self, state: str) -> None:

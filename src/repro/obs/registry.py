@@ -21,11 +21,12 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from itertools import accumulate
 from typing import Any
 
 from repro.exceptions import ConfigurationError
+from repro.obs import names
 
 #: Histogram bucket geometry: log-scale buckets spanning 100 ns to
 #: ~1000 s with 10 buckets per decade (each bucket is a factor of
@@ -229,12 +230,12 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels) -> LatencyHistogram:
         return self._get(self._histograms, LatencyHistogram, name, labels)
 
-    def family(
-        self, name: str, label: str, values: Iterable[str], **labels
-    ) -> "dict[str, Counter]":
-        """One counter of ``name`` per value of ``label`` (its tuple in
-        :mod:`repro.obs.names`), keyed by the value and created in
-        ``values`` order, each also carrying ``labels``."""
+    def family(self, name: str, **labels) -> "dict[str, Counter]":
+        """One counter of ``name`` per value of its declared family
+        label (:data:`repro.obs.names.FAMILIES`; ``KeyError`` for a
+        metric declared without one), keyed by the value and created in
+        declaration order, each also carrying ``labels``."""
+        label, values = names.FAMILIES[name]
         return {
             value: self.counter(name, **labels, **{label: value})
             for value in values

@@ -2,7 +2,8 @@
 
 Operates purely on the JSON-ready dict produced by
 :meth:`repro.service.PlanCachingService.health_report` — no imports
-from the core pipeline, so the renderers stay usable on reports loaded
+from the core pipeline (only the metric names of
+:mod:`repro.obs.names`), so the renderers stay usable on reports loaded
 back from disk.  Three renderers:
 
 * :func:`render_report_text` — terminal scorecard: per-template
@@ -18,6 +19,8 @@ from __future__ import annotations
 import html as _html
 import json
 from typing import Any
+
+from repro.obs import names
 
 __all__ = [
     "render_report_html",
@@ -137,13 +140,13 @@ def render_report_text(report: "dict[str, Any]") -> str:
                 f"(objective {row['objective']})"
             )
         executions = _series_values(
-            telemetry, "ppc_executions_total", template=template
+            telemetry, names.EXECUTIONS_TOTAL, template=template
         )
         if executions:
             lines.append(f"  executions {sparkline(executions)}")
         p95 = _series_values(
             telemetry,
-            "ppc_stage_seconds",
+            names.STAGE_SECONDS,
             field="p95",
             template=template,
             stage="predict",
@@ -284,11 +287,11 @@ def render_report_html(report: "dict[str, Any]") -> str:
                 + "</table>"
             )
         executions = _series_values(
-            telemetry, "ppc_executions_total", template=template
+            telemetry, names.EXECUTIONS_TOTAL, template=template
         )
         p95 = _series_values(
             telemetry,
-            "ppc_stage_seconds",
+            names.STAGE_SECONDS,
             field="p95",
             template=template,
             stage="predict",

@@ -529,10 +529,7 @@ class DecisionTracer:
             template=template,
         )
         self._sampler_counters = registry.family(
-            names.TRACE_SAMPLER_TOTAL,
-            "decision",
-            names.SAMPLER_DECISIONS,
-            template=template,
+            names.TRACE_SAMPLER_TOTAL, template=template
         )
         self._timers = {
             span: (

@@ -67,3 +67,24 @@ class TestRuleScoping:
         source = (FIXTURES / "rpr007_bad.py").read_text()
         findings = lint_source(source, module="repro.histograms.scratch")
         assert [f for f in findings if f.rule == "RPR007"] == []
+
+
+class TestMetricNameInventory:
+    def test_rpr003_accepts_only_constants_naming_an_inventoried_metric(
+        self, monkeypatch
+    ):
+        from repro.obs import names
+
+        # A public string constant of the names module that no
+        # declaration made is not a metric name.
+        monkeypatch.setattr(names, "NOT_A_METRIC", "ppc_undeclared", raising=False)
+        source = (
+            "from repro.obs import names as metric_names\n"
+            "def record(registry):\n"
+            "    registry.counter(metric_names.EXECUTIONS_TOTAL).inc()\n"
+            "    registry.counter(metric_names.NOT_A_METRIC).inc()\n"
+        )
+        findings = lint_source(source, module="repro.core.scratch")
+        assert [(f.rule, f.line) for f in findings if f.rule == "RPR003"] == [
+            ("RPR003", 4)
+        ]

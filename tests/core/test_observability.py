@@ -116,6 +116,36 @@ class TestSessionMetrics:
         assert transform["count"] == 40
         assert ranges["count"] == 40
 
+    def test_batched_transform_timer_fires_once_per_z_pass(self, tiny_space):
+        # execute_batch shares one z pass per block; a traced row makes
+        # its own.  The range-query timer still fires once per row.
+        session = TemplateSession(tiny_space, PPCConfig(), seed=0)
+        points = RandomTrajectoryWorkload(
+            tiny_space.dimensions, spread=0.05, seed=11
+        ).generate(64)
+        for block in range(4):
+            session.execute_batch(np.asarray(points[16 * block : 16 * (block + 1)]))
+        registry = session.metrics
+        traced = sum(
+            value
+            for labels, value in registry.counter_series(
+                metric_names.TRACE_SAMPLER_TOTAL
+            )
+            if labels["decision"] != "skipped"
+        )
+        assert 0 < traced < 64
+        transform = registry.histogram_summary(
+            metric_names.PREDICT_TRANSFORM_SECONDS, template="tiny"
+        )
+        ranges = registry.histogram_summary(
+            metric_names.PREDICT_RANGE_QUERY_SECONDS, template="tiny"
+        )
+        predict = registry.histogram_summary(
+            metric_names.STAGE_SECONDS, template="tiny", stage="predict"
+        )
+        assert transform["count"] == 4 + traced
+        assert ranges["count"] == predict["count"] == 64
+
     def test_positive_feedback_outcomes_counted(self, tiny_space):
         config = PPCConfig(
             confidence_threshold=0.6,

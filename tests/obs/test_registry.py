@@ -194,14 +194,21 @@ class TestMetricsRegistry:
 
     def test_family_is_one_counter_per_value_in_order(self):
         registry = MetricsRegistry()
-        family = registry.family("events_total", "kind", ("y", "x"), template="Q1")
-        assert list(family) == ["y", "x"]
-        for kind, counter in family.items():
-            assert counter is registry.counter("events_total", template="Q1", kind=kind)
+        name = metric_names.CACHE_EVENTS_TOTAL
+        family = registry.family(name, template="Q1")
+        assert list(family) == list(metric_names.CACHE_EVENTS)
+        for event, counter in family.items():
+            assert counter is registry.counter(name, template="Q1", event=event)
         assert [labels for *__, labels, __ in registry.handles()] == [
-            {"template": "Q1", "kind": "y"},
-            {"template": "Q1", "kind": "x"},
+            {"template": "Q1", "event": event}
+            for event in metric_names.CACHE_EVENTS
         ]
+
+    def test_family_of_a_metric_declared_without_one_raises(self):
+        registry = MetricsRegistry()
+        with pytest.raises(KeyError, match=metric_names.EXECUTIONS_TOTAL):
+            registry.family(metric_names.EXECUTIONS_TOTAL, template="Q1")
+        assert registry.handles() == []
 
     def test_unknown_series_read_as_zero_or_none(self):
         registry = MetricsRegistry()
