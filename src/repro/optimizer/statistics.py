@@ -18,6 +18,8 @@ which the property-based tests pin down.
 
 from __future__ import annotations
 
+from functools import cache, cached_property
+
 import numpy as np
 
 from repro.exceptions import CatalogError
@@ -92,6 +94,14 @@ class ColumnStatistics:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    @cached_property
+    def knots(self) -> "tuple[list[float], list[float]]":
+        """The quantiles and fractions as lists of floats: what a
+        one-value interpolation in Python floats reads.  Built on first
+        use and shared, read-only, by every binder over this sketch;
+        the fractions list is shared by every sketch of its size."""
+        return self.quantiles.tolist(), _fraction_knots(self.quantiles.size)
+
     def selectivity_leq(self, value: "float | np.ndarray") -> "float | np.ndarray":
         """Estimated fraction of rows with column value <= ``value``."""
         result = np.interp(value, self.quantiles, self.fractions)
@@ -107,6 +117,13 @@ class ColumnStatistics:
         if np.isscalar(selectivity):
             return float(result)
         return result
+
+
+@cache
+def _fraction_knots(size: int) -> list[float]:
+    """``ColumnStatistics.fractions`` of a ``size``-point sketch as a
+    list of floats, made once per size."""
+    return np.linspace(0.0, 1.0, size).tolist()
 
 
 def _linear_quantiles(ordered: np.ndarray) -> np.ndarray:

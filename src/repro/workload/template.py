@@ -15,6 +15,7 @@ instances at chosen plan-space coordinates.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -55,8 +56,8 @@ class TemplateBinder:
     The column sketches are resolved when the binder is built.  A run
     of instances (:meth:`to_points`) then costs one ``np.interp`` per
     predicate and one normalization, however long it is; a single
-    instance (:meth:`to_point`) costs one ``np.interp`` and one
-    normalization per predicate, in Python floats.
+    instance (:meth:`to_point`) costs one bisection, one interpolation
+    and one normalization per predicate, in Python floats.
     """
 
     def __init__(
@@ -76,15 +77,18 @@ class TemplateBinder:
         # Per predicate, in parameter order: its column sketch's
         # quantiles and fractions (``ColumnStatistics.selectivity_leq``
         # is ``np.interp`` over them), and whether its selectivity is
-        # ``1 - leq`` (``>=``).
+        # ``1 - leq`` (``>=``); ``_knots`` holds the same sketches as
+        # lists of floats (``ColumnStatistics.knots``) for the
+        # one-instance bind.
         self._sketches = []
+        self._knots = []
         for predicate in self._predicates:
             sketch = statistics.column(
                 predicate.column.table, predicate.column.column
             )
-            self._sketches.append(
-                (sketch.quantiles, sketch.fractions, predicate.op == ">=")
-            )
+            geq = predicate.op == ">="
+            self._sketches.append((sketch.quantiles, sketch.fractions, geq))
+            self._knots.append((*sketch.knots, geq))
 
     def to_points(self, instances: Sequence[QueryInstance]) -> np.ndarray:
         """Map a run of instances to plan-space points, ``(m, r)``.
@@ -126,15 +130,17 @@ class TemplateBinder:
     def to_point(self, instance: QueryInstance) -> np.ndarray:
         """Map one instance's parameter values to a plan-space point.
 
-        Computed in Python floats, per predicate: ``np.interp`` of the
-        value on its column sketch, ``1 - leq`` for ``>=``, then
-        :meth:`ParameterMapping.point_to_normalized`.  The arithmetic
-        runs the same numpy loops as :meth:`to_points`, so the point is
-        bit for bit the run's row.  An instance this path does not
-        take (another template, another value count, or a value that is
-        not ``None``, a real number or a numpy real scalar, or does not
-        fit a float) is a run of one through :meth:`to_points`, which
-        raises its :class:`WorkloadError` or binds it as a run does.
+        Computed in Python floats, per predicate: the value's
+        interpolation on its column sketch (:func:`_interp`, numpy's
+        interp rule written out), ``1 - leq`` for ``>=``, then
+        :meth:`ParameterMapping.point_to_normalized`.  Each step makes
+        the same IEEE operations as the arrays of :meth:`to_points`, so
+        the point is bit for bit the run's row.  An instance this path
+        does not take (another template, another value count, or a value
+        that is not ``None``, a real number or a numpy real scalar, or
+        does not fit a float) is a run of one through :meth:`to_points`,
+        which raises its :class:`WorkloadError` or binds it as a run
+        does.
         """
         values = instance.values
         if (
@@ -143,7 +149,7 @@ class TemplateBinder:
         ):
             return self.to_points([instance])[0]
         selectivities = []
-        for value, (quantiles, fractions, geq) in zip(values, self._sketches):
+        for value, (quantiles, fractions, geq) in zip(values, self._knots):
             if value is None:
                 value = math.nan
             elif type(value) in _REAL_TYPES:
@@ -153,7 +159,7 @@ class TemplateBinder:
                     return self.to_points([instance])[0]
             else:
                 return self.to_points([instance])[0]
-            leq = float(np.interp(value, quantiles, fractions))
+            leq = _interp(value, quantiles, fractions)
             selectivities.append(1.0 - leq if geq else leq)
         return np.array(self.mapping.point_to_normalized(selectivities))
 
@@ -171,6 +177,36 @@ class TemplateBinder:
             for predicate, selectivity in zip(self._predicates, selectivities, strict=True)
         )
         return QueryInstance(self.template.name, values)
+
+
+def _interp(x: float, xp: list[float], fp: list[float]) -> float:
+    """``np.interp(x, xp, fp)`` of one float over two or more
+    non-decreasing knots ``xp`` and their values ``fp``, bit for bit,
+    in Python floats.
+
+    numpy's rule: NaN passes through; below ``xp[0]`` is ``fp[0]`` and
+    above ``xp[-1]`` is ``fp[-1]``; otherwise ``j`` is the last knot at
+    or below ``x`` (the last of tied knots), and ``x == xp[j]`` returns
+    ``fp[j]``.  Between knots the line through ``j`` is
+    ``slope * (x - xp[j]) + fp[j]``; a NaN there retries through
+    ``j + 1``, and a NaN again between equal values is ``fp[j]``.
+    """
+    if x != x:
+        return x
+    j = bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j == len(xp) - 1 or x == xp[j]:
+        # At or past the last knot, or on a knot.
+        return fp[j]
+    # xp[j] < x < xp[j + 1]: the divisor is positive.
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    result = slope * (x - xp[j]) + fp[j]
+    if result != result:
+        result = slope * (x - xp[j + 1]) + fp[j + 1]
+        if result != result and fp[j] == fp[j + 1]:
+            result = fp[j]
+    return result
 
 
 def _non_numeric(instances: Sequence[QueryInstance]) -> str:

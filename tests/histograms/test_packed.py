@@ -7,9 +7,12 @@ histogram kind, including point-mass buckets, touching buckets,
 weighted inserts, queries past ``[0, 1]`` and queries wider than a
 bucket, and the tiled query must equal the plain one bit for bit.
 The block is also the online synopsis store: after any history of
-inserts, shrinks and drops it must equal, plane for plane, a block
-freshly packed from ``IncrementalHistogram`` reference rows that
-replayed the same operations.  The sort-based medians must equal
+inserts, shrinks, drops and reloads it must equal, over each row's live
+columns and plane for plane, a block freshly packed from
+``IncrementalHistogram`` reference rows that replayed the same
+operations, and answer every query as that block does, however much
+wider an insert has grown it (by doubling, so a long history
+reallocates it only a handful of times).  The sort-based medians must equal
 ``np.median`` / ``np.nanmedian`` bit for bit, and the block's
 precondition (buckets sorted by ``lo``, pairwise non-overlapping) must
 hold for every construction and mutation.
@@ -166,17 +169,25 @@ class TestAgainstPerHistogramQueries:
             row[0].insert(value, cost, weight=weight)
         packed.insert(0, np.array(z), cost, weight, budget)
         fresh = PackedHistograms(rows)
-        assert_same_block(packed, fresh)
-        for got, want in zip(
-            packed.query(lo, hi), fresh.query(lo, hi), strict=True
-        ):
-            np.testing.assert_array_equal(got, want)
+        assert_same_block(packed, fresh, budget)
+        assert_same_answers(packed, fresh, lo, hi)
 
     def test_growing_row_widens_block(self):
+        """A row that outgrows the block widens it by doubling: twenty
+        point masses at budget 50 reallocate the block at most
+        ⌈log2(52)⌉ times, and it answers as the packed rows do."""
         packed = PackedHistograms([[IncrementalHistogram(max_buckets=50)]])
+        installs = count_installs(packed)
         for k in range(20):
             packed.insert(0, np.array([k / 20]), 1.0, 1.0, 50)
-        assert packed.width == 22
+        assert 22 <= packed.width <= 52
+        assert len(installs) <= 6
+        fresh = PackedHistograms.from_buckets(packed.rows())
+        assert fresh.width == 22
+        assert_same_block(packed, fresh, 50)
+        assert_same_answers(
+            packed, fresh, np.array([[-1.0, 0.1]]), np.array([[2.0, 0.5]])
+        )
         mass, __ = packed.query(np.array([[-1.0]]), np.array([[2.0]]))
         assert mass[0, 0, 0] == 20.0
 
@@ -239,14 +250,62 @@ class TestAgainstPerHistogramQueries:
         assert packed.tiles(edges).tobytes() == mass.tobytes()
 
 
-def assert_same_block(packed, expected):
-    """Every plane (prefix sums included), the width, the per-row
-    bucket counts and the footprint are equal bit for bit."""
-    assert packed.width == expected.width
-    np.testing.assert_array_equal(packed.bucket_counts, expected.bucket_counts)
-    assert packed._buckets.shape == expected._buckets.shape
-    assert packed._buckets.tobytes() == expected._buckets.tobytes()
+def assert_same_block(packed, expected, budget):
+    """``packed`` holds ``expected``'s rows, bit for bit: the per-row
+    bucket counts, the footprint, :meth:`rows` and, over each row's
+    live columns (the leading sentinel, the buckets and the first
+    trailing sentinel), every plane, prefix sums included.  Its columns
+    past them are trailing sentinels carrying the row's sums, and it is
+    no wider than the wider of ``budget + 2`` and the packed width."""
+    assert packed.bucket_counts.tolist() == expected.bucket_counts.tolist()
     assert packed.space_bytes() == expected.space_bytes()
+    for got, want in zip(packed.rows(), expected.rows(), strict=True):
+        for got_row, want_row in zip(got, want, strict=True):
+            assert np.array(got_row).tobytes() == np.array(want_row).tobytes()
+    assert packed.width <= max(budget + 2, expected.width)
+    for (index, plan), n in np.ndenumerate(packed.bucket_counts):
+        live = packed._buckets[:, index, plan, :n + 2]
+        assert live.tobytes() == (
+            expected._buckets[:, index, plan, :n + 2].tobytes()
+        )
+        padding = packed._buckets[:, index, plan, n + 1:]
+        assert padding.tobytes() == np.repeat(
+            live[:, -1:], padding.shape[1], axis=1
+        ).tobytes()
+
+
+def assert_same_answers(packed, expected, lo, hi, edges=None):
+    """Every :meth:`query` and :meth:`query_point` answer (and, given
+    ``edges``, every :meth:`tiles` answer) of ``packed`` is
+    ``expected``'s, bit for bit."""
+    for got, want in zip(
+        packed.query(lo, hi), expected.query(lo, hi), strict=True
+    ):
+        assert got.tobytes() == want.tobytes()
+    for j in range(lo.shape[1]):
+        bounds = lo[:, j].tolist(), hi[:, j].tolist()
+        for got, want in zip(
+            packed.query_point(*bounds),
+            expected.query_point(*bounds),
+            strict=True,
+        ):
+            assert got.tobytes() == want.tobytes()
+    if edges is not None:
+        assert packed.tiles(edges).tobytes() == expected.tiles(edges).tobytes()
+
+
+def count_installs(packed):
+    """Record every block ``packed`` installs from now on: one entry
+    per allocation of its planes (a pack or a grow)."""
+    installs = []
+    install = packed._install
+
+    def counting(block):
+        installs.append(block.shape)
+        install(block)
+
+    packed._install = counting
+    return installs
 
 
 def _inserts(t, plans):
@@ -265,10 +324,11 @@ def _inserts(t, plans):
 def histories(draw):
     """``(t, plans, budget, operations)``: inserts (weighted, on a
     coarse grid, so duplicate z-values and buckets touching at a shared
-    bound are common) mixed with shrinks and drops."""
+    bound are common) mixed with shrinks, drops and reloads of the
+    block's own rows."""
     t = draw(st.integers(1, 4))
     plans = draw(st.integers(1, 3))
-    budget = draw(st.integers(1, 8))
+    budget = draw(st.integers(1, 16))
     insert = _inserts(t, plans)
     operations = draw(
         st.lists(
@@ -279,6 +339,7 @@ def histories(draw):
                 insert,
                 st.tuples(st.just("shrink"), st.integers(1, 8)),
                 st.tuples(st.just("drop")),
+                st.tuples(st.just("load")),
             ),
             max_size=60,
         )
@@ -286,14 +347,35 @@ def histories(draw):
     return t, plans, budget, operations
 
 
+@st.composite
+def probes(draw, t):
+    """``(lo, hi, edges)``: a ``(t, m)`` query batch with bounds on the
+    coarse grid or past ``[0, 1]``, and strictly increasing tile
+    edges."""
+    m = draw(st.integers(1, 3))
+    bound = st.one_of(grid_values, st.floats(-0.5, 1.5, allow_nan=False))
+    pairs = draw(
+        st.lists(st.tuples(bound, bound), min_size=t * m, max_size=t * m)
+    )
+    lo = np.array([min(pair) for pair in pairs]).reshape(t, m)
+    hi = np.array([max(pair) for pair in pairs]).reshape(t, m)
+    edges = np.unique(draw(st.lists(grid_values, min_size=2, max_size=8)))
+    assume(edges.size >= 2)
+    return lo, hi, edges
+
+
 class TestOneStore:
     """The block is the store: in-place inserts and shrinks replay the
     reference ``IncrementalHistogram`` rows bit for bit."""
 
-    @given(history=histories())
+    @given(history=histories(), data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_block_equals_replayed_reference_rows(self, history):
+    def test_block_equals_replayed_reference_rows(self, history, data):
+        """After every insert, shrink, drop or load the block holds the
+        reference rows and answers every query as a block freshly
+        packed from them, however much wider it has grown."""
         t, plans, budget, operations = history
+        lo, hi, edges = data.draw(probes(t))
 
         def fresh_rows():
             return [
@@ -303,25 +385,30 @@ class TestOneStore:
 
         reference = fresh_rows()
         packed = PackedHistograms(reference)
+        points, mass = 0, 0.0
         for operation, *args in operations:
             if operation == "insert":
                 plan, z, cost, weight = args
                 packed.insert(plan, np.array(z), cost, weight, budget)
                 for row, value in zip(reference, z, strict=True):
                     row[plan].insert(value, cost, weight=weight)
+                points, mass = points + 1, mass + weight
             elif operation == "shrink":
                 (budget,) = args
                 packed.shrink(budget)
                 for row in reference:
                     for histogram in row:
                         histogram.shrink(budget)
-            else:
+            elif operation == "drop":
                 reference = fresh_rows()
-                packed = PackedHistograms.from_buckets(
-                    [[[] for __ in range(plans)] for __ in range(t)]
-                )
+                packed.clear()
+                points, mass = 0, 0.0
+            else:
+                packed.load(packed.rows(), points, mass)
             expected = PackedHistograms(reference)
-            assert_same_block(packed, expected)
+            assert_same_block(packed, expected, budget)
+            assert_same_answers(packed, expected, lo, hi, edges)
+            assert (packed.total_points, packed.total_mass) == (points, mass)
             assert packed.space_bytes() == sum(
                 histogram.space_bytes() for row in reference for histogram in row
             )
@@ -333,7 +420,8 @@ class TestOneStore:
             for row in reference
         ]
         restored = PackedHistograms.from_buckets(packed.rows())
-        assert_same_block(restored, packed)
+        assert_same_block(packed, restored, budget)
+        assert restored.width == int(packed.bucket_counts.max()) + 2
 
     @pytest.mark.parametrize(
         "plan, z",
@@ -368,16 +456,80 @@ class TestOneStore:
         assert packed.space_bytes() == 3 * 12
         assert (packed.version, packed.total_points, packed.total_mass) == books
 
+    @pytest.mark.parametrize(
+        "layout, value",
+        [
+            # Point masses at 1/8, 1/4, 1/2 and 3/4: the new one joins
+            # its right neighbour, its left one, or, on a tie, the
+            # first real pair left of it.
+            ((0.125, 0.25, 0.5, 0.75), 0.0),
+            ((0.125, 0.25, 0.5, 0.75), 0.0625),
+            ((0.125, 0.25, 0.5, 0.75), 0.3125),
+            ((0.125, 0.25, 0.5, 0.75), 0.375),
+            ((0.125, 0.25, 0.5, 0.75), 0.4375),
+            ((0.125, 0.25, 0.5, 0.75), 0.875),
+            ((0.125, 0.25, 0.5, 0.75), 1.0),
+            # The narrowest pair lies right of the new point mass.
+            ((0.0, 0.5, 0.875, 0.9375), 0.25),
+            ((0.0, 0.5, 0.875, 0.9375), 0.75),
+        ],
+    )
+    def test_full_row_opens_and_merges_as_the_reference(self, layout, value):
+        """A point mass opened in a full row merges the narrowest pair
+        of the budget plus one buckets, the first on a tie, wherever it
+        lands and whichever pair that is."""
+        reference = IncrementalHistogram(max_buckets=4)
+        packed = PackedHistograms([[reference]])
+        for z in layout:
+            reference.insert(z, 3.0, weight=0.5)
+            packed.insert(0, np.array([z]), 3.0, 0.5, 4)
+        reference.insert(value, 5.0, weight=0.25)
+        packed.insert(0, np.array([value]), 5.0, 0.25, 4)
+        assert packed.bucket_counts.tolist() == [[4]]
+        fresh = PackedHistograms([[reference]])
+        assert_same_block(packed, fresh, 4)
+        assert_same_answers(
+            packed, fresh, np.array([[0.0, 0.2, 0.6]]), np.array([[1.0, 0.4, 0.9]])
+        )
+
     def test_insert_at_budget_keeps_the_width(self):
         """A full row opens a bucket and merges back without widening
-        the block, even for an instant."""
+        the block, even for an instant, and the block answers as its
+        rows freshly packed do."""
         packed = PackedHistograms.from_buckets([[[]]])
         for k in range(4):
             packed.insert(0, np.array([k / 4]), 1.0, 1.0, 4)
-        block = packed._buckets
+        block, width = packed._buckets, packed.width
+        installs = count_installs(packed)
         packed.insert(0, np.array([0.9]), 1.0, 1.0, 4)
-        assert packed.width == 6
-        assert packed._buckets is block
+        assert packed._buckets is block and packed.width == width
+        assert installs == []
+        assert packed.bucket_counts.tolist() == [[4]]
+        fresh = PackedHistograms.from_buckets(packed.rows())
+        assert_same_block(packed, fresh, 4)
+        assert_same_answers(
+            packed, fresh, np.array([[0.0, 0.3, 0.8]]), np.array([[1.0, 0.6, 0.95]])
+        )
+
+    def test_a_long_history_reallocates_logarithmically(self):
+        """A thousand inserts at budget 40, spread over a block's rows,
+        reallocate it at most ⌈log2(42)⌉ times, and the block ends
+        as its rows freshly packed."""
+        rng = np.random.default_rng(7)
+        packed = PackedHistograms.from_buckets([[[], []], [[], []], [[], []]])
+        installs = count_installs(packed)
+        for __ in range(1000):
+            packed.insert(
+                int(rng.integers(2)), rng.uniform(0.0, 1.0, 3), 1.5, 1.0, 40
+            )
+        assert len(installs) <= 6
+        assert packed.bucket_counts.tolist() == [[40, 40]] * 3
+        fresh = PackedHistograms.from_buckets(packed.rows())
+        assert_same_block(packed, fresh, 40)
+        lo = rng.uniform(0.0, 1.0, (3, 4))
+        assert_same_answers(
+            packed, fresh, lo, lo + 0.1, np.linspace(0.0, 1.0, 9)
+        )
 
     def test_shrink_narrows_the_block(self):
         packed = PackedHistograms.from_buckets([[[]], [[]]])

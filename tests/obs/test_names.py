@@ -46,7 +46,19 @@ def test_families_are_counters_and_stages_follow_the_span_table():
 
 
 def test_readme_metric_table_lists_the_inventory():
+    """The table names exactly the inventory, and each family's row
+    lists its label's declared values, in declaration order."""
     readme = (REPO_ROOT / "README.md").read_text()
+    rows = dict(
+        re.findall(
+            r"^\| `(ppc_[a-z_]+)` \|[^|\n]*\|([^\n]*)\|$",
+            readme,
+            flags=re.MULTILINE,
+        )
+    )
     table = re.findall(r"^\| `(ppc_[a-z_]+)` \|", readme, flags=re.MULTILINE)
     assert len(table) == len(set(table))
     assert set(table) == {spec.name for spec in metric_names.INVENTORY}
+    for name, (label, values) in metric_names.FAMILIES.items():
+        listed = re.findall(rf"`{label}` \(([^)]*)\)", rows[name])
+        assert [tuple(v.split(" / ")) for v in listed] == [values], name

@@ -90,6 +90,19 @@ class TestColumnStatistics:
             with pytest.raises(CatalogError, match="finite"):
                 ColumnStatistics.from_samples(uniform_column, np.array(samples))
 
+    def test_knots_are_the_sketch_as_floats(self, uniform_column):
+        """The one-value bind's lists hold the sketch's bits; a sketch
+        builds them once, and sketches of one size share the fractions."""
+        stats = ColumnStatistics.gaussian(uniform_column, 40.0, 9.0, seed=3)
+        other = ColumnStatistics.uniform(uniform_column)
+        quantiles, fractions = stats.knots
+        assert np.array(quantiles).tobytes() == stats.quantiles.tobytes()
+        assert np.array(fractions).tobytes() == stats.fractions.tobytes()
+        assert stats.knots is stats.knots
+        assert other.knots[1] is fractions
+        short = ColumnStatistics(uniform_column, np.array([1.0, 2.0, 2.0]))
+        assert short.knots == ([1.0, 2.0, 2.0], [0.0, 0.5, 1.0])
+
 
 def _sample_sets(count, seed=0):
     """Seeded sample sets of 1 to 30,000 values: plain, tied, and with

@@ -8,12 +8,16 @@ reference composition of :func:`predicate_selectivity` and
 ``ParameterMapping.to_normalized`` bit for bit: for ``<=`` and ``>=``
 predicates, log and linear scales, values on and between sketch knots,
 values outside the column's domain and selectivities at the mapping's
-clip bounds.  Any instance the one-instance path does not take binds or
-raises exactly as a run of one.  A malformed instance raises before
+clip bounds.  The one-instance path interpolates in Python floats
+(``_interp``), which must be ``np.interp`` bit for bit on any sketch.
+Any instance the one-instance path does not take binds or raises
+exactly as a run of one.  A malformed instance raises before
 anything of its run runs.
 """
 
 import copy
+import math
+import struct
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -30,6 +34,7 @@ from repro.optimizer.selectivity import predicate_selectivity
 from repro.optimizer.statistics import ColumnStatistics
 from repro.tpch import build_catalog, build_statistics, query_template
 from repro.workload import QueryInstance, TemplateBinder
+from repro.workload.template import _interp
 
 #: ``>=`` next to ``<=``, on a Gaussian date column and a uniform one.
 MIXED = QueryTemplate(
@@ -394,6 +399,85 @@ class TestOnePointBind:
             with pytest.raises(WorkloadError) as error:
                 bind(bad)
             assert str(error.value) == message
+
+
+#: Knots on a coarse grid (so ties are common), signed zeros included.
+_knot_values = st.one_of(
+    st.integers(-4, 4).map(lambda k: k / 4),
+    st.just(-0.0),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@st.composite
+def _sketches(draw):
+    """``(xp, fp)``: 2-12 non-decreasing knots and their values, either
+    a sketch's even fractions or any floats, infinities included (which
+    reach numpy's NaN retry)."""
+    xp = sorted(draw(st.lists(_knot_values, min_size=2, max_size=12)))
+    fp = draw(
+        st.one_of(
+            st.just(np.linspace(0.0, 1.0, len(xp)).tolist()),
+            st.lists(
+                st.one_of(_knot_values, st.sampled_from([math.inf, -math.inf])),
+                min_size=len(xp),
+                max_size=len(xp),
+            ),
+        )
+    )
+    return xp, fp
+
+
+def _probe_values(xp):
+    """Values at and between the knots, below and above them, signed
+    zeros, NaN and the infinities."""
+    between = [(a + b) / 2 for a, b in zip(xp, xp[1:])]
+    return st.one_of(
+        st.sampled_from(xp),
+        st.sampled_from(between),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from(
+            [0.0, -0.0, math.nan, math.inf, -math.inf, xp[0] - 1.0, xp[-1] + 1.0]
+        ),
+    )
+
+
+class TestFloatInterpolation:
+    """The one-instance bind interpolates in Python floats; it must be
+    ``np.interp`` bit for bit, sign of zero and NaN included."""
+
+    @given(sketch=_sketches(), data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_equals_np_interp_bitwise(self, sketch, data):
+        xp, fp = sketch
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for x in data.draw(st.lists(_probe_values(xp), min_size=1, max_size=8)):
+                want = np.interp(x, np.array(xp), np.array(fp))
+                got = _interp(x, xp, fp)
+                assert type(got) is float
+                assert struct.pack("<d", got) == struct.pack("<d", want), (x, xp, fp)
+
+    def test_ties_take_the_last_tied_knot(self):
+        xp, fp = [0.0, 1.0, 1.0, 1.0, 2.0], [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert _interp(1.0, xp, fp) == 0.75 == np.interp(1.0, xp, fp)
+        assert _interp(-0.0, [-0.0, 0.0], [0.0, 1.0]) == 1.0
+
+    @given(name=st.sampled_from(TEMPLATES[:-1]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_point_has_the_bytes_of_its_run_of_one(self, binders, name, data):
+        binder = binders[name]
+        values = []
+        for predicate in _sorted_predicates(binder):
+            knots = binder.statistics.column(
+                predicate.column.table, predicate.column.column
+            ).quantiles.tolist()
+            values.append(data.draw(_probe_values(knots)))
+        instance = QueryInstance(name, tuple(values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = binder.to_points([instance])[0]
+        assert binder.to_point(instance).tobytes() == want.tobytes()
 
 
 class TestBindingOrder:
