@@ -40,11 +40,9 @@ bit for bit on a plan's ``t`` rows in place; that class is the
 reference the block is tested against.  An insert writes a row's
 fields as scalars, a row over its budget merges in place
 (:meth:`PackedHistograms._merge`, a slice shift, no copy of the row),
-a full row opens and merges in one pass
-(:meth:`PackedHistograms._open_full`), and a row that outgrows the
-block widens it by doubling, not by one column
-(:meth:`PackedHistograms._grow`): an online optimizer call pays for the
-arithmetic, not for building arrays.
+and a row that outgrows the block widens it by doubling, not by one
+column (:meth:`PackedHistograms._grow`): an online optimizer call pays
+for the arithmetic, not for building arrays.
 
 It keeps its own books.  Its four writers — :meth:`insert`,
 :meth:`clear`, :meth:`shrink` and :meth:`load` — are the only code
@@ -232,68 +230,6 @@ class PackedHistograms:
         row[:, n + 1:end + 1] = _TRAILING[:_STORED]
         return n
 
-    def _open_full(
-        self,
-        row: np.ndarray,
-        column: int,
-        value: float,
-        count: float,
-        cost: float,
-        n: int,
-    ) -> None:
-        """Open a point mass at ``value`` with ``count`` and ``cost`` at
-        ``column`` of the full ``row`` (``n`` buckets, at the budget)
-        and merge the narrowest adjacent pair of the ``n + 1``, the
-        first on a tie: what opening it and then :meth:`_merge` do, bit
-        for bit, with at most one partial shift instead of two shifts
-        of the tail.  ``row`` keeps ``n`` buckets."""
-        # The n pairs of the n + 1 buckets by position in the row: the
-        # point mass's pairs with its left and right neighbours are at
-        # column - 2 and column - 1, and real pair k (columns k + 1 and
-        # k + 2) is at k left of them and at k + 1 right of them.  The
-        # real pair the point mass splits (k = column - 2) is no pair,
-        # but it needs no masking: it spans the left pair and comes
-        # after it, so it never wins.
-        split = column - 2
-        candidates = []
-        if column > 1:
-            candidates.append((value - row[_LO, column - 1], split))
-        if column <= n:
-            candidates.append((row[_HI, column] - value, column - 1))
-        if n > 1:
-            spans = row[_HI, 2:n + 1] - row[_LO, 1:n]
-            k = int(spans.argmin())
-            candidates.append((spans[k], k if k < split else k + 1))
-        # The narrowest span, the first position on a tie.
-        __, position = min(candidates)
-        if position == split:
-            row[_HI, column - 1] = value
-            row[_COUNT, column - 1] += count
-            row[_COST, column - 1] += cost
-            return
-        if position == column - 1:
-            row[_LO, column] = value
-            row[_COUNT, column] = count + row[_COUNT, column]
-            row[_COST, column] = cost + row[_COST, column]
-            return
-        left = position + 1 if position < split else position
-        row[_HI, left] = row[_HI, left + 1]
-        row[_COUNT, left] += row[_COUNT, left + 1]
-        row[_COST, left] += row[_COST, left + 1]
-        if left < column:
-            # The pair lies left of the point mass: close its gap by
-            # shifting what lies between them left.
-            row[:, left + 1:column - 1] = row[:, left + 2:column]
-            column -= 1
-        else:
-            # Right of it: open the point mass's column by shifting the
-            # buckets up to the merged one right, over the freed column.
-            row[:, column + 1:left + 2] = row[:, column:left + 1]
-        row[_LO, column] = value
-        row[_HI, column] = value
-        row[_COUNT, column] = count
-        row[_COST, column] = cost
-
     def insert(
         self,
         plan: int,
@@ -308,8 +244,7 @@ class PackedHistograms:
         ``IncrementalHistogram(budget).insert`` does: join the bucket
         whose ``lo`` is z, else the previous bucket if it reaches z,
         else open a point mass; then merge while over ``budget``
-        (:meth:`_merge`, in place; a row at the budget opens and merges
-        in one pass, :meth:`_open_full`).  The plan id, the number of
+        (:meth:`_merge`, in place).  The plan id, the number of
         z-values and every z (in ``[0, 1]``) are checked before any
         write, so a rejected insert changes nothing.
 
@@ -342,10 +277,6 @@ class PackedHistograms:
         at = (self._buckets[_LO, :, plan] < z[:, None]).argmin(axis=1)
         counts = self.bucket_counts[:, plan].tolist()
         added = cost * weight
-        # An opened bucket's count and cost sum: the reference adds to a
-        # fresh bucket's zeros, which turns a -0.0 into 0.0; ``0.0 +``
-        # keeps those bits.
-        opened = 0.0 + weight, 0.0 + added
         for index, (column, value, n) in enumerate(
             zip(at.tolist(), values, counts, strict=True)
         ):
@@ -356,19 +287,20 @@ class PackedHistograms:
                     column -= 1
                 row[_COUNT, column] += weight
                 row[_COST, column] += added
-            elif n == budget:
-                self._open_full(row, column, value, *opened, n)
             else:
-                # Shift the tail right over the first trailing sentinel.
-                # A row over its budget merges back before the insert
-                # returns, so only one under it widens the block.
+                # Shift the tail right over the first trailing sentinel;
+                # a full row merges back before the insert returns, so
+                # only a row that keeps the new bucket widens the block.
                 if n < budget and n + 3 > self.width:
                     self._grow(n, budget)
                     row = self._buckets[:_STORED, index, plan]
                 row[:, column + 1:n + 2] = row[:, column:n + 1]
                 row[_LO, column] = value
                 row[_HI, column] = value
-                row[_COUNT, column], row[_COST, column] = opened
+                # The reference adds to a fresh bucket's zeros, which
+                # turns a -0.0 into 0.0; ``0.0 +`` keeps those bits.
+                row[_COUNT, column] = 0.0 + weight
+                row[_COST, column] = 0.0 + added
                 n += 1
             if n > budget:
                 n = self._merge(row, n, budget)

@@ -95,12 +95,13 @@ class ColumnStatistics:
     # Queries
     # ------------------------------------------------------------------
     @cached_property
-    def knots(self) -> "tuple[list[float], list[float]]":
-        """The quantiles and fractions as lists of floats: what a
+    def knots(self) -> "tuple[tuple[float, ...], tuple[float, ...]]":
+        """The quantiles and fractions as tuples of floats: what a
         one-value interpolation in Python floats reads.  Built on first
-        use and shared, read-only, by every binder over this sketch;
-        the fractions list is shared by every sketch of its size."""
-        return self.quantiles.tolist(), _fraction_knots(self.quantiles.size)
+        use and shared by every binder over this sketch; the fractions
+        are shared by every sketch of their size."""
+        quantiles = tuple(self.quantiles.tolist())
+        return quantiles, _fraction_knots(len(quantiles))
 
     def selectivity_leq(self, value: "float | np.ndarray") -> "float | np.ndarray":
         """Estimated fraction of rows with column value <= ``value``."""
@@ -120,10 +121,10 @@ class ColumnStatistics:
 
 
 @cache
-def _fraction_knots(size: int) -> list[float]:
+def _fraction_knots(size: int) -> tuple[float, ...]:
     """``ColumnStatistics.fractions`` of a ``size``-point sketch as a
-    list of floats, made once per size."""
-    return np.linspace(0.0, 1.0, size).tolist()
+    tuple of floats, made once per size."""
+    return tuple(np.linspace(0.0, 1.0, size).tolist())
 
 
 def _linear_quantiles(ordered: np.ndarray) -> np.ndarray:

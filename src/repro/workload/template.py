@@ -78,7 +78,7 @@ class TemplateBinder:
         # quantiles and fractions (``ColumnStatistics.selectivity_leq``
         # is ``np.interp`` over them), and whether its selectivity is
         # ``1 - leq`` (``>=``); ``_knots`` holds the same sketches as
-        # lists of floats (``ColumnStatistics.knots``) for the
+        # tuples of floats (``ColumnStatistics.knots``) for the
         # one-instance bind.
         self._sketches = []
         self._knots = []
@@ -179,7 +179,7 @@ class TemplateBinder:
         return QueryInstance(self.template.name, values)
 
 
-def _interp(x: float, xp: list[float], fp: list[float]) -> float:
+def _interp(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
     """``np.interp(x, xp, fp)`` of one float over two or more
     non-decreasing knots ``xp`` and their values ``fp``, bit for bit,
     in Python floats.

@@ -456,42 +456,6 @@ class TestOneStore:
         assert packed.space_bytes() == 3 * 12
         assert (packed.version, packed.total_points, packed.total_mass) == books
 
-    @pytest.mark.parametrize(
-        "layout, value",
-        [
-            # Point masses at 1/8, 1/4, 1/2 and 3/4: the new one joins
-            # its right neighbour, its left one, or, on a tie, the
-            # first real pair left of it.
-            ((0.125, 0.25, 0.5, 0.75), 0.0),
-            ((0.125, 0.25, 0.5, 0.75), 0.0625),
-            ((0.125, 0.25, 0.5, 0.75), 0.3125),
-            ((0.125, 0.25, 0.5, 0.75), 0.375),
-            ((0.125, 0.25, 0.5, 0.75), 0.4375),
-            ((0.125, 0.25, 0.5, 0.75), 0.875),
-            ((0.125, 0.25, 0.5, 0.75), 1.0),
-            # The narrowest pair lies right of the new point mass.
-            ((0.0, 0.5, 0.875, 0.9375), 0.25),
-            ((0.0, 0.5, 0.875, 0.9375), 0.75),
-        ],
-    )
-    def test_full_row_opens_and_merges_as_the_reference(self, layout, value):
-        """A point mass opened in a full row merges the narrowest pair
-        of the budget plus one buckets, the first on a tie, wherever it
-        lands and whichever pair that is."""
-        reference = IncrementalHistogram(max_buckets=4)
-        packed = PackedHistograms([[reference]])
-        for z in layout:
-            reference.insert(z, 3.0, weight=0.5)
-            packed.insert(0, np.array([z]), 3.0, 0.5, 4)
-        reference.insert(value, 5.0, weight=0.25)
-        packed.insert(0, np.array([value]), 5.0, 0.25, 4)
-        assert packed.bucket_counts.tolist() == [[4]]
-        fresh = PackedHistograms([[reference]])
-        assert_same_block(packed, fresh, 4)
-        assert_same_answers(
-            packed, fresh, np.array([[0.0, 0.2, 0.6]]), np.array([[1.0, 0.4, 0.9]])
-        )
-
     def test_insert_at_budget_keeps_the_width(self):
         """A full row opens a bucket and merges back without widening
         the block, even for an instant, and the block answers as its

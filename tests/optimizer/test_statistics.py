@@ -91,7 +91,7 @@ class TestColumnStatistics:
                 ColumnStatistics.from_samples(uniform_column, np.array(samples))
 
     def test_knots_are_the_sketch_as_floats(self, uniform_column):
-        """The one-value bind's lists hold the sketch's bits; a sketch
+        """The one-value bind's tuples hold the sketch's bits; a sketch
         builds them once, and sketches of one size share the fractions."""
         stats = ColumnStatistics.gaussian(uniform_column, 40.0, 9.0, seed=3)
         other = ColumnStatistics.uniform(uniform_column)
@@ -101,7 +101,7 @@ class TestColumnStatistics:
         assert stats.knots is stats.knots
         assert other.knots[1] is fractions
         short = ColumnStatistics(uniform_column, np.array([1.0, 2.0, 2.0]))
-        assert short.knots == ([1.0, 2.0, 2.0], [0.0, 0.5, 1.0])
+        assert short.knots == ((1.0, 2.0, 2.0), (0.0, 0.5, 1.0))
 
 
 def _sample_sets(count, seed=0):
